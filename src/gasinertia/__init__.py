@@ -15,6 +15,7 @@ from .model import (
     derived_area,
 )
 from .physics import (
+    PipeTable,
     TermRecord,
     compressibility,
     discretized_pressure_drop,
@@ -36,7 +37,6 @@ from .thresholds import (
 from .components import (
     Component,
     DirectedArc,
-    analyze_pair,
     build_pair_components,
     classify_component,
     group_records,
@@ -57,14 +57,13 @@ from .temporal import (
 from .ingest import (
     ExclusionWindow,
     ParseError,
-    apply_exclusions,
     parse_exclusions,
     parse_states,
     parse_topology,
     serialize_states,
     serialize_topology,
 )
-from .synth import BoundaryEvent, Scenario, SimulationError, inject_step, parse_scenario, simulate
+from .synth import BoundaryEvent, Scenario, SimulationError, parse_scenario, simulate
 from .report import HexBin, HexBinResult, SweepRow, hex_center, hexbin, sweep_table
 
 __version__ = "0.1.0"

@@ -3,18 +3,18 @@ report and synth.
 
 Stages communicate through CSV files only, so any stage can be rerun or
 replaced.  Outputs are deterministic: rows follow sorted ids and
-chronological pairs, and worker results merge in submission order no
-matter how many threads run.
+chronological pairs.
 """
 
 from __future__ import annotations
 
 import argparse
-from concurrent.futures import ThreadPoolExecutor
 import csv
 import math
 import os
 import sys
+
+import numpy as np
 
 from .model import (
     BAR,
@@ -23,11 +23,15 @@ from .model import (
     Diagnostics,
     GasParams,
     ModelError,
-    Network,
-    StateFrame,
     TimePair,
 )
-from .physics import TermRecord
+from .physics import (
+    PipeTable,
+    TermRecord,
+    friction_term_beta,
+    inertia_term_alpha,
+    term_ratio,
+)
 from .thresholds import ThresholdConfig, derive_min_flow_change, pipe_relevant, prefilter
 from .components import (
     Component,
@@ -167,53 +171,6 @@ def cmd_derive_threshold(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
-def _scan_pair(network: Network, pair: TimePair, frame_t0: StateFrame,
-               frame_t1: StateFrame, gas: GasParams, cfg: ThresholdConfig,
-               excl_index) -> tuple[list[tuple[TermRecord, bool]], dict[str, int], Diagnostics]:
-    diag = Diagnostics()
-    counts = {"total": 0, "excluded": 0, "missing": 0, "below_prefilter": 0,
-              "evaluated": 0, "relevant": 0}
-    rows: list[tuple[TermRecord, bool]] = []
-    for pipe_id in sorted(network.pipes()):
-        counts["total"] += 1
-        if is_excluded(pipe_id, pair, excl_index):
-            counts["excluded"] += 1
-            continue
-        element = network.elements[pipe_id]
-        flow_t0 = frame_t0.arc_flow_m3s.get(pipe_id)
-        flow_t1 = frame_t1.arc_flow_m3s.get(pipe_id)
-        rho = frame_t1.pipe_rho_n_kgm3.get(pipe_id)
-        if flow_t0 is None or flow_t1 is None or rho is None:
-            counts["missing"] += 1
-            diag.missing_data += 1
-            continue
-        if not prefilter(flow_t0, flow_t1, cfg):
-            counts["below_prefilter"] += 1
-            continue
-        p_left = frame_t1.node_pressure_pa.get(element.from_node)
-        p_right = frame_t1.node_pressure_pa.get(element.to_node)
-        if p_left is None or p_right is None:
-            counts["missing"] += 1
-            diag.missing_data += 1
-            continue
-        record = TermRecord.evaluate(pipe_id, element.geometry, gas, rho, pair,
-                                     flow_t0, flow_t1, p_left, p_right, diag)
-        counts["evaluated"] += 1
-        relevant = pipe_relevant(record, cfg)
-        if relevant:
-            counts["relevant"] += 1
-        rows.append((record, relevant))
-    return rows, counts, diag
-
-
-def _run_pairs(tasks, worker, threads: int):
-    """Ordered map over per-pair tasks, optionally on a thread pool."""
-    if threads <= 1:
-        return [worker(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg, gas = _configs_from_args(args)
     network = parse_topology(args.topology)
@@ -221,25 +178,62 @@ def cmd_scan(args: argparse.Namespace) -> int:
     windows = parse_exclusions(args.exclusions, network) if args.exclusions else []
     excl_index = index_exclusions(windows)
     pairs = frame_pairs(frames)
+    pipe_ids = sorted(network.pipes())
+    elements = [network.elements[pipe_id] for pipe_id in pipe_ids]
 
-    def worker(task):
-        pair, frame_t0, frame_t1 = task
-        return _scan_pair(network, pair, frame_t0, frame_t1, gas, cfg, excl_index)
-
-    results = _run_pairs(pairs, worker, args.threads)
-
-    all_rows: list[tuple[TermRecord, bool]] = []
+    # classify every data point; survivors are evaluated in one kernel call
     totals = {"total": 0, "excluded": 0, "missing": 0, "below_prefilter": 0,
               "evaluated": 0, "relevant": 0}
     diag = Diagnostics()
-    for rows, counts, part in results:
-        all_rows.extend(rows)
-        for key, value in counts.items():
-            totals[key] += value
-        diag.merge(part)
+    keys = []    # (pipe position, pair) of each survivor
+    values = []  # (tau, flow_t0, flow_t1, rho, p_left, p_right) of each survivor
+    for pair, frame_t0, frame_t1 in pairs:
+        for position, (pipe_id, element) in enumerate(zip(pipe_ids, elements)):
+            totals["total"] += 1
+            if is_excluded(pipe_id, pair, excl_index):
+                totals["excluded"] += 1
+                continue
+            flow_t0 = frame_t0.arc_flow_m3s.get(pipe_id)
+            flow_t1 = frame_t1.arc_flow_m3s.get(pipe_id)
+            rho = frame_t1.pipe_rho_n_kgm3.get(pipe_id)
+            if flow_t0 is None or flow_t1 is None or rho is None:
+                totals["missing"] += 1
+                diag.missing_data += 1
+                continue
+            if not prefilter(flow_t0, flow_t1, cfg):
+                totals["below_prefilter"] += 1
+                continue
+            p_left = frame_t1.node_pressure_pa.get(element.from_node)
+            p_right = frame_t1.node_pressure_pa.get(element.to_node)
+            if p_left is None or p_right is None:
+                totals["missing"] += 1
+                diag.missing_data += 1
+                continue
+            keys.append((position, pair))
+            values.append((pair.tau_s, flow_t0, flow_t1, rho, p_left, p_right))
 
-    write_terms(all_rows, _out_path(args, "terms.csv"))
-    print(f"frames: {len(frames)}, pairs: {len(pairs)}, pipes: {len(network.pipes())}")
+    tau, flow_t0, flow_t1, rho, p_left, p_right = np.array(values).reshape(-1, 6).T
+    del values  # freed before the kernel allocates its temporaries
+    table = PipeTable.of([element.geometry for element in elements]).take(
+        np.array([position for position, _ in keys], dtype=int))
+    alpha = inertia_term_alpha(table, rho, tau, flow_t0, flow_t1)
+    beta = friction_term_beta(table, gas, rho, flow_t1, p_left, p_right, diag)
+
+    def rows():
+        # tolist() gives plain floats, which the terms file writes with repr
+        for (position, pair), *terms in zip(keys, flow_t0.tolist(), flow_t1.tolist(),
+                                            alpha.tolist(), beta.tolist(),
+                                            (alpha / table.length_m).tolist(),
+                                            term_ratio(alpha, beta).tolist()):
+            record = TermRecord(pipe_ids[position], pair, *terms)
+            relevant = pipe_relevant(record, cfg)
+            totals["relevant"] += relevant
+            yield record, relevant
+
+    # records are written as they are made, never held all at once
+    write_terms(rows(), _out_path(args, "terms.csv"))
+    totals["evaluated"] = len(keys)
+    print(f"frames: {len(frames)}, pairs: {len(pairs)}, pipes: {len(pipe_ids)}")
     print(f"data points: {totals['total']}, excluded: {totals['excluded']}, "
           f"missing: {totals['missing']}, below prefilter: {totals['below_prefilter']}, "
           f"evaluated: {totals['evaluated']}, relevant: {totals['relevant']}")
@@ -267,7 +261,8 @@ def cmd_components(args: argparse.Namespace) -> int:
         if relevant:
             grouped.setdefault(record.pair, []).append(record)
 
-    tasks = []
+    diag = Diagnostics()
+    stream: list[tuple[TimePair, list[Component]]] = []
     for pair in sorted(grouped, key=lambda p: p.t0):
         frame_t0 = frames_by_stamp.get(pair.t0)
         frame_t1 = frames_by_stamp.get(pair.t1)
@@ -275,21 +270,8 @@ def cmd_components(args: argparse.Namespace) -> int:
             raise ParseError(args.terms, 0,
                              f"pair {format_timestamp(pair.t0)} .. "
                              f"{format_timestamp(pair.t1)} has no matching states")
-        tasks.append((pair, grouped[pair], frame_t0, frame_t1))
-
-    diags = [Diagnostics() for _ in tasks]
-
-    def worker(indexed):
-        index, (pair, records, frame_t0, frame_t1) = indexed
-        comps = build_pair_components(network, records, frame_t0, frame_t1,
-                                      cfg, diags[index])
-        return pair, comps
-
-    results = _run_pairs(list(enumerate(tasks)), worker, args.threads)
-    stream = [(pair, comps) for pair, comps in results]
-    diag = Diagnostics()
-    for part in diags:
-        diag.merge(part)
+        stream.append((pair, build_pair_components(network, grouped[pair], frame_t0,
+                                                   frame_t1, cfg, diag)))
 
     write_components(stream, _out_path(args, "components.csv"),
                      _out_path(args, "components_pipes.csv"))
@@ -478,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads over time pairs (default 1)")
+                       help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("scan", help="evaluate terms for every pipe and pair")
     common(p, topology=True, states=True, exclusions=True)

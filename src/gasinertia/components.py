@@ -26,7 +26,7 @@ from .model import (
     TimePair,
 )
 from .physics import TermRecord
-from .thresholds import RelevanceClass, ThresholdConfig, classify_absolute, pipe_relevant
+from .thresholds import RelevanceClass, ThresholdConfig, classify_absolute
 
 
 @dataclass(frozen=True)
@@ -363,11 +363,3 @@ def build_pair_components(network: Network, relevant_records: list[TermRecord],
         ))
     return components
 
-
-def analyze_pair(network: Network, records: list[TermRecord],
-                 frame_t0: StateFrame, frame_t1: StateFrame,
-                 cfg: ThresholdConfig,
-                 diag: Diagnostics | None = None) -> list[Component]:
-    """Full per-pair component pipeline over already-evaluated records."""
-    relevant = [rec for rec in records if pipe_relevant(rec, cfg)]
-    return build_pair_components(network, relevant, frame_t0, frame_t1, cfg, diag)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timezone
+import math
 from typing import Iterable
 
 from .model import (
@@ -185,6 +186,8 @@ def parse_states(path: str, network: Network) -> list[StateFrame]:
                 stamp_line = lineno
             entity, quantity = row[1], row[2]
             value = _parse_float(row[3], path, lineno, "value")
+            if not math.isfinite(value):
+                raise ParseError(path, lineno, f"non-finite value {row[3]!r} for {entity!r}")
             if quantity == QUANTITY_PRESSURE:
                 if entity not in network.nodes:
                     raise ParseError(path, lineno, f"unknown node {entity!r}")
@@ -277,15 +280,6 @@ def parse_exclusions(path: str, network: Network) -> list[ExclusionWindow]:
     return windows
 
 
-def serialize_exclusions(windows: Iterable[ExclusionWindow], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(EXCLUSIONS_COLUMNS)
-        for window in windows:
-            writer.writerow([window.pipe_id, format_timestamp(window.start),
-                             format_timestamp(window.end)])
-
-
 def index_exclusions(windows: Iterable[ExclusionWindow]) -> dict[str, list[ExclusionWindow]]:
     indexed: dict[str, list[ExclusionWindow]] = {}
     for window in windows:
@@ -296,20 +290,6 @@ def index_exclusions(windows: Iterable[ExclusionWindow]) -> dict[str, list[Exclu
 def is_excluded(pipe_id: str, pair: TimePair,
                 indexed: dict[str, list[ExclusionWindow]]) -> bool:
     return any(window.covers(pair) for window in indexed.get(pipe_id, ()))
-
-
-def apply_exclusions(records: Iterable[TermRecord],
-                     windows: Iterable[ExclusionWindow]) -> tuple[list[TermRecord], int]:
-    """Filter term records against exclusion windows; returns (kept, dropped)."""
-    indexed = index_exclusions(windows)
-    kept: list[TermRecord] = []
-    dropped = 0
-    for record in records:
-        if is_excluded(record.pipe_id, record.pair, indexed):
-            dropped += 1
-        else:
-            kept.append(record)
-    return kept, dropped
 
 
 TERMS_COLUMNS = ["t0", "t1", "pipe_id", "flow_t0_kNm3h", "flow_t1_kNm3h",

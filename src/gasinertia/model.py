@@ -59,7 +59,7 @@ class PipeGeometry:
             raise ModelError(f"pipe length must be positive, got {self.length_m}")
         if not self.diameter_m > 0.0:
             raise ModelError(f"pipe diameter must be positive, got {self.diameter_m}")
-        if self.roughness_m < 0.0:
+        if not self.roughness_m >= 0.0:
             raise ModelError(f"pipe roughness must be >= 0, got {self.roughness_m}")
         if not abs(self.slope) < 1.0:
             raise ModelError(f"pipe slope must satisfy |s| < 1, got {self.slope}")
@@ -78,7 +78,6 @@ def derived_area(geometry: PipeGeometry) -> float:
 @dataclass(frozen=True)
 class Node:
     node_id: str
-    elevation_m: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.node_id:
@@ -105,11 +104,6 @@ class Element:
                 raise ModelError(f"pipe {self.element_id} requires geometry")
         elif self.geometry is not None:
             raise ModelError(f"{self.kind.value} {self.element_id} must not carry pipe geometry")
-
-
-def slope_from_elevations(from_node: Node, to_node: Node, length_m: float) -> float:
-    """Slope implied by endpoint elevations; an explicit slope wins over this."""
-    return (to_node.elevation_m - from_node.elevation_m) / length_m
 
 
 @dataclass(frozen=True)
@@ -217,11 +211,7 @@ class TimePair:
 
 @dataclass
 class Diagnostics:
-    """Tally of data points skipped or flagged while scanning a history.
-
-    One instance is used per worker and merged in deterministic order, so
-    the counters never require locking.
-    """
+    """Tally of data points skipped or flagged while scanning a history."""
 
     missing_data: int = 0
     missing_valve_state: int = 0
@@ -229,14 +219,6 @@ class Diagnostics:
     z_clamped: int = 0
     friction_out_of_validity: int = 0
     time_gaps: int = 0
-
-    def merge(self, other: "Diagnostics") -> None:
-        self.missing_data += other.missing_data
-        self.missing_valve_state += other.missing_valve_state
-        self.missing_resistor_pressure += other.missing_resistor_pressure
-        self.z_clamped += other.z_clamped
-        self.friction_out_of_validity += other.friction_out_of_validity
-        self.time_gaps += other.time_gaps
 
     def as_dict(self) -> dict[str, int]:
         return {

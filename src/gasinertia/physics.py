@@ -15,15 +15,23 @@ where Q0 is volumetric flow at normal conditions, q = rho_n Q0 the mass
 flow, p_m = (p_l + p_r)/2, z the Papay compressibility factor and lam the
 Chen explicit friction factor.  The kinetic and gravity parts of gamma use
 the same average-flow substitution q_l = q_r = rho_n Q0(t1).
+
+These functions are the only implementation of the terms: the scan
+evaluates them for its surviving data points and the synthetic simulator
+solves the balance they define.  Every function takes scalars or numpy
+arrays (elementwise, broadcasting) and returns a float for scalar input.
+The geometry argument is one PipeGeometry or a PipeTable of many pipes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 import math
+from typing import Sequence
+
+import numpy as np
 
 from .model import (
-    BAR,
     GRAVITY_MS2,
     NORMAL_PRESSURE_PA,
     NORMAL_TEMPERATURE_K,
@@ -31,7 +39,6 @@ from .model import (
     GasParams,
     PipeGeometry,
     TimePair,
-    derived_area,
 )
 
 # Below this Reynolds number the laminar fallback 64/Re applies.
@@ -44,42 +51,93 @@ RELATIVE_ROUGHNESS_LIMIT = 0.05
 Z_FLOOR = 0.1
 
 
-def specific_gas_constant(rho_n_kgm3: float) -> float:
+@dataclass(frozen=True)
+class PipeTable:
+    """Per-pipe constants of the term kernels.
+
+    Each field holds one entry per pipe (floats for a single pipe).  Build
+    the table once per network so repeated kernel calls do no geometry work.
+    """
+
+    length_m: np.ndarray
+    inertia: np.ndarray        # L / A
+    friction: np.ndarray       # L / (2 A^2 D)
+    kinetic: np.ndarray        # 1 / A^2
+    climb_m: np.ndarray        # slope L
+    reynolds: np.ndarray       # D / A
+    chen_rough: np.ndarray     # rr^1.1098 / 2.8257
+    chen_offset: np.ndarray    # rr / 3.7065
+    rough_invalid: np.ndarray  # rr at or beyond the Chen validity ceiling
+
+    @classmethod
+    def of(cls, geometry: PipeGeometry | Sequence[PipeGeometry]) -> "PipeTable":
+        if isinstance(geometry, PipeGeometry):
+            columns = (geometry.length_m, geometry.diameter_m, geometry.area_m2,
+                       geometry.roughness_m, geometry.slope)
+        else:
+            columns = np.array([(g.length_m, g.diameter_m, g.area_m2, g.roughness_m, g.slope)
+                                for g in geometry], dtype=float).reshape(-1, 5).T
+        length, diameter, area, roughness, slope = columns
+        rr = roughness / diameter
+        return cls(length, length / area, length / (2.0 * area * area * diameter),
+                   1.0 / (area * area), slope * length, diameter / area,
+                   rr ** 1.1098 / 2.8257, rr / 3.7065, rr >= RELATIVE_ROUGHNESS_LIMIT)
+
+    def take(self, index: np.ndarray) -> "PipeTable":
+        """Table with one row per entry of index (pipe positions may repeat)."""
+        return PipeTable(*(np.take(column, index) for column in astuple(self)))
+
+
+def _table(geometry: PipeGeometry | PipeTable) -> PipeTable:
+    return geometry if isinstance(geometry, PipeTable) else PipeTable.of(geometry)
+
+
+def _plain(value):
+    """A float for scalar evaluations, the array itself otherwise."""
+    return value if isinstance(value, np.ndarray) and value.ndim else float(value)
+
+
+def _require_positive(what: str, value) -> None:
+    # NaN fails the comparison and is rejected with the non-positive values
+    if not np.asarray(value).min(initial=math.inf) > 0.0:
+        raise ValueError(f"{what} must be positive, got {value}")
+
+
+def specific_gas_constant(rho_n_kgm3):
     """R_s in J/(kg K) from the normal density of the mixture."""
-    if not rho_n_kgm3 > 0.0:
-        raise ValueError(f"normal density must be positive, got {rho_n_kgm3}")
-    return NORMAL_PRESSURE_PA / (rho_n_kgm3 * NORMAL_TEMPERATURE_K)
+    _require_positive("normal density", rho_n_kgm3)
+    return _plain(NORMAL_PRESSURE_PA / (rho_n_kgm3 * NORMAL_TEMPERATURE_K))
 
 
-def compressibility(pressure_pa: float, gas: GasParams,
-                    diag: Diagnostics | None = None) -> float:
+def _papay(pressure_pa, gas: GasParams, diag: Diagnostics | None):
+    t_r = gas.temperature_k / gas.pseudo_critical_temperature_k
+    p_r = pressure_pa / gas.pseudo_critical_pressure_pa
+    z = 1.0 + p_r * (0.274 * math.exp(-1.878 * t_r) * p_r - 3.52 * math.exp(-2.26 * t_r))
+    if diag is not None:
+        diag.z_clamped += int(np.count_nonzero(z < Z_FLOOR))
+    return np.maximum(z, Z_FLOOR)
+
+
+def compressibility(pressure_pa, gas: GasParams, diag: Diagnostics | None = None):
     """Papay compressibility factor z(p, T).
 
     z = 1 - 3.52 p_r exp(-2.26 T_r) + 0.274 p_r^2 exp(-1.878 T_r) with the
     reduced coordinates p_r = p / p_pc and T_r = T / T_pc.  Values below
-    Z_FLOOR are clamped and counted in the diagnostics tally.
+    Z_FLOOR are clamped and each clamped element is counted in the
+    diagnostics tally.
     """
-    if pressure_pa < 0.0:
+    if not np.asarray(pressure_pa).min(initial=math.inf) >= 0.0:
         raise ValueError(f"pressure must be >= 0, got {pressure_pa}")
-    p_r = pressure_pa / gas.pseudo_critical_pressure_pa
-    t_r = gas.temperature_k / gas.pseudo_critical_temperature_k
-    z = (1.0
-         - 3.52 * p_r * math.exp(-2.26 * t_r)
-         + 0.274 * p_r * p_r * math.exp(-1.878 * t_r))
-    if z < Z_FLOOR:
-        if diag is not None:
-            diag.z_clamped += 1
-        return Z_FLOOR
-    return z
+    return _plain(_papay(pressure_pa, gas, diag))
 
 
-def reynolds_number(mass_flow_kgs: float, geometry: PipeGeometry, gas: GasParams) -> float:
-    area = derived_area(geometry)
-    return abs(mass_flow_kgs) * geometry.diameter_m / (area * gas.dynamic_viscosity_pas)
+def reynolds_number(mass_flow_kgs, geometry: PipeGeometry | PipeTable, gas: GasParams):
+    return _plain(np.abs(mass_flow_kgs) * _table(geometry).reynolds
+                  / gas.dynamic_viscosity_pas)
 
 
-def friction_factor(mass_flow_kgs: float, geometry: PipeGeometry, gas: GasParams,
-                    diag: Diagnostics | None = None) -> float:
+def friction_factor(mass_flow_kgs, geometry: PipeGeometry | PipeTable, gas: GasParams,
+                    diag: Diagnostics | None = None):
     """Darcy friction factor lambda for a circular pipe.
 
     Uses the explicit Chen correlation
@@ -90,79 +148,90 @@ def friction_factor(mass_flow_kgs: float, geometry: PipeGeometry, gas: GasParams
 
     with rr = k/D.  Re < 2320 falls back to laminar 64/Re, zero flow
     returns 0 (beta vanishes with the flow anyway), and rr beyond the
-    validity ceiling is still evaluated but counted as a diagnostic.
+    validity ceiling is still evaluated but each such turbulent element is
+    counted as a diagnostic.
     """
-    if mass_flow_kgs == 0.0:
-        return 0.0
-    re = reynolds_number(mass_flow_kgs, geometry, gas)
-    if re < RE_LAMINAR_LIMIT:
-        return 64.0 / re
-    rr = geometry.roughness_m / geometry.diameter_m
-    if rr >= RELATIVE_ROUGHNESS_LIMIT and diag is not None:
-        diag.friction_out_of_validity += 1
-    inner = rr ** 1.1098 / 2.8257 + 5.8506 / re ** 0.8981
-    arg = rr / 3.7065 - (5.0452 / re) * math.log10(inner)
-    return (-2.0 * math.log10(arg)) ** -2.0
+    pipes = _table(geometry)
+    re = reynolds_number(mass_flow_kgs, pipes, gas)
+    turbulent = re >= RE_LAMINAR_LIMIT
+    if diag is not None:
+        diag.friction_out_of_validity += int(np.count_nonzero(turbulent & pipes.rough_invalid))
+    # Chen is evaluated everywhere on Re clipped into its range, so the
+    # laminar entries it does not apply to stay finite
+    re_t = np.maximum(re, RE_LAMINAR_LIMIT)
+    inner = pipes.chen_rough + 5.8506 / re_t ** 0.8981
+    chen = (-2.0 * np.log10(pipes.chen_offset - 5.0452 / re_t * np.log10(inner))) ** -2.0
+    # 64 / inf gives the zero-flow factor 0 without a division by zero;
+    # a NaN flow stays NaN
+    laminar = 64.0 / np.where(re == 0.0, math.inf, re)
+    return _plain(np.where(turbulent, chen, laminar))
 
 
-def inertia_term_alpha(geometry: PipeGeometry, rho_n_kgm3: float, tau_s: float,
-                       flow_t0_m3s: float, flow_t1_m3s: float) -> float:
+def inertia_term_alpha(geometry: PipeGeometry | PipeTable, rho_n_kgm3, tau_s,
+                       flow_t0_m3s, flow_t1_m3s):
     """alpha = L rho_n / (A tau) * (Q0(t1) - Q0(t0)) in Pa."""
-    if not tau_s > 0.0:
-        raise ValueError(f"tau must be positive, got {tau_s}")
-    area = derived_area(geometry)
-    return (geometry.length_m * rho_n_kgm3 / (area * tau_s)
-            * (flow_t1_m3s - flow_t0_m3s))
+    _require_positive("tau", tau_s)
+    return _plain(_table(geometry).inertia * rho_n_kgm3 / tau_s * (flow_t1_m3s - flow_t0_m3s))
 
 
-def friction_term_beta(geometry: PipeGeometry, gas: GasParams, rho_n_kgm3: float,
-                       flow_t1_m3s: float, p_left_pa: float, p_right_pa: float,
-                       diag: Diagnostics | None = None) -> float:
+def friction_term_beta(geometry: PipeGeometry | PipeTable, gas: GasParams, rho_n_kgm3,
+                       flow_t1_m3s, p_left_pa, p_right_pa,
+                       diag: Diagnostics | None = None):
     """Friction pressure drop beta in Pa, evaluated at the t1 state."""
     _require_positive_pressures(p_left_pa, p_right_pa)
+    pipes = _table(geometry)
     p_m = 0.5 * (p_left_pa + p_right_pa)
-    lam = friction_factor(rho_n_kgm3 * flow_t1_m3s, geometry, gas, diag)
-    r_s = specific_gas_constant(rho_n_kgm3)
-    area = derived_area(geometry)
-    coeff = (lam * r_s * gas.temperature_k * geometry.length_m * rho_n_kgm3 * rho_n_kgm3
-             / (2.0 * area * area * geometry.diameter_m))
-    return coeff * abs(flow_t1_m3s) * flow_t1_m3s * compressibility(p_m, gas, diag) / p_m
+    lam = friction_factor(rho_n_kgm3 * flow_t1_m3s, pipes, gas, diag)
+    rt = specific_gas_constant(rho_n_kgm3) * gas.temperature_k
+    return _plain(rt * rho_n_kgm3 * rho_n_kgm3 * pipes.friction * lam
+                  * np.abs(flow_t1_m3s) * flow_t1_m3s * _papay(p_m, gas, diag) / p_m)
 
 
-def remaining_terms_gamma(geometry: PipeGeometry, gas: GasParams, rho_n_kgm3: float,
-                          flow_t1_m3s: float, p_left_pa: float, p_right_pa: float,
-                          diag: Diagnostics | None = None) -> float:
+def remaining_terms_gamma(geometry: PipeGeometry | PipeTable, gas: GasParams, rho_n_kgm3,
+                          flow_t1_m3s, p_left_pa, p_right_pa,
+                          diag: Diagnostics | None = None):
     """Kinetic plus gravity remainder gamma in Pa, at the t1 state."""
     _require_positive_pressures(p_left_pa, p_right_pa)
-    r_s = specific_gas_constant(rho_n_kgm3)
-    area = derived_area(geometry)
+    pipes = _table(geometry)
+    rt = specific_gas_constant(rho_n_kgm3) * gas.temperature_k
     q = rho_n_kgm3 * flow_t1_m3s
-    kinetic = (r_s * gas.temperature_k / (area * area)
-               * (q * q * compressibility(p_right_pa, gas, diag) / p_right_pa
-                  - q * q * compressibility(p_left_pa, gas, diag) / p_left_pa))
+    kinetic = (rt * pipes.kinetic * q * q
+               * (_papay(p_right_pa, gas, diag) / p_right_pa
+                  - _papay(p_left_pa, gas, diag) / p_left_pa))
     p_m = 0.5 * (p_left_pa + p_right_pa)
-    gravity = (GRAVITY_MS2 * geometry.slope * geometry.length_m
-               / (r_s * gas.temperature_k) * p_m / compressibility(p_m, gas, diag))
-    return kinetic + gravity
+    gravity = GRAVITY_MS2 / rt * pipes.climb_m * p_m / _papay(p_m, gas, diag)
+    return _plain(kinetic + gravity)
 
 
-def discretized_pressure_drop(geometry: PipeGeometry, gas: GasParams, rho_n_kgm3: float,
-                              tau_s: float, flow_t0_m3s: float, flow_t1_m3s: float,
-                              p_left_pa: float, p_right_pa: float,
-                              diag: Diagnostics | None = None) -> float:
+def discretized_pressure_drop(geometry: PipeGeometry | PipeTable, gas: GasParams,
+                              rho_n_kgm3, tau_s, flow_t0_m3s, flow_t1_m3s,
+                              p_left_pa, p_right_pa, diag: Diagnostics | None = None):
     """Full discretized drop p_l(t1) - p_r(t1) = alpha + beta + gamma."""
-    alpha = inertia_term_alpha(geometry, rho_n_kgm3, tau_s, flow_t0_m3s, flow_t1_m3s)
-    beta = friction_term_beta(geometry, gas, rho_n_kgm3, flow_t1_m3s,
+    pipes = _table(geometry)
+    alpha = inertia_term_alpha(pipes, rho_n_kgm3, tau_s, flow_t0_m3s, flow_t1_m3s)
+    beta = friction_term_beta(pipes, gas, rho_n_kgm3, flow_t1_m3s,
                               p_left_pa, p_right_pa, diag)
-    gamma = remaining_terms_gamma(geometry, gas, rho_n_kgm3, flow_t1_m3s,
+    gamma = remaining_terms_gamma(pipes, gas, rho_n_kgm3, flow_t1_m3s,
                                   p_left_pa, p_right_pa, diag)
     return alpha + beta + gamma
 
 
-def _require_positive_pressures(p_left_pa: float, p_right_pa: float) -> None:
-    if not (p_left_pa > 0.0 and p_right_pa > 0.0):
+def _require_positive_pressures(p_left_pa, p_right_pa) -> None:
+    if not np.asarray(np.minimum(p_left_pa, p_right_pa)).min(initial=math.inf) > 0.0:
         raise ValueError(
             f"endpoint pressures must be positive, got {p_left_pa}, {p_right_pa}")
+
+
+def term_ratio(alpha_pa, beta_pa):
+    """|alpha| / |beta| with an infinite sentinel when beta vanishes.
+
+    Zero over zero is 0: a point without inertia and friction is not
+    relevant.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(alpha_pa) / np.abs(beta_pa)
+    both_zero = np.logical_and(np.equal(alpha_pa, 0.0), np.equal(beta_pa, 0.0))
+    return _plain(np.where(both_zero, 0.0, ratio))
 
 
 @dataclass(frozen=True)
@@ -181,31 +250,3 @@ class TermRecord:
     @property
     def dflow_m3s(self) -> float:
         return self.flow_t1_m3s - self.flow_t0_m3s
-
-    @classmethod
-    def evaluate(cls, pipe_id: str, geometry: PipeGeometry, gas: GasParams,
-                 rho_n_kgm3: float, pair: TimePair,
-                 flow_t0_m3s: float, flow_t1_m3s: float,
-                 p_left_pa: float, p_right_pa: float,
-                 diag: Diagnostics | None = None) -> "TermRecord":
-        alpha = inertia_term_alpha(geometry, rho_n_kgm3, pair.tau_s,
-                                   flow_t0_m3s, flow_t1_m3s)
-        beta = friction_term_beta(geometry, gas, rho_n_kgm3, flow_t1_m3s,
-                                  p_left_pa, p_right_pa, diag)
-        return cls(
-            pipe_id=pipe_id,
-            pair=pair,
-            flow_t0_m3s=flow_t0_m3s,
-            flow_t1_m3s=flow_t1_m3s,
-            alpha_pa=alpha,
-            beta_pa=beta,
-            alpha_per_length_pam=alpha / geometry.length_m,
-            ratio=term_ratio(alpha, beta),
-        )
-
-
-def term_ratio(alpha_pa: float, beta_pa: float) -> float:
-    """|alpha| / |beta| with an infinite sentinel when beta vanishes."""
-    if beta_pa == 0.0:
-        return math.inf if alpha_pa != 0.0 else 0.0
-    return abs(alpha_pa) / abs(beta_pa)

@@ -5,8 +5,8 @@ schedule.  Each hydraulically connected island needs one pressure
 reference node; the remaining boundary nodes carry signed inflow
 setpoints (negative = offtake).  Frame 0 is solved as a steady state;
 every later frame solves the implicit Euler system in which each pipe
-obeys the discretized momentum balance against the previous frame and
-every free node balances its flows.  Open valves equalize endpoint
+obeys the discretized momentum balance of the physics module against the
+previous frame and every free node balances its flows.  Open valves equalize endpoint
 pressures, resistors add a small quadratic drop, closed valves block
 flow, and actively controlled elements transfer nothing.
 
@@ -18,27 +18,27 @@ so long quiet stretches cost one function evaluation per frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-import math
 
 import numpy as np
 
 from .model import (
     BAR,
-    GRAVITY_MS2,
     KNM3H,
     Element,
     ElementKind,
+    GasParams,
     Network,
     Node,
     PipeGeometry,
     StateFrame,
 )
 from .physics import (
-    RE_LAMINAR_LIMIT,
-    Z_FLOOR,
-    specific_gas_constant,
+    PipeTable,
+    friction_term_beta,
+    inertia_term_alpha,
+    remaining_terms_gamma,
 )
 from .ingest import ParseError, parse_timestamp
 
@@ -310,12 +310,7 @@ class _System:
                                    dtype=int)
 
         pipes = [network.elements[pid] for pid in self.pipe_ids]
-        geo = [p.geometry for p in pipes]
-        self.length = np.array([g.length_m for g in geo])
-        self.diameter = np.array([g.diameter_m for g in geo])
-        self.area = np.pi * self.diameter ** 2 / 4.0
-        self.rel_rough = np.array([g.roughness_m for g in geo]) / self.diameter
-        self.slope = np.array([g.slope for g in geo])
+        self.pipes = PipeTable.of([p.geometry for p in pipes])
         self.pipe_from = np.array([self.node_index[p.from_node] for p in pipes], dtype=int)
         self.pipe_to = np.array([self.node_index[p.to_node] for p in pipes], dtype=int)
 
@@ -336,17 +331,7 @@ class _System:
         self.n_unknowns = self.n_free + self.n_pipe + self.n_valve + self.n_res
 
         self.rho = scenario.rho_n_kgm3
-        self.r_s = specific_gas_constant(self.rho)
-        gas_t = scenario.temperature_k
-        self.rt = self.r_s * gas_t
-        self.t_r = gas_t / 192.0
-        self.p_pc = 46.4 * BAR
-        self.eta = 1.1e-5
-        self.beta_coeff = (self.rt * self.length * self.rho ** 2
-                           / (2.0 * self.area ** 2 * self.diameter))
-        self.alpha_coeff = self.length * self.rho / self.area
-        self.grav_coeff = GRAVITY_MS2 * self.slope * self.length / self.rt
-        self.kin_coeff = self.rt / self.area ** 2
+        self.gas = GasParams(temperature_k=scenario.temperature_k)
 
         # free-node balance as a sparse triple list over all passive arcs
         self.balance_rows: list[tuple[int, int, float]] = []
@@ -364,27 +349,6 @@ class _System:
         self.incidence = np.zeros((self.n_free, self.n_pipe + self.n_valve + self.n_res))
         for row, col, sign in self.balance_rows:
             self.incidence[row, col] = self.incidence[row, col] + sign
-
-    def papay(self, p: np.ndarray) -> np.ndarray:
-        p_r = p / self.p_pc
-        z = (1.0 - 3.52 * p_r * np.exp(-2.26 * self.t_r)
-             + 0.274 * p_r * p_r * np.exp(-1.878 * self.t_r))
-        return np.maximum(z, Z_FLOOR)
-
-    def friction(self, q_kgs: np.ndarray) -> np.ndarray:
-        re = np.abs(q_kgs) * self.diameter / (self.area * self.eta)
-        lam = np.zeros_like(re)
-        laminar = (re > 0.0) & (re < RE_LAMINAR_LIMIT)
-        if np.any(laminar):
-            lam[laminar] = 64.0 / re[laminar]
-        turbulent = re >= RE_LAMINAR_LIMIT
-        if np.any(turbulent):
-            ret = re[turbulent]
-            rrt = self.rel_rough[turbulent]
-            inner = rrt ** 1.1098 / 2.8257 + 5.8506 / ret ** 0.8981
-            arg = rrt / 3.7065 - (5.0452 / ret) * np.log10(inner)
-            lam[turbulent] = (-2.0 * np.log10(arg)) ** -2.0
-        return lam
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         a = self.n_free
@@ -404,16 +368,10 @@ class _System:
         p = self.pressures(p_free)
         p_l = p[self.pipe_from]
         p_r = p[self.pipe_to]
-        p_m = 0.5 * (p_l + p_r)
-        mass_q = self.rho * q_pipe
-        lam = self.friction(mass_q)
-        beta = self.beta_coeff * lam * np.abs(q_pipe) * q_pipe * self.papay(p_m) / p_m
-        kinetic = self.kin_coeff * mass_q * mass_q * (self.papay(p_r) / p_r
-                                                      - self.papay(p_l) / p_l)
-        gravity = self.grav_coeff * p_m / self.papay(p_m)
-        drop = beta + kinetic + gravity
+        drop = (friction_term_beta(self.pipes, self.gas, self.rho, q_pipe, p_l, p_r)
+                + remaining_terms_gamma(self.pipes, self.gas, self.rho, q_pipe, p_l, p_r))
         if q_prev is not None:
-            drop = drop + self.alpha_coeff / tau_s * (q_pipe - q_prev)
+            drop = drop + inertia_term_alpha(self.pipes, self.rho, tau_s, q_prev, q_pipe)
         parts = [(p_l - p_r - drop) / BAR]
         if self.n_valve:
             valve_rows = np.where(self.valve_open,
@@ -477,7 +435,13 @@ def _solve_frame(system: _System, x: np.ndarray, q_prev: np.ndarray | None,
         step = 1.0
         for _halving in range(12):
             x_new = x + step * dx
-            r_new = system.residual(x_new, q_prev, tau_s, inflow)
+            try:
+                r_new = system.residual(x_new, q_prev, tau_s, inflow)
+            except ValueError:
+                # a trial step to a non-positive pressure is rejected like a
+                # step that fails to reduce the residual
+                step *= 0.5
+                continue
             norm_new = float(np.max(np.abs(r_new)))
             if norm_new < norm or norm_new < NEWTON_TOL:
                 x, r, norm = x_new, r_new, norm_new
@@ -550,72 +514,3 @@ def simulate(scenario: Scenario) -> list[StateFrame]:
         ))
     return frames
 
-
-def inject_step(scenario: Scenario, pipe_id: str, dflow_m3s: float,
-                at_frame: int) -> Scenario:
-    """Adjust the boundary schedule so one pipe's flow steps by about dflow.
-
-    Finds a flow boundary node whose supply path to a pressure reference
-    crosses the pipe and shifts its setpoints from at_frame onward.  On
-    tree-shaped islands the realized step is exact up to solver
-    tolerance; on meshed islands part of the step spreads elsewhere.
-    """
-    if dflow_m3s == 0.0:
-        return scenario
-    network = scenario.network
-    element = network.elements.get(pipe_id)
-    if element is None or element.kind is not ElementKind.PIPE:
-        raise ValueError(f"{pipe_id!r} is not a pipe")
-    if not 0 <= at_frame < scenario.frames:
-        raise ValueError(f"frame {at_frame} outside 0..{scenario.frames - 1}")
-
-    adjacency: dict[str, list[tuple[str, str, str]]] = {}
-    for eid in sorted(network.elements):
-        el = network.elements[eid]
-        if el.kind in (ElementKind.REGULATOR, ElementKind.COMPRESSOR):
-            continue
-        if el.kind is ElementKind.VALVE and eid in scenario.closed_valves:
-            continue
-        adjacency.setdefault(el.from_node, []).append((el.to_node, eid, "fwd"))
-        adjacency.setdefault(el.to_node, []).append((el.from_node, eid, "rev"))
-
-    references = set(scenario.reference_pressure_pa)
-    for boundary in sorted(scenario.base_inflow_m3s):
-        # breadth-first path from the boundary node to any reference
-        parents: dict[str, tuple[str, str, str]] = {}
-        queue = [boundary]
-        seen = {boundary}
-        hit = None
-        while queue:
-            current = queue.pop(0)
-            if current in references:
-                hit = current
-                break
-            for neighbor, eid, direction in adjacency.get(current, ()):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    parents[neighbor] = (current, eid, direction)
-                    queue.append(neighbor)
-        if hit is None:
-            continue
-        node = hit
-        on_path = None
-        while node != boundary:
-            came_from, eid, direction = parents[node]
-            if eid == pipe_id:
-                # walking boundary -> reference traverses the pipe in its
-                # own direction exactly when direction is fwd
-                on_path = (direction == "fwd")
-                break
-            node = came_from
-        if on_path is None:
-            continue
-        sign = 1.0 if on_path else -1.0
-        delta = sign * dflow_m3s
-        base_value = scenario.inflow_at(boundary, at_frame)
-        new_events = [event if event.node_id != boundary or event.frame_index <= at_frame
-                      else replace(event, inflow_m3s=event.inflow_m3s + delta)
-                      for event in scenario.events]
-        new_events.append(BoundaryEvent(boundary, at_frame, base_value + delta))
-        return replace(scenario, events=tuple(new_events))
-    raise ValueError(f"no boundary node supplies pipe {pipe_id!r} through a reference path")

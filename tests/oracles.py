@@ -32,6 +32,55 @@ def colebrook_friction(re: float, rr: float, tol: float = 1e-14) -> float:
     return 0.5 * (lo + hi)
 
 
+# Papay compressibility and Chen friction as plain scalar formulas, written
+# from the physics module docstrings rather than taken from the package.
+Z_FLOOR_REF = 0.1
+RE_LAMINAR_REF = 2320.0
+RR_VALIDITY_REF = 0.05
+
+
+def papay_z(pressure_pa: float, temperature_k: float, p_pc_pa: float,
+            t_pc_k: float) -> tuple[float, bool]:
+    """Papay z(p, T) clamped at 0.1; returns (z, clamped)."""
+    p_r = pressure_pa / p_pc_pa
+    t_r = temperature_k / t_pc_k
+    z = 1.0 - 3.52 * p_r * math.exp(-2.26 * t_r) + 0.274 * p_r ** 2 * math.exp(-1.878 * t_r)
+    return (Z_FLOOR_REF, True) if z < Z_FLOOR_REF else (z, False)
+
+
+def chen_lambda(re: float, rr: float) -> tuple[float, bool]:
+    """Chen friction factor with laminar fallback; returns (lam, out_of_validity)."""
+    if re == 0.0:
+        return 0.0, False
+    if re < RE_LAMINAR_REF:
+        return 64.0 / re, False
+    a = rr / 3.7065
+    b = 5.0452 / re * math.log10(rr ** 1.1098 / 2.8257 + 5.8506 / re ** 0.8981)
+    return 1.0 / (2.0 * math.log10(a - b)) ** 2, rr >= RR_VALIDITY_REF
+
+
+def inertia_alpha(length_m: float, diameter_m: float, rho_n: float, tau_s: float,
+                  flow_t0: float, flow_t1: float) -> float:
+    area = math.pi * diameter_m ** 2 / 4.0
+    return length_m * rho_n * (flow_t1 - flow_t0) / (area * tau_s)
+
+
+def friction_beta(length_m: float, diameter_m: float, roughness_m: float, rho_n: float,
+                  flow_t1: float, p_left: float, p_right: float, temperature_k: float,
+                  p_pc_pa: float, t_pc_k: float, viscosity: float
+                  ) -> tuple[float, int, int]:
+    """beta in Pa at the t1 state; returns (beta, z clamps, validity breaches)."""
+    area = math.pi * diameter_m ** 2 / 4.0
+    re = abs(rho_n * flow_t1) * diameter_m / (area * viscosity)
+    lam, invalid = chen_lambda(re, roughness_m / diameter_m)
+    p_m = (p_left + p_right) / 2.0
+    z, clamped = papay_z(p_m, temperature_k, p_pc_pa, t_pc_k)
+    r_s = 101325.0 / (rho_n * 273.15)
+    beta = (lam * r_s * temperature_k * length_m * rho_n ** 2 * abs(flow_t1) * flow_t1
+            * z / (2.0 * area ** 2 * diameter_m * p_m))
+    return beta, int(clamped), int(invalid)
+
+
 def enumerate_longest_path(arcs: list[tuple[str, str, float]]) -> float:
     """Longest node-simple directed path weight by exhaustive DFS."""
     adjacency: dict[str, list[tuple[str, float]]] = defaultdict(list)

@@ -11,7 +11,6 @@ from gasinertia.ingest import (
     STATES_COLUMNS,
     TERMS_COLUMNS,
     TOPOLOGY_COLUMNS,
-    apply_exclusions,
     format_timestamp,
     frame_pairs,
     parse_exclusions,
@@ -19,7 +18,6 @@ from gasinertia.ingest import (
     parse_timestamp,
     parse_topology,
     read_terms,
-    serialize_exclusions,
     serialize_states,
     serialize_topology,
     write_terms,
@@ -202,6 +200,18 @@ class TestStates:
         with pytest.raises(ParseError, match="positive"):
             parse_states(str(path), sample_network())
 
+    @pytest.mark.parametrize("entity, quantity, text", [
+        ("p1", "arc.flow_kNm3h", "nan"), ("p1", "arc.flow_kNm3h", "-inf"),
+        ("n0", "node.pressure_bar", "NaN"), ("n0", "node.pressure_bar", "inf")])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, entity, quantity, text):
+        t0 = format_timestamp(stamp(0))
+        path = tmp_path / "states.csv"
+        path.write_text(",".join(STATES_COLUMNS) + f"\n{t0},n1,node.pressure_bar,60.0"
+                        + f"\n{t0},{entity},{quantity},{text}\n")
+        with pytest.raises(ParseError, match="non-finite") as info:
+            parse_states(str(path), sample_network())
+        assert info.value.line == 3
+
     def test_density_band_checked(self, tmp_path):
         t0 = format_timestamp(stamp(0))
         path = tmp_path / "states.csv"
@@ -221,7 +231,8 @@ class TestExclusions:
     def test_round_trip(self, tmp_path):
         windows = [ExclusionWindow("p1", stamp(0), stamp(5))]
         path = tmp_path / "exclusions.csv"
-        serialize_exclusions(windows, str(path))
+        path.write_text(",".join(EXCLUSIONS_COLUMNS)
+                        + f"\np1,{format_timestamp(stamp(0))},{format_timestamp(stamp(5))}\n")
         assert parse_exclusions(str(path), sample_network()) == windows
 
     def test_non_pipe_rejected(self, tmp_path):
@@ -242,21 +253,6 @@ class TestExclusions:
         assert window.covers(make_pair(1))
         assert not window.covers(make_pair(2))   # t1 == end is outside
         assert not window.covers(make_pair(3))
-
-    def test_apply_exclusions(self):
-        def rec(pair_index):
-            return TermRecord("p1", make_pair(pair_index), 0.0, 1.0, 1.0, 1.0,
-                              1e-4, term_ratio(1.0, 1.0))
-
-        windows = [ExclusionWindow("p1", stamp(1), stamp(3))]
-        kept, dropped = apply_exclusions([rec(0), rec(1), rec(2), rec(3)], windows)
-        assert dropped == 2
-        assert [r.pair.t1 for r in kept] == [stamp(3), stamp(4)]
-
-    def test_other_pipe_untouched(self):
-        rec = TermRecord("p2", make_pair(1), 0.0, 1.0, 1.0, 1.0, 1e-4, 1.0)
-        kept, dropped = apply_exclusions([rec], [ExclusionWindow("p1", stamp(0), stamp(9))])
-        assert dropped == 0 and kept == [rec]
 
 
 class TestTerms:

@@ -1,10 +1,12 @@
 import math
 
 from hypothesis import given, strategies as st
+import numpy as np
 import pytest
 
 from gasinertia.model import BAR, KNM3H, Diagnostics, GasParams, PipeGeometry
 from gasinertia.physics import (
+    PipeTable,
     RE_LAMINAR_LIMIT,
     Z_FLOOR,
     compressibility,
@@ -18,7 +20,7 @@ from gasinertia.physics import (
     term_ratio,
 )
 
-from oracles import colebrook_friction
+from oracles import chen_lambda, colebrook_friction, friction_beta, inertia_alpha, papay_z
 
 GAS = GasParams()
 # Shared reference pipe: 100 km, DN900, slightly rough, mild climb.
@@ -83,6 +85,9 @@ class TestFriction:
         lam = friction_factor(mf, geom, GAS)
         assert lam == pytest.approx(0.01217387064205198, rel=1e-14)
         assert lam == pytest.approx(colebrook_friction(1e7, 1e-4), rel=0.01)
+
+    def test_nan_flow_is_not_hidden(self):
+        assert math.isnan(friction_factor(math.nan, GEOM, GAS))
 
     def test_sign_invariant(self):
         assert friction_factor(50.0, GEOM, GAS) == friction_factor(-50.0, GEOM, GAS)
@@ -176,7 +181,82 @@ class TestTermRatio:
         assert term_ratio(1.0, 0.0) == math.inf
         assert term_ratio(0.0, 0.0) == 0.0
 
+    def test_elementwise(self):
+        ratios = term_ratio(np.array([2.0, 1.0, 0.0, -3.0]), np.array([-4.0, 0.0, 0.0, 1.5]))
+        assert ratios.tolist() == [0.5, math.inf, 0.0, 2.0]
+
     @given(st.floats(allow_nan=False, allow_infinity=False, width=32),
            st.floats(allow_nan=False, allow_infinity=False, width=32))
     def test_nonnegative(self, a, b):
         assert term_ratio(a, b) >= 0.0
+
+
+class TestArrayKernel:
+    """The array kernel against the plain-math oracle, element by element."""
+
+    # (length, diameter, relative roughness, rho_n, Re with sign, dQ, p_l, p_r, tau)
+    @staticmethod
+    def check(points, gas):
+        geoms = [PipeGeometry(p[0], p[1], roughness_m=p[2] * p[1]) for p in points]
+        table = PipeTable.of(geoms)
+        rho = np.array([p[3] for p in points])
+        # flows realizing the drawn Reynolds numbers
+        q1 = np.array([p[4] * g.area_m2 * gas.dynamic_viscosity_pas / (g.diameter_m * p[3])
+                       for g, p in zip(geoms, points)])
+        q0 = q1 - np.array([p[5] for p in points])
+        p_l = np.array([p[6] for p in points])
+        p_r = np.array([p[7] for p in points])
+        tau = np.array([p[8] for p in points])
+        diag = Diagnostics()
+        z = compressibility(0.5 * (p_l + p_r), gas)
+        lam = friction_factor(rho * q1, table, gas)
+        alpha = inertia_term_alpha(table, rho, tau, q0, q1)
+        beta = friction_term_beta(table, gas, rho, q1, p_l, p_r, diag)
+        clamps = breaches = 0
+        for i, (geo, point) in enumerate(zip(geoms, points)):
+            args = (gas.temperature_k, gas.pseudo_critical_pressure_pa,
+                    gas.pseudo_critical_temperature_k)
+            ref_z, _ = papay_z(0.5 * (p_l[i] + p_r[i]), *args)
+            re = abs(rho[i] * q1[i]) * geo.diameter_m / (geo.area_m2 * gas.dynamic_viscosity_pas)
+            ref_lam, _ = chen_lambda(re, point[2])
+            ref_alpha = inertia_alpha(geo.length_m, geo.diameter_m, rho[i], tau[i], q0[i], q1[i])
+            ref_beta, clamped, invalid = friction_beta(
+                geo.length_m, geo.diameter_m, geo.roughness_m, rho[i], q1[i], p_l[i], p_r[i],
+                *args, gas.dynamic_viscosity_pas)
+            clamps += clamped
+            breaches += invalid
+            for got, want in ((z[i], ref_z), (lam[i], ref_lam), (alpha[i], ref_alpha),
+                              (beta[i], ref_beta)):
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (i, got, want)
+        assert diag.z_clamped == clamps
+        assert diag.friction_out_of_validity == breaches
+        return clamps, breaches, lam
+
+    # Re stays clear of 2320, where rounding of Re alone picks the branch
+    point = st.tuples(
+        st.floats(1e3, 2e5), st.floats(0.1, 1.5), st.floats(0.0, 0.08),
+        st.floats(0.55, 1.3),
+        st.one_of(st.just(0.0), st.floats(1.0, 2300.0), st.floats(2340.0, 1e8),
+                  st.floats(-1e8, -2340.0)),
+        st.floats(-10.0, 10.0), st.floats(1e5, 250e5), st.floats(1e5, 250e5),
+        st.floats(1.0, 3600.0))
+
+    @given(st.lists(point, min_size=1, max_size=8), st.sampled_from([172.8, 283.15]))
+    def test_matches_oracle(self, points, temperature_k):
+        self.check(points, GasParams(temperature_k=temperature_k))
+
+    def test_every_regime_at_once(self):
+        base = (50e3, 0.5, 1e-4, 0.8)
+        points = [base + (0.0, 1.0, 50e5, 45e5, 180.0),          # zero flow
+                  base + (1000.0, 0.01, 50e5, 45e5, 180.0),      # laminar
+                  base + (-5e6, -3.0, 50e5, 45e5, 180.0),        # turbulent
+                  (50e3, 0.5, 0.06, 0.8, 5e6, 3.0, 50e5, 45e5, 180.0),  # beyond rr ceiling
+                  base + (5e6, 0.0, 215e5, 207e5, 180.0)]        # clamped z at 172.8 K
+        clamps, breaches, lam = self.check(points, GasParams(temperature_k=172.8))
+        assert (clamps, breaches) == (1, 1)
+        assert lam[0] == 0.0
+        assert lam[1] == pytest.approx(0.064, rel=1e-12)
+
+    def test_scalar_input_gives_float(self):
+        assert type(friction_factor(50.0, GEOM, GAS)) is float
+        assert type(term_ratio(1.0, 0.0)) is float
