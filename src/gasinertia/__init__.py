@@ -56,6 +56,7 @@ from .temporal import (
 )
 from .ingest import (
     ExclusionWindow,
+    History,
     ParseError,
     parse_exclusions,
     parse_states,

@@ -1,9 +1,11 @@
 """Command line pipeline: derive-threshold, scan, components, persistence,
 report and synth.
 
-Stages communicate through CSV files only, so any stage can be rerun or
-replaced.  Outputs are deterministic: rows follow sorted ids and
-chronological pairs.
+Stages communicate through CSV files, so any stage can be rerun or
+replaced.  The one binary file, scan's history.npz, is a cache: components
+loads it in place of parsing states.csv when it was saved from the same
+states and topology contents.  Outputs are deterministic: rows follow
+sorted ids and chronological pairs.
 """
 
 from __future__ import annotations
@@ -49,15 +51,16 @@ from .temporal import (
     realism_filter,
 )
 from .ingest import (
+    HISTORY_SIDECAR,
     ParseError,
+    exclusion_mask,
     format_timestamp,
-    frame_pairs,
-    index_exclusions,
-    is_excluded,
+    load_history,
     parse_exclusions,
     parse_states,
     parse_topology,
     read_terms,
+    save_history,
     write_terms,
 )
 from .report import (
@@ -174,66 +177,58 @@ def cmd_derive_threshold(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg, gas = _configs_from_args(args)
     network = parse_topology(args.topology)
-    frames = parse_states(args.states, network)
+    history = parse_states(args.states, network)
     windows = parse_exclusions(args.exclusions, network) if args.exclusions else []
-    excl_index = index_exclusions(windows)
-    pairs = frame_pairs(frames)
-    pipe_ids = sorted(network.pipes())
+    pairs = history.pairs()
+    pipe_ids = history.pipe_ids
     elements = [network.elements[pipe_id] for pipe_id in pipe_ids]
+    arc_col = {arc_id: k for k, arc_id in enumerate(history.arc_ids)}
+    node_col = {node_id: k for k, node_id in enumerate(history.node_ids)}
 
-    # classify every data point; survivors are evaluated in one kernel call
-    totals = {"total": 0, "excluded": 0, "missing": 0, "below_prefilter": 0,
-              "evaluated": 0, "relevant": 0}
+    # [pairs x pipes] arrays; each data point falls in exactly one class
+    flow = history.flow_m3s[:, [arc_col[pipe_id] for pipe_id in pipe_ids]]
+    flow_t0, flow_t1, rho = flow[:-1], flow[1:], history.rho_n[1:]
+    p_left = history.pressure_pa[1:, [node_col[el.from_node] for el in elements]]
+    p_right = history.pressure_pa[1:, [node_col[el.to_node] for el in elements]]
+    excluded = exclusion_mask(windows, pairs, pipe_ids)
+    lacks_flow = np.isnan(flow_t0) | np.isnan(flow_t1) | np.isnan(rho)   # or density
+    candidate = ~excluded & ~lacks_flow
+    passed = candidate & prefilter(flow_t0, flow_t1, cfg)
+    below_prefilter = candidate & ~passed
+    lacks_pressure = passed & (np.isnan(p_left) | np.isnan(p_right))
+    survivor = passed & ~lacks_pressure
     diag = Diagnostics()
-    keys = []    # (pipe position, pair) of each survivor
-    values = []  # (tau, flow_t0, flow_t1, rho, p_left, p_right) of each survivor
-    for pair, frame_t0, frame_t1 in pairs:
-        for position, (pipe_id, element) in enumerate(zip(pipe_ids, elements)):
-            totals["total"] += 1
-            if is_excluded(pipe_id, pair, excl_index):
-                totals["excluded"] += 1
-                continue
-            flow_t0 = frame_t0.arc_flow_m3s.get(pipe_id)
-            flow_t1 = frame_t1.arc_flow_m3s.get(pipe_id)
-            rho = frame_t1.pipe_rho_n_kgm3.get(pipe_id)
-            if flow_t0 is None or flow_t1 is None or rho is None:
-                totals["missing"] += 1
-                diag.missing_data += 1
-                continue
-            if not prefilter(flow_t0, flow_t1, cfg):
-                totals["below_prefilter"] += 1
-                continue
-            p_left = frame_t1.node_pressure_pa.get(element.from_node)
-            p_right = frame_t1.node_pressure_pa.get(element.to_node)
-            if p_left is None or p_right is None:
-                totals["missing"] += 1
-                diag.missing_data += 1
-                continue
-            keys.append((position, pair))
-            values.append((pair.tau_s, flow_t0, flow_t1, rho, p_left, p_right))
+    diag.missing_data = int(np.count_nonzero(~excluded & lacks_flow)
+                            + np.count_nonzero(lacks_pressure))
+    totals = {"total": excluded.size, "excluded": int(np.count_nonzero(excluded)),
+              "missing": diag.missing_data,
+              "below_prefilter": int(np.count_nonzero(below_prefilter)),
+              "evaluated": int(np.count_nonzero(survivor)), "relevant": 0}
 
-    tau, flow_t0, flow_t1, rho, p_left, p_right = np.array(values).reshape(-1, 6).T
-    del values  # freed before the kernel allocates its temporaries
-    table = PipeTable.of([element.geometry for element in elements]).take(
-        np.array([position for position, _ in keys], dtype=int))
+    # row-major order: pairs chronologically, pipes by id within a pair
+    pair_index, position = np.nonzero(survivor)
+    tau = np.array([pair.tau_s for pair in pairs])[pair_index]
+    flow_t0, flow_t1, rho = flow_t0[survivor], flow_t1[survivor], rho[survivor]
+    table = PipeTable.of([element.geometry for element in elements]).take(position)
     alpha = inertia_term_alpha(table, rho, tau, flow_t0, flow_t1)
-    beta = friction_term_beta(table, gas, rho, flow_t1, p_left, p_right, diag)
+    beta = friction_term_beta(table, gas, rho, flow_t1, p_left[survivor], p_right[survivor],
+                              diag)
 
     def rows():
         # tolist() gives plain floats, which the terms file writes with repr
-        for (position, pair), *terms in zip(keys, flow_t0.tolist(), flow_t1.tolist(),
-                                            alpha.tolist(), beta.tolist(),
-                                            (alpha / table.length_m).tolist(),
-                                            term_ratio(alpha, beta).tolist()):
-            record = TermRecord(pipe_ids[position], pair, *terms)
+        for k, pos, *terms in zip(pair_index.tolist(), position.tolist(), flow_t0.tolist(),
+                                  flow_t1.tolist(), alpha.tolist(), beta.tolist(),
+                                  (alpha / table.length_m).tolist(),
+                                  term_ratio(alpha, beta).tolist()):
+            record = TermRecord(pipe_ids[pos], pairs[k], *terms)
             relevant = pipe_relevant(record, cfg)
             totals["relevant"] += relevant
             yield record, relevant
 
     # records are written as they are made, never held all at once
     write_terms(rows(), _out_path(args, "terms.csv"))
-    totals["evaluated"] = len(keys)
-    print(f"frames: {len(frames)}, pairs: {len(pairs)}, pipes: {len(pipe_ids)}")
+    save_history(history, _out_path(args, HISTORY_SIDECAR), args.states, args.topology)
+    print(f"frames: {len(history)}, pairs: {len(pairs)}, pipes: {len(pipe_ids)}")
     print(f"data points: {totals['total']}, excluded: {totals['excluded']}, "
           f"missing: {totals['missing']}, below prefilter: {totals['below_prefilter']}, "
           f"evaluated: {totals['evaluated']}, relevant: {totals['relevant']}")
@@ -252,10 +247,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_components(args: argparse.Namespace) -> int:
     cfg, _gas = _configs_from_args(args)
     network = parse_topology(args.topology)
-    frames = parse_states(args.states, network)
+    history = load_history(os.path.join(os.path.dirname(args.terms), HISTORY_SIDECAR),
+                           args.states, args.topology)
+    if history is None:
+        history = parse_states(args.states, network)
     terms = read_terms(args.terms)
 
-    frames_by_stamp = {frame.timestamp: frame for frame in frames}
+    frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
     grouped: dict[TimePair, list[TermRecord]] = {}
     for record, relevant in terms:
         if relevant:
@@ -264,14 +262,14 @@ def cmd_components(args: argparse.Namespace) -> int:
     diag = Diagnostics()
     stream: list[tuple[TimePair, list[Component]]] = []
     for pair in sorted(grouped, key=lambda p: p.t0):
-        frame_t0 = frames_by_stamp.get(pair.t0)
-        frame_t1 = frames_by_stamp.get(pair.t1)
-        if frame_t0 is None or frame_t1 is None:
+        k0 = frame_index.get(pair.t0)
+        k1 = frame_index.get(pair.t1)
+        if k0 is None or k1 is None:
             raise ParseError(args.terms, 0,
                              f"pair {format_timestamp(pair.t0)} .. "
                              f"{format_timestamp(pair.t1)} has no matching states")
-        stream.append((pair, build_pair_components(network, grouped[pair], frame_t0,
-                                                   frame_t1, cfg, diag)))
+        stream.append((pair, build_pair_components(network, grouped[pair], history.frame(k0),
+                                                   history.frame(k1), cfg, diag)))
 
     write_components(stream, _out_path(args, "components.csv"),
                      _out_path(args, "components_pipes.csv"))

@@ -1,4 +1,5 @@
-"""CSV input formats: topology, long-format state history, exclusions.
+"""CSV input formats: topology, long-format state history, exclusions,
+terms; and the binary history sidecar.
 
 File units are bar and 1000 Nm^3/h; they are converted to SI exactly once
 here.  Serializers write floats with repr so a parse/serialize cycle is a
@@ -7,11 +8,15 @@ fixed point.  Parse errors carry file and line context.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 import csv
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 import math
 from typing import Iterable
+import zipfile
+
+import numpy as np
 
 from .model import (
     BAR,
@@ -138,31 +143,74 @@ def serialize_topology(network: Network, path: str) -> None:
             writer.writerow([el.element_id, el.kind.value, el.from_node, el.to_node] + geo)
 
 
-def parse_states(path: str, network: Network) -> list[StateFrame]:
-    """Read a long-format state history into per-timestamp frames.
+@dataclass(frozen=True, eq=False)
+class History:
+    """A state history as arrays: one row per frame, one column per entity.
+
+    Columns follow the sorted id tuples: every node, every element (flows
+    may be given for any arc), every valve and every pipe of the network.
+    NaN marks a value the history does not give; valve_open holds 1.0 for
+    open and 0.0 for closed.  Timestamps are strictly increasing.
+    """
+
+    timestamps: tuple[datetime, ...]
+    node_ids: tuple[str, ...]
+    arc_ids: tuple[str, ...]
+    valve_ids: tuple[str, ...]
+    pipe_ids: tuple[str, ...]
+    pressure_pa: np.ndarray     # [frames x nodes]
+    flow_m3s: np.ndarray        # [frames x arcs]
+    valve_open: np.ndarray      # [frames x valves]
+    rho_n: np.ndarray           # [frames x pipes], kg/m^3 at normal conditions
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def frame(self, k: int) -> StateFrame:
+        """Frame k as per-entity mappings of the values it gives."""
+        return StateFrame(self.timestamps[k],
+                          _given(self.node_ids, self.pressure_pa[k]),
+                          _given(self.arc_ids, self.flow_m3s[k]),
+                          {valve_id: state == 1.0 for valve_id, state
+                           in _given(self.valve_ids, self.valve_open[k]).items()},
+                          _given(self.pipe_ids, self.rho_n[k]))
+
+    def pairs(self) -> list[TimePair]:
+        """Consecutive frames as analysis pairs, in chronological order."""
+        return [TimePair(t0, t1) for t0, t1 in zip(self.timestamps, self.timestamps[1:])]
+
+
+def _given(ids: tuple[str, ...], row: np.ndarray) -> dict[str, float]:
+    # NaN is the one value unequal to itself
+    return {key: value for key, value in zip(ids, row.tolist()) if value == value}
+
+
+def parse_states(path: str, network: Network) -> History:
+    """Read a long-format state history into arrays.
 
     Rows of one timestamp may come in any order but timestamps must be
-    grouped and strictly increasing.  Entities must exist in the network
-    and match the quantity kind; pressures must be positive and densities
-    inside the accepted band.
+    grouped and strictly increasing; different spellings of one instant
+    belong to the same frame.  Entities must exist in the network and
+    match the quantity kind; pressures must be positive and densities
+    inside the accepted band.  A repeated row overrides the earlier one.
+    Rows are checked in file order, so the first bad line is reported.
     """
-    frames: list[StateFrame] = []
-    current_stamp: datetime | None = None
-    pressures: dict[str, float] = {}
-    flows: dict[str, float] = {}
-    valves: dict[str, bool] = {}
-    rhos: dict[str, float] = {}
-    stamp_line = 0
-
-    def flush() -> None:
-        if current_stamp is None:
-            return
-        try:
-            frames.append(StateFrame(current_stamp, dict(pressures), dict(flows),
-                                     dict(valves), dict(rhos)))
-        except ModelError as exc:
-            raise ParseError(path, stamp_line, str(exc)) from None
-        pressures.clear(); flows.clear(); valves.clear(); rhos.clear()
+    node_ids = tuple(sorted(network.nodes))
+    arc_ids = tuple(sorted(network.elements))
+    valve_ids = tuple(sorted(network.of_kind(ElementKind.VALVE)))
+    pipe_ids = tuple(sorted(network.pipes()))
+    node_col = {key: k for k, key in enumerate(node_ids)}
+    arc_col = {key: k for k, key in enumerate(arc_ids)}
+    valve_col = {key: k for k, key in enumerate(valve_ids)}
+    pipe_col = {key: k for k, key in enumerate(pipe_ids)}
+    stamps: list[datetime] = []
+    # one list per frame and quantity; a list keeps the last of repeated rows
+    pressures: list[list[float]] = []
+    flows: list[list[float]] = []
+    valves: list[list[float]] = []
+    rhos: list[list[float]] = []
+    current: datetime | None = None
+    stamp_text = None
 
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -174,47 +222,64 @@ def parse_states(path: str, network: Network) -> list[StateFrame]:
             if len(row) != len(STATES_COLUMNS):
                 raise ParseError(path, lineno,
                                  f"expected {len(STATES_COLUMNS)} columns, got {len(row)}")
-            stamp = parse_timestamp(row[0], path, lineno)
-            if current_stamp is None or stamp != current_stamp:
-                if current_stamp is not None and stamp <= current_stamp:
-                    raise ParseError(path, lineno,
-                                     f"timestamps not strictly increasing: "
-                                     f"{format_timestamp(stamp)} after "
-                                     f"{format_timestamp(current_stamp)}")
-                flush()
-                current_stamp = stamp
-                stamp_line = lineno
-            entity, quantity = row[1], row[2]
-            value = _parse_float(row[3], path, lineno, "value")
+            text, entity, quantity, value_text = row
+            if text != stamp_text:
+                # rows of one frame repeat their timestamp text, so it is
+                # parsed once per run of equal texts
+                stamp = parse_timestamp(text, path, lineno)
+                stamp_text = text
+                if current is None or stamp != current:
+                    if current is not None and stamp <= current:
+                        raise ParseError(path, lineno,
+                                         f"timestamps not strictly increasing: "
+                                         f"{format_timestamp(stamp)} after "
+                                         f"{format_timestamp(current)}")
+                    current = stamp
+                    stamps.append(stamp)
+                    pressure_row = [math.nan] * len(node_ids)
+                    flow_row = [math.nan] * len(arc_ids)
+                    valve_row = [math.nan] * len(valve_ids)
+                    rho_row = [math.nan] * len(pipe_ids)
+                    pressures.append(pressure_row)
+                    flows.append(flow_row)
+                    valves.append(valve_row)
+                    rhos.append(rho_row)
+            value = _parse_float(value_text, path, lineno, "value")
             if not math.isfinite(value):
-                raise ParseError(path, lineno, f"non-finite value {row[3]!r} for {entity!r}")
+                raise ParseError(path, lineno, f"non-finite value {value_text!r} for {entity!r}")
             if quantity == QUANTITY_PRESSURE:
-                if entity not in network.nodes:
+                column = node_col.get(entity)
+                if column is None:
                     raise ParseError(path, lineno, f"unknown node {entity!r}")
                 if not value > 0.0:
                     raise ParseError(path, lineno, f"pressure must be positive, got {value}")
-                pressures[entity] = value * BAR
+                pressure_row[column] = value * BAR
             elif quantity == QUANTITY_FLOW:
-                if entity not in network.elements:
+                column = arc_col.get(entity)
+                if column is None:
                     raise ParseError(path, lineno, f"unknown element {entity!r}")
-                flows[entity] = value * KNM3H
+                flow_row[column] = value * KNM3H
             elif quantity == QUANTITY_VALVE:
-                element = network.elements.get(entity)
-                if element is None or element.kind is not ElementKind.VALVE:
+                column = valve_col.get(entity)
+                if column is None:
                     raise ParseError(path, lineno, f"{entity!r} is not a valve")
-                valves[entity] = value != 0.0
+                valve_row[column] = 1.0 if value != 0.0 else 0.0
             elif quantity == QUANTITY_RHO:
-                element = network.elements.get(entity)
-                if element is None or element.kind is not ElementKind.PIPE:
+                column = pipe_col.get(entity)
+                if column is None:
                     raise ParseError(path, lineno, f"{entity!r} is not a pipe")
                 try:
-                    rhos[entity] = validate_normal_density(value)
+                    rho_row[column] = validate_normal_density(value)
                 except ModelError as exc:
                     raise ParseError(path, lineno, str(exc)) from None
             else:
                 raise ParseError(path, lineno, f"unknown quantity {quantity!r}")
-        flush()
-    return frames
+    frames = len(stamps)
+    return History(tuple(stamps), node_ids, arc_ids, valve_ids, pipe_ids,
+                   np.array(pressures, dtype=float).reshape(frames, len(node_ids)),
+                   np.array(flows, dtype=float).reshape(frames, len(arc_ids)),
+                   np.array(valves, dtype=float).reshape(frames, len(valve_ids)),
+                   np.array(rhos, dtype=float).reshape(frames, len(pipe_ids)))
 
 
 def serialize_states(frames: Iterable[StateFrame], path: str) -> None:
@@ -238,6 +303,61 @@ def serialize_states(frames: Iterable[StateFrame], path: str) -> None:
                                  repr(frame.pipe_rho_n_kgm3[pipe_id])])
 
 
+# scan saves the parsed history next to its terms file; components loads it
+# instead of parsing states.csv again when both input files are unchanged
+HISTORY_SIDECAR = "history.npz"
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def file_sha256(path: str) -> str:
+    # imported here because loading it costs every stage's start about 4 ms,
+    # and only scan and components hash files
+    import hashlib
+
+    sha = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            sha.update(block)
+    return sha.hexdigest()
+
+
+def save_history(history: History, path: str, states_path: str, topology_path: str) -> None:
+    """Write history with the digests of the files it was parsed from."""
+    np.savez(path,
+             states_sha256=file_sha256(states_path),
+             topology_sha256=file_sha256(topology_path),
+             timestamps_us=np.array([(t - _EPOCH) // _MICROSECOND for t in history.timestamps],
+                                    dtype=np.int64),
+             node_ids=np.array(history.node_ids, dtype=str),
+             arc_ids=np.array(history.arc_ids, dtype=str),
+             valve_ids=np.array(history.valve_ids, dtype=str),
+             pipe_ids=np.array(history.pipe_ids, dtype=str),
+             pressure_pa=history.pressure_pa,
+             flow_m3s=history.flow_m3s,
+             valve_open=history.valve_open,
+             rho_n=history.rho_n)
+
+
+def load_history(path: str, states_path: str, topology_path: str) -> History | None:
+    """The history saved at path, or None unless it exists and was saved
+    from files with the same contents as states_path and topology_path."""
+    try:
+        with np.load(path) as saved:
+            if (str(saved["states_sha256"]) != file_sha256(states_path)
+                    or str(saved["topology_sha256"]) != file_sha256(topology_path)):
+                return None
+            ids = [tuple(saved[name].tolist())
+                   for name in ("node_ids", "arc_ids", "valve_ids", "pipe_ids")]
+            return History(tuple(_EPOCH + us * _MICROSECOND
+                                 for us in saved["timestamps_us"].tolist()),
+                           *ids, saved["pressure_pa"], saved["flow_m3s"],
+                           saved["valve_open"], saved["rho_n"])
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        # an absent or unreadable sidecar only means parsing the CSV again
+        return None
+
+
 @dataclass(frozen=True)
 class ExclusionWindow:
     """Half-open time window [start, end) during which a pipe is ignored."""
@@ -249,10 +369,6 @@ class ExclusionWindow:
     def __post_init__(self) -> None:
         if not self.end > self.start:
             raise ModelError(f"exclusion window for {self.pipe_id!r} requires end > start")
-
-    def covers(self, pair: TimePair) -> bool:
-        # a record belongs to the window when its evaluation time t1 does
-        return self.start <= pair.t1 < self.end
 
 
 def parse_exclusions(path: str, network: Network) -> list[ExclusionWindow]:
@@ -280,16 +396,21 @@ def parse_exclusions(path: str, network: Network) -> list[ExclusionWindow]:
     return windows
 
 
-def index_exclusions(windows: Iterable[ExclusionWindow]) -> dict[str, list[ExclusionWindow]]:
-    indexed: dict[str, list[ExclusionWindow]] = {}
+def exclusion_mask(windows: Iterable[ExclusionWindow], pairs: list[TimePair],
+                   pipe_ids: tuple[str, ...]) -> np.ndarray:
+    """[pairs x pipes] mask of the data points some window covers.
+
+    A data point belongs to a window when its evaluation time t1 does.
+    """
+    t1 = [pair.t1 for pair in pairs]
+    column = {pipe_id: k for k, pipe_id in enumerate(pipe_ids)}
+    mask = np.zeros((len(pairs), len(pipe_ids)), dtype=bool)
     for window in windows:
-        indexed.setdefault(window.pipe_id, []).append(window)
-    return indexed
-
-
-def is_excluded(pipe_id: str, pair: TimePair,
-                indexed: dict[str, list[ExclusionWindow]]) -> bool:
-    return any(window.covers(pair) for window in indexed.get(pipe_id, ()))
+        # pairs are chronological, so the pairs whose t1 lies in
+        # [start, end) form one run
+        mask[bisect_left(t1, window.start):bisect_left(t1, window.end),
+             column[window.pipe_id]] = True
+    return mask
 
 
 TERMS_COLUMNS = ["t0", "t1", "pipe_id", "flow_t0_kNm3h", "flow_t1_kNm3h",
@@ -304,10 +425,15 @@ def write_terms(rows: Iterable[tuple[TermRecord, bool]], path: str) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TERMS_COLUMNS)
+        pair = None
         for record, relevant in rows:
+            if record.pair != pair:
+                # rows come grouped by pair
+                pair = record.pair
+                t0_text, t1_text = format_timestamp(pair.t0), format_timestamp(pair.t1)
             writer.writerow([
-                format_timestamp(record.pair.t0),
-                format_timestamp(record.pair.t1),
+                t0_text,
+                t1_text,
                 record.pipe_id,
                 repr(record.flow_t0_m3s / KNM3H),
                 repr(record.flow_t1_m3s / KNM3H),
@@ -322,6 +448,16 @@ def write_terms(rows: Iterable[tuple[TermRecord, bool]], path: str) -> None:
 
 def read_terms(path: str) -> list[tuple[TermRecord, bool]]:
     rows: list[tuple[TermRecord, bool]] = []
+    stamps: dict[str, datetime] = {}
+    pairs: dict[tuple[str, str], TimePair] = {}
+
+    def stamp(text: str, lineno: int) -> datetime:
+        # each distinct timestamp text is parsed once
+        value = stamps.get(text)
+        if value is None:
+            value = stamps[text] = parse_timestamp(text, path, lineno)
+        return value
+
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -332,8 +468,10 @@ def read_terms(path: str) -> list[tuple[TermRecord, bool]]:
             if len(row) != len(TERMS_COLUMNS):
                 raise ParseError(path, lineno,
                                  f"expected {len(TERMS_COLUMNS)} columns, got {len(row)}")
-            pair = TimePair(parse_timestamp(row[0], path, lineno),
-                            parse_timestamp(row[1], path, lineno))
+            pair = pairs.get((row[0], row[1]))
+            if pair is None:
+                pair = pairs[row[0], row[1]] = TimePair(stamp(row[0], lineno),
+                                                        stamp(row[1], lineno))
             record = TermRecord(
                 pipe_id=row[2],
                 pair=pair,
@@ -347,11 +485,3 @@ def read_terms(path: str) -> list[tuple[TermRecord, bool]]:
             )
             rows.append((record, row[10] == "1"))
     return rows
-
-
-def frame_pairs(frames: list[StateFrame]) -> list[tuple[TimePair, StateFrame, StateFrame]]:
-    """Consecutive frames as analysis pairs, in chronological order."""
-    pairs = []
-    for left, right in zip(frames, frames[1:]):
-        pairs.append((TimePair(left.timestamp, right.timestamp), left, right))
-    return pairs

@@ -29,10 +29,12 @@ from .model import (
     Element,
     ElementKind,
     GasParams,
+    ModelError,
     Network,
     Node,
     PipeGeometry,
     StateFrame,
+    validate_normal_density,
 )
 from .physics import (
     PipeTable,
@@ -181,6 +183,21 @@ FIXTURES = {
 }
 
 
+def _check_scalar(path: str, lineno: int, key: str, value: str) -> None:
+    """tau_s must be positive and rho_n_kgNm3 inside the accepted band."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise ParseError(path, lineno, f"bad {key} {value!r}") from None
+    if key == "rho_n_kgNm3":
+        try:
+            validate_normal_density(number)
+        except ModelError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+    elif not number > 0.0:
+        raise ParseError(path, lineno, f"{key} must be positive, got {value}")
+
+
 def parse_scenario(path: str) -> Scenario:
     """Read a key = value scenario file.
 
@@ -216,14 +233,19 @@ def parse_scenario(path: str) -> Scenario:
                 if len(parts) != 2:
                     raise ParseError(path, lineno, "pressure takes: node bar")
                 try:
-                    pressures.append((parts[0], float(parts[1]) * BAR))
+                    bar = float(parts[1])
                 except ValueError:
                     raise ParseError(path, lineno, f"bad pressure {value!r}") from None
+                if not bar > 0.0:
+                    raise ParseError(path, lineno, f"pressure must be positive, got {parts[1]}")
+                pressures.append((parts[0], bar * BAR))
             elif key == "closed_valve":
                 closed.add(value)
             elif key == "fixture":
                 fixture_name = value
             else:
+                if key in ("tau_s", "rho_n_kgNm3"):
+                    _check_scalar(path, lineno, key, value)
                 scalars[key] = value
     if fixture_name is None:
         raise ParseError(path, 0, "scenario requires a fixture key")

@@ -156,3 +156,40 @@ def brute_hex_center(x: float, y: float, resolution: float) -> tuple[float, floa
             if best is None or key < best:
                 best = key
     return best[1], best[2]
+
+
+def classify_scan_points(stamps: list, frames: list[dict], pipes: dict[str, tuple[str, str]],
+                         windows: list[tuple], min_flow_change: float
+                         ) -> tuple[dict[str, int], list[tuple[int, str]]]:
+    """Scan classes of every (pair, pipe) data point, one point at a time.
+
+    stamps are the frame instants in order; frames[k] maps (quantity,
+    entity id) to a value, with "flow" and "rho" keyed by pipe and
+    "pressure" by node; pipes maps a pipe id to its (from, to) nodes;
+    windows are (pipe id, start, end) and exclude a point when start <=
+    t1 < end.  The first rule that applies decides: excluded, missing flow
+    or density, below the prefilter |Q(t1) - Q(t0)| < min_flow_change,
+    missing end pressure at t1, else evaluated.  Returns the class counts
+    and the evaluated points as (pair index, pipe id), pair by pair and
+    by pipe id within a pair.
+    """
+    counts = {"total": 0, "excluded": 0, "missing": 0, "below_prefilter": 0, "evaluated": 0}
+    survivors = []
+    for k in range(len(frames) - 1):
+        before, after = frames[k], frames[k + 1]
+        for pipe_id in sorted(pipes):
+            counts["total"] += 1
+            if any(p == pipe_id and start <= stamps[k + 1] < end for p, start, end in windows):
+                counts["excluded"] += 1
+                continue
+            q0, q1 = before.get(("flow", pipe_id)), after.get(("flow", pipe_id))
+            if q0 is None or q1 is None or after.get(("rho", pipe_id)) is None:
+                counts["missing"] += 1
+            elif abs(q1 - q0) < min_flow_change:
+                counts["below_prefilter"] += 1
+            elif any(after.get(("pressure", node)) is None for node in pipes[pipe_id]):
+                counts["missing"] += 1
+            else:
+                counts["evaluated"] += 1
+                survivors.append((k, pipe_id))
+    return counts, survivors

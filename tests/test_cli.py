@@ -1,10 +1,14 @@
 import contextlib
 import csv
+from datetime import datetime, timedelta, timezone
 import io
 import os
+import tempfile
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
+from gasinertia import cli
 from gasinertia.cli import (
     CHAINS_COLUMNS,
     EVENTS_COLUMNS,
@@ -14,11 +18,12 @@ from gasinertia.cli import (
     main,
     parse_length,
 )
-from gasinertia.ingest import ParseError
+from gasinertia.ingest import ParseError, parse_states
 from gasinertia.model import BAR, KNM3H
 
 from conftest import stamp
 from gasinertia.ingest import format_timestamp
+from oracles import classify_scan_points
 
 SCENARIO = """fixture = line3
 frames = 8
@@ -176,6 +181,73 @@ class TestExclusions:
         assert [r[3] for r in rows[1:]] == ["1", "1", "3"]
 
 
+class TestHistorySidecar:
+    """components loads scan's history.npz only when it was saved from
+    files with the contents of --states and --topology."""
+
+    @pytest.fixture
+    def scanned(self, pipeline, tmp_path, monkeypatch):
+        for name in ("topology.csv", "states.csv"):
+            (tmp_path / name).write_bytes((pipeline["data"] / name).read_bytes())
+        code, _, err = run_cli(["scan", "--topology", tmp_path / "topology.csv",
+                                "--states", tmp_path / "states.csv", "--out", tmp_path])
+        assert code == 0, err
+        parsed = []
+
+        def counting(path, network):
+            parsed.append(path)
+            return parse_states(path, network)
+
+        monkeypatch.setattr(cli, "parse_states", counting)
+        return tmp_path, parsed
+
+    def assert_components_unchanged(self, pipeline, root, topology):
+        out = root / "components"
+        code, stdout, err = run_cli([
+            "components", "--topology", topology, "--states", root / "states.csv",
+            "--terms", root / "terms.csv", "--out", out])
+        assert code == 0, err
+        assert stdout == pipeline["results"]["components"][1]
+        for name in ("components.csv", "components_pipes.csv"):
+            assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes()
+
+    def test_present_sidecar_replaces_parsing(self, pipeline, scanned):
+        root, parsed = scanned
+        assert (root / "history.npz").is_file()
+        self.assert_components_unchanged(pipeline, root, root / "topology.csv")
+        assert parsed == []
+
+    def test_deleted_sidecar(self, pipeline, scanned):
+        root, parsed = scanned
+        (root / "history.npz").unlink()
+        self.assert_components_unchanged(pipeline, root, root / "topology.csv")
+        assert parsed == [str(root / "states.csv")]
+
+    def test_stale_sidecar_after_states_edit(self, pipeline, scanned):
+        root, parsed = scanned
+        states = root / "states.csv"
+        # the same instants, spelled differently
+        states.write_text(states.read_text().replace("Z,", "+00:00,"))
+        self.assert_components_unchanged(pipeline, root, root / "topology.csv")
+        assert parsed == [str(states)]
+        lines = states.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",1.0.0"
+        states.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli([
+            "components", "--topology", root / "topology.csv", "--states", states,
+            "--terms", root / "terms.csv", "--out", root / "components"])
+        assert code == 1
+        assert f"{states}:6: invalid number" in err
+
+    def test_other_topology_file(self, pipeline, scanned):
+        root, parsed = scanned
+        header, *rows = (root / "topology.csv").read_text().splitlines()
+        other = root / "other_topology.csv"
+        other.write_text("\n".join([header] + rows[::-1]) + "\n")
+        self.assert_components_unchanged(pipeline, root, other)
+        assert parsed == [str(root / "states.csv")]
+
+
 class TestDeriveThreshold:
     def test_default_output(self):
         code, out, err = run_cli(["derive-threshold"])
@@ -271,3 +343,100 @@ class TestErrors:
                                 "--members", members, "--out", tmp_path])
         assert code == 1
         assert "empty component stream" in err
+
+
+# ---------------------------------------------------------------------------
+# scan classification against the per-point oracle
+
+ORACLE_TOPOLOGY = """element_id,kind,from_node,to_node,length_m,diameter_m,roughness_m,slope
+pa,pipe,a,b,20000.0,0.5,1e-05,0.0
+pb,pipe,b,c,10000.0,0.3,1e-05,0.0
+pc,pipe,c,d,5000.0,0.4,1e-05,0.0
+vb,valve,b,d,,,,
+"""
+ORACLE_PIPES = {"pa": ("a", "b"), "pb": ("b", "c"), "pc": ("c", "d")}
+FILE_QUANTITY = {"pressure": "node.pressure_bar", "flow": "arc.flow_kNm3h",
+                 "rho": "pipe.rho_n_kgNm3", "valve": "valve.open"}
+KNM3H_SI = 1000.0 / 3600.0
+UTC = timezone.utc
+
+
+def spellings(instant: datetime) -> list[str]:
+    text = instant.strftime("%Y-%m-%dT%H:%M:%S")
+    shifted = (instant + timedelta(hours=1)).strftime("%Y-%m-%dT%H:%M:%S")
+    return [text + "Z", text + "+00:00", shifted + "+01:00"]
+
+
+DECOY = {"pressure": 61.0, "flow": 7.0, "rho": 1.25, "valve": 1.0}
+
+
+@st.composite
+def scan_histories(draw):
+    """A small history as states.csv rows, the frames they mean, and windows."""
+    minutes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=5))
+    stamps = [datetime(2026, 1, 1, tzinfo=UTC) + timedelta(minutes=sum(minutes[:k]))
+              for k in range(len(minutes) + 1)][:draw(st.integers(0, len(minutes) + 1))]
+    frames, rows = [], []
+    for instant in stamps:
+        values = {("pressure", node): draw(st.sampled_from([None, 40.0, 55.5, 70.0]))
+                  for node in "abcd"}
+        for pipe_id in ORACLE_PIPES:
+            values["flow", pipe_id] = draw(st.sampled_from(
+                [None, 0.0, 0.25, 0.5, 100.0, 100.5, 99.75, -100.0]))
+            values["rho", pipe_id] = draw(st.sampled_from([None, 0.8, 0.85]))
+        # a frame exists only through its rows; the valve row keeps one
+        values["valve", "vb"] = draw(st.sampled_from([0.0, 1.0]))
+        given = [(key, value) for key, value in values.items() if value is not None]
+        # rows repeated earlier in the frame with another value must lose
+        decoys = draw(st.lists(st.sampled_from(given), max_size=3))
+        frame_rows = ([(key, DECOY[key[0]]) for key, _ in decoys]
+                      + draw(st.permutations(given)))
+        for (quantity, entity), value in frame_rows:
+            rows.append(f"{draw(st.sampled_from(spellings(instant)))},{entity},"
+                        f"{FILE_QUANTITY[quantity]},{value!r}")
+        frames.append({key: value * KNM3H_SI if key[0] == "flow" else value
+                       for key, value in given})
+    # window edges on the frame instants and one second after them
+    edges = sorted(stamps + [instant + timedelta(seconds=1) for instant in stamps])
+    windows = []
+    if edges:
+        index = st.integers(0, len(edges) - 1)
+        for pipe_id, a, b in draw(st.lists(st.tuples(st.sampled_from(sorted(ORACLE_PIPES)),
+                                                      index, index), max_size=3)):
+            if a != b:
+                windows.append((pipe_id, edges[min(a, b)], edges[max(a, b)]))
+    return stamps, frames, rows, windows
+
+
+class TestScanOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(scan_histories())
+    def test_masked_scan_matches_per_point_oracle(self, history):
+        stamps, frames, rows, windows = history
+        with tempfile.TemporaryDirectory() as root:
+            topology = os.path.join(root, "topology.csv")
+            states = os.path.join(root, "states.csv")
+            exclusions = os.path.join(root, "exclusions.csv")
+            with open(topology, "w") as handle:
+                handle.write(ORACLE_TOPOLOGY)
+            with open(states, "w") as handle:
+                handle.write("\n".join(["timestamp_iso8601,entity_id,quantity,value"] + rows)
+                             + "\n")
+            with open(exclusions, "w") as handle:
+                handle.write("pipe_id,start_iso8601,end_iso8601\n" + "".join(
+                    f"{p},{spellings(a)[0]},{spellings(b)[1]}\n" for p, a, b in windows))
+            code, out, err = run_cli(["scan", "--topology", topology, "--states", states,
+                                      "--exclusions", exclusions, "--out", root])
+            assert code == 0, err
+            terms = read_csv(os.path.join(root, "terms.csv"))[1:]
+        expected, survivors = classify_scan_points(stamps, frames, ORACLE_PIPES, windows,
+                                                   0.5 * KNM3H_SI)
+        line = next(text for text in out.splitlines() if text.startswith("data points:"))
+        counts = {key.strip(): int(value) for key, value in
+                  (part.rsplit(":", 1) for part in line.split(","))}
+        assert counts["data points"] == expected["total"]
+        for key in ("excluded", "missing", "evaluated"):
+            assert counts[key] == expected[key], key
+        assert counts["below prefilter"] == expected["below_prefilter"]
+        assert [(row[0], row[2]) for row in terms] == [
+            (spellings(stamps[k])[0], pipe_id) for k, pipe_id in survivors]

@@ -2,17 +2,23 @@ from datetime import timedelta, timezone
 import math
 
 from hypothesis import given, strategies as st
+import numpy as np
 import pytest
+
+from gasinertia import ingest
 
 from gasinertia.ingest import (
     EXCLUSIONS_COLUMNS,
     ExclusionWindow,
+    exclusion_mask,
+    load_history,
+    save_history,
     ParseError,
     STATES_COLUMNS,
     TERMS_COLUMNS,
     TOPOLOGY_COLUMNS,
+    History,
     format_timestamp,
-    frame_pairs,
     parse_exclusions,
     parse_states,
     parse_timestamp,
@@ -31,7 +37,6 @@ from gasinertia.model import (
     Network,
     Node,
     PipeGeometry,
-    StateFrame,
 )
 from gasinertia.physics import TermRecord, term_ratio
 
@@ -151,24 +156,99 @@ class TestStates:
     def test_parse(self, tmp_path):
         path = tmp_path / "states.csv"
         path.write_text(self.make_states_csv())
-        frames = parse_states(str(path), sample_network())
-        assert len(frames) == 2
-        first = frames[0]
+        history = parse_states(str(path), sample_network())
+        assert len(history) == 2
+        first = history.frame(0)
         assert first.timestamp == BASE_TS
         assert first.node_pressure_pa["n0"] == 60.0 * BAR
         assert first.arc_flow_m3s["p1"] == pytest.approx(120.0 * KNM3H)
         assert first.valve_open["v1"] is True
         assert first.pipe_rho_n_kgm3["p1"] == 0.85
-        assert frames[1].valve_open["v1"] is False
+        assert history.frame(1).valve_open["v1"] is False
+        # values the file does not give are absent from the frame
+        assert history.frame(1).node_pressure_pa == {"n0": 60.0 * BAR}
+        assert history.frame(1).pipe_rho_n_kgm3 == {}
+
+    def test_columns_and_missing(self, tmp_path):
+        path = tmp_path / "states.csv"
+        path.write_text(self.make_states_csv())
+        history = parse_states(str(path), sample_network())
+        assert history.node_ids == ("n0", "n1", "n2", "n3", "n4")
+        assert history.arc_ids == ("g1", "p1", "r1", "v1")
+        assert history.valve_ids == ("v1",)
+        assert history.pipe_ids == ("p1",)
+        assert history.pressure_pa.shape == (2, 5)
+        assert history.pressure_pa[0, 1] == 59.5 * BAR
+        assert np.isnan(history.pressure_pa[1, 1])
+        assert history.flow_m3s[1, 1] == 125.0 * KNM3H
+        assert np.isnan(history.flow_m3s[:, 0]).all()
+        assert history.valve_open.tolist() == [[1.0], [0.0]]
+        assert history.rho_n[0, 0] == 0.85 and np.isnan(history.rho_n[1, 0])
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "states.csv"
         path.write_text(self.make_states_csv())
         net = sample_network()
-        frames = parse_states(str(path), net)
+        history = parse_states(str(path), net)
         out = tmp_path / "out.csv"
-        serialize_states(frames, str(out))
-        assert parse_states(str(out), net) == frames
+        serialize_states([history.frame(k) for k in range(len(history))], str(out))
+        assert_same_history(parse_states(str(out), net), history)
+
+    def test_repeated_row_keeps_last_value(self, tmp_path):
+        t0 = format_timestamp(stamp(0))
+        path = tmp_path / "states.csv"
+        path.write_text(",".join(STATES_COLUMNS) + f"\n{t0},n0,node.pressure_bar,60.0"
+                        + f"\n{t0},p1,arc.flow_kNm3h,1.0"
+                        + f"\n{t0},n0,node.pressure_bar,61.0\n")
+        history = parse_states(str(path), sample_network())
+        assert history.frame(0).node_pressure_pa == {"n0": 61.0 * BAR}
+
+    def test_spellings_of_one_instant_share_a_frame(self, tmp_path):
+        z = "2026-01-01T00:00:00Z"
+        path = tmp_path / "states.csv"
+        path.write_text(",".join(STATES_COLUMNS)
+                        + f"\n{z},n0,node.pressure_bar,60.0"
+                        + "\n2026-01-01T00:00:00+00:00,n1,node.pressure_bar,59.0"
+                        + "\n2026-01-01T01:00:00+01:00,p1,arc.flow_kNm3h,1.0"
+                        + f"\n{z},n2,node.pressure_bar,58.0"
+                        + "\n2026-01-01T00:03:00Z,n0,node.pressure_bar,60.0\n")
+        history = parse_states(str(path), sample_network())
+        assert history.timestamps == (stamp(0), stamp(1))
+        assert sorted(history.frame(0).node_pressure_pa) == ["n0", "n1", "n2"]
+        assert history.frame(0).arc_flow_m3s == {"p1": KNM3H}
+
+    def test_each_timestamp_text_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(text, *args):
+            calls.append(text)
+            return parse_timestamp(text, *args)
+
+        monkeypatch.setattr(ingest, "parse_timestamp", counting)
+        path = tmp_path / "states.csv"
+        path.write_text(self.make_states_csv())
+        parse_states(str(path), sample_network())
+        assert calls == [format_timestamp(stamp(0)), format_timestamp(stamp(1))]
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("n0,node.pressure_bar,-1.0", "nx,node.pressure_bar,60.0", "pressure must be positive"),
+        ("p1,valve.open,1", "p1,arc.flow_kNm3h,abc", "not a valve"),
+        ("p1,pipe.rho_n_kgNm3,2.0", "n0,node.temp_K,1.0", "outside accepted range"),
+    ])
+    def test_first_of_two_defects_reported(self, tmp_path, first, second, message):
+        t0, t1 = format_timestamp(stamp(0)), format_timestamp(stamp(1))
+        path = tmp_path / "states.csv"
+        # line 3 carries a defect found late in a row's checks, line 5 one
+        # found early, and line 6 a timestamp going backwards
+        path.write_text(",".join(STATES_COLUMNS)
+                        + f"\n{t0},n1,node.pressure_bar,60.0"
+                        + f"\n{t0},{first}"
+                        + f"\n{t1},n1,node.pressure_bar,60.0"
+                        + f"\n{t1},{second}"
+                        + f"\n{t0},n1,node.pressure_bar,60.0\n")
+        with pytest.raises(ParseError, match=message) as info:
+            parse_states(str(path), sample_network())
+        assert info.value.line == 3
 
     def test_non_increasing_rejected(self, tmp_path):
         t0, t1 = format_timestamp(stamp(1)), format_timestamp(stamp(0))
@@ -248,11 +328,21 @@ class TestExclusions:
 
     def test_half_open_coverage_uses_t1(self):
         window = ExclusionWindow("p1", stamp(1), stamp(3))
-        # a pair is covered when its t1 falls inside [start, end)
-        assert window.covers(make_pair(0))       # t1 == start is inside
-        assert window.covers(make_pair(1))
-        assert not window.covers(make_pair(2))   # t1 == end is outside
-        assert not window.covers(make_pair(3))
+        # a pair is covered when its t1 falls inside [start, end): t1 ==
+        # start (pair 0) is inside, t1 == end (pair 2) is outside
+        mask = exclusion_mask([window], empty_history(5).pairs(), ("p1",))
+        assert mask[:, 0].tolist() == [True, True, False, False]
+
+    def test_mask_follows_each_window(self):
+        windows = [ExclusionWindow("p1", stamp(1), stamp(3)),
+                   ExclusionWindow("p2", stamp(0), stamp(9)),
+                   ExclusionWindow("p1", stamp(4), stamp(4) + timedelta(seconds=1))]
+        pairs = empty_history(6).pairs()
+        mask = exclusion_mask(windows, pairs, ("p0", "p1", "p2"))
+        expected = [[any(w.pipe_id == pipe_id and w.start <= pair.t1 < w.end for w in windows)
+                     for pipe_id in ("p0", "p1", "p2")] for pair in pairs]
+        assert mask.tolist() == expected
+        assert mask[:, 1].tolist() == [True, True, False, True, False]
 
 
 class TestTerms:
@@ -285,16 +375,94 @@ class TestTerms:
         write_terms([(record, True)], str(path))
         assert read_terms(str(path))[0][0].ratio == math.inf
 
+    def test_each_pair_formatted_and_parsed_once(self, tmp_path, monkeypatch):
+        rows = self.make_records()
+        rows = [rows[0], rows[0], rows[1], rows[1], rows[1]]
+        formatted, parsed = [], []
+
+        def counting_format(value):
+            formatted.append(value)
+            return format_timestamp(value)
+
+        def counting_parse(text, *args):
+            parsed.append(text)
+            return parse_timestamp(text, *args)
+
+        monkeypatch.setattr(ingest, "format_timestamp", counting_format)
+        monkeypatch.setattr(ingest, "parse_timestamp", counting_parse)
+        path = tmp_path / "terms.csv"
+        write_terms(rows, str(path))
+        assert formatted == [stamp(0), stamp(1), stamp(1), stamp(2)]
+        assert read_terms(str(path)) == rows
+        # pairs 0 and 1 share stamp(1)
+        assert parsed == [format_timestamp(stamp(k)) for k in range(3)]
+
+    def test_bad_timestamp_reported_at_its_line(self, tmp_path):
+        rows = self.make_records()
+        path = tmp_path / "terms.csv"
+        write_terms(rows + rows, str(path))
+        lines = path.read_text().splitlines()
+        lines[4] = "yesterday" + lines[4][lines[4].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="invalid ISO 8601") as info:
+            read_terms(str(path))
+        assert info.value.line == 5
+
     def test_header_pinned(self):
         assert TERMS_COLUMNS == ["t0", "t1", "pipe_id", "flow_t0_kNm3h",
                                  "flow_t1_kNm3h", "dflow_kNm3h", "alpha_bar",
                                  "beta_bar", "alpha_per_10km_bar", "ratio", "relevant"]
 
 
-def test_frame_pairs_orders_chronologically():
-    frames = [StateFrame(stamp(k), {}, {}) for k in range(3)]
-    pairs = frame_pairs(frames)
-    assert [(p.t0, p.t1) for p, _, _ in pairs] == [
-        (stamp(0), stamp(1)), (stamp(1), stamp(2))]
-    assert pairs[0][1] is frames[0]
-    assert pairs[0][2] is frames[1]
+class TestSidecar:
+    def write_inputs(self, tmp_path):
+        states = tmp_path / "states.csv"
+        states.write_text(TestStates().make_states_csv())
+        topology = tmp_path / "topology.csv"
+        topology.write_text(TOPOLOGY_CSV)
+        return str(states), str(topology)
+
+    def test_round_trip(self, tmp_path):
+        states, topology = self.write_inputs(tmp_path)
+        history = parse_states(states, parse_topology(topology))
+        sidecar = str(tmp_path / "history.npz")
+        save_history(history, sidecar, states, topology)
+        loaded = load_history(sidecar, states, topology)
+        assert_same_history(loaded, history)
+        assert all(t.utcoffset() == timedelta(0) for t in loaded.timestamps)
+        assert loaded.frame(1) == history.frame(1)
+
+    def test_other_contents_not_loaded(self, tmp_path):
+        states, topology = self.write_inputs(tmp_path)
+        sidecar = str(tmp_path / "history.npz")
+        save_history(parse_states(states, parse_topology(topology)), sidecar, states, topology)
+        with open(states, "a") as handle:
+            handle.write(f"{format_timestamp(stamp(1))},n1,node.pressure_bar,59.0\n")
+        assert load_history(sidecar, states, topology) is None
+        assert load_history(sidecar, topology, topology) is None
+        assert load_history(str(tmp_path / "absent.npz"), states, topology) is None
+
+    def test_unreadable_sidecar_not_loaded(self, tmp_path):
+        states, topology = self.write_inputs(tmp_path)
+        sidecar = tmp_path / "history.npz"
+        sidecar.write_bytes(b"not a zip archive")
+        assert load_history(str(sidecar), states, topology) is None
+
+
+def empty_history(frames: int) -> History:
+    return History(tuple(stamp(k) for k in range(frames)), (), (), (), (),
+                   *(np.empty((frames, 0)) for _ in range(4)))
+
+
+def assert_same_history(actual: History, expected: History) -> None:
+    assert actual.timestamps == expected.timestamps
+    for name in ("node_ids", "arc_ids", "valve_ids", "pipe_ids"):
+        assert getattr(actual, name) == getattr(expected, name)
+    for name in ("pressure_pa", "flow_m3s", "valve_open", "rho_n"):
+        np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name))
+
+
+def test_history_pairs_orders_chronologically():
+    pairs = empty_history(3).pairs()
+    assert [(p.t0, p.t1) for p in pairs] == [(stamp(0), stamp(1)), (stamp(1), stamp(2))]
+    assert empty_history(1).pairs() == []

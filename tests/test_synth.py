@@ -132,6 +132,24 @@ class TestParseScenario:
         with pytest.raises(ParseError, match="not a valve"):
             parse_scenario(write_scenario(tmp_path, text))
 
+    @pytest.mark.parametrize("line, message", [
+        ("rho_n_kgNm3 = 3.0", "outside accepted range"),
+        ("rho_n_kgNm3 = 0.5", "outside accepted range"),
+        ("rho_n_kgNm3 = dense", "bad rho_n_kgNm3"),
+        ("pressure = n0 -5", "pressure must be positive"),
+        ("pressure = n0 0", "pressure must be positive"),
+        ("pressure = n0 nan", "pressure must be positive"),
+        ("tau_s = 0", "tau_s must be positive"),
+        ("tau_s = -180", "tau_s must be positive"),
+    ])
+    def test_scalar_range_checked_with_line(self, tmp_path, line, message):
+        text = "# case\nfixture = line3\nframes = 4\n" + line + "\nnoise = 0\n"
+        path = write_scenario(tmp_path, text)
+        with pytest.raises(ParseError, match=message) as info:
+            parse_scenario(path)
+        assert info.value.path == path
+        assert info.value.line == 4
+
     def test_inflow_at_applies_events_in_order(self, tmp_path):
         text = scenario_text(frames="10") + "event = n3 3 -12\nevent = n3 5 -14\n"
         scenario = parse_scenario(write_scenario(tmp_path, text))
