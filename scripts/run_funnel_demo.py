@@ -24,18 +24,18 @@ def stage(name: str, argv: list[str]) -> None:
         sys.exit(f"{name} failed with exit code {code}")
 
 
-def run(out_dir: Path, threads: int) -> None:
+def run(out_dir: Path) -> None:
     data = out_dir / "data"
     out = out_dir / "analysis"
     started = time.perf_counter()
     stage("synth", ["synth", "--scenario", str(SCENARIO), "--out", str(data)])
     stage("scan", ["scan", "--topology", str(data / "topology.csv"),
                    "--states", str(data / "states.csv"),
-                   "--out", str(out), "--threads", str(threads)])
+                   "--out", str(out)])
     stage("components", ["components", "--topology", str(data / "topology.csv"),
                          "--states", str(data / "states.csv"),
                          "--terms", str(out / "terms.csv"),
-                         "--out", str(out), "--threads", str(threads)])
+                         "--out", str(out)])
     stage("persistence", ["persistence", "--components", str(out / "components.csv"),
                           "--members", str(out / "components_pipes.csv"),
                           "--out", str(out)])
@@ -49,6 +49,5 @@ def run(out_dir: Path, threads: int) -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="funnel_demo", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
-    run(Path(args.out), args.threads)
+    run(Path(args.out))

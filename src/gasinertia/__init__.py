@@ -38,7 +38,6 @@ from .components import (
     Component,
     DirectedArc,
     build_pair_components,
-    classify_component,
     group_records,
     longest_path_value,
     orient_arcs,

@@ -121,7 +121,7 @@ def build_threshold_config(values: dict[str, float]) -> ThresholdConfig:
 
 
 def _configs_from_args(args: argparse.Namespace) -> tuple[ThresholdConfig, GasParams]:
-    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    values = load_config_file(args.config) if args.config else {}
     cfg = build_threshold_config(values)
     temperature = values.get("temperature_K", 283.15)
     if getattr(args, "temperature", None) is not None:
@@ -442,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_derive_threshold)
 
     def common(p: argparse.ArgumentParser, topology=False, states=False,
-               exclusions=False, terms_in=False, components_in=False) -> None:
+               exclusions=False, terms_in=False, components_in=False,
+               config=False) -> None:
         if topology:
             p.add_argument("--topology", required=True, help="topology CSV")
         if states:
@@ -456,21 +457,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--members", required=True,
                            help="component membership CSV (components_pipes.csv)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", help="key = value config file")
+        if config:
+            p.add_argument("--config", help="key = value config file")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("scan", help="evaluate terms for every pipe and pair")
-    common(p, topology=True, states=True, exclusions=True)
+    common(p, topology=True, states=True, exclusions=True, config=True)
     p.add_argument("--temperature", type=float, help="gas temperature in K (default 283.15)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("components", help="group relevant pipes and measure paths")
-    common(p, topology=True, states=True, terms_in=True)
+    common(p, topology=True, states=True, terms_in=True, config=True)
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("persistence", help="runs, chains and realism filter")
-    common(p, components_in=True)
+    common(p, components_in=True, config=True)
     p.set_defaults(func=cmd_persistence)
 
     p = sub.add_parser("report", help="threshold sweep and hexbin aggregation")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-import math
 
 from .model import (
     ACTIVE_KINDS,
@@ -47,7 +46,6 @@ class Component:
 
     pair: TimePair
     pipe_ids: tuple[str, ...]
-    arcs: tuple[DirectedArc, ...]
     longest_path_pa: float
     cycle_correction_pa: float
     relevance: RelevanceClass
@@ -169,14 +167,15 @@ def orient_arcs(network: Network, group: list[TermRecord],
 def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
     """Longest directed path weight over a non-negative multigraph.
 
-    Works on negated weights with Bellman-Ford.  Negative cycles are
-    removed first: starting from all-zero distances (a virtual source),
-    relaxation rounds that still update after n passes expose a cycle
-    through the parent arcs; its absolute weight is added to a correction
-    term and its arcs are zeroed, then the search repeats.  The final
-    value is the best source-independent shortest distance, negated, plus
-    the accumulated correction.  Exact on acyclic inputs; with cycles the
-    result can only overestimate, never underestimate.
+    Works on negated weights with Bellman-Ford from a virtual source
+    joined to every node, so all distances start at zero.  A round that
+    still relaxes after n passes exposes a negative cycle through the
+    parent arcs; its absolute weight is added to a correction term, its
+    arcs are zeroed, and a new round starts.  The first pass of a round
+    that changes nothing ends the search: the smallest distance is then
+    the shortest path from any source, and its negation plus the
+    accumulated correction is the value.  Exact on acyclic inputs; with
+    cycles the result can only overestimate, never underestimate.
 
     Returns (value_pa, cycle_correction_pa).
     """
@@ -185,61 +184,39 @@ def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
     node_ids = sorted({a.from_node for a in arcs} | {a.to_node for a in arcs})
     index = {node: i for i, node in enumerate(node_ids)}
     n = len(node_ids)
-    edges = [(index[a.from_node], index[a.to_node], -a.weight_pa) for a in arcs]
-    weights = [w for _, _, w in edges]
+    ends = [(index[a.from_node], index[a.to_node]) for a in arcs]
+    weights = [-a.weight_pa for a in arcs]
 
     correction = 0.0
     while True:
         dist = [0.0] * n
         parent_arc = [-1] * n
-        touched = -1
         for _ in range(n):
             touched = -1
-            for ai, (u, v, _w) in enumerate(edges):
+            for ai, (u, v) in enumerate(ends):
                 cand = dist[u] + weights[ai]
                 if cand < dist[v]:
                     dist[v] = cand
                     parent_arc[v] = ai
                     touched = v
-        if touched < 0:
-            break
+            if touched < 0:
+                return -min(dist) + correction, correction
         # walk n parents back to land inside the cycle, then extract it
         node = touched
         for _ in range(n):
-            node = edges[parent_arc[node]][0]
+            node = ends[parent_arc[node]][0]
         cycle_arcs = []
         cursor = node
         while True:
             ai = parent_arc[cursor]
             cycle_arcs.append(ai)
-            cursor = edges[ai][0]
+            cursor = ends[ai][0]
             if cursor == node:
                 break
         cycle_weight = sum(weights[ai] for ai in cycle_arcs)
         correction += -cycle_weight
         for ai in cycle_arcs:
             weights[ai] = 0.0
-
-    best = 0.0
-    for source in range(n):
-        dist = [math.inf] * n
-        dist[source] = 0.0
-        for _ in range(n - 1):
-            changed = False
-            for ai, (u, v, _w) in enumerate(edges):
-                if dist[u] + weights[ai] < dist[v]:
-                    dist[v] = dist[u] + weights[ai]
-                    changed = True
-            if not changed:
-                break
-        for target in range(n):
-            if target != source and dist[target] < math.inf:
-                best = max(best, -dist[target])
-    return best + correction, correction
-
-
-def classify_component(longest_path_pa: float, cfg: ThresholdConfig) -> RelevanceClass:
-    return classify_absolute(longest_path_pa, cfg)
 
 
 COMPONENTS_COLUMNS = ["t0", "t1", "component_id", "n_pipes", "longest_path_bar",
@@ -248,12 +225,12 @@ MEMBERS_COLUMNS = ["component_id", "pipe_id"]
 
 
 def write_components(stream: list[tuple[TimePair, list[Component]]],
-                     path: str, members_path: str | None = None) -> None:
+                     path: str, members_path: str) -> None:
     """Serialize a component stream; ids number components chronologically.
 
     max_abs_flow_change is written in 1000 Nm^3/h like every flow column.
-    The optional companion file lists each component's member pipes,
-    which the persistence step needs to follow pipes through time.
+    The companion file lists each component's member pipes, which the
+    persistence step needs to follow pipes through time.
     """
     from .ingest import format_timestamp
 
@@ -277,35 +254,31 @@ def write_components(stream: list[tuple[TimePair, list[Component]]],
                 member_rows.extend([str(component_id), pipe_id]
                                    for pipe_id in comp.pipe_ids)
                 component_id += 1
-    if members_path is not None:
-        with open(members_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(MEMBERS_COLUMNS)
-            writer.writerows(member_rows)
+    with open(members_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(MEMBERS_COLUMNS)
+        writer.writerows(member_rows)
 
 
-def read_components(path: str,
-                    members_path: str | None = None
+def read_components(path: str, members_path: str
                     ) -> list[tuple[TimePair, list[Component]]]:
-    """Rebuild a component stream from its CSV form.
-
-    Arc data is not serialized, so the returned components carry empty
-    arc tuples; pipe membership comes from the companion file when given,
-    otherwise the pipe sets are empty and only counts survive.
-    """
+    """Rebuild a component stream from its CSV form and member list."""
     from .ingest import ParseError, parse_timestamp
 
     members: dict[str, list[str]] = {}
-    if members_path is not None:
-        with open(members_path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != MEMBERS_COLUMNS:
-                raise ParseError(members_path, 1,
-                                 f"expected header {','.join(MEMBERS_COLUMNS)}")
-            for row in reader:
-                if row:
-                    members.setdefault(row[0], []).append(row[1])
+    with open(members_path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != MEMBERS_COLUMNS:
+            raise ParseError(members_path, 1,
+                             f"expected header {','.join(MEMBERS_COLUMNS)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(MEMBERS_COLUMNS):
+                raise ParseError(members_path, lineno,
+                                 f"expected {len(MEMBERS_COLUMNS)} columns, got {len(row)}")
+            members.setdefault(row[0], []).append(row[1])
 
     stream: list[tuple[TimePair, list[Component]]] = []
     with open(path, newline="") as handle:
@@ -322,10 +295,10 @@ def read_components(path: str,
             pair = TimePair(parse_timestamp(row[0], path, lineno),
                             parse_timestamp(row[1], path, lineno))
             try:
+                n_pipes = int(row[3])
                 comp = Component(
                     pair=pair,
                     pipe_ids=tuple(members.get(row[2], ())),
-                    arcs=(),
                     longest_path_pa=float(row[4]) * BAR,
                     cycle_correction_pa=float(row[5]) * BAR,
                     relevance=RelevanceClass.from_label(row[6]),
@@ -333,7 +306,7 @@ def read_components(path: str,
                 )
             except (ValueError, KeyError) as exc:
                 raise ParseError(path, lineno, f"bad component row: {exc}") from None
-            if int(row[3]) != len(comp.pipe_ids) and members_path is not None:
+            if n_pipes != len(comp.pipe_ids):
                 raise ParseError(path, lineno,
                                  f"n_pipes {row[3]} disagrees with member list "
                                  f"({len(comp.pipe_ids)} pipes)")
@@ -355,10 +328,9 @@ def build_pair_components(network: Network, relevant_records: list[TermRecord],
         components.append(Component(
             pair=group[0].pair,
             pipe_ids=tuple(rec.pipe_id for rec in group),
-            arcs=tuple(arcs),
             longest_path_pa=value,
             cycle_correction_pa=cycle_correction,
-            relevance=classify_component(value, cfg),
+            relevance=classify_absolute(value, cfg),
             max_abs_dflow_m3s=max(abs(rec.dflow_m3s) for rec in group),
         ))
     return components

@@ -483,5 +483,7 @@ def read_terms(path: str) -> list[tuple[TermRecord, bool]]:
                                                   "alpha_per_10km_bar") * PER_10KM,
                 ratio=_parse_float(row[9], path, lineno, "ratio"),
             )
+            if row[10] not in ("0", "1"):
+                raise ParseError(path, lineno, f"relevant must be 0 or 1, got {row[10]!r}")
             rows.append((record, row[10] == "1"))
     return rows

@@ -26,7 +26,6 @@ def make_component(pair_index: int, pipe_ids: tuple[str, ...],
     return Component(
         pair=make_pair(pair_index),
         pipe_ids=pipe_ids,
-        arcs=(),
         longest_path_pa=value_bar * BAR,
         cycle_correction_pa=0.0,
         relevance=relevance,

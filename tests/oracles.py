@@ -103,6 +103,69 @@ def enumerate_longest_path(arcs: list[tuple[str, str, float]]) -> float:
     return best
 
 
+def longest_path_all_sources(arcs: list[tuple[str, str, float]]) -> tuple[float, float]:
+    """The earlier two-phase longest path, kept as the bit-identity reference.
+
+    Phase one cancels negative cycles of the negated weights exactly as
+    the package does.  Phase two runs Bellman-Ford from every node on the
+    cycle-free weights and takes the best distance over all sources and
+    targets, instead of reading it from the cancellation distances.
+    Returns (value, cycle_correction).
+    """
+    node_ids = sorted({u for u, _, _ in arcs} | {v for _, v, _ in arcs})
+    index = {node: i for i, node in enumerate(node_ids)}
+    n = len(node_ids)
+    edges = [(index[u], index[v]) for u, v, _ in arcs]
+    weights = [-w for _, _, w in arcs]
+
+    correction = 0.0
+    while True:
+        dist = [0.0] * n
+        parent_arc = [-1] * n
+        touched = -1
+        for _ in range(n):
+            touched = -1
+            for ai, (u, v) in enumerate(edges):
+                cand = dist[u] + weights[ai]
+                if cand < dist[v]:
+                    dist[v] = cand
+                    parent_arc[v] = ai
+                    touched = v
+        if touched < 0:
+            break
+        node = touched
+        for _ in range(n):
+            node = edges[parent_arc[node]][0]
+        cycle_arcs = []
+        cursor = node
+        while True:
+            ai = parent_arc[cursor]
+            cycle_arcs.append(ai)
+            cursor = edges[ai][0]
+            if cursor == node:
+                break
+        correction += -sum(weights[ai] for ai in cycle_arcs)
+        for ai in cycle_arcs:
+            weights[ai] = 0.0
+
+    best = 0.0
+    for source in range(n):
+        dist = [math.inf] * n
+        dist[source] = 0.0
+        for _ in range(n - 1):
+            changed = False
+            for ai, (u, v) in enumerate(edges):
+                if dist[u] + weights[ai] < dist[v]:
+                    dist[v] = dist[u] + weights[ai]
+                    changed = True
+            if not changed:
+                break
+        for target in range(n):
+            if target != source and dist[target] < math.inf:
+                best = max(best, -dist[target])
+    return best + correction, correction
+
+
 def enumerate_longest_undirected_trail(edges: list[tuple[str, str, float]]) -> float:
     """Longest edge-simple undirected trail weight by exhaustive DFS."""
     nodes = {u for u, _, _ in edges} | {v for _, v, _ in edges}

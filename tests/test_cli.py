@@ -333,6 +333,14 @@ class TestErrors:
         with pytest.raises(SystemExit):
             run_cli(["persistence", "--components", "x.csv", "--out", "y"])
 
+    def test_report_takes_no_config(self, pipeline, tmp_path):
+        # report reads no threshold, so a config file would be ignored
+        out = pipeline["out"]
+        with pytest.raises(SystemExit):
+            run_cli(["report", "--components", out / "components.csv",
+                     "--members", out / "components_pipes.csv",
+                     "--config", tmp_path / "cfg", "--out", tmp_path])
+
     def test_report_empty_stream_without_horizon(self, tmp_path):
         comp = tmp_path / "components.csv"
         comp.write_text("t0,t1,component_id,n_pipes,longest_path_bar,"

@@ -1,6 +1,7 @@
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from gasinertia.components import (
@@ -8,7 +9,6 @@ from gasinertia.components import (
     Component,
     DirectedArc,
     build_pair_components,
-    classify_component,
     group_records,
     longest_path_value,
     orient_arcs,
@@ -30,7 +30,7 @@ from gasinertia.physics import TermRecord, term_ratio
 from gasinertia.thresholds import RelevanceClass, ThresholdConfig
 
 from conftest import make_component, make_pair, make_stream, stamp
-from oracles import enumerate_longest_path
+from oracles import enumerate_longest_path, longest_path_all_sources
 
 GEOM = PipeGeometry(10_000.0, 0.5)
 
@@ -233,6 +233,46 @@ class TestLongestPath:
             assert value >= expected - 1e-9
 
 
+ARC_WEIGHTS = st.one_of(st.just(0.0), st.integers(0, 4).map(float),
+                        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def multigraphs(draw):
+    """Arcs between few nodes, so cycles, parallel arcs and self-loops are common."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(node, node, ARC_WEIGHTS), min_size=1, max_size=16))
+    return [DirectedArc(f"n{u}", f"n{v}", w, f"e{k}") for k, (u, v, w) in enumerate(triples)]
+
+
+@st.composite
+def grids(draw):
+    """k x k grids with each link one way, the other way, or a zero-weight pair."""
+    k = draw(st.integers(2, 4))
+    arcs = []
+    for i in range(k):
+        for j in range(k):
+            for di, dj in ((0, 1), (1, 0)):
+                if i + di >= k or j + dj >= k:
+                    continue
+                a, b = f"n{i}_{j}", f"n{i + di}_{j + dj}"
+                kind = draw(st.sampled_from(["forward", "backward", "bridge"]))
+                if kind == "bridge":
+                    arcs += [DirectedArc(a, b, 0.0, "v"), DirectedArc(b, a, 0.0, "v")]
+                else:
+                    u, v = (a, b) if kind == "forward" else (b, a)
+                    arcs.append(DirectedArc(u, v, draw(ARC_WEIGHTS), f"p{len(arcs)}"))
+    return arcs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(multigraphs(), grids()))
+def test_longest_path_bit_identical_to_all_sources_reference(arcs):
+    expected = longest_path_all_sources([(a.from_node, a.to_node, a.weight_pa) for a in arcs])
+    assert longest_path_value(arcs) == expected
+
+
 class TestArcValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -264,13 +304,6 @@ class TestBuildComponents:
         assert comps[0].relevance is RelevanceClass.SMALL
 
 
-def test_classify_component_uses_absolute_grading():
-    cfg = ThresholdConfig()
-    assert classify_component(0.05 * BAR, cfg) is RelevanceClass.NONE
-    assert classify_component(0.1 * BAR, cfg) is RelevanceClass.SMALL
-    assert classify_component(0.7 * BAR, cfg) is RelevanceClass.HIGH
-
-
 class TestSerialization:
     def sample_stream(self):
         return make_stream([
@@ -297,18 +330,40 @@ class TestSerialization:
                 assert ca.relevance is cb.relevance
                 assert ca.max_abs_dflow_m3s == cb.max_abs_dflow_m3s
 
-    def test_read_without_members_keeps_counts_only(self, tmp_path):
-        stream = self.sample_stream()
-        comp_path = tmp_path / "components.csv"
-        write_components(stream, str(comp_path), str(tmp_path / "members.csv"))
-        back = read_components(str(comp_path))
-        assert back[0][1][0].pipe_ids == ()
-
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n")
+        members_path = tmp_path / "members.csv"
+        members_path.write_text("component_id,pipe_id\n")
         with pytest.raises(ParseError):
-            read_components(str(bad))
+            read_components(str(bad), str(members_path))
+
+    def written(self, tmp_path):
+        comp_path = tmp_path / "components.csv"
+        members_path = tmp_path / "members.csv"
+        write_components(self.sample_stream(), str(comp_path), str(members_path))
+        return comp_path, members_path
+
+    @pytest.mark.parametrize("cells", ["0", "0,pa,pb"])
+    def test_member_row_width_reported_at_its_line(self, tmp_path, cells):
+        comp_path, members_path = self.written(tmp_path)
+        lines = members_path.read_text().splitlines()
+        lines[2] = cells
+        members_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="expected 2 columns") as info:
+            read_components(str(comp_path), str(members_path))
+        assert (info.value.path, info.value.line) == (str(members_path), 3)
+
+    def test_non_integer_n_pipes_reported_at_its_line(self, tmp_path):
+        comp_path, members_path = self.written(tmp_path)
+        lines = comp_path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = "one"
+        lines[2] = ",".join(cells)
+        comp_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="bad component row") as info:
+            read_components(str(comp_path), str(members_path))
+        assert (info.value.path, info.value.line) == (str(comp_path), 3)
 
     def test_member_count_mismatch_detected(self, tmp_path):
         stream = self.sample_stream()

@@ -408,6 +408,17 @@ class TestTerms:
             read_terms(str(path))
         assert info.value.line == 5
 
+    @pytest.mark.parametrize("flag", ["yes", "true", "", "2", " 1"])
+    def test_relevant_flag_must_be_zero_or_one(self, tmp_path, flag):
+        path = tmp_path / "terms.csv"
+        write_terms(self.make_records(), str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:lines[2].rindex(",") + 1] + flag
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="relevant must be 0 or 1") as info:
+            read_terms(str(path))
+        assert (info.value.path, info.value.line) == (str(path), 3)
+
     def test_header_pinned(self):
         assert TERMS_COLUMNS == ["t0", "t1", "pipe_id", "flow_t0_kNm3h",
                                  "flow_t1_kNm3h", "dflow_kNm3h", "alpha_bar",
