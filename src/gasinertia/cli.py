@@ -11,7 +11,6 @@ sorted ids and chronological pairs.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -52,6 +51,7 @@ from .temporal import (
 )
 from .ingest import (
     HISTORY_SIDECAR,
+    PER_10KM,
     ParseError,
     exclusion_mask,
     format_timestamp,
@@ -59,8 +59,10 @@ from .ingest import (
     parse_exclusions,
     parse_states,
     parse_topology,
+    read_settings,
     read_terms,
     save_history,
+    write_table,
     write_terms,
 )
 from .report import (
@@ -78,46 +80,34 @@ RUNS_COLUMNS = ["length", "series_count", "datapoint_share"]
 CHAINS_COLUMNS = ["chain_id", "start_t0", "end_t1", "n_components", "class"]
 EVENTS_COLUMNS = ["event_id", "start_t0", "end_t1", "n_components", "class", "realistic"]
 
-CONFIG_KEYS = {
-    "abs_small_bar", "abs_high_bar", "ratio_min", "reference_length_km",
-    "min_flow_change_kNm3h", "realistic_flow_change_kNm3h", "temperature_K",
+# threshold config keys: ThresholdConfig field and factor to SI
+THRESHOLD_KEYS = {
+    "abs_small_bar": ("abs_small_pa", BAR),
+    "abs_high_bar": ("abs_high_pa", BAR),
+    "ratio_min": ("ratio_min", 1.0),
+    "reference_length_km": ("reference_length_m", 1e3),
+    "min_flow_change_kNm3h": ("min_flow_change_m3s", KNM3H),
+    "realistic_flow_change_kNm3h": ("realistic_flow_change_m3s", KNM3H),
 }
+CONFIG_KEYS = set(THRESHOLD_KEYS) | {"temperature_K"}
 
 
 def load_config_file(path: str) -> dict[str, float]:
     values: dict[str, float] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError(path, lineno, f"expected key = value, got {text!r}")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ParseError(path, lineno, f"unknown config key {key!r}")
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ParseError(path, lineno, f"invalid number {value!r}") from None
+    for line, key, value in read_settings(path):
+        if key not in CONFIG_KEYS:
+            raise ParseError(path, line, f"unknown config key {key!r}")
+        try:
+            values[key] = float(value)
+        except ValueError:
+            raise ParseError(path, line, f"invalid number {value!r}") from None
     return values
 
 
 def build_threshold_config(values: dict[str, float]) -> ThresholdConfig:
-    kwargs = {}
-    if "abs_small_bar" in values:
-        kwargs["abs_small_pa"] = values["abs_small_bar"] * BAR
-    if "abs_high_bar" in values:
-        kwargs["abs_high_pa"] = values["abs_high_bar"] * BAR
-    if "ratio_min" in values:
-        kwargs["ratio_min"] = values["ratio_min"]
-    if "reference_length_km" in values:
-        kwargs["reference_length_m"] = values["reference_length_km"] * 1e3
-    if "min_flow_change_kNm3h" in values:
-        kwargs["min_flow_change_m3s"] = values["min_flow_change_kNm3h"] * KNM3H
-    if "realistic_flow_change_kNm3h" in values:
-        kwargs["realistic_flow_change_m3s"] = values["realistic_flow_change_kNm3h"] * KNM3H
-    return ThresholdConfig(**kwargs)
+    return ThresholdConfig(**{field: values[key] * factor
+                              for key, (field, factor) in THRESHOLD_KEYS.items()
+                              if key in values})
 
 
 def _configs_from_args(args: argparse.Namespace) -> tuple[ThresholdConfig, GasParams]:
@@ -141,13 +131,6 @@ def parse_length(text: str) -> float:
 def _out_path(args: argparse.Namespace, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
-
-
-def _write_csv(path: str, columns: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +237,11 @@ def cmd_components(args: argparse.Namespace) -> int:
     terms = read_terms(args.terms)
 
     frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
-    grouped: dict[TimePair, list[TermRecord]] = {}
-    for record, relevant in terms:
+    # pair -> (line of its first relevant row, its relevant records)
+    grouped: dict[TimePair, tuple[int, list[TermRecord]]] = {}
+    for line, record, relevant in terms:
         if relevant:
-            grouped.setdefault(record.pair, []).append(record)
+            grouped.setdefault(record.pair, (line, []))[1].append(record)
 
     diag = Diagnostics()
     stream: list[tuple[TimePair, list[Component]]] = []
@@ -265,22 +249,18 @@ def cmd_components(args: argparse.Namespace) -> int:
         k0 = frame_index.get(pair.t0)
         k1 = frame_index.get(pair.t1)
         if k0 is None or k1 is None:
-            raise ParseError(args.terms, 0,
+            raise ParseError(args.terms, grouped[pair][0],
                              f"pair {format_timestamp(pair.t0)} .. "
                              f"{format_timestamp(pair.t1)} has no matching states")
-        stream.append((pair, build_pair_components(network, grouped[pair], history.frame(k0),
-                                                   history.frame(k1), cfg, diag)))
+        stream.append((pair, build_pair_components(network, grouped[pair][1], history[k0],
+                                                   history[k1], cfg, diag)))
 
     write_components(stream, _out_path(args, "components.csv"),
                      _out_path(args, "components_pipes.csv"))
-    n_components = sum(len(comps) for _, comps in stream)
-    by_class = {"none": 0, "small": 0, "high": 0}
-    for _, comps in stream:
-        for comp in comps:
-            by_class[comp.relevance.label] += 1
-    print(f"pairs with relevant pipes: {len(stream)}, components: {n_components}")
-    print(f"classes: none: {by_class['none']}, small: {by_class['small']}, "
-          f"high: {by_class['high']}")
+    labels = [comp.relevance.label for _, comps in stream for comp in comps]
+    print(f"pairs with relevant pipes: {len(stream)}, components: {len(labels)}")
+    print(f"classes: none: {labels.count('none')}, small: {labels.count('small')}, "
+          f"high: {labels.count('high')}")
     print(f"diagnostics: {diag.as_dict()}")
     return 0
 
@@ -294,6 +274,14 @@ def _runs_csv_rows(result) -> list[list[str]]:
             for length in sorted(result.histogram)]
 
 
+def _chain_cells(stream, chain_id: int, chain) -> list[str]:
+    """Id, first t0, last t1, length and peak class of a chain."""
+    first_pair = stream[chain.members[0][0]][0]
+    last_pair = stream[chain.members[-1][0]][0]
+    return [str(chain_id), format_timestamp(first_pair.t0), format_timestamp(last_pair.t1),
+            str(chain.length), chain_relevance(stream, chain).label]
+
+
 def cmd_persistence(args: argparse.Namespace) -> int:
     cfg, _gas = _configs_from_args(args)
     stream = read_components(args.components, args.members)
@@ -304,37 +292,26 @@ def cmd_persistence(args: argparse.Namespace) -> int:
     runs_high_realistic = pipe_run_lengths(filtered, RelevanceClass.HIGH)
     chains_high = component_chains(stream, RelevanceClass.HIGH, min_length=2)
 
-    _write_csv(_out_path(args, "runs_high.csv"), RUNS_COLUMNS, _runs_csv_rows(runs_high))
-    _write_csv(_out_path(args, "runs_high_realistic.csv"), RUNS_COLUMNS,
-               _runs_csv_rows(runs_high_realistic))
-
-    chain_rows = []
-    for chain_id, chain in enumerate(chains_high.chains):
-        first_pair = stream[chain.members[0][0]][0]
-        last_pair = stream[chain.members[-1][0]][0]
-        grade = chain_relevance(stream, chain)
-        chain_rows.append([str(chain_id), format_timestamp(first_pair.t0),
-                           format_timestamp(last_pair.t1), str(chain.length),
-                           grade.label])
-    _write_csv(_out_path(args, "chains.csv"), CHAINS_COLUMNS, chain_rows)
+    write_table(_out_path(args, "runs_high.csv"), RUNS_COLUMNS, _runs_csv_rows(runs_high))
+    write_table(_out_path(args, "runs_high_realistic.csv"), RUNS_COLUMNS,
+                _runs_csv_rows(runs_high_realistic))
+    write_table(_out_path(args, "chains.csv"), CHAINS_COLUMNS,
+                [_chain_cells(stream, chain_id, chain)
+                 for chain_id, chain in enumerate(chains_high.chains)])
 
     # events: every relevant component belongs to exactly one greedy chain
     events = component_chains(stream, RelevanceClass.SMALL, min_length=1)
     event_rows = []
     realistic_counts = {"small": 0, "high": 0}
     for event_id, chain in enumerate(events.chains):
-        first_pair = stream[chain.members[0][0]][0]
-        last_pair = stream[chain.members[-1][0]][0]
-        grade = chain_relevance(stream, chain)
+        cells = _chain_cells(stream, event_id, chain)
         realistic = all(
             stream[k][1][ci].max_abs_dflow_m3s <= cfg.realistic_flow_change_m3s
             for k, ci in chain.members)
         if realistic:
-            realistic_counts[grade.label] += 1
-        event_rows.append([str(event_id), format_timestamp(first_pair.t0),
-                           format_timestamp(last_pair.t1), str(chain.length),
-                           grade.label, "1" if realistic else "0"])
-    _write_csv(_out_path(args, "events.csv"), EVENTS_COLUMNS, event_rows)
+            realistic_counts[cells[-1]] += 1
+        event_rows.append(cells + ["1" if realistic else "0"])
+    write_table(_out_path(args, "events.csv"), EVENTS_COLUMNS, event_rows)
 
     relevant_instances = sum(1 for _, comps in stream for c in comps
                              if c.relevance >= RelevanceClass.SMALL)
@@ -383,7 +360,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         thresholds_pa = list(DEFAULT_THRESHOLDS_PA)
     table = sweep_table(instances, thresholds_pa, horizon_s)
-    _write_csv(_out_path(args, "sweep.csv"), SWEEP_COLUMNS, sweep_rows(table))
+    write_table(_out_path(args, "sweep.csv"), SWEEP_COLUMNS, sweep_rows(table))
     for row in table:
         spacing = ("never" if not math.isfinite(row.interval.seconds)
                    else f"every {row.interval.text}")
@@ -393,11 +370,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if args.terms:
         terms = read_terms(args.terms)
-        from .ingest import PER_10KM
         points = [(record.alpha_per_length_pam / PER_10KM, record.ratio)
-                  for record, _relevant in terms]
+                  for _line, record, _relevant in terms]
         result = hexbin(points, resolution=args.resolution, min_count=args.min_count)
-        _write_csv(_out_path(args, "hexbin.csv"), HEXBIN_COLUMNS, hexbin_rows(result))
+        write_table(_out_path(args, "hexbin.csv"), HEXBIN_COLUMNS, hexbin_rows(result))
         binned = sum(b.count for b in result.bins)
         print(f"hexbin: {binned} points in {len(result.bins)} bins, "
               f"{result.suppressed_points} suppressed, "
@@ -411,11 +387,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     scenario = synth_mod.parse_scenario(args.scenario)
-    frames = synth_mod.simulate(scenario)
+    history = synth_mod.simulate(scenario)
     from .ingest import serialize_states, serialize_topology
     serialize_topology(scenario.network, _out_path(args, "topology.csv"))
-    serialize_states(frames, _out_path(args, "states.csv"))
-    print(f"scenario {scenario.name}: {len(frames)} frames, "
+    serialize_states(history, _out_path(args, "states.csv"))
+    print(f"scenario {scenario.name}: {len(history)} frames, "
           f"{len(scenario.network.pipes())} pipes, "
           f"{len(scenario.network.elements)} elements, seed {scenario.seed}")
     return 0

@@ -11,8 +11,7 @@ inertia terms along one route.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
     ACTIVE_KINDS,
@@ -24,6 +23,8 @@ from .model import (
     StateFrame,
     TimePair,
 )
+from .ingest import (ParseError, format_timestamp, parse_pair, parse_timestamp, read_table,
+                     write_table)
 from .physics import TermRecord
 from .thresholds import RelevanceClass, ThresholdConfig, classify_absolute
 
@@ -232,87 +233,72 @@ def write_components(stream: list[tuple[TimePair, list[Component]]],
     The companion file lists each component's member pipes, which the
     persistence step needs to follow pipes through time.
     """
-    from .ingest import format_timestamp
-
+    rows: list[list[str]] = []
     member_rows: list[list[str]] = []
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(COMPONENTS_COLUMNS)
-        component_id = 0
-        for pair, comps in stream:
-            for comp in comps:
-                writer.writerow([
-                    format_timestamp(pair.t0),
-                    format_timestamp(pair.t1),
-                    str(component_id),
-                    str(len(comp.pipe_ids)),
-                    repr(comp.longest_path_pa / BAR),
-                    repr(comp.cycle_correction_pa / BAR),
-                    comp.relevance.label,
-                    repr(comp.max_abs_dflow_m3s / KNM3H),
-                ])
-                member_rows.extend([str(component_id), pipe_id]
-                                   for pipe_id in comp.pipe_ids)
-                component_id += 1
-    with open(members_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(MEMBERS_COLUMNS)
-        writer.writerows(member_rows)
+    for pair, comps in stream:
+        t0_text, t1_text = format_timestamp(pair.t0), format_timestamp(pair.t1)
+        for comp in comps:
+            component_id = str(len(rows))
+            rows.append([
+                t0_text,
+                t1_text,
+                component_id,
+                str(len(comp.pipe_ids)),
+                repr(comp.longest_path_pa / BAR),
+                repr(comp.cycle_correction_pa / BAR),
+                comp.relevance.label,
+                repr(comp.max_abs_dflow_m3s / KNM3H),
+            ])
+            member_rows.extend([component_id, pipe_id] for pipe_id in comp.pipe_ids)
+    write_table(path, COMPONENTS_COLUMNS, rows)
+    write_table(members_path, MEMBERS_COLUMNS, member_rows)
 
 
 def read_components(path: str, members_path: str
                     ) -> list[tuple[TimePair, list[Component]]]:
-    """Rebuild a component stream from its CSV form and member list."""
-    from .ingest import ParseError, parse_timestamp
+    """Rebuild a component stream from its CSV form and member list.
 
-    members: dict[str, list[str]] = {}
-    with open(members_path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != MEMBERS_COLUMNS:
-            raise ParseError(members_path, 1,
-                             f"expected header {','.join(MEMBERS_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(MEMBERS_COLUMNS):
-                raise ParseError(members_path, lineno,
-                                 f"expected {len(MEMBERS_COLUMNS)} columns, got {len(row)}")
-            members.setdefault(row[0], []).append(row[1])
+    Every member row must name a component of the components file, and
+    every component must have n_pipes member rows.
+    """
+    # component id -> (line, n_pipes, component without its pipes)
+    parsed: dict[str, tuple[int, int, Component]] = {}
+    for line, row in read_table(path, COMPONENTS_COLUMNS):
+        pair = parse_pair(parse_timestamp(row[0], path, line),
+                          parse_timestamp(row[1], path, line), path, line)
+        if row[2] in parsed:
+            raise ParseError(path, line, f"duplicate component id {row[2]!r}")
+        try:
+            n_pipes = int(row[3])
+            parsed[row[2]] = (line, n_pipes, Component(
+                pair=pair,
+                pipe_ids=(),
+                longest_path_pa=float(row[4]) * BAR,
+                cycle_correction_pa=float(row[5]) * BAR,
+                relevance=RelevanceClass.from_label(row[6]),
+                max_abs_dflow_m3s=float(row[7]) * KNM3H,
+            ))
+        except (ValueError, KeyError) as exc:
+            raise ParseError(path, line, f"bad component row: {exc}") from None
+
+    members: dict[str, list[str]] = {component_id: [] for component_id in parsed}
+    for line, (component_id, pipe_id) in read_table(members_path, MEMBERS_COLUMNS):
+        pipes = members.get(component_id)
+        if pipes is None:
+            raise ParseError(members_path, line,
+                             f"component id {component_id!r} names no component of {path}")
+        pipes.append(pipe_id)
 
     stream: list[tuple[TimePair, list[Component]]] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != COMPONENTS_COLUMNS:
-            raise ParseError(path, 1, f"expected header {','.join(COMPONENTS_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(COMPONENTS_COLUMNS):
-                raise ParseError(path, lineno,
-                                 f"expected {len(COMPONENTS_COLUMNS)} columns, got {len(row)}")
-            pair = TimePair(parse_timestamp(row[0], path, lineno),
-                            parse_timestamp(row[1], path, lineno))
-            try:
-                n_pipes = int(row[3])
-                comp = Component(
-                    pair=pair,
-                    pipe_ids=tuple(members.get(row[2], ())),
-                    longest_path_pa=float(row[4]) * BAR,
-                    cycle_correction_pa=float(row[5]) * BAR,
-                    relevance=RelevanceClass.from_label(row[6]),
-                    max_abs_dflow_m3s=float(row[7]) * KNM3H,
-                )
-            except (ValueError, KeyError) as exc:
-                raise ParseError(path, lineno, f"bad component row: {exc}") from None
-            if n_pipes != len(comp.pipe_ids):
-                raise ParseError(path, lineno,
-                                 f"n_pipes {row[3]} disagrees with member list "
-                                 f"({len(comp.pipe_ids)} pipes)")
-            if not stream or stream[-1][0] != pair:
-                stream.append((pair, []))
-            stream[-1][1].append(comp)
+    for component_id, (line, n_pipes, comp) in parsed.items():
+        pipe_ids = tuple(members[component_id])
+        if n_pipes != len(pipe_ids):
+            raise ParseError(path, line,
+                             f"n_pipes {n_pipes} disagrees with member list "
+                             f"({len(pipe_ids)} pipes)")
+        if not stream or stream[-1][0] != comp.pair:
+            stream.append((comp.pair, []))
+        stream[-1][1].append(replace(comp, pipe_ids=pipe_ids))
     return stream
 
 

@@ -1,9 +1,12 @@
-"""CSV input formats: topology, long-format state history, exclusions,
-terms; and the binary history sidecar.
+"""File formats: topology, long-format state history, exclusions, terms,
+key = value settings; and the binary history sidecar.
 
-File units are bar and 1000 Nm^3/h; they are converted to SI exactly once
-here.  Serializers write floats with repr so a parse/serialize cycle is a
-fixed point.  Parse errors carry file and line context.
+This module is the only one that knows how a file is framed: `read_table`
+and `write_table` handle every CSV file of the pipeline, `read_settings`
+every key = value file.  File units are bar and 1000 Nm^3/h; they are
+converted to SI exactly once here.  Serializers write floats with repr so
+a parse/serialize cycle is a fixed point.  Parse errors carry file and
+line context.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 import zipfile
 
 import numpy as np
@@ -63,6 +66,13 @@ def parse_timestamp(text: str, path: str = "<str>", line: int = 0) -> datetime:
     return stamp
 
 
+def parse_pair(t0: datetime, t1: datetime, path: str, line: int) -> TimePair:
+    try:
+        return TimePair(t0, t1)
+    except ModelError as exc:
+        raise ParseError(path, line, str(exc)) from None
+
+
 def format_timestamp(stamp: datetime) -> str:
     return stamp.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
@@ -74,65 +84,91 @@ def _parse_float(text: str, path: str, line: int, column: str) -> float:
         raise ParseError(path, line, f"invalid number {text!r} in column {column}") from None
 
 
-def _check_header(header: list[str] | None, expected: list[str], path: str) -> None:
-    if header != expected:
-        raise ParseError(path, 1,
-                         f"expected header {','.join(expected)}, got "
-                         f"{','.join(header) if header else '<empty>'}")
+def read_table(path: str, columns: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) for every row of a CSV file whose header is columns.
+
+    Blank rows are skipped.  A different header, or a row with another
+    number of cells, raises ParseError at its line.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != columns:
+            raise ParseError(path, 1,
+                             f"expected header {','.join(columns)}, got "
+                             f"{','.join(header) if header else '<empty>'}")
+        width = len(columns)
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                if row:
+                    raise ParseError(path, line, f"expected {width} columns, got {len(row)}")
+                continue
+            yield line, row
+
+
+def write_table(path: str, columns: list[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write a CSV file: the header, then rows as they are produced."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_settings(path: str) -> Iterator[tuple[int, str, str]]:
+    """(line, key, value) for every `key = value` line of a settings file.
+
+    `#` starts a comment; blank lines are skipped.  Keys and values are
+    stripped of surrounding whitespace.
+    """
+    with open(path) as handle:
+        for line, raw in enumerate(handle, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ParseError(path, line, f"expected key = value, got {text!r}")
+            key, value = text.split("=", 1)
+            yield line, key.strip(), value.strip()
 
 
 def parse_topology(path: str) -> Network:
     """Read a topology CSV; nodes are implied by element endpoints."""
     nodes: dict[str, Node] = {}
-    elements: list[Element] = []
-    seen: set[str] = set()
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        _check_header(header, TOPOLOGY_COLUMNS, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TOPOLOGY_COLUMNS):
-                raise ParseError(path, lineno,
-                                 f"expected {len(TOPOLOGY_COLUMNS)} columns, got {len(row)}")
-            element_id, kind_text, from_node, to_node = row[0], row[1], row[2], row[3]
-            if element_id in seen:
-                raise ParseError(path, lineno, f"duplicate element id {element_id!r}")
-            seen.add(element_id)
+    elements: dict[str, Element] = {}
+    for line, row in read_table(path, TOPOLOGY_COLUMNS):
+        element_id, kind_text, from_node, to_node = row[:4]
+        if element_id in elements:
+            raise ParseError(path, line, f"duplicate element id {element_id!r}")
+        try:
+            kind = ElementKind(kind_text)
+        except ValueError:
+            raise ParseError(path, line, f"unknown element kind {kind_text!r}") from None
+        geometry = None
+        if kind is ElementKind.PIPE:
+            values = [_parse_float(row[i], path, line, TOPOLOGY_COLUMNS[i])
+                      for i in range(4, 8)]
             try:
-                kind = ElementKind(kind_text)
-            except ValueError:
-                raise ParseError(path, lineno, f"unknown element kind {kind_text!r}") from None
-            geometry = None
-            if kind is ElementKind.PIPE:
-                values = [_parse_float(row[i], path, lineno, TOPOLOGY_COLUMNS[i])
-                          for i in range(4, 8)]
-                try:
-                    geometry = PipeGeometry(length_m=values[0], diameter_m=values[1],
-                                            roughness_m=values[2], slope=values[3])
-                except ModelError as exc:
-                    raise ParseError(path, lineno, str(exc)) from None
-            elif any(cell.strip() for cell in row[4:8]):
-                raise ParseError(path, lineno,
-                                 f"{kind.value} rows must leave geometry columns empty")
-            for node_id in (from_node, to_node):
-                if node_id not in nodes:
-                    nodes[node_id] = Node(node_id)
-            try:
-                elements.append(Element(element_id, kind, from_node, to_node, geometry))
+                geometry = PipeGeometry(length_m=values[0], diameter_m=values[1],
+                                        roughness_m=values[2], slope=values[3])
             except ModelError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
-    try:
-        return Network.build(list(nodes.values()), elements)
-    except ModelError as exc:
-        raise ParseError(path, 0, str(exc)) from None
+                raise ParseError(path, line, str(exc)) from None
+        elif any(cell.strip() for cell in row[4:8]):
+            raise ParseError(path, line,
+                             f"{kind.value} rows must leave geometry columns empty")
+        for node_id in (from_node, to_node):
+            if node_id not in nodes:
+                nodes[node_id] = Node(node_id)
+        try:
+            elements[element_id] = Element(element_id, kind, from_node, to_node, geometry)
+        except ModelError as exc:
+            raise ParseError(path, line, str(exc)) from None
+    # the rows above already reject what Network.build checks: duplicate
+    # ids and unknown endpoints
+    return Network.build(list(nodes.values()), list(elements.values()))
 
 
 def serialize_topology(network: Network, path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TOPOLOGY_COLUMNS)
+    def rows():
         for element_id in sorted(network.elements):
             el = network.elements[element_id]
             if el.geometry is not None:
@@ -140,7 +176,9 @@ def serialize_topology(network: Network, path: str) -> None:
                        repr(el.geometry.roughness_m), repr(el.geometry.slope)]
             else:
                 geo = ["", "", "", ""]
-            writer.writerow([el.element_id, el.kind.value, el.from_node, el.to_node] + geo)
+            yield [el.element_id, el.kind.value, el.from_node, el.to_node] + geo
+
+    write_table(path, TOPOLOGY_COLUMNS, rows())
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +204,9 @@ class History:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def frame(self, k: int) -> StateFrame:
-        """Frame k as per-entity mappings of the values it gives."""
+    def __getitem__(self, k: int) -> StateFrame:
+        """Frame k (negative k counts from the end; iterating yields every
+        frame) as per-entity mappings of the values it gives."""
         return StateFrame(self.timestamps[k],
                           _given(self.node_ids, self.pressure_pa[k]),
                           _given(self.arc_ids, self.flow_m3s[k]),
@@ -178,6 +217,14 @@ class History:
     def pairs(self) -> list[TimePair]:
         """Consecutive frames as analysis pairs, in chronological order."""
         return [TimePair(t0, t1) for t0, t1 in zip(self.timestamps, self.timestamps[1:])]
+
+
+def history_columns(network: Network) -> tuple[tuple[str, ...], ...]:
+    """The sorted id tuples of a History over network: nodes, elements,
+    valves and pipes."""
+    return tuple(tuple(sorted(ids)) for ids in (network.nodes, network.elements,
+                                                network.of_kind(ElementKind.VALVE),
+                                                network.pipes()))
 
 
 def _given(ids: tuple[str, ...], row: np.ndarray) -> dict[str, float]:
@@ -195,112 +242,90 @@ def parse_states(path: str, network: Network) -> History:
     inside the accepted band.  A repeated row overrides the earlier one.
     Rows are checked in file order, so the first bad line is reported.
     """
-    node_ids = tuple(sorted(network.nodes))
-    arc_ids = tuple(sorted(network.elements))
-    valve_ids = tuple(sorted(network.of_kind(ElementKind.VALVE)))
-    pipe_ids = tuple(sorted(network.pipes()))
-    node_col = {key: k for k, key in enumerate(node_ids)}
-    arc_col = {key: k for k, key in enumerate(arc_ids)}
-    valve_col = {key: k for k, key in enumerate(valve_ids)}
-    pipe_col = {key: k for k, key in enumerate(pipe_ids)}
+    columns = history_columns(network)
+    node_col, arc_col, valve_col, pipe_col = ({key: k for k, key in enumerate(ids)}
+                                              for ids in columns)
     stamps: list[datetime] = []
-    # one list per frame and quantity; a list keeps the last of repeated rows
-    pressures: list[list[float]] = []
-    flows: list[list[float]] = []
-    valves: list[list[float]] = []
-    rhos: list[list[float]] = []
+    # per frame, one row per entry of columns; a row keeps the last of
+    # repeated values
+    frames: list[list[list[float]]] = []
     current: datetime | None = None
     stamp_text = None
 
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        _check_header(header, STATES_COLUMNS, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(STATES_COLUMNS):
-                raise ParseError(path, lineno,
-                                 f"expected {len(STATES_COLUMNS)} columns, got {len(row)}")
-            text, entity, quantity, value_text = row
-            if text != stamp_text:
-                # rows of one frame repeat their timestamp text, so it is
-                # parsed once per run of equal texts
-                stamp = parse_timestamp(text, path, lineno)
-                stamp_text = text
-                if current is None or stamp != current:
-                    if current is not None and stamp <= current:
-                        raise ParseError(path, lineno,
-                                         f"timestamps not strictly increasing: "
-                                         f"{format_timestamp(stamp)} after "
-                                         f"{format_timestamp(current)}")
-                    current = stamp
-                    stamps.append(stamp)
-                    pressure_row = [math.nan] * len(node_ids)
-                    flow_row = [math.nan] * len(arc_ids)
-                    valve_row = [math.nan] * len(valve_ids)
-                    rho_row = [math.nan] * len(pipe_ids)
-                    pressures.append(pressure_row)
-                    flows.append(flow_row)
-                    valves.append(valve_row)
-                    rhos.append(rho_row)
-            value = _parse_float(value_text, path, lineno, "value")
-            if not math.isfinite(value):
-                raise ParseError(path, lineno, f"non-finite value {value_text!r} for {entity!r}")
-            if quantity == QUANTITY_PRESSURE:
-                column = node_col.get(entity)
-                if column is None:
-                    raise ParseError(path, lineno, f"unknown node {entity!r}")
-                if not value > 0.0:
-                    raise ParseError(path, lineno, f"pressure must be positive, got {value}")
-                pressure_row[column] = value * BAR
-            elif quantity == QUANTITY_FLOW:
-                column = arc_col.get(entity)
-                if column is None:
-                    raise ParseError(path, lineno, f"unknown element {entity!r}")
-                flow_row[column] = value * KNM3H
-            elif quantity == QUANTITY_VALVE:
-                column = valve_col.get(entity)
-                if column is None:
-                    raise ParseError(path, lineno, f"{entity!r} is not a valve")
-                valve_row[column] = 1.0 if value != 0.0 else 0.0
-            elif quantity == QUANTITY_RHO:
-                column = pipe_col.get(entity)
-                if column is None:
-                    raise ParseError(path, lineno, f"{entity!r} is not a pipe")
-                try:
-                    rho_row[column] = validate_normal_density(value)
-                except ModelError as exc:
-                    raise ParseError(path, lineno, str(exc)) from None
-            else:
-                raise ParseError(path, lineno, f"unknown quantity {quantity!r}")
-    frames = len(stamps)
-    return History(tuple(stamps), node_ids, arc_ids, valve_ids, pipe_ids,
-                   np.array(pressures, dtype=float).reshape(frames, len(node_ids)),
-                   np.array(flows, dtype=float).reshape(frames, len(arc_ids)),
-                   np.array(valves, dtype=float).reshape(frames, len(valve_ids)),
-                   np.array(rhos, dtype=float).reshape(frames, len(pipe_ids)))
+    for line, (text, entity, quantity, value_text) in read_table(path, STATES_COLUMNS):
+        if text != stamp_text:
+            # rows of one frame repeat their timestamp text, so it is
+            # parsed once per run of equal texts
+            stamp = parse_timestamp(text, path, line)
+            stamp_text = text
+            if current is None or stamp != current:
+                if current is not None and stamp <= current:
+                    raise ParseError(path, line,
+                                     f"timestamps not strictly increasing: "
+                                     f"{format_timestamp(stamp)} after "
+                                     f"{format_timestamp(current)}")
+                current = stamp
+                stamps.append(stamp)
+                frames.append([[math.nan] * len(ids) for ids in columns])
+                pressure_row, flow_row, valve_row, rho_row = frames[-1]
+        try:
+            # inlined, as this loop runs once per row of the largest file
+            value = float(value_text)
+        except ValueError:
+            raise ParseError(path, line, f"invalid number {value_text!r} in column value") from None
+        if not math.isfinite(value):
+            raise ParseError(path, line, f"non-finite value {value_text!r} for {entity!r}")
+        if quantity == QUANTITY_PRESSURE:
+            column = node_col.get(entity)
+            if column is None:
+                raise ParseError(path, line, f"unknown node {entity!r}")
+            if not value > 0.0:
+                raise ParseError(path, line, f"pressure must be positive, got {value}")
+            pressure_row[column] = value * BAR
+        elif quantity == QUANTITY_FLOW:
+            column = arc_col.get(entity)
+            if column is None:
+                raise ParseError(path, line, f"unknown element {entity!r}")
+            flow_row[column] = value * KNM3H
+        elif quantity == QUANTITY_VALVE:
+            column = valve_col.get(entity)
+            if column is None:
+                raise ParseError(path, line, f"{entity!r} is not a valve")
+            valve_row[column] = 1.0 if value != 0.0 else 0.0
+        elif quantity == QUANTITY_RHO:
+            column = pipe_col.get(entity)
+            if column is None:
+                raise ParseError(path, line, f"{entity!r} is not a pipe")
+            try:
+                rho_row[column] = validate_normal_density(value)
+            except ModelError as exc:
+                raise ParseError(path, line, str(exc)) from None
+        else:
+            raise ParseError(path, line, f"unknown quantity {quantity!r}")
+    arrays = (np.array([rows[q] for rows in frames], dtype=float).reshape(len(frames), len(ids))
+              for q, ids in enumerate(columns))
+    return History(tuple(stamps), *columns, *arrays)
 
 
-def serialize_states(frames: Iterable[StateFrame], path: str) -> None:
-    """Write frames in the long format, each frame in a fixed row order."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(STATES_COLUMNS)
-        for frame in frames:
-            stamp = format_timestamp(frame.timestamp)
-            for node_id in sorted(frame.node_pressure_pa):
-                writer.writerow([stamp, node_id, QUANTITY_PRESSURE,
-                                 repr(frame.node_pressure_pa[node_id] / BAR)])
-            for arc_id in sorted(frame.arc_flow_m3s):
-                writer.writerow([stamp, arc_id, QUANTITY_FLOW,
-                                 repr(frame.arc_flow_m3s[arc_id] / KNM3H)])
-            for valve_id in sorted(frame.valve_open):
-                writer.writerow([stamp, valve_id, QUANTITY_VALVE,
-                                 "1" if frame.valve_open[valve_id] else "0"])
-            for pipe_id in sorted(frame.pipe_rho_n_kgm3):
-                writer.writerow([stamp, pipe_id, QUANTITY_RHO,
-                                 repr(frame.pipe_rho_n_kgm3[pipe_id])])
+def serialize_states(history: History, path: str) -> None:
+    """Write a history in the long format: frame by frame, the values it
+    gives in column order (pressures, flows, valve states, densities)."""
+    quantities = ((QUANTITY_PRESSURE, history.node_ids, history.pressure_pa / BAR, repr),
+                  (QUANTITY_FLOW, history.arc_ids, history.flow_m3s / KNM3H, repr),
+                  (QUANTITY_VALVE, history.valve_ids, history.valve_open,
+                   lambda state: "1" if state else "0"),
+                  (QUANTITY_RHO, history.pipe_ids, history.rho_n, repr))
+
+    def rows():
+        for k, stamp in enumerate(history.timestamps):
+            text = format_timestamp(stamp)
+            for quantity, ids, values, form in quantities:
+                for entity, value in zip(ids, values[k].tolist()):
+                    # NaN, unequal to itself, marks a value not given
+                    if value == value:
+                        yield text, entity, quantity, form(value)
+
+    write_table(path, STATES_COLUMNS, rows())
 
 
 # scan saves the parsed history next to its terms file; components loads it
@@ -373,26 +398,16 @@ class ExclusionWindow:
 
 def parse_exclusions(path: str, network: Network) -> list[ExclusionWindow]:
     windows: list[ExclusionWindow] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        _check_header(header, EXCLUSIONS_COLUMNS, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(EXCLUSIONS_COLUMNS):
-                raise ParseError(path, lineno,
-                                 f"expected {len(EXCLUSIONS_COLUMNS)} columns, got {len(row)}")
-            pipe_id = row[0]
-            element = network.elements.get(pipe_id)
-            if element is None or element.kind is not ElementKind.PIPE:
-                raise ParseError(path, lineno, f"{pipe_id!r} is not a pipe")
-            start = parse_timestamp(row[1], path, lineno)
-            end = parse_timestamp(row[2], path, lineno)
-            try:
-                windows.append(ExclusionWindow(pipe_id, start, end))
-            except ModelError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
+    for line, (pipe_id, start_text, end_text) in read_table(path, EXCLUSIONS_COLUMNS):
+        element = network.elements.get(pipe_id)
+        if element is None or element.kind is not ElementKind.PIPE:
+            raise ParseError(path, line, f"{pipe_id!r} is not a pipe")
+        start = parse_timestamp(start_text, path, line)
+        end = parse_timestamp(end_text, path, line)
+        try:
+            windows.append(ExclusionWindow(pipe_id, start, end))
+        except ModelError as exc:
+            raise ParseError(path, line, str(exc)) from None
     return windows
 
 
@@ -421,17 +436,15 @@ TERMS_COLUMNS = ["t0", "t1", "pipe_id", "flow_t0_kNm3h", "flow_t1_kNm3h",
 PER_10KM = BAR / 10e3
 
 
-def write_terms(rows: Iterable[tuple[TermRecord, bool]], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TERMS_COLUMNS)
+def write_terms(records: Iterable[tuple[TermRecord, bool]], path: str) -> None:
+    def rows():
         pair = None
-        for record, relevant in rows:
+        for record, relevant in records:
             if record.pair != pair:
-                # rows come grouped by pair
+                # records come grouped by pair
                 pair = record.pair
                 t0_text, t1_text = format_timestamp(pair.t0), format_timestamp(pair.t1)
-            writer.writerow([
+            yield [
                 t0_text,
                 t1_text,
                 record.pipe_id,
@@ -443,47 +456,40 @@ def write_terms(rows: Iterable[tuple[TermRecord, bool]], path: str) -> None:
                 repr(record.alpha_per_length_pam / PER_10KM),
                 repr(record.ratio),
                 "1" if relevant else "0",
-            ])
+            ]
+
+    write_table(path, TERMS_COLUMNS, rows())
 
 
-def read_terms(path: str) -> list[tuple[TermRecord, bool]]:
-    rows: list[tuple[TermRecord, bool]] = []
+def read_terms(path: str) -> list[tuple[int, TermRecord, bool]]:
+    """(line, record, relevant) for every row of a terms file."""
+    rows: list[tuple[int, TermRecord, bool]] = []
     stamps: dict[str, datetime] = {}
     pairs: dict[tuple[str, str], TimePair] = {}
 
-    def stamp(text: str, lineno: int) -> datetime:
+    def stamp(text: str, line: int) -> datetime:
         # each distinct timestamp text is parsed once
         value = stamps.get(text)
         if value is None:
-            value = stamps[text] = parse_timestamp(text, path, lineno)
+            value = stamps[text] = parse_timestamp(text, path, line)
         return value
 
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        _check_header(header, TERMS_COLUMNS, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TERMS_COLUMNS):
-                raise ParseError(path, lineno,
-                                 f"expected {len(TERMS_COLUMNS)} columns, got {len(row)}")
-            pair = pairs.get((row[0], row[1]))
-            if pair is None:
-                pair = pairs[row[0], row[1]] = TimePair(stamp(row[0], lineno),
-                                                        stamp(row[1], lineno))
-            record = TermRecord(
-                pipe_id=row[2],
-                pair=pair,
-                flow_t0_m3s=_parse_float(row[3], path, lineno, "flow_t0_kNm3h") * KNM3H,
-                flow_t1_m3s=_parse_float(row[4], path, lineno, "flow_t1_kNm3h") * KNM3H,
-                alpha_pa=_parse_float(row[6], path, lineno, "alpha_bar") * BAR,
-                beta_pa=_parse_float(row[7], path, lineno, "beta_bar") * BAR,
-                alpha_per_length_pam=_parse_float(row[8], path, lineno,
-                                                  "alpha_per_10km_bar") * PER_10KM,
-                ratio=_parse_float(row[9], path, lineno, "ratio"),
-            )
-            if row[10] not in ("0", "1"):
-                raise ParseError(path, lineno, f"relevant must be 0 or 1, got {row[10]!r}")
-            rows.append((record, row[10] == "1"))
+    for line, row in read_table(path, TERMS_COLUMNS):
+        pair = pairs.get((row[0], row[1]))
+        if pair is None:
+            pair = pairs[row[0], row[1]] = parse_pair(stamp(row[0], line), stamp(row[1], line),
+                                                      path, line)
+        try:
+            # the flow change cell is checked, but the record derives it
+            flow_t0, flow_t1, _dflow, alpha, beta, alpha_per_10km, ratio = map(float, row[3:10])
+        except ValueError:
+            # cell by cell, to name the first bad column
+            for column in range(3, 10):
+                _parse_float(row[column], path, line, TERMS_COLUMNS[column])
+            raise
+        record = TermRecord(row[2], pair, flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR,
+                            beta * BAR, alpha_per_10km * PER_10KM, ratio)
+        if row[10] not in ("0", "1"):
+            raise ParseError(path, line, f"relevant must be 0 or 1, got {row[10]!r}")
+        rows.append((line, record, row[10] == "1"))
     return rows

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+import math
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .model import (
     Network,
     Node,
     PipeGeometry,
-    StateFrame,
     validate_normal_density,
 )
 from .physics import (
@@ -42,7 +42,7 @@ from .physics import (
     inertia_term_alpha,
     remaining_terms_gamma,
 )
-from .ingest import ParseError, parse_timestamp
+from .ingest import History, ParseError, history_columns, parse_timestamp, read_settings
 
 # fixed quadratic drop coefficient of synthetic resistors, Pa/(m^3/s)^2
 RESISTOR_DROP_COEFF = 1.0e3
@@ -183,19 +183,33 @@ FIXTURES = {
 }
 
 
-def _check_scalar(path: str, lineno: int, key: str, value: str) -> None:
-    """tau_s must be positive and rho_n_kgNm3 inside the accepted band."""
+# scalar scenario keys: Scenario field and value type; absent keys keep
+# the field's default
+_SCALARS = {"frames": ("frames", int), "tau_s": ("tau_s", float),
+            "temperature_K": ("temperature_k", float),
+            "rho_n_kgNm3": ("rho_n_kgm3", float), "noise": ("noise", float),
+            "seed": ("seed", int), "start": ("start", parse_timestamp)}
+
+
+def _scalar(path: str, line: int, key: str, value: str):
+    """The value of a scalar key.  Numbers are finite: noise and seed
+    non-negative, rho_n_kgNm3 inside the accepted band, the rest positive."""
+    kind = _SCALARS[key][1]
+    if key == "start":
+        return parse_timestamp(value, path, line)
     try:
-        number = float(value)
+        number = kind(value)
     except ValueError:
-        raise ParseError(path, lineno, f"bad {key} {value!r}") from None
+        raise ParseError(path, line, f"bad {key} {value!r}") from None
+    bound = "non-negative" if key in ("noise", "seed") else "positive"
     if key == "rho_n_kgNm3":
         try:
             validate_normal_density(number)
         except ModelError as exc:
-            raise ParseError(path, lineno, str(exc)) from None
-    elif not number > 0.0:
-        raise ParseError(path, lineno, f"{key} must be positive, got {value}")
+            raise ParseError(path, line, str(exc)) from None
+    elif not (0 < number < math.inf or (number == 0 and bound == "non-negative")):
+        raise ParseError(path, line, f"{key} must be {bound} and finite, got {value}")
+    return number
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -203,88 +217,74 @@ def parse_scenario(path: str) -> Scenario:
 
     Recognized keys: fixture, frames, tau_s, temperature_K, rho_n_kgNm3,
     noise, seed, start, closed_valve (repeatable), pressure (node bar,
-    repeatable) and event (node frame inflow_kNm3h, repeatable).
+    repeatable) and event (node frame inflow_kNm3h, repeatable).  Errors
+    name the line of the offending key; a missing fixture key is reported
+    at line 0.
     """
-    fixture_name = None
-    scalars: dict[str, str] = {}
-    events: list[BoundaryEvent] = []
-    pressures: list[tuple[str, float]] = []
-    closed: set[str] = set()
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError(path, lineno, f"expected key = value, got {text!r}")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key == "event":
-                parts = value.split()
-                if len(parts) != 3:
-                    raise ParseError(path, lineno,
-                                     "event takes: node frame inflow_kNm3h")
-                try:
-                    events.append(BoundaryEvent(parts[0], int(parts[1]),
-                                                float(parts[2]) * KNM3H))
-                except ValueError:
-                    raise ParseError(path, lineno, f"bad event {value!r}") from None
-            elif key == "pressure":
-                parts = value.split()
-                if len(parts) != 2:
-                    raise ParseError(path, lineno, "pressure takes: node bar")
-                try:
-                    bar = float(parts[1])
-                except ValueError:
-                    raise ParseError(path, lineno, f"bad pressure {value!r}") from None
-                if not bar > 0.0:
-                    raise ParseError(path, lineno, f"pressure must be positive, got {parts[1]}")
-                pressures.append((parts[0], bar * BAR))
-            elif key == "closed_valve":
-                closed.add(value)
-            elif key == "fixture":
-                fixture_name = value
-            else:
-                if key in ("tau_s", "rho_n_kgNm3"):
-                    _check_scalar(path, lineno, key, value)
-                scalars[key] = value
-    if fixture_name is None:
+    fixture: tuple[int, str] | None = None
+    scalars: dict[str, object] = {}
+    events: list[tuple[int, BoundaryEvent]] = []
+    pressures: list[tuple[int, str, float]] = []
+    closed: dict[str, int] = {}
+    for line, key, value in read_settings(path):
+        if key == "event":
+            try:
+                node_id, frame, inflow = value.split()
+                events.append((line, BoundaryEvent(node_id, int(frame), float(inflow) * KNM3H)))
+            except ValueError:
+                raise ParseError(path, line, f"bad event {value!r}, "
+                                             "expected: node frame inflow_kNm3h") from None
+        elif key == "pressure":
+            try:
+                node_id, bar_text = value.split()
+                bar = float(bar_text)
+            except ValueError:
+                raise ParseError(path, line,
+                                 f"bad pressure {value!r}, expected: node bar") from None
+            if not bar > 0.0:
+                raise ParseError(path, line, f"pressure must be positive, got {bar_text}")
+            pressures.append((line, node_id, bar * BAR))
+        elif key == "closed_valve":
+            closed.setdefault(value, line)
+        elif key == "fixture":
+            fixture = (line, value)
+        elif key in _SCALARS:
+            scalars[_SCALARS[key][0]] = _scalar(path, line, key, value)
+        else:
+            raise ParseError(path, line, f"unknown key {key!r}")
+    if fixture is None:
         raise ParseError(path, 0, "scenario requires a fixture key")
+    fixture_line, fixture_name = fixture
     if fixture_name not in FIXTURES:
-        raise ParseError(path, 0,
+        raise ParseError(path, fixture_line,
                          f"unknown fixture {fixture_name!r}, "
                          f"available: {', '.join(sorted(FIXTURES))}")
     network, references, inflow = FIXTURES[fixture_name]()
-    references.update(pressures)
-    try:
-        scenario = Scenario(
-            name=fixture_name,
-            network=network,
-            reference_pressure_pa=references,
-            base_inflow_m3s=inflow,
-            events=tuple(events),
-            frames=int(scalars.pop("frames", "10")),
-            tau_s=float(scalars.pop("tau_s", "180")),
-            start=parse_timestamp(scalars.pop("start", "2026-01-01T00:00:00Z"), path),
-            rho_n_kgm3=float(scalars.pop("rho_n_kgNm3", "0.85")),
-            temperature_k=float(scalars.pop("temperature_K", "283.15")),
-            noise=float(scalars.pop("noise", "0")),
-            seed=int(scalars.pop("seed", "0")),
-            closed_valves=frozenset(closed),
-        )
-    except ValueError as exc:
-        raise ParseError(path, 0, f"bad scalar value: {exc}") from None
-    if scalars:
-        raise ParseError(path, 0, f"unknown keys: {', '.join(sorted(scalars))}")
-    for event in scenario.events:
-        if event.node_id not in scenario.network.nodes:
-            raise ParseError(path, 0, f"event references unknown node {event.node_id!r}")
+    for line, node_id, pressure in pressures:
+        if node_id not in network.nodes:
+            raise ParseError(path, line, f"pressure references unknown node {node_id!r}")
+        if node_id in inflow:
+            raise ParseError(path, line, f"pressure node {node_id!r} has an inflow setpoint")
+        references[node_id] = pressure
+    scenario = Scenario(
+        name=fixture_name,
+        network=network,
+        reference_pressure_pa=references,
+        base_inflow_m3s=inflow,
+        events=tuple(event for _line, event in events),
+        closed_valves=frozenset(closed),
+        **scalars,
+    )
+    for line, event in events:
+        if event.node_id not in network.nodes:
+            raise ParseError(path, line, f"event references unknown node {event.node_id!r}")
         if not 0 <= event.frame_index < scenario.frames:
-            raise ParseError(path, 0,
+            raise ParseError(path, line,
                              f"event frame {event.frame_index} outside 0..{scenario.frames - 1}")
-    for valve_id in scenario.closed_valves:
-        element = scenario.network.elements.get(valve_id)
+    for valve_id, line in closed.items():
+        element = network.elements.get(valve_id)
         if element is None or element.kind is not ElementKind.VALVE:
-            raise ParseError(path, 0, f"closed_valve {valve_id!r} is not a valve")
+            raise ParseError(path, line, f"closed_valve {valve_id!r} is not a valve")
     return scenario
 
 
@@ -296,7 +296,6 @@ class _System:
 
     def __init__(self, scenario: Scenario) -> None:
         network = scenario.network
-        self.scenario = scenario
         self.pipe_ids = sorted(network.pipes())
         self.valve_ids = sorted(network.of_kind(ElementKind.VALVE))
         self.resistor_ids = sorted(network.of_kind(ElementKind.RESISTOR))
@@ -324,10 +323,8 @@ class _System:
 
         n_nodes = len(self.hydraulic_nodes)
         self.p_fixed = np.zeros(n_nodes)
-        self.fixed_mask = np.zeros(n_nodes, dtype=bool)
         for node_id, pressure in scenario.reference_pressure_pa.items():
             self.p_fixed[self.node_index[node_id]] = pressure
-            self.fixed_mask[self.node_index[node_id]] = True
         self.free_index = np.array([self.node_index[n] for n in self.free_nodes],
                                    dtype=int)
 
@@ -355,22 +352,15 @@ class _System:
         self.rho = scenario.rho_n_kgm3
         self.gas = GasParams(temperature_k=scenario.temperature_k)
 
-        # free-node balance as a sparse triple list over all passive arcs
-        self.balance_rows: list[tuple[int, int, float]] = []
-        free_pos = {ni: k for k, ni in enumerate(self.free_index)}
-        arcs = ([(self.pipe_from[i], self.pipe_to[i], i) for i in range(self.n_pipe)]
-                + [(self.valve_from[i], self.valve_to[i], self.n_pipe + i)
-                   for i in range(self.n_valve)]
-                + [(self.res_from[i], self.res_to[i], self.n_pipe + self.n_valve + i)
-                   for i in range(self.n_res)])
-        for from_i, to_i, flow_col in arcs:
-            if from_i in free_pos:
-                self.balance_rows.append((free_pos[from_i], flow_col, -1.0))
-            if to_i in free_pos:
-                self.balance_rows.append((free_pos[to_i], flow_col, +1.0))
-        self.incidence = np.zeros((self.n_free, self.n_pipe + self.n_valve + self.n_res))
-        for row, col, sign in self.balance_rows:
-            self.incidence[row, col] = self.incidence[row, col] + sign
+        # free-node balance over all passive arcs: an arc's flow leaves its
+        # from node and enters its to node
+        self.incidence = np.zeros((self.n_free, len(passive)))
+        for col, element_id in enumerate(passive):
+            element = network.elements[element_id]
+            if element.from_node in self.free_pos:
+                self.incidence[self.free_pos[element.from_node], col] -= 1.0
+            if element.to_node in self.free_pos:
+                self.incidence[self.free_pos[element.to_node], col] += 1.0
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         a = self.n_free
@@ -486,14 +476,23 @@ def _solve_frame(system: _System, x: np.ndarray, q_prev: np.ndarray | None,
                           f"no convergence in {NEWTON_MAX_ITER} iterations, |r| = {norm:.3e}")
 
 
-def simulate(scenario: Scenario) -> list[StateFrame]:
+def simulate(scenario: Scenario) -> History:
     """Generate the state history of a scenario.
 
-    Returns one frame per time step with pressures at hydraulic nodes,
-    flows on passive arcs, valve states and per-pipe normal density.
-    Identical scenarios (including seed) produce identical histories.
+    One frame per time step gives pressures at hydraulic nodes, flows on
+    passive arcs, valve states and per-pipe normal density; the other
+    entries stay NaN.  Identical scenarios (including seed) produce
+    identical histories.
     """
     system = _System(scenario)
+    n = scenario.frames
+    columns = history_columns(scenario.network)
+    node_ids, arc_ids, _valve_ids, pipe_ids = columns
+    pressure = np.full((n, len(node_ids)), np.nan)
+    flow = np.full((n, len(arc_ids)), np.nan)
+    # positions among the sorted ids of the unknowns the solver gives
+    hydraulic = np.searchsorted(node_ids, system.hydraulic_nodes)
+    passive = np.searchsorted(arc_ids, system.pipe_ids + system.valve_ids + system.resistor_ids)
     rng = np.random.default_rng(scenario.seed)
     mean_ref = float(np.mean(list(scenario.reference_pressure_pa.values())))
 
@@ -501,10 +500,9 @@ def simulate(scenario: Scenario) -> list[StateFrame]:
     x[:system.n_free] = mean_ref
     x[system.n_free:] = 0.1
 
-    frames: list[StateFrame] = []
     q_prev: np.ndarray | None = None
     jac_cache: list = []
-    for k in range(scenario.frames):
+    for k in range(n):
         inflow = np.zeros(system.n_free)
         for node_id in system.flow_nodes:
             value = scenario.inflow_at(node_id, k)
@@ -513,26 +511,20 @@ def simulate(scenario: Scenario) -> list[StateFrame]:
             inflow[system.free_pos[node_id]] = value
 
         x = _solve_frame(system, x, q_prev, scenario.tau_s, inflow, k, jac_cache)
-        p_free, q_pipe, q_valve, q_res = system.split(x)
+        p_free, q_pipe = system.split(x)[:2]
         if q_prev is None:
             # the inertia rows activate after the steady frame and change
             # the Jacobian structure, so the cached one must go
             jac_cache.clear()
         q_prev = q_pipe.copy()
+        # x holds pipe, valve and resistor flows in the order of passive
+        pressure[k, hydraulic] = system.pressures(p_free)
+        flow[k, passive] = x[system.n_free:]
 
-        p = system.pressures(p_free)
-        pressures = {node_id: float(p[system.node_index[node_id]])
-                     for node_id in system.hydraulic_nodes}
-        flows = {pid: float(q_pipe[i]) for i, pid in enumerate(system.pipe_ids)}
-        flows.update({vid: float(q_valve[i]) for i, vid in enumerate(system.valve_ids)})
-        flows.update({rid: float(q_res[i]) for i, rid in enumerate(system.resistor_ids)})
-        frames.append(StateFrame(
-            timestamp=scenario.start + timedelta(seconds=k * scenario.tau_s),
-            node_pressure_pa=pressures,
-            arc_flow_m3s=flows,
-            valve_open={vid: vid not in scenario.closed_valves
-                        for vid in system.valve_ids},
-            pipe_rho_n_kgm3={pid: scenario.rho_n_kgm3 for pid in system.pipe_ids},
-        ))
-    return frames
+    # the solver orders valves and pipes by id, as the columns do
+    return History(
+        tuple(scenario.start + timedelta(seconds=k * scenario.tau_s) for k in range(n)),
+        *columns, pressure, flow,
+        np.tile(system.valve_open.astype(float), (n, 1)),
+        np.full((n, len(pipe_ids)), scenario.rho_n_kgm3))
 

@@ -329,6 +329,36 @@ class TestErrors:
         assert code == 1
         assert "error:" in err
 
+    def test_member_of_no_component_stops_persistence(self, pipeline, tmp_path):
+        out = pipeline["out"]
+        members = tmp_path / "components_pipes.csv"
+        members.write_text((out / "components_pipes.csv").read_text() + "99,bogus\n")
+        line = len(members.read_text().splitlines())
+        code, stdout, err = run_cli(["persistence", "--components", out / "components.csv",
+                                     "--members", members, "--out", tmp_path])
+        assert code == 1 and stdout == ""
+        assert f"{members}:{line}: component id '99' names no component" in err
+
+    def test_pair_without_states_reported_at_its_first_relevant_row(self, pipeline,
+                                                                    tmp_path):
+        data, out = pipeline["data"], pipeline["out"]
+        rows = read_csv(out / "terms.csv")
+        assert rows[3][10] == rows[5][10] == "1"
+        rows[2][10] = "0"
+        # lines 3, 4 and 6 form a pair that no frame of states.csv holds;
+        # line 3 is not relevant
+        for k in (2, 3, 5):
+            rows[k][:2] = ["2030-01-01T00:00:00Z", "2030-01-01T00:03:00Z"]
+        terms = tmp_path / "terms_moved.csv"
+        with open(terms, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code, _, err = run_cli([
+            "components", "--topology", data / "topology.csv",
+            "--states", data / "states.csv", "--terms", terms, "--out", tmp_path])
+        assert code == 1
+        assert (f"{terms}:4: pair 2030-01-01T00:00:00Z .. 2030-01-01T00:03:00Z "
+                "has no matching states") in err
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):
             run_cli(["persistence", "--components", "x.csv", "--out", "y"])

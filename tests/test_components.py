@@ -365,6 +365,36 @@ class TestSerialization:
             read_components(str(comp_path), str(members_path))
         assert (info.value.path, info.value.line) == (str(comp_path), 3)
 
+    def test_member_of_no_component_reported_at_its_line(self, tmp_path):
+        comp_path, members_path = self.written(tmp_path)
+        lines = members_path.read_text().splitlines()
+        lines.insert(2, "99,bogus")
+        members_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="'99' names no component") as info:
+            read_components(str(comp_path), str(members_path))
+        assert (info.value.path, info.value.line) == (str(members_path), 3)
+
+    def test_reversed_pair_reported_at_its_line(self, tmp_path):
+        comp_path, members_path = self.written(tmp_path)
+        lines = comp_path.read_text().splitlines()
+        t0, t1, rest = lines[3].split(",", 2)
+        lines[3] = ",".join([t1, t0, rest])
+        comp_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="t1 > t0") as info:
+            read_components(str(comp_path), str(members_path))
+        assert (info.value.path, info.value.line) == (str(comp_path), 4)
+
+    def test_duplicate_component_id_reported_at_its_line(self, tmp_path):
+        comp_path, members_path = self.written(tmp_path)
+        lines = comp_path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = "0"
+        lines[3] = ",".join(cells)
+        comp_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="duplicate component id '0'") as info:
+            read_components(str(comp_path), str(members_path))
+        assert (info.value.path, info.value.line) == (str(comp_path), 4)
+
     def test_member_count_mismatch_detected(self, tmp_path):
         stream = self.sample_stream()
         comp_path = tmp_path / "components.csv"

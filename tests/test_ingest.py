@@ -158,16 +158,16 @@ class TestStates:
         path.write_text(self.make_states_csv())
         history = parse_states(str(path), sample_network())
         assert len(history) == 2
-        first = history.frame(0)
+        first = history[0]
         assert first.timestamp == BASE_TS
         assert first.node_pressure_pa["n0"] == 60.0 * BAR
         assert first.arc_flow_m3s["p1"] == pytest.approx(120.0 * KNM3H)
         assert first.valve_open["v1"] is True
         assert first.pipe_rho_n_kgm3["p1"] == 0.85
-        assert history.frame(1).valve_open["v1"] is False
+        assert history[1].valve_open["v1"] is False
         # values the file does not give are absent from the frame
-        assert history.frame(1).node_pressure_pa == {"n0": 60.0 * BAR}
-        assert history.frame(1).pipe_rho_n_kgm3 == {}
+        assert history[1].node_pressure_pa == {"n0": 60.0 * BAR}
+        assert history[1].pipe_rho_n_kgm3 == {}
 
     def test_columns_and_missing(self, tmp_path):
         path = tmp_path / "states.csv"
@@ -191,7 +191,7 @@ class TestStates:
         net = sample_network()
         history = parse_states(str(path), net)
         out = tmp_path / "out.csv"
-        serialize_states([history.frame(k) for k in range(len(history))], str(out))
+        serialize_states(history, str(out))
         assert_same_history(parse_states(str(out), net), history)
 
     def test_repeated_row_keeps_last_value(self, tmp_path):
@@ -201,7 +201,7 @@ class TestStates:
                         + f"\n{t0},p1,arc.flow_kNm3h,1.0"
                         + f"\n{t0},n0,node.pressure_bar,61.0\n")
         history = parse_states(str(path), sample_network())
-        assert history.frame(0).node_pressure_pa == {"n0": 61.0 * BAR}
+        assert history[0].node_pressure_pa == {"n0": 61.0 * BAR}
 
     def test_spellings_of_one_instant_share_a_frame(self, tmp_path):
         z = "2026-01-01T00:00:00Z"
@@ -214,8 +214,8 @@ class TestStates:
                         + "\n2026-01-01T00:03:00Z,n0,node.pressure_bar,60.0\n")
         history = parse_states(str(path), sample_network())
         assert history.timestamps == (stamp(0), stamp(1))
-        assert sorted(history.frame(0).node_pressure_pa) == ["n0", "n1", "n2"]
-        assert history.frame(0).arc_flow_m3s == {"p1": KNM3H}
+        assert sorted(history[0].node_pressure_pa) == ["n0", "n1", "n2"]
+        assert history[0].arc_flow_m3s == {"p1": KNM3H}
 
     def test_each_timestamp_text_parsed_once(self, tmp_path, monkeypatch):
         calls = []
@@ -367,13 +367,14 @@ class TestTerms:
         path = tmp_path / "terms.csv"
         write_terms(rows, str(path))
         back = read_terms(str(path))
-        assert back == rows
+        assert [(record, relevant) for _line, record, relevant in back] == rows
+        assert [line for line, _record, _relevant in back] == [2, 3]
 
     def test_infinite_ratio_survives(self, tmp_path):
         record = TermRecord("p", make_pair(0), 0.0, 1.0, 5.0, 0.0, 5e-4, math.inf)
         path = tmp_path / "terms.csv"
         write_terms([(record, True)], str(path))
-        assert read_terms(str(path))[0][0].ratio == math.inf
+        assert read_terms(str(path))[0][1].ratio == math.inf
 
     def test_each_pair_formatted_and_parsed_once(self, tmp_path, monkeypatch):
         rows = self.make_records()
@@ -393,9 +394,32 @@ class TestTerms:
         path = tmp_path / "terms.csv"
         write_terms(rows, str(path))
         assert formatted == [stamp(0), stamp(1), stamp(1), stamp(2)]
-        assert read_terms(str(path)) == rows
+        assert [row[1:] for row in read_terms(str(path))] == rows
         # pairs 0 and 1 share stamp(1)
         assert parsed == [format_timestamp(stamp(k)) for k in range(3)]
+
+    def test_bad_flow_change_reported_at_its_line(self, tmp_path):
+        path = tmp_path / "terms.csv"
+        write_terms(self.make_records(), str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[5] = "n/a"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="column dflow_kNm3h") as info:
+            read_terms(str(path))
+        assert info.value.line == 3
+
+    def test_reversed_pair_reported_at_its_line(self, tmp_path):
+        path = tmp_path / "terms.csv"
+        write_terms(self.make_records(), str(path))
+        lines = path.read_text().splitlines()
+        t0, t1, rest = lines[2].split(",", 2)
+        lines[2] = ",".join([t1, t0, rest])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="t1 > t0") as info:
+            read_terms(str(path))
+        assert info.value.line == 3
 
     def test_bad_timestamp_reported_at_its_line(self, tmp_path):
         rows = self.make_records()
@@ -441,7 +465,7 @@ class TestSidecar:
         loaded = load_history(sidecar, states, topology)
         assert_same_history(loaded, history)
         assert all(t.utcoffset() == timedelta(0) for t in loaded.timestamps)
-        assert loaded.frame(1) == history.frame(1)
+        assert loaded[1] == history[1]
 
     def test_other_contents_not_loaded(self, tmp_path):
         states, topology = self.write_inputs(tmp_path)
@@ -458,6 +482,64 @@ class TestSidecar:
         sidecar = tmp_path / "history.npz"
         sidecar.write_bytes(b"not a zip archive")
         assert load_history(str(sidecar), states, topology) is None
+
+
+class TestHistorySequence:
+    def history(self, tmp_path):
+        path = tmp_path / "states.csv"
+        path.write_text(TestStates().make_states_csv())
+        return parse_states(str(path), sample_network())
+
+    def test_len_index_and_iteration(self, tmp_path):
+        history = self.history(tmp_path)
+        assert len(history) == 2
+        frames = list(history)
+        assert [frame.timestamp for frame in frames] == [stamp(0), stamp(1)]
+        assert frames == [history[0], history[1]]
+        assert history[-1] == history[1] and history[-2] == history[0]
+        assert history[-1].valve_open == {"v1": False}
+
+    def test_index_out_of_range(self, tmp_path):
+        history = self.history(tmp_path)
+        with pytest.raises(IndexError):
+            history[2]
+        with pytest.raises(IndexError):
+            history[-3]
+
+
+class TestFraming:
+    def test_read_table_skips_blank_rows_and_counts_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n\n3,4\n")
+        assert list(ingest.read_table(str(path), ["a", "b"])) == [(2, ["1", "2"]),
+                                                                  (4, ["3", "4"])]
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "expected header a,b, got <empty>"),
+        ("a,c\n", 1, "expected header a,b, got a,c"),
+        ("a,b\n1,2\n\n3\n", 4, "expected 2 columns, got 1"),
+    ])
+    def test_read_table_errors(self, tmp_path, text, line, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as info:
+            list(ingest.read_table(str(path), ["a", "b"]))
+        assert info.value.line == line
+
+    def test_write_table_round_trips(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        ingest.write_table(path, ["a", "b"], iter([["1", "x,y"], ("2", "")]))
+        assert list(ingest.read_table(path, ["a", "b"])) == [(2, ["1", "x,y"]),
+                                                             (3, ["2", ""])]
+
+    def test_read_settings(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("# head\n\n a = 1 # note\nb=x = y\n")
+        assert list(ingest.read_settings(str(path))) == [(3, "a", "1"), (4, "b", "x = y")]
+        path.write_text("a = 1\nno equals sign\n")
+        with pytest.raises(ParseError, match="expected key = value") as info:
+            list(ingest.read_settings(str(path)))
+        assert info.value.line == 2
 
 
 def empty_history(frames: int) -> History:

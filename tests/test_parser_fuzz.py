@@ -1,0 +1,254 @@
+"""Parser fuzzing: one always-invalid edit to one line of a valid file.
+
+Each input format starts from a small valid file.  A single mutation is
+applied to a single line: a cell dropped or added, a non-number in a
+numeric cell, ``nan`` as a state value, a timestamp without offset, a
+changed header, or (for key = value files) a misspelled key.  The parser
+must raise ``ParseError`` naming that file and that line; any other
+exception fails the test, and so does parsing without an error.
+"""
+
+import os
+import tempfile
+
+from hypothesis import given, note, settings, strategies as st
+import pytest
+
+from gasinertia.cli import load_config_file
+from gasinertia.components import read_components
+from gasinertia.ingest import (
+    ParseError,
+    parse_exclusions,
+    parse_states,
+    parse_topology,
+    read_terms,
+)
+from gasinertia.synth import parse_scenario
+
+T = ["2026-01-01T00:00:00Z", "2026-01-01T00:03:00Z",
+     "2026-01-01T00:06:00Z", "2026-01-01T00:09:00Z"]
+
+TOPOLOGY = [
+    "element_id,kind,from_node,to_node,length_m,diameter_m,roughness_m,slope",
+    "p1,pipe,n0,n1,10000.0,0.5,1e-05,0.0",
+    "v1,valve,n1,n2,,,,",
+    "r1,resistor,n2,n3,,,,",
+    "p2,pipe,n3,n4,5000.0,0.4,0.0,0.001",
+]
+
+STATES = [
+    "timestamp_iso8601,entity_id,quantity,value",
+    f"{T[0]},n0,node.pressure_bar,60.0",
+    f"{T[0]},n1,node.pressure_bar,59.5",
+    f"{T[0]},p1,arc.flow_kNm3h,120.0",
+    f"{T[0]},v1,valve.open,1",
+    f"{T[0]},p1,pipe.rho_n_kgNm3,0.85",
+    "",
+    f"{T[1]},n0,node.pressure_bar,60.0",
+    f"{T[1]},p2,arc.flow_kNm3h,-12.5",
+    f"{T[1]},v1,valve.open,0",
+]
+
+EXCLUSIONS = [
+    "pipe_id,start_iso8601,end_iso8601",
+    f"p1,{T[0]},{T[1]}",
+    f"p2,{T[1]},{T[3]}",
+]
+
+TERMS = [
+    "t0,t1,pipe_id,flow_t0_kNm3h,flow_t1_kNm3h,dflow_kNm3h,alpha_bar,beta_bar,"
+    "alpha_per_10km_bar,ratio,relevant",
+    f"{T[0]},{T[1]},p1,100.0,107.3,7.3,0.21,0.777,0.17,0.27,1",
+    f"{T[0]},{T[1]},p2,50.0,40.0,-10.0,-0.034,0.1,-0.068,0.34,0",
+    f"{T[1]},{T[2]},p1,107.3,100.0,-7.3,-0.2,0.7,-0.16,0.28,1",
+]
+
+COMPONENTS = [
+    "t0,t1,component_id,n_pipes,longest_path_bar,cycle_correction_bar,class,"
+    "max_abs_flow_change",
+    f"{T[0]},{T[1]},0,2,0.61,0.0,high,36.0",
+    f"{T[0]},{T[1]},1,1,0.11,0.0,small,4.0",
+    f"{T[2]},{T[3]},2,1,0.02,0.0,none,2.5",
+]
+
+MEMBERS = [
+    "component_id,pipe_id",
+    "0,pa",
+    "0,pb",
+    "1,pc",
+    "2,pa",
+]
+
+CONFIG = [
+    "# thresholds",
+    "abs_small_bar = 0.1",
+    "ratio_min = 0.5  # trailing comment",
+    "",
+    "temperature_K = 288.15",
+]
+
+SCENARIO = [
+    "# every key the scenario parser knows",
+    "fixture = funnel50",
+    "frames = 12",
+    "tau_s = 180",
+    "temperature_K = 283.15",
+    "rho_n_kgNm3 = 0.85",
+    "",
+    "noise = 0.001",
+    "seed = 3",
+    "start = 2026-01-01T00:00:00Z",
+    "pressure = a0 61",
+    "closed_valve = ev",
+    "event = b1 5 -30  # offtake step",
+]
+
+
+def csv_cells(numeric, timestamps, nan=()):
+    """Per-line cell roles of a CSV file: header on line 1, then rows."""
+    return {"numeric": numeric, "timestamps": timestamps, "nan": nan}
+
+
+def topology_numeric(row):
+    return [4, 5, 6, 7] if row[1] == "pipe" else []
+
+
+# file name -> (lines, kind, roles); settings roles map a key to the
+# positions of its numeric tokens and whether its value is a timestamp
+FILES = {
+    "topology.csv": (TOPOLOGY, "csv", csv_cells(topology_numeric, lambda row: [])),
+    "states.csv": (STATES, "csv", csv_cells(lambda row: [3], lambda row: [0],
+                                            nan=[3])),
+    "exclusions.csv": (EXCLUSIONS, "csv", csv_cells(lambda row: [], lambda row: [1, 2])),
+    "terms.csv": (TERMS, "csv", csv_cells(lambda row: list(range(3, 11)),
+                                          lambda row: [0, 1])),
+    "components.csv": (COMPONENTS, "csv", csv_cells(lambda row: [3, 4, 5, 7],
+                                                    lambda row: [0, 1])),
+    "components_pipes.csv": (MEMBERS, "csv", csv_cells(lambda row: [0], lambda row: [])),
+    "config.txt": (CONFIG, "settings", {
+        "abs_small_bar": [0], "ratio_min": [0], "temperature_K": [0]}),
+    "case.scn": (SCENARIO, "settings", {
+        "frames": [0], "tau_s": [0], "temperature_K": [0], "rho_n_kgNm3": [0],
+        "noise": [0], "seed": [0], "pressure": [1], "event": [1, 2],
+        "fixture": [], "closed_valve": [], "start": "timestamp"}),
+}
+
+
+def parse(name, paths):
+    if name == "topology.csv":
+        parse_topology(paths[name])
+    elif name == "states.csv":
+        parse_states(paths[name], parse_topology(paths["topology.csv"]))
+    elif name == "exclusions.csv":
+        parse_exclusions(paths[name], parse_topology(paths["topology.csv"]))
+    elif name == "terms.csv":
+        read_terms(paths[name])
+    elif name in ("components.csv", "components_pipes.csv"):
+        read_components(paths["components.csv"], paths["components_pipes.csv"])
+    elif name == "config.txt":
+        load_config_file(paths[name])
+    else:
+        parse_scenario(paths[name])
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# ASCII only: int() and float() accept other scripts' digits
+non_numbers = st.text(alphabet="abcxyz.+-_e", max_size=5).filter(lambda t: not is_number(t))
+
+
+def drop_offset(stamp):
+    return stamp[:-1] if stamp.endswith("Z") else stamp
+
+
+def csv_mutations(line_no, row, roles):
+    if line_no == 1:
+        yield "drop", lambda draw: row[:-1]
+        yield "add", lambda draw: row + ["extra"]
+        yield "rename", lambda draw: row[:-1] + [row[-1] + "x"]
+        return
+    yield "drop", lambda draw: row[:-1]
+    yield "add", lambda draw: row + ["7"]
+
+    def replace(columns, text):
+        def apply(draw):
+            column = draw(st.sampled_from(columns))
+            value = text(draw, row[column])
+            return row[:column] + [value] + row[column + 1:]
+        return apply
+
+    numeric = roles["numeric"](row)
+    if numeric:
+        yield "non-number", replace(numeric, lambda draw, old: draw(non_numbers))
+    if roles["nan"]:
+        yield "nan", replace(roles["nan"], lambda draw, old: "nan")
+    stamps = roles["timestamps"](row)
+    if stamps:
+        yield "naive timestamp", replace(stamps, lambda draw, old: drop_offset(old))
+
+
+def settings_mutations(text, roles):
+    key, value = (part.strip() for part in text.split("#", 1)[0].split("=", 1))
+    tokens = value.split()
+
+    def line(new_key, new_tokens):
+        return f"{new_key} = {' '.join(new_tokens)}"
+
+    yield "drop", lambda draw: line(key, tokens[:-1])
+    yield "add", lambda draw: line(key, tokens + ["7"])
+    yield "misspell key", lambda draw: line(key + "x", tokens)
+    role = roles[key]
+    if role == "timestamp":
+        yield "naive timestamp", lambda draw: line(key, [drop_offset(tokens[0])])
+    elif role:
+        def apply(draw):
+            position = draw(st.sampled_from(role))
+            return line(key, tokens[:position] + [draw(non_numbers)]
+                        + tokens[position + 1:])
+        yield "non-number", apply
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_one_bad_line_is_reported_at_that_line(data):
+    name = data.draw(st.sampled_from(sorted(FILES)), label="file")
+    lines, kind, roles = FILES[name]
+    candidates = [k for k, text in enumerate(lines)
+                  if text.split("#", 1)[0].strip()]
+    index = data.draw(st.sampled_from(candidates), label="line index")
+    if kind == "csv":
+        options = dict(csv_mutations(index + 1, lines[index].split(","), roles))
+    else:
+        options = dict(settings_mutations(lines[index], roles))
+    label = data.draw(st.sampled_from(list(options)), label="mutation")
+    new = options[label](data.draw)
+    mutated = list(lines)
+    mutated[index] = ",".join(new) if kind == "csv" else new
+    note(f"{name}:{index + 1}: {label}: {mutated[index]!r}")
+
+    with tempfile.TemporaryDirectory() as root:
+        paths = {}
+        for other, (other_lines, _kind, _roles) in FILES.items():
+            paths[other] = os.path.join(root, other)
+            with open(paths[other], "w") as handle:
+                handle.write("\n".join(mutated if other == name else other_lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            parse(name, paths)
+    assert (info.value.path, info.value.line) == (paths[name], index + 1), str(info.value)
+
+
+def test_unmutated_files_parse():
+    with tempfile.TemporaryDirectory() as root:
+        paths = {}
+        for name, (lines, _kind, _roles) in FILES.items():
+            paths[name] = os.path.join(root, name)
+            with open(paths[name], "w") as handle:
+                handle.write("\n".join(lines) + "\n")
+        for name in FILES:
+            parse(name, paths)

@@ -1,10 +1,15 @@
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gasinertia.ingest import ParseError
+from gasinertia.ingest import (
+    ParseError,
+    parse_states,
+    parse_topology,
+    serialize_states,
+    serialize_topology,
+)
 from gasinertia.model import BAR, ElementKind, GasParams, KNM3H
 from gasinertia.synth import (
     FIXTURES,
@@ -106,31 +111,62 @@ class TestParseScenario:
         assert parse_scenario(write_scenario(tmp_path, text)).name == "line3"
 
     def test_missing_fixture(self, tmp_path):
-        with pytest.raises(ParseError, match="requires a fixture"):
+        with pytest.raises(ParseError, match="requires a fixture") as info:
             parse_scenario(write_scenario(tmp_path, "frames = 3\n"))
+        assert info.value.line == 0
 
     def test_unknown_fixture(self, tmp_path):
-        with pytest.raises(ParseError, match="unknown fixture"):
-            parse_scenario(write_scenario(tmp_path, "fixture = mesh99\n"))
+        with pytest.raises(ParseError, match="unknown fixture") as info:
+            parse_scenario(write_scenario(tmp_path, "# mesh\nfixture = mesh99\n"))
+        assert info.value.line == 2
 
     def test_unknown_key(self, tmp_path):
-        with pytest.raises(ParseError, match="unknown keys"):
+        with pytest.raises(ParseError, match="unknown key 'cadence'") as info:
             parse_scenario(write_scenario(tmp_path, scenario_text(cadence="9")))
+        assert info.value.line == 4
 
     def test_event_node_checked(self, tmp_path):
         text = scenario_text() + "event = zz 1 -5\n"
-        with pytest.raises(ParseError, match="unknown node"):
+        with pytest.raises(ParseError, match="unknown node") as info:
             parse_scenario(write_scenario(tmp_path, text))
+        assert info.value.line == 4
 
     def test_event_frame_checked(self, tmp_path):
-        text = scenario_text() + "event = n3 6 -5\n"
-        with pytest.raises(ParseError, match="outside"):
+        # the range is checked against the frames key, whichever line it is on
+        text = "fixture = line3\nevent = n3 6 -5\nframes = 6\n"
+        with pytest.raises(ParseError, match="outside") as info:
             parse_scenario(write_scenario(tmp_path, text))
+        assert info.value.line == 2
 
     def test_closed_valve_checked(self, tmp_path):
         text = scenario_text() + "closed_valve = np0\n"
-        with pytest.raises(ParseError, match="not a valve"):
+        with pytest.raises(ParseError, match="not a valve") as info:
             parse_scenario(write_scenario(tmp_path, text))
+        assert info.value.line == 4
+
+    @pytest.mark.parametrize("line, message", [
+        ("frames = five", "bad frames 'five'"),
+        ("seed = 1.5", "bad seed '1.5'"),
+        ("noise = low", "bad noise 'low'"),
+        ("temperature_K = warm", "bad temperature_K 'warm'"),
+        ("start = 2026-01-01T00:00:00", "lacks a timezone"),
+        ("start = noon", "invalid ISO 8601"),
+        ("frames = 0", "frames must be positive"),
+        ("temperature_K = -5", "temperature_K must be positive"),
+        ("tau_s = inf", "tau_s must be positive and finite"),
+        ("noise = -0.1", "noise must be non-negative"),
+        ("noise = nan", "noise must be non-negative"),
+        ("seed = -1", "seed must be non-negative"),
+        ("pressure = zz 60", "pressure references unknown node 'zz'"),
+        ("pressure = n3 60", "pressure node 'n3' has an inflow setpoint"),
+        ("pressure = n0", "bad pressure 'n0', expected: node bar"),
+        ("event = n3 2", "bad event 'n3 2', expected: node frame inflow_kNm3h"),
+    ])
+    def test_bad_value_reported_at_its_line(self, tmp_path, line, message):
+        path = write_scenario(tmp_path, f"fixture = line3\n{line}\ntau_s = 60\n")
+        with pytest.raises(ParseError, match=message) as info:
+            parse_scenario(path)
+        assert (info.value.path, info.value.line) == (path, 2)
 
     @pytest.mark.parametrize("line, message", [
         ("rho_n_kgNm3 = 3.0", "outside accepted range"),
@@ -150,6 +186,10 @@ class TestParseScenario:
         assert info.value.path == path
         assert info.value.line == 4
 
+    def test_zero_noise_and_seed_accepted(self, tmp_path):
+        scenario = parse_scenario(write_scenario(tmp_path, scenario_text(noise="0", seed="0")))
+        assert (scenario.noise, scenario.seed) == (0.0, 0)
+
     def test_inflow_at_applies_events_in_order(self, tmp_path):
         text = scenario_text(frames="10") + "event = n3 3 -12\nevent = n3 5 -14\n"
         scenario = parse_scenario(write_scenario(tmp_path, text))
@@ -165,10 +205,10 @@ def make_scenario(tmp_path, text) -> Scenario:
 class TestSimulate:
     def test_timestamps_and_length(self, tmp_path):
         scenario = make_scenario(tmp_path, scenario_text(frames="4"))
-        frames = simulate(scenario)
-        assert len(frames) == 4
-        assert all(b.timestamp - a.timestamp == timedelta(seconds=180)
-                   for a, b in zip(frames, frames[1:]))
+        history = simulate(scenario)
+        assert len(history) == 4
+        assert history.timestamps[0] == scenario.start
+        assert [pair.tau_s for pair in history.pairs()] == [180.0] * 3
 
     def test_reference_pressure_pinned(self, tmp_path):
         scenario = make_scenario(tmp_path, scenario_text())
@@ -207,13 +247,52 @@ class TestSimulate:
         text = scenario_text(frames="5", noise="0.05", seed="3")
         a = simulate(make_scenario(tmp_path, text))
         b = simulate(make_scenario(tmp_path, text))
-        assert a == b
+        assert a.timestamps == b.timestamps
+        for name in ("pressure_pa", "flow_m3s", "valve_open", "rho_n"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_matters_with_noise(self, tmp_path):
         base = scenario_text(frames="5", noise="0.05")
         a = simulate(make_scenario(tmp_path, base + "seed = 1\n"))
         b = simulate(make_scenario(tmp_path, base + "seed = 2\n"))
-        assert a != b
+        assert not np.array_equal(a.flow_m3s, b.flow_m3s, equal_nan=True)
+
+    def test_history_columns(self, tmp_path):
+        scenario = make_scenario(tmp_path, "fixture = funnel50\nframes = 2\n")
+        history = simulate(scenario)
+        network = scenario.network
+        assert history.node_ids == tuple(sorted(network.nodes))
+        assert history.arc_ids == tuple(sorted(network.elements))
+        # actively controlled elements transfer nothing and carry no flow
+        given = {arc_id for arc_id, value in zip(history.arc_ids, history.flow_m3s[1])
+                 if not np.isnan(value)}
+        assert given == {arc_id for arc_id, element in network.elements.items()
+                         if element.kind in (ElementKind.PIPE, ElementKind.VALVE,
+                                             ElementKind.RESISTOR)}
+        assert np.all(history.valve_open == 1.0)
+        assert np.all(history.rho_n == scenario.rho_n_kgm3)
+
+    def test_states_file_parses_to_the_same_history(self, tmp_path):
+        text = "fixture = funnel50\nframes = 3\nnoise = 0.01\nclosed_valve = ev\n" \
+               "pressure = e2 60\n"
+        scenario = make_scenario(tmp_path, text)
+        history = simulate(scenario)
+        serialize_topology(scenario.network, str(tmp_path / "topology.csv"))
+        states = tmp_path / "states.csv"
+        serialize_states(history, str(states))
+        parsed = parse_states(str(states), parse_topology(str(tmp_path / "topology.csv")))
+        assert parsed.timestamps == history.timestamps
+        for name in ("node_ids", "arc_ids", "valve_ids", "pipe_ids"):
+            assert getattr(parsed, name) == getattr(history, name)
+        for name in ("pressure_pa", "flow_m3s", "valve_open", "rho_n"):
+            # NaN where the scenario gives nothing, in both; SI values pass
+            # through file units, which may move the last bit
+            np.testing.assert_allclose(getattr(parsed, name), getattr(history, name),
+                                       rtol=1e-15, atol=0.0, equal_nan=True)
+        assert np.all(parsed.valve_open == 0.0)
+        again = tmp_path / "again.csv"
+        serialize_states(parsed, str(again))
+        assert again.read_bytes() == states.read_bytes()
 
     def test_funnel_smoke(self, tmp_path):
         scenario = make_scenario(tmp_path, "fixture = funnel50\nframes = 3\n")
