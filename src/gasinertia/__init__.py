@@ -18,7 +18,6 @@ from .physics import (
     PipeTable,
     TermRecord,
     compressibility,
-    discretized_pressure_drop,
     friction_factor,
     friction_term_beta,
     inertia_term_alpha,

@@ -53,6 +53,7 @@ from .ingest import (
     HISTORY_SIDECAR,
     PER_10KM,
     ParseError,
+    Terms,
     exclusion_mask,
     format_timestamp,
     load_history,
@@ -183,10 +184,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     diag = Diagnostics()
     diag.missing_data = int(np.count_nonzero(~excluded & lacks_flow)
                             + np.count_nonzero(lacks_pressure))
-    totals = {"total": excluded.size, "excluded": int(np.count_nonzero(excluded)),
-              "missing": diag.missing_data,
-              "below_prefilter": int(np.count_nonzero(below_prefilter)),
-              "evaluated": int(np.count_nonzero(survivor)), "relevant": 0}
 
     # row-major order: pairs chronologically, pipes by id within a pair
     pair_index, position = np.nonzero(survivor)
@@ -197,20 +194,18 @@ def cmd_scan(args: argparse.Namespace) -> int:
     beta = friction_term_beta(table, gas, rho, flow_t1, p_left[survivor], p_right[survivor],
                               diag)
 
-    def rows():
-        # tolist() gives plain floats, which the terms file writes with repr
-        for k, pos, *terms in zip(pair_index.tolist(), position.tolist(), flow_t0.tolist(),
-                                  flow_t1.tolist(), alpha.tolist(), beta.tolist(),
-                                  (alpha / table.length_m).tolist(),
-                                  term_ratio(alpha, beta).tolist()):
-            record = TermRecord(pipe_ids[pos], pairs[k], *terms)
-            relevant = pipe_relevant(record, cfg)
-            totals["relevant"] += relevant
-            yield record, relevant
-
-    # records are written as they are made, never held all at once
-    write_terms(rows(), _out_path(args, "terms.csv"))
+    alpha_per_length = alpha / table.length_m
+    ratio = term_ratio(alpha, beta)
+    relevant = pipe_relevant(alpha_per_length, ratio, cfg)
+    write_terms(Terms(tuple(pairs), pair_index, np.array(pipe_ids)[position], flow_t0, flow_t1,
+                      alpha, beta, alpha_per_length, ratio, relevant),
+                _out_path(args, "terms.csv"))
     save_history(history, _out_path(args, HISTORY_SIDECAR), args.states, args.topology)
+    totals = {"total": excluded.size, "excluded": int(np.count_nonzero(excluded)),
+              "missing": diag.missing_data,
+              "below_prefilter": int(np.count_nonzero(below_prefilter)),
+              "evaluated": int(np.count_nonzero(survivor)),
+              "relevant": int(np.count_nonzero(relevant))}
     print(f"frames: {len(history)}, pairs: {len(pairs)}, pipes: {len(pipe_ids)}")
     print(f"data points: {totals['total']}, excluded: {totals['excluded']}, "
           f"missing: {totals['missing']}, below prefilter: {totals['below_prefilter']}, "
@@ -234,26 +229,41 @@ def cmd_components(args: argparse.Namespace) -> int:
                            args.states, args.topology)
     if history is None:
         history = parse_states(args.states, network)
-    terms = read_terms(args.terms)
+    terms, lines = read_terms(args.terms)
 
     frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
-    # pair -> (line of its first relevant row, its relevant records)
-    grouped: dict[TimePair, tuple[int, list[TermRecord]]] = {}
-    for line, record, relevant in terms:
-        if relevant:
-            grouped.setdefault(record.pair, (line, []))[1].append(record)
+    pipes = set(history.pipe_ids)
+    # pair index -> (frame of its t0, its relevant records by pipe); rows
+    # are checked in file order, so the first bad line is reported
+    grouped: dict[int, tuple[int, dict[str, TermRecord]]] = {}
+    relevant = terms.relevant
+    for line, k, pipe_id, *values in zip(
+            lines[relevant].tolist(), terms.pair_index[relevant].tolist(),
+            terms.pipe_ids[relevant].tolist(),
+            *(column[relevant].tolist() for column in (
+                terms.flow_t0_m3s, terms.flow_t1_m3s, terms.alpha_pa, terms.beta_pa,
+                terms.alpha_per_length_pam, terms.ratio))):
+        if pipe_id not in pipes:
+            raise ParseError(args.terms, line, f"{pipe_id!r} is not a pipe of {args.topology}")
+        pair = terms.pairs[k]
+        if k not in grouped:
+            k0, k1 = (frame_index.get(stamp) for stamp in (pair.t0, pair.t1))
+            span = f"pair {format_timestamp(pair.t0)} .. {format_timestamp(pair.t1)}"
+            if k0 is None or k1 is None:
+                raise ParseError(args.terms, line, f"{span} has no matching states")
+            if k1 != k0 + 1:
+                raise ParseError(args.terms, line,
+                                 f"{span} spans frames {k0} to {k1}, not consecutive frames")
+            grouped[k] = (k0, {})
+        elif pipe_id in grouped[k][1]:
+            raise ParseError(args.terms, line, f"repeated relevant row for pipe {pipe_id!r}")
+        grouped[k][1][pipe_id] = TermRecord(pipe_id, pair, *values)
 
     diag = Diagnostics()
     stream: list[tuple[TimePair, list[Component]]] = []
-    for pair in sorted(grouped, key=lambda p: p.t0):
-        k0 = frame_index.get(pair.t0)
-        k1 = frame_index.get(pair.t1)
-        if k0 is None or k1 is None:
-            raise ParseError(args.terms, grouped[pair][0],
-                             f"pair {format_timestamp(pair.t0)} .. "
-                             f"{format_timestamp(pair.t1)} has no matching states")
-        stream.append((pair, build_pair_components(network, grouped[pair][1], history[k0],
-                                                   history[k1], cfg, diag)))
+    for k, (k0, records) in sorted(grouped.items(), key=lambda item: item[1][0]):
+        stream.append((terms.pairs[k], build_pair_components(
+            network, list(records.values()), history[k0], history[k0 + 1], cfg, diag)))
 
     write_components(stream, _out_path(args, "components.csv"),
                      _out_path(args, "components_pipes.csv"))
@@ -369,10 +379,9 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"{spacing}")
 
     if args.terms:
-        terms = read_terms(args.terms)
-        points = [(record.alpha_per_length_pam / PER_10KM, record.ratio)
-                  for _line, record, _relevant in terms]
-        result = hexbin(points, resolution=args.resolution, min_count=args.min_count)
+        terms, _lines = read_terms(args.terms)
+        result = hexbin(terms.alpha_per_length_pam / PER_10KM, terms.ratio,
+                        resolution=args.resolution, min_count=args.min_count)
         write_table(_out_path(args, "hexbin.csv"), HEXBIN_COLUMNS, hexbin_rows(result))
         binned = sum(b.count for b in result.bins)
         print(f"hexbin: {binned} points in {len(result.bins)} bins, "

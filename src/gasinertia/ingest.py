@@ -34,7 +34,6 @@ from .model import (
     TimePair,
     validate_normal_density,
 )
-from .physics import TermRecord
 
 TOPOLOGY_COLUMNS = ["element_id", "kind", "from_node", "to_node",
                     "length_m", "diameter_m", "roughness_m", "slope"]
@@ -436,60 +435,70 @@ TERMS_COLUMNS = ["t0", "t1", "pipe_id", "flow_t0_kNm3h", "flow_t1_kNm3h",
 PER_10KM = BAR / 10e3
 
 
-def write_terms(records: Iterable[tuple[TermRecord, bool]], path: str) -> None:
-    def rows():
-        pair = None
-        for record, relevant in records:
-            if record.pair != pair:
-                # records come grouped by pair
-                pair = record.pair
-                t0_text, t1_text = format_timestamp(pair.t0), format_timestamp(pair.t1)
-            yield [
-                t0_text,
-                t1_text,
-                record.pipe_id,
-                repr(record.flow_t0_m3s / KNM3H),
-                repr(record.flow_t1_m3s / KNM3H),
-                repr(record.dflow_m3s / KNM3H),
-                repr(record.alpha_pa / BAR),
-                repr(record.beta_pa / BAR),
-                repr(record.alpha_per_length_pam / PER_10KM),
-                repr(record.ratio),
-                "1" if relevant else "0",
-            ]
+@dataclass(frozen=True, eq=False)
+class Terms:
+    """Evaluated data points as columns: one entry per point, in file order
+    (pairs chronologically, pipes by id within a pair when scan wrote them).
 
-    write_table(path, TERMS_COLUMNS, rows())
+    pair_index points into pairs, the distinct analysis pairs; flows are
+    in m^3/s, alpha and beta in Pa, alpha per length in Pa/m.
+    """
+
+    pairs: tuple[TimePair, ...]
+    pair_index: np.ndarray            # int
+    pipe_ids: np.ndarray              # str
+    flow_t0_m3s: np.ndarray
+    flow_t1_m3s: np.ndarray
+    alpha_pa: np.ndarray
+    beta_pa: np.ndarray
+    alpha_per_length_pam: np.ndarray
+    ratio: np.ndarray
+    relevant: np.ndarray              # bool
 
 
-def read_terms(path: str) -> list[tuple[int, TermRecord, bool]]:
-    """(line, record, relevant) for every row of a terms file."""
-    rows: list[tuple[int, TermRecord, bool]] = []
-    stamps: dict[str, datetime] = {}
-    pairs: dict[tuple[str, str], TimePair] = {}
+def write_terms(terms: Terms, path: str) -> None:
+    stamps = [(format_timestamp(pair.t0), format_timestamp(pair.t1)) for pair in terms.pairs]
+    # tolist() gives plain floats, which are written with repr
+    cells = [map(repr, (values / unit).tolist()) for values, unit in (
+        (terms.flow_t0_m3s, KNM3H), (terms.flow_t1_m3s, KNM3H),
+        (terms.flow_t1_m3s - terms.flow_t0_m3s, KNM3H), (terms.alpha_pa, BAR),
+        (terms.beta_pa, BAR), (terms.alpha_per_length_pam, PER_10KM), (terms.ratio, 1.0))]
+    write_table(path, TERMS_COLUMNS, (
+        [*stamps[k], pipe_id, *values, "1" if relevant else "0"]
+        for k, pipe_id, relevant, *values in zip(terms.pair_index.tolist(),
+                                                 terms.pipe_ids.tolist(),
+                                                 terms.relevant.tolist(), *cells)))
 
-    def stamp(text: str, line: int) -> datetime:
-        # each distinct timestamp text is parsed once
-        value = stamps.get(text)
-        if value is None:
-            value = stamps[text] = parse_timestamp(text, path, line)
-        return value
 
+def read_terms(path: str) -> tuple[Terms, np.ndarray]:
+    """The terms of a terms file, and the file line of each row."""
+    # pair texts -> index of their pair; spellings of one instant share it
+    by_text: dict[tuple[str, str], int] = {}
+    by_pair: dict[TimePair, int] = {}
+    lines, pair_index, pipe_ids, numbers, relevant = [], [], [], [], []
     for line, row in read_table(path, TERMS_COLUMNS):
-        pair = pairs.get((row[0], row[1]))
-        if pair is None:
-            pair = pairs[row[0], row[1]] = parse_pair(stamp(row[0], line), stamp(row[1], line),
-                                                      path, line)
+        k = by_text.get((row[0], row[1]))
+        if k is None:
+            pair = parse_pair(parse_timestamp(row[0], path, line),
+                              parse_timestamp(row[1], path, line), path, line)
+            k = by_text[row[0], row[1]] = by_pair.setdefault(pair, len(by_pair))
         try:
-            # the flow change cell is checked, but the record derives it
-            flow_t0, flow_t1, _dflow, alpha, beta, alpha_per_10km, ratio = map(float, row[3:10])
+            # the flow change cell is checked, but Terms derives it
+            numbers.append(list(map(float, row[3:10])))
         except ValueError:
             # cell by cell, to name the first bad column
             for column in range(3, 10):
                 _parse_float(row[column], path, line, TERMS_COLUMNS[column])
             raise
-        record = TermRecord(row[2], pair, flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR,
-                            beta * BAR, alpha_per_10km * PER_10KM, ratio)
         if row[10] not in ("0", "1"):
             raise ParseError(path, line, f"relevant must be 0 or 1, got {row[10]!r}")
-        rows.append((line, record, row[10] == "1"))
-    return rows
+        lines.append(line)
+        pair_index.append(k)
+        pipe_ids.append(row[2])
+        relevant.append(row[10] == "1")
+    flow_t0, flow_t1, _dflow, alpha, beta, alpha_per_10km, ratio = (
+        np.array(numbers, dtype=float).reshape(len(numbers), 7).T)
+    terms = Terms(tuple(by_pair), np.array(pair_index, dtype=int), np.array(pipe_ids, dtype=str),
+                  flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR, beta * BAR,
+                  alpha_per_10km * PER_10KM, ratio, np.array(relevant, dtype=bool))
+    return terms, np.array(lines, dtype=int)

@@ -7,7 +7,7 @@ from the file units (bar, 1000 Nm^3/h) happens once, at the I/O boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from enum import Enum
 import math
@@ -221,11 +221,4 @@ class Diagnostics:
     time_gaps: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "missing_data": self.missing_data,
-            "missing_valve_state": self.missing_valve_state,
-            "missing_resistor_pressure": self.missing_resistor_pressure,
-            "z_clamped": self.z_clamped,
-            "friction_out_of_validity": self.friction_out_of_validity,
-            "time_gaps": self.time_gaps,
-        }
+        return asdict(self)

@@ -203,19 +203,6 @@ def remaining_terms_gamma(geometry: PipeGeometry | PipeTable, gas: GasParams, rh
     return _plain(kinetic + gravity)
 
 
-def discretized_pressure_drop(geometry: PipeGeometry | PipeTable, gas: GasParams,
-                              rho_n_kgm3, tau_s, flow_t0_m3s, flow_t1_m3s,
-                              p_left_pa, p_right_pa, diag: Diagnostics | None = None):
-    """Full discretized drop p_l(t1) - p_r(t1) = alpha + beta + gamma."""
-    pipes = _table(geometry)
-    alpha = inertia_term_alpha(pipes, rho_n_kgm3, tau_s, flow_t0_m3s, flow_t1_m3s)
-    beta = friction_term_beta(pipes, gas, rho_n_kgm3, flow_t1_m3s,
-                              p_left_pa, p_right_pa, diag)
-    gamma = remaining_terms_gamma(pipes, gas, rho_n_kgm3, flow_t1_m3s,
-                                  p_left_pa, p_right_pa, diag)
-    return alpha + beta + gamma
-
-
 def _require_positive_pressures(p_left_pa, p_right_pa) -> None:
     if not np.asarray(np.minimum(p_left_pa, p_right_pa)).min(initial=math.inf) > 0.0:
         raise ValueError(

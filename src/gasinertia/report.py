@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
+import numpy as np
+
 from .model import BAR
 from .components import Component
 from .temporal import OccurrenceRate, occurrence_rate
@@ -53,38 +55,41 @@ class HexBin:
 @dataclass
 class HexBinResult:
     bins: list[HexBin]
-    resolution: float
     suppressed_points: int     # points in bins below min_count
     sentinel_points: int       # points without finite log coordinates
     total_points: int
 
 
-def hex_center(x: float, y: float, resolution: float) -> tuple[float, float]:
-    """Center of the pointy-top hexagon of circumradius r containing (x, y).
+def hex_center(x: np.ndarray, y: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centers of the pointy-top hexagons of circumradius r containing the
+    points (x, y), elementwise.
 
     Row pitch is 1.5 r and column pitch sqrt(3) r with odd rows shifted
     half a column.  The nearest of the 3x3 candidate lattice neighborhood
     wins; exact distance ties go to the lexicographically smallest center.
+    Rounding is half to even.
     """
     dy = 1.5 * resolution
     dx = math.sqrt(3.0) * resolution
-    j0 = round(y / dy)
-    i0 = round(x / dx - 0.5 * (j0 & 1))
-    best: tuple[float, float, float] | None = None
+    # + 0.0 turns a row -0.0 into 0.0, which prints as such
+    j0 = np.rint(y / dy) + 0.0
+    i0 = np.rint(x / dx - 0.5 * (j0 % 2))
+    best = (np.full(x.shape, np.inf), np.zeros(x.shape), np.zeros(x.shape))
     for j in (j0 - 1, j0, j0 + 1):
         cy = j * dy
         for i in (i0 - 1, i0, i0 + 1):
-            cx = (i + 0.5 * (j & 1)) * dx
-            key = ((x - cx) ** 2 + (y - cy) ** 2, cx, cy)
-            if best is None or key < best:
-                best = key
-    assert best is not None
+            cx = (i + 0.5 * (j % 2)) * dx
+            d = np.square(x - cx) + np.square(y - cy)
+            closer = (d < best[0]) | ((d == best[0])
+                                      & ((cx < best[1]) | ((cx == best[1]) & (cy < best[2]))))
+            best = tuple(np.where(closer, new, old) for new, old in zip((d, cx, cy), best))
     return best[1], best[2]
 
 
-def hexbin(points: list[tuple[float, float]], resolution: float = 0.1,
+def hexbin(alpha_per_10km: np.ndarray, ratio: np.ndarray, resolution: float = 0.1,
            min_count: int = 1) -> HexBinResult:
-    """Bin (alpha per 10 km [bar], ratio) pairs in log10-log10 space.
+    """Bin points given as alpha per 10 km [bar] and ratio in log10-log10
+    space.
 
     Points whose coordinates have no finite logarithm (zero or infinite
     ratio, zero alpha) are tallied under sentinel_points instead of being
@@ -97,25 +102,19 @@ def hexbin(points: list[tuple[float, float]], resolution: float = 0.1,
         raise ValueError(f"resolution must be positive, got {resolution}")
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts: dict[tuple[float, float], int] = {}
-    sentinel = 0
-    for alpha_per_10km, ratio in points:
-        magnitude = abs(alpha_per_10km)
-        if not (magnitude > 0.0 and ratio > 0.0
-                and math.isfinite(magnitude) and math.isfinite(ratio)):
-            sentinel += 1
-            continue
-        center = hex_center(math.log10(magnitude), math.log10(ratio), resolution)
-        counts[center] = counts.get(center, 0) + 1
-
-    bins = []
-    suppressed = 0
-    for (cx, cy), count in sorted(counts.items()):
-        if count >= min_count:
-            bins.append(HexBin(cx, cy, count))
-        else:
-            suppressed += count
-    return HexBinResult(bins, resolution, suppressed, sentinel, len(points))
+    magnitude = np.abs(alpha_per_10km)
+    finite = (magnitude > 0.0) & (ratio > 0.0) & np.isfinite(magnitude) & np.isfinite(ratio)
+    # math.log10 is the C library's; numpy's can differ in the last bit
+    # with the CPU's vector extensions, and so move a point across an edge
+    x, y = (np.array([math.log10(v) for v in values[finite].tolist()], dtype=float)
+            for values in (magnitude, ratio))
+    centers, counts = np.unique(np.stack(hex_center(x, y, resolution), axis=1), axis=0,
+                                return_counts=True)
+    kept = counts >= min_count
+    bins = [HexBin(cx, cy, count) for (cx, cy), count
+            in zip(centers[kept].tolist(), counts[kept].tolist())]
+    return HexBinResult(bins, int(counts[~kept].sum()), int(np.count_nonzero(~finite)),
+                        len(alpha_per_10km))
 
 
 SWEEP_COLUMNS = ["threshold_bar", "n_components", "n_pipe_datapoints",

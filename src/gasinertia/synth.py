@@ -217,9 +217,10 @@ def parse_scenario(path: str) -> Scenario:
 
     Recognized keys: fixture, frames, tau_s, temperature_K, rho_n_kgNm3,
     noise, seed, start, closed_valve (repeatable), pressure (node bar,
-    repeatable) and event (node frame inflow_kNm3h, repeatable).  Errors
-    name the line of the offending key; a missing fixture key is reported
-    at line 0.
+    repeatable) and event (node frame inflow_kNm3h, repeatable; any node
+    but a pressure reference, where it makes a new inflow or offtake).
+    Errors name the line of the offending key; a missing fixture key is
+    reported at line 0.
     """
     fixture: tuple[int, str] | None = None
     scalars: dict[str, object] = {}
@@ -278,6 +279,8 @@ def parse_scenario(path: str) -> Scenario:
     for line, event in events:
         if event.node_id not in network.nodes:
             raise ParseError(path, line, f"event references unknown node {event.node_id!r}")
+        if event.node_id in references:
+            raise ParseError(path, line, f"event node {event.node_id!r} is a pressure reference")
         if not 0 <= event.frame_index < scenario.frames:
             raise ParseError(path, line,
                              f"event frame {event.frame_index} outside 0..{scenario.frames - 1}")
@@ -314,7 +317,8 @@ class _System:
         self.node_index = {n: i for i, n in enumerate(self.hydraulic_nodes)}
         self.free_nodes = [n for n in self.hydraulic_nodes
                            if n not in scenario.reference_pressure_pa]
-        self.flow_nodes = sorted(scenario.base_inflow_m3s)
+        self.flow_nodes = sorted(set(scenario.base_inflow_m3s)
+                                 | {event.node_id for event in scenario.events})
         self.free_pos = {n: i for i, n in enumerate(self.free_nodes)}
         for node_id in self.flow_nodes:
             if node_id not in self.free_pos:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .model import BAR, KNM3H, PipeGeometry, derived_area
-from .physics import TermRecord, inertia_term_alpha
+from .physics import inertia_term_alpha
 
 
 class RelevanceClass(IntEnum):
@@ -96,10 +96,10 @@ def classify_absolute(alpha_pa: float, cfg: ThresholdConfig) -> RelevanceClass:
     return RelevanceClass.NONE
 
 
-def pipe_relevant(record: TermRecord, cfg: ThresholdConfig) -> bool:
-    """Per-pipe relevance: length-normalized size and friction ratio."""
-    return (abs(record.alpha_per_length_pam) >= cfg.per_length_min_pam
-            and record.ratio >= cfg.ratio_min)
+def pipe_relevant(alpha_per_length_pam, ratio, cfg: ThresholdConfig):
+    """Per-pipe relevance, elementwise: length-normalized size and friction
+    ratio."""
+    return (abs(alpha_per_length_pam) >= cfg.per_length_min_pam) & (ratio >= cfg.ratio_min)
 
 
 def check_inversion(geometry: PipeGeometry, rho_n_kgm3: float, tau_s: float,

@@ -215,7 +215,8 @@ def brute_hex_center(x: float, y: float, resolution: float) -> tuple[float, floa
         for i in range(ic - 3, ic + 4):
             cx = (i + 0.5 * (j & 1)) * dx
             cy = j * dy
-            key = ((x - cx) ** 2 + (y - cy) ** 2, cx, cy)
+            # squared by a product, which rounds once, like numpy's square
+            key = ((x - cx) * (x - cx) + (y - cy) * (y - cy), cx, cy)
             if best is None or key < best:
                 best = key
     return best[1], best[2]

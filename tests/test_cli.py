@@ -359,6 +359,40 @@ class TestErrors:
         assert (f"{terms}:4: pair 2030-01-01T00:00:00Z .. 2030-01-01T00:03:00Z "
                 "has no matching states") in err
 
+    def run_components_on(self, pipeline, tmp_path, rows):
+        data = pipeline["data"]
+        terms = tmp_path / "terms_edited.csv"
+        with open(terms, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code, stdout, err = run_cli([
+            "components", "--topology", data / "topology.csv",
+            "--states", data / "states.csv", "--terms", terms, "--out", tmp_path])
+        assert code == 1 and stdout == ""
+        return terms, err
+
+    def test_unknown_pipe_reported_at_its_line(self, pipeline, tmp_path):
+        rows = read_csv(pipeline["out"] / "terms.csv")
+        rows[3][2] = "np9"
+        terms, err = self.run_components_on(pipeline, tmp_path, rows)
+        assert (f"{terms}:4: 'np9' is not a pipe of {pipeline['data'] / 'topology.csv'}"
+                in err)
+
+    def test_repeated_relevant_row_reported_at_the_repeat(self, pipeline, tmp_path):
+        rows = read_csv(pipeline["out"] / "terms.csv")
+        # the same pair and pipe, with another timestamp spelling and alpha
+        repeat = [rows[2][0].replace("Z", "+00:00")] + rows[2][1:6] + ["2.0"] + rows[2][7:]
+        terms, err = self.run_components_on(pipeline, tmp_path, rows + [repeat])
+        assert f"{terms}:8: repeated relevant row for pipe '{rows[2][2]}'" in err
+
+    def test_pair_of_frames_not_consecutive(self, pipeline, tmp_path):
+        rows = read_csv(pipeline["out"] / "terms.csv")
+        assert [row[0] for row in rows[4:]] == [format_timestamp(stamp(3))] * 3
+        for row in rows[4:]:
+            row[1] = format_timestamp(stamp(5))
+        terms, err = self.run_components_on(pipeline, tmp_path, rows)
+        assert (f"{terms}:5: pair {format_timestamp(stamp(3))} .. {format_timestamp(stamp(5))} "
+                "spans frames 3 to 5, not consecutive frames") in err
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):
             run_cli(["persistence", "--components", "x.csv", "--out", "y"])

@@ -18,6 +18,7 @@ from gasinertia.ingest import (
     TERMS_COLUMNS,
     TOPOLOGY_COLUMNS,
     History,
+    Terms,
     format_timestamp,
     parse_exclusions,
     parse_states,
@@ -38,7 +39,7 @@ from gasinertia.model import (
     Node,
     PipeGeometry,
 )
-from gasinertia.physics import TermRecord, term_ratio
+from gasinertia.physics import term_ratio
 
 from conftest import BASE_TS, make_pair, stamp
 
@@ -345,40 +346,54 @@ class TestExclusions:
         assert mask[:, 1].tolist() == [True, True, False, True, False]
 
 
-class TestTerms:
-    def make_records(self):
-        out = []
-        for k, alpha in enumerate([0.21 * BAR, -0.034 * BAR]):
-            beta = 3.7 * alpha
-            out.append((TermRecord(
-                pipe_id=f"p{k}",
-                pair=make_pair(k),
-                flow_t0_m3s=100.0 * KNM3H,
-                flow_t1_m3s=(100.0 + 7.3 * (k + 1)) * KNM3H,
-                alpha_pa=alpha,
-                beta_pa=beta,
-                alpha_per_length_pam=alpha / 12_345.0,
-                ratio=term_ratio(alpha, beta),
-            ), k == 0))
-        return out
+def make_terms(pair_index=(0, 1), relevant=(True, False)):
+    """Terms of two points, p0 over pair 0 and p1 over pair 1, repeated
+    along pair_index."""
+    n = len(pair_index)
+    alpha = np.array([0.21 * BAR, -0.034 * BAR] * n)[:n]
+    beta = 3.7 * alpha
+    return Terms((make_pair(0), make_pair(1)), np.array(pair_index),
+                 np.array([f"p{k}" for k in pair_index]), np.full(n, 100.0 * KNM3H),
+                 (100.0 + 7.3 * (np.array(pair_index) + 1)) * KNM3H, alpha, beta,
+                 alpha / 12_345.0, term_ratio(alpha, beta), np.array(relevant))
 
+
+def assert_terms_equal(a, b):
+    assert a.pairs == b.pairs
+    for name in ("pair_index", "pipe_ids", "flow_t0_m3s", "flow_t1_m3s", "alpha_pa", "beta_pa",
+                 "alpha_per_length_pam", "ratio", "relevant"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+
+
+class TestTerms:
     def test_round_trip_exact(self, tmp_path):
-        rows = self.make_records()
+        terms = make_terms()
         path = tmp_path / "terms.csv"
-        write_terms(rows, str(path))
-        back = read_terms(str(path))
-        assert [(record, relevant) for _line, record, relevant in back] == rows
-        assert [line for line, _record, _relevant in back] == [2, 3]
+        write_terms(terms, str(path))
+        back, lines = read_terms(str(path))
+        assert_terms_equal(back, terms)
+        assert lines.tolist() == [2, 3]
 
     def test_infinite_ratio_survives(self, tmp_path):
-        record = TermRecord("p", make_pair(0), 0.0, 1.0, 5.0, 0.0, 5e-4, math.inf)
+        terms = Terms((make_pair(0),), np.array([0, 0]), np.array(["p", "q"]),
+                      np.array([0.0, 1.0]), np.array([1.0, -2.5]), np.array([5.0, 0.0]),
+                      np.array([0.0, 0.0]), np.array([5e-4, 0.0]), np.array([math.inf, 0.0]),
+                      np.array([True, False]))
         path = tmp_path / "terms.csv"
-        write_terms([(record, True)], str(path))
-        assert read_terms(str(path))[0][1].ratio == math.inf
+        write_terms(terms, str(path))
+        back, _lines = read_terms(str(path))
+        assert back.ratio.tolist() == [math.inf, 0.0]
+        assert_terms_equal(back, terms)
+
+    def test_empty_round_trip(self, tmp_path):
+        terms = make_terms(pair_index=(), relevant=())
+        path = tmp_path / "terms.csv"
+        write_terms(terms, str(path))
+        back, lines = read_terms(str(path))
+        assert back.pairs == () and len(back.alpha_pa) == 0 and len(lines) == 0
 
     def test_each_pair_formatted_and_parsed_once(self, tmp_path, monkeypatch):
-        rows = self.make_records()
-        rows = [rows[0], rows[0], rows[1], rows[1], rows[1]]
+        terms = make_terms(pair_index=(0, 0, 1, 1, 1), relevant=(True,) * 5)
         formatted, parsed = [], []
 
         def counting_format(value):
@@ -392,15 +407,26 @@ class TestTerms:
         monkeypatch.setattr(ingest, "format_timestamp", counting_format)
         monkeypatch.setattr(ingest, "parse_timestamp", counting_parse)
         path = tmp_path / "terms.csv"
-        write_terms(rows, str(path))
+        write_terms(terms, str(path))
         assert formatted == [stamp(0), stamp(1), stamp(1), stamp(2)]
-        assert [row[1:] for row in read_terms(str(path))] == rows
-        # pairs 0 and 1 share stamp(1)
-        assert parsed == [format_timestamp(stamp(k)) for k in range(3)]
+        back, _lines = read_terms(str(path))
+        assert_terms_equal(back, terms)
+        # pairs 0 and 1 share stamp(1), which each pair parses
+        assert parsed == [format_timestamp(stamp(k)) for k in (0, 1, 1, 2)]
+
+    def test_spellings_of_one_pair_share_its_index(self, tmp_path):
+        path = tmp_path / "terms.csv"
+        write_terms(make_terms(pair_index=(0, 0), relevant=(True, True)), str(path))
+        text = path.read_text().splitlines()
+        text[2] = text[2].replace("Z,", "+00:00,")
+        path.write_text("\n".join(text) + "\n")
+        back, _lines = read_terms(str(path))
+        assert back.pairs == (make_pair(0),)
+        assert back.pair_index.tolist() == [0, 0]
 
     def test_bad_flow_change_reported_at_its_line(self, tmp_path):
         path = tmp_path / "terms.csv"
-        write_terms(self.make_records(), str(path))
+        write_terms(make_terms(), str(path))
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
         cells[5] = "n/a"
@@ -412,7 +438,7 @@ class TestTerms:
 
     def test_reversed_pair_reported_at_its_line(self, tmp_path):
         path = tmp_path / "terms.csv"
-        write_terms(self.make_records(), str(path))
+        write_terms(make_terms(), str(path))
         lines = path.read_text().splitlines()
         t0, t1, rest = lines[2].split(",", 2)
         lines[2] = ",".join([t1, t0, rest])
@@ -422,9 +448,8 @@ class TestTerms:
         assert info.value.line == 3
 
     def test_bad_timestamp_reported_at_its_line(self, tmp_path):
-        rows = self.make_records()
         path = tmp_path / "terms.csv"
-        write_terms(rows + rows, str(path))
+        write_terms(make_terms(pair_index=(0, 1, 0, 1), relevant=(True,) * 4), str(path))
         lines = path.read_text().splitlines()
         lines[4] = "yesterday" + lines[4][lines[4].index(","):]
         path.write_text("\n".join(lines) + "\n")
@@ -435,7 +460,7 @@ class TestTerms:
     @pytest.mark.parametrize("flag", ["yes", "true", "", "2", " 1"])
     def test_relevant_flag_must_be_zero_or_one(self, tmp_path, flag):
         path = tmp_path / "terms.csv"
-        write_terms(self.make_records(), str(path))
+        write_terms(make_terms(), str(path))
         lines = path.read_text().splitlines()
         lines[2] = lines[2][:lines[2].rindex(",") + 1] + flag
         path.write_text("\n".join(lines) + "\n")

@@ -6,6 +6,11 @@ numeric cell, ``nan`` as a state value, a timestamp without offset, a
 changed header, or (for key = value files) a misspelled key.  The parser
 must raise ``ParseError`` naming that file and that line; any other
 exception fails the test, and so does parsing without an error.
+
+A second property makes edits that are valid cell by cell but contradict
+another line, of the same file or of another one (terms.csv is read by
+the components stage, against topology.csv and states.csv), and requires
+the same.
 """
 
 import os
@@ -14,14 +19,13 @@ import tempfile
 from hypothesis import given, note, settings, strategies as st
 import pytest
 
-from gasinertia.cli import load_config_file
+from gasinertia.cli import build_parser, load_config_file
 from gasinertia.components import read_components
 from gasinertia.ingest import (
     ParseError,
     parse_exclusions,
     parse_states,
     parse_topology,
-    read_terms,
 )
 from gasinertia.synth import parse_scenario
 
@@ -47,6 +51,9 @@ STATES = [
     f"{T[1]},n0,node.pressure_bar,60.0",
     f"{T[1]},p2,arc.flow_kNm3h,-12.5",
     f"{T[1]},v1,valve.open,0",
+    f"{T[2]},n0,node.pressure_bar,60.0",
+    f"{T[3]},n0,node.pressure_bar,60.0",
+    f"{T[3]},p1,arc.flow_kNm3h,121.0",
 ]
 
 EXCLUSIONS = [
@@ -61,6 +68,7 @@ TERMS = [
     f"{T[0]},{T[1]},p1,100.0,107.3,7.3,0.21,0.777,0.17,0.27,1",
     f"{T[0]},{T[1]},p2,50.0,40.0,-10.0,-0.034,0.1,-0.068,0.34,0",
     f"{T[1]},{T[2]},p1,107.3,100.0,-7.3,-0.2,0.7,-0.16,0.28,1",
+    f"{T[1]},{T[2]},p2,40.0,30.0,-10.0,0.3,0.2,0.6,1.5,1",
 ]
 
 COMPONENTS = [
@@ -142,7 +150,11 @@ def parse(name, paths):
     elif name == "exclusions.csv":
         parse_exclusions(paths[name], parse_topology(paths["topology.csv"]))
     elif name == "terms.csv":
-        read_terms(paths[name])
+        # components reads the terms and checks them against the other files
+        args = build_parser().parse_args([
+            "components", "--topology", paths["topology.csv"], "--states", paths["states.csv"],
+            "--terms", paths[name], "--out", os.path.join(os.path.dirname(paths[name]), "out")])
+        args.func(args)
     elif name in ("components.csv", "components_pipes.csv"):
         read_components(paths["components.csv"], paths["components_pipes.csv"])
     elif name == "config.txt":
@@ -214,6 +226,16 @@ def settings_mutations(text, roles):
         yield "non-number", apply
 
 
+def write_files(root, name, mutated):
+    """Every file into root, the one named name with the mutated lines."""
+    paths = {}
+    for other, (other_lines, _kind, _roles) in FILES.items():
+        paths[other] = os.path.join(root, other)
+        with open(paths[other], "w") as handle:
+            handle.write("\n".join(mutated if other == name else other_lines) + "\n")
+    return paths
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_one_bad_line_is_reported_at_that_line(data):
@@ -233,22 +255,86 @@ def test_one_bad_line_is_reported_at_that_line(data):
     note(f"{name}:{index + 1}: {label}: {mutated[index]!r}")
 
     with tempfile.TemporaryDirectory() as root:
-        paths = {}
-        for other, (other_lines, _kind, _roles) in FILES.items():
-            paths[other] = os.path.join(root, other)
-            with open(paths[other], "w") as handle:
-                handle.write("\n".join(mutated if other == name else other_lines) + "\n")
+        paths = write_files(root, name, mutated)
         with pytest.raises(ParseError) as info:
             parse(name, paths)
     assert (info.value.path, info.value.line) == (paths[name], index + 1), str(info.value)
 
 
+def cross_line_edits(name, lines):
+    """(label, edit) for edits that keep every cell valid but contradict
+    another line of the same or another file.  An edit takes draw and
+    returns the new lines and the line number that must be reported.
+    Lines are split into cells at commas; a settings line is one cell."""
+    rows = [text.split(",") for text in lines]
+
+    def at(candidates, change):
+        def edit(draw):
+            k = draw(st.sampled_from(candidates))
+            new = list(lines)
+            new[k] = ",".join(change(draw, rows[k]))
+            return new, k + 1
+        return edit
+
+    if name == "terms.csv":
+        relevant = [k for k in range(1, len(rows)) if rows[k][10] == "1"]
+        next_frame = dict(zip(T, T[1:]))
+
+        def repeat(draw):
+            return lines + [lines[draw(st.sampled_from(relevant))]], len(lines) + 1
+
+        yield "not a pipe", at(relevant, lambda draw, row: row[:2] + [
+            draw(st.sampled_from(["v1", "p9"]))] + row[3:])
+        yield "repeated row", repeat
+        yield "skipped frame", at(relevant, lambda draw, row: [row[0], next_frame[row[1]]]
+                                  + row[2:])
+        yield "reversed pair", at(range(1, len(rows)), lambda draw, row: row[1::-1] + row[2:])
+    elif name == "states.csv":
+        # a row after the first of a later frame, stamped with the first instant
+        later = [k for k, row in enumerate(rows) if k and row[1:] and row[0] != T[0]]
+        yield "earlier instant", at(later[1:], lambda draw, row: [T[0]] + row[1:])
+    elif name == "topology.csv":
+        yield "duplicate id", at(range(2, len(rows)), lambda draw, row: [rows[1][0]] + row[1:])
+    elif name == "exclusions.csv":
+        yield "reversed window", at(range(1, len(rows)), lambda draw, row: [row[0], row[2],
+                                                                            row[1]])
+        yield "not a pipe", at(range(1, len(rows)), lambda draw, row: ["v1"] + row[1:])
+    elif name == "components.csv":
+        yield "duplicate id", at(range(2, len(rows)), lambda draw, row: row[:2] + [rows[1][2]]
+                                 + row[3:])
+        yield "reversed pair", at(range(1, len(rows)), lambda draw, row: row[1::-1] + row[2:])
+    elif name == "components_pipes.csv":
+        yield "no such component", at(range(1, len(rows)), lambda draw, row: ["9", row[1]])
+    elif name == "case.scn":
+        event = next(k for k, text in enumerate(lines) if text.startswith("event"))
+        pressure = next(k for k, text in enumerate(lines) if text.startswith("pressure"))
+        yield "event at a reference", at([event], lambda draw, cells: [
+            f"event = {draw(st.sampled_from(['a0', 'g0']))} 5 -30"])
+        yield "event after the last frame", at([event], lambda draw, cells: ["event = b1 12 -30"])
+        yield "pressure at an inflow node", at([pressure], lambda draw, cells: [
+            "pressure = a15 61"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_line_contradicting_another_is_reported_at_that_line(data):
+    name = data.draw(st.sampled_from([name for name in sorted(FILES)
+                                      if any(cross_line_edits(name, FILES[name][0]))]),
+                     label="file")
+    options = dict(cross_line_edits(name, FILES[name][0]))
+    label = data.draw(st.sampled_from(sorted(options)), label="mutation")
+    mutated, line = options[label](data.draw)
+    note(f"{name}:{line}: {label}: {mutated[line - 1]!r}")
+
+    with tempfile.TemporaryDirectory() as root:
+        paths = write_files(root, name, mutated)
+        with pytest.raises(ParseError) as info:
+            parse(name, paths)
+    assert (info.value.path, info.value.line) == (paths[name], line), str(info.value)
+
+
 def test_unmutated_files_parse():
     with tempfile.TemporaryDirectory() as root:
-        paths = {}
-        for name, (lines, _kind, _roles) in FILES.items():
-            paths[name] = os.path.join(root, name)
-            with open(paths[name], "w") as handle:
-                handle.write("\n".join(lines) + "\n")
+        paths = write_files(root, None, None)
         for name in FILES:
             parse(name, paths)

@@ -1,6 +1,7 @@
 import math
+import sys
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
@@ -10,7 +11,6 @@ from gasinertia.physics import (
     RE_LAMINAR_LIMIT,
     Z_FLOOR,
     compressibility,
-    discretized_pressure_drop,
     friction_factor,
     friction_term_beta,
     inertia_term_alpha,
@@ -151,21 +151,6 @@ class TestTerms:
         gamma = remaining_terms_gamma(GEOM, GAS, RHO_N, 0.0, self.P_L, self.P_R)
         assert gamma == pytest.approx(93875.38635987548, rel=1e-13)
 
-    def test_drop_is_sum_of_terms(self):
-        drop = discretized_pressure_drop(GEOM, GAS, RHO_N, 180.0,
-                                         self.FLOW_T0, 1000.0 * KNM3H,
-                                         self.P_L, self.P_R)
-        alpha = inertia_term_alpha(GEOM, RHO_N, 180.0, self.FLOW_T0, 1000.0 * KNM3H)
-        beta = friction_term_beta(GEOM, GAS, RHO_N, 1000.0 * KNM3H, self.P_L, self.P_R)
-        gamma = remaining_terms_gamma(GEOM, GAS, RHO_N, 1000.0 * KNM3H, self.P_L, self.P_R)
-        assert drop == alpha + beta + gamma
-
-    def test_drop_reference(self):
-        drop = discretized_pressure_drop(GEOM, GAS, RHO_N, 180.0,
-                                         900.0 * KNM3H, 1000.0 * KNM3H,
-                                         self.P_L, self.P_R)
-        assert drop == pytest.approx(1328627.0172400693, rel=1e-13)
-
     def test_pressures_must_be_positive(self):
         with pytest.raises(ValueError):
             friction_term_beta(GEOM, GAS, RHO_N, 1.0, 0.0, self.P_R)
@@ -238,10 +223,15 @@ class TestArrayKernel:
         st.floats(0.55, 1.3),
         st.one_of(st.just(0.0), st.floats(1.0, 2300.0), st.floats(2340.0, 1e8),
                   st.floats(-1e8, -2340.0)),
-        st.floats(-10.0, 10.0), st.floats(1e5, 250e5), st.floats(1e5, 250e5),
-        st.floats(1.0, 3600.0))
+        # a subnormal dQ carries too few significant bits for a relative
+        # comparison: at 5e-324 the kernel's alpha is 5.114e-321, the
+        # oracle's 5.11e-321
+        st.floats(-10.0, 10.0, allow_subnormal=False), st.floats(1e5, 250e5),
+        st.floats(1e5, 250e5), st.floats(1.0, 3600.0))
 
     @given(st.lists(point, min_size=1, max_size=8), st.sampled_from([172.8, 283.15]))
+    # the smallest normal dQ, on the zero-flow branch
+    @example([(1000.0, 1.0, 0.0, 0.8125, 0.0, sys.float_info.min, 1e5, 1e5, 1.0)], 172.8)
     def test_matches_oracle(self, points, temperature_k):
         self.check(points, GasParams(temperature_k=temperature_k))
 

@@ -1,6 +1,7 @@
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from gasinertia.model import BAR, SECONDS_PER_DAY
@@ -72,52 +73,101 @@ class TestSweep:
         assert empty[0][4] == "inf"
 
 
+def centers(x, y, resolution):
+    """hex_center over lists, as a list of (cx, cy) reprs."""
+    cx, cy = hex_center(np.array(x, dtype=float), np.array(y, dtype=float), resolution)
+    return [(repr(a), repr(b)) for a, b in zip(cx.tolist(), cy.tolist())]
+
+
+def brute_hex_center_repr(x, y, resolution):
+    return tuple(repr(value) for value in brute_hex_center(x, y, resolution))
+
+
+@st.composite
+def lattice_points(draw):
+    """Points drawn at random, at hexagon centres, at midpoints between
+    adjacent centres and at hexagon vertices, where distances tie."""
+    resolution = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    kind = draw(st.sampled_from(["free", "center", "midpoint", "vertex"]))
+    if kind == "free":
+        return (draw(st.floats(min_value=-8.0, max_value=8.0)),
+                draw(st.floats(min_value=-8.0, max_value=8.0)), resolution)
+    dx, dy = math.sqrt(3.0) * resolution, 1.5 * resolution
+    i, j = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    cx, cy = (i + 0.5 * (j & 1)) * dx, j * dy
+    if kind == "center":
+        return cx, cy, resolution
+    if kind == "midpoint":
+        # one of the six neighbours; rows shift by half a column
+        di, dj = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (-1, -1)]))
+        if dj:
+            di += j & 1
+        nx, ny = (i + di + 0.5 * ((j + dj) & 1)) * dx, (j + dj) * dy
+        return 0.5 * (cx + nx), 0.5 * (cy + ny), resolution
+    ox, oy = draw(st.sampled_from([(0.0, 1.0), (0.0, -1.0), (0.5, 0.5), (0.5, -0.5),
+                                   (-0.5, 0.5), (-0.5, -0.5)]))
+    return cx + ox * dx, cy + oy * resolution, resolution
+
+
 class TestHexCenter:
     def test_origin(self):
-        assert hex_center(0.0, 0.0, 0.1) == (0.0, 0.0)
+        assert centers([0.0], [0.0], 0.1) == [("0.0", "0.0")]
 
     def test_odd_row_offset(self):
         dx = math.sqrt(3.0) * 0.1
-        cx, cy = hex_center(0.5 * dx, 0.15, 0.1)
-        assert cy == pytest.approx(0.15)
-        assert cx == pytest.approx(0.5 * dx)
+        cx, cy = hex_center(np.array([0.5 * dx]), np.array([0.15]), 0.1)
+        assert cy[0] == pytest.approx(0.15)
+        assert cx[0] == pytest.approx(0.5 * dx)
 
-    @given(st.floats(min_value=-8.0, max_value=8.0),
-           st.floats(min_value=-8.0, max_value=8.0),
-           st.sampled_from([0.05, 0.1, 0.25]))
-    def test_matches_brute_search(self, x, y, resolution):
-        assert hex_center(x, y, resolution) == brute_hex_center(x, y, resolution)
+    def test_no_negative_zero(self):
+        # np.rint(-0.2) is -0.0, which would print as a different centre
+        assert centers([-0.02, 0.02, -0.02], [-0.02, -0.02, 0.02], 0.1) == [("0.0", "0.0")] * 3
 
-    @given(st.floats(min_value=-8.0, max_value=8.0),
-           st.floats(min_value=-8.0, max_value=8.0))
-    def test_within_circumradius(self, x, y):
-        resolution = 0.1
-        cx, cy = hex_center(x, y, resolution)
-        assert math.hypot(x - cx, y - cy) <= resolution * (1.0 + 1e-9)
+    @settings(max_examples=300)
+    @given(st.lists(lattice_points(), min_size=1, max_size=20))
+    def test_matches_brute_search(self, points):
+        for resolution in {r for _, _, r in points}:
+            xs = [x for x, _, r in points if r == resolution]
+            ys = [y for _, y, r in points if r == resolution]
+            assert centers(xs, ys, resolution) == [brute_hex_center_repr(x, y, resolution)
+                                                   for x, y in zip(xs, ys)]
+
+    @given(st.lists(st.tuples(st.floats(min_value=-8.0, max_value=8.0),
+                              st.floats(min_value=-8.0, max_value=8.0)), min_size=1))
+    def test_within_circumradius(self, points):
+        x, y = np.array(points).T
+        cx, cy = hex_center(x, y, 0.1)
+        assert (np.hypot(x - cx, y - cy) <= 0.1 * (1.0 + 1e-9)).all()
+
+
+def bin_points(points, **kwargs):
+    """hexbin over (alpha per 10 km, ratio) tuples."""
+    alpha, ratio = np.array(points, dtype=float).reshape(len(points), 2).T
+    return hexbin(alpha, ratio, **kwargs)
 
 
 class TestHexbin:
     def test_basic_binning(self):
         # both points sit in the unit-log hexagon at (log10 1, log10 1)
-        result = hexbin([(1.0, 1.0), (1.01, 0.99)], resolution=0.1)
+        result = bin_points([(1.0, 1.0), (1.01, 0.99)], resolution=0.1)
         assert result.bins == [HexBin(0.0, 0.0, 2)]
         assert result.total_points == 2
         assert result.sentinel_points == 0
         assert result.suppressed_points == 0
 
     def test_sign_of_alpha_ignored(self):
-        result = hexbin([(-1.0, 1.0)], resolution=0.1)
+        result = bin_points([(-1.0, 1.0)], resolution=0.1)
         assert result.bins == [HexBin(0.0, 0.0, 1)]
 
     def test_sentinels(self):
         points = [(0.0, 1.0), (1.0, 0.0), (1.0, math.inf), (math.nan, 1.0)]
-        result = hexbin(points)
+        result = bin_points(points)
         assert result.bins == []
         assert result.sentinel_points == 4
 
     def test_min_count_suppression_conserves(self):
         points = [(1.0, 1.0), (1.0, 1.0), (100.0, 100.0)]
-        result = hexbin(points, min_count=2)
+        result = bin_points(points, min_count=2)
         assert [b.count for b in result.bins] == [2]
         assert result.suppressed_points == 1
         binned = sum(b.count for b in result.bins)
@@ -128,20 +178,31 @@ class TestHexbin:
         st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
         st.floats(min_value=0.0, max_value=1e3, allow_nan=False)), max_size=60))
     def test_conservation_property(self, points):
-        result = hexbin(points, resolution=0.2, min_count=2)
+        result = bin_points(points, resolution=0.2, min_count=2)
         binned = sum(b.count for b in result.bins)
         assert binned + result.suppressed_points + result.sentinel_points \
             == result.total_points
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            hexbin([], resolution=0.0)
+            bin_points([], resolution=0.0)
         with pytest.raises(ValueError):
-            hexbin([], min_count=0)
+            bin_points([], min_count=0)
 
     def test_rows_sorted_and_formatted(self):
-        result = hexbin([(100.0, 100.0), (1.0, 1.0)], resolution=0.1)
+        result = bin_points([(100.0, 100.0), (1.0, 1.0), (0.5, 3.0)], resolution=0.1)
         rows = hexbin_rows(result)
-        assert len(rows) == 2
-        assert [r[2] for r in rows] == ["1", "1"]
+        assert len(rows) == 3
+        assert [r[2] for r in rows] == ["1", "1", "1"]
         assert rows == sorted(rows, key=lambda r: (float(r[0]), float(r[1])))
+
+    @given(st.lists(st.tuples(st.floats(min_value=1e-6, max_value=1e6),
+                              st.floats(min_value=1e-6, max_value=1e6)), max_size=40))
+    def test_counts_match_point_by_point_binning(self, points):
+        result = bin_points(points, resolution=0.25)
+        expected = {}
+        for alpha, ratio in points:
+            key = brute_hex_center(math.log10(alpha), math.log10(ratio), 0.25)
+            expected[key] = expected.get(key, 0) + 1
+        assert [(b.cx, b.cy, b.count) for b in result.bins] == [
+            (cx, cy, count) for (cx, cy), count in sorted(expected.items())]

@@ -131,6 +131,16 @@ class TestParseScenario:
             parse_scenario(write_scenario(tmp_path, text))
         assert info.value.line == 4
 
+    @pytest.mark.parametrize("text, line", [
+        (scenario_text() + "event = n0 2 -50\n", 4),
+        (scenario_text() + "pressure = n1 59\nevent = n1 2 -50\n", 5)],
+        ids=["fixture reference", "scenario reference"])
+    def test_event_at_pressure_reference_rejected(self, tmp_path, text, line):
+        with pytest.raises(ParseError, match="event node '(n0|n1)' is a pressure reference") \
+                as info:
+            parse_scenario(write_scenario(tmp_path, text))
+        assert info.value.line == line
+
     def test_event_frame_checked(self, tmp_path):
         # the range is checked against the frames key, whichever line it is on
         text = "fixture = line3\nevent = n3 6 -5\nframes = 6\n"
@@ -242,6 +252,18 @@ class TestSimulate:
         assert frames[4].arc_flow_m3s["np0"] == pytest.approx(10.0 * KNM3H, rel=1e-9)
         assert frames[5].arc_flow_m3s["np0"] == pytest.approx(16.0 * KNM3H, rel=1e-6)
         assert frames[7].arc_flow_m3s["np0"] == pytest.approx(16.0 * KNM3H, rel=1e-9)
+
+    def test_event_on_node_without_inflow(self, tmp_path):
+        # n1 has no base inflow; the event makes it an offtake from frame 2
+        base = simulate(make_scenario(tmp_path, scenario_text()))
+        scenario = make_scenario(tmp_path, scenario_text() + "event = n1 2 -50\n")
+        history = simulate(scenario)
+        assert np.array_equal(history.flow_m3s[:2], base.flow_m3s[:2])
+        assert (history.flow_m3s[2:] != base.flow_m3s[2:]).any(axis=1).all()
+        assert history[5].arc_flow_m3s["np0"] == pytest.approx(60.0 * KNM3H, rel=1e-6)
+        for k, frame in enumerate(history):
+            for node, balance in node_balances(scenario, frame, k).items():
+                assert abs(balance) < BALANCE_TOL, (k, node)
 
     def test_deterministic(self, tmp_path):
         text = scenario_text(frames="5", noise="0.05", seed="3")

@@ -1,10 +1,9 @@
-import math
-
 from hypothesis import given, strategies as st
+import numpy as np
 import pytest
 
-from gasinertia.model import BAR, KNM3H, GasParams, PipeGeometry, TimePair
-from gasinertia.physics import TermRecord
+from gasinertia.model import BAR, KNM3H, GasParams, PipeGeometry
+from gasinertia.physics import term_ratio
 from gasinertia.thresholds import (
     RelevanceClass,
     ThresholdConfig,
@@ -15,21 +14,11 @@ from gasinertia.thresholds import (
     prefilter,
 )
 
-from conftest import make_pair
 
-
-def record_with(alpha_pa: float, beta_pa: float, length_m: float = 10_000.0) -> TermRecord:
-    ratio = (abs(alpha_pa) / abs(beta_pa)) if beta_pa else (math.inf if alpha_pa else 0.0)
-    return TermRecord(
-        pipe_id="p",
-        pair=make_pair(0),
-        flow_t0_m3s=0.0,
-        flow_t1_m3s=1.0,
-        alpha_pa=alpha_pa,
-        beta_pa=beta_pa,
-        alpha_per_length_pam=alpha_pa / length_m,
-        ratio=ratio,
-    )
+def relevance(alpha_pa, beta_pa, cfg, length_m: float = 10_000.0) -> list[bool]:
+    """pipe_relevant over arrays of alpha and beta on pipes of one length."""
+    alpha, beta = np.array(alpha_pa, dtype=float), np.array(beta_pa, dtype=float)
+    return pipe_relevant(alpha / length_m, term_ratio(alpha, beta), cfg).tolist()
 
 
 class TestConfig:
@@ -120,22 +109,21 @@ class TestPrefilter:
 class TestPipeRelevance:
     def test_both_conditions_required(self):
         cfg = ThresholdConfig()
-        # per-length passes (0.5 Pa/m), ratio passes
-        assert pipe_relevant(record_with(5000.0, 1000.0), cfg)
-        # ratio too small
-        assert not pipe_relevant(record_with(5000.0, 1e7), cfg)
+        # per-length passes (0.5 Pa/m) and ratio passes; ratio too small;
         # per-length too small: 10 Pa over 10 km
-        assert not pipe_relevant(record_with(10.0, 1.0), cfg)
+        assert relevance([5000.0, 5000.0, 10.0], [1000.0, 1e7, 1.0], cfg) == [True, False, False]
 
     def test_sign_ignored(self):
         cfg = ThresholdConfig()
-        assert pipe_relevant(record_with(-5000.0, 1000.0), cfg)
+        assert relevance([-5000.0, 5000.0], [1000.0, -1000.0], cfg) == [True, True]
 
     def test_zero_friction_sentinel_is_relevant(self):
         cfg = ThresholdConfig()
-        assert pipe_relevant(record_with(5000.0, 0.0), cfg)
+        assert relevance([5000.0, 0.0], [0.0, 0.0], cfg) == [True, False]
 
     def test_boundary_inclusive(self):
         cfg = ThresholdConfig()
-        alpha = cfg.per_length_min_pam * 10_000.0
-        assert pipe_relevant(record_with(alpha, alpha / cfg.ratio_min), cfg)
+        size, ratio = cfg.per_length_min_pam, cfg.ratio_min
+        assert pipe_relevant(np.array([size, -size, np.nextafter(size, 0.0), size]),
+                             np.array([ratio, ratio, ratio, np.nextafter(ratio, 0.0)]),
+                             cfg).tolist() == [True, True, False, False]
