@@ -43,7 +43,6 @@ from .components import (
 )
 from .temporal import (
     ComponentChain,
-    EventSeries,
     OccurrenceRate,
     component_chains,
     datapoint_share,

@@ -229,41 +229,26 @@ def cmd_components(args: argparse.Namespace) -> int:
                            args.states, args.topology)
     if history is None:
         history = parse_states(args.states, network)
-    terms, lines = read_terms(args.terms)
+    terms = read_terms(args.terms, history)
 
-    frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
-    pipes = set(history.pipe_ids)
-    # pair index -> (frame of its t0, its relevant records by pipe); rows
-    # are checked in file order, so the first bad line is reported
-    grouped: dict[int, tuple[int, dict[str, TermRecord]]] = {}
+    # pair index -> its relevant records, in file order
+    grouped: dict[int, list[TermRecord]] = {}
     relevant = terms.relevant
-    for line, k, pipe_id, *values in zip(
-            lines[relevant].tolist(), terms.pair_index[relevant].tolist(),
-            terms.pipe_ids[relevant].tolist(),
+    for k, pipe_id, *values in zip(
+            terms.pair_index[relevant].tolist(), terms.pipe_ids[relevant].tolist(),
             *(column[relevant].tolist() for column in (
                 terms.flow_t0_m3s, terms.flow_t1_m3s, terms.alpha_pa, terms.beta_pa,
                 terms.alpha_per_length_pam, terms.ratio))):
-        if pipe_id not in pipes:
-            raise ParseError(args.terms, line, f"{pipe_id!r} is not a pipe of {args.topology}")
-        pair = terms.pairs[k]
-        if k not in grouped:
-            k0, k1 = (frame_index.get(stamp) for stamp in (pair.t0, pair.t1))
-            span = f"pair {format_timestamp(pair.t0)} .. {format_timestamp(pair.t1)}"
-            if k0 is None or k1 is None:
-                raise ParseError(args.terms, line, f"{span} has no matching states")
-            if k1 != k0 + 1:
-                raise ParseError(args.terms, line,
-                                 f"{span} spans frames {k0} to {k1}, not consecutive frames")
-            grouped[k] = (k0, {})
-        elif pipe_id in grouped[k][1]:
-            raise ParseError(args.terms, line, f"repeated relevant row for pipe {pipe_id!r}")
-        grouped[k][1][pipe_id] = TermRecord(pipe_id, pair, *values)
+        grouped.setdefault(k, []).append(TermRecord(pipe_id, terms.pairs[k], *values))
 
+    # read_terms checked that every pair is two consecutive frames
+    frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
     diag = Diagnostics()
     stream: list[tuple[TimePair, list[Component]]] = []
-    for k, (k0, records) in sorted(grouped.items(), key=lambda item: item[1][0]):
+    for k in sorted(grouped, key=lambda index: terms.pairs[index].t0):
+        k0 = frame_index[terms.pairs[k].t0]
         stream.append((terms.pairs[k], build_pair_components(
-            network, list(records.values()), history[k0], history[k0 + 1], cfg, diag)))
+            network, grouped[k], history[k0], history[k0 + 1], cfg, diag)))
 
     write_components(stream, _out_path(args, "components.csv"),
                      _out_path(args, "components_pipes.csv"))
@@ -379,7 +364,7 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"{spacing}")
 
     if args.terms:
-        terms, _lines = read_terms(args.terms)
+        terms = read_terms(args.terms)
         result = hexbin(terms.alpha_per_length_pam / PER_10KM, terms.ratio,
                         resolution=args.resolution, min_count=args.min_count)
         write_table(_out_path(args, "hexbin.csv"), HEXBIN_COLUMNS, hexbin_rows(result))

@@ -258,14 +258,21 @@ def read_components(path: str, members_path: str
                     ) -> list[tuple[TimePair, list[Component]]]:
     """Rebuild a component stream from its CSV form and member list.
 
-    Every member row must name a component of the components file, and
-    every component must have n_pipes member rows.
+    Rows come pair by pair in time order: a pair may not start before the
+    previous row's pair ends.  Every member row must name a component of
+    the components file, and every component must have n_pipes member rows.
     """
     # component id -> (line, n_pipes, component without its pipes)
     parsed: dict[str, tuple[int, int, Component]] = {}
+    previous: TimePair | None = None
     for line, row in read_table(path, COMPONENTS_COLUMNS):
         pair = parse_pair(parse_timestamp(row[0], path, line),
                           parse_timestamp(row[1], path, line), path, line)
+        if previous is not None and pair != previous and pair.t0 < previous.t1:
+            raise ParseError(path, line, f"pair {row[0]} .. {row[1]} starts before the "
+                                         f"previous row's pair ends at "
+                                         f"{format_timestamp(previous.t1)}")
+        previous = pair
         if row[2] in parsed:
             raise ParseError(path, line, f"duplicate component id {row[2]!r}")
         try:

@@ -470,17 +470,34 @@ def write_terms(terms: Terms, path: str) -> None:
                                                  terms.relevant.tolist(), *cells)))
 
 
-def read_terms(path: str) -> tuple[Terms, np.ndarray]:
-    """The terms of a terms file, and the file line of each row."""
+def read_terms(path: str, history: History | None = None) -> Terms:
+    """The terms of a terms file, in which a pair and pipe appear once.
+
+    Given the history the terms were computed from, every row must also
+    name one of its pipes and a pair of two of its consecutive frames.
+    Rows are checked in file order, so the first bad line is reported.
+    """
     # pair texts -> index of their pair; spellings of one instant share it
     by_text: dict[tuple[str, str], int] = {}
     by_pair: dict[TimePair, int] = {}
-    lines, pair_index, pipe_ids, numbers, relevant = [], [], [], [], []
+    seen: set[tuple[int, str]] = set()
+    if history is not None:
+        frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
+        pipes = set(history.pipe_ids)
+    pair_index, pipe_ids, numbers, relevant = [], [], [], []
     for line, row in read_table(path, TERMS_COLUMNS):
         k = by_text.get((row[0], row[1]))
         if k is None:
             pair = parse_pair(parse_timestamp(row[0], path, line),
                               parse_timestamp(row[1], path, line), path, line)
+            if pair not in by_pair and history is not None:
+                k0, k1 = (frame_index.get(stamp) for stamp in (pair.t0, pair.t1))
+                span = f"pair {format_timestamp(pair.t0)} .. {format_timestamp(pair.t1)}"
+                if k0 is None or k1 is None:
+                    raise ParseError(path, line, f"{span} has no matching states")
+                if k1 != k0 + 1:
+                    raise ParseError(path, line,
+                                     f"{span} spans frames {k0} to {k1}, not consecutive frames")
             k = by_text[row[0], row[1]] = by_pair.setdefault(pair, len(by_pair))
         try:
             # the flow change cell is checked, but Terms derives it
@@ -492,13 +509,17 @@ def read_terms(path: str) -> tuple[Terms, np.ndarray]:
             raise
         if row[10] not in ("0", "1"):
             raise ParseError(path, line, f"relevant must be 0 or 1, got {row[10]!r}")
-        lines.append(line)
+        if history is not None and row[2] not in pipes:
+            raise ParseError(path, line, f"{row[2]!r} is not a pipe of the topology")
+        if (k, row[2]) in seen:
+            raise ParseError(path, line,
+                             f"repeated row for pipe {row[2]!r} and pair {row[0]} .. {row[1]}")
+        seen.add((k, row[2]))
         pair_index.append(k)
         pipe_ids.append(row[2])
         relevant.append(row[10] == "1")
     flow_t0, flow_t1, _dflow, alpha, beta, alpha_per_10km, ratio = (
         np.array(numbers, dtype=float).reshape(len(numbers), 7).T)
-    terms = Terms(tuple(by_pair), np.array(pair_index, dtype=int), np.array(pipe_ids, dtype=str),
-                  flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR, beta * BAR,
-                  alpha_per_10km * PER_10KM, ratio, np.array(relevant, dtype=bool))
-    return terms, np.array(lines, dtype=int)
+    return Terms(tuple(by_pair), np.array(pair_index, dtype=int), np.array(pipe_ids, dtype=str),
+                 flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR, beta * BAR,
+                 alpha_per_10km * PER_10KM, ratio, np.array(relevant, dtype=bool))

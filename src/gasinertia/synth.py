@@ -10,10 +10,13 @@ previous frame and every free node balances its flows.  Open valves equalize end
 pressures, resistors add a small quadratic drop, closed valves block
 flow, and actively controlled elements transfer nothing.
 
-The solver is a damped Newton iteration on a vectorized residual with a
-finite-difference Jacobian that is reused while it keeps working.
-Frames whose residual is already converged are emitted without a solve,
-so long quiet stretches cost one function evaluation per frame.
+The solver is a damped Newton iteration on a vectorized residual.  Every
+iteration takes a fresh forward-difference Jacobian: unknowns that share
+no residual row are perturbed together (Curtis, Powell & Reid 1974), so
+one costs a handful of residual calls however large the network, and
+meshed networks converge as chains do.  Frames whose residual is already
+converged are emitted without a solve, so long quiet stretches cost one
+function evaluation per frame.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ RESISTOR_DROP_COEFF = 1.0e3
 
 NEWTON_TOL = 1.0e-11
 NEWTON_MAX_ITER = 50
-# a cached Jacobian is refreshed when the entry residual exceeds this
-JACOBIAN_REFRESH_NORM = 1.0e-4
 
 DEFAULT_START = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
@@ -366,6 +367,25 @@ class _System:
             if element.to_node in self.free_pos:
                 self.incidence[self.free_pos[element.to_node], col] += 1.0
 
+        # rows each unknown enters (residual rows follow passive, then the
+        # balances): an arc row through its free end pressures and its own
+        # flow, a balance row through the flows of its arcs
+        ends = self.incidence != 0.0
+        self.pattern = np.block([[ends.T, np.eye(len(passive), dtype=bool)],
+                                 [np.zeros((self.n_free, self.n_free), dtype=bool), ends]])
+        # greedy grouping: no two unknowns of a group enter the same row
+        self.groups: list[list[int]] = []
+        taken: list[np.ndarray] = []
+        for i, rows in enumerate(self.pattern.T):
+            for group, used in zip(self.groups, taken):
+                if not (used & rows).any():
+                    group.append(i)
+                    used |= rows
+                    break
+            else:
+                self.groups.append([i])
+                taken.append(rows.copy())
+
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         a = self.n_free
         b = a + self.n_pipe
@@ -402,52 +422,36 @@ class _System:
             parts.append(inflow + self.incidence @ flows)
         return np.concatenate(parts)
 
-
-def _fd_jacobian(system: _System, x: np.ndarray, r0: np.ndarray,
-                 q_prev: np.ndarray | None, tau_s: float,
-                 inflow: np.ndarray) -> np.ndarray:
-    n = x.size
-    jac = np.empty((r0.size, n))
-    scale = np.ones(n)
-    scale[:system.n_free] = BAR
-    for i in range(n):
-        h = 1e-7 * max(abs(x[i]), scale[i])
-        xp = x.copy()
-        xp[i] += h
-        jac[:, i] = (system.residual(xp, q_prev, tau_s, inflow) - r0) / h
-    return jac
+    def jacobian(self, x: np.ndarray, r: np.ndarray, q_prev: np.ndarray | None,
+                 tau_s: float, inflow: np.ndarray) -> np.ndarray:
+        """Forward differences at x, whose residual is r: one residual call
+        per group, each column filled on the rows its unknown enters."""
+        scale = np.ones(x.size)
+        scale[:self.n_free] = BAR
+        h = 1e-7 * np.maximum(np.abs(x), scale)
+        jac = np.zeros((r.size, x.size))
+        for group in self.groups:
+            xp = x.copy()
+            xp[group] += h[group]
+            dr = self.residual(xp, q_prev, tau_s, inflow) - r
+            jac[:, group] = np.where(self.pattern[:, group], dr[:, None] / h[group], 0.0)
+        return jac
 
 
 def _solve_frame(system: _System, x: np.ndarray, q_prev: np.ndarray | None,
-                 tau_s: float, inflow: np.ndarray, frame_index: int,
-                 jac_cache: list) -> np.ndarray:
+                 tau_s: float, inflow: np.ndarray, frame_index: int) -> np.ndarray:
     r = system.residual(x, q_prev, tau_s, inflow)
     norm = float(np.max(np.abs(r)))
     if norm < NEWTON_TOL:
         return x
-
-    def refresh() -> np.ndarray:
-        jac = _fd_jacobian(system, x, r, q_prev, tau_s, inflow)
-        jac_cache[:] = [jac]
-        return jac
-
-    # small residuals track well on the cached Jacobian of earlier frames
-    if jac_cache and norm <= JACOBIAN_REFRESH_NORM:
-        jac = jac_cache[0]
-        fresh = False
-    else:
-        jac = refresh()
-        fresh = True
-
     for _iteration in range(NEWTON_MAX_ITER):
         try:
-            dx = np.linalg.solve(jac, -r)
+            dx = np.linalg.solve(system.jacobian(x, r, q_prev, tau_s, inflow), -r)
         except np.linalg.LinAlgError:
             raise SimulationError(
                 frame_index,
                 "singular system; every hydraulic island needs a pressure "
                 "reference and an open path to it") from None
-        accepted = False
         step = 1.0
         for _halving in range(12):
             x_new = x + step * dx
@@ -460,22 +464,13 @@ def _solve_frame(system: _System, x: np.ndarray, q_prev: np.ndarray | None,
                 continue
             norm_new = float(np.max(np.abs(r_new)))
             if norm_new < norm or norm_new < NEWTON_TOL:
-                x, r, norm = x_new, r_new, norm_new
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            if fresh:
-                raise SimulationError(frame_index,
-                                      f"line search stalled at |r| = {norm:.3e}")
-            jac = refresh()
-            fresh = True
-            continue
+        else:
+            raise SimulationError(frame_index, f"line search stalled at |r| = {norm:.3e}")
+        x, r, norm = x_new, r_new, norm_new
         if norm < NEWTON_TOL:
             return x
-        # the Jacobian now refers to a previous iterate; keep it while the
-        # line search accepts full or damped steps
-        fresh = False
     raise SimulationError(frame_index,
                           f"no convergence in {NEWTON_MAX_ITER} iterations, |r| = {norm:.3e}")
 
@@ -505,7 +500,6 @@ def simulate(scenario: Scenario) -> History:
     x[system.n_free:] = 0.1
 
     q_prev: np.ndarray | None = None
-    jac_cache: list = []
     for k in range(n):
         inflow = np.zeros(system.n_free)
         for node_id in system.flow_nodes:
@@ -514,12 +508,8 @@ def simulate(scenario: Scenario) -> History:
                 value *= 1.0 + scenario.noise * rng.standard_normal()
             inflow[system.free_pos[node_id]] = value
 
-        x = _solve_frame(system, x, q_prev, scenario.tau_s, inflow, k, jac_cache)
+        x = _solve_frame(system, x, q_prev, scenario.tau_s, inflow, k)
         p_free, q_pipe = system.split(x)[:2]
-        if q_prev is None:
-            # the inertia rows activate after the steady frame and change
-            # the Jacobian structure, so the cached one must go
-            jac_cache.clear()
         q_prev = q_pipe.copy()
         # x holds pipe, valve and resistor flows in the order of passive
         pressure[k, hydraulic] = system.pressures(p_free)

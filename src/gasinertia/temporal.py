@@ -19,15 +19,6 @@ Stream = list[tuple[TimePair, list[Component]]]
 
 
 @dataclass(frozen=True)
-class EventSeries:
-    """Maximal run of consecutive pairs in which one pipe stays graded."""
-
-    pipe_id: str
-    start_index: int
-    length: int
-
-
-@dataclass(frozen=True)
 class ComponentChain:
     """Greedy chain of pipe-sharing components at consecutive pairs."""
 
@@ -40,7 +31,6 @@ class ComponentChain:
 
 @dataclass
 class RunLengthResult:
-    series: list[EventSeries]
     histogram: dict[int, int]
     share_by_length: dict[int, float]
     total_points: int
@@ -74,7 +64,7 @@ def pipe_run_lengths(stream: Stream,
     """Per-pipe maximal runs of membership in graded components.
 
     A run of length k means a pipe sat in a component of at least
-    min_class for k consecutive pairs.  The histogram counts series per
+    min_class for k consecutive pairs.  The histogram counts runs per
     length; share_by_length spreads the graded data points over the
     lengths (length * count / total graded points).
     """
@@ -86,26 +76,21 @@ def pipe_run_lengths(stream: Stream,
                 for pipe_id in comp.pipe_ids:
                     membership.setdefault(pipe_id, []).append(k)
 
-    series: list[EventSeries] = []
-    for pipe_id in sorted(membership):
-        indices = membership[pipe_id]
-        start = indices[0]
+    # a run ends where the pipe misses a pair or the stream has a gap
+    histogram: dict[int, int] = {}
+    for indices in membership.values():
         length = 1
         for prev, cur in zip(indices, indices[1:]):
             if cur == prev + 1 and consecutive[prev]:
                 length += 1
             else:
-                series.append(EventSeries(pipe_id, start, length))
-                start, length = cur, 1
-        series.append(EventSeries(pipe_id, start, length))
-
-    histogram: dict[int, int] = {}
-    for s in series:
-        histogram[s.length] = histogram.get(s.length, 0) + 1
+                histogram[length] = histogram.get(length, 0) + 1
+                length = 1
+        histogram[length] = histogram.get(length, 0) + 1
     total = sum(length * count for length, count in histogram.items())
     shares = {length: datapoint_share(length * count, total)
               for length, count in sorted(histogram.items())}
-    return RunLengthResult(series, dict(sorted(histogram.items())), shares, total)
+    return RunLengthResult(dict(sorted(histogram.items())), shares, total)
 
 
 def component_chains(stream: Stream,

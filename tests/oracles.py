@@ -10,6 +10,10 @@ from __future__ import annotations
 from collections import defaultdict
 import math
 
+import numpy as np
+
+from gasinertia.model import BAR
+
 
 def colebrook_friction(re: float, rr: float, tol: float = 1e-14) -> float:
     """Implicit Colebrook-White friction factor by bisection.
@@ -257,3 +261,18 @@ def classify_scan_points(stamps: list, frames: list[dict], pipes: dict[str, tupl
                 counts["evaluated"] += 1
                 survivors.append((k, pipe_id))
     return counts, survivors
+
+
+def dense_fd_jacobian(system, x: np.ndarray, r0: np.ndarray, q_prev, tau_s: float,
+                      inflow: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of system.residual at x, one residual
+    call per column, with the step 1e-7 * max(|x_i|, scale_i), where the
+    scale is BAR for the free pressures and 1 for the flows."""
+    n = x.size
+    jac = np.empty((r0.size, n))
+    for i in range(n):
+        h = 1e-7 * max(abs(x[i]), BAR if i < system.n_free else 1.0)
+        xp = x.copy()
+        xp[i] += h
+        jac[:, i] = (system.residual(xp, q_prev, tau_s, inflow) - r0) / h
+    return jac

@@ -339,14 +339,12 @@ class TestErrors:
         assert code == 1 and stdout == ""
         assert f"{members}:{line}: component id '99' names no component" in err
 
-    def test_pair_without_states_reported_at_its_first_relevant_row(self, pipeline,
-                                                                    tmp_path):
+    def test_pair_without_states_reported_at_its_first_row(self, pipeline, tmp_path):
         data, out = pipeline["data"], pipeline["out"]
         rows = read_csv(out / "terms.csv")
-        assert rows[3][10] == rows[5][10] == "1"
         rows[2][10] = "0"
         # lines 3, 4 and 6 form a pair that no frame of states.csv holds;
-        # line 3 is not relevant
+        # line 3 is not relevant, and is checked all the same
         for k in (2, 3, 5):
             rows[k][:2] = ["2030-01-01T00:00:00Z", "2030-01-01T00:03:00Z"]
         terms = tmp_path / "terms_moved.csv"
@@ -356,7 +354,7 @@ class TestErrors:
             "components", "--topology", data / "topology.csv",
             "--states", data / "states.csv", "--terms", terms, "--out", tmp_path])
         assert code == 1
-        assert (f"{terms}:4: pair 2030-01-01T00:00:00Z .. 2030-01-01T00:03:00Z "
+        assert (f"{terms}:3: pair 2030-01-01T00:00:00Z .. 2030-01-01T00:03:00Z "
                 "has no matching states") in err
 
     def run_components_on(self, pipeline, tmp_path, rows):
@@ -374,15 +372,40 @@ class TestErrors:
         rows = read_csv(pipeline["out"] / "terms.csv")
         rows[3][2] = "np9"
         terms, err = self.run_components_on(pipeline, tmp_path, rows)
-        assert (f"{terms}:4: 'np9' is not a pipe of {pipeline['data'] / 'topology.csv'}"
-                in err)
+        assert f"{terms}:4: 'np9' is not a pipe of the topology" in err
 
     def test_repeated_relevant_row_reported_at_the_repeat(self, pipeline, tmp_path):
         rows = read_csv(pipeline["out"] / "terms.csv")
         # the same pair and pipe, with another timestamp spelling and alpha
         repeat = [rows[2][0].replace("Z", "+00:00")] + rows[2][1:6] + ["2.0"] + rows[2][7:]
         terms, err = self.run_components_on(pipeline, tmp_path, rows + [repeat])
-        assert f"{terms}:8: repeated relevant row for pipe '{rows[2][2]}'" in err
+        assert f"{terms}:8: repeated row for pipe '{rows[2][2]}' and pair {repeat[0]} .. " in err
+
+    @pytest.mark.parametrize("edit", ["not a pipe", "repeated row"])
+    def test_row_that_is_not_relevant_is_checked(self, pipeline, tmp_path, edit):
+        rows = read_csv(pipeline["out"] / "terms.csv")
+        rows[3][10] = "0"
+        if edit == "not a pipe":
+            rows[3][2] = "np9"
+            line, message = 4, "'np9' is not a pipe of the topology"
+        else:
+            rows.append(list(rows[3]))
+            line, message = 8, f"repeated row for pipe '{rows[3][2]}'"
+        terms, err = self.run_components_on(pipeline, tmp_path, rows)
+        assert f"{terms}:{line}: {message}" in err
+
+    def test_repeated_row_stops_report(self, pipeline, tmp_path):
+        out = pipeline["out"]
+        rows = read_csv(out / "terms.csv")
+        terms = tmp_path / "terms_repeated.csv"
+        with open(terms, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows + [rows[-1]])
+        code, _, err = run_cli(["report", "--components", out / "components.csv",
+                                "--members", out / "components_pipes.csv", "--terms", terms,
+                                "--horizon-days", "100", "--out", tmp_path])
+        assert code == 1
+        assert f"{terms}:8: repeated row for pipe '{rows[-1][2]}'" in err
+        assert not (tmp_path / "hexbin.csv").exists()
 
     def test_pair_of_frames_not_consecutive(self, pipeline, tmp_path):
         rows = read_csv(pipeline["out"] / "terms.csv")

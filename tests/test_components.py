@@ -15,7 +15,7 @@ from gasinertia.components import (
     read_components,
     write_components,
 )
-from gasinertia.ingest import ParseError
+from gasinertia.ingest import ParseError, format_timestamp
 from gasinertia.model import (
     BAR,
     Diagnostics,
@@ -383,6 +383,19 @@ class TestSerialization:
         with pytest.raises(ParseError, match="t1 > t0") as info:
             read_components(str(comp_path), str(members_path))
         assert (info.value.path, info.value.line) == (str(comp_path), 4)
+
+    @pytest.mark.parametrize("order, line", [((3, 1, 2), 3), ((1, 3, 2), 4)],
+                             ids=["last row first", "pair split"])
+    def test_pair_starting_before_the_previous_ends_reported_at_its_line(
+            self, tmp_path, order, line):
+        comp_path, members_path = self.written(tmp_path)
+        lines = comp_path.read_text().splitlines()
+        comp_path.write_text("\n".join([lines[0]] + [lines[k] for k in order]) + "\n")
+        # the pair of line `line` starts before the pair 2 row above it ends
+        with pytest.raises(ParseError, match="starts before the previous row's pair ends "
+                                             f"at {format_timestamp(stamp(3))}") as info:
+            read_components(str(comp_path), str(members_path))
+        assert (info.value.path, info.value.line) == (str(comp_path), line)
 
     def test_duplicate_component_id_reported_at_its_line(self, tmp_path):
         comp_path, members_path = self.written(tmp_path)

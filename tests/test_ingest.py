@@ -347,13 +347,12 @@ class TestExclusions:
 
 
 def make_terms(pair_index=(0, 1), relevant=(True, False)):
-    """Terms of two points, p0 over pair 0 and p1 over pair 1, repeated
-    along pair_index."""
+    """Terms of points p0, p1, ... over the pairs that pair_index gives."""
     n = len(pair_index)
     alpha = np.array([0.21 * BAR, -0.034 * BAR] * n)[:n]
     beta = 3.7 * alpha
     return Terms((make_pair(0), make_pair(1)), np.array(pair_index),
-                 np.array([f"p{k}" for k in pair_index]), np.full(n, 100.0 * KNM3H),
+                 np.array([f"p{i}" for i in range(n)]), np.full(n, 100.0 * KNM3H),
                  (100.0 + 7.3 * (np.array(pair_index) + 1)) * KNM3H, alpha, beta,
                  alpha / 12_345.0, term_ratio(alpha, beta), np.array(relevant))
 
@@ -370,9 +369,7 @@ class TestTerms:
         terms = make_terms()
         path = tmp_path / "terms.csv"
         write_terms(terms, str(path))
-        back, lines = read_terms(str(path))
-        assert_terms_equal(back, terms)
-        assert lines.tolist() == [2, 3]
+        assert_terms_equal(read_terms(str(path)), terms)
 
     def test_infinite_ratio_survives(self, tmp_path):
         terms = Terms((make_pair(0),), np.array([0, 0]), np.array(["p", "q"]),
@@ -381,7 +378,7 @@ class TestTerms:
                       np.array([True, False]))
         path = tmp_path / "terms.csv"
         write_terms(terms, str(path))
-        back, _lines = read_terms(str(path))
+        back = read_terms(str(path))
         assert back.ratio.tolist() == [math.inf, 0.0]
         assert_terms_equal(back, terms)
 
@@ -389,8 +386,8 @@ class TestTerms:
         terms = make_terms(pair_index=(), relevant=())
         path = tmp_path / "terms.csv"
         write_terms(terms, str(path))
-        back, lines = read_terms(str(path))
-        assert back.pairs == () and len(back.alpha_pa) == 0 and len(lines) == 0
+        back = read_terms(str(path))
+        assert back.pairs == () and len(back.alpha_pa) == 0
 
     def test_each_pair_formatted_and_parsed_once(self, tmp_path, monkeypatch):
         terms = make_terms(pair_index=(0, 0, 1, 1, 1), relevant=(True,) * 5)
@@ -409,7 +406,7 @@ class TestTerms:
         path = tmp_path / "terms.csv"
         write_terms(terms, str(path))
         assert formatted == [stamp(0), stamp(1), stamp(1), stamp(2)]
-        back, _lines = read_terms(str(path))
+        back = read_terms(str(path))
         assert_terms_equal(back, terms)
         # pairs 0 and 1 share stamp(1), which each pair parses
         assert parsed == [format_timestamp(stamp(k)) for k in (0, 1, 1, 2)]
@@ -420,7 +417,7 @@ class TestTerms:
         text = path.read_text().splitlines()
         text[2] = text[2].replace("Z,", "+00:00,")
         path.write_text("\n".join(text) + "\n")
-        back, _lines = read_terms(str(path))
+        back = read_terms(str(path))
         assert back.pairs == (make_pair(0),)
         assert back.pair_index.tolist() == [0, 0]
 
@@ -456,6 +453,38 @@ class TestTerms:
         with pytest.raises(ParseError, match="invalid ISO 8601") as info:
             read_terms(str(path))
         assert info.value.line == 5
+
+    def test_repeated_row_reported_at_the_repeat(self, tmp_path):
+        path = tmp_path / "terms.csv"
+        write_terms(make_terms(), str(path))
+        lines = path.read_text().splitlines()
+        # the row of p1, which is not relevant, with its pair spelled anew
+        lines.append(lines[2].replace("Z,", "+00:00,"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="repeated row for pipe 'p1'") as info:
+            read_terms(str(path))
+        assert (info.value.path, info.value.line) == (str(path), 4)
+
+    @pytest.mark.parametrize("stamps, pipe_ids, message", [
+        ((stamp(0), stamp(1), stamp(2)), ("p0", "p1"), None),
+        ((stamp(0), stamp(1), stamp(2)), ("p0",), "'p1' is not a pipe of the topology"),
+        ((stamp(0), stamp(1)), ("p0", "p1"), "has no matching states"),
+        ((stamp(0), stamp(1), stamp(1) + timedelta(seconds=60), stamp(2)), ("p0", "p1"),
+         "spans frames 1 to 3, not consecutive frames")],
+        ids=["valid", "not a pipe", "no states", "not consecutive"])
+    def test_rows_checked_against_history(self, tmp_path, stamps, pipe_ids, message):
+        # line 3 holds p1 over pair 1 and is not relevant
+        path = tmp_path / "terms.csv"
+        write_terms(make_terms(), str(path))
+        n = len(stamps)
+        history = History(stamps, (), (), (), pipe_ids, np.empty((n, 0)), np.empty((n, 0)),
+                          np.empty((n, 0)), np.full((n, len(pipe_ids)), 0.85))
+        if message is None:
+            assert_terms_equal(read_terms(str(path), history), make_terms())
+            return
+        with pytest.raises(ParseError, match=message) as info:
+            read_terms(str(path), history)
+        assert (info.value.path, info.value.line) == (str(path), 3)
 
     @pytest.mark.parametrize("flag", ["yes", "true", "", "2", " 1"])
     def test_relevant_flag_must_be_zero_or_one(self, tmp_path, flag):

@@ -277,18 +277,19 @@ def cross_line_edits(name, lines):
         return edit
 
     if name == "terms.csv":
-        relevant = [k for k in range(1, len(rows)) if rows[k][10] == "1"]
+        # every row, relevant or not (line 3 is not)
+        data_rows = range(1, len(rows))
         next_frame = dict(zip(T, T[1:]))
 
         def repeat(draw):
-            return lines + [lines[draw(st.sampled_from(relevant))]], len(lines) + 1
+            return lines + [lines[draw(st.sampled_from(data_rows))]], len(lines) + 1
 
-        yield "not a pipe", at(relevant, lambda draw, row: row[:2] + [
+        yield "not a pipe", at(data_rows, lambda draw, row: row[:2] + [
             draw(st.sampled_from(["v1", "p9"]))] + row[3:])
         yield "repeated row", repeat
-        yield "skipped frame", at(relevant, lambda draw, row: [row[0], next_frame[row[1]]]
+        yield "skipped frame", at(data_rows, lambda draw, row: [row[0], next_frame[row[1]]]
                                   + row[2:])
-        yield "reversed pair", at(range(1, len(rows)), lambda draw, row: row[1::-1] + row[2:])
+        yield "reversed pair", at(data_rows, lambda draw, row: row[1::-1] + row[2:])
     elif name == "states.csv":
         # a row after the first of a later frame, stamped with the first instant
         later = [k for k, row in enumerate(rows) if k and row[1:] and row[0] != T[0]]
@@ -303,6 +304,9 @@ def cross_line_edits(name, lines):
         yield "duplicate id", at(range(2, len(rows)), lambda draw, row: row[:2] + [rows[1][2]]
                                  + row[3:])
         yield "reversed pair", at(range(1, len(rows)), lambda draw, row: row[1::-1] + row[2:])
+        # the row of the last pair moved in front of an earlier pair's rows
+        yield "pair out of order", lambda draw: (
+            [lines[0], lines[-1]] + lines[1:-1], 3)
     elif name == "components_pipes.csv":
         yield "no such component", at(range(1, len(rows)), lambda draw, row: ["9", row[1]])
     elif name == "case.scn":
