@@ -7,11 +7,16 @@ in the output directory for inspection.
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
-from gasinertia.cli import main as cli_main
+# synth's states.csv bytes depend on the OpenBLAS thread count, so the
+# demo pins it before numpy loads to give the same files on every machine
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from gasinertia.cli import main as cli_main  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = REPO_ROOT / "scenarios" / "funnel50.scn"

@@ -114,10 +114,7 @@ def build_threshold_config(values: dict[str, float]) -> ThresholdConfig:
 def _configs_from_args(args: argparse.Namespace) -> tuple[ThresholdConfig, GasParams]:
     values = load_config_file(args.config) if args.config else {}
     cfg = build_threshold_config(values)
-    temperature = values.get("temperature_K", 283.15)
-    if getattr(args, "temperature", None) is not None:
-        temperature = args.temperature
-    return cfg, GasParams(temperature_k=temperature)
+    return cfg, GasParams(temperature_k=values.get("temperature_K", 283.15))
 
 
 def parse_length(text: str) -> float:
@@ -181,13 +178,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
     below_prefilter = candidate & ~passed
     lacks_pressure = passed & (np.isnan(p_left) | np.isnan(p_right))
     survivor = passed & ~lacks_pressure
+    taus = np.array([pair.tau_s for pair in pairs])
     diag = Diagnostics()
     diag.missing_data = int(np.count_nonzero(~excluded & lacks_flow)
                             + np.count_nonzero(lacks_pressure))
+    diag.time_gaps = int(np.count_nonzero(taus > taus.min(initial=math.inf)))
 
     # row-major order: pairs chronologically, pipes by id within a pair
     pair_index, position = np.nonzero(survivor)
-    tau = np.array([pair.tau_s for pair in pairs])[pair_index]
+    tau = taus[pair_index]
     flow_t0, flow_t1, rho = flow_t0[survivor], flow_t1[survivor], rho[survivor]
     table = PipeTable.of([element.geometry for element in elements]).take(position)
     alpha = inertia_term_alpha(table, rho, tau, flow_t0, flow_t1)
@@ -229,7 +228,7 @@ def cmd_components(args: argparse.Namespace) -> int:
                            args.states, args.topology)
     if history is None:
         history = parse_states(args.states, network)
-    terms = read_terms(args.terms, history)
+    terms = read_terms(args.terms, history, cfg)
 
     # pair index -> its relevant records, in file order
     grouped: dict[int, list[TermRecord]] = {}
@@ -280,9 +279,8 @@ def _chain_cells(stream, chain_id: int, chain) -> list[str]:
 def cmd_persistence(args: argparse.Namespace) -> int:
     cfg, _gas = _configs_from_args(args)
     stream = read_components(args.components, args.members)
-    diag = Diagnostics()
 
-    runs_high = pipe_run_lengths(stream, RelevanceClass.HIGH, diag)
+    runs_high = pipe_run_lengths(stream, RelevanceClass.HIGH)
     filtered, dropped = realism_filter(stream, cfg)
     runs_high_realistic = pipe_run_lengths(filtered, RelevanceClass.HIGH)
     chains_high = component_chains(stream, RelevanceClass.HIGH, min_length=2)
@@ -330,7 +328,6 @@ def cmd_persistence(args: argparse.Namespace) -> int:
           f"chains found: {len(chains_high.chains)}")
     print(f"events: {total_events} ({realistic_events} realistic, "
           f"{realistic_counts['high']} realistic high)")
-    print(f"diagnostics: {diag.as_dict()}")
     return 0
 
 
@@ -338,7 +335,9 @@ def cmd_persistence(args: argparse.Namespace) -> int:
 # report
 
 def cmd_report(args: argparse.Namespace) -> int:
+    # every input is read and checked before anything is printed or written
     stream = read_components(args.components, args.members)
+    terms = read_terms(args.terms) if args.terms else None
     instances = [comp for _, comps in stream for comp in comps]
 
     if args.horizon_days is not None:
@@ -363,8 +362,7 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"{row.n_components} components, {row.n_pipe_datapoints} pipe points, "
               f"{spacing}")
 
-    if args.terms:
-        terms = read_terms(args.terms)
+    if terms is not None:
         result = hexbin(terms.alpha_per_length_pam / PER_10KM, terms.ratio,
                         resolution=args.resolution, min_count=args.min_count)
         write_table(_out_path(args, "hexbin.csv"), HEXBIN_COLUMNS, hexbin_rows(result))
@@ -434,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="evaluate terms for every pipe and pair")
     common(p, topology=True, states=True, exclusions=True, config=True)
-    p.add_argument("--temperature", type=float, help="gas temperature in K (default 283.15)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("components", help="group relevant pipes and measure paths")

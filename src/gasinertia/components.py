@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .model import (
-    ACTIVE_KINDS,
     BAR,
     Diagnostics,
+    Element,
     ElementKind,
     KNM3H,
     Network,
@@ -71,16 +71,20 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+Group = tuple[list[TermRecord], list[Element]]
+
+
 def group_records(network: Network, records: list[TermRecord],
                   frame_t1: StateFrame,
-                  diag: Diagnostics | None = None) -> list[list[TermRecord]]:
-    """Partition relevant-pipe records into connected groups.
+                  diag: Diagnostics | None = None) -> list[Group]:
+    """Partition relevant-pipe records into connected groups with their bridges.
 
     Nodes are merged through relevant pipes, through valves that are open
     at t1 (missing state counts as closed, with a diagnostic) and through
-    resistors.  Actively controlled elements never merge nodes.  Returns
-    one record list per group, ordered by smallest pipe id, each list
-    sorted by pipe id.
+    resistors; those valves and resistors are the bridges.  Actively
+    controlled elements never merge nodes.  Returns one (records, bridges)
+    pair per group, ordered by smallest pipe id, records sorted by pipe
+    id and bridges by element id.
     """
     uf = _UnionFind()
     by_pipe: dict[str, TermRecord] = {}
@@ -89,44 +93,46 @@ def group_records(network: Network, records: list[TermRecord],
         uf.union(element.from_node, element.to_node)
         by_pipe[rec.pipe_id] = rec
 
+    bridges: list[Element] = []
     for element_id in sorted(network.elements):
         element = network.elements[element_id]
         if element.kind is ElementKind.VALVE:
             state = frame_t1.valve_open.get(element_id)
-            if state is None:
-                if diag is not None:
-                    diag.missing_valve_state += 1
+            if state is None and diag is not None:
+                diag.missing_valve_state += 1
+            if not state:
                 continue
-            if state:
-                uf.union(element.from_node, element.to_node)
-        elif element.kind is ElementKind.RESISTOR:
-            uf.union(element.from_node, element.to_node)
-        # pipes without relevant records and ACTIVE_KINDS stay apart
+        elif element.kind is not ElementKind.RESISTOR:
+            continue
+        uf.union(element.from_node, element.to_node)
+        bridges.append(element)
 
-    groups: dict[str, list[TermRecord]] = {}
+    groups: dict[str, Group] = {}
     for pipe_id in sorted(by_pipe):
         root = uf.find(network.elements[pipe_id].from_node)
-        groups.setdefault(root, []).append(by_pipe[pipe_id])
-    return sorted(groups.values(), key=lambda recs: recs[0].pipe_id)
+        groups.setdefault(root, ([], []))[0].append(by_pipe[pipe_id])
+    for element in bridges:
+        group = groups.get(uf.find(element.from_node))
+        if group is not None:
+            group[1].append(element)
+    return sorted(groups.values(), key=lambda group: group[0][0].pipe_id)
 
 
-def orient_arcs(network: Network, group: list[TermRecord],
+def orient_arcs(network: Network, group: Group,
                 frame_t0: StateFrame, frame_t1: StateFrame,
                 diag: Diagnostics | None = None) -> list[DirectedArc]:
-    """Directed arc set for one group.
+    """Directed arc set for one group, pipes first, then bridges.
 
     Pipes point with the sign of alpha (positive alpha keeps the from/to
-    direction) and weigh |alpha|.  Bridging elements contribute zero
-    weight: an open valve in both directions, a resistor in the direction
-    its pressure drop moved between t0 and t1, or both when the endpoint
+    direction) and weigh |alpha|.  Bridges contribute zero weight: an
+    open valve in both directions, a resistor in the direction its
+    pressure drop moved between t0 and t1, or both when the endpoint
     pressures are unavailable or the drop did not change.
     """
-    nodes = set()
+    records, bridges = group
     arcs: list[DirectedArc] = []
-    for rec in group:
+    for rec in records:
         element = network.elements[rec.pipe_id]
-        nodes.add(element.from_node)
-        nodes.add(element.to_node)
         if rec.alpha_pa >= 0.0:
             arcs.append(DirectedArc(element.from_node, element.to_node,
                                     abs(rec.alpha_pa), rec.pipe_id))
@@ -134,34 +140,25 @@ def orient_arcs(network: Network, group: list[TermRecord],
             arcs.append(DirectedArc(element.to_node, element.from_node,
                                     abs(rec.alpha_pa), rec.pipe_id))
 
-    for element_id in sorted(network.elements):
-        element = network.elements[element_id]
-        if element.kind in ACTIVE_KINDS or element.kind is ElementKind.PIPE:
-            continue
-        if not (element.from_node in nodes and element.to_node in nodes):
-            continue
-        if element.kind is ElementKind.VALVE:
-            if frame_t1.valve_open.get(element_id):
-                arcs.append(DirectedArc(element.from_node, element.to_node, 0.0, element_id))
-                arcs.append(DirectedArc(element.to_node, element.from_node, 0.0, element_id))
-            continue
-        # resistor: orient by the change of its pressure drop
-        drops = []
-        for frame in (frame_t0, frame_t1):
-            p_from = frame.node_pressure_pa.get(element.from_node)
-            p_to = frame.node_pressure_pa.get(element.to_node)
-            drops.append(None if p_from is None or p_to is None else p_from - p_to)
-        if drops[0] is None or drops[1] is None:
-            if diag is not None:
-                diag.missing_resistor_pressure += 1
-            forward = backward = True
-        else:
-            forward = drops[1] >= drops[0]
-            backward = drops[1] <= drops[0]
+    for element in bridges:
+        forward = backward = True
+        if element.kind is ElementKind.RESISTOR:
+            # orient by the change of its pressure drop
+            drops = []
+            for frame in (frame_t0, frame_t1):
+                p_from = frame.node_pressure_pa.get(element.from_node)
+                p_to = frame.node_pressure_pa.get(element.to_node)
+                drops.append(None if p_from is None or p_to is None else p_from - p_to)
+            if drops[0] is None or drops[1] is None:
+                if diag is not None:
+                    diag.missing_resistor_pressure += 1
+            else:
+                forward = drops[1] >= drops[0]
+                backward = drops[1] <= drops[0]
         if forward:
-            arcs.append(DirectedArc(element.from_node, element.to_node, 0.0, element_id))
+            arcs.append(DirectedArc(element.from_node, element.to_node, 0.0, element.element_id))
         if backward:
-            arcs.append(DirectedArc(element.to_node, element.from_node, 0.0, element_id))
+            arcs.append(DirectedArc(element.to_node, element.from_node, 0.0, element.element_id))
     return arcs
 
 
@@ -316,15 +313,16 @@ def build_pair_components(network: Network, relevant_records: list[TermRecord],
     """Group, orient and measure records already screened for relevance."""
     components: list[Component] = []
     for group in group_records(network, relevant_records, frame_t1, diag):
-        arcs = orient_arcs(network, group, frame_t0, frame_t1, diag)
-        value, cycle_correction = longest_path_value(arcs)
+        value, cycle_correction = longest_path_value(
+            orient_arcs(network, group, frame_t0, frame_t1, diag))
+        records = group[0]
         components.append(Component(
-            pair=group[0].pair,
-            pipe_ids=tuple(rec.pipe_id for rec in group),
+            pair=records[0].pair,
+            pipe_ids=tuple(rec.pipe_id for rec in records),
             longest_path_pa=value,
             cycle_correction_pa=cycle_correction,
             relevance=classify_absolute(value, cfg),
-            max_abs_dflow_m3s=max(abs(rec.dflow_m3s) for rec in group),
+            max_abs_dflow_m3s=max(abs(rec.dflow_m3s) for rec in records),
         ))
     return components
 

@@ -34,6 +34,7 @@ from .model import (
     TimePair,
     validate_normal_density,
 )
+from .thresholds import ThresholdConfig, pipe_relevant
 
 TOPOLOGY_COLUMNS = ["element_id", "kind", "from_node", "to_node",
                     "length_m", "diameter_m", "roughness_m", "slope"]
@@ -470,12 +471,15 @@ def write_terms(terms: Terms, path: str) -> None:
                                                  terms.relevant.tolist(), *cells)))
 
 
-def read_terms(path: str, history: History | None = None) -> Terms:
+def read_terms(path: str, history: History | None = None,
+               cfg: ThresholdConfig | None = None) -> Terms:
     """The terms of a terms file, in which a pair and pipe appear once.
 
     Given the history the terms were computed from, every row must also
     name one of its pipes and a pair of two of its consecutive frames.
     Rows are checked in file order, so the first bad line is reported.
+    Given a threshold config, every row's relevant flag must then be the
+    one pipe_relevant gives under it.
     """
     # pair texts -> index of their pair; spellings of one instant share it
     by_text: dict[tuple[str, str], int] = {}
@@ -484,7 +488,7 @@ def read_terms(path: str, history: History | None = None) -> Terms:
     if history is not None:
         frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
         pipes = set(history.pipe_ids)
-    pair_index, pipe_ids, numbers, relevant = [], [], [], []
+    lines, pair_index, pipe_ids, numbers, relevant = [], [], [], [], []
     for line, row in read_table(path, TERMS_COLUMNS):
         k = by_text.get((row[0], row[1]))
         if k is None:
@@ -515,11 +519,20 @@ def read_terms(path: str, history: History | None = None) -> Terms:
             raise ParseError(path, line,
                              f"repeated row for pipe {row[2]!r} and pair {row[0]} .. {row[1]}")
         seen.add((k, row[2]))
+        lines.append(line)
         pair_index.append(k)
         pipe_ids.append(row[2])
         relevant.append(row[10] == "1")
     flow_t0, flow_t1, _dflow, alpha, beta, alpha_per_10km, ratio = (
         np.array(numbers, dtype=float).reshape(len(numbers), 7).T)
-    return Terms(tuple(by_pair), np.array(pair_index, dtype=int), np.array(pipe_ids, dtype=str),
-                 flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR, beta * BAR,
-                 alpha_per_10km * PER_10KM, ratio, np.array(relevant, dtype=bool))
+    terms = Terms(tuple(by_pair), np.array(pair_index, dtype=int), np.array(pipe_ids, dtype=str),
+                  flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR, beta * BAR,
+                  alpha_per_10km * PER_10KM, ratio, np.array(relevant, dtype=bool))
+    if cfg is not None:
+        wrong = np.flatnonzero(terms.relevant != pipe_relevant(terms.alpha_per_length_pam,
+                                                               terms.ratio, cfg))
+        if wrong.size:
+            raise ParseError(path, lines[wrong[0]],
+                             f"relevant is {int(terms.relevant[wrong[0]])}, but the thresholds "
+                             "of this config say otherwise; run scan with the same config")
+    return terms

@@ -41,10 +41,6 @@ class ElementKind(str, Enum):
     COMPRESSOR = "compressor"
 
 
-# Actively controlled elements never bridge connected components.
-ACTIVE_KINDS = frozenset((ElementKind.REGULATOR, ElementKind.COMPRESSOR))
-
-
 @dataclass(frozen=True)
 class PipeGeometry:
     """Static geometry of one pipe segment."""

@@ -2,8 +2,9 @@
 
 A component stream is a chronological list of (time pair, components)
 entries.  Two adjacent entries are consecutive when the first ends where
-the second begins; gaps break every persistence notion and are tallied
-as diagnostics rather than silently bridged.
+the second begins; gaps break every persistence notion rather than being
+silently bridged.  Scan counts them as time_gaps: only the pair grid
+shows a gap, since the stream holds just the pairs with components.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .model import Diagnostics, SECONDS_PER_DAY, TimePair
+from .model import SECONDS_PER_DAY, TimePair
 from .components import Component
 from .thresholds import RelevanceClass, ThresholdConfig
 
@@ -43,7 +44,7 @@ class ChainResult:
     upper_bound: int
 
 
-def _validate_stream(stream: Stream, diag: Diagnostics | None) -> list[bool]:
+def _validate_stream(stream: Stream) -> list[bool]:
     """Chronology check; returns per-boundary consecutiveness flags."""
     consecutive: list[bool] = []
     for k in range(len(stream) - 1):
@@ -51,16 +52,12 @@ def _validate_stream(stream: Stream, diag: Diagnostics | None) -> list[bool]:
         if right.t0 < left.t1:
             raise ValueError(
                 f"component stream out of order at {left.t1} vs {right.t0}")
-        is_consecutive = right.t0 == left.t1
-        if not is_consecutive and diag is not None:
-            diag.time_gaps += 1
-        consecutive.append(is_consecutive)
+        consecutive.append(right.t0 == left.t1)
     return consecutive
 
 
 def pipe_run_lengths(stream: Stream,
-                     min_class: RelevanceClass = RelevanceClass.HIGH,
-                     diag: Diagnostics | None = None) -> RunLengthResult:
+                     min_class: RelevanceClass = RelevanceClass.HIGH) -> RunLengthResult:
     """Per-pipe maximal runs of membership in graded components.
 
     A run of length k means a pipe sat in a component of at least
@@ -68,7 +65,7 @@ def pipe_run_lengths(stream: Stream,
     length; share_by_length spreads the graded data points over the
     lengths (length * count / total graded points).
     """
-    consecutive = _validate_stream(stream, diag)
+    consecutive = _validate_stream(stream)
     membership: dict[str, list[int]] = {}
     for k, (_pair, comps) in enumerate(stream):
         for comp in comps:
@@ -95,8 +92,7 @@ def pipe_run_lengths(stream: Stream,
 
 def component_chains(stream: Stream,
                      min_class: RelevanceClass = RelevanceClass.HIGH,
-                     min_length: int = 2,
-                     diag: Diagnostics | None = None) -> ChainResult:
+                     min_length: int = 2) -> ChainResult:
     """Chain components that share pipes across consecutive pairs.
 
     Greedy in chronological order with components visited in pipe-id
@@ -106,7 +102,7 @@ def component_chains(stream: Stream,
     consumes at least two such components, floor(participating / 2) is an
     upper bound for the number of chains of length >= 2.
     """
-    consecutive = _validate_stream(stream, diag)
+    consecutive = _validate_stream(stream)
     graded: list[list[tuple[int, Component]]] = []
     for _pair, comps in stream:
         entry = [(ci, comp) for ci, comp in enumerate(comps)
@@ -132,13 +128,11 @@ def component_chains(stream: Stream,
     finished: list[list[tuple[int, int]]] = []
     for k in range(len(stream)):
         extended: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        taken: set[tuple[int, int]] = set()
         for ci, comp in graded[k]:
             matched = None
             if k > 0 and consecutive[k - 1]:
+                # every open chain ends at pair k - 1; a matched one is popped
                 for key in sorted(open_chains):
-                    if key[0] != k - 1 or key in taken:
-                        continue
                     tail_comp = stream[k - 1][1][key[1]]
                     if intersects(tail_comp, comp):
                         matched = key
@@ -146,7 +140,6 @@ def component_chains(stream: Stream,
             if matched is None:
                 extended[(k, ci)] = [(k, ci)]
             else:
-                taken.add(matched)
                 chain = open_chains.pop(matched)
                 chain.append((k, ci))
                 extended[(k, ci)] = chain

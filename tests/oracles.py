@@ -7,7 +7,7 @@ exhaustive search instead of relaxation) so agreement is meaningful.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 import math
 
 import numpy as np
@@ -276,3 +276,43 @@ def dense_fd_jacobian(system, x: np.ndarray, r0: np.ndarray, q_prev, tau_s: floa
         xp[i] += h
         jac[:, i] = (system.residual(xp, q_prev, tau_s, inflow) - r0) / h
     return jac
+
+
+def bfs_groups(elements: list[tuple[str, str, str, str]], relevant: set[str],
+               valve_open: dict[str, bool]) -> tuple[list[tuple[list[str], list[str]]], int]:
+    """Groups of relevant pipes with their bridges, by breadth-first search.
+
+    elements are (element_id, kind, from_node, to_node) with the kind's
+    plain name.  Relevant pipes, valves open at t1 and resistors link
+    their two nodes; the links reached from a node form its group.
+    Returns the groups that hold a pipe as (pipe ids, bridge ids), both
+    sorted, ordered by smallest pipe id, and the number of valves
+    without a state.
+    """
+    links = [e for e in elements
+             if (e[1] == "pipe" and e[0] in relevant) or e[1] == "resistor"
+             or (e[1] == "valve" and valve_open.get(e[0]))]
+    missing = sum(1 for e in elements if e[1] == "valve" and e[0] not in valve_open)
+    adjacent: dict[str, list[tuple[str, str, str, str]]] = defaultdict(list)
+    for link in links:
+        adjacent[link[2]].append(link)
+        adjacent[link[3]].append(link)
+
+    groups = []
+    seen: set[str] = set()
+    for start in adjacent:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, reached = deque([start]), set()
+        while queue:
+            for link in adjacent[queue.popleft()]:
+                reached.add(link)
+                for end in link[2:]:
+                    if end not in seen:
+                        seen.add(end)
+                        queue.append(end)
+        pipes = sorted(e[0] for e in reached if e[1] == "pipe")
+        if pipes:
+            groups.append((pipes, sorted(e[0] for e in reached if e[1] != "pipe")))
+    return sorted(groups), missing

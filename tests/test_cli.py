@@ -90,6 +90,20 @@ class TestPipeline:
         assert ("data points: 21, excluded: 0, missing: 0, below prefilter: 15, "
                 "evaluated: 6, relevant: 6") in out
 
+    def test_scan_counts_time_gaps_in_the_pair_grid(self, pipeline, tmp_path):
+        _, out, _ = pipeline["results"]["scan"]
+        assert "'time_gaps': 0" in out
+        rows = read_csv(pipeline["data"] / "states.csv")
+        states = tmp_path / "states.csv"
+        with open(states, "w", newline="") as handle:
+            csv.writer(handle).writerows(
+                row for row in rows if row[0] != format_timestamp(stamp(4)))
+        code, out, err = run_cli(["scan", "--topology", pipeline["data"] / "topology.csv",
+                                  "--states", states, "--out", tmp_path])
+        assert code == 0, err
+        assert "frames: 7, pairs: 6, pipes: 3" in out
+        assert "'time_gaps': 1" in out
+
     def test_terms_file(self, pipeline):
         rows = read_csv(pipeline["out"] / "terms.csv")
         assert len(rows) == 7   # header + 6 records
@@ -309,6 +323,36 @@ class TestConfig:
         assert code == 0, err
         assert "below prefilter: 21, evaluated: 0, relevant: 0" in out
 
+    def components_with(self, pipeline, config, terms, out):
+        data = pipeline["data"]
+        return run_cli(["components", "--topology", data / "topology.csv",
+                        "--states", data / "states.csv", "--terms", terms,
+                        "--config", config, "--out", out])
+
+    def test_components_rejects_thresholds_scan_did_not_use(self, pipeline, tmp_path):
+        # scan flagged every row relevant under the default thresholds
+        config = tmp_path / "cfg"
+        config.write_text("ratio_min = 1000\nreference_length_km = 0.001\n")
+        terms = pipeline["out"] / "terms.csv"
+        code, stdout, err = self.components_with(pipeline, config, terms, tmp_path)
+        assert code == 1 and stdout == ""
+        assert f"{terms}:2: relevant is 1, but the thresholds of this config" in err
+        assert "run scan with the same config" in err
+        assert not (tmp_path / "components.csv").exists()
+
+    def test_scan_and_components_share_a_config(self, pipeline, tmp_path):
+        config = tmp_path / "cfg"
+        config.write_text("ratio_min = 1\n")
+        data = pipeline["data"]
+        code, out, err = run_cli(["scan", "--topology", data / "topology.csv",
+                                  "--states", data / "states.csv", "--config", config,
+                                  "--out", tmp_path])
+        assert code == 0, err
+        assert "evaluated: 6, relevant: 3" in out
+        code, out, err = self.components_with(pipeline, config, tmp_path / "terms.csv", tmp_path)
+        assert code == 0, err
+        assert "pairs with relevant pipes: 1, components: 1" in out
+
 
 class TestErrors:
     def test_missing_file_exits_one(self, tmp_path):
@@ -400,11 +444,13 @@ class TestErrors:
         terms = tmp_path / "terms_repeated.csv"
         with open(terms, "w", newline="") as handle:
             csv.writer(handle).writerows(rows + [rows[-1]])
-        code, _, err = run_cli(["report", "--components", out / "components.csv",
-                                "--members", out / "components_pipes.csv", "--terms", terms,
-                                "--horizon-days", "100", "--out", tmp_path])
+        code, stdout, err = run_cli(["report", "--components", out / "components.csv",
+                                     "--members", out / "components_pipes.csv", "--terms", terms,
+                                     "--horizon-days", "100", "--out", tmp_path])
         assert code == 1
         assert f"{terms}:8: repeated row for pipe '{rows[-1][2]}'" in err
+        assert stdout == ""
+        assert not (tmp_path / "sweep.csv").exists()
         assert not (tmp_path / "hexbin.csv").exists()
 
     def test_pair_of_frames_not_consecutive(self, pipeline, tmp_path):

@@ -30,7 +30,7 @@ from gasinertia.physics import TermRecord, term_ratio
 from gasinertia.thresholds import RelevanceClass, ThresholdConfig
 
 from conftest import make_component, make_pair, make_stream, stamp
-from oracles import enumerate_longest_path, longest_path_all_sources
+from oracles import bfs_groups, enumerate_longest_path, longest_path_all_sources
 
 GEOM = PipeGeometry(10_000.0, 0.5)
 
@@ -64,22 +64,28 @@ def frame(index: int, pressures=None, valves=None) -> StateFrame:
     return StateFrame(stamp(index), dict(pressures or {}), {}, dict(valves or {}), {})
 
 
+def membership(groups) -> list[tuple[list[str], list[str]]]:
+    """(pipe ids, bridge ids) of every group, in group order."""
+    return [([rec.pipe_id for rec in records], [el.element_id for el in bridges])
+            for records, bridges in groups]
+
+
 class TestGrouping:
     def test_shared_node_merges(self):
         net = build_network()
         groups = group_records(net, [record("pa", 1.0), record("pb", 2.0)], frame(1))
-        assert [[r.pipe_id for r in g] for g in groups] == [["pa", "pb"]]
+        assert membership(groups) == [(["pa", "pb"], [])]
 
     def test_disjoint_pipes_stay_apart(self):
         net = build_network()
         groups = group_records(net, [record("pc", 1.0), record("pa", 2.0)], frame(1))
-        assert [[r.pipe_id for r in g] for g in groups] == [["pa"], ["pc"]]
+        assert membership(groups) == [(["pa"], []), (["pc"], [])]
 
     def test_open_valve_bridges(self):
         net = build_network([Element("v", ElementKind.VALVE, "n1", "n3")])
         recs = [record("pa", 1.0), record("pc", 2.0)]
         groups = group_records(net, recs, frame(1, valves={"v": True}))
-        assert len(groups) == 1
+        assert membership(groups) == [(["pa", "pc"], ["v"])]
 
     def test_closed_valve_does_not_bridge(self):
         net = build_network([Element("v", ElementKind.VALVE, "n1", "n3")])
@@ -117,20 +123,74 @@ class TestGrouping:
         net = build_network()
         groups = group_records(net, [record("pd", 1.0), record("pa", 2.0),
                                      record("pc", 3.0)], frame(1))
-        assert [g[0].pipe_id for g in groups] == ["pa", "pc", "pd"]
+        assert [records[0].pipe_id for records, _ in groups] == ["pa", "pc", "pd"]
+
+    def test_bridges_in_series_and_dead_ends_belong_to_the_group(self):
+        # n1 -v- n7 -r- n3 joins pa and pc; w hangs off n0 and leads nowhere
+        net = build_network([Element("r", ElementKind.RESISTOR, "n7", "n3"),
+                             Element("v", ElementKind.VALVE, "n1", "n7"),
+                             Element("w", ElementKind.VALVE, "n0", "n2")])
+        groups = group_records(net, [record("pc", 1.0), record("pa", 2.0)],
+                               frame(1, valves={"v": True, "w": True}))
+        assert membership(groups) == [(["pa", "pc"], ["r", "v", "w"])]
+
+
+@st.composite
+def small_networks(draw):
+    """Elements of every kind between few nodes, relevant pipes and valve states.
+
+    Few nodes make parallel, series and dead-end bridges common; a valve
+    state is open, closed or missing.
+    """
+    n = draw(st.integers(2, 6))
+    node = st.integers(0, n - 1)
+    elements, relevant, valves = [], [], {}
+    for k in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(list(ElementKind)))
+        u = draw(node)
+        v = draw(node.filter(lambda v: v != u))
+        element_id = f"e{k:02d}"
+        elements.append(Element(element_id, kind, f"n{u}", f"n{v}",
+                                GEOM if kind is ElementKind.PIPE else None))
+        if kind is ElementKind.PIPE and draw(st.booleans()):
+            relevant.append(element_id)
+        if kind is ElementKind.VALVE:
+            state = draw(st.sampled_from([True, False, None]))
+            if state is not None:
+                valves[element_id] = state
+    order = draw(st.permutations(relevant))
+    return Network.build([Node(f"n{i}") for i in range(n)], elements), order, valves
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_networks())
+def test_grouping_matches_breadth_first_oracle(case):
+    net, relevant, valves = case
+    diag = Diagnostics()
+    groups = group_records(net, [record(pipe_id, 1.0) for pipe_id in relevant],
+                           frame(1, valves=valves), diag)
+    expected, missing = bfs_groups(
+        [(el.element_id, el.kind.value, el.from_node, el.to_node)
+         for el in net.elements.values()], set(relevant), valves)
+    assert membership(groups) == expected
+    assert diag.missing_valve_state == missing
+
+
+def bridges(net: Network, *element_ids: str) -> list[Element]:
+    return [net.elements[element_id] for element_id in element_ids]
 
 
 class TestOrientation:
     def test_pipe_follows_alpha_sign(self):
         net = build_network()
-        arcs = orient_arcs(net, [record("pa", 5.0)], frame(0), frame(1))
+        arcs = orient_arcs(net, ([record("pa", 5.0)], []), frame(0), frame(1))
         assert arcs == [DirectedArc("n0", "n1", 5.0, "pa")]
-        arcs = orient_arcs(net, [record("pa", -5.0)], frame(0), frame(1))
+        arcs = orient_arcs(net, ([record("pa", -5.0)], []), frame(0), frame(1))
         assert arcs == [DirectedArc("n1", "n0", 5.0, "pa")]
 
     def test_open_valve_both_directions(self):
         net = build_network([Element("v", ElementKind.VALVE, "n1", "n2")])
-        arcs = orient_arcs(net, [record("pa", 1.0), record("pb", 1.0)],
+        arcs = orient_arcs(net, ([record("pa", 1.0), record("pb", 1.0)], bridges(net, "v")),
                            frame(0), frame(1, valves={"v": True}))
         valve_arcs = [a for a in arcs if a.element_id == "v"]
         assert {(a.from_node, a.to_node) for a in valve_arcs} == {("n1", "n2"), ("n2", "n1")}
@@ -138,34 +198,35 @@ class TestOrientation:
 
     def test_resistor_oriented_by_drop_change(self):
         net = build_network([Element("r", ElementKind.RESISTOR, "n1", "n2")])
-        recs = [record("pa", 1.0), record("pb", 1.0)]
+        group = ([record("pa", 1.0), record("pb", 1.0)], bridges(net, "r"))
         rising = frame(1, pressures={"n1": 60.0 * BAR, "n2": 50.0 * BAR})
         flat = frame(0, pressures={"n1": 55.0 * BAR, "n2": 50.0 * BAR})
-        arcs = [a for a in orient_arcs(net, recs, flat, rising) if a.element_id == "r"]
+        arcs = [a for a in orient_arcs(net, group, flat, rising) if a.element_id == "r"]
         assert [(a.from_node, a.to_node) for a in arcs] == [("n1", "n2")]
-        arcs = [a for a in orient_arcs(net, recs, rising, flat) if a.element_id == "r"]
+        arcs = [a for a in orient_arcs(net, group, rising, flat) if a.element_id == "r"]
         assert [(a.from_node, a.to_node) for a in arcs] == [("n2", "n1")]
 
     def test_resistor_unchanged_drop_gets_both(self):
         net = build_network([Element("r", ElementKind.RESISTOR, "n1", "n2")])
-        recs = [record("pa", 1.0), record("pb", 1.0)]
+        group = ([record("pa", 1.0), record("pb", 1.0)], bridges(net, "r"))
         state = {"n1": 60.0 * BAR, "n2": 50.0 * BAR}
-        arcs = [a for a in orient_arcs(net, recs, frame(0, state), frame(1, state))
+        arcs = [a for a in orient_arcs(net, group, frame(0, state), frame(1, state))
                 if a.element_id == "r"]
         assert len(arcs) == 2
 
     def test_resistor_missing_pressure_gets_both_and_diag(self):
         net = build_network([Element("r", ElementKind.RESISTOR, "n1", "n2")])
-        recs = [record("pa", 1.0), record("pb", 1.0)]
+        group = ([record("pa", 1.0), record("pb", 1.0)], bridges(net, "r"))
         diag = Diagnostics()
-        arcs = [a for a in orient_arcs(net, recs, frame(0), frame(1), diag)
+        arcs = [a for a in orient_arcs(net, group, frame(0), frame(1), diag)
                 if a.element_id == "r"]
         assert len(arcs) == 2
         assert diag.missing_resistor_pressure == 1
 
     def test_bridge_outside_group_ignored(self):
         net = build_network([Element("r", ElementKind.RESISTOR, "n6", "n7")])
-        arcs = orient_arcs(net, [record("pa", 1.0)], frame(0), frame(1))
+        [group] = group_records(net, [record("pa", 1.0)], frame(1))
+        arcs = orient_arcs(net, group, frame(0), frame(1))
         assert [a.element_id for a in arcs] == ["pa"]
 
 
@@ -302,6 +363,23 @@ class TestBuildComponents:
         # both point at n1's side: pa n0->n1, pb n2->n1
         assert comps[0].longest_path_pa == pytest.approx(0.3 * BAR)
         assert comps[0].relevance is RelevanceClass.SMALL
+
+    @pytest.mark.parametrize("kinds", [(ElementKind.VALVE, ElementKind.VALVE),
+                                       (ElementKind.VALVE, ElementKind.RESISTOR),
+                                       (ElementKind.RESISTOR, ElementKind.RESISTOR)],
+                             ids=["valve+valve", "valve+resistor", "resistor+resistor"])
+    def test_bridges_in_series_carry_the_path(self, kinds):
+        # n0 -pa-> n1 -b1- n7 -b2- n3 -pc-> n4; no relevant pipe touches n7
+        net = build_network([Element("b1", kinds[0], "n1", "n7"),
+                             Element("b2", kinds[1], "n7", "n3")])
+        recs = [record("pa", 0.30 * BAR), record("pc", 0.25 * BAR)]
+        comps = build_pair_components(net, recs, frame(0),
+                                      frame(1, valves={"b1": True, "b2": True}),
+                                      ThresholdConfig())
+        assert [comp.pipe_ids for comp in comps] == [("pa", "pc")]
+        assert comps[0].longest_path_pa == pytest.approx(0.55 * BAR)
+        assert comps[0].cycle_correction_pa == 0.0
+        assert comps[0].relevance is RelevanceClass.HIGH
 
 
 class TestSerialization:

@@ -66,7 +66,7 @@ TERMS = [
     "t0,t1,pipe_id,flow_t0_kNm3h,flow_t1_kNm3h,dflow_kNm3h,alpha_bar,beta_bar,"
     "alpha_per_10km_bar,ratio,relevant",
     f"{T[0]},{T[1]},p1,100.0,107.3,7.3,0.21,0.777,0.17,0.27,1",
-    f"{T[0]},{T[1]},p2,50.0,40.0,-10.0,-0.034,0.1,-0.068,0.34,0",
+    f"{T[0]},{T[1]},p2,50.0,40.0,-10.0,-0.002,0.1,-0.004,0.02,0",
     f"{T[1]},{T[2]},p1,107.3,100.0,-7.3,-0.2,0.7,-0.16,0.28,1",
     f"{T[1]},{T[2]},p2,40.0,30.0,-10.0,0.3,0.2,0.6,1.5,1",
 ]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gasinertia.model import Diagnostics, SECONDS_PER_DAY
+from gasinertia.model import SECONDS_PER_DAY
 from gasinertia.temporal import (
     component_chains,
     chain_relevance,
@@ -47,10 +47,8 @@ class TestRunLengths:
 
     def test_time_gap_breaks_run(self):
         stream = make_stream([(0, [c(0, ("p1",))]), (2, [c(2, ("p1",))])])
-        diag = Diagnostics()
-        result = pipe_run_lengths(stream, diag=diag)
+        result = pipe_run_lengths(stream)
         assert result.histogram == {1: 2}
-        assert diag.time_gaps == 1
 
     def test_min_class_filters(self):
         stream = make_stream([
