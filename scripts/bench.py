@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Run the screening benchmark on every workload and keep the results.
+
+    python3 scripts/bench.py --label <label> [--checkout DIR] [--seed 1]
+
+For each workload in BENCHMARK.json, runs perfbench/run.py in the
+checkout for the declared run_seconds, once with --trace 0 (end-to-end
+metrics) and once with --trace 1 (per-layer metrics), one run at a time.  The JSON object on the
+last line of each run is kept, together with the output digests the run
+printed, and everything is written to BENCH_<label>.json at the root of
+the checkout that holds this script, with the measured checkout's
+commit, the Python and numpy versions and the CPU count.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+from importlib import metadata
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(checkout: Path, *args: str) -> str:
+    done = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else ""
+
+
+def run_workload(checkout: Path, workload: str, seed: int, seconds: float,
+                 trace: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or not lines:
+        sys.exit(f"{' '.join(argv[1:])} exited with {done.returncode}:\n{done.stderr}")
+    result = json.loads(lines[-1])
+    result["sha256"] = {name: digest for _, digest, name in
+                        (line.split() for line in lines if line.startswith("  sha256 "))}
+    return result
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--checkout", type=Path, default=REPO_ROOT,
+                        help="checkout to measure (default: this one)")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+
+    checkout = args.checkout.resolve()
+    declared = json.loads((checkout / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
+    try:
+        numpy_version = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = None
+    bench = {
+        "label": args.label,
+        "commit": git(checkout, "rev-parse", "HEAD"),
+        "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "cpu_count": os.cpu_count(),
+        "seed": args.seed,
+        "seconds": seconds,
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in declared["workloads"]):
+        bench["workloads"][workload] = {
+            f"trace_{trace}": run_workload(checkout, workload, args.seed, seconds, trace)
+            for trace in (0, 1)}
+        print(f"{workload}: done", flush=True)
+    path = REPO_ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

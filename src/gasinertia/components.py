@@ -94,16 +94,13 @@ def group_records(network: Network, records: list[TermRecord],
         by_pipe[rec.pipe_id] = rec
 
     bridges: list[Element] = []
-    for element_id in sorted(network.elements):
-        element = network.elements[element_id]
+    for element in network.valves_and_resistors:
         if element.kind is ElementKind.VALVE:
-            state = frame_t1.valve_open.get(element_id)
+            state = frame_t1.valve_open.get(element.element_id)
             if state is None and diag is not None:
                 diag.missing_valve_state += 1
             if not state:
                 continue
-        elif element.kind is not ElementKind.RESISTOR:
-            continue
         uf.union(element.from_node, element.to_node)
         bridges.append(element)
 
@@ -162,18 +159,54 @@ def orient_arcs(network: Network, group: Group,
     return arcs
 
 
+def _strong_components(n: int, ends: list[tuple[int, int]]) -> list[int]:
+    """Strongly connected component of every node, labelled by its root node
+    (Tarjan, SIAM J. Comput. 1, 1972; an explicit stack replaces recursion)."""
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in ends:
+        successors[u].append(v)
+    order, low, component, stack = {}, [0] * n, [-1] * n, []
+    for root in range(n):
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, pending = work[-1]
+            for nxt in pending:
+                if nxt not in order:
+                    order[nxt] = low[nxt] = len(order)
+                    stack.append(nxt)
+                    work.append((nxt, iter(successors[nxt])))
+                    break
+                if component[nxt] < 0:  # still on the stack
+                    low[node] = min(low[node], order[nxt])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if low[node] == order[node]:
+                    while component[node] < 0:
+                        component[stack.pop()] = node
+    return component
+
+
 def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
     """Longest directed path weight over a non-negative multigraph.
 
     Works on negated weights with Bellman-Ford from a virtual source
-    joined to every node, so all distances start at zero.  A round that
-    still relaxes after n passes exposes a negative cycle through the
-    parent arcs; its absolute weight is added to a correction term, its
-    arcs are zeroed, and a new round starts.  The first pass of a round
-    that changes nothing ends the search: the smallest distance is then
-    the shortest path from any source, and its negation plus the
-    accumulated correction is the value.  Exact on acyclic inputs; with
-    cycles the result can only overestimate, never underestimate.
+    joined to every node, so all distances start at zero.  Cycles lie
+    inside strongly connected components, so cancellation rounds run over
+    the arcs inside each such component that carries weight; those whose
+    arcs all weigh zero hold only open valves and resistors and are
+    skipped.  A round that still relaxes after n passes (n the nodes of
+    its arcs) exposes a negative cycle through the parent arcs; its
+    absolute weight is added to a correction term, its arcs are zeroed,
+    and a new round starts.  A last round over all arcs converges: its
+    smallest distance is the shortest path from any source, and its
+    negation plus the correction is the value.  Exact on acyclic inputs;
+    with cycles the result can only overestimate, never underestimate.
 
     Returns (value_pa, cycle_correction_pa).
     """
@@ -181,40 +214,44 @@ def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
         raise ValueError("longest_path_value requires at least one arc")
     node_ids = sorted({a.from_node for a in arcs} | {a.to_node for a in arcs})
     index = {node: i for i, node in enumerate(node_ids)}
-    n = len(node_ids)
     ends = [(index[a.from_node], index[a.to_node]) for a in arcs]
     weights = [-a.weight_pa for a in arcs]
+    component = _strong_components(len(node_ids), ends)
+    inside: dict[int, list[int]] = {}
+    for ai, (u, v) in enumerate(ends):
+        if component[u] == component[v]:
+            inside.setdefault(component[u], []).append(ai)
+    weighted = [arc_ids for arc_ids in inside.values() if any(weights[ai] for ai in arc_ids)]
 
     correction = 0.0
-    while True:
-        dist = [0.0] * n
-        parent_arc = [-1] * n
-        for _ in range(n):
-            touched = -1
-            for ai, (u, v) in enumerate(ends):
-                cand = dist[u] + weights[ai]
-                if cand < dist[v]:
-                    dist[v] = cand
-                    parent_arc[v] = ai
-                    touched = v
-            if touched < 0:
-                return -min(dist) + correction, correction
-        # walk n parents back to land inside the cycle, then extract it
-        node = touched
-        for _ in range(n):
-            node = ends[parent_arc[node]][0]
-        cycle_arcs = []
-        cursor = node
+    for arc_ids in weighted + [range(len(ends))]:
+        n = len({node for ai in arc_ids for node in ends[ai]})
         while True:
-            ai = parent_arc[cursor]
-            cycle_arcs.append(ai)
-            cursor = ends[ai][0]
-            if cursor == node:
+            dist, parent_arc = [0.0] * len(node_ids), [-1] * len(node_ids)
+            for _ in range(n):
+                touched = -1
+                for ai in arc_ids:
+                    u, v = ends[ai]
+                    cand = dist[u] + weights[ai]
+                    if cand < dist[v]:
+                        dist[v] = cand
+                        parent_arc[v] = ai
+                        touched = v
+                if touched < 0:
+                    break
+            if touched < 0:
                 break
-        cycle_weight = sum(weights[ai] for ai in cycle_arcs)
-        correction += -cycle_weight
-        for ai in cycle_arcs:
-            weights[ai] = 0.0
+            # walk n parents back to land inside the cycle, then extract it
+            node = touched
+            for _ in range(n):
+                node = ends[parent_arc[node]][0]
+            cycle_arcs = [parent_arc[node]]
+            while ends[cycle_arcs[-1]][0] != node:
+                cycle_arcs.append(parent_arc[ends[cycle_arcs[-1]][0]])
+            correction -= sum(weights[ai] for ai in cycle_arcs)
+            for ai in cycle_arcs:
+                weights[ai] = 0.0
+    return -min(dist) + correction, correction
 
 
 COMPONENTS_COLUMNS = ["t0", "t1", "component_id", "n_pipes", "longest_path_bar",

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from enum import Enum
+from functools import cached_property
 import math
 
 # Exact unit factors used at the I/O boundary.
@@ -139,6 +140,12 @@ class Network:
 
     def of_kind(self, kind: ElementKind) -> dict[str, Element]:
         return {k: e for k, e in self.elements.items() if e.kind is kind}
+
+    @cached_property
+    def valves_and_resistors(self) -> tuple[Element, ...]:
+        """Valves and resistors by id: the elements that can bridge pipe groups."""
+        return tuple(self.elements[k] for k in sorted(self.elements)
+                     if self.elements[k].kind in (ElementKind.VALVE, ElementKind.RESISTOR))
 
 
 @dataclass(frozen=True)

@@ -108,12 +108,14 @@ def enumerate_longest_path(arcs: list[tuple[str, str, float]]) -> float:
 
 
 def longest_path_all_sources(arcs: list[tuple[str, str, float]]) -> tuple[float, float]:
-    """The earlier two-phase longest path, kept as the bit-identity reference.
+    """The earlier two-phase longest path, kept as a bit-identity reference.
 
-    Phase one cancels negative cycles of the negated weights exactly as
-    the package does.  Phase two runs Bellman-Ford from every node on the
-    cycle-free weights and takes the best distance over all sources and
-    targets, instead of reading it from the cancellation distances.
+    Phase one cancels negative cycles of the negated weights in rounds over
+    all arcs, as the package did before it cancelled per strongly connected
+    component; on inputs without a weighted one both agree bit for bit.
+    Phase two runs Bellman-Ford from every node on the cycle-free weights
+    and takes the best distance over all sources and targets, instead of
+    reading it from the cancellation distances.
     Returns (value, cycle_correction).
     """
     node_ids = sorted({u for u, _, _ in arcs} | {v for _, v, _ in arcs})

@@ -264,6 +264,26 @@ class TestLongestPath:
         assert corr == 7.0
         assert value >= enumerate_longest_path([("a", "b", 3.0), ("b", "a", 4.0)])
 
+    def test_two_weighted_sccs_joined_by_a_one_way_arc(self):
+        arcs = [DirectedArc("a", "b", 3.0, "p1"), DirectedArc("b", "a", 4.0, "p2"),
+                DirectedArc("b", "c", 2.0, "p3"),
+                DirectedArc("c", "d", 5.0, "p4"), DirectedArc("d", "c", 6.0, "p5")]
+        # each SCC's cycle is cancelled once; only the joining arc is left
+        assert longest_path_value(arcs) == (2.0 + 18.0, 18.0)
+        assert enumerate_longest_path(
+            [(a.from_node, a.to_node, a.weight_pa) for a in arcs]) == 10.0
+
+    def test_weighted_self_loop(self):
+        assert longest_path_value([DirectedArc("a", "a", 5.0, "p1")]) == (5.0, 5.0)
+        arcs = [DirectedArc("a", "a", 5.0, "p1"), DirectedArc("a", "b", 3.0, "p2")]
+        assert longest_path_value(arcs) == (8.0, 5.0)
+
+    def test_two_way_valve_in_a_chain_is_exact(self):
+        arcs = [DirectedArc("a", "b", 3.0, "x"),
+                DirectedArc("b", "c", 0.0, "v"), DirectedArc("c", "b", 0.0, "v"),
+                DirectedArc("c", "d", 4.0, "y")]
+        assert longest_path_value(arcs) == (7.0, 0.0)
+
     def test_matches_enumeration_on_random_dags(self):
         rng = random.Random(20260814)
         for _ in range(200):
@@ -329,9 +349,21 @@ def grids(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(multigraphs(), grids()))
-def test_longest_path_bit_identical_to_all_sources_reference(arcs):
-    expected = longest_path_all_sources([(a.from_node, a.to_node, a.weight_pa) for a in arcs])
-    assert longest_path_value(arcs) == expected
+def test_longest_path_bounds_and_cancels_only_in_weighted_sccs(arcs):
+    networkx = pytest.importorskip("networkx")
+    triples = [(a.from_node, a.to_node, a.weight_pa) for a in arcs]
+    graph = networkx.MultiDiGraph()
+    graph.add_weighted_edges_from(triples)
+    weighted_scc = any(w > 0.0 for scc in networkx.strongly_connected_components(graph)
+                       for _, v, w in graph.out_edges(scc, data="weight") if v in scc)
+    value, correction = longest_path_value(arcs)
+    assert (correction > 0.0) == weighted_scc
+    if not weighted_scc:
+        assert (value, correction) == longest_path_all_sources(triples)
+    expected = enumerate_longest_path(triples)
+    # the value and the path sums round once per arc added, in other orders
+    slack = len(arcs) * math.ulp(expected + correction)
+    assert expected - slack <= value <= expected + correction + slack
 
 
 class TestArcValidation:
