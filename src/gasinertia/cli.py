@@ -2,10 +2,14 @@
 report and synth.
 
 Stages communicate through CSV files, so any stage can be rerun or
-replaced.  The one binary file, scan's history.npz, is a cache: components
-loads it in place of parsing states.csv when it was saved from the same
-states and topology contents.  Outputs are deterministic: rows follow
-sorted ids and chronological pairs.
+replaced.  The one binary file, scan's history.npz, is a cache of the
+history scan parsed and the terms it wrote, with the digests of
+states.csv, topology.csv and terms.csv.  components loads the history in
+place of parsing states.csv when it was saved from the same states and
+topology contents, and then also the terms in place of parsing terms.csv
+when that is unchanged; report loads the terms alone under the same
+condition.  Outputs are deterministic: rows follow sorted ids and
+chronological pairs.
 """
 
 from __future__ import annotations
@@ -131,6 +135,11 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+def _sidecar_beside(terms_path: str) -> str:
+    """Where scan saved its history and terms along with terms_path."""
+    return os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR)
+
+
 # ---------------------------------------------------------------------------
 # derive-threshold
 
@@ -196,10 +205,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     alpha_per_length = alpha / table.length_m
     ratio = term_ratio(alpha, beta)
     relevant = pipe_relevant(alpha_per_length, ratio, cfg)
-    write_terms(Terms(tuple(pairs), pair_index, np.array(pipe_ids)[position], flow_t0, flow_t1,
-                      alpha, beta, alpha_per_length, ratio, relevant),
-                _out_path(args, "terms.csv"))
-    save_history(history, _out_path(args, HISTORY_SIDECAR), args.states, args.topology)
+    terms = Terms(tuple(pairs), pair_index, np.array(pipe_ids)[position], flow_t0, flow_t1,
+                  alpha, beta, alpha_per_length, ratio, relevant)
+    terms_path = _out_path(args, "terms.csv")
+    write_terms(terms, terms_path)
+    save_history(history, _out_path(args, HISTORY_SIDECAR), args.states, args.topology,
+                 terms, terms_path)
     totals = {"total": excluded.size, "excluded": int(np.count_nonzero(excluded)),
               "missing": diag.missing_data,
               "below_prefilter": int(np.count_nonzero(below_prefilter)),
@@ -224,11 +235,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_components(args: argparse.Namespace) -> int:
     cfg, _gas = _configs_from_args(args)
     network = parse_topology(args.topology)
-    history = load_history(os.path.join(os.path.dirname(args.terms), HISTORY_SIDECAR),
-                           args.states, args.topology)
+    sidecar = _sidecar_beside(args.terms)
+    history = load_history(sidecar, args.states, args.topology)
     if history is None:
         history = parse_states(args.states, network)
-    terms = read_terms(args.terms, history, cfg)
+        # the saved terms were checked only against the saved history
+        sidecar = None
+    terms = read_terms(args.terms, history, cfg, sidecar)
 
     # pair index -> its relevant records, in file order
     grouped: dict[int, list[TermRecord]] = {}
@@ -337,7 +350,7 @@ def cmd_persistence(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     # every input is read and checked before anything is printed or written
     stream = read_components(args.components, args.members)
-    terms = read_terms(args.terms) if args.terms else None
+    terms = read_terms(args.terms, sidecar=_sidecar_beside(args.terms)) if args.terms else None
     instances = [comp for _, comps in stream for comp in comps]
 
     if args.horizon_days is not None:

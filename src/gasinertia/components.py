@@ -206,7 +206,9 @@ def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
     and a new round starts.  A last round over all arcs converges: its
     smallest distance is the shortest path from any source, and its
     negation plus the correction is the value.  Exact on acyclic inputs;
-    with cycles the result can only overestimate, never underestimate.
+    with cycles the result overestimates, but only up to rounding: the
+    correction and the path are rounded apart, so it can read up to one
+    ulp per arc under the true longest simple path.
 
     Returns (value_pa, cycle_correction_pa).
     """

@@ -1,5 +1,5 @@
 """File formats: topology, long-format state history, exclusions, terms,
-key = value settings; and the binary history sidecar.
+key = value settings; and the binary sidecar of scan's history and terms.
 
 This module is the only one that knows how a file is framed: `read_table`
 and `write_table` handle every CSV file of the pipeline, `read_settings`
@@ -15,6 +15,7 @@ from bisect import bisect_left
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+import io
 import math
 from typing import Iterable, Iterator
 import zipfile
@@ -328,8 +329,9 @@ def serialize_states(history: History, path: str) -> None:
     write_table(path, STATES_COLUMNS, rows())
 
 
-# scan saves the parsed history next to its terms file; components loads it
-# instead of parsing states.csv again when both input files are unchanged
+# scan saves the parsed history and its terms next to its terms file;
+# components and report load them instead of parsing the CSV files again
+# when those are unchanged
 HISTORY_SIDECAR = "history.npz"
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -337,7 +339,7 @@ _MICROSECOND = timedelta(microseconds=1)
 
 def file_sha256(path: str) -> str:
     # imported here because loading it costs every stage's start about 4 ms,
-    # and only scan and components hash files
+    # and only the stages that read or write the sidecar hash files
     import hashlib
 
     sha = hashlib.sha256()
@@ -347,8 +349,24 @@ def file_sha256(path: str) -> str:
     return sha.hexdigest()
 
 
-def save_history(history: History, path: str, states_path: str, topology_path: str) -> None:
-    """Write history with the digests of the files it was parsed from."""
+def save_history(history: History, path: str, states_path: str, topology_path: str,
+                 terms: Terms | None = None, terms_path: str | None = None) -> None:
+    """Write history with the digests of the files it was parsed from.
+
+    Given terms in chronological order of pairs of consecutive frames of
+    history, as scan builds them, and the file terms_path they were
+    written to, also write them with its digest: the numbers as the terms
+    file gives them, and each row's pair as the index of its first frame.
+    """
+    saved = {}
+    if terms is not None:
+        frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
+        pair_frame = np.array([frame_index[pair.t0] for pair in terms.pairs], dtype=np.int64)
+        saved = {"terms_sha256": file_sha256(terms_path),
+                 "terms_frame": pair_frame[terms.pair_index],
+                 "terms_pipe_ids": terms.pipe_ids,
+                 "terms_numbers": _file_numbers(terms),
+                 "terms_relevant": terms.relevant}
     np.savez(path,
              states_sha256=file_sha256(states_path),
              topology_sha256=file_sha256(topology_path),
@@ -361,7 +379,8 @@ def save_history(history: History, path: str, states_path: str, topology_path: s
              pressure_pa=history.pressure_pa,
              flow_m3s=history.flow_m3s,
              valve_open=history.valve_open,
-             rho_n=history.rho_n)
+             rho_n=history.rho_n,
+             **saved)
 
 
 def load_history(path: str, states_path: str, topology_path: str) -> History | None:
@@ -380,6 +399,26 @@ def load_history(path: str, states_path: str, topology_path: str) -> History | N
                            saved["valve_open"], saved["rho_n"])
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
         # an absent or unreadable sidecar only means parsing the CSV again
+        return None
+
+
+def load_terms(path: str, terms_path: str) -> Terms | None:
+    """The terms saved at path, equal to read_terms(terms_path), or None
+    unless it exists and holds terms saved from a file with the contents
+    of terms_path."""
+    try:
+        with np.load(path) as saved:
+            if str(saved["terms_sha256"]) != file_sha256(terms_path):
+                return None
+            # the rows are chronological, so sorted pairs are numbered in the
+            # order they first appear, as parsing numbers them
+            frames, pair_index = np.unique(saved["terms_frame"], return_inverse=True)
+            us = saved["timestamps_us"].tolist()
+            pairs = tuple(TimePair(_EPOCH + us[k] * _MICROSECOND, _EPOCH + us[k + 1] * _MICROSECOND)
+                          for k in frames.tolist())
+            return _from_file_numbers(pairs, pair_index, saved["terms_pipe_ids"],
+                                      saved["terms_numbers"], saved["terms_relevant"])
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
         return None
 
 
@@ -457,22 +496,55 @@ class Terms:
     relevant: np.ndarray              # bool
 
 
-def write_terms(terms: Terms, path: str) -> None:
-    stamps = [(format_timestamp(pair.t0), format_timestamp(pair.t1)) for pair in terms.pairs]
-    # tolist() gives plain floats, which are written with repr
-    cells = [map(repr, (values / unit).tolist()) for values, unit in (
+def _file_numbers(terms: Terms) -> np.ndarray:
+    """[7 x points]: the number columns of a terms file, in file units."""
+    return np.array([values / unit for values, unit in (
         (terms.flow_t0_m3s, KNM3H), (terms.flow_t1_m3s, KNM3H),
         (terms.flow_t1_m3s - terms.flow_t0_m3s, KNM3H), (terms.alpha_pa, BAR),
-        (terms.beta_pa, BAR), (terms.alpha_per_length_pam, PER_10KM), (terms.ratio, 1.0))]
-    write_table(path, TERMS_COLUMNS, (
-        [*stamps[k], pipe_id, *values, "1" if relevant else "0"]
-        for k, pipe_id, relevant, *values in zip(terms.pair_index.tolist(),
-                                                 terms.pipe_ids.tolist(),
-                                                 terms.relevant.tolist(), *cells)))
+        (terms.beta_pa, BAR), (terms.alpha_per_length_pam, PER_10KM), (terms.ratio, 1.0))],
+        dtype=float)
+
+
+def _from_file_numbers(pairs: tuple[TimePair, ...], pair_index: np.ndarray,
+                       pipe_ids: np.ndarray, numbers: np.ndarray,
+                       relevant: np.ndarray) -> Terms:
+    # the flow change column is checked when parsed, but Terms derives it
+    flow_t0, flow_t1, _dflow, alpha, beta, alpha_per_10km, ratio = numbers
+    return Terms(pairs, pair_index, pipe_ids, flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR,
+                 beta * BAR, alpha_per_10km * PER_10KM, ratio, relevant)
+
+
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it among other cells of a row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(("", text))
+    return buffer.getvalue()[1:-len(writer.dialect.lineterminator)]
+
+
+def write_terms(terms: Terms, path: str) -> None:
+    """Write a terms file with the bytes csv.writer would give.
+
+    Rows are joined from columns formatted ahead: timestamps and numbers
+    never need quoting, and each distinct pipe id is quoted once.
+    """
+    stamps = [f"{format_timestamp(pair.t0)},{format_timestamp(pair.t1)}"
+              for pair in terms.pairs]
+    pipe_ids = terms.pipe_ids.tolist()
+    cells = {pipe_id: _csv_cell(pipe_id) for pipe_id in set(pipe_ids)}
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(TERMS_COLUMNS)
+        flags = ("0" + writer.dialect.lineterminator, "1" + writer.dialect.lineterminator)
+        # tolist() gives plain floats, which are written with repr
+        handle.writelines(map(",".join, zip(
+            map(stamps.__getitem__, terms.pair_index.tolist()), map(cells.__getitem__, pipe_ids),
+            *(map(repr, column) for column in _file_numbers(terms).tolist()),
+            map(flags.__getitem__, terms.relevant.tolist()))))
 
 
 def read_terms(path: str, history: History | None = None,
-               cfg: ThresholdConfig | None = None) -> Terms:
+               cfg: ThresholdConfig | None = None, sidecar: str | None = None) -> Terms:
     """The terms of a terms file, in which a pair and pipe appear once.
 
     Given the history the terms were computed from, every row must also
@@ -480,7 +552,31 @@ def read_terms(path: str, history: History | None = None,
     Rows are checked in file order, so the first bad line is reported.
     Given a threshold config, every row's relevant flag must then be the
     one pipe_relevant gives under it.
+
+    Given a sidecar that holds the terms of a file with the contents of
+    path, they are loaded from it instead of parsed.  Those terms were
+    computed from the history saved beside them, so the rows are not
+    checked against history: pass a sidecar together with a history only
+    when that history was loaded from the same sidecar.
     """
+    terms = load_terms(sidecar, path) if sidecar is not None else None
+    if terms is None:
+        terms, lines = _parse_terms(path, history)
+    else:
+        # read_table numbers the rows after the header from 2 on
+        lines = range(2, len(terms.relevant) + 2)
+    if cfg is not None:
+        wrong = np.flatnonzero(terms.relevant != pipe_relevant(terms.alpha_per_length_pam,
+                                                               terms.ratio, cfg))
+        if wrong.size:
+            raise ParseError(path, lines[wrong[0]],
+                             f"relevant is {int(terms.relevant[wrong[0]])}, but the thresholds "
+                             "of this config say otherwise; run scan with the same config")
+    return terms
+
+
+def _parse_terms(path: str, history: History | None) -> tuple[Terms, list[int]]:
+    """The terms of a terms file and the line of each row."""
     # pair texts -> index of their pair; spellings of one instant share it
     by_text: dict[tuple[str, str], int] = {}
     by_pair: dict[TimePair, int] = {}
@@ -504,7 +600,6 @@ def read_terms(path: str, history: History | None = None,
                                      f"{span} spans frames {k0} to {k1}, not consecutive frames")
             k = by_text[row[0], row[1]] = by_pair.setdefault(pair, len(by_pair))
         try:
-            # the flow change cell is checked, but Terms derives it
             numbers.append(list(map(float, row[3:10])))
         except ValueError:
             # cell by cell, to name the first bad column
@@ -523,16 +618,8 @@ def read_terms(path: str, history: History | None = None,
         pair_index.append(k)
         pipe_ids.append(row[2])
         relevant.append(row[10] == "1")
-    flow_t0, flow_t1, _dflow, alpha, beta, alpha_per_10km, ratio = (
-        np.array(numbers, dtype=float).reshape(len(numbers), 7).T)
-    terms = Terms(tuple(by_pair), np.array(pair_index, dtype=int), np.array(pipe_ids, dtype=str),
-                  flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR, beta * BAR,
-                  alpha_per_10km * PER_10KM, ratio, np.array(relevant, dtype=bool))
-    if cfg is not None:
-        wrong = np.flatnonzero(terms.relevant != pipe_relevant(terms.alpha_per_length_pam,
-                                                               terms.ratio, cfg))
-        if wrong.size:
-            raise ParseError(path, lines[wrong[0]],
-                             f"relevant is {int(terms.relevant[wrong[0]])}, but the thresholds "
-                             "of this config say otherwise; run scan with the same config")
-    return terms
+    terms = _from_file_numbers(tuple(by_pair), np.array(pair_index, dtype=int),
+                               np.array(pipe_ids, dtype=str),
+                               np.array(numbers, dtype=float).reshape(len(numbers), 7).T,
+                               np.array(relevant, dtype=bool))
+    return terms, lines

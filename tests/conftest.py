@@ -1,7 +1,12 @@
-"""Shared builders for the test suite."""
+"""Shared builders and fixtures for the test suite."""
 
+import contextlib
 from datetime import datetime, timedelta, timezone
+import io
 
+import pytest
+
+from gasinertia.cli import main
 from gasinertia.components import Component
 from gasinertia.model import BAR, KNM3H, TimePair
 from gasinertia.thresholds import RelevanceClass
@@ -36,3 +41,45 @@ def make_component(pair_index: int, pipe_ids: tuple[str, ...],
 def make_stream(entries: list[tuple[int, list[Component]]]) -> list:
     """Stream from (pair index, components) entries; skipped indices gap."""
     return [(make_pair(index), comps) for index, comps in entries]
+
+
+SCENARIO = """fixture = line3
+frames = 8
+tau_s = 180
+event = n3 3 -300
+event = n3 4 -10
+"""
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Full file-mediated pipeline over a three-pipe event scenario."""
+    root = tmp_path_factory.mktemp("pipeline")
+    scn = root / "case.scn"
+    scn.write_text(SCENARIO)
+    data = root / "data"
+    out = root / "out"
+    results = {}
+    results["synth"] = run_cli(["synth", "--scenario", scn, "--out", data])
+    results["scan"] = run_cli([
+        "scan", "--topology", data / "topology.csv",
+        "--states", data / "states.csv", "--out", out])
+    results["components"] = run_cli([
+        "components", "--topology", data / "topology.csv",
+        "--states", data / "states.csv", "--terms", out / "terms.csv",
+        "--out", out])
+    results["persistence"] = run_cli([
+        "persistence", "--components", out / "components.csv",
+        "--members", out / "components_pipes.csv", "--out", out])
+    results["report"] = run_cli([
+        "report", "--components", out / "components.csv",
+        "--members", out / "components_pipes.csv", "--terms", out / "terms.csv",
+        "--horizon-days", "100", "--out", out])
+    return {"root": root, "data": data, "out": out, "results": results}

@@ -1,7 +1,5 @@
-import contextlib
 import csv
 from datetime import datetime, timedelta, timezone
-import io
 import os
 import tempfile
 
@@ -15,29 +13,15 @@ from gasinertia.cli import (
     RUNS_COLUMNS,
     build_threshold_config,
     load_config_file,
-    main,
     parse_length,
 )
-from gasinertia.ingest import ParseError, parse_states
+from gasinertia import ingest
+from gasinertia.ingest import TERMS_COLUMNS, ParseError, parse_states, read_table
 from gasinertia.model import BAR, KNM3H
 
-from conftest import stamp
+from conftest import run_cli, stamp
 from gasinertia.ingest import format_timestamp
 from oracles import classify_scan_points
-
-SCENARIO = """fixture = line3
-frames = 8
-tau_s = 180
-event = n3 3 -300
-event = n3 4 -10
-"""
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue()
 
 
 def read_csv(path):
@@ -45,31 +29,14 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Full file-mediated pipeline over a three-pipe event scenario."""
-    root = tmp_path_factory.mktemp("pipeline")
-    scn = root / "case.scn"
-    scn.write_text(SCENARIO)
-    data = root / "data"
-    out = root / "out"
-    results = {}
-    results["synth"] = run_cli(["synth", "--scenario", scn, "--out", data])
-    results["scan"] = run_cli([
-        "scan", "--topology", data / "topology.csv",
-        "--states", data / "states.csv", "--out", out])
-    results["components"] = run_cli([
-        "components", "--topology", data / "topology.csv",
-        "--states", data / "states.csv", "--terms", out / "terms.csv",
-        "--out", out])
-    results["persistence"] = run_cli([
-        "persistence", "--components", out / "components.csv",
-        "--members", out / "components_pipes.csv", "--out", out])
-    results["report"] = run_cli([
-        "report", "--components", out / "components.csv",
-        "--members", out / "components_pipes.csv", "--terms", out / "terms.csv",
-        "--horizon-days", "100", "--out", out])
-    return {"root": root, "data": data, "out": out, "results": results}
+def record_terms_parsed(monkeypatch, parsed):
+    """Append to parsed the path of every terms file parsed from here on."""
+    def counting(path, columns):
+        if columns == TERMS_COLUMNS:
+            parsed.append(path)
+        return read_table(path, columns)
+
+    monkeypatch.setattr(ingest, "read_table", counting)
 
 
 class TestPipeline:
@@ -197,7 +164,9 @@ class TestExclusions:
 
 class TestHistorySidecar:
     """components loads scan's history.npz only when it was saved from
-    files with the contents of --states and --topology."""
+    files with the contents of --states and --topology, and then the terms
+    saved in it when they were saved from a file with the contents of
+    --terms; report loads the terms under that last condition alone."""
 
     @pytest.fixture
     def scanned(self, pipeline, tmp_path, monkeypatch):
@@ -206,6 +175,7 @@ class TestHistorySidecar:
         code, _, err = run_cli(["scan", "--topology", tmp_path / "topology.csv",
                                 "--states", tmp_path / "states.csv", "--out", tmp_path])
         assert code == 0, err
+        # the states and terms files parsed, in order
         parsed = []
 
         def counting(path, network):
@@ -213,13 +183,21 @@ class TestHistorySidecar:
             return parse_states(path, network)
 
         monkeypatch.setattr(cli, "parse_states", counting)
+        record_terms_parsed(monkeypatch, parsed)
         return tmp_path, parsed
+
+    def run_components(self, root, topology, out):
+        return run_cli(["components", "--topology", topology, "--states", root / "states.csv",
+                        "--terms", root / "terms.csv", "--out", out])
+
+    def run_report(self, root, components, out):
+        return run_cli(["report", "--components", components / "components.csv",
+                        "--members", components / "components_pipes.csv",
+                        "--terms", root / "terms.csv", "--horizon-days", "100", "--out", out])
 
     def assert_components_unchanged(self, pipeline, root, topology):
         out = root / "components"
-        code, stdout, err = run_cli([
-            "components", "--topology", topology, "--states", root / "states.csv",
-            "--terms", root / "terms.csv", "--out", out])
+        code, stdout, err = self.run_components(root, topology, out)
         assert code == 0, err
         assert stdout == pipeline["results"]["components"][1]
         for name in ("components.csv", "components_pipes.csv"):
@@ -235,7 +213,39 @@ class TestHistorySidecar:
         root, parsed = scanned
         (root / "history.npz").unlink()
         self.assert_components_unchanged(pipeline, root, root / "topology.csv")
-        assert parsed == [str(root / "states.csv")]
+        assert parsed == [str(root / "states.csv"), str(root / "terms.csv")]
+
+    def test_outputs_same_with_and_without_sidecar(self, pipeline, scanned):
+        root, parsed = scanned
+        outputs = {}
+        for case in ("present", "deleted"):
+            out = root / case
+            if case == "deleted":
+                (root / "history.npz").unlink()
+            for stage in (self.run_components(root, root / "topology.csv", out),
+                          self.run_report(root, out, out)):
+                code, _, err = stage
+                assert code == 0, err
+            outputs[case] = {name: (out / name).read_bytes() for name in (
+                "components.csv", "components_pipes.csv", "sweep.csv", "hexbin.csv")}
+        assert outputs["present"] == outputs["deleted"]
+        assert outputs["present"]["hexbin.csv"] == (pipeline["out"] / "hexbin.csv").read_bytes()
+        terms = str(root / "terms.csv")
+        assert parsed == [str(root / "states.csv"), terms, terms]
+
+    def test_edited_terms_parsed_again(self, pipeline, scanned):
+        root, parsed = scanned
+        terms = root / "terms.csv"
+        rows = read_csv(terms)
+        with open(terms, "a", newline="") as handle:
+            csv.writer(handle).writerow(rows[-1])
+        message = f"{terms}:8: repeated row for pipe '{rows[-1][2]}'"
+        code, stdout, err = self.run_components(root, root / "topology.csv", root / "out")
+        assert code == 1 and stdout == "" and message in err
+        code, stdout, err = self.run_report(root, pipeline["out"], root / "out")
+        assert code == 1 and stdout == "" and message in err
+        assert parsed == [str(terms), str(terms)]
+        assert not (root / "out").exists()
 
     def test_stale_sidecar_after_states_edit(self, pipeline, scanned):
         root, parsed = scanned
@@ -243,7 +253,8 @@ class TestHistorySidecar:
         # the same instants, spelled differently
         states.write_text(states.read_text().replace("Z,", "+00:00,"))
         self.assert_components_unchanged(pipeline, root, root / "topology.csv")
-        assert parsed == [str(states)]
+        # the saved terms are checked only against the saved history
+        assert parsed == [str(states), str(root / "terms.csv")]
         lines = states.read_text().splitlines()
         lines[5] = lines[5].rsplit(",", 1)[0] + ",1.0.0"
         states.write_text("\n".join(lines) + "\n")
@@ -259,7 +270,7 @@ class TestHistorySidecar:
         other = root / "other_topology.csv"
         other.write_text("\n".join([header] + rows[::-1]) + "\n")
         self.assert_components_unchanged(pipeline, root, other)
-        assert parsed == [str(root / "states.csv")]
+        assert parsed == [str(root / "states.csv"), str(root / "terms.csv")]
 
 
 class TestDeriveThreshold:
@@ -339,6 +350,24 @@ class TestConfig:
         assert f"{terms}:2: relevant is 1, but the thresholds of this config" in err
         assert "run scan with the same config" in err
         assert not (tmp_path / "components.csv").exists()
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["saved terms", "parsed terms"])
+    def test_thresholds_checked_with_or_without_sidecar(self, pipeline, tmp_path, monkeypatch,
+                                                        sidecar):
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        names = ("terms.csv", "history.npz") if sidecar else ("terms.csv",)
+        for name in names:
+            (scan / name).write_bytes((pipeline["out"] / name).read_bytes())
+        parsed = []
+        record_terms_parsed(monkeypatch, parsed)
+        config = tmp_path / "cfg"
+        config.write_text("ratio_min = 1000\nreference_length_km = 0.001\n")
+        terms = scan / "terms.csv"
+        code, stdout, err = self.components_with(pipeline, config, terms, tmp_path / "out")
+        assert code == 1 and stdout == ""
+        assert f"{terms}:2: relevant is 1, but the thresholds of this config" in err
+        assert parsed == ([] if sidecar else [str(terms)])
 
     def test_scan_and_components_share_a_config(self, pipeline, tmp_path):
         config = tmp_path / "cfg"

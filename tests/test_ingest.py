@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 from datetime import timedelta, timezone
 import math
 
@@ -9,9 +11,12 @@ from gasinertia import ingest
 
 from gasinertia.ingest import (
     EXCLUSIONS_COLUMNS,
+    HISTORY_SIDECAR,
+    PER_10KM,
     ExclusionWindow,
     exclusion_mask,
     load_history,
+    load_terms,
     save_history,
     ParseError,
     STATES_COLUMNS,
@@ -27,6 +32,7 @@ from gasinertia.ingest import (
     read_terms,
     serialize_states,
     serialize_topology,
+    write_table,
     write_terms,
 )
 from gasinertia.model import (
@@ -497,6 +503,27 @@ class TestTerms:
             read_terms(str(path))
         assert (info.value.path, info.value.line) == (str(path), 3)
 
+    def test_quoted_pipe_ids_written_as_csv_writer_would(self, tmp_path):
+        pipe_ids = ["a,b", 'say "x"', "plain", "", "two\nlines"]
+        terms = dataclasses.replace(make_terms(pair_index=(0, 1, 0, 1, 0),
+                                               relevant=(True, False, True, False, True)),
+                                    pipe_ids=np.array(pipe_ids))
+        path = tmp_path / "terms.csv"
+        write_terms(terms, str(path))
+        columns = [(terms.flow_t0_m3s, KNM3H), (terms.flow_t1_m3s, KNM3H),
+                   (terms.flow_t1_m3s - terms.flow_t0_m3s, KNM3H), (terms.alpha_pa, BAR),
+                   (terms.beta_pa, BAR), (terms.alpha_per_length_pam, PER_10KM),
+                   (terms.ratio, 1.0)]
+        expected = tmp_path / "expected.csv"
+        write_table(str(expected), TERMS_COLUMNS, [
+            [format_timestamp(terms.pairs[k].t0), format_timestamp(terms.pairs[k].t1), pipe_id,
+             *(repr(float(values[i] / unit)) for values, unit in columns), str(int(flag))]
+            for i, (k, pipe_id, flag) in enumerate(zip(terms.pair_index.tolist(), pipe_ids,
+                                                       terms.relevant.tolist()))])
+        assert path.read_bytes() == expected.read_bytes()
+        assert b'"a,b"' in path.read_bytes() and b'"say ""x"""' in path.read_bytes()
+        assert_terms_equal(read_terms(str(path)), terms)
+
     def test_header_pinned(self):
         assert TERMS_COLUMNS == ["t0", "t1", "pipe_id", "flow_t0_kNm3h",
                                  "flow_t1_kNm3h", "dflow_kNm3h", "alpha_bar",
@@ -520,6 +547,8 @@ class TestSidecar:
         assert_same_history(loaded, history)
         assert all(t.utcoffset() == timedelta(0) for t in loaded.timestamps)
         assert loaded[1] == history[1]
+        # a sidecar saved without terms holds none
+        assert load_terms(sidecar, states) is None
 
     def test_other_contents_not_loaded(self, tmp_path):
         states, topology = self.write_inputs(tmp_path)
@@ -536,6 +565,38 @@ class TestSidecar:
         sidecar = tmp_path / "history.npz"
         sidecar.write_bytes(b"not a zip archive")
         assert load_history(str(sidecar), states, topology) is None
+        assert load_terms(str(sidecar), states) is None
+
+    def test_saved_terms_equal_parsed_terms(self, pipeline):
+        terms, sidecar = (str(pipeline["out"] / name) for name in ("terms.csv", HISTORY_SIDECAR))
+        loaded, parsed = load_terms(sidecar, terms), read_terms(terms)
+        assert len(parsed.relevant) == 6
+        for name in ("flow_t0_m3s", "flow_t1_m3s", "alpha_pa", "beta_pa",
+                     "alpha_per_length_pam", "ratio"):
+            assert getattr(loaded, name).tobytes() == getattr(parsed, name).tobytes(), name
+        assert loaded.pipe_ids.tolist() == parsed.pipe_ids.tolist()
+        assert loaded.relevant.tolist() == parsed.relevant.tolist()
+        assert ([(loaded.pairs[k].t0, loaded.pairs[k].t1) for k in loaded.pair_index.tolist()]
+                == [(parsed.pairs[k].t0, parsed.pairs[k].t1) for k in parsed.pair_index.tolist()])
+        assert_terms_equal(loaded, parsed)
+        assert_terms_equal(read_terms(terms, sidecar=sidecar), parsed)
+
+    @pytest.mark.parametrize("edit", ["blank row", "number"])
+    def test_edited_terms_file_not_loaded(self, pipeline, tmp_path, edit):
+        for name in ("terms.csv", HISTORY_SIDECAR):
+            (tmp_path / name).write_bytes((pipeline["out"] / name).read_bytes())
+        terms, sidecar = str(tmp_path / "terms.csv"), str(tmp_path / HISTORY_SIDECAR)
+        assert load_terms(sidecar, terms) is not None
+        with open(terms, newline="") as handle:
+            rows = list(csv.reader(handle))
+        if edit == "blank row":
+            rows.append([])
+        else:
+            rows[-1][3] = repr(float(rows[-1][3]) + 1.0)
+        with open(terms, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        assert load_terms(sidecar, terms) is None
+        assert_terms_equal(read_terms(terms, sidecar=sidecar), read_terms(terms))
 
 
 class TestHistorySequence:
