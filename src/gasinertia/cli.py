@@ -2,14 +2,12 @@
 report and synth.
 
 Stages communicate through CSV files, so any stage can be rerun or
-replaced.  The one binary file, scan's history.npz, is a cache of the
-history scan parsed and the terms it wrote, with the digests of
-states.csv, topology.csv and terms.csv.  components loads the history in
-place of parsing states.csv when it was saved from the same states and
-topology contents, and then also the terms in place of parsing terms.csv
-when that is unchanged; report loads the terms alone under the same
-condition.  Outputs are deterministic: rows follow sorted ids and
-chronological pairs.
+replaced.  The one binary file, scan's history.npz next to terms.csv,
+caches the history scan parsed and the terms it wrote; ingest alone
+decides when it stands in for parsing: the history when states.csv and
+topology.csv are unchanged, the terms when terms.csv is and the history
+they are checked against has the saved timestamps and pipe ids.  Outputs
+are deterministic: rows follow sorted ids and chronological pairs.
 """
 
 from __future__ import annotations
@@ -49,12 +47,10 @@ from .temporal import (
     chain_relevance,
     component_chains,
     format_share_percent,
-    occurrence_rate,
     pipe_run_lengths,
     realism_filter,
 )
 from .ingest import (
-    HISTORY_SIDECAR,
     PER_10KM,
     ParseError,
     Terms,
@@ -85,40 +81,44 @@ RUNS_COLUMNS = ["length", "series_count", "datapoint_share"]
 CHAINS_COLUMNS = ["chain_id", "start_t0", "end_t1", "n_components", "class"]
 EVENTS_COLUMNS = ["event_id", "start_t0", "end_t1", "n_components", "class", "realistic"]
 
-# threshold config keys: ThresholdConfig field and factor to SI
-THRESHOLD_KEYS = {
+# config keys: ThresholdConfig or GasParams field and factor to SI
+CONFIG_KEYS = {
     "abs_small_bar": ("abs_small_pa", BAR),
     "abs_high_bar": ("abs_high_pa", BAR),
     "ratio_min": ("ratio_min", 1.0),
     "reference_length_km": ("reference_length_m", 1e3),
     "min_flow_change_kNm3h": ("min_flow_change_m3s", KNM3H),
     "realistic_flow_change_kNm3h": ("realistic_flow_change_m3s", KNM3H),
+    "temperature_K": ("temperature_k", 1.0),
 }
-CONFIG_KEYS = set(THRESHOLD_KEYS) | {"temperature_K"}
 
 
-def load_config_file(path: str) -> dict[str, float]:
-    values: dict[str, float] = {}
+def load_config_file(path: str) -> tuple[ThresholdConfig, GasParams]:
+    """The thresholds and gas of a key = value config file; the keys it
+    omits keep their defaults.  A value that breaks a rule is reported at
+    its line, and for a rule between two keys at the later of theirs."""
+    fields, lines = {}, {}   # SI value and line of each field the file gives
     for line, key, value in read_settings(path):
         if key not in CONFIG_KEYS:
             raise ParseError(path, line, f"unknown config key {key!r}")
         try:
-            values[key] = float(value)
+            number = float(value)
         except ValueError:
             raise ParseError(path, line, f"invalid number {value!r}") from None
-    return values
-
-
-def build_threshold_config(values: dict[str, float]) -> ThresholdConfig:
-    return ThresholdConfig(**{field: values[key] * factor
-                              for key, (field, factor) in THRESHOLD_KEYS.items()
-                              if key in values})
+        if not math.isfinite(number):
+            raise ParseError(path, line, f"non-finite number {value!r}")
+        field, factor = CONFIG_KEYS[key]
+        fields[field], lines[field] = number * factor, line
+    gas = {name: fields.pop(name) for name in ["temperature_k"] if name in fields}
+    try:
+        return ThresholdConfig(**fields), GasParams(**gas)
+    except ModelError as exc:
+        line = max(lines[field] for field in exc.fields if field in lines)
+        raise ParseError(path, line, str(exc)) from None
 
 
 def _configs_from_args(args: argparse.Namespace) -> tuple[ThresholdConfig, GasParams]:
-    values = load_config_file(args.config) if args.config else {}
-    cfg = build_threshold_config(values)
-    return cfg, GasParams(temperature_k=values.get("temperature_K", 283.15))
+    return load_config_file(args.config) if args.config else (ThresholdConfig(), GasParams())
 
 
 def parse_length(text: str) -> float:
@@ -130,14 +130,21 @@ def parse_length(text: str) -> float:
     return float(text)
 
 
+def _finite(text: str, positive: bool) -> float:
+    """text as a finite number, > 0 if positive else >= 0 (an argparse type)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not (0.0 < value < math.inf or value == 0.0 and not positive):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number {'> 0' if positive else '>= 0'}")
+    return value
+
+
 def _out_path(args: argparse.Namespace, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
-
-
-def _sidecar_beside(terms_path: str) -> str:
-    """Where scan saved its history and terms along with terms_path."""
-    return os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +215,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     terms = Terms(tuple(pairs), pair_index, np.array(pipe_ids)[position], flow_t0, flow_t1,
                   alpha, beta, alpha_per_length, ratio, relevant)
     terms_path = _out_path(args, "terms.csv")
-    write_terms(terms, terms_path)
-    save_history(history, _out_path(args, HISTORY_SIDECAR), args.states, args.topology,
-                 terms, terms_path)
+    save_history(history, terms, terms_path, write_terms(terms, terms_path), args.states,
+                 args.topology)
     totals = {"total": excluded.size, "excluded": int(np.count_nonzero(excluded)),
               "missing": diag.missing_data,
               "below_prefilter": int(np.count_nonzero(below_prefilter)),
@@ -235,13 +241,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_components(args: argparse.Namespace) -> int:
     cfg, _gas = _configs_from_args(args)
     network = parse_topology(args.topology)
-    sidecar = _sidecar_beside(args.terms)
-    history = load_history(sidecar, args.states, args.topology)
+    history = load_history(args.terms, args.states, args.topology)
     if history is None:
         history = parse_states(args.states, network)
-        # the saved terms were checked only against the saved history
-        sidecar = None
-    terms = read_terms(args.terms, history, cfg, sidecar)
+    terms = read_terms(args.terms, history, cfg)
 
     # pair index -> its relevant records, in file order
     grouped: dict[int, list[TermRecord]] = {}
@@ -319,27 +322,20 @@ def cmd_persistence(args: argparse.Namespace) -> int:
         event_rows.append(cells + ["1" if realistic else "0"])
     write_table(_out_path(args, "events.csv"), EVENTS_COLUMNS, event_rows)
 
-    relevant_instances = sum(1 for _, comps in stream for c in comps
-                             if c.relevance >= RelevanceClass.SMALL)
-    high_instances = sum(1 for _, comps in stream for c in comps
-                         if c.relevance >= RelevanceClass.HIGH)
-    kept_relevant = sum(1 for _, comps in filtered for c in comps
-                        if c.relevance >= RelevanceClass.SMALL)
-    kept_high = sum(1 for _, comps in filtered for c in comps
-                    if c.relevance >= RelevanceClass.HIGH)
-    total_events = len(events.chains)
-    realistic_events = realistic_counts["small"] + realistic_counts["high"]
+    def graded(entries, grade: RelevanceClass) -> int:
+        return sum(comp.relevance >= grade for _, comps in entries for comp in comps)
 
-    print(f"relevant component instances: {relevant_instances} "
-          f"(high: {high_instances})")
+    print(f"relevant component instances: {graded(stream, RelevanceClass.SMALL)} "
+          f"(high: {graded(stream, RelevanceClass.HIGH)})")
     print(f"realism filter dropped {dropped} components, keeping "
-          f"{kept_relevant} relevant ({kept_high} high)")
+          f"{graded(filtered, RelevanceClass.SMALL)} relevant "
+          f"({graded(filtered, RelevanceClass.HIGH)} high)")
     print(f"high run lengths: {runs_high.histogram} "
           f"(realistic: {runs_high_realistic.histogram})")
     print(f"chain-participating high components: {chains_high.participating}, "
           f"chain count upper bound: {chains_high.upper_bound}, "
           f"chains found: {len(chains_high.chains)}")
-    print(f"events: {total_events} ({realistic_events} realistic, "
+    print(f"events: {len(events.chains)} ({sum(realistic_counts.values())} realistic, "
           f"{realistic_counts['high']} realistic high)")
     return 0
 
@@ -350,7 +346,7 @@ def cmd_persistence(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     # every input is read and checked before anything is printed or written
     stream = read_components(args.components, args.members)
-    terms = read_terms(args.terms, sidecar=_sidecar_beside(args.terms)) if args.terms else None
+    terms = read_terms(args.terms) if args.terms else None
     instances = [comp for _, comps in stream for comp in comps]
 
     if args.horizon_days is not None:
@@ -362,11 +358,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("error: empty component stream and no --horizon-days", file=sys.stderr)
         return 1
 
-    if args.thresholds:
-        thresholds_pa = [float(part) * BAR for part in args.thresholds.split(",")]
-    else:
-        thresholds_pa = list(DEFAULT_THRESHOLDS_PA)
-    table = sweep_table(instances, thresholds_pa, horizon_s)
+    table = sweep_table(instances, args.thresholds_pa, horizon_s)
     write_table(_out_path(args, "sweep.csv"), SWEEP_COLUMNS, sweep_rows(table))
     for row in table:
         spacing = ("never" if not math.isfinite(row.interval.seconds)
@@ -458,10 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="threshold sweep and hexbin aggregation")
     common(p, components_in=True)
     p.add_argument("--terms", help="terms CSV for the hexbin (optional)")
-    p.add_argument("--horizon-days", type=float,
+    p.add_argument("--horizon-days", type=lambda text: _finite(text, positive=True),
                    help="observation horizon for occurrence rates")
-    p.add_argument("--thresholds", help="comma separated thresholds in bar")
-    p.add_argument("--resolution", type=float, default=0.1,
+    p.add_argument("--thresholds", dest="thresholds_pa", default=DEFAULT_THRESHOLDS_PA,
+                   type=lambda text: [_finite(part, False) * BAR for part in text.split(",")],
+                   help="comma separated thresholds in bar")
+    p.add_argument("--resolution", type=lambda text: _finite(text, positive=True), default=0.1,
                    help="hexagon circumradius in log10 units (default 0.1)")
     p.add_argument("--min-count", type=int, default=1,
                    help="suppress hexagons with fewer points (default 1)")

@@ -4,9 +4,9 @@ For one time pair, pipes with a relevant inertia term are grouped into
 connected components.  Open valves and resistors bridge groups without
 contributing weight; regulators and compressors never bridge.  Each
 component is then read as a directed multigraph (pipes oriented by the
-sign of alpha) and summarized by the value of its longest directed path,
-a bound on the pressure difference error explained by neglecting the
-inertia terms along one route.
+sign of alpha) and summarized by the value of its longest directed path
+of |alpha|, a first-order estimate of the pressure error from dropping
+the inertia terms along one route.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 import io
+import itertools
 import math
+import os
 from typing import Iterable, Iterator
 import zipfile
 
@@ -329,9 +331,7 @@ def serialize_states(history: History, path: str) -> None:
     write_table(path, STATES_COLUMNS, rows())
 
 
-# scan saves the parsed history and its terms next to its terms file;
-# components and report load them instead of parsing the CSV files again
-# when those are unchanged
+# scan saves its history and terms in this file next to its terms file
 HISTORY_SIDECAR = "history.npz"
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -349,25 +349,16 @@ def file_sha256(path: str) -> str:
     return sha.hexdigest()
 
 
-def save_history(history: History, path: str, states_path: str, topology_path: str,
-                 terms: Terms | None = None, terms_path: str | None = None) -> None:
-    """Write history with the digests of the files it was parsed from.
-
-    Given terms in chronological order of pairs of consecutive frames of
-    history, as scan builds them, and the file terms_path they were
-    written to, also write them with its digest: the numbers as the terms
-    file gives them, and each row's pair as the index of its first frame.
-    """
-    saved = {}
-    if terms is not None:
-        frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
-        pair_frame = np.array([frame_index[pair.t0] for pair in terms.pairs], dtype=np.int64)
-        saved = {"terms_sha256": file_sha256(terms_path),
-                 "terms_frame": pair_frame[terms.pair_index],
-                 "terms_pipe_ids": terms.pipe_ids,
-                 "terms_numbers": _file_numbers(terms),
-                 "terms_relevant": terms.relevant}
-    np.savez(path,
+def save_history(history: History, terms: Terms, terms_path: str, terms_sha256: str,
+                 states_path: str, topology_path: str) -> None:
+    """Save history with the digests of the files it was parsed from, next
+    to terms_path, with the terms scan computed from it and wrote there
+    with digest terms_sha256.  The terms come in chronological order of
+    pairs of consecutive frames, as scan builds them; each row's pair is
+    saved as the index of its first frame."""
+    frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
+    pair_frame = np.array([frame_index[pair.t0] for pair in terms.pairs], dtype=np.int64)
+    np.savez(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR),
              states_sha256=file_sha256(states_path),
              topology_sha256=file_sha256(topology_path),
              timestamps_us=np.array([(t - _EPOCH) // _MICROSECOND for t in history.timestamps],
@@ -380,14 +371,19 @@ def save_history(history: History, path: str, states_path: str, topology_path: s
              flow_m3s=history.flow_m3s,
              valve_open=history.valve_open,
              rho_n=history.rho_n,
-             **saved)
+             terms_sha256=terms_sha256,
+             terms_frame=pair_frame[terms.pair_index],
+             terms_pipe_ids=terms.pipe_ids,
+             terms_numbers=_file_numbers(terms),
+             terms_relevant=terms.relevant)
 
 
-def load_history(path: str, states_path: str, topology_path: str) -> History | None:
-    """The history saved at path, or None unless it exists and was saved
-    from files with the same contents as states_path and topology_path."""
+def load_history(terms_path: str, states_path: str, topology_path: str) -> History | None:
+    """The history saved in the sidecar next to terms_path, or None unless
+    it exists and was saved from files with the contents of states_path
+    and topology_path."""
     try:
-        with np.load(path) as saved:
+        with np.load(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR)) as saved:
             if (str(saved["states_sha256"]) != file_sha256(states_path)
                     or str(saved["topology_sha256"]) != file_sha256(topology_path)):
                 return None
@@ -402,20 +398,21 @@ def load_history(path: str, states_path: str, topology_path: str) -> History | N
         return None
 
 
-def load_terms(path: str, terms_path: str) -> Terms | None:
-    """The terms saved at path, equal to read_terms(terms_path), or None
-    unless it exists and holds terms saved from a file with the contents
-    of terms_path."""
+def _load_terms(path: str, history: History | None) -> Terms | None:
+    """The terms saved next to the terms file path, or None unless they
+    were saved from a file with its contents and, given a history, from
+    one with its timestamps and pipe ids, which parsing checks rows against."""
     try:
-        with np.load(path) as saved:
-            if str(saved["terms_sha256"]) != file_sha256(terms_path):
+        with np.load(os.path.join(os.path.dirname(path), HISTORY_SIDECAR)) as saved:
+            stamps = tuple(_EPOCH + us * _MICROSECOND for us in saved["timestamps_us"].tolist())
+            if str(saved["terms_sha256"]) != file_sha256(path) or history is not None and (
+                    history.timestamps != stamps
+                    or history.pipe_ids != tuple(saved["pipe_ids"].tolist())):
                 return None
             # the rows are chronological, so sorted pairs are numbered in the
             # order they first appear, as parsing numbers them
             frames, pair_index = np.unique(saved["terms_frame"], return_inverse=True)
-            us = saved["timestamps_us"].tolist()
-            pairs = tuple(TimePair(_EPOCH + us[k] * _MICROSECOND, _EPOCH + us[k + 1] * _MICROSECOND)
-                          for k in frames.tolist())
+            pairs = tuple(TimePair(stamps[k], stamps[k + 1]) for k in frames.tolist())
             return _from_file_numbers(pairs, pair_index, saved["terms_pipe_ids"],
                                       saved["terms_numbers"], saved["terms_relevant"])
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
@@ -522,8 +519,9 @@ def _csv_cell(text: str) -> str:
     return buffer.getvalue()[1:-len(writer.dialect.lineterminator)]
 
 
-def write_terms(terms: Terms, path: str) -> None:
-    """Write a terms file with the bytes csv.writer would give.
+def write_terms(terms: Terms, path: str) -> str:
+    """Write a terms file with the bytes csv.writer would give, and return
+    the sha256 of those bytes, hashed as they are written.
 
     Rows are joined from columns formatted ahead: timestamps and numbers
     never need quoting, and each distinct pipe id is quoted once.
@@ -532,19 +530,24 @@ def write_terms(terms: Terms, path: str) -> None:
               for pair in terms.pairs]
     pipe_ids = terms.pipe_ids.tolist()
     cells = {pipe_id: _csv_cell(pipe_id) for pipe_id in set(pipe_ids)}
+    # csv.writer ends rows with \r\n; tolist() gives plain floats, written with repr
+    flags = ("0\r\n", "1\r\n")
+    lines = itertools.chain([",".join(TERMS_COLUMNS) + "\r\n"], map(",".join, zip(
+        map(stamps.__getitem__, terms.pair_index.tolist()), map(cells.__getitem__, pipe_ids),
+        *(map(repr, column) for column in _file_numbers(terms).tolist()),
+        map(flags.__getitem__, terms.relevant.tolist()))))
+    import hashlib  # imported late, as in file_sha256
+    sha = hashlib.sha256()
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TERMS_COLUMNS)
-        flags = ("0" + writer.dialect.lineterminator, "1" + writer.dialect.lineterminator)
-        # tolist() gives plain floats, which are written with repr
-        handle.writelines(map(",".join, zip(
-            map(stamps.__getitem__, terms.pair_index.tolist()), map(cells.__getitem__, pipe_ids),
-            *(map(repr, column) for column in _file_numbers(terms).tolist()),
-            map(flags.__getitem__, terms.relevant.tolist()))))
+        # no line is empty, so an empty chunk is the end
+        for chunk in iter(lambda: "".join(itertools.islice(lines, 1 << 10)), ""):
+            handle.write(chunk)
+            sha.update(chunk.encode(handle.encoding))
+    return sha.hexdigest()
 
 
 def read_terms(path: str, history: History | None = None,
-               cfg: ThresholdConfig | None = None, sidecar: str | None = None) -> Terms:
+               cfg: ThresholdConfig | None = None) -> Terms:
     """The terms of a terms file, in which a pair and pipe appear once.
 
     Given the history the terms were computed from, every row must also
@@ -553,13 +556,11 @@ def read_terms(path: str, history: History | None = None,
     Given a threshold config, every row's relevant flag must then be the
     one pipe_relevant gives under it.
 
-    Given a sidecar that holds the terms of a file with the contents of
-    path, they are loaded from it instead of parsed.  Those terms were
-    computed from the history saved beside them, so the rows are not
-    checked against history: pass a sidecar together with a history only
-    when that history was loaded from the same sidecar.
+    The terms scan saved next to path are loaded instead of parsed when
+    path still has the contents they were written to and, given a
+    history, that has the timestamps and pipe ids they were computed from.
     """
-    terms = load_terms(sidecar, path) if sidecar is not None else None
+    terms = _load_terms(path, history)
     if terms is None:
         terms, lines = _parse_terms(path, history)
     else:

@@ -31,7 +31,11 @@ SECONDS_PER_DAY = 86400.0
 
 
 class ModelError(ValueError):
-    """Raised when a network or state container violates an invariant."""
+    """Raised when a value violates an invariant; fields names the ones it reads."""
+
+    def __init__(self, message: str, *fields: str) -> None:
+        super().__init__(message)
+        self.fields = fields
 
 
 class ElementKind(str, Enum):
@@ -161,7 +165,7 @@ class GasParams:
         for name in ("temperature_k", "pseudo_critical_pressure_pa",
                      "pseudo_critical_temperature_k", "dynamic_viscosity_pas"):
             if not getattr(self, name) > 0.0:
-                raise ModelError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ModelError(f"{name} must be positive, got {getattr(self, name)}", name)
 
 
 def validate_normal_density(rho_n_kgm3: float) -> float:

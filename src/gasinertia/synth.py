@@ -236,6 +236,8 @@ def parse_scenario(path: str) -> Scenario:
             except ValueError:
                 raise ParseError(path, line, f"bad event {value!r}, "
                                              "expected: node frame inflow_kNm3h") from None
+            if not math.isfinite(events[-1][1].inflow_m3s):
+                raise ParseError(path, line, f"event inflow must be finite, got {inflow}")
         elif key == "pressure":
             try:
                 node_id, bar_text = value.split()
@@ -243,8 +245,9 @@ def parse_scenario(path: str) -> Scenario:
             except ValueError:
                 raise ParseError(path, line,
                                  f"bad pressure {value!r}, expected: node bar") from None
-            if not bar > 0.0:
-                raise ParseError(path, line, f"pressure must be positive, got {bar_text}")
+            if not 0.0 < bar < math.inf:
+                raise ParseError(path, line,
+                                 f"pressure must be positive and finite, got {bar_text}")
             pressures.append((line, node_id, bar * BAR))
         elif key == "closed_valve":
             closed.setdefault(value, line)

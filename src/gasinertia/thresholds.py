@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .model import BAR, KNM3H, PipeGeometry, derived_area
+from .model import BAR, KNM3H, ModelError, PipeGeometry, derived_area
 from .physics import inertia_term_alpha
 
 
@@ -44,17 +44,15 @@ class ThresholdConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.abs_small_pa < self.abs_high_pa:
-            raise ValueError(
-                f"need 0 < abs_small < abs_high, got {self.abs_small_pa}, {self.abs_high_pa}")
-        if not self.ratio_min > 0.0:
-            raise ValueError(f"ratio_min must be positive, got {self.ratio_min}")
-        if not self.reference_length_m > 0.0:
-            raise ValueError(f"reference_length_m must be positive, got {self.reference_length_m}")
-        if self.min_flow_change_m3s < 0.0:
-            raise ValueError(f"min_flow_change_m3s must be >= 0, got {self.min_flow_change_m3s}")
-        if not self.realistic_flow_change_m3s > 0.0:
-            raise ValueError(
-                f"realistic_flow_change_m3s must be positive, got {self.realistic_flow_change_m3s}")
+            raise ModelError(
+                f"need 0 < abs_small < abs_high, got {self.abs_small_pa}, {self.abs_high_pa}",
+                "abs_small_pa", "abs_high_pa")
+        for name in ("ratio_min", "reference_length_m", "realistic_flow_change_m3s"):
+            if not getattr(self, name) > 0.0:
+                raise ModelError(f"{name} must be positive, got {getattr(self, name)}", name)
+        if not self.min_flow_change_m3s >= 0.0:
+            raise ModelError(f"min_flow_change_m3s must be >= 0, got {self.min_flow_change_m3s}",
+                             "min_flow_change_m3s")
 
     @property
     def per_length_min_pam(self) -> float:

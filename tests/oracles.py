@@ -172,6 +172,20 @@ def longest_path_all_sources(arcs: list[tuple[str, str, float]]) -> tuple[float,
     return best + correction, correction
 
 
+def closure_strong_components(arcs: list[tuple[str, str, float]]) -> list[frozenset[str]]:
+    """Strongly connected parts as the classes of mutual reachability,
+    read off a transitive closure built by Warshall's algorithm."""
+    nodes = sorted({u for u, _, _ in arcs} | {v for _, v, _ in arcs})
+    reach = {node: {node} for node in nodes}
+    for u, v, _ in arcs:
+        reach[u].add(v)
+    for via in nodes:
+        for node in nodes:
+            if via in reach[node]:
+                reach[node] |= reach[via]
+    return list({frozenset(v for v in reach[node] if node in reach[v]) for node in nodes})
+
+
 def enumerate_longest_undirected_trail(edges: list[tuple[str, str, float]]) -> float:
     """Longest edge-simple undirected trail weight by exhaustive DFS."""
     nodes = {u for u, _, _ in edges} | {v for _, v, _ in edges}

@@ -1,9 +1,12 @@
+import builtins
 import csv
 from datetime import datetime, timedelta, timezone
 import os
+import re
 import tempfile
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from gasinertia import cli
@@ -11,7 +14,6 @@ from gasinertia.cli import (
     CHAINS_COLUMNS,
     EVENTS_COLUMNS,
     RUNS_COLUMNS,
-    build_threshold_config,
     load_config_file,
     parse_length,
 )
@@ -163,10 +165,11 @@ class TestExclusions:
 
 
 class TestHistorySidecar:
-    """components loads scan's history.npz only when it was saved from
-    files with the contents of --states and --topology, and then the terms
-    saved in it when they were saved from a file with the contents of
-    --terms; report loads the terms under that last condition alone."""
+    """components loads the history in scan's history.npz only when it was
+    saved from files with the contents of --states and --topology.  Both
+    components and report load the terms saved in it only when they were
+    saved from a file with the contents of --terms, and components only
+    when its history has their timestamps and pipe ids."""
 
     @pytest.fixture
     def scanned(self, pipeline, tmp_path, monkeypatch):
@@ -217,10 +220,17 @@ class TestHistorySidecar:
 
     def test_outputs_same_with_and_without_sidecar(self, pipeline, scanned):
         root, parsed = scanned
+        states, terms = root / "states.csv", root / "terms.csv"
         outputs = {}
-        for case in ("present", "deleted"):
+        for case in ("present", "stale", "edited terms", "deleted"):
             out = root / case
-            if case == "deleted":
+            if case == "stale":
+                # the same instants, spelled differently
+                states.write_text(states.read_text().replace("Z,", "+00:00,"))
+            elif case == "edited terms":
+                with open(terms, "a", newline="") as handle:
+                    handle.write("\r\n")
+            elif case == "deleted":
                 (root / "history.npz").unlink()
             for stage in (self.run_components(root, root / "topology.csv", out),
                           self.run_report(root, out, out)):
@@ -228,10 +238,9 @@ class TestHistorySidecar:
                 assert code == 0, err
             outputs[case] = {name: (out / name).read_bytes() for name in (
                 "components.csv", "components_pipes.csv", "sweep.csv", "hexbin.csv")}
-        assert outputs["present"] == outputs["deleted"]
+        assert all(outputs[case] == outputs["present"] for case in outputs)
         assert outputs["present"]["hexbin.csv"] == (pipeline["out"] / "hexbin.csv").read_bytes()
-        terms = str(root / "terms.csv")
-        assert parsed == [str(root / "states.csv"), terms, terms]
+        assert parsed == [str(states)] + [str(states), str(terms), str(terms)] * 2
 
     def test_edited_terms_parsed_again(self, pipeline, scanned):
         root, parsed = scanned
@@ -253,8 +262,8 @@ class TestHistorySidecar:
         # the same instants, spelled differently
         states.write_text(states.read_text().replace("Z,", "+00:00,"))
         self.assert_components_unchanged(pipeline, root, root / "topology.csv")
-        # the saved terms are checked only against the saved history
-        assert parsed == [str(states), str(root / "terms.csv")]
+        # the saved terms fit the history parsed from the same instants
+        assert parsed == [str(states)]
         lines = states.read_text().splitlines()
         lines[5] = lines[5].rsplit(",", 1)[0] + ",1.0.0"
         states.write_text("\n".join(lines) + "\n")
@@ -270,7 +279,70 @@ class TestHistorySidecar:
         other = root / "other_topology.csv"
         other.write_text("\n".join([header] + rows[::-1]) + "\n")
         self.assert_components_unchanged(pipeline, root, other)
-        assert parsed == [str(root / "states.csv"), str(root / "terms.csv")]
+        assert parsed == [str(root / "states.csv")]
+
+    def assert_same_error_without_sidecar(self, root, topology, message):
+        """components fails with message, and as without the sidecar."""
+        results = []
+        for _ in ("present", "deleted"):
+            results.append(self.run_components(root, topology, root / "out"))
+            (root / "history.npz").unlink(missing_ok=True)
+        code, stdout, err = results[0]
+        assert code == 1 and stdout == "" and message in err, err
+        assert results[1] == results[0]
+        assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ("missing frame", "terms.csv:2: pair 2026-01-01T00:06:00Z .. 2026-01-01T00:09:00Z "
+                          "has no matching states"),
+        ("extra frame", "terms.csv:2: pair 2026-01-01T00:06:00Z .. 2026-01-01T00:09:00Z "
+                        "spans frames 2 to 4, not consecutive frames")],
+        ids=["missing frame", "extra frame"])
+    def test_saved_terms_refused_for_other_frames(self, scanned, change, message):
+        root, parsed = scanned
+        states = root / "states.csv"
+        header, *rows = states.read_text().splitlines()
+        if change == "missing frame":
+            rows = [row for row in rows if not row.startswith("2026-01-01T00:09:00Z")]
+        else:
+            at = [row.startswith("2026-01-01T00:09:00Z") for row in rows].index(True)
+            rows[at:at] = [row.replace("T00:06:00Z", "T00:07:30Z") for row in rows
+                           if row.startswith("2026-01-01T00:06:00Z")]
+        states.write_text("\n".join([header] + rows) + "\n")
+        self.assert_same_error_without_sidecar(root, root / "topology.csv", message)
+        assert parsed == [str(states), str(root / "terms.csv")] * 2
+
+    def test_saved_terms_refused_for_a_topology_without_a_pipe(self, scanned):
+        root, parsed = scanned
+        # np2 is the last pipe, from n2 to n3, and no other element ends at n3
+        header, *rows = (root / "topology.csv").read_text().splitlines()
+        other = root / "other_topology.csv"
+        other.write_text("\n".join([header] + [row for row in rows if row.split(",")[0] != "np2"])
+                         + "\n")
+        states = root / "states.csv"
+        header, *rows = states.read_text().splitlines()
+        states.write_text("\n".join([header] + [row for row in rows
+                                                if row.split(",")[1] not in ("np2", "n3")]) + "\n")
+        self.assert_same_error_without_sidecar(
+            root, other, "terms.csv:4: 'np2' is not a pipe of the topology")
+
+    def test_scan_hashes_terms_as_it_writes_them(self, pipeline, tmp_path, monkeypatch):
+        opened, builtin_open = [], open
+
+        def recording(file, mode="r", *args, **kwargs):
+            opened.append((os.path.basename(file), mode))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording)
+        code, _, err = run_cli(["scan", "--topology", pipeline["data"] / "topology.csv",
+                                "--states", pipeline["data"] / "states.csv", "--out", tmp_path])
+        monkeypatch.undo()
+        assert code == 0, err
+        assert [mode for name, mode in opened if name == "terms.csv"] == ["w"]
+        terms = tmp_path / "terms.csv"
+        with np.load(tmp_path / "history.npz") as saved:
+            assert str(saved["terms_sha256"]) == ingest.file_sha256(str(terms))
+        assert terms.read_bytes() == (pipeline["out"] / "terms.csv").read_bytes()
 
 
 class TestDeriveThreshold:
@@ -310,8 +382,7 @@ class TestConfig:
         path = tmp_path / "cfg"
         path.write_text("abs_small_bar = 0.2\n# comment\nratio_min = 0.05\n"
                         "realistic_flow_change_kNm3h = 1500\n")
-        values = load_config_file(str(path))
-        cfg = build_threshold_config(values)
+        cfg, gas = load_config_file(str(path))
         assert cfg.abs_small_pa == pytest.approx(0.2 * BAR)
         assert cfg.ratio_min == 0.05
         assert cfg.realistic_flow_change_m3s == pytest.approx(1500 * KNM3H)
@@ -322,6 +393,48 @@ class TestConfig:
         path.write_text("abs_small = 0.2\n")
         with pytest.raises(ParseError):
             load_config_file(str(path))
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "+Infinity"])
+    @pytest.mark.parametrize("key", ["min_flow_change_kNm3h", "temperature_K", "abs_high_bar"])
+    def test_non_finite_number_rejected_at_its_line(self, tmp_path, key, text):
+        path = tmp_path / "cfg"
+        path.write_text(f"ratio_min = 0.05\n{key} = {text}\n")
+        with pytest.raises(ParseError, match=re.escape(f"non-finite number '{text}'")) as info:
+            load_config_file(str(path))
+        assert (info.value.path, info.value.line) == (str(path), 2)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("abs_small_bar = 0.6\n", 1, "need 0 < abs_small < abs_high, got 60000.0, 50000.0"),
+        ("abs_small_bar = 0.3\nratio_min = 1\nabs_high_bar = 0.2\n", 3,
+         "need 0 < abs_small < abs_high"),
+        ("abs_high_bar = 0.05\nratio_min = 1\nabs_small_bar = 0.2\n", 3,
+         "need 0 < abs_small < abs_high"),
+        ("ratio_min = 0\n", 1, "ratio_min must be positive"),
+        ("ratio_min = 1\nreference_length_km = -2\n", 2, "reference_length_m must be positive"),
+        ("min_flow_change_kNm3h = -1\n", 1, "min_flow_change_m3s must be >= 0"),
+        ("realistic_flow_change_kNm3h = 0\nratio_min = 1\n", 1,
+         "realistic_flow_change_m3s must be positive"),
+        ("ratio_min = 1\ntemperature_K = -5\n", 2, "temperature_k must be positive")],
+        ids=["small over default high", "high under small", "small over high", "ratio",
+             "reference length", "prefilter", "realistic", "temperature"])
+    def test_range_error_reported_at_the_later_line_of_its_rule(self, tmp_path, text, line,
+                                                                message):
+        path = tmp_path / "cfg"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as info:
+            load_config_file(str(path))
+        assert (info.value.path, info.value.line) == (str(path), line)
+
+    def test_range_error_stops_scan_with_file_and_line(self, pipeline, tmp_path):
+        config = tmp_path / "cfg"
+        config.write_text("ratio_min = 0.5\nabs_small_bar = 0.6\n")
+        data = pipeline["data"]
+        code, stdout, err = run_cli(["scan", "--topology", data / "topology.csv",
+                                     "--states", data / "states.csv", "--config", config,
+                                     "--out", tmp_path / "out"])
+        assert code == 1 and stdout == ""
+        assert f"error: {config}:2: need 0 < abs_small < abs_high" in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_changes_scan(self, pipeline, tmp_path):
         config = tmp_path / "cfg"
@@ -490,6 +603,37 @@ class TestErrors:
         terms, err = self.run_components_on(pipeline, tmp_path, rows)
         assert (f"{terms}:5: pair {format_timestamp(stamp(3))} .. {format_timestamp(stamp(5))} "
                 "spans frames 3 to 5, not consecutive frames") in err
+
+    @pytest.mark.parametrize("option, text, message", [
+        ("--thresholds", "nan", "argument --thresholds: 'nan' is not a finite number >= 0"),
+        ("--thresholds", "0.1,abc", "argument --thresholds: invalid number 'abc'"),
+        ("--thresholds", "0.1,-0.2", "argument --thresholds: '-0.2' is not a finite number >= 0"),
+        ("--horizon-days", "inf", "argument --horizon-days: 'inf' is not a finite number > 0"),
+        ("--horizon-days", "0", "argument --horizon-days: '0' is not a finite number > 0"),
+        ("--horizon-days", "soon", "argument --horizon-days: invalid number 'soon'")],
+        ids=["nan threshold", "threshold not a number", "negative threshold", "inf horizon",
+             "zero horizon", "horizon not a number"])
+    def test_report_option_checked_before_anything_is_written(self, pipeline, tmp_path, capsys,
+                                                              option, text, message):
+        out = pipeline["out"]
+        with pytest.raises(SystemExit) as info:
+            cli.main(["report", "--components", str(out / "components.csv"),
+                      "--members", str(out / "components_pipes.csv"),
+                      "--terms", str(out / "terms.csv"), "--horizon-days", "100",
+                      "--out", str(tmp_path / "out"), option, text])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_accepts_a_zero_threshold(self, pipeline, tmp_path):
+        out = pipeline["out"]
+        code, stdout, err = run_cli(["report", "--components", out / "components.csv",
+                                     "--members", out / "components_pipes.csv",
+                                     "--thresholds", "0,0.1", "--horizon-days", "0.5",
+                                     "--out", tmp_path])
+        assert code == 0, err
+        assert [row[0] for row in read_csv(tmp_path / "sweep.csv")[1:]] == ["0.0", "0.1"]
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):

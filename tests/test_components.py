@@ -30,7 +30,8 @@ from gasinertia.physics import TermRecord, term_ratio
 from gasinertia.thresholds import RelevanceClass, ThresholdConfig
 
 from conftest import make_component, make_pair, make_stream, stamp
-from oracles import bfs_groups, enumerate_longest_path, longest_path_all_sources
+from oracles import (bfs_groups, closure_strong_components, enumerate_longest_path,
+                     longest_path_all_sources)
 
 GEOM = PipeGeometry(10_000.0, 0.5)
 
@@ -350,12 +351,9 @@ def grids(draw):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(multigraphs(), grids()))
 def test_longest_path_bounds_and_cancels_only_in_weighted_sccs(arcs):
-    networkx = pytest.importorskip("networkx")
     triples = [(a.from_node, a.to_node, a.weight_pa) for a in arcs]
-    graph = networkx.MultiDiGraph()
-    graph.add_weighted_edges_from(triples)
-    weighted_scc = any(w > 0.0 for scc in networkx.strongly_connected_components(graph)
-                       for _, v, w in graph.out_edges(scc, data="weight") if v in scc)
+    part = {node: scc for scc in closure_strong_components(triples) for node in scc}
+    weighted_scc = any(w > 0.0 and v in part[u] for u, v, w in triples)
     value, correction = longest_path_value(arcs)
     assert (correction > 0.0) == weighted_scc
     if not weighted_scc:

@@ -16,7 +16,6 @@ from gasinertia.ingest import (
     ExclusionWindow,
     exclusion_mask,
     load_history,
-    load_terms,
     save_history,
     ParseError,
     STATES_COLUMNS,
@@ -531,62 +530,97 @@ class TestTerms:
 
 
 class TestSidecar:
-    def write_inputs(self, tmp_path):
-        states = tmp_path / "states.csv"
-        states.write_text(TestStates().make_states_csv())
-        topology = tmp_path / "topology.csv"
-        topology.write_text(TOPOLOGY_CSV)
-        return str(states), str(topology)
+    """history.npz next to terms.csv: the history loads for the states and
+    topology it was parsed from; the terms load for the terms file they
+    were written to and, given a history, one with their timestamps and
+    pipe ids."""
 
-    def test_round_trip(self, tmp_path):
-        states, topology = self.write_inputs(tmp_path)
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The path of every terms file parsed from here on."""
+        parsed, read_table = [], ingest.read_table
+
+        def counting(path, columns):
+            if columns == TERMS_COLUMNS:
+                parsed.append(path)
+            return read_table(path, columns)
+
+        monkeypatch.setattr(ingest, "read_table", counting)
+        return parsed
+
+    def save(self, root):
+        """Save the sample history with terms of p1 over its one pair, as
+        scan does; their paths and the history."""
+        states, topology, terms_path = (str(root / name) for name in (
+            "states.csv", "topology.csv", "terms.csv"))
+        (root / "states.csv").write_text(TestStates().make_states_csv())
+        (root / "topology.csv").write_text(TOPOLOGY_CSV)
         history = parse_states(states, parse_topology(topology))
-        sidecar = str(tmp_path / "history.npz")
-        save_history(history, sidecar, states, topology)
-        loaded = load_history(sidecar, states, topology)
+        terms = dataclasses.replace(make_terms(pair_index=(0,), relevant=(True,)),
+                                    pairs=(make_pair(0),), pipe_ids=np.array(["p1"]))
+        save_history(history, terms, terms_path, write_terms(terms, terms_path), states,
+                     topology)
+        return states, topology, terms_path, history
+
+    def test_round_trip(self, tmp_path, parsed):
+        states, topology, terms_path, history = self.save(tmp_path)
+        loaded = load_history(terms_path, states, topology)
         assert_same_history(loaded, history)
         assert all(t.utcoffset() == timedelta(0) for t in loaded.timestamps)
         assert loaded[1] == history[1]
-        # a sidecar saved without terms holds none
-        assert load_terms(sidecar, states) is None
+        for given in (None, history, loaded):
+            assert_terms_equal(read_terms(terms_path, given), read_terms(terms_path))
+        assert parsed == []
+        assert read_terms(terms_path).pipe_ids.tolist() == ["p1"]
 
-    def test_other_contents_not_loaded(self, tmp_path):
-        states, topology = self.write_inputs(tmp_path)
-        sidecar = str(tmp_path / "history.npz")
-        save_history(parse_states(states, parse_topology(topology)), sidecar, states, topology)
+    def test_other_contents_not_loaded(self, tmp_path, parsed):
+        states, topology, terms_path, history = self.save(tmp_path)
         with open(states, "a") as handle:
             handle.write(f"{format_timestamp(stamp(1))},n1,node.pressure_bar,59.0\n")
-        assert load_history(sidecar, states, topology) is None
-        assert load_history(sidecar, topology, topology) is None
-        assert load_history(str(tmp_path / "absent.npz"), states, topology) is None
+        assert load_history(terms_path, states, topology) is None
+        assert load_history(terms_path, topology, topology) is None
+        # the terms still fit the history parsed from the edited states
+        read_terms(terms_path, parse_states(states, parse_topology(topology)))
+        assert parsed == []
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "terms.csv").write_bytes((tmp_path / "terms.csv").read_bytes())
+        assert load_history(str(elsewhere / "terms.csv"), states, topology) is None
+        read_terms(str(elsewhere / "terms.csv"), history)
+        assert parsed == [str(elsewhere / "terms.csv")]
 
-    def test_unreadable_sidecar_not_loaded(self, tmp_path):
-        states, topology = self.write_inputs(tmp_path)
-        sidecar = tmp_path / "history.npz"
-        sidecar.write_bytes(b"not a zip archive")
-        assert load_history(str(sidecar), states, topology) is None
-        assert load_terms(str(sidecar), states) is None
+    def test_unreadable_sidecar_not_loaded(self, tmp_path, parsed):
+        states, topology, terms_path, history = self.save(tmp_path)
+        (tmp_path / HISTORY_SIDECAR).write_bytes(b"not a zip archive")
+        assert load_history(terms_path, states, topology) is None
+        read_terms(terms_path)
+        read_terms(terms_path, history)
+        assert parsed == [terms_path] * 2
 
-    def test_saved_terms_equal_parsed_terms(self, pipeline):
-        terms, sidecar = (str(pipeline["out"] / name) for name in ("terms.csv", HISTORY_SIDECAR))
-        loaded, parsed = load_terms(sidecar, terms), read_terms(terms)
-        assert len(parsed.relevant) == 6
+    def test_saved_terms_equal_parsed_terms(self, pipeline, tmp_path, parsed):
+        terms = str(pipeline["out"] / "terms.csv")
+        copy = tmp_path / "terms.csv"
+        copy.write_bytes(pipeline["out"].joinpath("terms.csv").read_bytes())
+        loaded, parsed_terms = read_terms(terms), read_terms(str(copy))
+        assert parsed == [str(copy)]
+        assert len(parsed_terms.relevant) == 6
         for name in ("flow_t0_m3s", "flow_t1_m3s", "alpha_pa", "beta_pa",
                      "alpha_per_length_pam", "ratio"):
-            assert getattr(loaded, name).tobytes() == getattr(parsed, name).tobytes(), name
-        assert loaded.pipe_ids.tolist() == parsed.pipe_ids.tolist()
-        assert loaded.relevant.tolist() == parsed.relevant.tolist()
+            assert getattr(loaded, name).tobytes() == getattr(parsed_terms, name).tobytes(), name
+        assert loaded.pipe_ids.tolist() == parsed_terms.pipe_ids.tolist()
+        assert loaded.relevant.tolist() == parsed_terms.relevant.tolist()
         assert ([(loaded.pairs[k].t0, loaded.pairs[k].t1) for k in loaded.pair_index.tolist()]
-                == [(parsed.pairs[k].t0, parsed.pairs[k].t1) for k in parsed.pair_index.tolist()])
-        assert_terms_equal(loaded, parsed)
-        assert_terms_equal(read_terms(terms, sidecar=sidecar), parsed)
+                == [(parsed_terms.pairs[k].t0, parsed_terms.pairs[k].t1)
+                    for k in parsed_terms.pair_index.tolist()])
+        assert_terms_equal(loaded, parsed_terms)
 
     @pytest.mark.parametrize("edit", ["blank row", "number"])
-    def test_edited_terms_file_not_loaded(self, pipeline, tmp_path, edit):
+    def test_edited_terms_file_not_loaded(self, pipeline, tmp_path, parsed, edit):
         for name in ("terms.csv", HISTORY_SIDECAR):
             (tmp_path / name).write_bytes((pipeline["out"] / name).read_bytes())
-        terms, sidecar = str(tmp_path / "terms.csv"), str(tmp_path / HISTORY_SIDECAR)
-        assert load_terms(sidecar, terms) is not None
+        terms = str(tmp_path / "terms.csv")
+        saved = read_terms(terms)
+        assert parsed == []
         with open(terms, newline="") as handle:
             rows = list(csv.reader(handle))
         if edit == "blank row":
@@ -595,8 +629,39 @@ class TestSidecar:
             rows[-1][3] = repr(float(rows[-1][3]) + 1.0)
         with open(terms, "w", newline="") as handle:
             csv.writer(handle).writerows(rows)
-        assert load_terms(sidecar, terms) is None
-        assert_terms_equal(read_terms(terms, sidecar=sidecar), read_terms(terms))
+        edited = read_terms(terms)
+        assert parsed == [terms]
+        assert edited.flow_t0_m3s[-1] == saved.flow_t0_m3s[-1] + (edit == "number") * KNM3H
+
+    @pytest.mark.parametrize("change, message", [
+        ("same instants", None),
+        ("extra pipe", None),
+        ("missing pipe", "'p1' is not a pipe of the topology"),
+        ("missing frame", "has no matching states"),
+        ("extra frame", "spans frames 0 to 2, not consecutive frames")],
+        ids=["same instants", "extra pipe", "missing pipe", "missing frame", "extra frame"])
+    def test_terms_refused_for_a_history_they_do_not_fit(self, tmp_path, parsed, change,
+                                                         message):
+        _, _, terms_path, history = self.save(tmp_path)
+        stamps, pipe_ids = history.timestamps, history.pipe_ids
+        if change == "same instants":
+            stamps = tuple(t.astimezone(timezone(timedelta(hours=1))) for t in stamps)
+        elif change.endswith("pipe"):
+            pipe_ids = ("p0", "p1") if change == "extra pipe" else ("p0",)
+        else:
+            stamps = stamps[:1] if change == "missing frame" else (
+                stamps[0], stamps[0] + timedelta(seconds=60), stamps[1])
+        other = History(stamps, (), (), (), pipe_ids, *(np.empty((len(stamps), 0))
+                                                        for _ in range(3)),
+                        np.full((len(stamps), len(pipe_ids)), 0.85))
+        if message is None:
+            assert_terms_equal(read_terms(terms_path, other), read_terms(terms_path))
+            assert parsed == ([] if change == "same instants" else [terms_path])
+            return
+        with pytest.raises(ParseError, match=message) as info:
+            read_terms(terms_path, other)
+        assert (info.value.path, info.value.line) == (terms_path, 2)
+        assert parsed == [terms_path]
 
 
 class TestHistorySequence:

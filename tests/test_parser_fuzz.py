@@ -3,7 +3,8 @@
 Each input format starts from a small valid file.  A single mutation is
 applied to a single line: a cell dropped or added, a non-number in a
 numeric cell, ``nan`` as a state value, a timestamp without offset, a
-changed header, or (for key = value files) a misspelled key.  The parser
+changed header, or (for key = value files) a misspelled key or a
+non-finite number.  The parser
 must raise ``ParseError`` naming that file and that line; any other
 exception fails the test, and so does parsing without an error.
 
@@ -219,11 +220,14 @@ def settings_mutations(text, roles):
     if role == "timestamp":
         yield "naive timestamp", lambda draw: line(key, [drop_offset(tokens[0])])
     elif role:
-        def apply(draw):
-            position = draw(st.sampled_from(role))
-            return line(key, tokens[:position] + [draw(non_numbers)]
-                        + tokens[position + 1:])
-        yield "non-number", apply
+        def replace(texts):
+            def apply(draw):
+                position = draw(st.sampled_from(role))
+                return line(key, tokens[:position] + [draw(texts)] + tokens[position + 1:])
+            return apply
+
+        yield "non-number", replace(non_numbers)
+        yield "non-finite", replace(st.sampled_from(["nan", "inf", "-inf"]))
 
 
 def write_files(root, name, mutated):
@@ -309,6 +313,17 @@ def cross_line_edits(name, lines):
             [lines[0], lines[-1]] + lines[1:-1], 3)
     elif name == "components_pipes.csv":
         yield "no such component", at(range(1, len(rows)), lambda draw, row: ["9", row[1]])
+    elif name == "config.txt":
+        small = next(k for k, text in enumerate(lines) if text.startswith("abs_small_bar"))
+
+        def high_under_small(draw):
+            k = draw(st.integers(0, len(lines)))
+            high = draw(st.sampled_from(["0.01", "0.05", "0.1"]))
+            # the rule reads both keys and is reported at the later line
+            later = max(k, small + (k <= small))
+            return lines[:k] + [f"abs_high_bar = {high}"] + lines[k:], later + 1
+
+        yield "abs_high under abs_small", high_under_small
     elif name == "case.scn":
         event = next(k for k, text in enumerate(lines) if text.startswith("event"))
         pressure = next(k for k, text in enumerate(lines) if text.startswith("pressure"))

@@ -179,6 +179,9 @@ class TestParseScenario:
         ("pressure = n3 60", "pressure node 'n3' has an inflow setpoint"),
         ("pressure = n0", "bad pressure 'n0', expected: node bar"),
         ("event = n3 2", "bad event 'n3 2', expected: node frame inflow_kNm3h"),
+        ("event = n3 2 nan", "event inflow must be finite, got nan"),
+        ("event = n1 2 -inf", "event inflow must be finite, got -inf"),
+        ("pressure = n0 inf", "pressure must be positive and finite, got inf"),
     ])
     def test_bad_value_reported_at_its_line(self, tmp_path, line, message):
         path = write_scenario(tmp_path, f"fixture = line3\n{line}\ntau_s = 60\n")
