@@ -3,11 +3,12 @@ report and synth.
 
 Stages communicate through CSV files, so any stage can be rerun or
 replaced.  The one binary file, scan's history.npz next to terms.csv,
-caches the history scan parsed and the terms it wrote; ingest alone
-decides when it stands in for parsing: the history when states.csv and
-topology.csv are unchanged, the terms when terms.csv is and the history
-they are checked against has the saved timestamps and pipe ids.  Outputs
-are deterministic: rows follow sorted ids and chronological pairs.
+caches the terms scan wrote and the history columns components reads,
+and ingest.load_saved alone decides when it stands in for parsing:
+report loads the terms when terms.csv is unchanged, components loads
+terms and history only when states.csv and topology.csv are unchanged
+too.  Outputs are deterministic: rows follow sorted ids and
+chronological pairs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .ingest import (
     Terms,
     exclusion_mask,
     format_timestamp,
-    load_history,
+    load_saved,
     parse_exclusions,
     parse_states,
     parse_topology,
@@ -122,18 +123,23 @@ def _configs_from_args(args: argparse.Namespace) -> tuple[ThresholdConfig, GasPa
 
 
 def parse_length(text: str) -> float:
-    """Length with optional km/m/mm suffix, in meters."""
-    text = text.strip()
-    for suffix, factor in (("km", 1e3), ("mm", 1e-3), ("m", 1.0)):
-        if text.endswith(suffix):
-            return float(text[: -len(suffix)]) * factor
-    return float(text)
+    """Length with optional km/m/mm suffix, in meters, finite and > 0 (an
+    argparse type; text that is no number raises ValueError)."""
+    number, factor = text.strip(), 1.0
+    for suffix, scale in (("km", 1e3), ("mm", 1e-3), ("m", 1.0)):
+        if number.endswith(suffix):
+            number, factor = number[: -len(suffix)], scale
+            break
+    value = float(number) * factor
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite length > 0")
+    return value
 
 
-def _finite(text: str, positive: bool) -> float:
-    """text as a finite number, > 0 if positive else >= 0 (an argparse type)."""
+def _finite(text: str, positive: bool, kind: type = float) -> float:
+    """text as a finite number of kind, > 0 if positive else >= 0 (argparse type)."""
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
     if not (0.0 < value < math.inf or value == 0.0 and not positive):
@@ -151,13 +157,8 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
 # derive-threshold
 
 def cmd_derive_threshold(args: argparse.Namespace) -> int:
-    dq_m3s = derive_min_flow_change(
-        l_max_m=parse_length(args.Lmax),
-        tau_min_s=args.tau_min,
-        d_min_m=parse_length(args.Dmin),
-        rho_max_kgm3=args.rho_max,
-        abs_small_pa=args.abs_small * BAR,
-    )
+    dq_m3s = derive_min_flow_change(args.Lmax, args.tau_min, args.Dmin, args.rho_max,
+                                    args.abs_small * BAR)
     dq_knm3h = dq_m3s / KNM3H
     safe = math.floor(dq_knm3h * 2.0) / 2.0
     print(f"minimal relevant flow change: {dq_knm3h:.3f} kNm3/h ({dq_m3s!r} m3/s)")
@@ -215,8 +216,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     terms = Terms(tuple(pairs), pair_index, np.array(pipe_ids)[position], flow_t0, flow_t1,
                   alpha, beta, alpha_per_length, ratio, relevant)
     terms_path = _out_path(args, "terms.csv")
-    save_history(history, terms, terms_path, write_terms(terms, terms_path), args.states,
-                 args.topology)
+    save_history(history, network, terms, terms_path, write_terms(terms, terms_path),
+                 args.states, args.topology)
     totals = {"total": excluded.size, "excluded": int(np.count_nonzero(excluded)),
               "missing": diag.missing_data,
               "below_prefilter": int(np.count_nonzero(below_prefilter)),
@@ -241,10 +242,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_components(args: argparse.Namespace) -> int:
     cfg, _gas = _configs_from_args(args)
     network = parse_topology(args.topology)
-    history = load_history(args.terms, args.states, args.topology)
-    if history is None:
+    saved = load_saved(args.terms, cfg, args.states, args.topology)
+    if saved is None:
         history = parse_states(args.states, network)
-    terms = read_terms(args.terms, history, cfg)
+        terms = read_terms(args.terms, history, cfg)
+    else:
+        terms, history = saved
 
     # pair index -> its relevant records, in file order
     grouped: dict[int, list[TermRecord]] = {}
@@ -256,7 +259,7 @@ def cmd_components(args: argparse.Namespace) -> int:
                 terms.alpha_per_length_pam, terms.ratio))):
         grouped.setdefault(k, []).append(TermRecord(pipe_id, terms.pairs[k], *values))
 
-    # read_terms checked that every pair is two consecutive frames
+    # every pair is two consecutive frames: read_terms checked, or scan wrote it
     frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
     diag = Diagnostics()
     stream: list[tuple[TimePair, list[Component]]] = []
@@ -401,16 +404,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gasinertia",
         description="Screen gas network state histories for relevant inertia terms.")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = lambda text: _finite(text, positive=True)  # noqa: E731
 
     p = sub.add_parser("derive-threshold",
                        help="minimal flow change that can matter")
-    p.add_argument("--Lmax", default="200km", help="largest pipe length (default 200km)")
-    p.add_argument("--Dmin", default="150mm", help="smallest pipe diameter (default 150mm)")
-    p.add_argument("--tau-min", type=float, default=180.0,
+    p.add_argument("--Lmax", type=parse_length, default="200km",
+                   help="largest pipe length (default 200km)")
+    p.add_argument("--Dmin", type=parse_length, default="150mm",
+                   help="smallest pipe diameter (default 150mm)")
+    p.add_argument("--tau-min", type=positive, default=180.0,
                    help="shortest time step in seconds (default 180)")
-    p.add_argument("--rho-max", type=float, default=0.9,
+    p.add_argument("--rho-max", type=positive, default=0.9,
                    help="largest normal density in kg/m3 (default 0.9)")
-    p.add_argument("--abs-small", type=float, default=0.1,
+    p.add_argument("--abs-small", type=lambda text: _finite(text, positive=False), default=0.1,
                    help="absolute relevance threshold in bar (default 0.1)")
     p.set_defaults(func=cmd_derive_threshold)
 
@@ -450,14 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="threshold sweep and hexbin aggregation")
     common(p, components_in=True)
     p.add_argument("--terms", help="terms CSV for the hexbin (optional)")
-    p.add_argument("--horizon-days", type=lambda text: _finite(text, positive=True),
+    p.add_argument("--horizon-days", type=positive,
                    help="observation horizon for occurrence rates")
     p.add_argument("--thresholds", dest="thresholds_pa", default=DEFAULT_THRESHOLDS_PA,
                    type=lambda text: [_finite(part, False) * BAR for part in text.split(",")],
                    help="comma separated thresholds in bar")
-    p.add_argument("--resolution", type=lambda text: _finite(text, positive=True), default=0.1,
+    p.add_argument("--resolution", type=positive, default=0.1,
                    help="hexagon circumradius in log10 units (default 0.1)")
-    p.add_argument("--min-count", type=int, default=1,
+    p.add_argument("--min-count", type=lambda text: _finite(text, True, int), default=1,
                    help="suppress hexagons with fewer points (default 1)")
     p.set_defaults(func=cmd_report)
 

@@ -275,16 +275,9 @@ def write_components(stream: list[tuple[TimePair, list[Component]]],
         t0_text, t1_text = format_timestamp(pair.t0), format_timestamp(pair.t1)
         for comp in comps:
             component_id = str(len(rows))
-            rows.append([
-                t0_text,
-                t1_text,
-                component_id,
-                str(len(comp.pipe_ids)),
-                repr(comp.longest_path_pa / BAR),
-                repr(comp.cycle_correction_pa / BAR),
-                comp.relevance.label,
-                repr(comp.max_abs_dflow_m3s / KNM3H),
-            ])
+            rows.append([t0_text, t1_text, component_id, str(len(comp.pipe_ids)),
+                         repr(comp.longest_path_pa / BAR), repr(comp.cycle_correction_pa / BAR),
+                         comp.relevance.label, repr(comp.max_abs_dflow_m3s / KNM3H)])
             member_rows.extend([component_id, pipe_id] for pipe_id in comp.pipe_ids)
     write_table(path, COMPONENTS_COLUMNS, rows)
     write_table(members_path, MEMBERS_COLUMNS, member_rows)

@@ -1,5 +1,6 @@
 """File formats: topology, long-format state history, exclusions, terms,
-key = value settings; and the binary sidecar of scan's history and terms.
+key = value settings; and history.npz, the binary sidecar in which scan
+saves its terms and the few history columns components reads.
 
 This module is the only one that knows how a file is framed: `read_table`
 and `write_table` handle every CSV file of the pipeline, `read_settings`
@@ -189,9 +190,10 @@ class History:
     """A state history as arrays: one row per frame, one column per entity.
 
     Columns follow the sorted id tuples: every node, every element (flows
-    may be given for any arc), every valve and every pipe of the network.
-    NaN marks a value the history does not give; valve_open holds 1.0 for
-    open and 0.0 for closed.  Timestamps are strictly increasing.
+    may be given for any arc), every valve and every pipe of the network,
+    or a subset, as in the history scan saves for components.  NaN marks
+    a value the history does not give; valve_open holds 1.0 for open and
+    0.0 for closed.  Timestamps are strictly increasing.
     """
 
     timestamps: tuple[datetime, ...]
@@ -349,74 +351,66 @@ def file_sha256(path: str) -> str:
     return sha.hexdigest()
 
 
-def save_history(history: History, terms: Terms, terms_path: str, terms_sha256: str,
-                 states_path: str, topology_path: str) -> None:
-    """Save history with the digests of the files it was parsed from, next
-    to terms_path, with the terms scan computed from it and wrote there
-    with digest terms_sha256.  The terms come in chronological order of
-    pairs of consecutive frames, as scan builds them; each row's pair is
-    saved as the index of its first frame."""
-    frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
-    pair_frame = np.array([frame_index[pair.t0] for pair in terms.pairs], dtype=np.int64)
+def save_history(history: History, network: Network, terms: Terms, terms_path: str,
+                 terms_sha256: str, states_path: str, topology_path: str) -> None:
+    """Save next to terms_path the terms scan wrote there with digest
+    terms_sha256, the digests of the files history was parsed from, and of
+    history the timestamps and the columns components reads: valve states
+    and the pressures at resistor ends.  As scan builds them, the terms'
+    pairs are history.pairs(), so a row's pair index is its first frame."""
+    ends = sorted({node for element in network.of_kind(ElementKind.RESISTOR).values()
+                   for node in (element.from_node, element.to_node)})
     np.savez(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR),
              states_sha256=file_sha256(states_path),
              topology_sha256=file_sha256(topology_path),
+             terms_sha256=terms_sha256,
              timestamps_us=np.array([(t - _EPOCH) // _MICROSECOND for t in history.timestamps],
                                     dtype=np.int64),
-             node_ids=np.array(history.node_ids, dtype=str),
-             arc_ids=np.array(history.arc_ids, dtype=str),
              valve_ids=np.array(history.valve_ids, dtype=str),
-             pipe_ids=np.array(history.pipe_ids, dtype=str),
-             pressure_pa=history.pressure_pa,
-             flow_m3s=history.flow_m3s,
              valve_open=history.valve_open,
-             rho_n=history.rho_n,
-             terms_sha256=terms_sha256,
-             terms_frame=pair_frame[terms.pair_index],
+             node_ids=np.array(ends, dtype=str),
+             pressure_pa=history.pressure_pa[:, np.searchsorted(history.node_ids, ends)],
+             terms_frame=terms.pair_index,
              terms_pipe_ids=terms.pipe_ids,
              terms_numbers=_file_numbers(terms),
              terms_relevant=terms.relevant)
 
 
-def load_history(terms_path: str, states_path: str, topology_path: str) -> History | None:
-    """The history saved in the sidecar next to terms_path, or None unless
-    it exists and was saved from files with the contents of states_path
-    and topology_path."""
+def load_saved(terms_path: str, cfg: ThresholdConfig | None = None,
+               states_path: str | None = None,
+               topology_path: str | None = None) -> tuple[Terms, History | None] | None:
+    """What scan saved next to terms_path: the terms, checked against cfg
+    as read_terms checks them, and, given the states and topology files,
+    the history, which holds only valve states and resistor end pressures.
+    None unless terms_path and those files have the contents scan wrote
+    and read."""
+    inputs = [(terms_path, "terms_sha256")]
+    if states_path is not None:
+        inputs += [(topology_path, "topology_sha256"), (states_path, "states_sha256")]
     try:
         with np.load(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR)) as saved:
-            if (str(saved["states_sha256"]) != file_sha256(states_path)
-                    or str(saved["topology_sha256"]) != file_sha256(topology_path)):
+            # each file is hashed once, and none after the first mismatch
+            if any(str(saved[key]) != file_sha256(path) for path, key in inputs):
                 return None
-            ids = [tuple(saved[name].tolist())
-                   for name in ("node_ids", "arc_ids", "valve_ids", "pipe_ids")]
-            return History(tuple(_EPOCH + us * _MICROSECOND
-                                 for us in saved["timestamps_us"].tolist()),
-                           *ids, saved["pressure_pa"], saved["flow_m3s"],
-                           saved["valve_open"], saved["rho_n"])
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        # an absent or unreadable sidecar only means parsing the CSV again
-        return None
-
-
-def _load_terms(path: str, history: History | None) -> Terms | None:
-    """The terms saved next to the terms file path, or None unless they
-    were saved from a file with its contents and, given a history, from
-    one with its timestamps and pipe ids, which parsing checks rows against."""
-    try:
-        with np.load(os.path.join(os.path.dirname(path), HISTORY_SIDECAR)) as saved:
             stamps = tuple(_EPOCH + us * _MICROSECOND for us in saved["timestamps_us"].tolist())
-            if str(saved["terms_sha256"]) != file_sha256(path) or history is not None and (
-                    history.timestamps != stamps
-                    or history.pipe_ids != tuple(saved["pipe_ids"].tolist())):
-                return None
             # the rows are chronological, so sorted pairs are numbered in the
             # order they first appear, as parsing numbers them
             frames, pair_index = np.unique(saved["terms_frame"], return_inverse=True)
             pairs = tuple(TimePair(stamps[k], stamps[k + 1]) for k in frames.tolist())
-            return _from_file_numbers(pairs, pair_index, saved["terms_pipe_ids"],
-                                      saved["terms_numbers"], saved["terms_relevant"])
+            terms = _from_file_numbers(pairs, pair_index, saved["terms_pipe_ids"],
+                                       saved["terms_numbers"], saved["terms_relevant"])
+            history = None
+            if states_path is not None:
+                empty = np.empty((len(stamps), 0))
+                history = History(stamps, tuple(saved["node_ids"].tolist()), (),
+                                  tuple(saved["valve_ids"].tolist()), (), saved["pressure_pa"],
+                                  empty, saved["valve_open"], empty)
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        # an absent or unreadable sidecar only means parsing the CSV files
         return None
+    # read_table numbers the rows after the header from 2 on
+    _check_relevant(terms_path, terms, range(2, len(terms.relevant) + 2), cfg)
+    return terms, history
 
 
 @dataclass(frozen=True)
@@ -556,24 +550,27 @@ def read_terms(path: str, history: History | None = None,
     Given a threshold config, every row's relevant flag must then be the
     one pipe_relevant gives under it.
 
-    The terms scan saved next to path are loaded instead of parsed when
-    path still has the contents they were written to and, given a
-    history, that has the timestamps and pipe ids they were computed from.
+    Without a history, the terms scan saved next to path are loaded
+    instead of parsed when path still has the contents scan wrote.
     """
-    terms = _load_terms(path, history)
-    if terms is None:
-        terms, lines = _parse_terms(path, history)
-    else:
-        # read_table numbers the rows after the header from 2 on
-        lines = range(2, len(terms.relevant) + 2)
-    if cfg is not None:
-        wrong = np.flatnonzero(terms.relevant != pipe_relevant(terms.alpha_per_length_pam,
-                                                               terms.ratio, cfg))
-        if wrong.size:
-            raise ParseError(path, lines[wrong[0]],
-                             f"relevant is {int(terms.relevant[wrong[0]])}, but the thresholds "
-                             "of this config say otherwise; run scan with the same config")
+    saved = load_saved(path, cfg) if history is None else None
+    if saved is not None:
+        return saved[0]
+    terms, lines = _parse_terms(path, history)
+    _check_relevant(path, terms, lines, cfg)
     return terms
+
+
+def _check_relevant(path: str, terms: Terms, lines, cfg: ThresholdConfig | None) -> None:
+    """Raise ParseError at the line of the first row whose relevant flag cfg contradicts."""
+    if cfg is None:
+        return
+    wrong = np.flatnonzero(terms.relevant != pipe_relevant(terms.alpha_per_length_pam,
+                                                           terms.ratio, cfg))
+    if wrong.size:
+        raise ParseError(path, lines[wrong[0]],
+                         f"relevant is {int(terms.relevant[wrong[0]])}, but the thresholds "
+                         "of this config say otherwise; run scan with the same config")
 
 
 def _parse_terms(path: str, history: History | None) -> tuple[Terms, list[int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+import math
 
 from .model import BAR, KNM3H, ModelError, PipeGeometry, derived_area
 from .physics import inertia_term_alpha
@@ -73,10 +74,13 @@ def derive_min_flow_change(l_max_m: float, tau_min_s: float, d_min_m: float,
     for name, value in (("l_max_m", l_max_m), ("tau_min_s", tau_min_s),
                         ("d_min_m", d_min_m), ("rho_max_kgm3", rho_max_kgm3),
                         ("abs_small_pa", abs_small_pa)):
-        if value < 0.0 or (name != "abs_small_pa" and value == 0.0):
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not (0.0 < value < math.inf or name == "abs_small_pa" and value == 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     area = derived_area(PipeGeometry(length_m=l_max_m, diameter_m=d_min_m))
-    return abs_small_pa * area * tau_min_s / (l_max_m * rho_max_kgm3)
+    dq = abs_small_pa * area * tau_min_s / (l_max_m * rho_max_kgm3)
+    if not math.isfinite(dq):
+        raise ValueError(f"the minimal flow change overflows for these parameters, got {dq}")
+    return dq
 
 
 def prefilter(flow_t0_m3s: float, flow_t1_m3s: float, cfg: ThresholdConfig) -> bool:

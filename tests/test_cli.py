@@ -31,6 +31,18 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
+def record_opened(monkeypatch):
+    """The (file name, mode) of every file opened from here on."""
+    opened, builtin_open = [], open
+
+    def recording(file, mode="r", *args, **kwargs):
+        opened.append((os.path.basename(file), mode))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording)
+    return opened
+
+
 def record_terms_parsed(monkeypatch, parsed):
     """Append to parsed the path of every terms file parsed from here on."""
     def counting(path, columns):
@@ -165,11 +177,10 @@ class TestExclusions:
 
 
 class TestHistorySidecar:
-    """components loads the history in scan's history.npz only when it was
-    saved from files with the contents of --states and --topology.  Both
-    components and report load the terms saved in it only when they were
-    saved from a file with the contents of --terms, and components only
-    when its history has their timestamps and pipe ids."""
+    """report loads the terms saved in scan's history.npz when --terms has
+    the contents scan wrote.  components loads them and the saved history
+    only when --states and --topology are unchanged as well, and otherwise
+    parses both CSV files."""
 
     @pytest.fixture
     def scanned(self, pipeline, tmp_path, monkeypatch):
@@ -240,7 +251,7 @@ class TestHistorySidecar:
                 "components.csv", "components_pipes.csv", "sweep.csv", "hexbin.csv")}
         assert all(outputs[case] == outputs["present"] for case in outputs)
         assert outputs["present"]["hexbin.csv"] == (pipeline["out"] / "hexbin.csv").read_bytes()
-        assert parsed == [str(states)] + [str(states), str(terms), str(terms)] * 2
+        assert parsed == [str(states), str(terms)] + [str(states), str(terms), str(terms)] * 2
 
     def test_edited_terms_parsed_again(self, pipeline, scanned):
         root, parsed = scanned
@@ -253,7 +264,7 @@ class TestHistorySidecar:
         assert code == 1 and stdout == "" and message in err
         code, stdout, err = self.run_report(root, pipeline["out"], root / "out")
         assert code == 1 and stdout == "" and message in err
-        assert parsed == [str(terms), str(terms)]
+        assert parsed == [str(root / "states.csv"), str(terms), str(terms)]
         assert not (root / "out").exists()
 
     def test_stale_sidecar_after_states_edit(self, pipeline, scanned):
@@ -262,8 +273,8 @@ class TestHistorySidecar:
         # the same instants, spelled differently
         states.write_text(states.read_text().replace("Z,", "+00:00,"))
         self.assert_components_unchanged(pipeline, root, root / "topology.csv")
-        # the saved terms fit the history parsed from the same instants
-        assert parsed == [str(states)]
+        # any edit of states.csv costs a parse of both files
+        assert parsed == [str(states), str(root / "terms.csv")]
         lines = states.read_text().splitlines()
         lines[5] = lines[5].rsplit(",", 1)[0] + ",1.0.0"
         states.write_text("\n".join(lines) + "\n")
@@ -279,7 +290,7 @@ class TestHistorySidecar:
         other = root / "other_topology.csv"
         other.write_text("\n".join([header] + rows[::-1]) + "\n")
         self.assert_components_unchanged(pipeline, root, other)
-        assert parsed == [str(root / "states.csv")]
+        assert parsed == [str(root / "states.csv"), str(root / "terms.csv")]
 
     def assert_same_error_without_sidecar(self, root, topology, message):
         """components fails with message, and as without the sidecar."""
@@ -326,14 +337,19 @@ class TestHistorySidecar:
         self.assert_same_error_without_sidecar(
             root, other, "terms.csv:4: 'np2' is not a pipe of the topology")
 
+    def test_present_sidecar_opened_once_and_each_file_read_once(self, pipeline, scanned,
+                                                                 monkeypatch):
+        root, parsed = scanned
+        opened = record_opened(monkeypatch)
+        self.assert_components_unchanged(pipeline, root, root / "topology.csv")
+        monkeypatch.undo()
+        assert parsed == []
+        assert [name for name, _ in opened].count("history.npz") == 1
+        for name in ("states.csv", "terms.csv"):
+            assert [mode for opened_name, mode in opened if opened_name == name] == ["rb"]
+
     def test_scan_hashes_terms_as_it_writes_them(self, pipeline, tmp_path, monkeypatch):
-        opened, builtin_open = [], open
-
-        def recording(file, mode="r", *args, **kwargs):
-            opened.append((os.path.basename(file), mode))
-            return builtin_open(file, mode, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", recording)
+        opened = record_opened(monkeypatch)
         code, _, err = run_cli(["scan", "--topology", pipeline["data"] / "topology.csv",
                                 "--states", pipeline["data"] / "states.csv", "--out", tmp_path])
         monkeypatch.undo()
@@ -363,6 +379,31 @@ class TestDeriveThreshold:
         code, out, _ = run_cli(["derive-threshold", "--abs-small", "0.001"])
         assert code == 0
         assert "too small to round down" in out
+
+    @pytest.mark.parametrize("option, text, message", [
+        ("--tau-min", "inf", "'inf' is not a finite number > 0"),
+        ("--tau-min", "0", "'0' is not a finite number > 0"),
+        ("--rho-max", "-0.9", "'-0.9' is not a finite number > 0"),
+        ("--abs-small", "nan", "'nan' is not a finite number >= 0"),
+        ("--abs-small", "-0.1", "'-0.1' is not a finite number >= 0"),
+        ("--Lmax", "1e400km", "'1e400km' is not a finite length > 0"),
+        ("--Lmax", "1e306km", "'1e306km' is not a finite length > 0"),
+        ("--Dmin", "0mm", "'0mm' is not a finite length > 0"),
+        ("--Dmin", "abc", "invalid parse_length value: 'abc'")],
+        ids=["inf tau", "zero tau", "negative rho", "nan abs-small", "negative abs-small",
+             "inf length", "length overflows in meters", "zero diameter",
+             "diameter not a number"])
+    def test_bad_option_exits_two_naming_it(self, capsys, option, text, message):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["derive-threshold", option, text])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {option}: {message}" in captured.err
+
+    def test_result_that_overflows_exits_one(self):
+        code, out, err = run_cli(["derive-threshold", "--tau-min", "1e308"])
+        assert code == 1 and out == ""
+        assert "error: the minimal flow change overflows" in err
 
 
 class TestParseLength:
@@ -610,9 +651,12 @@ class TestErrors:
         ("--thresholds", "0.1,-0.2", "argument --thresholds: '-0.2' is not a finite number >= 0"),
         ("--horizon-days", "inf", "argument --horizon-days: 'inf' is not a finite number > 0"),
         ("--horizon-days", "0", "argument --horizon-days: '0' is not a finite number > 0"),
-        ("--horizon-days", "soon", "argument --horizon-days: invalid number 'soon'")],
+        ("--horizon-days", "soon", "argument --horizon-days: invalid number 'soon'"),
+        ("--min-count", "0", "argument --min-count: '0' is not a finite number > 0"),
+        ("--min-count", "1.5", "argument --min-count: invalid number '1.5'")],
         ids=["nan threshold", "threshold not a number", "negative threshold", "inf horizon",
-             "zero horizon", "horizon not a number"])
+             "zero horizon", "horizon not a number", "zero min-count",
+             "min-count not an integer"])
     def test_report_option_checked_before_anything_is_written(self, pipeline, tmp_path, capsys,
                                                               option, text, message):
         out = pipeline["out"]

@@ -15,7 +15,7 @@ from gasinertia.ingest import (
     PER_10KM,
     ExclusionWindow,
     exclusion_mask,
-    load_history,
+    load_saved,
     save_history,
     ParseError,
     STATES_COLUMNS,
@@ -43,6 +43,7 @@ from gasinertia.model import (
     Network,
     Node,
     PipeGeometry,
+    StateFrame,
 )
 from gasinertia.physics import term_ratio
 
@@ -530,10 +531,10 @@ class TestTerms:
 
 
 class TestSidecar:
-    """history.npz next to terms.csv: the history loads for the states and
-    topology it was parsed from; the terms load for the terms file they
-    were written to and, given a history, one with their timestamps and
-    pipe ids."""
+    """history.npz next to terms.csv: the terms load for the terms file
+    they were written to; the history, narrowed to the columns components
+    reads, loads with them only when the states and topology are unchanged
+    too.  Given a history, read_terms always parses."""
 
     @pytest.fixture
     def parsed(self, monkeypatch):
@@ -549,50 +550,76 @@ class TestSidecar:
         return parsed
 
     def save(self, root):
-        """Save the sample history with terms of p1 over its one pair, as
-        scan does; their paths and the history."""
+        """Save the sample history, with a pressure at one end of resistor
+        r1, and terms of p1 over its one pair, as scan does; their paths
+        and the history."""
         states, topology, terms_path = (str(root / name) for name in (
             "states.csv", "topology.csv", "terms.csv"))
-        (root / "states.csv").write_text(TestStates().make_states_csv())
+        end_pressure = f"{format_timestamp(stamp(1))},n3,node.pressure_bar,58.0\n"
+        (root / "states.csv").write_text(TestStates().make_states_csv() + end_pressure)
         (root / "topology.csv").write_text(TOPOLOGY_CSV)
-        history = parse_states(states, parse_topology(topology))
+        network = parse_topology(topology)
+        history = parse_states(states, network)
         terms = dataclasses.replace(make_terms(pair_index=(0,), relevant=(True,)),
                                     pairs=(make_pair(0),), pipe_ids=np.array(["p1"]))
-        save_history(history, terms, terms_path, write_terms(terms, terms_path), states,
+        save_history(history, network, terms, terms_path, write_terms(terms, terms_path), states,
                      topology)
         return states, topology, terms_path, history
 
     def test_round_trip(self, tmp_path, parsed):
         states, topology, terms_path, history = self.save(tmp_path)
-        loaded = load_history(terms_path, states, topology)
-        assert_same_history(loaded, history)
+        terms, loaded = load_saved(terms_path, None, states, topology)
+        assert loaded.timestamps == history.timestamps
         assert all(t.utcoffset() == timedelta(0) for t in loaded.timestamps)
-        assert loaded[1] == history[1]
-        for given in (None, history, loaded):
-            assert_terms_equal(read_terms(terms_path, given), read_terms(terms_path))
+        # the valve and the ends of resistor r1, and no other column
+        assert (loaded.node_ids, loaded.arc_ids, loaded.valve_ids, loaded.pipe_ids) == (
+            ("n2", "n3"), (), ("v1",), ())
+        np.testing.assert_array_equal(loaded.pressure_pa, history.pressure_pa[:, 2:4])
+        np.testing.assert_array_equal(loaded.valve_open, history.valve_open)
+        assert loaded.flow_m3s.shape == loaded.rho_n.shape == (2, 0)
+        assert loaded[0] == StateFrame(stamp(0), {}, {}, {"v1": True}, {})
+        assert loaded[1] == StateFrame(stamp(1), {"n3": 58.0 * BAR}, {}, {"v1": False}, {})
+        assert_terms_equal(terms, read_terms(terms_path))
+        assert load_saved(terms_path)[1] is None
         assert parsed == []
-        assert read_terms(terms_path).pipe_ids.tolist() == ["p1"]
+        assert terms.pipe_ids.tolist() == ["p1"]
+
+    def test_saved_keys(self, tmp_path):
+        self.save(tmp_path)
+        with np.load(tmp_path / HISTORY_SIDECAR) as saved:
+            assert sorted(saved.files) == sorted([
+                "states_sha256", "topology_sha256", "terms_sha256", "timestamps_us",
+                "valve_ids", "valve_open", "node_ids", "pressure_pa", "terms_frame",
+                "terms_pipe_ids", "terms_numbers", "terms_relevant"])
+            # one pressure column per resistor end, one row per frame
+            assert saved["node_ids"].tolist() == ["n2", "n3"]
+            assert saved["pressure_pa"].shape == (2, 2)
 
     def test_other_contents_not_loaded(self, tmp_path, parsed):
         states, topology, terms_path, history = self.save(tmp_path)
         with open(states, "a") as handle:
             handle.write(f"{format_timestamp(stamp(1))},n1,node.pressure_bar,59.0\n")
-        assert load_history(terms_path, states, topology) is None
-        assert load_history(terms_path, topology, topology) is None
-        # the terms still fit the history parsed from the edited states
-        read_terms(terms_path, parse_states(states, parse_topology(topology)))
+        assert load_saved(terms_path, None, states, topology) is None
+        assert load_saved(terms_path, None, topology, topology) is None
+        assert load_saved(terms_path, None, states, states) is None
+        # the terms alone still load for the unchanged terms file
+        assert_terms_equal(read_terms(terms_path), load_saved(terms_path)[0])
         assert parsed == []
+        # given a history, they are parsed and checked against it
+        read_terms(terms_path, parse_states(states, parse_topology(topology)))
+        assert parsed == [terms_path]
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         (elsewhere / "terms.csv").write_bytes((tmp_path / "terms.csv").read_bytes())
-        assert load_history(str(elsewhere / "terms.csv"), states, topology) is None
-        read_terms(str(elsewhere / "terms.csv"), history)
-        assert parsed == [str(elsewhere / "terms.csv")]
+        assert load_saved(str(elsewhere / "terms.csv"), None, states, topology) is None
+        read_terms(str(elsewhere / "terms.csv"))
+        assert parsed == [terms_path, str(elsewhere / "terms.csv")]
 
     def test_unreadable_sidecar_not_loaded(self, tmp_path, parsed):
         states, topology, terms_path, history = self.save(tmp_path)
         (tmp_path / HISTORY_SIDECAR).write_bytes(b"not a zip archive")
-        assert load_history(terms_path, states, topology) is None
+        assert load_saved(terms_path, None, states, topology) is None
+        assert load_saved(terms_path) is None
         read_terms(terms_path)
         read_terms(terms_path, history)
         assert parsed == [terms_path] * 2
@@ -654,9 +681,10 @@ class TestSidecar:
         other = History(stamps, (), (), (), pipe_ids, *(np.empty((len(stamps), 0))
                                                         for _ in range(3)),
                         np.full((len(stamps), len(pipe_ids)), 0.85))
+        # given a history, the terms file is parsed even next to its sidecar
         if message is None:
             assert_terms_equal(read_terms(terms_path, other), read_terms(terms_path))
-            assert parsed == ([] if change == "same instants" else [terms_path])
+            assert parsed == [terms_path]
             return
         with pytest.raises(ParseError, match=message) as info:
             read_terms(terms_path, other)

@@ -1,3 +1,5 @@
+import math
+
 from hypothesis import given, strategies as st
 import numpy as np
 import pytest
@@ -58,6 +60,19 @@ class TestDerivedFlowChange:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             derive_min_flow_change(0.0, 180.0, 0.15, 0.9, 0.1 * BAR)
+
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, position, value):
+        args = [200e3, 180.0, 0.15, 0.9, 0.1 * BAR]
+        args[position] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            derive_min_flow_change(*args)
+
+    def test_rejects_a_result_that_overflows(self):
+        with pytest.raises(ValueError, match="overflows"):
+            derive_min_flow_change(200e3, 1e308, 0.15, 0.9, 0.1 * BAR)
+        assert derive_min_flow_change(200e3, 180.0, 0.15, 0.9, 0.0) == 0.0
 
     @given(st.floats(min_value=1e3, max_value=1e6),
            st.floats(min_value=1.0, max_value=3600.0),
