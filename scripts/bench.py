@@ -9,19 +9,31 @@ metrics) and once with --trace 1 (per-layer metrics), one run at a time.  The JS
 last line of each run is kept, together with the output digests the run
 printed, and everything is written to BENCH_<label>.json at the root of
 the checkout that holds this script, with the measured checkout's
-commit, the Python and numpy versions and the CPU count.  Standard
-library only.
+commit, the Python and numpy versions and the CPU count.
+
+Then tier M, ten times quiet-history's frames and events (3,000 frames,
+about 7e5 pipe points and 1.9e6 state rows), is generated at the same
+seed by the checkout's perfbench/workloads.py, and `gasinertia scan`
+runs on it once in a fresh child with BLAS pinned to one thread.  Its
+wall and processor seconds (start-up and imports included), pipe points
+and state rows per processor second, peak RSS and the sha256 of
+terms.csv go under tiers.M.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
-from importlib import metadata
+import dataclasses
+import hashlib
+from importlib import metadata, util
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +56,34 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float,
     result["sha256"] = {name: digest for _, digest, name in
                         (line.split() for line in lines if line.startswith("  sha256 "))}
     return result
+
+
+def run_tier_m(checkout: Path, seed: int) -> dict:
+    """Scan tier M once in a child; its costs and the digest of its terms."""
+    spec = util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = util.module_from_spec(spec)   # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    tier = dataclasses.replace(workloads.QUIET_HISTORY, frames=3000, events=300)
+    with tempfile.TemporaryDirectory() as root:
+        planted = workloads.generate_grid(tier, seed, root)
+        argv = [sys.executable, "-m", "gasinertia", "scan", "--topology", f"{root}/topology.csv",
+                "--states", f"{root}/states.csv", "--exclusions", f"{root}/exclusions.csv",
+                "--out", f"{root}/out"]
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        if os.waitstatus_to_exitcode(status) != 0:
+            sys.exit(f"tier M scan exited with {os.waitstatus_to_exitcode(status)}")
+        terms = hashlib.sha256(Path(root, "out", "terms.csv").read_bytes()).hexdigest()
+    cpu = usage.ru_utime + usage.ru_stime
+    return {"frames": tier.frames, "points": planted.total, "states_rows": planted.states_rows,
+            "scan_wall_s": wall, "scan_cpu_s": cpu,
+            "points_per_cpu_s": planted.total / cpu, "rows_per_cpu_s": planted.states_rows / cpu,
+            # Linux reports ru_maxrss in KiB
+            "peak_rss_mb": usage.ru_maxrss / 1024, "terms_sha256": terms}
 
 
 def main() -> int:
@@ -78,6 +118,8 @@ def main() -> int:
             f"trace_{trace}": run_workload(checkout, workload, args.seed, seconds, trace)
             for trace in (0, 1)}
         print(f"{workload}: done", flush=True)
+    bench["tiers"] = {"M": run_tier_m(checkout, args.seed)}
+    print("tier M: done", flush=True)
     path = REPO_ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {path}")

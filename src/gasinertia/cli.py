@@ -175,7 +175,9 @@ def cmd_derive_threshold(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg, gas = _configs_from_args(args)
     network = parse_topology(args.topology)
-    history = parse_states(args.states, network)
+    import hashlib  # imported late, as in ingest.file_sha256
+    states_sha256 = hashlib.sha256()
+    history = parse_states(args.states, network, states_sha256)
     windows = parse_exclusions(args.exclusions, network) if args.exclusions else []
     pairs = history.pairs()
     pipe_ids = history.pipe_ids
@@ -212,12 +214,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     alpha_per_length = alpha / table.length_m
     ratio = term_ratio(alpha, beta)
-    relevant = pipe_relevant(alpha_per_length, ratio, cfg)
+    # decided on the value terms.csv gives, as components checks it
+    relevant = pipe_relevant(alpha_per_length / PER_10KM * PER_10KM, ratio, cfg)
     terms = Terms(tuple(pairs), pair_index, np.array(pipe_ids)[position], flow_t0, flow_t1,
                   alpha, beta, alpha_per_length, ratio, relevant)
     terms_path = _out_path(args, "terms.csv")
     save_history(history, network, terms, terms_path, write_terms(terms, terms_path),
-                 args.states, args.topology)
+                 states_sha256.hexdigest(), args.topology)
     totals = {"total": excluded.size, "excluded": int(np.count_nonzero(excluded)),
               "missing": diag.missing_data,
               "below_prefilter": int(np.count_nonzero(below_prefilter)),

@@ -4,7 +4,10 @@ saves its terms and the few history columns components reads.
 
 This module is the only one that knows how a file is framed: `read_table`
 and `write_table` handle every CSV file of the pipeline, `read_settings`
-every key = value file.  File units are bar and 1000 Nm^3/h; they are
+every key = value file.  The one exception is the states file, the
+largest: numpy's C reader parses it in byte windows while every frame
+repeats the first frame's (entity, quantity) rows, and read_table reads
+it row by row otherwise.  File units are bar and 1000 Nm^3/h; they are
 converted to SI exactly once here.  Serializers write floats with repr so
 a parse/serialize cycle is a fixed point.  Parse errors carry file and
 line context.
@@ -28,6 +31,8 @@ import numpy as np
 from .model import (
     BAR,
     KNM3H,
+    RHO_N_MAX_KGM3,
+    RHO_N_MIN_KGM3,
     Element,
     ElementKind,
     ModelError,
@@ -237,7 +242,13 @@ def _given(ids: tuple[str, ...], row: np.ndarray) -> dict[str, float]:
     return {key: value for key, value in zip(ids, row.tolist()) if value == value}
 
 
-def parse_states(path: str, network: Network) -> History:
+# states.csv is read in windows of about this many bytes, each cut at its
+# last newline: smaller ones cost more per byte, larger ones raise peak
+# memory and read no faster
+_WINDOW = 1 << 18
+
+
+def parse_states(path: str, network: Network, sha=None) -> History:
     """Read a long-format state history into arrays.
 
     Rows of one timestamp may come in any order but timestamps must be
@@ -246,8 +257,19 @@ def parse_states(path: str, network: Network) -> History:
     match the quantity kind; pressures must be positive and densities
     inside the accepted band.  A repeated row overrides the earlier one.
     Rows are checked in file order, so the first bad line is reported.
+
+    Windows in which every frame repeats frame 0's (entity, quantity)
+    sequence are read by numpy's C reader; at any other, the row loop reads
+    the file again from the start, and only it raises ParseError.  sha, a
+    hashlib object, is updated with every byte of the file once.
     """
     columns = history_columns(network)
+    with open(path, "rb") as handle:
+        history = _parse_windows(handle, columns, sha)
+        while sha is not None and (block := handle.read(_WINDOW)):
+            sha.update(block)
+    if history is not None:
+        return history
     node_col, arc_col, valve_col, pipe_col = ({key: k for k, key in enumerate(ids)}
                                               for ids in columns)
     stamps: list[datetime] = []
@@ -312,6 +334,98 @@ def parse_states(path: str, network: Network) -> History:
     return History(tuple(stamps), *columns, *arrays)
 
 
+def _parse_windows(handle, columns: tuple[tuple[str, ...], ...], sha) -> History | None:
+    """The history in handle, read by numpy's C reader and checked as arrays
+    window by window; None at the first window that needs the row loop."""
+    # text fields keep the file's bytes, which the row loop decodes as open() does
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding
+    lookup = {(key, quantity): (q, k)
+              for q, (ids, quantity) in enumerate(zip(columns, (
+                  QUANTITY_PRESSURE, QUANTITY_FLOW, QUANTITY_VALVE, QUANTITY_RHO)))
+              for k, key in enumerate(ids)}
+    # one byte wider than the longest id and quantity, so a cut field matches none
+    longest = max((len(key.encode(encoding, "replace")) for key, _ in lookup), default=0)
+    dtype = np.dtype([("t", "S40"), ("e", f"S{longest + 1}"), ("q", "S18"), ("v", "f8")])
+    texts: list[bytes] = []                 # the timestamp of each frame
+    blocks: list[list[np.ndarray]] = []     # per window, one array per entry of columns
+    names = kind = take = None              # frame 0's (entity, quantity) rows; their columns
+    carry = np.empty(0, dtype)              # rows of a frame that may go on in the next window
+    read, pending = handle.readline(), b""
+    if sha is not None:
+        sha.update(read)
+    if read.rstrip(b"\r\n") != ",".join(STATES_COLUMNS).encode():
+        return None
+    while read:
+        read = handle.read(_WINDOW)
+        if sha is not None:
+            sha.update(read)
+        chunk = pending + read
+        # the last line of the file need not end with a newline
+        cut = chunk.rfind(b"\n") + 1 if read else len(chunk)
+        chunk, pending = chunk[:cut], chunk[cut:]
+        if chunk and not chunk.endswith(b"\n"):
+            chunk += b"\n"
+        try:
+            # loadtxt warns on a window without rows
+            rows = carry[:0] if not chunk or chunk.isspace() else np.loadtxt(
+                io.BytesIO(chunk), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                encoding="latin1", ndmin=1)
+        except ValueError:
+            return None
+        # fewer rows than lines: a blank row, a \r line end or a newline in
+        # quotes; and text fields drop trailing NULs, which the row loop keeps
+        if len(rows) != np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10) or b"\0" in chunk:
+            return None
+        rows = np.concatenate([carry, rows])
+        # frames split where the timestamp bytes change
+        starts = np.flatnonzero(rows["t"][1:] != rows["t"][:-1]) + 1
+        end = (starts[-1] if starts.size else 0) if read else len(rows)
+        rows, carry = rows[:end], rows[end:]
+        if end and names is None:
+            names = rows[["e", "q"]][:starts[0] if starts.size else end].copy()
+            # bytes the encoding cannot read decode to surrogates, which no id holds
+            places = [lookup.get((entity.decode(encoding, "surrogateescape"),
+                                  quantity.decode(encoding, "surrogateescape")))
+                      for entity, quantity in names.tolist()]
+            if None in places:
+                return None
+            kind = np.array([q for q, _ in places])
+            # per entry of columns, its columns and their positions in a
+            # frame; a repeated row keeps the last value
+            last = {key: at for at, key in enumerate(places)}
+            take = [np.array([(k, at) for (q, k), at in last.items() if q == quantity],
+                             dtype=int).reshape(-1, 2).T for quantity in range(4)]
+        if not end:
+            continue
+        size = len(names)
+        frames = end // size
+        values = rows["v"][:frames * size].reshape(frames, size)
+        # every row is checked, also one a later repeat overrides
+        density = values[:, kind == 3]
+        texts += rows["t"][::size].tolist()
+        # unlike a cut id, a cut timestamp can still parse
+        if not (end % size == 0 and np.array_equal(starts[starts < end], np.arange(size, end, size))
+                and (rows[["e", "q"]].reshape(frames, size) == names).all()
+                and np.isfinite(values).all() and (values[:, kind == 0] > 0.0).all()
+                and ((density > RHO_N_MIN_KGM3) & (density <= RHO_N_MAX_KGM3)).all()
+                and max(map(len, texts[-frames:])) < dtype["t"].itemsize):
+            return None
+        pressure, flow, valve, rho = (values[:, at] for _, at in take)
+        blocks.append([np.full((frames, len(ids)), math.nan) for ids in columns])
+        for block, (cols, _), scaled in zip(blocks[-1], take, (
+                pressure * BAR, flow * KNM3H, np.where(valve != 0.0, 1.0, 0.0), rho)):
+            block[:, cols] = scaled
+    try:
+        stamps = [parse_timestamp(text.decode(encoding, "surrogateescape")) for text in texts]
+    except ParseError:
+        return None
+    if any(t1 <= t0 for t0, t1 in zip(stamps, stamps[1:])):
+        return None
+    arrays = (np.concatenate([np.empty((0, len(ids)))] + [block[q] for block in blocks])
+              for q, ids in enumerate(columns))
+    return History(tuple(stamps), *columns, *arrays)
+
+
 def serialize_states(history: History, path: str) -> None:
     """Write a history in the long format: frame by frame, the values it
     gives in column order (pressures, flows, valve states, densities)."""
@@ -352,16 +466,17 @@ def file_sha256(path: str) -> str:
 
 
 def save_history(history: History, network: Network, terms: Terms, terms_path: str,
-                 terms_sha256: str, states_path: str, topology_path: str) -> None:
+                 terms_sha256: str, states_sha256: str, topology_path: str) -> None:
     """Save next to terms_path the terms scan wrote there with digest
-    terms_sha256, the digests of the files history was parsed from, and of
-    history the timestamps and the columns components reads: valve states
-    and the pressures at resistor ends.  As scan builds them, the terms'
-    pairs are history.pairs(), so a row's pair index is its first frame."""
+    terms_sha256, the digests of the files history was parsed from (that
+    of the states file as parse_states read it), and of history the
+    timestamps and the columns components reads: valve states and the
+    pressures at resistor ends.  As scan builds them, the terms' pairs are
+    history.pairs(), so a row's pair index is its first frame."""
     ends = sorted({node for element in network.of_kind(ElementKind.RESISTOR).values()
                    for node in (element.from_node, element.to_node)})
     np.savez(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR),
-             states_sha256=file_sha256(states_path),
+             states_sha256=states_sha256,
              topology_sha256=file_sha256(topology_path),
              terms_sha256=terms_sha256,
              timestamps_us=np.array([(t - _EPOCH) // _MICROSECOND for t in history.timestamps],

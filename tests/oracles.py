@@ -8,11 +8,24 @@ exhaustive search instead of relaxation) so agreement is meaningful.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+import csv
 import math
 
 import numpy as np
 
-from gasinertia.model import BAR
+from gasinertia.ingest import (
+    QUANTITY_FLOW,
+    QUANTITY_PRESSURE,
+    QUANTITY_RHO,
+    QUANTITY_VALVE,
+    STATES_COLUMNS,
+    History,
+    ParseError,
+    format_timestamp,
+    history_columns,
+    parse_timestamp,
+)
+from gasinertia.model import BAR, KNM3H, ModelError, validate_normal_density
 
 
 def colebrook_friction(re: float, rr: float, tol: float = 1e-14) -> float:
@@ -332,3 +345,81 @@ def bfs_groups(elements: list[tuple[str, str, str, str]], relevant: set[str],
         if pipes:
             groups.append((pipes, sorted(e[0] for e in reached if e[1] != "pipe")))
     return sorted(groups), missing
+
+
+def parse_states_rows(path: str, network) -> History:
+    """ingest.parse_states as a loop over the rows of the file, kept as the
+    reference for its arrays, its ParseError lines and their messages.
+
+    Frozen from the loop that read every states file before the window
+    reader existed, with read_table's framing written out: the header must
+    be STATES_COLUMNS, blank rows are skipped and rows are numbered from 2.
+    """
+    columns = history_columns(network)
+    node_col, arc_col, valve_col, pipe_col = ({key: k for k, key in enumerate(ids)}
+                                              for ids in columns)
+    stamps, frames = [], []
+    current = stamp_text = None
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != STATES_COLUMNS:
+            raise ParseError(path, 1,
+                             f"expected header {','.join(STATES_COLUMNS)}, got "
+                             f"{','.join(header) if header else '<empty>'}")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                if row:
+                    raise ParseError(path, line, f"expected 4 columns, got {len(row)}")
+                continue
+            text, entity, quantity, value_text = row
+            if text != stamp_text:
+                stamp = parse_timestamp(text, path, line)
+                stamp_text = text
+                if current is None or stamp != current:
+                    if current is not None and stamp <= current:
+                        raise ParseError(path, line,
+                                         f"timestamps not strictly increasing: "
+                                         f"{format_timestamp(stamp)} after "
+                                         f"{format_timestamp(current)}")
+                    current = stamp
+                    stamps.append(stamp)
+                    frames.append([[math.nan] * len(ids) for ids in columns])
+                    pressure_row, flow_row, valve_row, rho_row = frames[-1]
+            try:
+                value = float(value_text)
+            except ValueError:
+                raise ParseError(path, line,
+                                 f"invalid number {value_text!r} in column value") from None
+            if not math.isfinite(value):
+                raise ParseError(path, line, f"non-finite value {value_text!r} for {entity!r}")
+            if quantity == QUANTITY_PRESSURE:
+                column = node_col.get(entity)
+                if column is None:
+                    raise ParseError(path, line, f"unknown node {entity!r}")
+                if not value > 0.0:
+                    raise ParseError(path, line, f"pressure must be positive, got {value}")
+                pressure_row[column] = value * BAR
+            elif quantity == QUANTITY_FLOW:
+                column = arc_col.get(entity)
+                if column is None:
+                    raise ParseError(path, line, f"unknown element {entity!r}")
+                flow_row[column] = value * KNM3H
+            elif quantity == QUANTITY_VALVE:
+                column = valve_col.get(entity)
+                if column is None:
+                    raise ParseError(path, line, f"{entity!r} is not a valve")
+                valve_row[column] = 1.0 if value != 0.0 else 0.0
+            elif quantity == QUANTITY_RHO:
+                column = pipe_col.get(entity)
+                if column is None:
+                    raise ParseError(path, line, f"{entity!r} is not a pipe")
+                try:
+                    rho_row[column] = validate_normal_density(value)
+                except ModelError as exc:
+                    raise ParseError(path, line, str(exc)) from None
+            else:
+                raise ParseError(path, line, f"unknown quantity {quantity!r}")
+    arrays = (np.array([rows[q] for rows in frames], dtype=float).reshape(len(frames), len(ids))
+              for q, ids in enumerate(columns))
+    return History(tuple(stamps), *columns, *arrays)

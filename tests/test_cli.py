@@ -360,6 +360,17 @@ class TestHistorySidecar:
             assert str(saved["terms_sha256"]) == ingest.file_sha256(str(terms))
         assert terms.read_bytes() == (pipeline["out"] / "terms.csv").read_bytes()
 
+    def test_scan_hashes_states_as_it_parses_them(self, pipeline, tmp_path, monkeypatch):
+        states = pipeline["data"] / "states.csv"
+        opened = record_opened(monkeypatch)
+        code, _, err = run_cli(["scan", "--topology", pipeline["data"] / "topology.csv",
+                                "--states", states, "--out", tmp_path])
+        monkeypatch.undo()
+        assert code == 0, err
+        assert [mode for name, mode in opened if name == "states.csv"] == ["rb"]
+        with np.load(tmp_path / "history.npz") as saved:
+            assert str(saved["states_sha256"]) == ingest.file_sha256(str(states))
+
 
 class TestDeriveThreshold:
     def test_default_output(self):
@@ -535,6 +546,65 @@ class TestConfig:
         code, out, err = self.components_with(pipeline, config, tmp_path / "terms.csv", tmp_path)
         assert code == 0, err
         assert "pairs with relevant pipes: 1, components: 1" in out
+
+    @staticmethod
+    def crossing_point(root, monkeypatch):
+        """A one-pipe history whose one evaluated point has an alpha per
+        length a that terms.csv cannot give exactly, and a config whose
+        per-length floor lies between a and the value read back from the
+        file.  Returns the data directory, the config and whether the point
+        is relevant by the value read back."""
+        (root / "topology.csv").write_text(
+            "element_id,kind,from_node,to_node,length_m,diameter_m,roughness_m,slope\n"
+            "p1,pipe,n0,n1,10000.0,0.5,1e-05,0.0\n")
+        alphas, inertia = [], cli.inertia_term_alpha
+        monkeypatch.setattr(cli, "inertia_term_alpha", lambda table, *args: alphas.append(
+            (inertia(table, *args), table.length_m)) or alphas[-1][0])
+        for dq in np.arange(300.0, 400.0, 0.25).tolist():
+            rows = [f"{format_timestamp(stamp(k))},{entity},{quantity},{value}"
+                    for k, flow in ((0, 100.0), (1, 100.0 + dq))
+                    for entity, quantity, value in (
+                        ("n0", "node.pressure_bar", 60.0), ("n1", "node.pressure_bar", 59.5),
+                        ("p1", "arc.flow_kNm3h", flow), ("p1", "pipe.rho_n_kgNm3", 0.8))]
+            (root / "states.csv").write_text(
+                "timestamp_iso8601,entity_id,quantity,value\n" + "\n".join(rows) + "\n")
+            alphas.clear()
+            code, _, err = run_cli(["scan", "--topology", root / "topology.csv",
+                                    "--states", root / "states.csv", "--out", root / "probe"])
+            assert code == 0, err
+            alpha, length = alphas[0]
+            a = abs(float(alpha[0] / length[0]))
+            back = abs(float(alpha[0] / length[0] / ingest.PER_10KM * ingest.PER_10KM))
+            if a == back:
+                continue
+            floor = max(a, back)
+            # abs_small_bar / reference 1 km gives the floor exactly for
+            # one of the numbers next to floor / 100
+            guess = floor * 1e3 / BAR
+            for _ in range(20):
+                if guess * BAR / 1e3 == floor:
+                    config = root / "cfg"
+                    config.write_text(f"abs_small_bar = {guess!r}\nreference_length_km = 1\n")
+                    monkeypatch.undo()
+                    return root, config, back >= floor
+                guess = np.nextafter(guess, np.inf if guess * BAR / 1e3 < floor else -np.inf)
+        raise AssertionError("no point crosses the floor")
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["saved terms", "parsed terms"])
+    def test_relevant_decided_on_the_value_the_file_gives(self, tmp_path, monkeypatch, sidecar):
+        data, config, relevant = self.crossing_point(tmp_path, monkeypatch)
+        code, _, err = run_cli(["scan", "--topology", data / "topology.csv",
+                                "--states", data / "states.csv", "--config", config,
+                                "--out", tmp_path / "out"])
+        assert code == 0, err
+        assert read_csv(tmp_path / "out" / "terms.csv")[1][10] == str(int(relevant))
+        if not sidecar:
+            os.remove(tmp_path / "out" / "history.npz")
+        code, _, err = run_cli(["components", "--topology", data / "topology.csv",
+                                "--states", data / "states.csv",
+                                "--terms", tmp_path / "out" / "terms.csv", "--config", config,
+                                "--out", tmp_path / "out"])
+        assert code == 0, err
 
 
 class TestErrors:

@@ -15,6 +15,7 @@ from gasinertia.ingest import (
     PER_10KM,
     ExclusionWindow,
     exclusion_mask,
+    file_sha256,
     load_saved,
     save_history,
     ParseError,
@@ -562,8 +563,8 @@ class TestSidecar:
         history = parse_states(states, network)
         terms = dataclasses.replace(make_terms(pair_index=(0,), relevant=(True,)),
                                     pairs=(make_pair(0),), pipe_ids=np.array(["p1"]))
-        save_history(history, network, terms, terms_path, write_terms(terms, terms_path), states,
-                     topology)
+        save_history(history, network, terms, terms_path, write_terms(terms, terms_path),
+                     file_sha256(states), topology)
         return states, topology, terms_path, history
 
     def test_round_trip(self, tmp_path, parsed):

@@ -1,0 +1,286 @@
+"""parse_states against the row loop it replaced (oracles.parse_states_rows).
+
+The window reader parses states.csv with numpy's C reader and hands any
+window it cannot vouch for to the row loop.  With the window shrunk to a
+few hundred bytes, frames straddle windows, and every generated file must
+give the oracle's history bit for bit, or the oracle's ParseError with
+the same line and message.
+"""
+
+from datetime import datetime, timedelta, timezone
+import csv
+import hashlib
+import io
+import os
+import tempfile
+
+from hypothesis import event, given, note, settings, strategies as st
+import numpy as np
+import pytest
+
+from gasinertia import ingest
+from gasinertia.ingest import (
+    QUANTITY_FLOW,
+    QUANTITY_PRESSURE,
+    QUANTITY_RHO,
+    QUANTITY_VALVE,
+    STATES_COLUMNS,
+    History,
+    ParseError,
+    file_sha256,
+    parse_states,
+    serialize_states,
+)
+from gasinertia.model import Element, ElementKind, Network, Node, PipeGeometry
+
+from oracles import parse_states_rows
+
+START = datetime(2026, 1, 1, tzinfo=timezone.utc)
+
+# ids that need quoting or are not ASCII
+NODES = ["n0", "n,1", 'n"2', "nö3", "n4"]
+ELEMENTS = [
+    Element("p1", ElementKind.PIPE, "n0", "n,1", PipeGeometry(10_000.0, 0.5, 1e-5)),
+    Element('p"2', ElementKind.PIPE, "n,1", 'n"2', PipeGeometry(5_000.0, 0.4, 1e-5)),
+    Element("v,1", ElementKind.VALVE, 'n"2', "nö3"),
+    Element("r1", ElementKind.RESISTOR, "nö3", "n4"),
+    Element("pö", ElementKind.PIPE, "n4", "n0", PipeGeometry(8_000.0, 0.3, 1e-5)),
+]
+NETWORK = Network.build([Node(node_id) for node_id in NODES], ELEMENTS)
+PIPES = ["p1", 'p"2', "pö"]
+
+# every valid (entity, quantity) pair; VALUES spells their values
+KEYS = ([(node, QUANTITY_PRESSURE) for node in NODES]
+        + [(element.element_id, QUANTITY_FLOW) for element in ELEMENTS]
+        + [("v,1", QUANTITY_VALVE)]
+        + [(pipe, QUANTITY_RHO) for pipe in PIPES])
+
+
+def number_text(low, high):
+    """Text of a float in [low, high], as files spell numbers."""
+    def spell(value, form):
+        return {"repr": repr(value), "fixed": f"{value:.3f}", "spaced": f" {value!r} ",
+                "exp": f"{value:e}"}[form]
+    return st.builds(spell, st.floats(low, high, allow_nan=False),
+                     st.sampled_from(["repr", "fixed", "spaced", "exp"]))
+
+
+VALUES = {
+    QUANTITY_PRESSURE: number_text(0.5, 99.0),
+    QUANTITY_FLOW: number_text(-500.0, 500.0) | st.sampled_from(["-0.0", "0"]),
+    QUANTITY_VALVE: st.sampled_from(["0", "1", "0.0", "-0.0", "2.5", " 1 "]),
+    QUANTITY_RHO: number_text(0.51, 1.3),
+}
+
+# Irregularities, at most one per file.  Most are defects the row loop
+# reports; "underscore" (Python's float reads 1_000, the C reader does not)
+# and "split" (part of a frame moved to a later instant) are valid.  Where
+# a row of the kind the edit needs exists, the edit keeps the file's
+# (entity, quantity) sequence, so that only the value check can see it.
+VALUE_EDITS = {"underscore": "1_000", "nan": "nan", "inf": "inf", "1e400": "1e400",
+               "zero pressure": "0", "density out of band": "2.0"}
+ROW_EDITS = {
+    "unknown entity": lambda e, q, v: ["zz", q, v],
+    "wrong kind": lambda e, q, v: ["p1", QUANTITY_VALVE, "1"],
+    "short row": lambda e, q, v: [e, q],
+}
+NEEDS = {"zero pressure": QUANTITY_PRESSURE, "density out of band": QUANTITY_RHO}
+IRREGULARITIES = sorted([*VALUE_EDITS, *ROW_EDITS, "nul", "backwards", "cut timestamp",
+                         "split", "header"])
+
+
+def spellings(instant):
+    """Texts of one instant: Z, +00:00, +01:00, and one too long for the
+    window reader's timestamp field."""
+    return [instant.strftime("%Y-%m-%dT%H:%M:%SZ"), instant.isoformat(),
+            instant.astimezone(timezone(timedelta(hours=1))).isoformat(),
+            instant.strftime("%Y-%m-%dT%H:%M:%S.") + "0" * 18 + "+00:00"]
+
+
+@st.composite
+def states_files(draw):
+    """(text of a states.csv over NETWORK, note on how it was made).
+
+    Half the files are clean: one shared template, one spelling per frame,
+    minimal quoting, no blank row and a final newline, so that the windows
+    alone read them unless their one irregularity, drawn for most, stops
+    them.  The others draw each of those properties freely.
+    """
+    clean = draw(st.booleans())
+    free = (lambda strategy, value: value) if clean else (lambda strategy, value: draw(strategy))
+    shared = free(st.booleans(), True)
+    respell = free(st.sampled_from(["none", "frame", "row"]), draw(st.sampled_from(
+        ["none", "frame"])))
+    template = draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=14))
+    rows, frame_of = [], []
+    for k in range(draw(st.integers(1, 8))):
+        instant = START + timedelta(minutes=3 * k)
+        # a clean file keeps its timestamps inside the window reader's field
+        texts = spellings(instant)[:3 if clean else 4]
+        keys = template if shared else draw(st.lists(st.sampled_from(KEYS), min_size=1,
+                                                     max_size=14))
+        frame_text = draw(st.sampled_from(texts)) if respell == "frame" else texts[0]
+        for entity, quantity in keys:
+            text = draw(st.sampled_from(texts)) if respell == "row" else frame_text
+            rows.append([text, entity, quantity, draw(VALUES[quantity])])
+            frame_of.append(instant)
+    defect = draw(st.sampled_from([None] * (len(IRREGULARITIES) // (3 if clean else 1))
+                                  + IRREGULARITIES))
+    if defect is not None:
+        fits = [k for k, row in enumerate(rows) if row[2] == NEEDS.get(defect, row[2])]
+        at = draw(st.sampled_from(fits)) if fits else draw(st.integers(0, len(rows) - 1))
+        same_frame = [row for row, instant in zip(rows, frame_of) if instant == frame_of[at]]
+        if defect in VALUE_EDITS and fits:
+            rows[at][3] = VALUE_EDITS[defect]
+        elif defect in VALUE_EDITS:
+            rows[at][1:] = [NEEDS[defect] == QUANTITY_RHO and "pö" or "n0", NEEDS[defect],
+                            VALUE_EDITS[defect]]
+        elif defect in ROW_EDITS:
+            rows[at][1:] = ROW_EDITS[defect](*rows[at][1:])
+        elif defect == "nul":
+            # in every frame, so that the id still fits the first frame's
+            for row in rows:
+                if row[1:3] == rows[at][1:3]:
+                    row[1] += "\0"
+        elif defect == "backwards":
+            # the instant before the first frame, where it is not first
+            rows[at][0] = spellings(START - timedelta(minutes=3))[0]
+        elif defect == "cut timestamp":
+            # a timestamp whose first 40 characters alone would parse
+            for row in same_frame:
+                row[0] = frame_of[at].strftime("%Y-%m-%dT%H:%M:%S.") + "0" * 14 + "+00:00X"
+        elif defect == "split":
+            for row in same_frame[same_frame.index(rows[at]):]:
+                row[0] = spellings(frame_of[at] + timedelta(seconds=90))[0]
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = free(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]), csv.QUOTE_MINIMAL)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=terminator, quoting=quoting)
+    writer.writerow(STATES_COLUMNS[:-1] + ["values"] if defect == "header" else STATES_COLUMNS)
+    blank = free(st.none() | st.integers(0, len(rows)), None)
+    for k, row in enumerate(rows):
+        if k == blank:
+            buffer.write(terminator)
+        writer.writerow(row)
+    text = buffer.getvalue()
+    if free(st.booleans(), False):
+        text = text[:-len(terminator)]
+    return text, dict(clean=clean, shared=shared, respell=respell, defect=defect, blank=blank,
+                      terminator=terminator, quoting=quoting)
+
+
+def assert_same_history(got: History, want: History):
+    assert got.timestamps == want.timestamps
+    assert [t.utcoffset() for t in got.timestamps] == [t.utcoffset() for t in want.timestamps]
+    assert (got.node_ids, got.arc_ids, got.valve_ids, got.pipe_ids) == (
+        want.node_ids, want.arc_ids, want.valve_ids, want.pipe_ids)
+    for name in ("pressure_pa", "flow_m3s", "valve_open", "rho_n"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        # bit for bit: NaN positions and the sign of zero count
+        assert a.tobytes() == b.tobytes(), name
+
+
+def outcome(parse, path):
+    try:
+        return parse(path, NETWORK), None
+    except ParseError as exc:
+        return None, (exc.line, str(exc))
+
+
+def compare(text, window):
+    """Parse text with the windows of window bytes and with the oracle, and
+    require the same outcome; True if the windows read it alone."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "states.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        want, want_error = outcome(parse_states_rows, path)
+        sha, framed, read_table = hashlib.sha256(), [], ingest.read_table
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_WINDOW", window)
+            patch.setattr(ingest, "read_table", lambda *args: framed.append(args)
+                          or read_table(*args))
+            got, got_error = outcome(lambda p, n: parse_states(p, n, sha), path)
+        assert got_error == want_error
+        if want is not None:
+            assert_same_history(got, want)
+            assert sha.hexdigest() == file_sha256(path)
+    return not framed
+
+
+@settings(max_examples=400, deadline=None)
+@given(states_files(), st.integers(40, 400))
+def test_windows_agree_with_the_row_loop(case, window):
+    text, how = case
+    note(repr(how))
+    event("windows only" if compare(text, window) else "row loop")
+
+
+@pytest.mark.parametrize("window", [40, 400])
+@pytest.mark.parametrize("stamps", [
+    # part of a frame moved to a later instant: frames of one template
+    # at every second row, but four frames, not three
+    ["00:00Z", "00:00Z", "03:00Z", "04:30Z", "06:00Z", "06:00Z"],
+    # one frame in two spellings of its instant
+    ["00:00Z", "00:00Z", "03:00Z", "04:00+01:00", "06:00Z", "06:00Z"],
+    # whole frames, the last at the instant of the one before, or earlier
+    ["00:00Z", "00:00Z", "03:00Z", "03:00Z", "04:00+01:00", "04:00+01:00"],
+    ["00:00Z", "00:00Z", "03:00Z", "03:00Z", "01:00Z", "01:00Z"],
+], ids=["split frame", "respelled in a frame", "respelled frame", "frame going back"])
+def test_runs_that_are_not_frames_reach_the_row_loop(stamps, window):
+    rows = [f"2026-01-01T00:{stamp},{entity}" for stamp, entity in zip(
+        stamps, ["n0,node.pressure_bar,60.0", "p1,arc.flow_kNm3h,1.5"] * 3)]
+    assert not compare(",".join(STATES_COLUMNS) + "\n" + "\n".join(rows) + "\n", window)
+
+
+@pytest.mark.parametrize("entity, quantity, bad, good", [
+    ("n0", "node.pressure_bar", "0", "60.0"), ("pö", "pipe.rho_n_kgNm3", "2.0", "0.8")])
+def test_a_value_a_repeat_overrides_is_still_checked(entity, quantity, bad, good):
+    rows = [f"2026-01-01T00:0{minute}:00Z,{entity},{quantity},{value}"
+            for minute in (0, 3) for value in (bad, good)]
+    # compare requires the oracle's error, at the overridden row
+    assert not compare(",".join(STATES_COLUMNS) + "\n" + "\n".join(rows) + "\n", 400)
+
+
+@st.composite
+def histories(draw):
+    """Histories over NETWORK in which every frame gives the same values."""
+    columns = ingest.history_columns(NETWORK)
+    frames = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.integers(1, 900), min_size=frames, max_size=frames))
+    stamps = tuple(START + timedelta(seconds=int(s)) for s in np.cumsum(gaps))
+    given_at = [np.array(draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))))
+                for ids in columns]
+    if not any(mask.any() for mask in given_at):
+        given_at[0][0] = True
+    bounds = [(0.5e5, 99e5), (-50.0, 50.0), None, (0.51, 1.3)]
+    arrays = []
+    for ids, mask, bound in zip(columns, given_at, bounds):
+        if bound is None:
+            values = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=frames * len(ids),
+                                            max_size=frames * len(ids))))
+        else:
+            values = np.array(draw(st.lists(st.floats(*bound), min_size=frames * len(ids),
+                                            max_size=frames * len(ids))))
+        values = values.reshape(frames, len(ids))
+        values[:, ~mask] = np.nan
+        arrays.append(values)
+    return History(stamps, *columns, *arrays)
+
+
+@settings(max_examples=100, deadline=None)
+@given(histories(), st.integers(40, 400))
+def test_serialized_histories_never_reach_the_row_loop(history, window):
+    def row_loop(*args):
+        raise AssertionError("the row loop read the file")
+
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "states.csv")
+        serialize_states(history, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_WINDOW", window)
+            patch.setattr(ingest, "read_table", row_loop)
+            parsed = parse_states(path, NETWORK)
+        want = parse_states_rows(path, NETWORK)
+    assert_same_history(parsed, want)
