@@ -3,13 +3,19 @@
 
     python3 scripts/bench.py --label <label> [--checkout DIR] [--seed 1]
 
-For each workload in BENCHMARK.json, runs perfbench/run.py in the
-checkout for the declared run_seconds, once with --trace 0 (end-to-end
-metrics) and once with --trace 1 (per-layer metrics), one run at a time.  The JSON object on the
-last line of each run is kept, together with the output digests the run
-printed, and everything is written to BENCH_<label>.json at the root of
-the checkout that holds this script, with the measured checkout's
-commit, the Python and numpy versions and the CPU count.
+First compiles the measured checkout's src/ to bytecode, so that no run
+times the compiling of a module whose .pyc is older than its source (with
+PYTHONDONTWRITEBYTECODE set, every fresh interpreter would compile it
+again).  For each workload in BENCHMARK.json, runs perfbench/run.py in
+the checkout for the declared run_seconds, once with --trace 0
+(end-to-end metrics) and once with --trace 1 (per-layer metrics), one
+run at a time.  The JSON object on the last line of each run is kept,
+with the output digests the run printed and, under "table", every
+`  name value unit` line of its table, which also holds the metrics the
+JSON leaves out (synth_s, synth.simulate_s, synth.ms_per_frame,
+ingest.serialize_states_s).  Everything is written to BENCH_<label>.json
+at the root of the checkout that holds this script, with the measured
+checkout's commit, the Python and numpy versions and the CPU count.
 
 Then tier M, ten times quiet-history's frames and events (3,000 frames,
 about 7e5 pipe points and 1.9e6 state rows), is generated at the same
@@ -24,6 +30,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import compileall
 import dataclasses
 import hashlib
 from importlib import metadata, util
@@ -55,6 +62,13 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float,
     result = json.loads(lines[-1])
     result["sha256"] = {name: digest for _, digest, name in
                         (line.split() for line in lines if line.startswith("  sha256 "))}
+    result["table"] = {}
+    for words in (line.split() for line in lines if line.startswith("  ")):
+        if len(words) >= 3 and words[0] != "sha256":
+            try:
+                result["table"][words[0]] = {"value": float(words[1]), "unit": words[2]}
+            except ValueError:
+                pass   # not a metric: wall-clock medians, diagnostics, failures
     return result
 
 
@@ -97,6 +111,9 @@ def main() -> int:
 
     checkout = args.checkout.resolve()
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
+    # compileall writes bytecode even under PYTHONDONTWRITEBYTECODE
+    if not compileall.compile_dir(checkout / "src", quiet=1):
+        sys.exit(f"{checkout / 'src'} does not compile")
     seconds = declared["run_seconds"]
     try:
         numpy_version = metadata.version("numpy")

@@ -174,9 +174,9 @@ def cmd_derive_threshold(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg, gas = _configs_from_args(args)
-    network = parse_topology(args.topology)
     import hashlib  # imported late, as in ingest.file_sha256
-    states_sha256 = hashlib.sha256()
+    topology_sha256, states_sha256 = hashlib.sha256(), hashlib.sha256()
+    network = parse_topology(args.topology, topology_sha256)
     history = parse_states(args.states, network, states_sha256)
     windows = parse_exclusions(args.exclusions, network) if args.exclusions else []
     pairs = history.pairs()
@@ -220,7 +220,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                   alpha, beta, alpha_per_length, ratio, relevant)
     terms_path = _out_path(args, "terms.csv")
     save_history(history, network, terms, terms_path, write_terms(terms, terms_path),
-                 states_sha256.hexdigest(), args.topology)
+                 states_sha256.hexdigest(), topology_sha256.hexdigest())
     totals = {"total": excluded.size, "excluded": int(np.count_nonzero(excluded)),
               "missing": diag.missing_data,
               "below_prefilter": int(np.count_nonzero(below_prefilter)),
@@ -244,8 +244,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_components(args: argparse.Namespace) -> int:
     cfg, _gas = _configs_from_args(args)
-    network = parse_topology(args.topology)
-    saved = load_saved(args.terms, cfg, args.states, args.topology)
+    import hashlib  # imported late, as in ingest.file_sha256
+    topology_sha256 = hashlib.sha256()
+    network = parse_topology(args.topology, topology_sha256)
+    saved = load_saved(args.terms, cfg, args.states, topology_sha256.hexdigest())
     if saved is None:
         history = parse_states(args.states, network)
         terms = read_terms(args.terms, history, cfg)

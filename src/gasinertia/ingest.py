@@ -4,13 +4,13 @@ saves its terms and the few history columns components reads.
 
 This module is the only one that knows how a file is framed: `read_table`
 and `write_table` handle every CSV file of the pipeline, `read_settings`
-every key = value file.  The one exception is the states file, the
-largest: numpy's C reader parses it in byte windows while every frame
-repeats the first frame's (entity, quantity) rows, and read_table reads
-it row by row otherwise.  File units are bar and 1000 Nm^3/h; they are
-converted to SI exactly once here.  Serializers write floats with repr so
-a parse/serialize cycle is a fixed point.  Parse errors carry file and
-line context.
+every key = value file, but for the largest: numpy's C reader parses
+states.csv in byte windows while every frame repeats the first frame's
+(entity, quantity) rows, and the states and terms writers join rows of
+cells quoted once, in the bytes csv.writer writes.  File units are bar
+and 1000 Nm^3/h, converted to SI exactly once here.  Serializers write
+floats with repr so a parse/serialize cycle is a fixed point.  Parse
+errors carry file and line context.
 """
 
 from __future__ import annotations
@@ -93,14 +93,17 @@ def _parse_float(text: str, path: str, line: int, column: str) -> float:
         raise ParseError(path, line, f"invalid number {text!r} in column {column}") from None
 
 
-def read_table(path: str, columns: list[str]) -> Iterator[tuple[int, list[str]]]:
+def read_table(path: str, columns: list[str], sha=None) -> Iterator[tuple[int, list[str]]]:
     """(line, row) for every row of a CSV file whose header is columns.
 
     Blank rows are skipped.  A different header, or a row with another
-    number of cells, raises ParseError at its line.
+    number of cells, raises ParseError at its line.  sha, a hashlib
+    object, is updated with the bytes of every line read.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+        # decoding is strict, so a line encoded again gives the bytes read
+        reader = csv.reader(handle if sha is None else (
+            sha.update(line.encode(handle.encoding)) or line for line in handle))
         header = next(reader, None)
         if header != columns:
             raise ParseError(path, 1,
@@ -140,11 +143,11 @@ def read_settings(path: str) -> Iterator[tuple[int, str, str]]:
             yield line, key.strip(), value.strip()
 
 
-def parse_topology(path: str) -> Network:
-    """Read a topology CSV; nodes are implied by element endpoints."""
+def parse_topology(path: str, sha=None) -> Network:
+    """Read a topology CSV (sha as in read_table); nodes are implied by element endpoints."""
     nodes: dict[str, Node] = {}
     elements: dict[str, Element] = {}
-    for line, row in read_table(path, TOPOLOGY_COLUMNS):
+    for line, row in read_table(path, TOPOLOGY_COLUMNS, sha):
         element_id, kind_text, from_node, to_node = row[:4]
         if element_id in elements:
             raise ParseError(path, line, f"duplicate element id {element_id!r}")
@@ -428,23 +431,24 @@ def _parse_windows(handle, columns: tuple[tuple[str, ...], ...], sha) -> History
 
 def serialize_states(history: History, path: str) -> None:
     """Write a history in the long format: frame by frame, the values it
-    gives in column order (pressures, flows, valve states, densities)."""
-    quantities = ((QUANTITY_PRESSURE, history.node_ids, history.pressure_pa / BAR, repr),
-                  (QUANTITY_FLOW, history.arc_ids, history.flow_m3s / KNM3H, repr),
-                  (QUANTITY_VALVE, history.valve_ids, history.valve_open,
-                   lambda state: "1" if state else "0"),
-                  (QUANTITY_RHO, history.pipe_ids, history.rho_n, repr))
-
-    def rows():
+    gives in column order (pressures, flows, valve states, densities), in
+    the bytes csv.writer writes, each column's cells quoted once."""
+    quantities = [([f",{_csv_cell(entity)},{quantity}," for entity in ids], values, form)
+                  for quantity, ids, values, form in (
+                      (QUANTITY_PRESSURE, history.node_ids, history.pressure_pa / BAR, repr),
+                      (QUANTITY_FLOW, history.arc_ids, history.flow_m3s / KNM3H, repr),
+                      (QUANTITY_VALVE, history.valve_ids, history.valve_open,
+                       lambda state: "1" if state else "0"),
+                      (QUANTITY_RHO, history.pipe_ids, history.rho_n, repr))]
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(STATES_COLUMNS) + "\r\n")
         for k, stamp in enumerate(history.timestamps):
             text = format_timestamp(stamp)
-            for quantity, ids, values, form in quantities:
-                for entity, value in zip(ids, values[k].tolist()):
-                    # NaN, unequal to itself, marks a value not given
-                    if value == value:
-                        yield text, entity, quantity, form(value)
-
-    write_table(path, STATES_COLUMNS, rows())
+            # NaN, unequal to itself, marks a value not given
+            handle.write("".join([f"{text}{cell}{form(value)}\r\n"
+                                  for cells, values, form in quantities
+                                  for cell, value in zip(cells, values[k].tolist())
+                                  if value == value]))
 
 
 # scan saves its history and terms in this file next to its terms file
@@ -466,18 +470,18 @@ def file_sha256(path: str) -> str:
 
 
 def save_history(history: History, network: Network, terms: Terms, terms_path: str,
-                 terms_sha256: str, states_sha256: str, topology_path: str) -> None:
+                 terms_sha256: str, states_sha256: str, topology_sha256: str) -> None:
     """Save next to terms_path the terms scan wrote there with digest
-    terms_sha256, the digests of the files history was parsed from (that
-    of the states file as parse_states read it), and of history the
-    timestamps and the columns components reads: valve states and the
-    pressures at resistor ends.  As scan builds them, the terms' pairs are
-    history.pairs(), so a row's pair index is its first frame."""
+    terms_sha256, the digests of the files history and network were
+    parsed from (as parse_states and parse_topology read them), and of
+    history the timestamps and the columns components reads: valve states
+    and the pressures at resistor ends.  As scan builds them, the terms'
+    pairs are history.pairs(), so a row's pair index is its first frame."""
     ends = sorted({node for element in network.of_kind(ElementKind.RESISTOR).values()
                    for node in (element.from_node, element.to_node)})
     np.savez(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR),
              states_sha256=states_sha256,
-             topology_sha256=file_sha256(topology_path),
+             topology_sha256=topology_sha256,
              terms_sha256=terms_sha256,
              timestamps_us=np.array([(t - _EPOCH) // _MICROSECOND for t in history.timestamps],
                                     dtype=np.int64),
@@ -493,19 +497,19 @@ def save_history(history: History, network: Network, terms: Terms, terms_path: s
 
 def load_saved(terms_path: str, cfg: ThresholdConfig | None = None,
                states_path: str | None = None,
-               topology_path: str | None = None) -> tuple[Terms, History | None] | None:
+               topology_sha256: str | None = None) -> tuple[Terms, History | None] | None:
     """What scan saved next to terms_path: the terms, checked against cfg
-    as read_terms checks them, and, given the states and topology files,
-    the history, which holds only valve states and resistor end pressures.
-    None unless terms_path and those files have the contents scan wrote
-    and read."""
-    inputs = [(terms_path, "terms_sha256")]
-    if states_path is not None:
-        inputs += [(topology_path, "topology_sha256"), (states_path, "states_sha256")]
+    as read_terms checks them, and, given the states file and the digest
+    of the topology file, the history, which holds only valve states and
+    resistor end pressures.  None unless terms_path and the states file
+    have the contents scan wrote and read, and the topology the digest."""
     try:
         with np.load(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR)) as saved:
             # each file is hashed once, and none after the first mismatch
-            if any(str(saved[key]) != file_sha256(path) for path, key in inputs):
+            if (str(saved["terms_sha256"]) != file_sha256(terms_path)
+                    or states_path is not None
+                    and (str(saved["topology_sha256"]) != topology_sha256
+                         or str(saved["states_sha256"]) != file_sha256(states_path))):
                 return None
             stamps = tuple(_EPOCH + us * _MICROSECOND for us in saved["timestamps_us"].tolist())
             # the rows are chronological, so sorted pairs are numbered in the

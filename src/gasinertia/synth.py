@@ -12,11 +12,11 @@ flow, and actively controlled elements transfer nothing.
 
 The solver is a damped Newton iteration on a vectorized residual.  Every
 iteration takes a fresh forward-difference Jacobian: unknowns that share
-no residual row are perturbed together (Curtis, Powell & Reid 1974), so
-one costs a handful of residual calls however large the network, and
-meshed networks converge as chains do.  Frames whose residual is already
-converged are emitted without a solve, so long quiet stretches cost one
-function evaluation per frame.
+no residual row are perturbed together (Curtis, Powell & Reid 1974) and
+all groups go through one batched residual call, so a Jacobian costs one
+call however large the network, and meshed networks converge as chains
+do.  Frames whose residual is already converged are emitted without a
+solve, so long quiet stretches cost one function evaluation per frame.
 """
 
 from __future__ import annotations
@@ -377,68 +377,62 @@ class _System:
         self.pattern = np.block([[ends.T, np.eye(len(passive), dtype=bool)],
                                  [np.zeros((self.n_free, self.n_free), dtype=bool), ends]])
         # greedy grouping: no two unknowns of a group enter the same row
-        self.groups: list[list[int]] = []
+        self.group_of = np.empty(self.n_unknowns, dtype=int)
         taken: list[np.ndarray] = []
         for i, rows in enumerate(self.pattern.T):
-            for group, used in zip(self.groups, taken):
-                if not (used & rows).any():
-                    group.append(i)
-                    used |= rows
-                    break
-            else:
-                self.groups.append([i])
-                taken.append(rows.copy())
+            g = next((g for g, used in enumerate(taken) if not (used & rows).any()), len(taken))
+            if g == len(taken):
+                taken.append(np.zeros_like(rows))
+            taken[g] |= rows
+            self.group_of[i] = g
+        self.groups = [np.flatnonzero(self.group_of == g).tolist() for g in range(len(taken))]
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         a = self.n_free
         b = a + self.n_pipe
         c = b + self.n_valve
-        return x[:a], x[a:b], x[b:c], x[c:]
+        return x[..., :a], x[..., a:b], x[..., b:c], x[..., c:]
 
     def pressures(self, p_free: np.ndarray) -> np.ndarray:
-        p = self.p_fixed.copy()
-        p[self.free_index] = p_free
+        p = np.broadcast_to(self.p_fixed, p_free.shape[:-1] + self.p_fixed.shape).copy()
+        p[..., self.free_index] = p_free
         return p
 
     def residual(self, x: np.ndarray, q_prev: np.ndarray | None,
                  tau_s: float, inflow: np.ndarray) -> np.ndarray:
-        """Scaled residual: momentum rows in bar, balance rows in m^3/s."""
+        """Scaled residual: momentum rows in bar, balance rows in m^3/s.  A
+        batch of x, one per row, gives each row's residual bit for bit."""
         p_free, q_pipe, q_valve, q_res = self.split(x)
         p = self.pressures(p_free)
-        p_l = p[self.pipe_from]
-        p_r = p[self.pipe_to]
+        p_l = p[..., self.pipe_from]
+        p_r = p[..., self.pipe_to]
         drop = (friction_term_beta(self.pipes, self.gas, self.rho, q_pipe, p_l, p_r)
                 + remaining_terms_gamma(self.pipes, self.gas, self.rho, q_pipe, p_l, p_r))
         if q_prev is not None:
             drop = drop + inertia_term_alpha(self.pipes, self.rho, tau_s, q_prev, q_pipe)
-        parts = [(p_l - p_r - drop) / BAR]
-        if self.n_valve:
-            valve_rows = np.where(self.valve_open,
-                                  (p[self.valve_from] - p[self.valve_to]) / BAR,
-                                  q_valve)
-            parts.append(valve_rows)
-        if self.n_res:
-            parts.append((p[self.res_from] - p[self.res_to]
-                          - RESISTOR_DROP_COEFF * np.abs(q_res) * q_res) / BAR)
-        if self.n_free:
-            flows = np.concatenate([q_pipe, q_valve, q_res])
-            parts.append(inflow + self.incidence @ flows)
-        return np.concatenate(parts)
+        flows = np.concatenate([q_pipe, q_valve, q_res], axis=-1)
+        # a product per row: one over the batch may sum in another order
+        balance = (self.incidence @ flows if flows.ndim == 1
+                   else np.array([self.incidence @ f for f in flows]))
+        return np.concatenate([
+            (p_l - p_r - drop) / BAR,
+            np.where(self.valve_open, (p[..., self.valve_from] - p[..., self.valve_to]) / BAR,
+                     q_valve),
+            (p[..., self.res_from] - p[..., self.res_to]
+             - RESISTOR_DROP_COEFF * np.abs(q_res) * q_res) / BAR,
+            inflow + balance], axis=-1)
 
     def jacobian(self, x: np.ndarray, r: np.ndarray, q_prev: np.ndarray | None,
                  tau_s: float, inflow: np.ndarray) -> np.ndarray:
-        """Forward differences at x, whose residual is r: one residual call
-        per group, each column filled on the rows its unknown enters."""
+        """Forward differences at x, whose residual is r: one batched residual
+        call for all groups, each column filled on the rows its unknown enters."""
         scale = np.ones(x.size)
         scale[:self.n_free] = BAR
         h = 1e-7 * np.maximum(np.abs(x), scale)
-        jac = np.zeros((r.size, x.size))
-        for group in self.groups:
-            xp = x.copy()
-            xp[group] += h[group]
-            dr = self.residual(xp, q_prev, tau_s, inflow) - r
-            jac[:, group] = np.where(self.pattern[:, group], dr[:, None] / h[group], 0.0)
-        return jac
+        xp = np.repeat(x[None], len(self.groups), axis=0)
+        xp[self.group_of, np.arange(x.size)] += h
+        dr = self.residual(xp, q_prev, tau_s, inflow) - r
+        return np.where(self.pattern, dr[self.group_of].T / h, 0.0)
 
 
 def _solve_frame(system: _System, x: np.ndarray, q_prev: np.ndarray | None,

@@ -423,3 +423,28 @@ def parse_states_rows(path: str, network) -> History:
     arrays = (np.array([rows[q] for rows in frames], dtype=float).reshape(len(frames), len(ids))
               for q, ids in enumerate(columns))
     return History(tuple(stamps), *columns, *arrays)
+
+
+def serialize_states_rows(history: History, path: str) -> None:
+    """ingest.serialize_states as csv.writer wrote it, one row at a time,
+    kept as the reference for the bytes of every states file it writes.
+
+    Frozen from the writer that preceded the preformatted cells, with
+    write_table's framing written out: the header, then frame by frame the
+    given values in column order (pressures in bar, flows in kNm3/h, valve
+    states as 1 or 0, densities), floats written with repr.
+    """
+    quantities = ((QUANTITY_PRESSURE, history.node_ids, history.pressure_pa / BAR, repr),
+                  (QUANTITY_FLOW, history.arc_ids, history.flow_m3s / KNM3H, repr),
+                  (QUANTITY_VALVE, history.valve_ids, history.valve_open,
+                   lambda state: "1" if state else "0"),
+                  (QUANTITY_RHO, history.pipe_ids, history.rho_n, repr))
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(STATES_COLUMNS)
+        for k, stamp in enumerate(history.timestamps):
+            text = format_timestamp(stamp)
+            for quantity, ids, values, form in quantities:
+                for entity, value in zip(ids, values[k].tolist()):
+                    if value == value:
+                        writer.writerow((text, entity, quantity, form(value)))

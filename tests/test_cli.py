@@ -45,10 +45,10 @@ def record_opened(monkeypatch):
 
 def record_terms_parsed(monkeypatch, parsed):
     """Append to parsed the path of every terms file parsed from here on."""
-    def counting(path, columns):
+    def counting(path, columns, *sha):
         if columns == TERMS_COLUMNS:
             parsed.append(path)
-        return read_table(path, columns)
+        return read_table(path, columns, *sha)
 
     monkeypatch.setattr(ingest, "read_table", counting)
 
@@ -347,6 +347,8 @@ class TestHistorySidecar:
         assert [name for name, _ in opened].count("history.npz") == 1
         for name in ("states.csv", "terms.csv"):
             assert [mode for opened_name, mode in opened if opened_name == name] == ["rb"]
+        # parsed, and hashed as it is parsed
+        assert [mode for name, mode in opened if name == "topology.csv"] == ["r"]
 
     def test_scan_hashes_terms_as_it_writes_them(self, pipeline, tmp_path, monkeypatch):
         opened = record_opened(monkeypatch)
@@ -370,6 +372,17 @@ class TestHistorySidecar:
         assert [mode for name, mode in opened if name == "states.csv"] == ["rb"]
         with np.load(tmp_path / "history.npz") as saved:
             assert str(saved["states_sha256"]) == ingest.file_sha256(str(states))
+
+    def test_scan_hashes_topology_as_it_parses_it(self, pipeline, tmp_path, monkeypatch):
+        topology = pipeline["data"] / "topology.csv"
+        opened = record_opened(monkeypatch)
+        code, _, err = run_cli(["scan", "--topology", topology,
+                                "--states", pipeline["data"] / "states.csv", "--out", tmp_path])
+        monkeypatch.undo()
+        assert code == 0, err
+        assert [mode for name, mode in opened if name == "topology.csv"] == ["r"]
+        with np.load(tmp_path / "history.npz") as saved:
+            assert str(saved["topology_sha256"]) == ingest.file_sha256(str(topology))
 
 
 class TestDeriveThreshold:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 from datetime import timedelta, timezone
+import hashlib
 import math
 
 from hypothesis import given, strategies as st
@@ -106,6 +107,19 @@ class TestTopology:
         serialize_topology(sample_network(), str(path))
         net = parse_topology(str(path))
         assert net == sample_network()
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_sha_gets_the_bytes_of_the_file(self, tmp_path, ending):
+        # quoted ids, one with a line break inside its quotes, and non-ASCII
+        # ids, without a final line ending
+        path = tmp_path / "topology.csv"
+        text = TOPOLOGY_CSV.replace("n1", '"n,ö1"').replace("v1", '"v@1"')
+        path.write_bytes(ending.join(text.splitlines()).replace("@", "\n").encode())
+        sha = hashlib.sha256()
+        net = parse_topology(str(path), sha)
+        assert sha.hexdigest() == file_sha256(str(path))
+        assert sorted(net.elements) == ["g1", "p1", "r1", "v\n1"]
+        assert "n,ö1" in net.nodes
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "topology.csv"
@@ -542,10 +556,10 @@ class TestSidecar:
         """The path of every terms file parsed from here on."""
         parsed, read_table = [], ingest.read_table
 
-        def counting(path, columns):
+        def counting(path, columns, *sha):
             if columns == TERMS_COLUMNS:
                 parsed.append(path)
-            return read_table(path, columns)
+            return read_table(path, columns, *sha)
 
         monkeypatch.setattr(ingest, "read_table", counting)
         return parsed
@@ -559,17 +573,18 @@ class TestSidecar:
         end_pressure = f"{format_timestamp(stamp(1))},n3,node.pressure_bar,58.0\n"
         (root / "states.csv").write_text(TestStates().make_states_csv() + end_pressure)
         (root / "topology.csv").write_text(TOPOLOGY_CSV)
-        network = parse_topology(topology)
+        topology_sha256 = hashlib.sha256()
+        network = parse_topology(topology, topology_sha256)
         history = parse_states(states, network)
         terms = dataclasses.replace(make_terms(pair_index=(0,), relevant=(True,)),
                                     pairs=(make_pair(0),), pipe_ids=np.array(["p1"]))
         save_history(history, network, terms, terms_path, write_terms(terms, terms_path),
-                     file_sha256(states), topology)
+                     file_sha256(states), topology_sha256.hexdigest())
         return states, topology, terms_path, history
 
     def test_round_trip(self, tmp_path, parsed):
         states, topology, terms_path, history = self.save(tmp_path)
-        terms, loaded = load_saved(terms_path, None, states, topology)
+        terms, loaded = load_saved(terms_path, None, states, file_sha256(topology))
         assert loaded.timestamps == history.timestamps
         assert all(t.utcoffset() == timedelta(0) for t in loaded.timestamps)
         # the valve and the ends of resistor r1, and no other column
@@ -582,6 +597,8 @@ class TestSidecar:
         assert loaded[1] == StateFrame(stamp(1), {"n3": 58.0 * BAR}, {}, {"v1": False}, {})
         assert_terms_equal(terms, read_terms(terms_path))
         assert load_saved(terms_path)[1] is None
+        # the states unchanged, but another topology
+        assert load_saved(terms_path, None, states, file_sha256(states)) is None
         assert parsed == []
         assert terms.pipe_ids.tolist() == ["p1"]
 
@@ -600,9 +617,9 @@ class TestSidecar:
         states, topology, terms_path, history = self.save(tmp_path)
         with open(states, "a") as handle:
             handle.write(f"{format_timestamp(stamp(1))},n1,node.pressure_bar,59.0\n")
-        assert load_saved(terms_path, None, states, topology) is None
-        assert load_saved(terms_path, None, topology, topology) is None
-        assert load_saved(terms_path, None, states, states) is None
+        assert load_saved(terms_path, None, states, file_sha256(topology)) is None
+        assert load_saved(terms_path, None, topology, file_sha256(topology)) is None
+        assert load_saved(terms_path, None, states, file_sha256(states)) is None
         # the terms alone still load for the unchanged terms file
         assert_terms_equal(read_terms(terms_path), load_saved(terms_path)[0])
         assert parsed == []
@@ -612,14 +629,15 @@ class TestSidecar:
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         (elsewhere / "terms.csv").write_bytes((tmp_path / "terms.csv").read_bytes())
-        assert load_saved(str(elsewhere / "terms.csv"), None, states, topology) is None
+        assert load_saved(str(elsewhere / "terms.csv"), None, states,
+                          file_sha256(topology)) is None
         read_terms(str(elsewhere / "terms.csv"))
         assert parsed == [terms_path, str(elsewhere / "terms.csv")]
 
     def test_unreadable_sidecar_not_loaded(self, tmp_path, parsed):
         states, topology, terms_path, history = self.save(tmp_path)
         (tmp_path / HISTORY_SIDECAR).write_bytes(b"not a zip archive")
-        assert load_saved(terms_path, None, states, topology) is None
+        assert load_saved(terms_path, None, states, file_sha256(topology)) is None
         assert load_saved(terms_path) is None
         read_terms(terms_path)
         read_terms(terms_path, history)

@@ -401,6 +401,17 @@ def fixture_scenario(name: str, closed_valves: frozenset[str] = frozenset()) -> 
     return Scenario(name, network, references, inflow, closed_valves=closed_valves)
 
 
+def star_scenario(arms: int) -> Scenario:
+    """arms 10 km pipes from hub h to leaves l0.., l0 the reference and the
+    other leaves offtakes, so that the balance row of h sums arms flows."""
+    geometry = PipeGeometry(length_m=10e3, diameter_m=0.5, roughness_m=1e-5)
+    network = Network.build([Node("h")] + [Node(f"l{i}") for i in range(arms)],
+                            [Element(f"s{i}", ElementKind.PIPE, "h", f"l{i}", geometry)
+                             for i in range(arms)])
+    return Scenario(f"star{arms}", network, {"l0": 60.0 * BAR},
+                    {f"l{i}": -5.0 * KNM3H for i in range(1, arms)})
+
+
 class TestJacobian:
     @pytest.mark.parametrize("scenario", [
         fixture_scenario("single50"), fixture_scenario("line3"),
@@ -423,6 +434,39 @@ class TestJacobian:
             r = system.residual(x, q_prev, 180.0, inflow)
             assert np.array_equal(system.jacobian(x, r, q_prev, 180.0, inflow),
                                   dense_fd_jacobian(system, x, r, q_prev, 180.0, inflow))
+
+    @pytest.mark.parametrize("scenario", [
+        fixture_scenario("single50"), fixture_scenario("line3"),
+        fixture_scenario("funnel50"), fixture_scenario("funnel50", frozenset({"ev"})),
+        star_scenario(12)],
+        ids=["single50", "line3", "funnel50", "funnel50 closed ev", "star12"])
+    @pytest.mark.parametrize("transient", [False, True], ids=["steady", "transient"])
+    def test_batch_rows_equal_single_calls(self, scenario, transient):
+        system = _System(scenario)
+        rng = np.random.default_rng(11)
+        q_prev = rng.normal(0.0, 5.0, system.n_pipe) if transient else None
+        inflow = rng.normal(0.0, 5.0, system.n_free)
+        for rows in (1, 6):
+            batch = np.concatenate(
+                [rng.uniform(30.0, 70.0, (rows, system.n_free)) * BAR,
+                 rng.normal(0.0, 5.0, (rows, system.n_unknowns - system.n_free))], axis=1)
+            batch[:, system.n_free::7] = 0.0
+            got = system.residual(batch, q_prev, 180.0, inflow)
+            assert got.shape == (rows, system.n_unknowns)
+            for x, row in zip(batch, got):
+                assert np.array_equal(row, system.residual(x, q_prev, 180.0, inflow))
+            # a pressure at or below zero in one row fails the whole batch
+            # as that row fails alone
+            for pressure in (0.0, -BAR):
+                bad = batch.copy()
+                bad[-1, 0] = pressure
+                with pytest.raises(ValueError) as alone:
+                    system.residual(bad[-1], q_prev, 180.0, inflow)
+                with pytest.raises(ValueError) as batched:
+                    system.residual(bad, q_prev, 180.0, inflow)
+                assert str(batched.value).split(", got")[0] \
+                    == str(alone.value).split(", got")[0] \
+                    == "endpoint pressures must be positive"
 
     def test_funnel50_groups(self):
         system = _System(fixture_scenario("funnel50"))
