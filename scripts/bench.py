@@ -23,7 +23,9 @@ seed by the checkout's perfbench/workloads.py, and `gasinertia scan`
 runs on it once in a fresh child with BLAS pinned to one thread.  Its
 wall and processor seconds (start-up and imports included), pipe points
 and state rows per processor second, peak RSS and the sha256 of
-terms.csv go under tiers.M.
+terms.csv go under tiers.M.  The same at twice the frames and events
+(6,000 and 600) goes under tiers.M_6000: scan's peak RSS should not
+grow with the number of frames.
 Standard library only.
 """
 
@@ -72,12 +74,13 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float,
     return result
 
 
-def run_tier_m(checkout: Path, seed: int) -> dict:
-    """Scan tier M once in a child; its costs and the digest of its terms."""
+def run_tier_m(checkout: Path, seed: int, frames: int) -> dict:
+    """Scan tier M of frames frames once in a child; its costs and the
+    digest of its terms."""
     spec = util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
     workloads = sys.modules[spec.name] = util.module_from_spec(spec)   # dataclasses look it up
     spec.loader.exec_module(workloads)
-    tier = dataclasses.replace(workloads.QUIET_HISTORY, frames=3000, events=300)
+    tier = dataclasses.replace(workloads.QUIET_HISTORY, frames=frames, events=frames // 10)
     with tempfile.TemporaryDirectory() as root:
         planted = workloads.generate_grid(tier, seed, root)
         argv = [sys.executable, "-m", "gasinertia", "scan", "--topology", f"{root}/topology.csv",
@@ -135,7 +138,8 @@ def main() -> int:
             f"trace_{trace}": run_workload(checkout, workload, args.seed, seconds, trace)
             for trace in (0, 1)}
         print(f"{workload}: done", flush=True)
-    bench["tiers"] = {"M": run_tier_m(checkout, args.seed)}
+    bench["tiers"] = {"M": run_tier_m(checkout, args.seed, 3000),
+                      "M_6000": run_tier_m(checkout, args.seed, 6000)}
     print("tier M: done", flush=True)
     path = REPO_ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")

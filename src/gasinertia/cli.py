@@ -2,7 +2,10 @@
 report and synth.
 
 Stages communicate through CSV files, so any stage can be rerun or
-replaced.  The one binary file, scan's history.npz next to terms.csv,
+replaced.  Scan reads states.csv block by block (ingest.states_blocks)
+and keeps of each block only counts, the survivors' terms and the few
+history columns it saves, so its memory grows with those, not with the
+whole history.  The one binary file, scan's history.npz next to terms.csv,
 caches the terms scan wrote and the history columns components reads,
 and ingest.load_saved alone decides when it stands in for parsing:
 report loads the terms when terms.csv is unchanged, components loads
@@ -27,6 +30,7 @@ from .model import (
     Diagnostics,
     GasParams,
     ModelError,
+    Network,
     TimePair,
 )
 from .physics import (
@@ -53,10 +57,13 @@ from .temporal import (
 )
 from .ingest import (
     PER_10KM,
+    History,
     ParseError,
     Terms,
     exclusion_mask,
     format_timestamp,
+    history_columns,
+    join_histories,
     load_saved,
     parse_exclusions,
     parse_states,
@@ -64,6 +71,8 @@ from .ingest import (
     read_settings,
     read_terms,
     save_history,
+    saved_columns,
+    states_blocks,
     write_table,
     write_terms,
 )
@@ -172,61 +181,160 @@ def cmd_derive_threshold(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
+# scan classifies and evaluates the reader's blocks joined into blocks of
+# at least this many data points: the numpy calls on a block cost more
+# than their arithmetic on a few frames, and larger blocks raise peak memory
+_SCAN_POINTS = 1 << 13
+
+
+class _BlockScan:
+    """Scan's classes and terms of the data points of a history given block
+    by block, each block with the last frame of the one before.
+
+    It keeps only what outlives a block: the frame instants, the columns
+    save_history keeps, each pair's length, the count of each class of
+    data point, and the survivors' terms with their pair's index.
+    """
+
+    def __init__(self, network: Network, windows: list, cfg: ThresholdConfig,
+                 gas: GasParams) -> None:
+        self.columns = history_columns(network)
+        node_ids, arc_ids, _, self.pipe_ids = self.columns
+        arc_col = {arc_id: k for k, arc_id in enumerate(arc_ids)}
+        node_col = {node_id: k for k, node_id in enumerate(node_ids)}
+        elements = [network.elements[pipe_id] for pipe_id in self.pipe_ids]
+        self.saved_columns = saved_columns(network)
+        # column indices as arrays once, not as lists numpy converts per block
+        self.flow_cols, self.left, self.right, self.end_cols = (
+            np.array(cols, dtype=np.intp) for cols in (
+                [arc_col[pipe_id] for pipe_id in self.pipe_ids],
+                [node_col[el.from_node] for el in elements],
+                [node_col[el.to_node] for el in elements],
+                [node_col[node_id] for node_id in self.saved_columns[0]]))
+        self.table = PipeTable.of([element.geometry for element in elements])
+        self.windows, self.cfg, self.gas = windows, cfg, gas
+        self.held: list[History] = []
+        self.last_stamp: tuple = ()
+        self.last_flow = np.empty((0, len(self.pipe_ids)))
+        self.saved: list[History] = []
+        self.pairs: list[TimePair] = []
+        self.taus: list[np.ndarray] = []
+        # excluded, missing, below prefilter, evaluated
+        self.counts = np.zeros(4, dtype=int)
+        self.diag = Diagnostics()
+        self.kept: list[tuple[np.ndarray, ...]] = []
+
+    def add(self, block: History) -> None:
+        self.held.append(block)
+        if sum(map(len, self.held)) * max(len(self.pipe_ids), 1) >= _SCAN_POINTS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Scan the held blocks as one, after letting them go."""
+        block, self.held = join_histories(self.held, self.columns), []
+        self.scan(block)
+
+    def scan(self, block: History) -> None:
+        cfg, frames = self.cfg, len(block)
+        stamps = self.last_stamp + block.timestamps
+        flow = np.concatenate([self.last_flow, block.flow_m3s[:, self.flow_cols]])
+        self.last_stamp, self.last_flow = stamps[-1:], flow[-1:]
+        # the block's frames are the t1 frames of its pairs, but for the
+        # first frame of the history
+        t1 = slice(frames + 1 - len(stamps), None)
+        empty = np.empty((frames, 0))
+        self.saved.append(History(block.timestamps, *self.saved_columns,
+                                  block.pressure_pa[:, self.end_cols], empty,
+                                  block.valve_open, empty))
+
+        # [pairs x pipes] arrays; each data point falls in exactly one class
+        pairs = [TimePair(t0, t1) for t0, t1 in zip(stamps, stamps[1:])]
+        flow_t0, flow_t1, rho = flow[:-1], flow[1:], block.rho_n[t1]
+        p_left = block.pressure_pa[t1][:, self.left]
+        p_right = block.pressure_pa[t1][:, self.right]
+        excluded = exclusion_mask(self.windows, pairs, self.pipe_ids)
+        lacks_flow = np.isnan(flow)
+        # not excluded, and flows and density given
+        candidate = ~(excluded | lacks_flow[:-1] | lacks_flow[1:] | np.isnan(rho))
+        passed = candidate & prefilter(flow_t0, flow_t1, cfg)
+        survivor = passed & ~(np.isnan(p_left) | np.isnan(p_right))
+        evaluated = np.count_nonzero(survivor)
+        # missing: flow or density, or an end pressure of a point that passed
+        self.counts += [np.count_nonzero(excluded),
+                        np.count_nonzero(~(excluded | candidate))
+                        + np.count_nonzero(passed & ~survivor),
+                        np.count_nonzero(candidate & ~passed), evaluated]
+        taus = np.array([pair.tau_s for pair in pairs])
+        first = len(self.pairs)
+        self.pairs += pairs
+        self.taus.append(taus)
+        if not evaluated:
+            return
+
+        # row-major order: pairs chronologically, pipes by id within a pair
+        pair_index, position = np.nonzero(survivor)
+        flow_t0, flow_t1, rho = flow_t0[survivor], flow_t1[survivor], rho[survivor]
+        table = self.table.take(position)
+        alpha = inertia_term_alpha(table, rho, taus[pair_index], flow_t0, flow_t1)
+        beta = friction_term_beta(table, self.gas, rho, flow_t1, p_left[survivor],
+                                  p_right[survivor], self.diag)
+        self.kept.append((pair_index + first, position, flow_t0, flow_t1, alpha, beta))
+
+    def finish(self) -> tuple[History, Terms]:
+        """The history save_history keeps and the survivors' terms, relevant
+        as decided under the config, once the last block is in."""
+        if self.held:
+            self.flush()
+        pair_index, position, flow_t0, flow_t1, alpha, beta = (
+            np.concatenate([np.empty(0, dtype), *parts])
+            for dtype, *parts in zip((int, int, float, float, float, float), *self.kept))
+        alpha_per_length = alpha / self.table.length_m[position]
+        ratio = term_ratio(alpha, beta)
+        # decided on the value terms.csv gives, as components checks it
+        relevant = pipe_relevant(alpha_per_length / PER_10KM * PER_10KM, ratio, self.cfg)
+        return join_histories(self.saved, self.saved_columns), Terms(
+            tuple(self.pairs), pair_index, np.array(self.pipe_ids)[position], flow_t0, flow_t1,
+            alpha, beta, alpha_per_length, ratio, relevant)
+
+    def time_gaps(self) -> int:
+        """The number of pairs longer than the shortest."""
+        taus = np.concatenate([np.empty(0), *self.taus])
+        return int(np.count_nonzero(taus > taus.min(initial=math.inf)))
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg, gas = _configs_from_args(args)
     import hashlib  # imported late, as in ingest.file_sha256
     topology_sha256, states_sha256 = hashlib.sha256(), hashlib.sha256()
     network = parse_topology(args.topology, topology_sha256)
-    history = parse_states(args.states, network, states_sha256)
-    windows = parse_exclusions(args.exclusions, network) if args.exclusions else []
-    pairs = history.pairs()
-    pipe_ids = history.pipe_ids
-    elements = [network.elements[pipe_id] for pipe_id in pipe_ids]
-    arc_col = {arc_id: k for k, arc_id in enumerate(history.arc_ids)}
-    node_col = {node_id: k for k, node_id in enumerate(history.node_ids)}
+    blocks = states_blocks(args.states, network, states_sha256)
+    try:
+        windows = parse_exclusions(args.exclusions, network) if args.exclusions else []
+    except ParseError:
+        # an error in states.csv is reported first, as the file comes first
+        for _ in blocks:
+            pass
+        raise
+    scan = _BlockScan(network, windows, cfg, gas)
+    for block in blocks:
+        if block is None:
+            # the row loop reads the file again from its start
+            scan = _BlockScan(network, windows, cfg, gas)
+        else:
+            scan.add(block)
 
-    # [pairs x pipes] arrays; each data point falls in exactly one class
-    flow = history.flow_m3s[:, [arc_col[pipe_id] for pipe_id in pipe_ids]]
-    flow_t0, flow_t1, rho = flow[:-1], flow[1:], history.rho_n[1:]
-    p_left = history.pressure_pa[1:, [node_col[el.from_node] for el in elements]]
-    p_right = history.pressure_pa[1:, [node_col[el.to_node] for el in elements]]
-    excluded = exclusion_mask(windows, pairs, pipe_ids)
-    lacks_flow = np.isnan(flow_t0) | np.isnan(flow_t1) | np.isnan(rho)   # or density
-    candidate = ~excluded & ~lacks_flow
-    passed = candidate & prefilter(flow_t0, flow_t1, cfg)
-    below_prefilter = candidate & ~passed
-    lacks_pressure = passed & (np.isnan(p_left) | np.isnan(p_right))
-    survivor = passed & ~lacks_pressure
-    taus = np.array([pair.tau_s for pair in pairs])
-    diag = Diagnostics()
-    diag.missing_data = int(np.count_nonzero(~excluded & lacks_flow)
-                            + np.count_nonzero(lacks_pressure))
-    diag.time_gaps = int(np.count_nonzero(taus > taus.min(initial=math.inf)))
-
-    # row-major order: pairs chronologically, pipes by id within a pair
-    pair_index, position = np.nonzero(survivor)
-    tau = taus[pair_index]
-    flow_t0, flow_t1, rho = flow_t0[survivor], flow_t1[survivor], rho[survivor]
-    table = PipeTable.of([element.geometry for element in elements]).take(position)
-    alpha = inertia_term_alpha(table, rho, tau, flow_t0, flow_t1)
-    beta = friction_term_beta(table, gas, rho, flow_t1, p_left[survivor], p_right[survivor],
-                              diag)
-
-    alpha_per_length = alpha / table.length_m
-    ratio = term_ratio(alpha, beta)
-    # decided on the value terms.csv gives, as components checks it
-    relevant = pipe_relevant(alpha_per_length / PER_10KM * PER_10KM, ratio, cfg)
-    terms = Terms(tuple(pairs), pair_index, np.array(pipe_ids)[position], flow_t0, flow_t1,
-                  alpha, beta, alpha_per_length, ratio, relevant)
+    history, terms = scan.finish()
     terms_path = _out_path(args, "terms.csv")
     save_history(history, network, terms, terms_path, write_terms(terms, terms_path),
                  states_sha256.hexdigest(), topology_sha256.hexdigest())
-    totals = {"total": excluded.size, "excluded": int(np.count_nonzero(excluded)),
-              "missing": diag.missing_data,
-              "below_prefilter": int(np.count_nonzero(below_prefilter)),
-              "evaluated": int(np.count_nonzero(survivor)),
-              "relevant": int(np.count_nonzero(relevant))}
-    print(f"frames: {len(history)}, pairs: {len(pairs)}, pipes: {len(pipe_ids)}")
+    diag = scan.diag
+    excluded, diag.missing_data, below_prefilter, evaluated = scan.counts.tolist()
+    diag.time_gaps = scan.time_gaps()
+    pairs, pipes = len(scan.pairs), len(scan.pipe_ids)
+    totals = {"total": pairs * pipes, "excluded": excluded, "missing": diag.missing_data,
+              "below_prefilter": below_prefilter, "evaluated": evaluated,
+              "relevant": int(np.count_nonzero(terms.relevant))}
+    print(f"frames: {len(history)}, pairs: {pairs}, pipes: {pipes}")
     print(f"data points: {totals['total']}, excluded: {totals['excluded']}, "
           f"missing: {totals['missing']}, below prefilter: {totals['below_prefilter']}, "
           f"evaluated: {totals['evaluated']}, relevant: {totals['relevant']}")

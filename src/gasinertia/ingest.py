@@ -7,10 +7,13 @@ and `write_table` handle every CSV file of the pipeline, `read_settings`
 every key = value file, but for the largest: numpy's C reader parses
 states.csv in byte windows while every frame repeats the first frame's
 (entity, quantity) rows, and the states and terms writers join rows of
-cells quoted once, in the bytes csv.writer writes.  File units are bar
-and 1000 Nm^3/h, converted to SI exactly once here.  Serializers write
-floats with repr so a parse/serialize cycle is a fixed point.  Parse
-errors carry file and line context.
+cells quoted once, in the bytes csv.writer writes.  states_blocks hands
+the history on one block of whole frames at a time, so that a reader
+that keeps little of each block, as scan does, needs memory for one
+window, not for the whole history; parse_states joins the blocks.  File
+units are bar and 1000 Nm^3/h, converted to SI exactly once here.
+Serializers write floats with repr so a parse/serialize cycle is a fixed
+point.  Parse errors carry file and line context.
 """
 
 from __future__ import annotations
@@ -231,6 +234,10 @@ class History:
         """Consecutive frames as analysis pairs, in chronological order."""
         return [TimePair(t0, t1) for t0, t1 in zip(self.timestamps, self.timestamps[1:])]
 
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The value arrays, in the order of history_columns."""
+        return self.pressure_pa, self.flow_m3s, self.valve_open, self.rho_n
+
 
 def history_columns(network: Network) -> tuple[tuple[str, ...], ...]:
     """The sorted id tuples of a History over network: nodes, elements,
@@ -238,6 +245,14 @@ def history_columns(network: Network) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(sorted(ids)) for ids in (network.nodes, network.elements,
                                                 network.of_kind(ElementKind.VALVE),
                                                 network.pipes()))
+
+
+def saved_columns(network: Network) -> tuple[tuple[str, ...], ...]:
+    """The columns of history_columns(network) that save_history keeps:
+    the nodes at resistor ends and the valves."""
+    ends = {node for element in network.of_kind(ElementKind.RESISTOR).values()
+            for node in (element.from_node, element.to_node)}
+    return tuple(sorted(ends)), (), tuple(sorted(network.of_kind(ElementKind.VALVE))), ()
 
 
 def _given(ids: tuple[str, ...], row: np.ndarray) -> dict[str, float]:
@@ -251,8 +266,31 @@ def _given(ids: tuple[str, ...], row: np.ndarray) -> dict[str, float]:
 _WINDOW = 1 << 18
 
 
+def states_blocks(path: str, network: Network, sha=None) -> Iterator[History | None]:
+    """A long-format state history as consecutive blocks of whole frames,
+    each a History over history_columns(network), checked as parse_states
+    checks the whole.
+
+    Windows in which every frame repeats frame 0's (entity, quantity)
+    sequence are read by numpy's C reader, one block per window.  At any
+    other, None tells the consumer to drop the blocks it got so far, and
+    the row loop reads the file again from the start, giving blocks of
+    about as many rows as a window holds; only it raises ParseError.  sha,
+    a hashlib object, is updated with every byte of the file once.
+    """
+    columns = history_columns(network)
+    with open(path, "rb") as handle:
+        if (yield from _window_blocks(handle, columns, sha)):
+            return
+        while sha is not None and (block := handle.read(_WINDOW)):
+            sha.update(block)
+    yield None
+    yield from _row_blocks(path, columns)
+
+
 def parse_states(path: str, network: Network, sha=None) -> History:
-    """Read a long-format state history into arrays.
+    """Read a long-format state history into arrays: the blocks of
+    states_blocks (sha as there), joined.
 
     Rows of one timestamp may come in any order but timestamps must be
     grouped and strictly increasing; different spellings of one instant
@@ -260,19 +298,28 @@ def parse_states(path: str, network: Network, sha=None) -> History:
     match the quantity kind; pressures must be positive and densities
     inside the accepted band.  A repeated row overrides the earlier one.
     Rows are checked in file order, so the first bad line is reported.
-
-    Windows in which every frame repeats frame 0's (entity, quantity)
-    sequence are read by numpy's C reader; at any other, the row loop reads
-    the file again from the start, and only it raises ParseError.  sha, a
-    hashlib object, is updated with every byte of the file once.
     """
-    columns = history_columns(network)
-    with open(path, "rb") as handle:
-        history = _parse_windows(handle, columns, sha)
-        while sha is not None and (block := handle.read(_WINDOW)):
-            sha.update(block)
-    if history is not None:
-        return history
+    blocks: list[History] = []
+    for block in states_blocks(path, network, sha):
+        if block is None:
+            blocks.clear()
+        else:
+            blocks.append(block)
+    return join_histories(blocks, history_columns(network))
+
+
+def join_histories(blocks: list[History], columns: tuple[tuple[str, ...], ...]) -> History:
+    """The history whose frames are those of blocks, one block after the
+    other, all over columns."""
+    arrays = (np.concatenate([np.empty((0, len(ids)))] + [block.arrays()[q] for block in blocks])
+              for q, ids in enumerate(columns))
+    return History(tuple(itertools.chain.from_iterable(block.timestamps for block in blocks)),
+                   *columns, *arrays)
+
+
+def _row_blocks(path: str, columns: tuple[tuple[str, ...], ...]) -> Iterator[History]:
+    """The history of a states file read row by row, in blocks of whole
+    frames that each start once a window's worth of rows has been read."""
     node_col, arc_col, valve_col, pipe_col = ({key: k for k, key in enumerate(ids)}
                                               for ids in columns)
     stamps: list[datetime] = []
@@ -281,6 +328,8 @@ def parse_states(path: str, network: Network, sha=None) -> History:
     frames: list[list[list[float]]] = []
     current: datetime | None = None
     stamp_text = None
+    # a window holds about one row per 32 bytes at most
+    block_start, block_rows = 2, max(1, _WINDOW >> 5)
 
     for line, (text, entity, quantity, value_text) in read_table(path, STATES_COLUMNS):
         if text != stamp_text:
@@ -294,6 +343,9 @@ def parse_states(path: str, network: Network, sha=None) -> History:
                                      f"timestamps not strictly increasing: "
                                      f"{format_timestamp(stamp)} after "
                                      f"{format_timestamp(current)}")
+                if frames and line - block_start >= block_rows:
+                    yield _frames_history(stamps, frames, columns)
+                    stamps, frames, block_start = [], [], line
                 current = stamp
                 stamps.append(stamp)
                 frames.append([[math.nan] * len(ids) for ids in columns])
@@ -332,14 +384,51 @@ def parse_states(path: str, network: Network, sha=None) -> History:
                 raise ParseError(path, line, str(exc)) from None
         else:
             raise ParseError(path, line, f"unknown quantity {quantity!r}")
+    if frames:
+        yield _frames_history(stamps, frames, columns)
+
+
+def _frames_history(stamps: list[datetime], frames: list[list[list[float]]],
+                    columns: tuple[tuple[str, ...], ...]) -> History:
     arrays = (np.array([rows[q] for rows in frames], dtype=float).reshape(len(frames), len(ids))
               for q, ids in enumerate(columns))
     return History(tuple(stamps), *columns, *arrays)
 
 
-def _parse_windows(handle, columns: tuple[tuple[str, ...], ...], sha) -> History | None:
-    """The history in handle, read by numpy's C reader and checked as arrays
-    window by window; None at the first window that needs the row loop."""
+def _window_blocks(handle, columns: tuple[tuple[str, ...], ...], sha):
+    """Generate the history in handle as one block per window of
+    _checked_windows; return True at the end of the file, False at the
+    first window that needs the row loop.
+
+    A block goes out, its timestamps parsed, only once the next window has
+    passed the array checks, so that no text of a file whose template
+    breaks in its last window is parsed twice.
+    """
+    last: tuple[datetime, ...] = ()         # the instant of the frame before the held block
+    held = None
+    # () marks the end of the file
+    for window in itertools.chain(_checked_windows(handle, columns, sha), [()]):
+        if window is None:
+            return False
+        if held:
+            texts, arrays = held
+            try:
+                stamps = last + tuple(parse_timestamp(text) for text in texts)
+            except ParseError:
+                return False
+            if any(t1 <= t0 for t0, t1 in zip(stamps, stamps[1:])):
+                return False
+            yield History(stamps[len(last):], *columns, *arrays)
+            last = stamps[-1:]
+        held = window
+    return True
+
+
+def _checked_windows(handle, columns: tuple[tuple[str, ...], ...], sha):
+    """Per window of handle that completes a frame, the timestamp text and
+    the arrays of its frames, read by numpy's C reader and checked as
+    arrays but for the timestamps; None for the first window that needs
+    the row loop, and nothing after it."""
     # text fields keep the file's bytes, which the row loop decodes as open() does
     encoding = io.TextIOWrapper(io.BytesIO()).encoding
     lookup = {(key, quantity): (q, k)
@@ -349,15 +438,14 @@ def _parse_windows(handle, columns: tuple[tuple[str, ...], ...], sha) -> History
     # one byte wider than the longest id and quantity, so a cut field matches none
     longest = max((len(key.encode(encoding, "replace")) for key, _ in lookup), default=0)
     dtype = np.dtype([("t", "S40"), ("e", f"S{longest + 1}"), ("q", "S18"), ("v", "f8")])
-    texts: list[bytes] = []                 # the timestamp of each frame
-    blocks: list[list[np.ndarray]] = []     # per window, one array per entry of columns
     names = kind = take = None              # frame 0's (entity, quantity) rows; their columns
     carry = np.empty(0, dtype)              # rows of a frame that may go on in the next window
     read, pending = handle.readline(), b""
     if sha is not None:
         sha.update(read)
     if read.rstrip(b"\r\n") != ",".join(STATES_COLUMNS).encode():
-        return None
+        yield None
+        return
     while read:
         read = handle.read(_WINDOW)
         if sha is not None:
@@ -374,11 +462,13 @@ def _parse_windows(handle, columns: tuple[tuple[str, ...], ...], sha) -> History
                 io.BytesIO(chunk), dtype=dtype, delimiter=",", quotechar='"', comments=None,
                 encoding="latin1", ndmin=1)
         except ValueError:
-            return None
+            yield None
+            return
         # fewer rows than lines: a blank row, a \r line end or a newline in
         # quotes; and text fields drop trailing NULs, which the row loop keeps
         if len(rows) != np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10) or b"\0" in chunk:
-            return None
+            yield None
+            return
         rows = np.concatenate([carry, rows])
         # frames split where the timestamp bytes change
         starts = np.flatnonzero(rows["t"][1:] != rows["t"][:-1]) + 1
@@ -391,7 +481,8 @@ def _parse_windows(handle, columns: tuple[tuple[str, ...], ...], sha) -> History
                                   quantity.decode(encoding, "surrogateescape")))
                       for entity, quantity in names.tolist()]
             if None in places:
-                return None
+                yield None
+                return
             kind = np.array([q for q, _ in places])
             # per entry of columns, its columns and their positions in a
             # frame; a repeated row keeps the last value
@@ -405,28 +496,21 @@ def _parse_windows(handle, columns: tuple[tuple[str, ...], ...], sha) -> History
         values = rows["v"][:frames * size].reshape(frames, size)
         # every row is checked, also one a later repeat overrides
         density = values[:, kind == 3]
-        texts += rows["t"][::size].tolist()
+        texts = rows["t"][::size].tolist()
         # unlike a cut id, a cut timestamp can still parse
         if not (end % size == 0 and np.array_equal(starts[starts < end], np.arange(size, end, size))
                 and (rows[["e", "q"]].reshape(frames, size) == names).all()
                 and np.isfinite(values).all() and (values[:, kind == 0] > 0.0).all()
                 and ((density > RHO_N_MIN_KGM3) & (density <= RHO_N_MAX_KGM3)).all()
-                and max(map(len, texts[-frames:])) < dtype["t"].itemsize):
-            return None
+                and max(map(len, texts)) < dtype["t"].itemsize):
+            yield None
+            return
         pressure, flow, valve, rho = (values[:, at] for _, at in take)
-        blocks.append([np.full((frames, len(ids)), math.nan) for ids in columns])
-        for block, (cols, _), scaled in zip(blocks[-1], take, (
+        arrays = [np.full((frames, len(ids)), math.nan) for ids in columns]
+        for array, (cols, _), scaled in zip(arrays, take, (
                 pressure * BAR, flow * KNM3H, np.where(valve != 0.0, 1.0, 0.0), rho)):
-            block[:, cols] = scaled
-    try:
-        stamps = [parse_timestamp(text.decode(encoding, "surrogateescape")) for text in texts]
-    except ParseError:
-        return None
-    if any(t1 <= t0 for t0, t1 in zip(stamps, stamps[1:])):
-        return None
-    arrays = (np.concatenate([np.empty((0, len(ids)))] + [block[q] for block in blocks])
-              for q, ids in enumerate(columns))
-    return History(tuple(stamps), *columns, *arrays)
+            array[:, cols] = scaled
+        yield [text.decode(encoding, "surrogateescape") for text in texts], arrays
 
 
 def serialize_states(history: History, path: str) -> None:
@@ -464,8 +548,12 @@ def file_sha256(path: str) -> str:
 
     sha = hashlib.sha256()
     with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            sha.update(block)
+        # one buffer, read into again and again, no larger than the file,
+        # as zeroing it costs a small file more than hashing
+        buffer = bytearray(min(os.fstat(handle.fileno()).st_size, 1 << 20) or 1)
+        view = memoryview(buffer)
+        while size := handle.readinto(buffer):
+            sha.update(view[:size])
     return sha.hexdigest()
 
 
@@ -474,11 +562,11 @@ def save_history(history: History, network: Network, terms: Terms, terms_path: s
     """Save next to terms_path the terms scan wrote there with digest
     terms_sha256, the digests of the files history and network were
     parsed from (as parse_states and parse_topology read them), and of
-    history the timestamps and the columns components reads: valve states
-    and the pressures at resistor ends.  As scan builds them, the terms'
-    pairs are history.pairs(), so a row's pair index is its first frame."""
-    ends = sorted({node for element in network.of_kind(ElementKind.RESISTOR).values()
-                   for node in (element.from_node, element.to_node)})
+    history, which needs no more than saved_columns(network), the
+    timestamps and the columns components reads: valve states and the
+    pressures at resistor ends.  As scan builds them, the terms' pairs are
+    history.pairs(), so a row's pair index is its first frame."""
+    ends = saved_columns(network)[0]
     np.savez(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR),
              states_sha256=states_sha256,
              topology_sha256=topology_sha256,
@@ -565,15 +653,16 @@ def exclusion_mask(windows: Iterable[ExclusionWindow], pairs: list[TimePair],
     """[pairs x pipes] mask of the data points some window covers.
 
     A data point belongs to a window when its evaluation time t1 does.
+    pipe_ids are sorted, as History columns are, and hold every window's
+    pipe.
     """
     t1 = [pair.t1 for pair in pairs]
-    column = {pipe_id: k for k, pipe_id in enumerate(pipe_ids)}
     mask = np.zeros((len(pairs), len(pipe_ids)), dtype=bool)
     for window in windows:
         # pairs are chronological, so the pairs whose t1 lies in
         # [start, end) form one run
         mask[bisect_left(t1, window.start):bisect_left(t1, window.end),
-             column[window.pipe_id]] = True
+             bisect_left(pipe_ids, window.pipe_id)] = True
     return mask
 
 
@@ -636,24 +725,35 @@ def write_terms(terms: Terms, path: str) -> str:
     """Write a terms file with the bytes csv.writer would give, and return
     the sha256 of those bytes, hashed as they are written.
 
-    Rows are joined from columns formatted ahead: timestamps and numbers
-    never need quoting, and each distinct pipe id is quoted once.
+    Rows are joined a chunk at a time from columns formatted ahead:
+    timestamps and numbers never need quoting, and each pair and distinct
+    pipe id is formatted once.
     """
-    stamps = [f"{format_timestamp(pair.t0)},{format_timestamp(pair.t1)}"
-              for pair in terms.pairs]
-    pipe_ids = terms.pipe_ids.tolist()
-    cells = {pipe_id: _csv_cell(pipe_id) for pipe_id in set(pipe_ids)}
+    numbers = _file_numbers(terms)
+    stamps: dict[int, str] = {}
+    cells: dict[str, str] = {}
     # csv.writer ends rows with \r\n; tolist() gives plain floats, written with repr
     flags = ("0\r\n", "1\r\n")
-    lines = itertools.chain([",".join(TERMS_COLUMNS) + "\r\n"], map(",".join, zip(
-        map(stamps.__getitem__, terms.pair_index.tolist()), map(cells.__getitem__, pipe_ids),
-        *(map(repr, column) for column in _file_numbers(terms).tolist()),
-        map(flags.__getitem__, terms.relevant.tolist()))))
+
+    def chunks() -> Iterator[str]:
+        yield ",".join(TERMS_COLUMNS) + "\r\n"
+        for start in range(0, len(terms.relevant), 1 << 10):
+            rows = slice(start, start + (1 << 10))
+            pair_index, pipe_ids = terms.pair_index[rows].tolist(), terms.pipe_ids[rows].tolist()
+            stamps.update((k, f"{format_timestamp(terms.pairs[k].t0)},"
+                              f"{format_timestamp(terms.pairs[k].t1)}")
+                          for k in dict.fromkeys(pair_index) if k not in stamps)
+            cells.update((pipe_id, _csv_cell(pipe_id))
+                         for pipe_id in dict.fromkeys(pipe_ids) if pipe_id not in cells)
+            yield "".join(map(",".join, zip(
+                map(stamps.__getitem__, pair_index), map(cells.__getitem__, pipe_ids),
+                *(map(repr, column) for column in numbers[:, rows].tolist()),
+                map(flags.__getitem__, terms.relevant[rows].tolist()))))
+
     import hashlib  # imported late, as in file_sha256
     sha = hashlib.sha256()
     with open(path, "w", newline="") as handle:
-        # no line is empty, so an empty chunk is the end
-        for chunk in iter(lambda: "".join(itertools.islice(lines, 1 << 10)), ""):
+        for chunk in chunks():
             handle.write(chunk)
             sha.update(chunk.encode(handle.encoding))
     return sha.hexdigest()

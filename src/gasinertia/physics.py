@@ -25,7 +25,7 @@ The geometry argument is one PipeGeometry or a PipeTable of many pipes.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 import math
 from typing import Sequence
 
@@ -85,7 +85,8 @@ class PipeTable:
 
     def take(self, index: np.ndarray) -> "PipeTable":
         """Table with one row per entry of index (pipe positions may repeat)."""
-        return PipeTable(*(np.take(column, index) for column in astuple(self)))
+        # fields, not astuple, which deep-copies every column first
+        return PipeTable(*(np.take(getattr(self, field.name), index) for field in fields(self)))
 
 
 def _table(geometry: PipeGeometry | PipeTable) -> PipeTable:

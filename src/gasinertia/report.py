@@ -108,11 +108,17 @@ def hexbin(alpha_per_10km: np.ndarray, ratio: np.ndarray, resolution: float = 0.
     # with the CPU's vector extensions, and so move a point across an edge
     x, y = (np.array([math.log10(v) for v in values[finite].tolist()], dtype=float)
             for values in (magnitude, ratio))
-    centers, counts = np.unique(np.stack(hex_center(x, y, resolution), axis=1), axis=0,
-                                return_counts=True)
+    cx, cy = hex_center(x, y, resolution)
+    # sorted by (cx, cy), the points of one hexagon form a run
+    order = np.lexsort((cy, cx))
+    cx, cy = cx[order], cy[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
+    first = np.flatnonzero(first)
+    counts = np.diff(np.append(first, len(order)))
     kept = counts >= min_count
-    bins = [HexBin(cx, cy, count) for (cx, cy), count
-            in zip(centers[kept].tolist(), counts[kept].tolist())]
+    bins = [HexBin(*values) for values in zip(cx[first[kept]].tolist(), cy[first[kept]].tolist(),
+                                              counts[kept].tolist())]
     return HexBinResult(bins, int(counts[~kept].sum()), int(np.count_nonzero(~finite)),
                         len(alpha_per_10km))
 

@@ -196,6 +196,27 @@ class TestHexbin:
         assert [r[2] for r in rows] == ["1", "1", "1"]
         assert rows == sorted(rows, key=lambda r: (float(r[0]), float(r[1])))
 
+    @settings(max_examples=300)
+    @given(st.lists(lattice_points(), max_size=30), st.data())
+    def test_runs_match_unique_rows(self, points, data):
+        # each point up to three times, in any order, at one resolution
+        resolution = points[0][2] if points else 0.1
+        finite = [(10.0 ** x, 10.0 ** y) for x, y, r in points if r == resolution
+                  for _ in range(data.draw(st.integers(1, 3)))]
+        min_count = data.draw(st.integers(1, 4))
+        result = bin_points(data.draw(st.permutations(finite + [(0.0, 1.0)])),
+                            resolution=resolution, min_count=min_count)
+        # hexbin before the run split: np.unique over the rows of centers
+        x, y = (np.array([math.log10(v) for v in values], dtype=float)
+                for values in np.array(finite, dtype=float).reshape(-1, 2).T)
+        centers, counts = np.unique(np.stack(hex_center(x, y, resolution), axis=1), axis=0,
+                                    return_counts=True)
+        kept = counts >= min_count
+        assert [(b.cx, b.cy, b.count) for b in result.bins] == [
+            (cx, cy, count) for (cx, cy), count in zip(centers[kept].tolist(),
+                                                       counts[kept].tolist())]
+        assert result.suppressed_points == int(counts[~kept].sum())
+
     @given(st.lists(st.tuples(st.floats(min_value=1e-6, max_value=1e6),
                               st.floats(min_value=1e-6, max_value=1e6)), max_size=40))
     def test_counts_match_point_by_point_binning(self, points):

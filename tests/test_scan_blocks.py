@@ -1,0 +1,237 @@
+"""scan reads states.csv block by block, and its outputs do not depend on
+where the blocks end.
+
+With ingest._WINDOW shrunk to a few dozen bytes and cli._SCAN_POINTS to 1,
+scan classifies and evaluates every block of the reader on its own, a
+frame or a few each, so that pairs straddle blocks; at the defaults a
+small file is one block.  Both must give the same terms.csv bytes, the
+same history.npz arrays and the same stdout, time gaps and exclusions
+across block ends included.  A file that breaks the frame template only
+in its last window sends scan back to the start through the row loop
+after blocks have gone out; a bad row there stops scan before it writes.
+"""
+
+from datetime import datetime, timedelta, timezone
+import os
+from pathlib import Path
+
+from hypothesis import given, note, settings, strategies as st
+import numpy as np
+import pytest
+
+from gasinertia import cli, ingest
+from gasinertia.ingest import History, history_columns, serialize_states, serialize_topology
+from gasinertia.model import Element, ElementKind, Network, Node, PipeGeometry
+
+from conftest import run_cli
+
+START = datetime(2026, 1, 1, tzinfo=timezone.utc)
+
+NETWORK = Network.build([Node(f"n{k}") for k in range(6)], [
+    Element("p1", ElementKind.PIPE, "n0", "n1", PipeGeometry(20_000.0, 0.5, 1e-5)),
+    Element("p2", ElementKind.PIPE, "n1", "n2", PipeGeometry(10_000.0, 0.3, 1e-5)),
+    Element("p3", ElementKind.PIPE, "n2", "n3", PipeGeometry(5_000.0, 0.4, 1e-5)),
+    Element("p4", ElementKind.PIPE, "n4", "n5", PipeGeometry(8_000.0, 0.3, 1e-5)),
+    Element("v1", ElementKind.VALVE, "n1", "n3"),
+    Element("r1", ElementKind.RESISTOR, "n3", "n4"),
+])
+COLUMNS = history_columns(NETWORK)
+FULL = History(tuple(START + timedelta(minutes=3 * k) for k in range(8)), *COLUMNS,
+               *(np.full((8, len(ids)), value)
+                 for ids, value in zip(COLUMNS, (50e5, 30.0, 1.0, 0.8))))
+# flows in kNm3/h: some steps stay under the 0.5 kNm3/h prefilter
+FLOWS_KNM3H = [0.0, 0.25, 100.0, 100.5, 99.75, -100.0, 400.0]
+
+
+@st.composite
+def histories(draw):
+    """A history over NETWORK whose every frame gives the same columns, so
+    that states.csv repeats one template, with gaps of one or two steps."""
+    frames = draw(st.integers(1, 10))
+    steps = np.cumsum(draw(st.lists(st.sampled_from([1, 1, 2]), min_size=frames,
+                                    max_size=frames)))
+    stamps = tuple(START + timedelta(minutes=3 * int(step)) for step in steps)
+    pools = [[40e5, 55.5e5, 70e5],
+             [value * ingest.KNM3H for value in FLOWS_KNM3H],
+             [0.0, 1.0],
+             [0.8, 0.85]]
+    arrays = []
+    for ids, pool in zip(COLUMNS, pools):
+        values = np.array(draw(st.lists(st.sampled_from(pool), min_size=frames * len(ids),
+                                        max_size=frames * len(ids)))).reshape(frames, len(ids))
+        # a column the history does not give, in every frame alike
+        values[:, draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))] = np.nan
+        arrays.append(values)
+    # every frame gives at least one row
+    arrays[2][:, 0] = draw(st.sampled_from(pools[2]))
+    return History(stamps, *COLUMNS, *arrays)
+
+
+@st.composite
+def exclusions(draw, stamps):
+    """Exclusion windows with edges on frame instants and one second after."""
+    edges = sorted(stamps + tuple(instant + timedelta(seconds=1) for instant in stamps))
+    windows = []
+    for pipe_id, a, b in draw(st.lists(st.tuples(st.sampled_from(COLUMNS[3]),
+                                                 st.integers(0, len(edges) - 1),
+                                                 st.integers(0, len(edges) - 1)), max_size=3)):
+        if a != b:
+            windows.append((pipe_id, edges[min(a, b)], edges[max(a, b)]))
+    return windows
+
+
+def write_inputs(root, history, windows):
+    serialize_topology(NETWORK, os.path.join(root, "topology.csv"))
+    serialize_states(history, os.path.join(root, "states.csv"))
+    with open(os.path.join(root, "exclusions.csv"), "w") as handle:
+        handle.write("pipe_id,start_iso8601,end_iso8601\n" + "".join(
+            f"{pipe_id},{ingest.format_timestamp(a)},{ingest.format_timestamp(b)}\n"
+            for pipe_id, a, b in windows))
+
+
+def scan(root, window=None):
+    """Run scan on the inputs in root into root/<window>, each block on its
+    own if window is given; return its exit code, stdout and stderr, the
+    output directory and what the blocks were: "block" or "restart" for
+    each item states_blocks gave."""
+    out = os.path.join(root, str(window))
+    given, blocks = [], ingest.states_blocks
+
+    def recording(*args):
+        for block in blocks(*args):
+            given.append("restart" if block is None else "block")
+            yield block
+
+    with pytest.MonkeyPatch.context() as patch:
+        if window is not None:
+            patch.setattr(ingest, "_WINDOW", window)
+            patch.setattr(cli, "_SCAN_POINTS", 1)
+        patch.setattr(cli, "states_blocks", recording)
+        result = run_cli(["scan", "--topology", os.path.join(root, "topology.csv"),
+                          "--states", os.path.join(root, "states.csv"),
+                          "--exclusions", os.path.join(root, "exclusions.csv"), "--out", out])
+    return result, out, given
+
+
+def outputs(out):
+    """terms.csv bytes and history.npz arrays, or None for each one absent."""
+    terms = os.path.join(out, "terms.csv")
+    sidecar = os.path.join(out, ingest.HISTORY_SIDECAR)
+    arrays = None
+    if os.path.exists(sidecar):
+        with np.load(sidecar) as saved:
+            arrays = {name: saved[name] for name in saved.files}
+    return (Path(terms).read_bytes() if os.path.exists(terms) else None), arrays
+
+
+def assert_same_outputs(a, b):
+    (terms_a, arrays_a), (terms_b, arrays_b) = outputs(a), outputs(b)
+    assert terms_a == terms_b
+    assert (arrays_a is None) == (arrays_b is None)
+    if arrays_a is not None:
+        assert sorted(arrays_a) == sorted(arrays_b)
+        for name, array in arrays_a.items():
+            other = arrays_b[name]
+            assert array.dtype == other.dtype and array.shape == other.shape, name
+            assert array.tobytes() == other.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), histories(), st.integers(40, 400))
+def test_blocks_give_the_outputs_of_one_block(tmp_path_factory, data, history, window):
+    windows = data.draw(exclusions(history.timestamps))
+    root = str(tmp_path_factory.mktemp("scan"))
+    write_inputs(root, history, windows)
+    small, small_out, given_small = scan(root, window)
+    whole, whole_out, given_whole = scan(root)
+    note(f"blocks at {window} bytes: {given_small}")
+    assert small == whole
+    assert small[0] == 0, small[2]
+    assert "restart" not in given_small + given_whole
+    assert_same_outputs(small_out, whole_out)
+
+
+def test_small_windows_give_a_block_per_frame(tmp_path):
+    history = History(tuple(START + timedelta(minutes=3 * k) for k in (0, 1, 3, 4)), *COLUMNS,
+                      *(array[:4] for array in FULL.arrays()))
+    write_inputs(str(tmp_path), history, [("p2", history.timestamps[1], history.timestamps[3])])
+    (code, out, err), _, given = scan(str(tmp_path), 40)
+    assert code == 0, err
+    assert given == ["block"] * 4
+    # the pair 00:03 .. 00:09 is twice as long as the others, and the
+    # window excludes p2 at the t1 of pairs 0 and 1
+    assert "frames: 4, pairs: 3, pipes: 4" in out
+    assert "data points: 12, excluded: 2, missing: 0, below prefilter: 10, evaluated: 0" in out
+    assert "'time_gaps': 1" in out
+
+
+def cut_last_window(history, edit):
+    """Inputs whose states.csv breaks the template only in its last frame."""
+    def write(root):
+        write_inputs(root, history, [("p1", history.timestamps[0], history.timestamps[-1])])
+        path = os.path.join(root, "states.csv")
+        with open(path, newline="") as handle:
+            lines = handle.read().split("\r\n")[:-1]
+        if edit == "drop":
+            # the last frame loses its last row
+            lines.pop()
+        else:
+            lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
+        with open(path, "w", newline="") as handle:
+            handle.write("\r\n".join(lines) + "\r\n")
+        return len(lines)
+    return write
+
+
+def rows_per_frame(history):
+    return sum(int(np.count_nonzero(~np.isnan(array[0]))) for array in history.arrays())
+
+
+@settings(max_examples=30, deadline=None)
+@given(histories().filter(lambda history: len(history) >= 3 and rows_per_frame(history) >= 2),
+       st.integers(40, 400))
+def test_restart_at_the_last_window_counts_no_pair_twice(tmp_path_factory, history, window):
+    root = str(tmp_path_factory.mktemp("restart"))
+    cut_last_window(history, "drop")(root)
+    small, small_out, given_small = scan(root, window)
+    whole, whole_out, given_whole = scan(root)
+    note(f"blocks at {window} bytes: {given_small}")
+    assert small == whole
+    assert small[0] == 0, small[2]
+    assert given_small.count("restart") == given_whole.count("restart") == 1
+    assert f"frames: {len(history)}, pairs: {len(history) - 1}," in small[1]
+    assert_same_outputs(small_out, whole_out)
+
+
+@pytest.mark.parametrize("window", [40, 400])
+def test_restart_after_blocks_went_out(tmp_path, window):
+    root = str(tmp_path)
+    cut_last_window(FULL, "drop")(root)
+    small, small_out, given = scan(root, window)
+    whole, whole_out, _ = scan(root)
+    assert small == whole and small[0] == 0
+    # blocks went out before the restart, and the row loop read every frame again
+    assert given.index("restart") > 0 and given.count("restart") == 1
+    assert "frames: 8, pairs: 7, pipes: 4" in small[1]
+    assert_same_outputs(small_out, whole_out)
+
+
+@pytest.mark.parametrize("window", [40, 400, None])
+def test_bad_row_in_the_last_window_writes_nothing(tmp_path, window):
+    line = cut_last_window(FULL, "nan")(str(tmp_path))
+    (code, stdout, err), out, given = scan(str(tmp_path), window)
+    states = os.path.join(str(tmp_path), "states.csv")
+    assert code == 1 and stdout == ""
+    assert err == f"error: {states}:{line}: non-finite value 'nan' for 'p4'\n"
+    assert given.count("restart") == 1 and (window is None or given.index("restart") > 0)
+    assert not os.path.exists(out)
+
+
+def test_states_error_reported_before_an_exclusions_error(tmp_path):
+    line = cut_last_window(FULL, "nan")(str(tmp_path))
+    with open(tmp_path / "exclusions.csv", "a") as handle:
+        handle.write("p9,2026-01-01T00:00:00Z,2026-01-01T00:03:00Z\n")
+    (code, stdout, err), out, _ = scan(str(tmp_path), 40)
+    assert code == 1 and stdout == ""
+    assert err == f"error: {tmp_path / 'states.csv'}:{line}: non-finite value 'nan' for 'p4'\n"
+    assert not os.path.exists(out)
