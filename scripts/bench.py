@@ -25,7 +25,10 @@ wall and processor seconds (start-up and imports included), pipe points
 and state rows per processor second, peak RSS and the sha256 of
 terms.csv go under tiers.M.  The same at twice the frames and events
 (6,000 and 600) goes under tiers.M_6000: scan's peak RSS should not
-grow with the number of frames.
+grow with the number of frames.  tiers.M_meshed is meshed-transients at
+1,000 frames, where about 45% of the pipe points pass the prefilter, so
+that writing terms.csv weighs: besides the above it records the terms
+rows and terms rows per processor second.
 Standard library only.
 """
 
@@ -74,13 +77,14 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float,
     return result
 
 
-def run_tier_m(checkout: Path, seed: int, frames: int) -> dict:
-    """Scan tier M of frames frames once in a child; its costs and the
-    digest of its terms."""
+def run_tier(checkout: Path, seed: int, workload: str, **changes) -> dict:
+    """Scan the grid workload (a GridSpec name of the checkout's
+    perfbench/workloads.py) with changes once in a child; its costs and
+    the digest of its terms."""
     spec = util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
     workloads = sys.modules[spec.name] = util.module_from_spec(spec)   # dataclasses look it up
     spec.loader.exec_module(workloads)
-    tier = dataclasses.replace(workloads.QUIET_HISTORY, frames=frames, events=frames // 10)
+    tier = dataclasses.replace(getattr(workloads, workload), **changes)
     with tempfile.TemporaryDirectory() as root:
         planted = workloads.generate_grid(tier, seed, root)
         argv = [sys.executable, "-m", "gasinertia", "scan", "--topology", f"{root}/topology.csv",
@@ -93,14 +97,18 @@ def run_tier_m(checkout: Path, seed: int, frames: int) -> dict:
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
         if os.waitstatus_to_exitcode(status) != 0:
-            sys.exit(f"tier M scan exited with {os.waitstatus_to_exitcode(status)}")
-        terms = hashlib.sha256(Path(root, "out", "terms.csv").read_bytes()).hexdigest()
+            sys.exit(f"tier scan exited with {os.waitstatus_to_exitcode(status)}")
+        terms = Path(root, "out", "terms.csv").read_bytes()
     cpu = usage.ru_utime + usage.ru_stime
+    # the generated pipe ids need no quoting, so every row is one line
+    terms_rows = terms.count(b"\n") - 1
     return {"frames": tier.frames, "points": planted.total, "states_rows": planted.states_rows,
-            "scan_wall_s": wall, "scan_cpu_s": cpu,
+            "terms_rows": terms_rows, "scan_wall_s": wall, "scan_cpu_s": cpu,
             "points_per_cpu_s": planted.total / cpu, "rows_per_cpu_s": planted.states_rows / cpu,
+            "terms_rows_per_cpu_s": terms_rows / cpu,
             # Linux reports ru_maxrss in KiB
-            "peak_rss_mb": usage.ru_maxrss / 1024, "terms_sha256": terms}
+            "peak_rss_mb": usage.ru_maxrss / 1024,
+            "terms_sha256": hashlib.sha256(terms).hexdigest()}
 
 
 def main() -> int:
@@ -138,9 +146,11 @@ def main() -> int:
             f"trace_{trace}": run_workload(checkout, workload, args.seed, seconds, trace)
             for trace in (0, 1)}
         print(f"{workload}: done", flush=True)
-    bench["tiers"] = {"M": run_tier_m(checkout, args.seed, 3000),
-                      "M_6000": run_tier_m(checkout, args.seed, 6000)}
-    print("tier M: done", flush=True)
+    bench["tiers"] = {
+        "M": run_tier(checkout, args.seed, "QUIET_HISTORY", frames=3000, events=300),
+        "M_6000": run_tier(checkout, args.seed, "QUIET_HISTORY", frames=6000, events=600),
+        "M_meshed": run_tier(checkout, args.seed, "MESHED_TRANSIENTS", frames=1000)}
+    print("tiers: done", flush=True)
     path = REPO_ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {path}")

@@ -192,8 +192,9 @@ class _BlockScan:
     by block, each block with the last frame of the one before.
 
     It keeps only what outlives a block: the frame instants, the columns
-    save_history keeps, each pair's length, the count of each class of
-    data point, and the survivors' terms with their pair's index.
+    save_history keeps, the shortest pair length and time_gaps, the count of
+    longer pairs, the count of each class of data point, and the
+    survivors' terms with their pair's index.
     """
 
     def __init__(self, network: Network, windows: list, cfg: ThresholdConfig,
@@ -218,7 +219,7 @@ class _BlockScan:
         self.last_flow = np.empty((0, len(self.pipe_ids)))
         self.saved: list[History] = []
         self.pairs: list[TimePair] = []
-        self.taus: list[np.ndarray] = []
+        self.shortest, self.time_gaps = math.inf, 0
         # excluded, missing, below prefilter, evaluated
         self.counts = np.zeros(4, dtype=int)
         self.diag = Diagnostics()
@@ -267,7 +268,7 @@ class _BlockScan:
         taus = np.array([pair.tau_s for pair in pairs])
         first = len(self.pairs)
         self.pairs += pairs
-        self.taus.append(taus)
+        self.count_lengths(taus, first)
         if not evaluated:
             return
 
@@ -296,10 +297,13 @@ class _BlockScan:
             tuple(self.pairs), pair_index, np.array(self.pipe_ids)[position], flow_t0, flow_t1,
             alpha, beta, alpha_per_length, ratio, relevant)
 
-    def time_gaps(self) -> int:
-        """The number of pairs longer than the shortest."""
-        taus = np.concatenate([np.empty(0), *self.taus])
-        return int(np.count_nonzero(taus > taus.min(initial=math.inf)))
+    def count_lengths(self, taus: np.ndarray, before: int) -> None:
+        """Count into time_gaps the pairs of lengths taus after the first before."""
+        shortest = min(self.shortest, taus.min(initial=math.inf))
+        # every earlier pair is longer than a new shortest
+        self.time_gaps = (before if shortest < self.shortest else self.time_gaps) + int(
+            np.count_nonzero(taus > shortest))
+        self.shortest = shortest
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -329,7 +333,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                  states_sha256.hexdigest(), topology_sha256.hexdigest())
     diag = scan.diag
     excluded, diag.missing_data, below_prefilter, evaluated = scan.counts.tolist()
-    diag.time_gaps = scan.time_gaps()
+    diag.time_gaps = scan.time_gaps
     pairs, pipes = len(scan.pairs), len(scan.pipe_ids)
     totals = {"total": pairs * pipes, "excluded": excluded, "missing": diag.missing_data,
               "below_prefilter": below_prefilter, "evaluated": evaluated,

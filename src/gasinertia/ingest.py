@@ -12,8 +12,9 @@ the history on one block of whole frames at a time, so that a reader
 that keeps little of each block, as scan does, needs memory for one
 window, not for the whole history; parse_states joins the blocks.  File
 units are bar and 1000 Nm^3/h, converted to SI exactly once here.
-Serializers write floats with repr so a parse/serialize cycle is a fixed
-point.  Parse errors carry file and line context.
+Serializers write floats as repr spells them, so a parse/serialize cycle
+is a fixed point; the terms writer spells most of them itself, a column at
+a time (_repr_cells).  Parse errors carry file and line context.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from bisect import bisect_left
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+import functools
 import io
 import itertools
 import math
@@ -695,13 +697,13 @@ class Terms:
     relevant: np.ndarray              # bool
 
 
-def _file_numbers(terms: Terms) -> np.ndarray:
-    """[7 x points]: the number columns of a terms file, in file units."""
+def _file_numbers(terms: Terms, rows: slice = slice(None)) -> np.ndarray:
+    """[7 x points]: the number columns of a terms file in file units, of rows."""
+    flow_t0, flow_t1 = terms.flow_t0_m3s[rows], terms.flow_t1_m3s[rows]
     return np.array([values / unit for values, unit in (
-        (terms.flow_t0_m3s, KNM3H), (terms.flow_t1_m3s, KNM3H),
-        (terms.flow_t1_m3s - terms.flow_t0_m3s, KNM3H), (terms.alpha_pa, BAR),
-        (terms.beta_pa, BAR), (terms.alpha_per_length_pam, PER_10KM), (terms.ratio, 1.0))],
-        dtype=float)
+        (flow_t0, KNM3H), (flow_t1, KNM3H), (flow_t1 - flow_t0, KNM3H),
+        (terms.alpha_pa[rows], BAR), (terms.beta_pa[rows], BAR),
+        (terms.alpha_per_length_pam[rows], PER_10KM), (terms.ratio[rows], 1.0))], dtype=float)
 
 
 def _from_file_numbers(pairs: tuple[TimePair, ...], pair_index: np.ndarray,
@@ -721,41 +723,154 @@ def _csv_cell(text: str) -> str:
     return buffer.getvalue()[1:-len(writer.dialect.lineterminator)]
 
 
+@functools.cache
+def _schubfach_table() -> np.ndarray:
+    """[4 x 617] uint64: per k from -324 to 292, g = floor(10^-k 2^-r) + 1
+    in [2^125, 2^126), as 32-bit limbs of g >> 63 and g mod 2^63, high first."""
+    # floor(log2 10^e) is bit_length - 1, or -bit_length for e < 0
+    gs = [1 + (p << 125 >> p.bit_length() - 1 if e >= 0 else (1 << 125 + p.bit_length()) // p)
+          for e, p in ((e, 10 ** abs(e)) for e in range(324, -293, -1))]
+    return np.array([[g >> 95, g >> 63 & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF, g & 0xFFFFFFFF]
+                     for g in gs], dtype=np.uint64).T.copy()
+
+
+def _rop(k: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """g(k) cp 2^-127 rounded down to odd, 2 bits of fraction, the last sticky,
+    as Schubfach's rop computes it for [... x n] cp below 2^60, which it
+    overwrites, from uint64 32x32->64 products of 32-bit limbs: g's high
+    limbs are below 2^31, so no sum of them overflows."""
+    g11, g10, g01, g00 = np.take(_schubfach_table(), k + 324, axis=1)
+    p0 = cp & 0xFFFFFFFF
+    cp >>= 32
+    # g1 cp = y1 2^64 + y0 and the high 64 bits x1 of g0 cp, z = y0 / 2 + x1
+    low = g10 * p0
+    mid = g10 * cp + g11 * p0 + (low >> 32)
+    z = (mid << 32 | low & 0xFFFFFFFF) >> 1
+    y1 = g11 * cp + (mid >> 32)
+    z += g01 * cp + (g00 * cp + g01 * p0 + (g00 * p0 >> 32) >> 32)
+    return y1 + (z >> 63) | (z << 1 != 0)
+
+
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest decimal that reads back as each positive finite float64
+    of x, the closest of them, ties to even: its digits as a 17-digit integer
+    with zeros appended, and the point before them, x = 0.ddd 10^point.  By
+    Giulietti's Schubfach (2020), as Java's DoubleToDecimal, but that one
+    digit is kept where it is the shortest: repr gives 5e-324, Java 4.9E-324.
+    """
+    bits = x.view(np.uint64)
+    biased = (bits >> 52).astype(np.int64)
+    q = np.maximum(biased, 1) - 1075
+    c = bits & (1 << 52) - 1 | (biased > 0).astype(np.uint64) << 52
+    # a power of two has its closer neighbour below, but for the least exponent
+    asymmetric = (c == 1 << 52) & (q > -1074)
+    k = (q * 661971961083 - asymmetric * 274743187321) >> 41
+    # 4 c and the bounds of its rounding interval, times 2^h, scaled by 10^-k
+    vb, vbl, vbr = _rop(k, np.stack([c << 2, (c << 2) - 2 + asymmetric, (c << 2) + 2])
+                        << (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64))
+    # the interval is closed for even c; a multiple of 10 in it, of which
+    # there is at most one, has the fewest digits; else s or s + 1, the
+    # closer if both are in, ties to even
+    lowest, highest, s = vbl + (c & 1), vbr - (c & 1), vb >> 2
+    sp10 = s // 10 * 10
+    upin, wpin = lowest <= sp10 << 2, (sp10 << 2) + 40 <= highest
+    uin, win = lowest <= s << 2, (s << 2) + 4 <= highest
+    f = np.where(upin != wpin, sp10 + wpin * np.uint64(10),
+                 s + (win & (~uin | ((vb & 3) + (s & 1) > 2))))
+    digits = np.searchsorted(_POW10, f, side="right")
+    return f * _POW10[17 - digits], k + digits
+
+
+def _repr_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[39 x values] uint8, a cell per float64 of x that spells it as repr
+    does, then a comma, and the mask of the bytes that belong.  repr writes
+    the shortest round-trip digits, positional for 1e-4 <= |x| < 1e16: those
+    are laid out from _shortest in cells of sign, 16 integer digits, point,
+    3 zeros and 17 fraction digits, so 0.000ddd, ddd.ddd and ddd00.0 differ
+    only in the mask.  Zero, non-finite and exponent-form values go to repr."""
+    finite = np.isfinite(x) & (x != 0)
+    number, point = _shortest(np.where(finite, np.abs(x), 1.0))
+    positional = finite & (point > -4) & (point <= 16)
+    point = np.where(positional, point, 1)
+    cut = _POW10[17 - np.maximum(point, 0)]
+    # the integer part and the fraction's digits, left-aligned, split in
+    # halves, quarters, ... of the narrowest type, which divides fastest
+    top, fraction = np.divmod(number % cut * (10 ** 17 // cut), 10 ** 16)
+    digits = np.stack([number // cut, fraction])
+    for power, dtype in zip((10 ** 8, 10 ** 4, 100, 10), ("u4", "u2", "u1", "u1")):
+        high = digits // power
+        digits = np.stack([high, digits - high * power], axis=1).reshape(
+            -1, len(x)).astype(dtype)
+    cells = np.empty((39, len(x)), dtype=np.uint8)
+    cells[0], cells[17], cells[18:21], cells[38] = ord("-"), ord("."), ord("0"), ord(",")
+    cells[1:17], cells[21], cells[22:38] = digits[:16] + 48, top + 48, digits[16:] + 48
+    row = np.arange(17, dtype=np.uint8)[:, None]
+    # the integer part, 0 for 0.ddd, the zeros of 0.000ddd, and the
+    # fraction to its last nonzero digit, or 0 for ddd.0
+    last = ((row + 1) * (cells[21:38] != 48)).max(axis=0)
+    mask = np.concatenate([np.signbit(x)[None], row[:16] >= 16 - np.maximum(point, 1),
+                           np.ones((1, len(x)), dtype=bool), row[:3] < -point,
+                           row < np.maximum(last, 1), np.ones((1, len(x)), dtype=bool)])
+    declined = np.flatnonzero(~positional)
+    if declined.size:
+        spelled = [repr(value).encode() for value in x[declined].tolist()]
+        cells[:24, declined] = np.array(spelled, dtype="S24").view(np.uint8).reshape(-1, 24).T
+        mask[:38, declined] = np.arange(38)[:, None] < np.array(list(map(len, spelled)))
+    return cells, mask
+
+
+def _text_cells(keys: np.ndarray, cache: dict, spell) -> tuple[np.ndarray, np.ndarray]:
+    """[longest x keys] uint8, a column per key holding spell(key) left-aligned,
+    and the mask of the bytes that belong; cache keeps what was spelled."""
+    distinct, at = np.unique(keys, return_inverse=True)
+    texts = [cache[key] if key in cache else cache.setdefault(key, spell(key))
+             for key in distinct.tolist()]
+    cells = np.array(texts).view(np.uint8).reshape(len(texts), -1)
+    return cells[at].T, (np.arange(cells.shape[1]) < np.array([*map(len, texts)])[:, None])[at].T
+
+
+# rows written at a time: fewer cost more per row, more raise peak memory
+_TERMS_CHUNK = 1 << 10
+
+
 def write_terms(terms: Terms, path: str) -> str:
     """Write a terms file with the bytes csv.writer would give, and return
     the sha256 of those bytes, hashed as they are written.
 
-    Rows are joined a chunk at a time from columns formatted ahead:
-    timestamps and numbers never need quoting, and each pair and distinct
-    pipe id is formatted once.
+    A chunk of rows at a time, the cells, none of which but pipe ids need
+    quoting, are laid out left-aligned in a [bytes x rows] matrix, and the
+    bytes that belong are kept, row by row.
     """
-    numbers = _file_numbers(terms)
-    stamps: dict[int, str] = {}
-    cells: dict[str, str] = {}
-    # csv.writer ends rows with \r\n; tolist() gives plain floats, written with repr
-    flags = ("0\r\n", "1\r\n")
-
-    def chunks() -> Iterator[str]:
-        yield ",".join(TERMS_COLUMNS) + "\r\n"
-        for start in range(0, len(terms.relevant), 1 << 10):
-            rows = slice(start, start + (1 << 10))
-            pair_index, pipe_ids = terms.pair_index[rows].tolist(), terms.pipe_ids[rows].tolist()
-            stamps.update((k, f"{format_timestamp(terms.pairs[k].t0)},"
-                              f"{format_timestamp(terms.pairs[k].t1)}")
-                          for k in dict.fromkeys(pair_index) if k not in stamps)
-            cells.update((pipe_id, _csv_cell(pipe_id))
-                         for pipe_id in dict.fromkeys(pipe_ids) if pipe_id not in cells)
-            yield "".join(map(",".join, zip(
-                map(stamps.__getitem__, pair_index), map(cells.__getitem__, pipe_ids),
-                *(map(repr, column) for column in numbers[:, rows].tolist()),
-                map(flags.__getitem__, terms.relevant[rows].tolist()))))
-
+    stamps, ids, flags = {}, {}, {}
     import hashlib  # imported late, as in file_sha256
     sha = hashlib.sha256()
-    with open(path, "w", newline="") as handle:
-        for chunk in chunks():
+    with open(path, "w", newline="") as text:
+        # the bytes a text file would write, through its buffer
+        handle, encoding = text.buffer, text.encoding
+        header = (",".join(TERMS_COLUMNS) + "\r\n").encode(encoding)
+        handle.write(header)
+        sha.update(header)
+        for start in range(0, len(terms.relevant), _TERMS_CHUNK):
+            rows = slice(start, start + _TERMS_CHUNK)
+            parts = [
+                _text_cells(terms.pair_index[rows], stamps, lambda k: (
+                    f"{format_timestamp(terms.pairs[k].t0)},"
+                    f"{format_timestamp(terms.pairs[k].t1)},").encode(encoding)),
+                _text_cells(terms.pipe_ids[rows], ids,
+                            lambda pipe_id: (_csv_cell(pipe_id) + ",").encode(encoding)),
+                # a cell per row and number column, rows innermost
+                (block.reshape(39, 7, -1).transpose(1, 0, 2).reshape(273, -1)
+                 for block in _repr_cells(_file_numbers(terms, rows).ravel())),
+                # csv.writer ends rows with \r\n
+                _text_cells(terms.relevant[rows], flags, lambda flag: b"%d\r\n" % flag)]
+            matrix, mask = (np.concatenate(blocks) for blocks in zip(*parts))
+            chunk = matrix.T[mask.T]
             handle.write(chunk)
-            sha.update(chunk.encode(handle.encoding))
+            sha.update(chunk)
+            del matrix, mask, chunk  # before the next chunk is laid out
     return sha.hexdigest()
 
 

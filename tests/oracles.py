@@ -14,13 +14,16 @@ import math
 import numpy as np
 
 from gasinertia.ingest import (
+    PER_10KM,
     QUANTITY_FLOW,
     QUANTITY_PRESSURE,
     QUANTITY_RHO,
     QUANTITY_VALVE,
     STATES_COLUMNS,
+    TERMS_COLUMNS,
     History,
     ParseError,
+    Terms,
     format_timestamp,
     history_columns,
     parse_timestamp,
@@ -448,3 +451,27 @@ def serialize_states_rows(history: History, path: str) -> None:
                 for entity, value in zip(ids, values[k].tolist()):
                     if value == value:
                         writer.writerow((text, entity, quantity, form(value)))
+
+
+def write_terms_rows(terms: Terms, path: str) -> None:
+    """ingest.write_terms as csv.writer wrote it, one row at a time, kept
+    as the reference for the bytes of every terms file it writes.
+
+    Frozen from the writer that preceded the spelled numbers: the header,
+    then per data point its pair's t0 and t1, its pipe id, the seven
+    number columns in file units written with repr, and the relevant flag
+    as 1 or 0.
+    """
+    columns = [(terms.flow_t0_m3s, KNM3H), (terms.flow_t1_m3s, KNM3H),
+               (terms.flow_t1_m3s - terms.flow_t0_m3s, KNM3H), (terms.alpha_pa, BAR),
+               (terms.beta_pa, BAR), (terms.alpha_per_length_pam, PER_10KM), (terms.ratio, 1.0)]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(TERMS_COLUMNS)
+        for i, (k, pipe_id, flag) in enumerate(zip(terms.pair_index.tolist(),
+                                                   terms.pipe_ids.tolist(),
+                                                   terms.relevant.tolist())):
+            pair = terms.pairs[k]
+            writer.writerow([format_timestamp(pair.t0), format_timestamp(pair.t1), pipe_id,
+                             *(repr(float(values[i] / unit)) for values, unit in columns),
+                             "1" if flag else "0"])

@@ -3,8 +3,13 @@ import dataclasses
 from datetime import timedelta, timezone
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from unittest import mock
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -50,6 +55,7 @@ from gasinertia.model import (
 from gasinertia.physics import term_ratio
 
 from conftest import BASE_TS, make_pair, stamp
+from oracles import write_terms_rows
 
 TOPOLOGY_CSV = """element_id,kind,from_node,to_node,length_m,diameter_m,roughness_m,slope
 p1,pipe,n0,n1,10000.0,0.5,1e-05,0.0
@@ -543,6 +549,156 @@ class TestTerms:
         assert TERMS_COLUMNS == ["t0", "t1", "pipe_id", "flow_t0_kNm3h",
                                  "flow_t1_kNm3h", "dflow_kNm3h", "alpha_bar",
                                  "beta_bar", "alpha_per_10km_bar", "ratio", "relevant"]
+
+
+# floats where repr or the kernel changes course: signed zeros, the least
+# subnormal, a large power of ten, infinities, NaN, and 1e-4 and 1e16 with
+# their neighbours, where repr switches between positional and exponent form
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan,
+               *(float(np.nextafter(edge, towards)) for edge in (1e-4, 1e16)
+                 for towards in (0.0, math.inf)), 1e-4, 1e16, -1e-4, -1e16]
+# pipe ids csv.writer quotes, and ids that are not ASCII
+ODD_PIPE_IDS = ["a,b", 'say "x"', "two\nlines", "cr\rhere", "", " p ", "é", "管道-7"]
+
+
+@st.composite
+def terms_of_any_numbers(draw):
+    """Terms over one to three pairs whose number columns hold any floats."""
+    n = draw(st.integers(0, 40))
+    pairs = draw(st.integers(1, 3))
+    column = st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), min_size=n,
+                      max_size=n)
+    return Terms(tuple(make_pair(k) for k in range(pairs)),
+                 np.array(draw(st.lists(st.integers(0, pairs - 1), min_size=n, max_size=n)),
+                          dtype=int),
+                 np.array(draw(st.lists(st.one_of(st.sampled_from(ODD_PIPE_IDS),
+                                                  st.text(max_size=6)),
+                                        min_size=n, max_size=n)), dtype=str),
+                 *(np.array(draw(column), dtype=float) for _ in range(6)),
+                 np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool))
+
+
+def assert_written_as_oracle(terms: Terms, root: str) -> None:
+    """write_terms gives the bytes of the csv.writer oracle and their digest."""
+    path, expected = f"{root}/terms.csv", f"{root}/expected.csv"
+    with np.errstate(invalid="ignore", over="ignore"):
+        digest = write_terms(terms, path)
+        write_terms_rows(terms, expected)
+    with open(path, "rb") as got, open(expected, "rb") as want:
+        data = got.read()
+        assert data == want.read()
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+class TestTermsWriter:
+    """write_terms against write_terms_rows, the csv.writer and repr writer
+    it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms=terms_of_any_numbers())
+    def test_bytes_and_digest_match_the_oracle(self, terms):
+        with tempfile.TemporaryDirectory() as root:
+            assert_written_as_oracle(terms, root)
+
+    def test_empty_terms(self, tmp_path):
+        assert_written_as_oracle(make_terms(pair_index=(), relevant=()), str(tmp_path))
+
+    def test_edge_numbers_in_every_column(self, tmp_path):
+        n = len(EDGE_FLOATS)
+        values = np.array(EDGE_FLOATS)
+        terms = Terms((make_pair(0),), np.zeros(n, dtype=int),
+                      np.array((ODD_PIPE_IDS * n)[:n]), values, values[::-1], values,
+                      np.roll(values, 1), values, np.roll(values, 2), np.arange(n) % 2 == 0)
+        assert_written_as_oracle(terms, str(tmp_path))
+
+    def test_many_chunks(self, tmp_path):
+        # rows past several chunks, with numbers of any bit pattern
+        n = 3 * ingest._TERMS_CHUNK + 77
+        rng = np.random.default_rng(7)
+        numbers = rng.integers(0, 2 ** 64, size=(6, n), dtype=np.uint64).view(np.float64)
+        terms = Terms(tuple(make_pair(k) for k in range(40)),
+                      np.sort(rng.integers(0, 40, size=n)),
+                      np.array(ODD_PIPE_IDS + [f"p{k}" for k in range(300)])[
+                          rng.integers(0, 308, size=n)],
+                      *numbers, rng.random(n) < 0.5)
+        assert_written_as_oracle(terms, str(tmp_path))
+
+
+def spell(values: list[float]) -> tuple[list[bytes], list[float]]:
+    """The bytes _repr_cells gives each value, and the values it leaves to repr."""
+    declined = []
+
+    def recording_repr(value):
+        declined.append(value)
+        return repr(value)
+
+    with mock.patch.object(ingest, "repr", recording_repr, create=True):
+        cells, mask = ingest._repr_cells(np.array(values, dtype=float))
+    # a comma ends each cell, and no spelling holds one
+    return cells.T[mask.T].tobytes().split(b",")[:-1], declined
+
+
+def repr_digits(value: float) -> tuple[int, int]:
+    """The digits of repr(value) as a 17-digit integer with zeros appended,
+    and the point before them: value = 0.ddd 10^point."""
+    mantissa, _, exponent = repr(abs(value)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    point = len(whole) + int(exponent or 0) - (len(whole + fraction) - len(digits))
+    return int(digits.rstrip("0").ljust(17, "0")), point
+
+
+def assert_spelled_as_repr(values: list[float]) -> None:
+    """_repr_cells gives repr's bytes for every value, leaves exactly the
+    zero, non-finite and exponent-form ones to repr, and _shortest gives
+    repr's digits for every finite nonzero value."""
+    spelled, declined = spell(values)
+    assert spelled == [repr(value).encode() for value in values]
+    assert list(map(repr, declined)) == [
+        repr(value) for value in values
+        if value == 0.0 or not math.isfinite(value) or "e" in repr(value)]
+    finite = [abs(value) for value in values if value != 0.0 and math.isfinite(value)]
+    number, point = ingest._shortest(np.array(finite, dtype=float))
+    assert list(zip(number.tolist(), point.tolist())) == list(map(repr_digits, finite))
+
+
+class TestReprCells:
+    """The shortest round-trip digits, laid out as repr lays them out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=60))
+    def test_any_floats(self, values):
+        assert_spelled_as_repr(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20261019).integers(0, 2 ** 64, size=200_000,
+                                                         dtype=np.uint64)
+        for values in np.split(bits.view(np.float64), 10):
+            assert_spelled_as_repr(values.tolist())
+
+    def test_powers_of_two_and_ten(self):
+        powers = ([2.0 ** e for e in range(-1074, 1024)]
+                  + [float(f"1e{e}") for e in range(-323, 309)])
+        assert_spelled_as_repr(powers + [-power for power in powers])
+
+    def test_ties_go_to_the_even_digit(self):
+        # n + 1/4 and n + 3/4 lie halfway between two 16-digit decimals
+        ties = [n + quarter for n in range(2 ** 49, 2 ** 49 + 200) for quarter in (0.25, 0.75)]
+        assert repr(ties[0]) == "562949953421312.2" and repr(ties[1]) == "562949953421312.8"
+        assert_spelled_as_repr(ties + [-tie for tie in ties])
+
+    def test_edge_floats(self):
+        assert_spelled_as_repr(EDGE_FLOATS)
+
+    def test_table_is_built_on_first_use(self):
+        # not at import, which every stage pays
+        code = ("import gasinertia.cli, gasinertia.ingest as ingest; "
+                "print(ingest._schubfach_table.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                              check=True)
+        assert done.stdout.split() == ["0"]
+        assert ingest._schubfach_table().shape == (4, 617)
 
 
 class TestSidecar:

@@ -21,7 +21,8 @@ import pytest
 
 from gasinertia import cli, ingest
 from gasinertia.ingest import History, history_columns, serialize_states, serialize_topology
-from gasinertia.model import Element, ElementKind, Network, Node, PipeGeometry
+from gasinertia.model import Element, ElementKind, GasParams, Network, Node, PipeGeometry
+from gasinertia.thresholds import ThresholdConfig
 
 from conftest import run_cli
 
@@ -235,3 +236,18 @@ def test_states_error_reported_before_an_exclusions_error(tmp_path):
     assert code == 1 and stdout == ""
     assert err == f"error: {tmp_path / 'states.csv'}:{line}: non-finite value 'nan' for 'p4'\n"
     assert not os.path.exists(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(taus=st.lists(st.sampled_from([60.0, 179.5, 180.0, 180.0, 360.0, 540.0]), max_size=30),
+       cuts=st.lists(st.integers(0, 30), max_size=6))
+def test_time_gaps_count_the_pairs_longer_than_the_shortest(taus, cuts):
+    # scan keeps the shortest pair length and the count of longer pairs,
+    # block after block, some blocks without pairs
+    scan = cli._BlockScan(NETWORK, [], ThresholdConfig(), GasParams())
+    before = 0
+    for block in np.split(np.array(taus), sorted(min(cut, len(taus)) for cut in cuts)):
+        scan.count_lengths(block, before)
+        before += len(block)
+    expected = np.count_nonzero(np.array(taus) > min(taus)) if taus else 0
+    assert scan.time_gaps == expected
