@@ -28,7 +28,10 @@ terms.csv go under tiers.M.  The same at twice the frames and events
 grow with the number of frames.  tiers.M_meshed is meshed-transients at
 1,000 frames, where about 45% of the pipe points pass the prefilter, so
 that writing terms.csv weighs: besides the above it records the terms
-rows and terms rows per processor second.
+rows and terms rows per processor second.  tiers.M_swapped is tier M
+with the first two rows of its middle frame swapped after generation: the
+frame breaks the template every other frame repeats, so one window of
+states.csv goes through the row loop, and terms.csv must be tier M's.
 Standard library only.
 """
 
@@ -77,16 +80,33 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float,
     return result
 
 
-def run_tier(checkout: Path, seed: int, workload: str, **changes) -> dict:
+def swap_rows(path: str, row: int) -> None:
+    """Swap a row of a file and the row after it in place (the header is row 0)."""
+    with open(path, "r+b") as handle:
+        for _ in range(row):
+            handle.readline()
+        at = handle.tell()
+        first, second = handle.readline(), handle.readline()
+        handle.seek(at)
+        handle.write(second + first)
+
+
+def run_tier(checkout: Path, seed: int, workload: str, swapped_frame: int | None = None,
+             **changes) -> dict:
     """Scan the grid workload (a GridSpec name of the checkout's
-    perfbench/workloads.py) with changes once in a child; its costs and
-    the digest of its terms."""
+    perfbench/workloads.py) with changes once in a child, after swapping the
+    first two rows of swapped_frame if given; its costs and the digest of
+    its terms."""
     spec = util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
     workloads = sys.modules[spec.name] = util.module_from_spec(spec)   # dataclasses look it up
     spec.loader.exec_module(workloads)
     tier = dataclasses.replace(getattr(workloads, workload), **changes)
     with tempfile.TemporaryDirectory() as root:
         planted = workloads.generate_grid(tier, seed, root)
+        if swapped_frame is not None:
+            # every generated frame has the same rows
+            swap_rows(f"{root}/states.csv",
+                      1 + swapped_frame * (planted.states_rows // tier.frames))
         argv = [sys.executable, "-m", "gasinertia", "scan", "--topology", f"{root}/topology.csv",
                 "--states", f"{root}/states.csv", "--exclusions", f"{root}/exclusions.csv",
                 "--out", f"{root}/out"]
@@ -149,7 +169,9 @@ def main() -> int:
     bench["tiers"] = {
         "M": run_tier(checkout, args.seed, "QUIET_HISTORY", frames=3000, events=300),
         "M_6000": run_tier(checkout, args.seed, "QUIET_HISTORY", frames=6000, events=600),
-        "M_meshed": run_tier(checkout, args.seed, "MESHED_TRANSIENTS", frames=1000)}
+        "M_meshed": run_tier(checkout, args.seed, "MESHED_TRANSIENTS", frames=1000),
+        "M_swapped": run_tier(checkout, args.seed, "QUIET_HISTORY", swapped_frame=1500,
+                              frames=3000, events=300)}
     print("tiers: done", flush=True)
     path = REPO_ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")

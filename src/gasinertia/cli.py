@@ -2,16 +2,16 @@
 report and synth.
 
 Stages communicate through CSV files, so any stage can be rerun or
-replaced.  Scan reads states.csv block by block (ingest.states_blocks)
-and keeps of each block only counts, the survivors' terms and the few
-history columns it saves, so its memory grows with those, not with the
-whole history.  The one binary file, scan's history.npz next to terms.csv,
-caches the terms scan wrote and the history columns components reads,
-and ingest.load_saved alone decides when it stands in for parsing:
-report loads the terms when terms.csv is unchanged, components loads
-terms and history only when states.csv and topology.csv are unchanged
-too.  Outputs are deterministic: rows follow sorted ids and
-chronological pairs.
+replaced.  Scan reads states.csv once, a block of whole frames per window
+(ingest.states_blocks), and keeps of each block only counts, the
+survivors' terms and the few history columns it saves, so its memory
+grows with those, not with the whole history.  The one binary file,
+scan's history.npz next to terms.csv, caches the terms scan wrote and the
+history columns components reads, and ingest.load_saved alone decides
+when it stands in for parsing: report loads the terms when terms.csv is
+unchanged, components loads terms and history only when states.csv and
+topology.csv are unchanged too.  Outputs are deterministic: rows follow
+sorted ids and chronological pairs.
 """
 
 from __future__ import annotations
@@ -321,11 +321,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise
     scan = _BlockScan(network, windows, cfg, gas)
     for block in blocks:
-        if block is None:
-            # the row loop reads the file again from its start
-            scan = _BlockScan(network, windows, cfg, gas)
-        else:
-            scan.add(block)
+        scan.add(block)
 
     history, terms = scan.finish()
     terms_path = _out_path(args, "terms.csv")

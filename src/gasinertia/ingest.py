@@ -4,17 +4,19 @@ saves its terms and the few history columns components reads.
 
 This module is the only one that knows how a file is framed: `read_table`
 and `write_table` handle every CSV file of the pipeline, `read_settings`
-every key = value file, but for the largest: numpy's C reader parses
-states.csv in byte windows while every frame repeats the first frame's
-(entity, quantity) rows, and the states and terms writers join rows of
+every key = value file, but for the largest: states.csv is read once, in
+byte windows, by numpy's C reader where a window's frames repeat one
+sequence of (entity, quantity) rows and row by row, framed as read_table
+frames rows, where not; and the states and terms writers join rows of
 cells quoted once, in the bytes csv.writer writes.  states_blocks hands
-the history on one block of whole frames at a time, so that a reader
-that keeps little of each block, as scan does, needs memory for one
-window, not for the whole history; parse_states joins the blocks.  File
-units are bar and 1000 Nm^3/h, converted to SI exactly once here.
+the history on one block of the frames each window completes, so that a
+reader that keeps little of each block, as scan does, needs memory for
+one window, not for the whole history; parse_states joins the blocks.
+File units are bar and 1000 Nm^3/h, converted to SI exactly once here.
 Serializers write floats as repr spells them, so a parse/serialize cycle
 is a fixed point; the terms writer spells most of them itself, a column at
-a time (_repr_cells).  Parse errors carry file and line context.
+a time (_repr_cells).  Parse errors, and bytes the encoding cannot decode,
+carry file and line context.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import io
 import itertools
 import math
 import os
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 import zipfile
 
 import numpy as np
@@ -99,28 +101,58 @@ def _parse_float(text: str, path: str, line: int, column: str) -> float:
 
 
 def read_table(path: str, columns: list[str], sha=None) -> Iterator[tuple[int, list[str]]]:
-    """(line, row) for every row of a CSV file whose header is columns.
-
-    Blank rows are skipped.  A different header, or a row with another
-    number of cells, raises ParseError at its line.  sha, a hashlib
-    object, is updated with the bytes of every line read.
-    """
-    with open(path, newline="") as handle:
-        # decoding is strict, so a line encoded again gives the bytes read
-        reader = csv.reader(handle if sha is None else (
-            sha.update(line.encode(handle.encoding)) or line for line in handle))
-        header = next(reader, None)
-        if header != columns:
-            raise ParseError(path, 1,
-                             f"expected header {','.join(columns)}, got "
-                             f"{','.join(header) if header else '<empty>'}")
-        width = len(columns)
-        for line, row in enumerate(reader, start=2):
-            if len(row) != width:
-                if row:
-                    raise ParseError(path, line, f"expected {width} columns, got {len(row)}")
-                continue
+    """(line, row) for every row of a CSV file whose header is columns, as
+    _rows gives them.  sha, a hashlib object, is updated with the bytes of
+    every line read."""
+    with open(path, newline="", errors="surrogateescape") as handle:
+        lines = handle if sha is None else (
+            sha.update(line.encode(_ENCODING, "surrogateescape")) or line for line in handle)
+        for line, _, row in _rows(path, lines, columns):
             yield line, row
+
+
+# how open() decodes a text file
+_ENCODING = io.TextIOWrapper(io.BytesIO()).encoding
+
+
+def _rows(path: str, lines: Iterable[str], columns: list[str], line: int = 1,
+          hold: bool = False) -> Iterator[tuple[int, int, list[str]]]:
+    """(line, index in lines of its first line, cells) for every row of
+    lines, the text of path from row line on, decoded with surrogateescape.
+
+    Row 1 must be the header columns.  Blank rows are skipped.  A row with
+    another number of cells, or a byte the encoding could not decode,
+    raises ParseError at its row.  If hold, the last row, which a window
+    may have cut, is left out.
+    """
+    # a byte the encoding could not decode is a surrogate now, on which
+    # encoding again raises
+    reader = csv.reader((line.isascii() or line.encode(_ENCODING)) and line for line in lines)
+    line, start, width, last = line - 1, 0, len(columns), len(lines) if hold else 0
+    try:
+        if line == 0:
+            header = next(reader, None)
+            if header != columns:
+                raise ParseError(path, 1, f"expected header {','.join(columns)}, got "
+                                          f"{','.join(header) if header else '<empty>'}")
+            line, start = 1, reader.line_num
+        for line, row in enumerate(reader, start=line + 1):
+            if reader.line_num == last:
+                return
+            at, start = start, reader.line_num
+            if len(row) == width:
+                yield line, at, row
+            elif row:
+                raise ParseError(path, line, f"expected {width} columns, got {len(row)}")
+    except UnicodeEncodeError as exc:
+        # the row after the last one read holds the byte
+        raise _undecodable(path, line + 1, exc) from None
+
+
+def _undecodable(path: str, line: int, exc: UnicodeEncodeError) -> ParseError:
+    # surrogateescape decodes byte b to the surrogate U+DC00 + b
+    return ParseError(path, line, f"cannot decode byte {ord(exc.object[exc.start]) - 0xDC00:#04x}"
+                                  f" as {exc.encoding}")
 
 
 def write_table(path: str, columns: list[str], rows: Iterable[Iterable[str]]) -> None:
@@ -135,10 +167,16 @@ def read_settings(path: str) -> Iterator[tuple[int, str, str]]:
     """(line, key, value) for every `key = value` line of a settings file.
 
     `#` starts a comment; blank lines are skipped.  Keys and values are
-    stripped of surrounding whitespace.
+    stripped of surrounding whitespace.  A byte the encoding cannot read
+    raises ParseError at its line.
     """
-    with open(path) as handle:
+    with open(path, errors="surrogateescape") as handle:
         for line, raw in enumerate(handle, start=1):
+            try:
+                # a byte the encoding could not decode became a surrogate
+                raw.encode(handle.encoding)
+            except UnicodeEncodeError as exc:
+                raise _undecodable(path, line, exc) from None
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
@@ -268,26 +306,62 @@ def _given(ids: tuple[str, ...], row: np.ndarray) -> dict[str, float]:
 _WINDOW = 1 << 18
 
 
-def states_blocks(path: str, network: Network, sha=None) -> Iterator[History | None]:
+class _Carry(NamedTuple):
+    """What a window of states.csv leaves to the next: its rows from line on
+    (1 is the header) that the next window may go on with, as bytes and, if
+    numpy's C reader read them, as its rows, which are then the last lines
+    of the bytes; and the template of the windows the C reader read since
+    the row loop last ran (_window_step)."""
+
+    text: bytes = b""
+    line: int = 1
+    rows: np.ndarray | None = None
+    template: tuple | None = None
+
+
+def states_blocks(path: str, network: Network, sha=None) -> Iterator[History]:
     """A long-format state history as consecutive blocks of whole frames,
     each a History over history_columns(network), checked as parse_states
     checks the whole.
 
-    Windows in which every frame repeats frame 0's (entity, quantity)
-    sequence are read by numpy's C reader, one block per window.  At any
-    other, None tells the consumer to drop the blocks it got so far, and
-    the row loop reads the file again from the start, giving blocks of
-    about as many rows as a window holds; only it raises ParseError.  sha,
-    a hashlib object, is updated with every byte of the file once.
+    The file is read once, in windows.  numpy's C reader reads a window in
+    which every frame repeats one template and passes the checks as arrays;
+    the row loop (_row_step) reads any other, and only it raises
+    ParseError.  Either gives one block of the frames the window completes:
+    a frame is complete once the next row is known to start a later
+    instant.  sha, a hashlib object, is updated with every byte of the file.
     """
     columns = history_columns(network)
+    lookup = {(key, quantity): (q, k)
+              for q, (ids, quantity) in enumerate(zip(columns, (
+                  QUANTITY_PRESSURE, QUANTITY_FLOW, QUANTITY_VALVE, QUANTITY_RHO)))
+              for k, key in enumerate(ids)}
+    # the C reader's fields, the id one byte wider than the longest id and
+    # quantity, so a cut field matches none
+    longest = max((len(key.encode(_ENCODING, "replace")) for key, _ in lookup), default=0)
+    dtype = np.dtype([("t", "S40"), ("e", f"S{longest + 1}"), ("q", "S18"), ("v", "f8")])
     with open(path, "rb") as handle:
-        if (yield from _window_blocks(handle, columns, sha)):
-            return
-        while sha is not None and (block := handle.read(_WINDOW)):
-            sha.update(block)
-    yield None
-    yield from _row_blocks(path, columns)
+        header = handle.readline()
+        if sha is not None:
+            sha.update(header)
+        # the row loop reads a header in other bytes than csv.writer's
+        head = ",".join(STATES_COLUMNS).encode()
+        carry = _Carry(line=2) if header in (head + b"\n", head + b"\r\n") else _Carry(header)
+        pending, final = b"", False
+        while not final:
+            read = handle.read(_WINDOW)
+            if sha is not None:
+                sha.update(read)
+            # a short read ends the file
+            final = len(read) < _WINDOW
+            data = pending + read
+            # the last line of the file need not end with a newline
+            cut = len(data) if final else data.rfind(b"\n") + 1
+            data, pending = data[:cut], data[cut:]
+            block, carry = (_window_step(data, carry, final, columns, lookup, dtype)
+                            or _row_step(path, columns, data, carry, final))
+            if len(block):
+                yield block
 
 
 def parse_states(path: str, network: Network, sha=None) -> History:
@@ -301,13 +375,7 @@ def parse_states(path: str, network: Network, sha=None) -> History:
     inside the accepted band.  A repeated row overrides the earlier one.
     Rows are checked in file order, so the first bad line is reported.
     """
-    blocks: list[History] = []
-    for block in states_blocks(path, network, sha):
-        if block is None:
-            blocks.clear()
-        else:
-            blocks.append(block)
-    return join_histories(blocks, history_columns(network))
+    return join_histories(list(states_blocks(path, network, sha)), history_columns(network))
 
 
 def join_histories(blocks: list[History], columns: tuple[tuple[str, ...], ...]) -> History:
@@ -319,21 +387,27 @@ def join_histories(blocks: list[History], columns: tuple[tuple[str, ...], ...]) 
                    *columns, *arrays)
 
 
-def _row_blocks(path: str, columns: tuple[tuple[str, ...], ...]) -> Iterator[History]:
-    """The history of a states file read row by row, in blocks of whole
-    frames that each start once a window's worth of rows has been read."""
+def _row_step(path: str, columns: tuple[tuple[str, ...], ...], data: bytes, carry: _Carry,
+              final: bool) -> tuple[History, _Carry]:
+    """The frames that the carried rows and then data complete, read row by
+    row with read_table's framing and parse_states' checks and messages,
+    and the carry for the next window, which, unless final, gets the last
+    row and the frame it may belong to."""
     node_col, arc_col, valve_col, pipe_col = ({key: k for k, key in enumerate(ids)}
                                               for ids in columns)
+    carried = carry.text
+    if carry.rows is not None:
+        # the C reader's rows are the last lines of the bytes it carried
+        carried = b"\n".join(carried.split(b"\n")[-len(carry.rows) - 1:])
+    lines = list(io.StringIO((carried + data).decode(_ENCODING, "surrogateescape"), newline=""))
     stamps: list[datetime] = []
     # per frame, one row per entry of columns; a row keeps the last of
     # repeated values
     frames: list[list[list[float]]] = []
     current: datetime | None = None
     stamp_text = None
-    # a window holds about one row per 32 bytes at most
-    block_start, block_rows = 2, max(1, _WINDOW >> 5)
-
-    for line, (text, entity, quantity, value_text) in read_table(path, STATES_COLUMNS):
+    for line, at, (text, entity, quantity, value_text) in _rows(path, lines, STATES_COLUMNS,
+                                                               carry.line, hold=not final):
         if text != stamp_text:
             # rows of one frame repeat their timestamp text, so it is
             # parsed once per run of equal texts
@@ -345,13 +419,11 @@ def _row_blocks(path: str, columns: tuple[tuple[str, ...], ...]) -> Iterator[His
                                      f"timestamps not strictly increasing: "
                                      f"{format_timestamp(stamp)} after "
                                      f"{format_timestamp(current)}")
-                if frames and line - block_start >= block_rows:
-                    yield _frames_history(stamps, frames, columns)
-                    stamps, frames, block_start = [], [], line
                 current = stamp
                 stamps.append(stamp)
                 frames.append([[math.nan] * len(ids) for ids in columns])
                 pressure_row, flow_row, valve_row, rho_row = frames[-1]
+                opened = at, line
         try:
             # inlined, as this loop runs once per row of the largest file
             value = float(value_text)
@@ -386,8 +458,12 @@ def _row_blocks(path: str, columns: tuple[tuple[str, ...], ...]) -> Iterator[His
                 raise ParseError(path, line, str(exc)) from None
         else:
             raise ParseError(path, line, f"unknown quantity {quantity!r}")
-    if frames:
-        yield _frames_history(stamps, frames, columns)
+    if final:
+        return _frames_history(stamps, frames, columns), _Carry()
+    # with no frame begun, the next window reads this one's rows again
+    at, line = opened if frames else (0, carry.line)
+    return (_frames_history(stamps[:-1], frames[:-1], columns),
+            _Carry("".join(lines[at:]).encode(_ENCODING), line))
 
 
 def _frames_history(stamps: list[datetime], frames: list[list[list[float]]],
@@ -397,122 +473,82 @@ def _frames_history(stamps: list[datetime], frames: list[list[list[float]]],
     return History(tuple(stamps), *columns, *arrays)
 
 
-def _window_blocks(handle, columns: tuple[tuple[str, ...], ...], sha):
-    """Generate the history in handle as one block per window of
-    _checked_windows; return True at the end of the file, False at the
-    first window that needs the row loop.
-
-    A block goes out, its timestamps parsed, only once the next window has
-    passed the array checks, so that no text of a file whose template
-    breaks in its last window is parsed twice.
-    """
-    last: tuple[datetime, ...] = ()         # the instant of the frame before the held block
-    held = None
-    # () marks the end of the file
-    for window in itertools.chain(_checked_windows(handle, columns, sha), [()]):
-        if window is None:
-            return False
-        if held:
-            texts, arrays = held
-            try:
-                stamps = last + tuple(parse_timestamp(text) for text in texts)
-            except ParseError:
-                return False
-            if any(t1 <= t0 for t0, t1 in zip(stamps, stamps[1:])):
-                return False
-            yield History(stamps[len(last):], *columns, *arrays)
-            last = stamps[-1:]
-        held = window
-    return True
-
-
-def _checked_windows(handle, columns: tuple[tuple[str, ...], ...], sha):
-    """Per window of handle that completes a frame, the timestamp text and
-    the arrays of its frames, read by numpy's C reader and checked as
-    arrays but for the timestamps; None for the first window that needs
-    the row loop, and nothing after it."""
-    # text fields keep the file's bytes, which the row loop decodes as open() does
-    encoding = io.TextIOWrapper(io.BytesIO()).encoding
-    lookup = {(key, quantity): (q, k)
-              for q, (ids, quantity) in enumerate(zip(columns, (
-                  QUANTITY_PRESSURE, QUANTITY_FLOW, QUANTITY_VALVE, QUANTITY_RHO)))
-              for k, key in enumerate(ids)}
-    # one byte wider than the longest id and quantity, so a cut field matches none
-    longest = max((len(key.encode(encoding, "replace")) for key, _ in lookup), default=0)
-    dtype = np.dtype([("t", "S40"), ("e", f"S{longest + 1}"), ("q", "S18"), ("v", "f8")])
-    names = kind = take = None              # frame 0's (entity, quantity) rows; their columns
-    carry = np.empty(0, dtype)              # rows of a frame that may go on in the next window
-    read, pending = handle.readline(), b""
-    if sha is not None:
-        sha.update(read)
-    if read.rstrip(b"\r\n") != ",".join(STATES_COLUMNS).encode():
-        yield None
-        return
-    while read:
-        read = handle.read(_WINDOW)
-        if sha is not None:
-            sha.update(read)
-        chunk = pending + read
-        # the last line of the file need not end with a newline
-        cut = chunk.rfind(b"\n") + 1 if read else len(chunk)
-        chunk, pending = chunk[:cut], chunk[cut:]
-        if chunk and not chunk.endswith(b"\n"):
-            chunk += b"\n"
-        try:
-            # loadtxt warns on a window without rows
-            rows = carry[:0] if not chunk or chunk.isspace() else np.loadtxt(
-                io.BytesIO(chunk), dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                encoding="latin1", ndmin=1)
-        except ValueError:
-            yield None
-            return
-        # fewer rows than lines: a blank row, a \r line end or a newline in
-        # quotes; and text fields drop trailing NULs, which the row loop keeps
-        if len(rows) != np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10) or b"\0" in chunk:
-            yield None
-            return
-        rows = np.concatenate([carry, rows])
-        # frames split where the timestamp bytes change
-        starts = np.flatnonzero(rows["t"][1:] != rows["t"][:-1]) + 1
-        end = (starts[-1] if starts.size else 0) if read else len(rows)
-        rows, carry = rows[:end], rows[end:]
-        if end and names is None:
-            names = rows[["e", "q"]][:starts[0] if starts.size else end].copy()
-            # bytes the encoding cannot read decode to surrogates, which no id holds
-            places = [lookup.get((entity.decode(encoding, "surrogateescape"),
-                                  quantity.decode(encoding, "surrogateescape")))
-                      for entity, quantity in names.tolist()]
-            if None in places:
-                yield None
-                return
-            kind = np.array([q for q, _ in places])
-            # per entry of columns, its columns and their positions in a
-            # frame; a repeated row keeps the last value
-            last = {key: at for at, key in enumerate(places)}
-            take = [np.array([(k, at) for (q, k), at in last.items() if q == quantity],
-                             dtype=int).reshape(-1, 2).T for quantity in range(4)]
-        if not end:
-            continue
-        size = len(names)
-        frames = end // size
-        values = rows["v"][:frames * size].reshape(frames, size)
-        # every row is checked, also one a later repeat overrides
-        density = values[:, kind == 3]
-        texts = rows["t"][::size].tolist()
-        # unlike a cut id, a cut timestamp can still parse
-        if not (end % size == 0 and np.array_equal(starts[starts < end], np.arange(size, end, size))
-                and (rows[["e", "q"]].reshape(frames, size) == names).all()
-                and np.isfinite(values).all() and (values[:, kind == 0] > 0.0).all()
-                and ((density > RHO_N_MIN_KGM3) & (density <= RHO_N_MAX_KGM3)).all()
-                and max(map(len, texts)) < dtype["t"].itemsize):
-            yield None
-            return
-        pressure, flow, valve, rho = (values[:, at] for _, at in take)
-        arrays = [np.full((frames, len(ids)), math.nan) for ids in columns]
-        for array, (cols, _), scaled in zip(arrays, take, (
-                pressure * BAR, flow * KNM3H, np.where(valve != 0.0, 1.0, 0.0), rho)):
-            array[:, cols] = scaled
-        yield [text.decode(encoding, "surrogateescape") for text in texts], arrays
+def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[str, ...], ...],
+                 lookup: dict, dtype: np.dtype) -> tuple[History, _Carry] | None:
+    """The frames that the carried rows and data complete, read by numpy's
+    C reader into rows of dtype and checked as arrays, lookup giving the
+    entry of columns and the column of an (entity, quantity), and the carry
+    for the next window; None for a window that only the row loop can
+    read."""
+    if carry.line == 1:
+        return None
+    # text fields keep the file's bytes, which the row loop decodes
+    known, fresh = ((carry.rows, data) if carry.rows is not None
+                    else (np.empty(0, dtype), carry.text + data))
+    if fresh and not fresh.endswith(b"\n"):
+        fresh += b"\n"
+    try:
+        # loadtxt warns on a window without rows
+        parsed = known[:0] if not fresh or fresh.isspace() else np.loadtxt(
+            io.BytesIO(fresh), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+            encoding="latin1", ndmin=1)
+    except ValueError:
+        return None
+    # fewer rows than lines: a blank row, a \r line end or a newline in
+    # quotes; and text fields drop trailing NULs, which the row loop keeps
+    if len(parsed) != np.count_nonzero(np.frombuffer(fresh, np.uint8) == 10) or b"\0" in fresh:
+        return None
+    rows = np.concatenate([known, parsed])
+    # frames split where the timestamp bytes change; unless final, the last
+    # run of them may go on in the next window
+    starts = np.flatnonzero(rows["t"][1:] != rows["t"][:-1]) + 1
+    end = len(rows) if final else (starts[-1] if starts.size else 0)
+    if not end:
+        return _frames_history([], [], columns), carry._replace(text=carry.text + data, rows=rows)
+    if carry.template is None:
+        # the first frame's (entity, quantity) rows, the kind of each and, per
+        # entry of columns, its columns and their positions in a frame
+        names = rows[["e", "q"]][:starts[0] if starts.size else end].copy()
+        # bytes the encoding cannot read decode to surrogates, which no id holds
+        places = [lookup.get((entity.decode(_ENCODING, "surrogateescape"),
+                              quantity.decode(_ENCODING, "surrogateescape")))
+                  for entity, quantity in names.tolist()]
+        if None in places:
+            return None
+        # a repeated row keeps the last value
+        last = {key: at for at, key in enumerate(places)}
+        carry = carry._replace(template=(names, np.array([q for q, _ in places]), [
+            np.array([(k, at) for (q, k), at in last.items() if q == quantity],
+                     dtype=int).reshape(-1, 2).T for quantity in range(4)]))
+    names, kind, take = carry.template
+    size = len(names)
+    frames = end // size
+    values = rows["v"][:frames * size].reshape(frames, size)
+    # every row is checked, also one a later repeat overrides
+    density = values[:, kind == 3]
+    # each frame's timestamp, and that of the run after the last
+    texts = rows["t"][:end:size].tolist() + rows["t"][end:end + 1].tolist()
+    # unlike a cut id, a cut timestamp can still parse
+    if not (end % size == 0 and np.array_equal(starts[starts < end], np.arange(size, end, size))
+            and (rows[["e", "q"]][:end].reshape(frames, size) == names).all()
+            and np.isfinite(values).all() and (values[:, kind == 0] > 0.0).all()
+            and ((density > RHO_N_MIN_KGM3) & (density <= RHO_N_MAX_KGM3)).all()
+            and max(map(len, texts)) < dtype["t"].itemsize):
+        return None
+    try:
+        stamps = [parse_timestamp(text.decode(_ENCODING, "surrogateescape")) for text in texts]
+    except ParseError:
+        return None
+    if any(t1 <= t0 for t0, t1 in zip(stamps, stamps[1:])):
+        return None
+    pressure, flow, valve, rho = (values[:, at] for _, at in take)
+    arrays = [np.full((frames, len(ids)), math.nan) for ids in columns]
+    for array, (cols, _), scaled in zip(arrays, take, (
+            pressure * BAR, flow * KNM3H, np.where(valve != 0.0, 1.0, 0.0), rho)):
+        array[:, cols] = scaled
+    # the rows from end on are the last lines of fresh
+    return History(tuple(stamps[:frames]), *columns, *arrays), carry._replace(
+        text=fresh, line=carry.line + end, rows=rows[end:])
 
 
 def serialize_states(history: History, path: str) -> None:

@@ -639,6 +639,45 @@ class TestErrors:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("name, line, broken", [
+        ("states.csv", 66, False), ("states.csv", 66, True), ("topology.csv", 3, False),
+        ("exclusions.csv", 2, False), ("config", 2, False)],
+        ids=["states", "states after the row loop", "topology", "exclusions", "config"])
+    def test_undecodable_byte_reported_at_its_line(self, pipeline, tmp_path, monkeypatch,
+                                                   name, line, broken):
+        data = pipeline["data"]
+        inputs = {"topology.csv": (data / "topology.csv").read_bytes(),
+                  "states.csv": (data / "states.csv").read_bytes(),
+                  "exclusions.csv": b"pipe_id,start_iso8601,end_iso8601\n"
+                                    b"np1,2026-01-01T00:03:00Z,2026-01-01T00:09:00Z\n",
+                  "config": b"abs_small_bar = 0.1\n# a comment\nratio_min = 0.5\n"}
+        rows = inputs[name].split(b"\n")
+        # a byte UTF-8 cannot read, in the row's first cell
+        rows[line - 1] = rows[line - 1][:1] + b"\xff" + rows[line - 1][1:]
+        inputs[name] = b"\n".join(rows)
+        if broken:
+            # frame 1 of ten rows (lines 12 to 21) breaks frame 0's template
+            rows = inputs["states.csv"].split(b"\r\n")
+            rows[11], rows[12] = rows[12], rows[11]
+            inputs["states.csv"] = b"\r\n".join(rows)
+        for file_name, content in inputs.items():
+            (tmp_path / file_name).write_bytes(content)
+        steps, row_step = [], ingest._row_step
+        monkeypatch.setattr(ingest, "_row_step", lambda *args: steps.append(args)
+                            or row_step(*args))
+        # windows of about four rows
+        monkeypatch.setattr(ingest, "_WINDOW", 200)
+        code, stdout, err = run_cli([
+            "scan", "--topology", tmp_path / "topology.csv", "--states", tmp_path / "states.csv",
+            "--exclusions", tmp_path / "exclusions.csv", "--config", tmp_path / "config",
+            "--out", tmp_path / "out"])
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {tmp_path / name}:{line}: cannot decode byte 0xff"), err
+        assert not os.path.exists(tmp_path / "out")
+        if name == "states.csv":
+            # the row loop read frame 1's window, then the byte's
+            assert len(steps) == 1 + broken
+
     def test_member_of_no_component_stops_persistence(self, pipeline, tmp_path):
         out = pipeline["out"]
         members = tmp_path / "components_pipes.csv"

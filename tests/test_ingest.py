@@ -909,6 +909,20 @@ class TestFraming:
             list(ingest.read_table(str(path), ["a", "b"]))
         assert info.value.line == line
 
+    @pytest.mark.parametrize("read, data, line", [
+        # rows count, not lines: a quoted field spans two, a blank row one
+        (lambda path: ingest.read_table(path, ["a", "b"]), b'a,b\n"x\ny",1\n\n2,\xff\n', 4),
+        (lambda path: ingest.read_table(path, ["a", "b"]), b"a,\xff\n1,2\n", 1),
+        # a lone \r ends a line too
+        (ingest.read_settings, b"a = 1\r\nb = 2\r\xff = 3\n", 3),
+    ], ids=["table", "header", "settings"])
+    def test_undecodable_byte_reported_at_its_line(self, tmp_path, read, data, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="cannot decode byte 0xff") as info:
+            list(read(str(path)))
+        assert info.value.line == line
+
     def test_write_table_round_trips(self, tmp_path):
         path = str(tmp_path / "t.csv")
         ingest.write_table(path, ["a", "b"], iter([["1", "x,y"], ("2", "")]))

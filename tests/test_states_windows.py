@@ -37,14 +37,16 @@ from oracles import parse_states_rows
 
 START = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
-# ids that need quoting or are not ASCII
-NODES = ["n0", "n,1", 'n"2', "nö3", "n4"]
+# ids that need quoting or are not ASCII; a newline in a quoted field
+# lets a window end inside it
+NODES = ["n0", "n,1", 'n"2', "nö3", "n4", "n5\nb"]
 ELEMENTS = [
     Element("p1", ElementKind.PIPE, "n0", "n,1", PipeGeometry(10_000.0, 0.5, 1e-5)),
     Element('p"2', ElementKind.PIPE, "n,1", 'n"2', PipeGeometry(5_000.0, 0.4, 1e-5)),
     Element("v,1", ElementKind.VALVE, 'n"2', "nö3"),
     Element("r1", ElementKind.RESISTOR, "nö3", "n4"),
     Element("pö", ElementKind.PIPE, "n4", "n0", PipeGeometry(8_000.0, 0.3, 1e-5)),
+    Element("r2\nb", ElementKind.RESISTOR, "n4", "n5\nb"),
 ]
 NETWORK = Network.build([Node(node_id) for node_id in NODES], ELEMENTS)
 PIPES = ["p1", 'p"2', "pö"]
@@ -196,11 +198,11 @@ def compare(text, window):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         want, want_error = outcome(parse_states_rows, path)
-        sha, framed, read_table = hashlib.sha256(), [], ingest.read_table
+        sha, framed, row_step = hashlib.sha256(), [], ingest._row_step
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_WINDOW", window)
-            patch.setattr(ingest, "read_table", lambda *args: framed.append(args)
-                          or read_table(*args))
+            patch.setattr(ingest, "_row_step", lambda *args: framed.append(args)
+                          or row_step(*args))
             got, got_error = outcome(lambda p, n: parse_states(p, n, sha), path)
         assert got_error == want_error
         if want is not None:
@@ -245,13 +247,15 @@ def test_a_value_a_repeat_overrides_is_still_checked(entity, quantity, bad, good
 
 @st.composite
 def histories(draw):
-    """Histories over NETWORK in which every frame gives the same values."""
+    """Histories over NETWORK in which every frame gives the same columns,
+    but none whose id holds a newline: the C reader reads no row that spans
+    lines."""
     columns = ingest.history_columns(NETWORK)
     frames = draw(st.integers(1, 12))
     gaps = draw(st.lists(st.integers(1, 900), min_size=frames, max_size=frames))
     stamps = tuple(START + timedelta(seconds=int(s)) for s in np.cumsum(gaps))
     given_at = [np.array(draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))))
-                for ids in columns]
+                & np.array(["\n" not in key for key in ids], dtype=bool) for ids in columns]
     if not any(mask.any() for mask in given_at):
         given_at[0][0] = True
     bounds = [(0.5e5, 99e5), (-50.0, 50.0), None, (0.51, 1.3)]
@@ -280,7 +284,41 @@ def test_serialized_histories_never_reach_the_row_loop(history, window):
         serialize_states(history, path)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_WINDOW", window)
-            patch.setattr(ingest, "read_table", row_loop)
+            patch.setattr(ingest, "_row_step", row_loop)
             parsed = parse_states(path, NETWORK)
         want = parse_states_rows(path, NETWORK)
     assert_same_history(parsed, want)
+
+
+def test_one_broken_frame_sends_one_window_to_the_row_loop(tmp_path):
+    # 2,000 frames of 14 rows, about 1.4 MB: several windows of the
+    # default size; no row holds a newline, which the C reader leaves to
+    # the row loop
+    columns = ingest.history_columns(NETWORK)
+    values = np.random.default_rng(7).uniform(0.6, 1.2, (2000, sum(map(len, columns))))
+    values[:, ["\n" in key for ids in columns for key in ids]] = np.nan
+    arrays = np.split(values, np.cumsum([len(ids) for ids in columns])[:-1], axis=1)
+    arrays[0] *= 50e5
+    history = History(tuple(START + timedelta(minutes=3 * k) for k in range(2000)), *columns,
+                      *arrays)
+    path = str(tmp_path / "states.csv")
+    serialize_states(history, path)
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\r\n")
+    assert os.path.getsize(path) > 5 * ingest._WINDOW
+    size = (len(lines) - 2) // len(history)
+    for frame in (len(history) // 2, len(history) - 1):
+        # two rows of the frame swapped: it breaks the template
+        broken = list(lines)
+        at = 1 + frame * size
+        broken[at], broken[at + 1] = broken[at + 1], broken[at]
+        with open(path, "wb") as handle:
+            handle.write(b"\r\n".join(broken))
+        sha, framed, row_step = hashlib.sha256(), [], ingest._row_step
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_row_step", lambda *args: framed.append(args)
+                          or row_step(*args))
+            parsed = parse_states(path, NETWORK, sha)
+        assert len(framed) == 1, frame
+        assert_same_history(parsed, parse_states_rows(path, NETWORK))
+        assert sha.hexdigest() == file_sha256(path)
