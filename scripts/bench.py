@@ -19,20 +19,25 @@ checkout's commit, the Python and numpy versions and the CPU count.
 
 Then tier M, ten times quiet-history's frames and events (3,000 frames,
 about 7e5 pipe points and 1.9e6 state rows), is generated at the same
-seed by the checkout's perfbench/workloads.py, and `gasinertia scan`
-runs on it once in a fresh child with BLAS pinned to one thread.  Its
-wall and processor seconds (start-up and imports included), pipe points
-and state rows per processor second, peak RSS and the sha256 of
-terms.csv go under tiers.M.  The same at twice the frames and events
-(6,000 and 600) goes under tiers.M_6000: scan's peak RSS should not
-grow with the number of frames.  tiers.M_meshed is meshed-transients at
-1,000 frames, where about 45% of the pipe points pass the prefilter, so
-that writing terms.csv weighs: besides the above it records the terms
-rows and terms rows per processor second.  tiers.M_swapped is tier M
+seed by the checkout's perfbench/workloads.py in a child, and
+`gasinertia scan` runs on it once in a fresh child with BLAS pinned to
+one thread.  Its wall and processor seconds (start-up and imports
+included), pipe points and state rows per processor second, peak RSS and
+the sha256 of terms.csv go under tiers.M.  A child's peak RSS counts the
+peak of the process that started it, so this one never holds a tier's
+data, and the scan child's peak RSS is its own.  The same at twice the
+frames and events (6,000 and 600) goes under tiers.M_6000: scan's peak
+RSS should not grow with the number of frames.  tiers.M_meshed is
+meshed-transients at 1,000 frames, where about 45% of the pipe points
+pass the prefilter, so that writing terms.csv weighs: besides the above
+it records the terms rows and terms rows per processor second.  tiers.M_swapped is tier M
 with the first two rows of its middle frame swapped after generation: the
 frame breaks the template every other frame repeats, so one window of
 states.csv goes through the row loop, and terms.csv must be tier M's.
-Standard library only.
+tiers.M_repr is tier M parsed and written again by the checkout's
+serialize_states: values spelled by repr (the few that reach 16 or 17
+characters leave the reader's fast path) and \r\n line ends.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -91,44 +96,71 @@ def swap_rows(path: str, row: int) -> None:
         handle.write(second + first)
 
 
-def run_tier(checkout: Path, seed: int, workload: str, swapped_frame: int | None = None,
-             **changes) -> dict:
-    """Scan the grid workload (a GridSpec name of the checkout's
-    perfbench/workloads.py) with changes once in a child, after swapping the
-    first two rows of swapped_frame if given; its costs and the digest of
-    its terms."""
-    spec = util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
+def generate(job: str) -> None:
+    """Write a tier's inputs, as run_tier's job (JSON) says, and print the
+    frames, pipe points and state rows as JSON."""
+    job = json.loads(job)
+    spec = util.spec_from_file_location("workloads",
+                                        Path(job["checkout"], "perfbench", "workloads.py"))
     workloads = sys.modules[spec.name] = util.module_from_spec(spec)   # dataclasses look it up
     spec.loader.exec_module(workloads)
-    tier = dataclasses.replace(getattr(workloads, workload), **changes)
+    tier = dataclasses.replace(getattr(workloads, job["workload"]), **job["changes"])
+    planted = workloads.generate_grid(tier, job["seed"], job["root"])
+    states = f"{job['root']}/states.csv"
+    if job["swapped_frame"] is not None:
+        # every generated frame has the same rows
+        swap_rows(states, 1 + job["swapped_frame"] * (planted.states_rows // tier.frames))
+    if job["repr"]:
+        from gasinertia import ingest
+        network = ingest.parse_topology(f"{job['root']}/topology.csv")
+        ingest.serialize_states(ingest.parse_states(states, network), states)
+    print(json.dumps({"frames": tier.frames, "points": planted.total,
+                      "states_rows": planted.states_rows}))
+
+
+def run_tier(checkout: Path, seed: int, workload: str, swapped_frame: int | None = None,
+             repr_values: bool = False, **changes) -> dict:
+    """Scan the grid workload (a GridSpec name of the checkout's
+    perfbench/workloads.py) with changes once in a child, after swapping the
+    first two rows of swapped_frame if given, or writing the states again
+    with serialize_states if repr_values; its costs and the digest of its
+    terms.  A child writes the inputs."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as root:
-        planted = workloads.generate_grid(tier, seed, root)
-        if swapped_frame is not None:
-            # every generated frame has the same rows
-            swap_rows(f"{root}/states.csv",
-                      1 + swapped_frame * (planted.states_rows // tier.frames))
+        job = dict(checkout=str(checkout), workload=workload, seed=seed, root=root,
+                   swapped_frame=swapped_frame, repr=repr_values, changes=changes)
+        code = "import sys, bench; bench.generate(sys.argv[1])"
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(job)],
+                              cwd=Path(__file__).parent, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"generating the tier exited with {done.returncode}:\n{done.stderr}")
+        planted = json.loads(done.stdout.splitlines()[-1])
         argv = [sys.executable, "-m", "gasinertia", "scan", "--topology", f"{root}/topology.csv",
                 "--states", f"{root}/states.csv", "--exclusions", f"{root}/exclusions.csv",
                 "--out", f"{root}/out"]
-        env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         start = time.perf_counter()
         child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
         if os.waitstatus_to_exitcode(status) != 0:
             sys.exit(f"tier scan exited with {os.waitstatus_to_exitcode(status)}")
-        terms = Path(root, "out", "terms.csv").read_bytes()
+        # read a piece at a time, as a child's peak RSS counts this
+        # process's peak before the child started; the generated pipe ids
+        # need no quoting, so every row is one line
+        terms, terms_rows = hashlib.sha256(), -1
+        with open(Path(root, "out", "terms.csv"), "rb") as handle:
+            while piece := handle.read(1 << 16):
+                terms.update(piece)
+                terms_rows += piece.count(b"\n")
     cpu = usage.ru_utime + usage.ru_stime
-    # the generated pipe ids need no quoting, so every row is one line
-    terms_rows = terms.count(b"\n") - 1
-    return {"frames": tier.frames, "points": planted.total, "states_rows": planted.states_rows,
-            "terms_rows": terms_rows, "scan_wall_s": wall, "scan_cpu_s": cpu,
-            "points_per_cpu_s": planted.total / cpu, "rows_per_cpu_s": planted.states_rows / cpu,
+    return {**planted, "terms_rows": terms_rows, "scan_wall_s": wall, "scan_cpu_s": cpu,
+            "points_per_cpu_s": planted["points"] / cpu,
+            "rows_per_cpu_s": planted["states_rows"] / cpu,
             "terms_rows_per_cpu_s": terms_rows / cpu,
             # Linux reports ru_maxrss in KiB
             "peak_rss_mb": usage.ru_maxrss / 1024,
-            "terms_sha256": hashlib.sha256(terms).hexdigest()}
+            "terms_sha256": terms.hexdigest()}
 
 
 def main() -> int:
@@ -171,7 +203,9 @@ def main() -> int:
         "M_6000": run_tier(checkout, args.seed, "QUIET_HISTORY", frames=6000, events=600),
         "M_meshed": run_tier(checkout, args.seed, "MESHED_TRANSIENTS", frames=1000),
         "M_swapped": run_tier(checkout, args.seed, "QUIET_HISTORY", swapped_frame=1500,
-                              frames=3000, events=300)}
+                              frames=3000, events=300),
+        "M_repr": run_tier(checkout, args.seed, "QUIET_HISTORY", repr_values=True,
+                           frames=3000, events=300)}
     print("tiers: done", flush=True)
     path = REPO_ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")

@@ -5,10 +5,11 @@ saves its terms and the few history columns components reads.
 This module is the only one that knows how a file is framed: `read_table`
 and `write_table` handle every CSV file of the pipeline, `read_settings`
 every key = value file, but for the largest: states.csv is read once, in
-byte windows, by numpy's C reader where a window's frames repeat one
-sequence of (entity, quantity) rows and row by row, framed as read_table
-frames rows, where not; and the states and terms writers join rows of
-cells quoted once, in the bytes csv.writer writes.  states_blocks hands
+byte windows, with numpy byte operations and Clinger's fast path for short
+decimals where a window's frames repeat the bytes of one sequence of
+(entity, quantity) rows and row by row, framed as read_table frames rows,
+where not; and the states and terms writers join rows of cells quoted
+once, in the bytes csv.writer writes.  states_blocks hands
 the history on one block of the frames each window completes, so that a
 reader that keeps little of each block, as scan does, needs memory for
 one window, not for the whole history; parse_states joins the blocks.
@@ -34,6 +35,7 @@ from typing import Iterable, Iterator, NamedTuple
 import zipfile
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     BAR,
@@ -116,18 +118,19 @@ _ENCODING = io.TextIOWrapper(io.BytesIO()).encoding
 
 
 def _rows(path: str, lines: Iterable[str], columns: list[str], line: int = 1,
-          hold: bool = False) -> Iterator[tuple[int, int, list[str]]]:
+          hold: bool = False, ascii: bool = False) -> Iterator[tuple[int, int, list[str]]]:
     """(line, index in lines of its first line, cells) for every row of
     lines, the text of path from row line on, decoded with surrogateescape.
 
     Row 1 must be the header columns.  Blank rows are skipped.  A row with
     another number of cells, or a byte the encoding could not decode,
     raises ParseError at its row.  If hold, the last row, which a window
-    may have cut, is left out.
+    may have cut, is left out.  If ascii, lines are known to be ASCII.
     """
     # a byte the encoding could not decode is a surrogate now, on which
     # encoding again raises
-    reader = csv.reader((line.isascii() or line.encode(_ENCODING)) and line for line in lines)
+    reader = csv.reader(lines if ascii else (
+        (line.isascii() or line.encode(_ENCODING)) and line for line in lines))
     line, start, width, last = line - 1, 0, len(columns), len(lines) if hold else 0
     try:
         if line == 0:
@@ -307,15 +310,13 @@ _WINDOW = 1 << 18
 
 
 class _Carry(NamedTuple):
-    """What a window of states.csv leaves to the next: its rows from line on
-    (1 is the header) that the next window may go on with, as bytes and, if
-    numpy's C reader read them, as its rows, which are then the last lines
-    of the bytes; and the template of the windows the C reader read since
-    the row loop last ran (_window_step)."""
+    """What a window of states.csv leaves to the next: the bytes of its rows
+    from line on (1 is the header) that the next window may go on with, and
+    the template of the windows read as frames since the row loop last ran
+    (_window_step)."""
 
     text: bytes = b""
     line: int = 1
-    rows: np.ndarray | None = None
     template: tuple | None = None
 
 
@@ -324,22 +325,19 @@ def states_blocks(path: str, network: Network, sha=None) -> Iterator[History]:
     each a History over history_columns(network), checked as parse_states
     checks the whole.
 
-    The file is read once, in windows.  numpy's C reader reads a window in
-    which every frame repeats one template and passes the checks as arrays;
-    the row loop (_row_step) reads any other, and only it raises
-    ParseError.  Either gives one block of the frames the window completes:
-    a frame is complete once the next row is known to start a later
-    instant.  sha, a hashlib object, is updated with every byte of the file.
+    The file is read once, in windows.  The template reader (_window_step)
+    reads a window in which every frame repeats one template and passes the
+    checks as arrays; the row loop (_row_step) reads any other, and only
+    it raises ParseError.  Either gives one block of the frames the window
+    completes: a frame is complete once the next row is known to start a
+    later instant.  sha, a hashlib object, is updated with every byte of
+    the file.
     """
     columns = history_columns(network)
     lookup = {(key, quantity): (q, k)
               for q, (ids, quantity) in enumerate(zip(columns, (
                   QUANTITY_PRESSURE, QUANTITY_FLOW, QUANTITY_VALVE, QUANTITY_RHO)))
               for k, key in enumerate(ids)}
-    # the C reader's fields, the id one byte wider than the longest id and
-    # quantity, so a cut field matches none
-    longest = max((len(key.encode(_ENCODING, "replace")) for key, _ in lookup), default=0)
-    dtype = np.dtype([("t", "S40"), ("e", f"S{longest + 1}"), ("q", "S18"), ("v", "f8")])
     with open(path, "rb") as handle:
         header = handle.readline()
         if sha is not None:
@@ -358,7 +356,7 @@ def states_blocks(path: str, network: Network, sha=None) -> Iterator[History]:
             # the last line of the file need not end with a newline
             cut = len(data) if final else data.rfind(b"\n") + 1
             data, pending = data[:cut], data[cut:]
-            block, carry = (_window_step(data, carry, final, columns, lookup, dtype)
+            block, carry = (_window_step(data, carry, final, columns, lookup)
                             or _row_step(path, columns, data, carry, final))
             if len(block):
                 yield block
@@ -395,19 +393,16 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], data: bytes, carr
     row and the frame it may belong to."""
     node_col, arc_col, valve_col, pipe_col = ({key: k for k, key in enumerate(ids)}
                                               for ids in columns)
-    carried = carry.text
-    if carry.rows is not None:
-        # the C reader's rows are the last lines of the bytes it carried
-        carried = b"\n".join(carried.split(b"\n")[-len(carry.rows) - 1:])
-    lines = list(io.StringIO((carried + data).decode(_ENCODING, "surrogateescape"), newline=""))
+    window = carry.text + data
+    lines = list(io.StringIO(window.decode(_ENCODING, "surrogateescape"), newline=""))
     stamps: list[datetime] = []
     # per frame, one row per entry of columns; a row keeps the last of
     # repeated values
     frames: list[list[list[float]]] = []
     current: datetime | None = None
     stamp_text = None
-    for line, at, (text, entity, quantity, value_text) in _rows(path, lines, STATES_COLUMNS,
-                                                               carry.line, hold=not final):
+    for line, at, (text, entity, quantity, value_text) in _rows(
+            path, lines, STATES_COLUMNS, carry.line, not final, window.isascii()):
         if text != stamp_text:
             # rows of one frame repeat their timestamp text, so it is
             # parsed once per run of equal texts
@@ -473,82 +468,144 @@ def _frames_history(stamps: list[datetime], frames: list[list[list[float]]],
     return History(tuple(stamps), *columns, *arrays)
 
 
+# a value of at most _DIGITS characters of the form [-]digits[.digits] is an
+# integer below 2^53 over a power of ten, which one division rounds as
+# float() does (Clinger's fast path)
+_DIGITS = 15
+_TENS = 10 ** np.arange(_DIGITS + 1)
+# the places of a row's last _DIGITS + 1 bytes and, per value length, the
+# mask of those that belong to the value
+_PLACES = np.arange(_DIGITS, -1, -1, dtype=np.uint8)
+_INSIDE = _PLACES < np.arange(_DIGITS + 2)[:, None]
+
+
+def _decimals(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float each raw[start:end] spells, as float() reads it where it
+    takes the fast path, and the mask of those that do; raw holds
+    _DIGITS + 1 bytes before each end."""
+    length = end - start
+    cells = sliding_window_view(raw, _DIGITS + 1)[end - _DIGITS - 1]
+    inside = np.take(_INSIDE, np.minimum(length, _DIGITS + 1), axis=0)
+    digits = cells - np.uint8(48)
+    digit, point = (digits < 10) & inside, (cells == 46) & inside
+    # eight digits to a little-endian word, the first the most significant:
+    # neighbours, then pairs, then fours of them join into one integer
+    words = (digits * digit).view("<u8")
+    for shift, low in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        words = (words * 10 ** (shift // 8) + (words >> shift)) & low
+    whole = (words[:, 0] * 10 ** 8 + words[:, 1]).astype(int)
+    # the digits, the points and the places of the points: a word's bytes
+    # times 0x0101010101010101 add up in its top byte
+    sums = np.stack([digit, point, point * _PLACES]).view("<u8") * 0x0101010101010101 >> 56
+    count, points, place = (sums[..., 0] + sums[..., 1]).astype(int)
+    negative = raw[start] == 45
+    fast = (length <= _DIGITS) & (count > 0) & (points <= 1) & (length - count - points == negative)
+    # digits before a point weigh ten times their worth in whole; a fast
+    # value's point stands at a place below 15
+    scale = _TENS[place & _DIGITS]
+    mantissa = (whole - whole // (10 * scale) * (9 * scale) * points).astype(float)
+    return np.where(negative, -mantissa, mantissa) / scale, fast
+
+
 def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[str, ...], ...],
-                 lookup: dict, dtype: np.dtype) -> tuple[History, _Carry] | None:
-    """The frames that the carried rows and data complete, read by numpy's
-    C reader into rows of dtype and checked as arrays, lookup giving the
-    entry of columns and the column of an (entity, quantity), and the carry
-    for the next window; None for a window that only the row loop can
-    read."""
+                 lookup: dict) -> tuple[History, _Carry] | None:
+    """The frames that the carried rows and data complete, checked as arrays,
+    lookup giving the entry of columns and the column of an (entity,
+    quantity), and the carry for the next window; None for a window that
+    only the row loop can read.  Each frame repeats the template, the bytes
+    from the first comma to the last of each row of the first whole frame,
+    and each row its frame's first timestamp bytes; a \\r stands only
+    before a \\n, and a value, read as float() reads it, holds no comma.
+    """
     if carry.line == 1:
         return None
-    # text fields keep the file's bytes, which the row loop decodes
-    known, fresh = ((carry.rows, data) if carry.rows is not None
-                    else (np.empty(0, dtype), carry.text + data))
-    if fresh and not fresh.endswith(b"\n"):
-        fresh += b"\n"
-    try:
-        # loadtxt warns on a window without rows
-        parsed = known[:0] if not fresh or fresh.isspace() else np.loadtxt(
-            io.BytesIO(fresh), dtype=dtype, delimiter=",", quotechar='"', comments=None,
-            encoding="latin1", ndmin=1)
-    except ValueError:
+    text = carry.text + data
+    if text and not text.endswith(b"\n"):
+        text += b"\n"
+    raw = np.frombuffer(text, np.uint8)
+    ends = np.flatnonzero(raw == 10)
+    starts = np.concatenate([[0], ends[:-1] + 1])[:len(ends)]
+    returns = raw[ends - 1] == 13
+    if np.count_nonzero(raw == 13) != np.count_nonzero(returns):
         return None
-    # fewer rows than lines: a blank row, a \r line end or a newline in
-    # quotes; and text fields drop trailing NULs, which the row loop keeps
-    if len(parsed) != np.count_nonzero(np.frombuffer(fresh, np.uint8) == 10) or b"\0" in fresh:
-        return None
-    rows = np.concatenate([known, parsed])
-    # frames split where the timestamp bytes change; unless final, the last
-    # run of them may go on in the next window
-    starts = np.flatnonzero(rows["t"][1:] != rows["t"][:-1]) + 1
-    end = len(rows) if final else (starts[-1] if starts.size else 0)
-    if not end:
-        return _frames_history([], [], columns), carry._replace(text=carry.text + data, rows=rows)
-    if carry.template is None:
-        # the first frame's (entity, quantity) rows, the kind of each and, per
-        # entry of columns, its columns and their positions in a frame
-        names = rows[["e", "q"]][:starts[0] if starts.size else end].copy()
+    if not len(ends):
+        return _frames_history([], [], columns), carry._replace(text=text)
+    template = carry.template
+    if template is None:
+        # the first frame, the rows that begin with the first row's timestamp,
+        # or all rows, which the next window reads again unless final
+        head = text[:text.find(b",") + 1]
+        size = next((r for r, start in enumerate(starts.tolist())
+                     if not text.startswith(head, start)), len(ends))
+        middles = [text[text.find(b",", a, b):text.rfind(b",", a, b) + 1]
+                   for a, b in zip(starts[:size].tolist(), ends[:size].tolist())]
+        # a quote the cells leave open swallows the 0
+        cells = list(csv.reader(middle[1:].decode(_ENCODING, "surrogateescape") + "0"
+                                for middle in middles))
         # bytes the encoding cannot read decode to surrogates, which no id holds
-        places = [lookup.get((entity.decode(_ENCODING, "surrogateescape"),
-                              quantity.decode(_ENCODING, "surrogateescape")))
-                  for entity, quantity in names.tolist()]
-        if None in places:
+        places = [lookup.get((row[0], row[1])) if len(row) == 3 and row[2] == "0" else None
+                  for row in cells]
+        if len(places) != size or None in places:
             return None
-        # a repeated row keeps the last value
-        last = {key: at for at, key in enumerate(places)}
-        carry = carry._replace(template=(names, np.array([q for q, _ in places]), [
-            np.array([(k, at) for (q, k), at in last.items() if q == quantity],
-                     dtype=int).reshape(-1, 2).T for quantity in range(4)]))
-    names, kind, take = carry.template
-    size = len(names)
-    frames = end // size
-    values = rows["v"][:frames * size].reshape(frames, size)
+        # the middles as 8-byte words and the mask of their bytes, their
+        # widths, the kind of each row and, per entry of columns, its
+        # columns and their rows; a repeated row keeps the last
+        widths = np.array([*map(len, middles)])
+        width = -(-widths.max() // 8) * 8
+        at = {key: k for k, key in enumerate(places)}
+        template = (np.array(middles, f"S{width}").view(np.uint64).reshape(size, -1),
+                    (np.uint8(255) * (np.arange(width) < widths[:, None])).view(np.uint64),
+                    widths, np.array([q for q, _ in places]), [
+                        np.array([(k, row) for (q, k), row in at.items() if q == quantity],
+                                 dtype=int).reshape(-1, 2).T for quantity in range(4)])
+    names, mask, widths, kind, take = template
+    size = len(widths)
+    # unless final, the row after the last frame must be known
+    end = (len(ends) - (not final)) // size * size
+    if final and end != len(ends):
+        return None
+    if not end:
+        return _frames_history([], [], columns), carry._replace(text=text)
+    stop = ends[end - 1] + 1
+    # each frame's timestamp and, unless final, that of the row after the
+    # last, which every other row of the frame begins with
+    heads = [text[a:b].partition(b",")[0] for a, b in zip(starts[:end + 1:size].tolist(),
+                                                           ends[:end + 1:size].tolist())]
+    if any(text.count(b"\n" + head + b",", a, b) != size - 1 for head, a, b in zip(
+            heads, ends[:end:size].tolist(), ends[size - 1:end:size].tolist())):
+        return None
+    first = starts[:end] + np.repeat([*map(len, heads[:end // size])], size)
+    # a copy with room for _DIGITS + 1 bytes before each row's end, and for
+    # its template's words after its first comma
+    padded = np.concatenate([np.zeros(_DIGITS + 1, np.uint8), raw[:stop],
+                             np.zeros_like(mask[0]).view(np.uint8)])
+    words = mask.shape[1]
+    if not ((sliding_window_view(padded, words * 8)[first + _DIGITS + 1].view(np.uint64)
+             .reshape(-1, size, words) & mask) == names).all():
+        return None
+    value = first + np.tile(widths, end // size)
+    tail = ends[:end] - returns[:end]
+    values, fast = _decimals(padded, value + _DIGITS + 1, tail + _DIGITS + 1)
+    slow = np.flatnonzero(~fast)
+    try:
+        values[slow] = [float(text[a:b]) for a, b in zip(value[slow].tolist(), tail[slow].tolist())]
+        stamps = [parse_timestamp(head.decode(_ENCODING, "surrogateescape")) for head in heads]
+    except (ValueError, ParseError):
+        return None
+    values = values.reshape(-1, size)
     # every row is checked, also one a later repeat overrides
     density = values[:, kind == 3]
-    # each frame's timestamp, and that of the run after the last
-    texts = rows["t"][:end:size].tolist() + rows["t"][end:end + 1].tolist()
-    # unlike a cut id, a cut timestamp can still parse
-    if not (end % size == 0 and np.array_equal(starts[starts < end], np.arange(size, end, size))
-            and (rows[["e", "q"]][:end].reshape(frames, size) == names).all()
-            and np.isfinite(values).all() and (values[:, kind == 0] > 0.0).all()
+    if not (np.isfinite(values).all() and (values[:, kind == 0] > 0.0).all()
             and ((density > RHO_N_MIN_KGM3) & (density <= RHO_N_MAX_KGM3)).all()
-            and max(map(len, texts)) < dtype["t"].itemsize):
-        return None
-    try:
-        stamps = [parse_timestamp(text.decode(_ENCODING, "surrogateescape")) for text in texts]
-    except ParseError:
-        return None
-    if any(t1 <= t0 for t0, t1 in zip(stamps, stamps[1:])):
+            and all(t0 < t1 for t0, t1 in zip(stamps, stamps[1:]))):
         return None
     pressure, flow, valve, rho = (values[:, at] for _, at in take)
-    arrays = [np.full((frames, len(ids)), math.nan) for ids in columns]
+    arrays = [np.full((len(values), len(ids)), math.nan) for ids in columns]
     for array, (cols, _), scaled in zip(arrays, take, (
             pressure * BAR, flow * KNM3H, np.where(valve != 0.0, 1.0, 0.0), rho)):
         array[:, cols] = scaled
-    # the rows from end on are the last lines of fresh
-    return History(tuple(stamps[:frames]), *columns, *arrays), carry._replace(
-        text=fresh, line=carry.line + end, rows=rows[end:])
+    return History(tuple(stamps[:len(values)]), *columns, *arrays), carry._replace(
+        text=text[stop:], line=carry.line + end, template=template)
 
 
 def serialize_states(history: History, path: str) -> None:

@@ -4,6 +4,7 @@ from datetime import timedelta, timezone
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -699,6 +700,68 @@ class TestReprCells:
                               check=True)
         assert done.stdout.split() == ["0"]
         assert ingest._schubfach_table().shape == (4, 617)
+
+
+def assert_decimals_read_as_float(texts):
+    """ingest._decimals takes the fast path exactly for the texts of at most
+    15 characters of the form [-]digits[.digits] and reads each of those bit
+    for bit as float() does."""
+    buffer, starts, ends = bytearray(16), [], []
+    for text in texts:
+        starts.append(len(buffer))
+        buffer += text.encode()
+        ends.append(len(buffer))
+        buffer += b"\n"
+    values, fast = ingest._decimals(np.frombuffer(bytes(buffer), np.uint8), np.array(starts),
+                                    np.array(ends))
+    shaped = [len(text) <= 15 and bool(re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)", text))
+              for text in texts]
+    assert fast.tolist() == shaped, texts
+    want = np.array([float(text) for text, ok in zip(texts, shaped) if ok], dtype=float)
+    # bit for bit: the sign of zero counts
+    assert values[fast].tobytes() == want.tobytes(), texts
+
+
+@st.composite
+def decimal_texts(draw):
+    """A finite float64 spelled by repr or with 0 to 15 decimals, its sign
+    or leading zeros changed, or its leading or trailing zero dropped."""
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    text = draw(st.sampled_from([repr(value)] + [f"{value:.{k}f}" for k in range(16)]))
+    edit = draw(st.sampled_from(["none", "sign", "zeros", "no leading 0", "no trailing 0"]))
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+    if edit == "sign":
+        sign = "" if sign else "-"
+    elif edit == "zeros":
+        digits = "0" * draw(st.integers(1, 14)) + digits
+    elif edit == "no leading 0" and digits.startswith("0."):
+        digits = digits[1:]
+    elif edit == "no trailing 0" and "." in digits and digits.endswith("0"):
+        digits = digits[:-1]
+    return sign + digits
+
+
+class TestDecimals:
+    """Clinger's fast path of the states.csv reader against float()."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(decimal_texts(), min_size=1, max_size=40))
+    def test_spellings_of_any_float(self, texts):
+        assert_decimals_read_as_float(texts)
+
+    def test_edge_texts(self):
+        assert_decimals_read_as_float([
+            "5.", ".5", "-.5", "-0.0", "-0", "0", "0.0", "-5.", "000000000000001", "0.1",
+            "0.30000000000000004", "999999999999999", "-99999999999999", "99999999999999.9",
+            ".00000000000001", "1234567890123456", "-123456789012345", "9007199254740993",
+            "1e5", "1E5", "+1", " 1", "1 ", "1_0", "inf", "nan", ".", "-", "-.", "", "1.2.3",
+            "--1", "1-", "0x10", "١", "1,5", '"1"'])
+
+    def test_every_fixed_spelling_of_15_and_16_characters(self):
+        rng = np.random.default_rng(20261019)
+        texts = [f"{value:.{k}f}" for value in rng.uniform(-1e6, 1e6, 2000).tolist()
+                 for k in range(16)]
+        assert_decimals_read_as_float([text for text in texts if len(text) in (15, 16)])
 
 
 class TestSidecar:

@@ -1,7 +1,8 @@
 """parse_states against the row loop it replaced (oracles.parse_states_rows).
 
-The window reader parses states.csv with numpy's C reader and hands any
-window it cannot vouch for to the row loop.  With the window shrunk to a
+The template reader parses states.csv with numpy byte operations and
+Clinger's fast path for short decimals, and hands any window it cannot
+vouch for to the row loop.  With the window shrunk to a
 few hundred bytes, frames straddle windows, and every generated file must
 give the oracle's history bit for bit, or the oracle's ParseError with
 the same line and message.
@@ -75,7 +76,7 @@ VALUES = {
 }
 
 # Irregularities, at most one per file.  Most are defects the row loop
-# reports; "underscore" (Python's float reads 1_000, the C reader does not)
+# reports; "underscore" (Python's float reads 1_000)
 # and "split" (part of a frame moved to a later instant) are valid.  Where
 # a row of the kind the edit needs exists, the edit keeps the file's
 # (entity, quantity) sequence, so that only the value check can see it.
@@ -92,8 +93,7 @@ IRREGULARITIES = sorted([*VALUE_EDITS, *ROW_EDITS, "nul", "backwards", "cut time
 
 
 def spellings(instant):
-    """Texts of one instant: Z, +00:00, +01:00, and one too long for the
-    window reader's timestamp field."""
+    """Texts of one instant: Z, +00:00, +01:00, and one of 44 characters."""
     return [instant.strftime("%Y-%m-%dT%H:%M:%SZ"), instant.isoformat(),
             instant.astimezone(timezone(timedelta(hours=1))).isoformat(),
             instant.strftime("%Y-%m-%dT%H:%M:%S.") + "0" * 18 + "+00:00"]
@@ -117,7 +117,7 @@ def states_files(draw):
     rows, frame_of = [], []
     for k in range(draw(st.integers(1, 8))):
         instant = START + timedelta(minutes=3 * k)
-        # a clean file keeps its timestamps inside the window reader's field
+        # a clean file keeps to the three short spellings
         texts = spellings(instant)[:3 if clean else 4]
         keys = template if shared else draw(st.lists(st.sampled_from(KEYS), min_size=1,
                                                      max_size=14))
@@ -245,11 +245,31 @@ def test_a_value_a_repeat_overrides_is_still_checked(entity, quantity, bad, good
     assert not compare(",".join(STATES_COLUMNS) + "\n" + "\n".join(rows) + "\n", 400)
 
 
+@pytest.mark.parametrize("window", [40, 4000])
+@pytest.mark.parametrize("old, new, alone", [
+    # ISO 8601 allows any separator of date and time, csv a quote inside a cell
+    ("T", '"', True),
+    # a \r ends a line for csv
+    ("T", "\r", False), ("60.0", "6\r0.0", False),
+    # a quote left open runs on into the next rows
+    (",n0,", ',"n0,', False), ("1.5", '"x,1.5', False), ("60.0", '"60.0"', False),
+], ids=["quote in a timestamp", "return in a timestamp", "return in a value",
+        "quote open in an id", "quote open in a fifth cell", "quoted value"])
+def test_quotes_and_returns_read_as_csv_reads_them(old, new, alone, window):
+    # frames of two rows, three minutes apart; the second frame, or the
+    # first, spells its rows with new for old
+    for at in (1, 0):
+        rows = [f"2026-01-01T00:{3 * minute:02d}:00Z,{key}" for minute in range(8)
+                for key in ("n0,node.pressure_bar,60.0", "p1,arc.flow_kNm3h,1.5")]
+        rows[2 * at:2 * at + 2] = [row.replace(old, new) for row in rows[2 * at:2 * at + 2]]
+        assert compare(",".join(STATES_COLUMNS) + "\n" + "\n".join(rows) + "\n", window) == alone
+
+
 @st.composite
 def histories(draw):
     """Histories over NETWORK in which every frame gives the same columns,
-    but none whose id holds a newline: the C reader reads no row that spans
-    lines."""
+    but none whose id holds a newline: the template reader reads no row
+    that spans lines."""
     columns = ingest.history_columns(NETWORK)
     frames = draw(st.integers(1, 12))
     gaps = draw(st.lists(st.integers(1, 900), min_size=frames, max_size=frames))
@@ -292,8 +312,8 @@ def test_serialized_histories_never_reach_the_row_loop(history, window):
 
 def test_one_broken_frame_sends_one_window_to_the_row_loop(tmp_path):
     # 2,000 frames of 14 rows, about 1.4 MB: several windows of the
-    # default size; no row holds a newline, which the C reader leaves to
-    # the row loop
+    # default size; no row holds a newline, which the template reader
+    # leaves to the row loop
     columns = ingest.history_columns(NETWORK)
     values = np.random.default_rng(7).uniform(0.6, 1.2, (2000, sum(map(len, columns))))
     values[:, ["\n" in key for ids in columns for key in ids]] = np.nan
@@ -322,3 +342,66 @@ def test_one_broken_frame_sends_one_window_to_the_row_loop(tmp_path):
         assert len(framed) == 1, frame
         assert_same_history(parsed, parse_states_rows(path, NETWORK))
         assert sha.hexdigest() == file_sha256(path)
+
+
+def fixed_decimal_states(path, network, frames, seed):
+    """A states.csv as perfbench/workloads.py writes them: every frame gives
+    every node's pressure, every element's flow and every pipe's density,
+    in fixed decimals, with \\n line ends; the ids need no quoting."""
+    columns = ingest.history_columns(network)
+    rng = np.random.default_rng(seed)
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(STATES_COLUMNS) + "\n")
+        for k in range(frames):
+            when = (START + timedelta(minutes=3 * k)).strftime("%Y-%m-%dT%H:%M:%SZ")
+            handle.writelines(
+                [f"{when},{node},{QUANTITY_PRESSURE},{rng.uniform(40, 70):.5f}\n"
+                 for node in columns[0]]
+                + [f"{when},{arc},{QUANTITY_FLOW},{rng.uniform(-500, 500):.4f}\n"
+                   for arc in columns[1]]
+                + [f"{when},{pipe},{QUANTITY_RHO},{rng.uniform(0.8, 0.9):.4f}\n"
+                   for pipe in columns[3]])
+
+
+def chain_network(pipes):
+    """pipes pipes in a row, each between two nodes."""
+    return Network.build([Node(f"n{k}") for k in range(pipes + 1)], [
+        Element(f"p{k}", ElementKind.PIPE, f"n{k}", f"n{k + 1}", PipeGeometry(1e3, 0.5, 1e-5))
+        for k in range(pipes)])
+
+
+def parse_by_template(path, network):
+    """parse_states with a row loop that fails the test, and the mask of the
+    values that took the fast path."""
+    def row_loop(*args):
+        raise AssertionError("the row loop read the file")
+
+    fast, decimals = [], ingest._decimals
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_row_step", row_loop)
+        patch.setattr(ingest, "_decimals", lambda *args: (
+            lambda result: fast.append(result[1]) or result)(decimals(*args)))
+        history = parse_states(path, network)
+    return history, np.concatenate(fast)
+
+
+def test_fixed_decimal_files_take_the_fast_path(tmp_path):
+    # 400 frames of 319 rows, about 5 MB: many windows of the default size
+    network = chain_network(106)
+    path = str(tmp_path / "states.csv")
+    fixed_decimal_states(path, network, 400, seed=3)
+    assert os.path.getsize(path) > 10 * ingest._WINDOW
+    history, fast = parse_by_template(path, network)
+    assert fast.all() and len(fast) == 400 * 319
+    assert_same_history(history, parse_states_rows(path, network))
+
+
+def test_frame_larger_than_the_window(tmp_path):
+    # three frames of 20,001 rows, each about four default windows
+    network = chain_network(6667)
+    path = str(tmp_path / "states.csv")
+    fixed_decimal_states(path, network, 3, seed=4)
+    assert os.path.getsize(path) > 3 * 3 * ingest._WINDOW
+    history, fast = parse_by_template(path, network)
+    assert len(history) == 3 and fast.all()
+    assert_same_history(history, parse_states_rows(path, network))
