@@ -36,8 +36,13 @@ frame breaks the template every other frame repeats, so one window of
 states.csv goes through the row loop, and terms.csv must be tier M's.
 tiers.M_repr is tier M parsed and written again by the checkout's
 serialize_states: values spelled by repr (the few that reach 16 or 17
-characters leave the reader's fast path) and \r\n line ends.  Standard
-library only.
+characters leave the reader's fast path) and \r\n line ends.  On tiers M
+and M_6000, `gasinertia components` then runs in two more children, first
+with scan's history.npz (a sidecar hit) and then with it deleted (a miss,
+which reads states.csv again); each one's processor seconds, peak RSS and
+components.csv sha256 go under components.hit and components.miss, and
+the tier fails unless the two digests are the same.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -118,13 +123,41 @@ def generate(job: str) -> None:
                       "states_rows": planted.states_rows}))
 
 
+def run_stage(argv: list[str], env: dict) -> tuple[float, float, float]:
+    """Run a gasinertia stage in a child; its wall and processor seconds and
+    its peak RSS in MB."""
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "gasinertia", *argv], env=env,
+                             stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"tier {argv[0]} exited with {os.waitstatus_to_exitcode(status)}")
+    # Linux reports ru_maxrss in KiB
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
+
+
+def file_digest(path: Path) -> tuple[str, int]:
+    """The sha256 and the newline count of a file, read a piece at a time,
+    as a child's peak RSS counts this process's peak before the child
+    started."""
+    sha, newlines = hashlib.sha256(), 0
+    with open(path, "rb") as handle:
+        while piece := handle.read(1 << 16):
+            sha.update(piece)
+            newlines += piece.count(b"\n")
+    return sha.hexdigest(), newlines
+
+
 def run_tier(checkout: Path, seed: int, workload: str, swapped_frame: int | None = None,
-             repr_values: bool = False, **changes) -> dict:
+             repr_values: bool = False, components: bool = False, **changes) -> dict:
     """Scan the grid workload (a GridSpec name of the checkout's
     perfbench/workloads.py) with changes once in a child, after swapping the
     first two rows of swapped_frame if given, or writing the states again
     with serialize_states if repr_values; its costs and the digest of its
-    terms.  A child writes the inputs."""
+    terms.  If components, then run components with and without the
+    sidecar, and give their costs and digests too.  A child writes the
+    inputs."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as root:
@@ -136,31 +169,31 @@ def run_tier(checkout: Path, seed: int, workload: str, swapped_frame: int | None
         if done.returncode != 0:
             sys.exit(f"generating the tier exited with {done.returncode}:\n{done.stderr}")
         planted = json.loads(done.stdout.splitlines()[-1])
-        argv = [sys.executable, "-m", "gasinertia", "scan", "--topology", f"{root}/topology.csv",
-                "--states", f"{root}/states.csv", "--exclusions", f"{root}/exclusions.csv",
-                "--out", f"{root}/out"]
-        start = time.perf_counter()
-        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(child.pid, 0)
-        wall = time.perf_counter() - start
-        if os.waitstatus_to_exitcode(status) != 0:
-            sys.exit(f"tier scan exited with {os.waitstatus_to_exitcode(status)}")
-        # read a piece at a time, as a child's peak RSS counts this
-        # process's peak before the child started; the generated pipe ids
-        # need no quoting, so every row is one line
-        terms, terms_rows = hashlib.sha256(), -1
-        with open(Path(root, "out", "terms.csv"), "rb") as handle:
-            while piece := handle.read(1 << 16):
-                terms.update(piece)
-                terms_rows += piece.count(b"\n")
-    cpu = usage.ru_utime + usage.ru_stime
-    return {**planted, "terms_rows": terms_rows, "scan_wall_s": wall, "scan_cpu_s": cpu,
-            "points_per_cpu_s": planted["points"] / cpu,
-            "rows_per_cpu_s": planted["states_rows"] / cpu,
-            "terms_rows_per_cpu_s": terms_rows / cpu,
-            # Linux reports ru_maxrss in KiB
-            "peak_rss_mb": usage.ru_maxrss / 1024,
-            "terms_sha256": terms.hexdigest()}
+        inputs = ["--topology", f"{root}/topology.csv", "--states", f"{root}/states.csv"]
+        wall, cpu, peak = run_stage(["scan", *inputs, "--exclusions", f"{root}/exclusions.csv",
+                                     "--out", f"{root}/out"], env)
+        terms_sha256, newlines = file_digest(Path(root, "out", "terms.csv"))
+        # the generated pipe ids need no quoting, so every row but the
+        # header is one line
+        terms_rows = newlines - 1
+        result = {**planted, "terms_rows": terms_rows, "scan_wall_s": wall, "scan_cpu_s": cpu,
+                  "points_per_cpu_s": planted["points"] / cpu,
+                  "rows_per_cpu_s": planted["states_rows"] / cpu,
+                  "terms_rows_per_cpu_s": terms_rows / cpu,
+                  "peak_rss_mb": peak, "terms_sha256": terms_sha256}
+        if components:
+            result["components"] = {}
+            for case in ("hit", "miss"):
+                if case == "miss":
+                    Path(root, "out", "history.npz").unlink()
+                out = f"{root}/{case}"
+                _, cpu, peak = run_stage(["components", *inputs, "--terms",
+                                          f"{root}/out/terms.csv", "--out", out], env)
+                result["components"][case] = {"cpu_s": cpu, "peak_rss_mb": peak,
+                                              "sha256": file_digest(Path(out, "components.csv"))[0]}
+            if len({case["sha256"] for case in result["components"].values()}) != 1:
+                sys.exit("tier components.csv differs with and without history.npz")
+    return result
 
 
 def main() -> int:
@@ -199,8 +232,10 @@ def main() -> int:
             for trace in (0, 1)}
         print(f"{workload}: done", flush=True)
     bench["tiers"] = {
-        "M": run_tier(checkout, args.seed, "QUIET_HISTORY", frames=3000, events=300),
-        "M_6000": run_tier(checkout, args.seed, "QUIET_HISTORY", frames=6000, events=600),
+        "M": run_tier(checkout, args.seed, "QUIET_HISTORY", components=True,
+                      frames=3000, events=300),
+        "M_6000": run_tier(checkout, args.seed, "QUIET_HISTORY", components=True,
+                           frames=6000, events=600),
         "M_meshed": run_tier(checkout, args.seed, "MESHED_TRANSIENTS", frames=1000),
         "M_swapped": run_tier(checkout, args.seed, "QUIET_HISTORY", swapped_frame=1500,
                               frames=3000, events=300),

@@ -4,14 +4,15 @@ report and synth.
 Stages communicate through CSV files, so any stage can be rerun or
 replaced.  Scan reads states.csv once, a block of whole frames per window
 (ingest.states_blocks), and keeps of each block only counts, the
-survivors' terms and the few history columns it saves, so its memory
-grows with those, not with the whole history.  The one binary file,
-scan's history.npz next to terms.csv, caches the terms scan wrote and the
-history columns components reads, and ingest.load_saved alone decides
-when it stands in for parsing: report loads the terms when terms.csv is
-unchanged, components loads terms and history only when states.csv and
-topology.csv are unchanged too.  Outputs are deterministic: rows follow
-sorted ids and chronological pairs.
+survivors' terms and the few history columns components reads
+(ingest.narrow_history), so its memory grows with those, not with the
+whole history.  The one binary file, scan's history.npz next to
+terms.csv, caches the terms and that narrow history, and ingest.load_saved
+alone decides when it stands in for parsing: report loads the terms when
+terms.csv is unchanged, components loads both only when states.csv and
+topology.csv are unchanged too, and otherwise narrows states.csv as scan
+does.  Outputs are deterministic: rows follow sorted ids and chronological
+pairs.
 """
 
 from __future__ import annotations
@@ -65,13 +66,12 @@ from .ingest import (
     history_columns,
     join_histories,
     load_saved,
+    narrow_history,
     parse_exclusions,
-    parse_states,
     parse_topology,
     read_settings,
     read_terms,
     save_history,
-    saved_columns,
     states_blocks,
     write_table,
     write_terms,
@@ -191,10 +191,9 @@ class _BlockScan:
     """Scan's classes and terms of the data points of a history given block
     by block, each block with the last frame of the one before.
 
-    It keeps only what outlives a block: the frame instants, the columns
-    save_history keeps, the shortest pair length and time_gaps, the count of
-    longer pairs, the count of each class of data point, and the
-    survivors' terms with their pair's index.
+    It keeps only what outlives a block: the count of pairs, the shortest
+    pair length and time_gaps, the count of longer pairs, the count of each
+    class of data point, and the survivors' terms with their pair's index.
     """
 
     def __init__(self, network: Network, windows: list, cfg: ThresholdConfig,
@@ -204,31 +203,30 @@ class _BlockScan:
         arc_col = {arc_id: k for k, arc_id in enumerate(arc_ids)}
         node_col = {node_id: k for k, node_id in enumerate(node_ids)}
         elements = [network.elements[pipe_id] for pipe_id in self.pipe_ids]
-        self.saved_columns = saved_columns(network)
         # column indices as arrays once, not as lists numpy converts per block
-        self.flow_cols, self.left, self.right, self.end_cols = (
+        self.flow_cols, self.left, self.right = (
             np.array(cols, dtype=np.intp) for cols in (
                 [arc_col[pipe_id] for pipe_id in self.pipe_ids],
                 [node_col[el.from_node] for el in elements],
-                [node_col[el.to_node] for el in elements],
-                [node_col[node_id] for node_id in self.saved_columns[0]]))
+                [node_col[el.to_node] for el in elements]))
         self.table = PipeTable.of([element.geometry for element in elements])
         self.windows, self.cfg, self.gas = windows, cfg, gas
         self.held: list[History] = []
         self.last_stamp: tuple = ()
         self.last_flow = np.empty((0, len(self.pipe_ids)))
-        self.saved: list[History] = []
-        self.pairs: list[TimePair] = []
+        self.pair_count = 0
         self.shortest, self.time_gaps = math.inf, 0
         # excluded, missing, below prefilter, evaluated
         self.counts = np.zeros(4, dtype=int)
         self.diag = Diagnostics()
         self.kept: list[tuple[np.ndarray, ...]] = []
 
-    def add(self, block: History) -> None:
+    def add(self, block: History) -> History:
+        """Take in block, and give it back for the next reader of the blocks."""
         self.held.append(block)
         if sum(map(len, self.held)) * max(len(self.pipe_ids), 1) >= _SCAN_POINTS:
             self.flush()
+        return block
 
     def flush(self) -> None:
         """Scan the held blocks as one, after letting them go."""
@@ -243,10 +241,6 @@ class _BlockScan:
         # the block's frames are the t1 frames of its pairs, but for the
         # first frame of the history
         t1 = slice(frames + 1 - len(stamps), None)
-        empty = np.empty((frames, 0))
-        self.saved.append(History(block.timestamps, *self.saved_columns,
-                                  block.pressure_pa[:, self.end_cols], empty,
-                                  block.valve_open, empty))
 
         # [pairs x pipes] arrays; each data point falls in exactly one class
         pairs = [TimePair(t0, t1) for t0, t1 in zip(stamps, stamps[1:])]
@@ -266,8 +260,7 @@ class _BlockScan:
                         + np.count_nonzero(passed & ~survivor),
                         np.count_nonzero(candidate & ~passed), evaluated]
         taus = np.array([pair.tau_s for pair in pairs])
-        first = len(self.pairs)
-        self.pairs += pairs
+        first, self.pair_count = self.pair_count, self.pair_count + len(pairs)
         self.count_lengths(taus, first)
         if not evaluated:
             return
@@ -281,9 +274,9 @@ class _BlockScan:
                                   p_right[survivor], self.diag)
         self.kept.append((pair_index + first, position, flow_t0, flow_t1, alpha, beta))
 
-    def finish(self) -> tuple[History, Terms]:
-        """The history save_history keeps and the survivors' terms, relevant
-        as decided under the config, once the last block is in."""
+    def finish(self, history: History) -> Terms:
+        """The survivors' terms, relevant as decided under the config, over
+        the pairs of history, that of the blocks, once the last block is in."""
         if self.held:
             self.flush()
         pair_index, position, flow_t0, flow_t1, alpha, beta = (
@@ -293,9 +286,8 @@ class _BlockScan:
         ratio = term_ratio(alpha, beta)
         # decided on the value terms.csv gives, as components checks it
         relevant = pipe_relevant(alpha_per_length / PER_10KM * PER_10KM, ratio, self.cfg)
-        return join_histories(self.saved, self.saved_columns), Terms(
-            tuple(self.pairs), pair_index, np.array(self.pipe_ids)[position], flow_t0, flow_t1,
-            alpha, beta, alpha_per_length, ratio, relevant)
+        return Terms(tuple(history.pairs()), pair_index, np.array(self.pipe_ids)[position],
+                     flow_t0, flow_t1, alpha, beta, alpha_per_length, ratio, relevant)
 
     def count_lengths(self, taus: np.ndarray, before: int) -> None:
         """Count into time_gaps the pairs of lengths taus after the first before."""
@@ -320,17 +312,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
             pass
         raise
     scan = _BlockScan(network, windows, cfg, gas)
-    for block in blocks:
-        scan.add(block)
-
-    history, terms = scan.finish()
+    history = narrow_history(map(scan.add, blocks), network)
+    terms = scan.finish(history)
     terms_path = _out_path(args, "terms.csv")
-    save_history(history, network, terms, terms_path, write_terms(terms, terms_path),
+    save_history(history, terms, terms_path, write_terms(terms, terms_path),
                  states_sha256.hexdigest(), topology_sha256.hexdigest())
     diag = scan.diag
     excluded, diag.missing_data, below_prefilter, evaluated = scan.counts.tolist()
     diag.time_gaps = scan.time_gaps
-    pairs, pipes = len(scan.pairs), len(scan.pipe_ids)
+    pairs, pipes = len(terms.pairs), len(scan.pipe_ids)
     totals = {"total": pairs * pipes, "excluded": excluded, "missing": diag.missing_data,
               "below_prefilter": below_prefilter, "evaluated": evaluated,
               "relevant": int(np.count_nonzero(terms.relevant))}
@@ -357,8 +347,8 @@ def cmd_components(args: argparse.Namespace) -> int:
     network = parse_topology(args.topology, topology_sha256)
     saved = load_saved(args.terms, cfg, args.states, topology_sha256.hexdigest())
     if saved is None:
-        history = parse_states(args.states, network)
-        terms = read_terms(args.terms, history, cfg)
+        history = narrow_history(states_blocks(args.states, network), network)
+        terms = read_terms(args.terms, history, network.pipes(), cfg)
     else:
         terms, history = saved
 

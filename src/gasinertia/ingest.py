@@ -9,10 +9,10 @@ byte windows, with numpy byte operations and Clinger's fast path for short
 decimals where a window's frames repeat the bytes of one sequence of
 (entity, quantity) rows and row by row, framed as read_table frames rows,
 where not; and the states and terms writers join rows of cells quoted
-once, in the bytes csv.writer writes.  states_blocks hands
-the history on one block of the frames each window completes, so that a
-reader that keeps little of each block, as scan does, needs memory for
-one window, not for the whole history; parse_states joins the blocks.
+once, in the bytes csv.writer writes.  states_blocks hands the history
+on one block of the frames each window completes, so that a reader that
+keeps little of each block, as narrow_history does for scan and
+components, needs memory for one window; parse_states joins the blocks.
 File units are bar and 1000 Nm^3/h, converted to SI exactly once here.
 Serializers write floats as repr spells them, so a parse/serialize cycle
 is a fixed point; the terms writer spells most of them itself, a column at
@@ -290,12 +290,23 @@ def history_columns(network: Network) -> tuple[tuple[str, ...], ...]:
                                                 network.pipes()))
 
 
-def saved_columns(network: Network) -> tuple[tuple[str, ...], ...]:
-    """The columns of history_columns(network) that save_history keeps:
-    the nodes at resistor ends and the valves."""
-    ends = {node for element in network.of_kind(ElementKind.RESISTOR).values()
-            for node in (element.from_node, element.to_node)}
-    return tuple(sorted(ends)), (), tuple(sorted(network.of_kind(ElementKind.VALVE))), ()
+def narrow_history(blocks: Iterable[History], network: Network) -> History:
+    """Blocks of a history over history_columns(network), narrowed to what
+    components reads, valve states and pressures at resistor ends, and
+    joined.  No view of a block is kept, as it would keep the whole block."""
+    ends = sorted({node for element in network.of_kind(ElementKind.RESISTOR).values()
+                   for node in (element.from_node, element.to_node)})
+    columns = tuple(ends), (), tuple(sorted(network.of_kind(ElementKind.VALVE))), ()
+    end_cols = np.searchsorted(history_columns(network)[0], ends)
+    stamps, pressure, valve = [], [np.empty((0, len(ends)))], [np.empty((0, len(columns[2])))]
+    for block in blocks:
+        stamps += block.timestamps
+        # fancy indexing copies
+        pressure.append(block.pressure_pa[:, end_cols])
+        valve.append(block.valve_open)
+    empty = np.empty((len(stamps), 0))
+    return History(tuple(stamps), *columns, np.concatenate(pressure), empty,
+                   np.concatenate(valve), empty)
 
 
 def _given(ids: tuple[str, ...], row: np.ndarray) -> dict[str, float]:
@@ -652,16 +663,15 @@ def file_sha256(path: str) -> str:
     return sha.hexdigest()
 
 
-def save_history(history: History, network: Network, terms: Terms, terms_path: str,
-                 terms_sha256: str, states_sha256: str, topology_sha256: str) -> None:
+def save_history(history: History, terms: Terms, terms_path: str, terms_sha256: str,
+                 states_sha256: str, topology_sha256: str) -> None:
     """Save next to terms_path the terms scan wrote there with digest
-    terms_sha256, the digests of the files history and network were
-    parsed from (as parse_states and parse_topology read them), and of
-    history, which needs no more than saved_columns(network), the
-    timestamps and the columns components reads: valve states and the
-    pressures at resistor ends.  As scan builds them, the terms' pairs are
-    history.pairs(), so a row's pair index is its first frame."""
-    ends = saved_columns(network)[0]
+    terms_sha256, the digests of the files history and its network were
+    parsed from (as states_blocks and parse_topology read them), and
+    history as narrow_history gives it: the timestamps and the columns
+    components reads, valve states and the pressures at resistor ends.
+    As scan builds them, the terms' pairs are history.pairs(), so a row's
+    pair index is its first frame."""
     np.savez(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR),
              states_sha256=states_sha256,
              topology_sha256=topology_sha256,
@@ -670,8 +680,8 @@ def save_history(history: History, network: Network, terms: Terms, terms_path: s
                                     dtype=np.int64),
              valve_ids=np.array(history.valve_ids, dtype=str),
              valve_open=history.valve_open,
-             node_ids=np.array(ends, dtype=str),
-             pressure_pa=history.pressure_pa[:, np.searchsorted(history.node_ids, ends)],
+             node_ids=np.array(history.node_ids, dtype=str),
+             pressure_pa=history.pressure_pa,
              terms_frame=terms.pair_index,
              terms_pipe_ids=terms.pipe_ids,
              terms_numbers=_file_numbers(terms),
@@ -967,12 +977,12 @@ def write_terms(terms: Terms, path: str) -> str:
     return sha.hexdigest()
 
 
-def read_terms(path: str, history: History | None = None,
+def read_terms(path: str, history: History | None = None, pipes: Iterable[str] = (),
                cfg: ThresholdConfig | None = None) -> Terms:
     """The terms of a terms file, in which a pair and pipe appear once.
 
-    Given the history the terms were computed from, every row must also
-    name one of its pipes and a pair of two of its consecutive frames.
+    Given the history the terms were computed from and its topology's pipe
+    ids, every row must also name one of pipes and two consecutive frames.
     Rows are checked in file order, so the first bad line is reported.
     Given a threshold config, every row's relevant flag must then be the
     one pipe_relevant gives under it.
@@ -983,7 +993,7 @@ def read_terms(path: str, history: History | None = None,
     saved = load_saved(path, cfg) if history is None else None
     if saved is not None:
         return saved[0]
-    terms, lines = _parse_terms(path, history)
+    terms, lines = _parse_terms(path, history, set(pipes))
     _check_relevant(path, terms, lines, cfg)
     return terms
 
@@ -1000,15 +1010,14 @@ def _check_relevant(path: str, terms: Terms, lines, cfg: ThresholdConfig | None)
                          "of this config say otherwise; run scan with the same config")
 
 
-def _parse_terms(path: str, history: History | None) -> tuple[Terms, list[int]]:
-    """The terms of a terms file and the line of each row."""
+def _parse_terms(path: str, history: History | None, pipes: set) -> tuple[Terms, list[int]]:
+    """The terms of a terms file and the line of each row, checked as read_terms says."""
     # pair texts -> index of their pair; spellings of one instant share it
     by_text: dict[tuple[str, str], int] = {}
     by_pair: dict[TimePair, int] = {}
     seen: set[tuple[int, str]] = set()
     if history is not None:
         frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
-        pipes = set(history.pipe_ids)
     lines, pair_index, pipe_ids, numbers, relevant = [], [], [], [], []
     for line, row in read_table(path, TERMS_COLUMNS):
         k = by_text.get((row[0], row[1]))

@@ -18,7 +18,7 @@ from gasinertia.cli import (
     parse_length,
 )
 from gasinertia import ingest
-from gasinertia.ingest import TERMS_COLUMNS, ParseError, parse_states, read_table
+from gasinertia.ingest import TERMS_COLUMNS, ParseError, read_table, states_blocks
 from gasinertia.model import BAR, KNM3H
 
 from conftest import run_cli, stamp
@@ -192,11 +192,11 @@ class TestHistorySidecar:
         # the states and terms files parsed, in order
         parsed = []
 
-        def counting(path, network):
+        def counting(path, network, *sha):
             parsed.append(path)
-            return parse_states(path, network)
+            return states_blocks(path, network, *sha)
 
-        monkeypatch.setattr(cli, "parse_states", counting)
+        monkeypatch.setattr(cli, "states_blocks", counting)
         record_terms_parsed(monkeypatch, parsed)
         return tmp_path, parsed
 
@@ -228,6 +228,43 @@ class TestHistorySidecar:
         (root / "history.npz").unlink()
         self.assert_components_unchanged(pipeline, root, root / "topology.csv")
         assert parsed == [str(root / "states.csv"), str(root / "terms.csv")]
+
+    def test_deleted_sidecar_gives_the_saved_history(self, scanned, monkeypatch):
+        """Without history.npz, components builds its components from a
+        history of the columns and frames scan saved there."""
+        root, _ = scanned
+        histories, frames = {}, {}
+        load_saved, read_terms, build = cli.load_saved, cli.read_terms, cli.build_pair_components
+
+        def loading(*args):
+            saved = load_saved(*args)
+            if saved is not None:
+                histories[case] = saved[1]
+            return saved
+
+        def reading(path, history=None, *args):
+            histories[case] = history
+            return read_terms(path, history, *args)
+
+        def building(network, records, frame0, frame1, *args):
+            frames.setdefault(case, []).append((frame0, frame1))
+            return build(network, records, frame0, frame1, *args)
+
+        monkeypatch.setattr(cli, "load_saved", loading)
+        monkeypatch.setattr(cli, "read_terms", reading)
+        monkeypatch.setattr(cli, "build_pair_components", building)
+        for case in ("present", "deleted"):
+            if case == "deleted":
+                (root / "history.npz").unlink()
+            code, _, err = self.run_components(root, root / "topology.csv", root / case)
+            assert code == 0, err
+        hit, miss = histories["present"], histories["deleted"]
+        assert ((miss.node_ids, miss.arc_ids, miss.valve_ids, miss.pipe_ids)
+                == (hit.node_ids, hit.arc_ids, hit.valve_ids, hit.pipe_ids))
+        assert miss.timestamps == hit.timestamps
+        assert frames["deleted"] == frames["present"] and frames["present"]
+        assert ((root / "deleted" / "components.csv").read_bytes()
+                == (root / "present" / "components.csv").read_bytes())
 
     def test_outputs_same_with_and_without_sidecar(self, pipeline, scanned):
         root, parsed = scanned

@@ -24,6 +24,7 @@ from gasinertia.ingest import (
     exclusion_mask,
     file_sha256,
     load_saved,
+    narrow_history,
     save_history,
     ParseError,
     STATES_COLUMNS,
@@ -508,10 +509,10 @@ class TestTerms:
         history = History(stamps, (), (), (), pipe_ids, np.empty((n, 0)), np.empty((n, 0)),
                           np.empty((n, 0)), np.full((n, len(pipe_ids)), 0.85))
         if message is None:
-            assert_terms_equal(read_terms(str(path), history), make_terms())
+            assert_terms_equal(read_terms(str(path), history, pipe_ids), make_terms())
             return
         with pytest.raises(ParseError, match=message) as info:
-            read_terms(str(path), history)
+            read_terms(str(path), history, pipe_ids)
         assert (info.value.path, info.value.line) == (str(path), 3)
 
     @pytest.mark.parametrize("flag", ["yes", "true", "", "2", " 1"])
@@ -797,7 +798,8 @@ class TestSidecar:
         history = parse_states(states, network)
         terms = dataclasses.replace(make_terms(pair_index=(0,), relevant=(True,)),
                                     pairs=(make_pair(0),), pipe_ids=np.array(["p1"]))
-        save_history(history, network, terms, terms_path, write_terms(terms, terms_path),
+        save_history(narrow_history([history], network), terms, terms_path,
+                     write_terms(terms, terms_path),
                      file_sha256(states), topology_sha256.hexdigest())
         return states, topology, terms_path, history
 
@@ -843,7 +845,8 @@ class TestSidecar:
         assert_terms_equal(read_terms(terms_path), load_saved(terms_path)[0])
         assert parsed == []
         # given a history, they are parsed and checked against it
-        read_terms(terms_path, parse_states(states, parse_topology(topology)))
+        read_terms(terms_path, parse_states(states, parse_topology(topology)),
+                   parse_topology(topology).pipes())
         assert parsed == [terms_path]
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
@@ -859,7 +862,7 @@ class TestSidecar:
         assert load_saved(terms_path, None, states, file_sha256(topology)) is None
         assert load_saved(terms_path) is None
         read_terms(terms_path)
-        read_terms(terms_path, history)
+        read_terms(terms_path, history, parse_topology(topology).pipes())
         assert parsed == [terms_path] * 2
 
     def test_saved_terms_equal_parsed_terms(self, pipeline, tmp_path, parsed):
@@ -921,11 +924,11 @@ class TestSidecar:
                         np.full((len(stamps), len(pipe_ids)), 0.85))
         # given a history, the terms file is parsed even next to its sidecar
         if message is None:
-            assert_terms_equal(read_terms(terms_path, other), read_terms(terms_path))
+            assert_terms_equal(read_terms(terms_path, other, pipe_ids), read_terms(terms_path))
             assert parsed == [terms_path]
             return
         with pytest.raises(ParseError, match=message) as info:
-            read_terms(terms_path, other)
+            read_terms(terms_path, other, pipe_ids)
         assert (info.value.path, info.value.line) == (terms_path, 2)
         assert parsed == [terms_path]
 

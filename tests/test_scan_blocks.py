@@ -6,10 +6,10 @@ scan classifies and evaluates every block of the reader on its own, a
 frame or a few each, so that pairs straddle blocks; at the defaults a
 small file is one block.  Both must give the same terms.csv bytes, the
 same history.npz arrays and the same stdout, time gaps and exclusions
-across block ends included.  A file that breaks the frame template only
-in its last window has that window read by the row loop after blocks have
-gone out, and the reader never gives None, the signal to start again it
-once gave; a bad row there stops scan before it writes.
+across block ends included.  A file whose frames all repeat one template
+is read by the template reader alone.  A file that breaks the template
+only in its last frame has the last window read by the row loop after
+blocks have gone out; a bad row there stops scan before it writes.
 """
 
 from datetime import datetime, timedelta, timezone
@@ -94,21 +94,27 @@ def write_inputs(root, history, windows):
 def scan(root, window=None):
     """Run scan on the inputs in root into root/<window>, each block on its
     own if window is given; return its exit code, stdout and stderr, the
-    output directory and what the blocks were: "block" for each History
-    states_blocks gave, "restart" for a None."""
+    output directory and how the blocks came, in order: "block" for each
+    History states_blocks gave, "row loop" for each window ingest._row_step
+    read."""
     out = os.path.join(root, str(window))
-    given, blocks = [], ingest.states_blocks
+    given, blocks, row_step = [], ingest.states_blocks, ingest._row_step
 
     def recording(*args):
         for block in blocks(*args):
-            given.append("restart" if block is None else "block")
+            given.append("block")
             yield block
+
+    def row_loop(*args):
+        given.append("row loop")
+        return row_step(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         if window is not None:
             patch.setattr(ingest, "_WINDOW", window)
             patch.setattr(cli, "_SCAN_POINTS", 1)
         patch.setattr(cli, "states_blocks", recording)
+        patch.setattr(ingest, "_row_step", row_loop)
         result = run_cli(["scan", "--topology", os.path.join(root, "topology.csv"),
                           "--states", os.path.join(root, "states.csv"),
                           "--exclusions", os.path.join(root, "exclusions.csv"), "--out", out])
@@ -149,7 +155,8 @@ def test_blocks_give_the_outputs_of_one_block(tmp_path_factory, data, history, w
     note(f"blocks at {window} bytes: {given_small}")
     assert small == whole
     assert small[0] == 0, small[2]
-    assert "restart" not in given_small + given_whole
+    # every frame repeats one template, so no window needs the row loop
+    assert "row loop" not in given_small + given_whole
     assert_same_outputs(small_out, whole_out)
 
 
@@ -192,28 +199,30 @@ def rows_per_frame(history):
 @settings(max_examples=30, deadline=None)
 @given(histories().filter(lambda history: len(history) >= 3 and rows_per_frame(history) >= 2),
        st.integers(40, 400))
-def test_restart_at_the_last_window_counts_no_pair_twice(tmp_path_factory, history, window):
-    root = str(tmp_path_factory.mktemp("restart"))
+def test_row_loop_at_the_last_window_counts_no_pair_twice(tmp_path_factory, history, window):
+    root = str(tmp_path_factory.mktemp("row_loop"))
     cut_last_window(history, "drop")(root)
     small, small_out, given_small = scan(root, window)
     whole, whole_out, given_whole = scan(root)
     note(f"blocks at {window} bytes: {given_small}")
     assert small == whole
     assert small[0] == 0, small[2]
-    assert "restart" not in given_small + given_whole
+    # the row loop reads the last window alone and gives its frames
+    for given in (given_small, given_whole):
+        assert given.count("row loop") == 1 and given[-2:] == ["row loop", "block"]
     assert f"frames: {len(history)}, pairs: {len(history) - 1}," in small[1]
     assert_same_outputs(small_out, whole_out)
 
 
 @pytest.mark.parametrize("window", [40, 400])
-def test_restart_after_blocks_went_out(tmp_path, window):
+def test_row_loop_after_blocks_went_out(tmp_path, window):
     root = str(tmp_path)
     cut_last_window(FULL, "drop")(root)
     small, small_out, given = scan(root, window)
     whole, whole_out, _ = scan(root)
     assert small == whole and small[0] == 0
-    # blocks went out before the row loop read the last window, and no None
-    assert "restart" not in given
+    # blocks went out before the row loop read the last window
+    assert given == ["block"] * 7 + ["row loop", "block"]
     assert "frames: 8, pairs: 7, pipes: 4" in small[1]
     assert_same_outputs(small_out, whole_out)
 
@@ -225,7 +234,8 @@ def test_bad_row_in_the_last_window_writes_nothing(tmp_path, window):
     states = os.path.join(str(tmp_path), "states.csv")
     assert code == 1 and stdout == ""
     assert err == f"error: {states}:{line}: non-finite value 'nan' for 'p4'\n"
-    assert "restart" not in given
+    # the row loop raised at the last window, after any blocks before it
+    assert given.count("row loop") == 1 and given[-1] == "row loop"
     assert not os.path.exists(out)
 
 
