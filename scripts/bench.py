@@ -34,6 +34,10 @@ it records the terms rows and terms rows per processor second.  tiers.M_swapped 
 with the first two rows of its middle frame swapped after generation: the
 frame breaks the template every other frame repeats, so one window of
 states.csv goes through the row loop, and terms.csv must be tier M's.
+tiers.M_every_other is tier M with the first two rows of every other
+frame swapped, written again in one pass: no two frames in a row repeat
+one template, so the row loop reads every window of states.csv, and
+terms.csv must again be tier M's.
 tiers.M_repr is tier M parsed and written again by the checkout's
 serialize_states: values spelled by repr (the few that reach 16 or 17
 characters leave the reader's fast path) and \r\n line ends.  On tiers M
@@ -52,6 +56,7 @@ import compileall
 import dataclasses
 import hashlib
 from importlib import metadata, util
+import itertools
 import json
 import os
 import platform
@@ -90,15 +95,16 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float,
     return result
 
 
-def swap_rows(path: str, row: int) -> None:
-    """Swap a row of a file and the row after it in place (the header is row 0)."""
-    with open(path, "r+b") as handle:
-        for _ in range(row):
-            handle.readline()
-        at = handle.tell()
-        first, second = handle.readline(), handle.readline()
-        handle.seek(at)
-        handle.write(second + first)
+def swap_rows(path: str, frames: range, size: int) -> None:
+    """Swap the first two rows of each of frames in a file of frames of
+    size rows after a header, writing it again in one pass."""
+    with open(path, "rb") as source, open(path + ".swapped", "wb") as target:
+        target.write(source.readline())
+        for frame, rows in enumerate(iter(lambda: list(itertools.islice(source, size)), [])):
+            if frame in frames:
+                rows[:2] = rows[1::-1]
+            target.writelines(rows)
+    os.replace(path + ".swapped", path)
 
 
 def generate(job: str) -> None:
@@ -112,9 +118,9 @@ def generate(job: str) -> None:
     tier = dataclasses.replace(getattr(workloads, job["workload"]), **job["changes"])
     planted = workloads.generate_grid(tier, job["seed"], job["root"])
     states = f"{job['root']}/states.csv"
-    if job["swapped_frame"] is not None:
+    if swapped := range(*job["swapped"]):
         # every generated frame has the same rows
-        swap_rows(states, 1 + job["swapped_frame"] * (planted.states_rows // tier.frames))
+        swap_rows(states, swapped, planted.states_rows // tier.frames)
     if job["repr"]:
         from gasinertia import ingest
         network = ingest.parse_topology(f"{job['root']}/topology.csv")
@@ -149,11 +155,11 @@ def file_digest(path: Path) -> tuple[str, int]:
     return sha.hexdigest(), newlines
 
 
-def run_tier(checkout: Path, seed: int, workload: str, swapped_frame: int | None = None,
+def run_tier(checkout: Path, seed: int, workload: str, swapped: range = range(0),
              repr_values: bool = False, components: bool = False, **changes) -> dict:
     """Scan the grid workload (a GridSpec name of the checkout's
     perfbench/workloads.py) with changes once in a child, after swapping the
-    first two rows of swapped_frame if given, or writing the states again
+    first two rows of each frame of swapped, or writing the states again
     with serialize_states if repr_values; its costs and the digest of its
     terms.  If components, then run components with and without the
     sidecar, and give their costs and digests too.  A child writes the
@@ -162,7 +168,8 @@ def run_tier(checkout: Path, seed: int, workload: str, swapped_frame: int | None
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as root:
         job = dict(checkout=str(checkout), workload=workload, seed=seed, root=root,
-                   swapped_frame=swapped_frame, repr=repr_values, changes=changes)
+                   swapped=[swapped.start, swapped.stop, swapped.step], repr=repr_values,
+                   changes=changes)
         code = "import sys, bench; bench.generate(sys.argv[1])"
         done = subprocess.run([sys.executable, "-c", code, json.dumps(job)],
                               cwd=Path(__file__).parent, env=env, capture_output=True, text=True)
@@ -237,8 +244,10 @@ def main() -> int:
         "M_6000": run_tier(checkout, args.seed, "QUIET_HISTORY", components=True,
                            frames=6000, events=600),
         "M_meshed": run_tier(checkout, args.seed, "MESHED_TRANSIENTS", frames=1000),
-        "M_swapped": run_tier(checkout, args.seed, "QUIET_HISTORY", swapped_frame=1500,
+        "M_swapped": run_tier(checkout, args.seed, "QUIET_HISTORY", swapped=range(1500, 1501),
                               frames=3000, events=300),
+        "M_every_other": run_tier(checkout, args.seed, "QUIET_HISTORY",
+                                  swapped=range(0, 3000, 2), frames=3000, events=300),
         "M_repr": run_tier(checkout, args.seed, "QUIET_HISTORY", repr_values=True,
                            frames=3000, events=300)}
     print("tiers: done", flush=True)

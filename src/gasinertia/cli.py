@@ -316,7 +316,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     terms = scan.finish(history)
     terms_path = _out_path(args, "terms.csv")
     save_history(history, terms, terms_path, write_terms(terms, terms_path),
-                 states_sha256.hexdigest(), topology_sha256.hexdigest())
+                 states_sha256.hexdigest(), topology_sha256.hexdigest(),
+                 os.path.getsize(args.states))
     diag = scan.diag
     excluded, diag.missing_data, below_prefilter, evaluated = scan.counts.tolist()
     diag.time_gaps = scan.time_gaps

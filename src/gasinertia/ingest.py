@@ -331,6 +331,12 @@ class _Carry(NamedTuple):
     template: tuple | None = None
 
 
+# per quantity, in the order of history_columns, what the row loop says of
+# an id the network does not hold under it
+_MISSES = {QUANTITY_PRESSURE: "unknown node {0!r}", QUANTITY_FLOW: "unknown element {0!r}",
+           QUANTITY_VALVE: "{0!r} is not a valve", QUANTITY_RHO: "{0!r} is not a pipe"}
+
+
 def states_blocks(path: str, network: Network, sha=None) -> Iterator[History]:
     """A long-format state history as consecutive blocks of whole frames,
     each a History over history_columns(network), checked as parse_states
@@ -345,10 +351,9 @@ def states_blocks(path: str, network: Network, sha=None) -> Iterator[History]:
     the file.
     """
     columns = history_columns(network)
-    lookup = {(key, quantity): (q, k)
-              for q, (ids, quantity) in enumerate(zip(columns, (
-                  QUANTITY_PRESSURE, QUANTITY_FLOW, QUANTITY_VALVE, QUANTITY_RHO)))
-              for k, key in enumerate(ids)}
+    # a frame is a row over every column of columns, in order
+    places = {key: place for place, key in enumerate(
+        (entity, quantity) for ids, quantity in zip(columns, _MISSES) for entity in ids)}
     with open(path, "rb") as handle:
         header = handle.readline()
         if sha is not None:
@@ -367,8 +372,8 @@ def states_blocks(path: str, network: Network, sha=None) -> Iterator[History]:
             # the last line of the file need not end with a newline
             cut = len(data) if final else data.rfind(b"\n") + 1
             data, pending = data[:cut], data[cut:]
-            block, carry = (_window_step(data, carry, final, columns, lookup)
-                            or _row_step(path, columns, data, carry, final))
+            block, carry = (_window_step(data, carry, final, columns, places)
+                            or _row_step(path, columns, places, data, carry, final))
             if len(block):
                 yield block
 
@@ -396,20 +401,20 @@ def join_histories(blocks: list[History], columns: tuple[tuple[str, ...], ...]) 
                    *columns, *arrays)
 
 
-def _row_step(path: str, columns: tuple[tuple[str, ...], ...], data: bytes, carry: _Carry,
-              final: bool) -> tuple[History, _Carry]:
+def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict, data: bytes,
+              carry: _Carry, final: bool) -> tuple[History, _Carry]:
     """The frames that the carried rows and then data complete, read row by
     row with read_table's framing and parse_states' checks and messages,
-    and the carry for the next window, which, unless final, gets the last
-    row and the frame it may belong to."""
-    node_col, arc_col, valve_col, pipe_col = ({key: k for k, key in enumerate(ids)}
-                                              for ids in columns)
+    places giving the place of an (entity, quantity) in a frame's row, and
+    the carry for the next window, which, unless final, gets the last row
+    and the frame it may belong to."""
+    # places below the first valve's hold pressures, from the first pipe's on densities
+    nodes, pipes = len(columns[0]), sum(map(len, columns[:3]))
     window = carry.text + data
     lines = list(io.StringIO(window.decode(_ENCODING, "surrogateescape"), newline=""))
     stamps: list[datetime] = []
-    # per frame, one row per entry of columns; a row keeps the last of
-    # repeated values
-    frames: list[list[list[float]]] = []
+    # a row per frame, which keeps the last of repeated values
+    rows: list[list[float]] = []
     current: datetime | None = None
     stamp_text = None
     for line, at, (text, entity, quantity, value_text) in _rows(
@@ -427,8 +432,8 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], data: bytes, carr
                                      f"{format_timestamp(current)}")
                 current = stamp
                 stamps.append(stamp)
-                frames.append([[math.nan] * len(ids) for ids in columns])
-                pressure_row, flow_row, valve_row, rho_row = frames[-1]
+                row = [math.nan] * len(places)
+                rows.append(row)
                 opened = at, line
         try:
             # inlined, as this loop runs once per row of the largest file
@@ -437,46 +442,37 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], data: bytes, carr
             raise ParseError(path, line, f"invalid number {value_text!r} in column value") from None
         if not math.isfinite(value):
             raise ParseError(path, line, f"non-finite value {value_text!r} for {entity!r}")
-        if quantity == QUANTITY_PRESSURE:
-            column = node_col.get(entity)
-            if column is None:
-                raise ParseError(path, line, f"unknown node {entity!r}")
-            if not value > 0.0:
-                raise ParseError(path, line, f"pressure must be positive, got {value}")
-            pressure_row[column] = value * BAR
-        elif quantity == QUANTITY_FLOW:
-            column = arc_col.get(entity)
-            if column is None:
-                raise ParseError(path, line, f"unknown element {entity!r}")
-            flow_row[column] = value * KNM3H
-        elif quantity == QUANTITY_VALVE:
-            column = valve_col.get(entity)
-            if column is None:
-                raise ParseError(path, line, f"{entity!r} is not a valve")
-            valve_row[column] = 1.0 if value != 0.0 else 0.0
-        elif quantity == QUANTITY_RHO:
-            column = pipe_col.get(entity)
-            if column is None:
-                raise ParseError(path, line, f"{entity!r} is not a pipe")
+        place = places.get((entity, quantity))
+        if place is None:
+            raise ParseError(path, line, _MISSES.get(quantity, "unknown quantity {1!r}")
+                             .format(entity, quantity))
+        if place < nodes and not value > 0.0:
+            raise ParseError(path, line, f"pressure must be positive, got {value}")
+        if place >= pipes:
             try:
-                rho_row[column] = validate_normal_density(value)
+                validate_normal_density(value)
             except ModelError as exc:
                 raise ParseError(path, line, str(exc)) from None
-        else:
-            raise ParseError(path, line, f"unknown quantity {quantity!r}")
+        row[place] = value
     if final:
-        return _frames_history(stamps, frames, columns), _Carry()
+        return _history(stamps, rows, columns), _Carry()
     # with no frame begun, the next window reads this one's rows again
-    at, line = opened if frames else (0, carry.line)
-    return (_frames_history(stamps[:-1], frames[:-1], columns),
+    at, line = opened if rows else (0, carry.line)
+    return (_history(stamps[:-1], rows[:-1], columns),
             _Carry("".join(lines[at:]).encode(_ENCODING), line))
 
 
-def _frames_history(stamps: list[datetime], frames: list[list[list[float]]],
-                    columns: tuple[tuple[str, ...], ...]) -> History:
-    arrays = (np.array([rows[q] for rows in frames], dtype=float).reshape(len(frames), len(ids))
-              for q, ids in enumerate(columns))
-    return History(tuple(stamps), *columns, *arrays)
+def _history(stamps: list[datetime], rows: list[list[float]] | np.ndarray,
+             columns: tuple[tuple[str, ...], ...]) -> History:
+    """The History of the frames at stamps whose rows, one per frame over
+    every column of columns in order, hold values in file units: split into
+    History's arrays, in SI units."""
+    rows = np.asarray(rows, dtype=float).reshape(len(stamps), sum(map(len, columns)))
+    pressure, flow, valve, rho = np.split(rows, np.cumsum([*map(len, columns[:3])]), axis=1)
+    # each array its own, as a view would keep all rows; |NaN| has no sign,
+    # so a valve not given stays NaN
+    return History(tuple(stamps), *columns, pressure * BAR, flow * KNM3H,
+                   np.sign(np.abs(valve)), rho.copy())
 
 
 # a value of at most _DIGITS characters of the form [-]digits[.digits] is an
@@ -519,14 +515,14 @@ def _decimals(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.n
 
 
 def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[str, ...], ...],
-                 lookup: dict) -> tuple[History, _Carry] | None:
+                 places: dict) -> tuple[History, _Carry] | None:
     """The frames that the carried rows and data complete, checked as arrays,
-    lookup giving the entry of columns and the column of an (entity,
-    quantity), and the carry for the next window; None for a window that
-    only the row loop can read.  Each frame repeats the template, the bytes
-    from the first comma to the last of each row of the first whole frame,
-    and each row its frame's first timestamp bytes; a \\r stands only
-    before a \\n, and a value, read as float() reads it, holds no comma.
+    places giving the place of an (entity, quantity) in a frame's row, and
+    the carry for the next window; None for a window that only the row loop
+    can read.  Each frame repeats the template, the bytes from the first
+    comma to the last of each row of the first whole frame, and each row
+    its frame's first timestamp bytes; a \\r stands only before a \\n, and
+    a value, read as float() reads it, holds no comma.
     """
     if carry.line == 1:
         return None
@@ -540,7 +536,7 @@ def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[s
     if np.count_nonzero(raw == 13) != np.count_nonzero(returns):
         return None
     if not len(ends):
-        return _frames_history([], [], columns), carry._replace(text=text)
+        return _history([], [], columns), carry._replace(text=text)
     template = carry.template
     if template is None:
         # the first frame, the rows that begin with the first row's timestamp,
@@ -554,29 +550,27 @@ def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[s
         cells = list(csv.reader(middle[1:].decode(_ENCODING, "surrogateescape") + "0"
                                 for middle in middles))
         # bytes the encoding cannot read decode to surrogates, which no id holds
-        places = [lookup.get((row[0], row[1])) if len(row) == 3 and row[2] == "0" else None
-                  for row in cells]
-        if len(places) != size or None in places:
+        row_place = [places.get((row[0], row[1])) if len(row) == 3 and row[2] == "0" else None
+                     for row in cells]
+        if len(row_place) != size or None in row_place:
             return None
         # the middles as 8-byte words and the mask of their bytes, their
-        # widths, the kind of each row and, per entry of columns, its
-        # columns and their rows; a repeated row keeps the last
+        # widths, the place of each row, and the places a frame gives, each
+        # with the row that gives it: a repeated row keeps the last
         widths = np.array([*map(len, middles)])
         width = -(-widths.max() // 8) * 8
-        at = {key: k for k, key in enumerate(places)}
+        source = {place: row for row, place in enumerate(row_place)}
         template = (np.array(middles, f"S{width}").view(np.uint64).reshape(size, -1),
                     (np.uint8(255) * (np.arange(width) < widths[:, None])).view(np.uint64),
-                    widths, np.array([q for q, _ in places]), [
-                        np.array([(k, row) for (q, k), row in at.items() if q == quantity],
-                                 dtype=int).reshape(-1, 2).T for quantity in range(4)])
-    names, mask, widths, kind, take = template
+                    widths, np.array(row_place), *np.array([*source.items()]).T)
+    names, mask, widths, row_place, given, source = template
     size = len(widths)
     # unless final, the row after the last frame must be known
     end = (len(ends) - (not final)) // size * size
     if final and end != len(ends):
         return None
     if not end:
-        return _frames_history([], [], columns), carry._replace(text=text)
+        return _history([], [], columns), carry._replace(text=text)
     stop = ends[end - 1] + 1
     # each frame's timestamp and, unless final, that of the row after the
     # last, which every other row of the frame begins with
@@ -604,18 +598,16 @@ def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[s
     except (ValueError, ParseError):
         return None
     values = values.reshape(-1, size)
-    # every row is checked, also one a later repeat overrides
-    density = values[:, kind == 3]
-    if not (np.isfinite(values).all() and (values[:, kind == 0] > 0.0).all()
+    # every row is checked, also one a later repeat overrides; places as
+    # in _row_step
+    density = values[:, row_place >= sum(map(len, columns[:3]))]
+    if not (np.isfinite(values).all() and (values[:, row_place < len(columns[0])] > 0.0).all()
             and ((density > RHO_N_MIN_KGM3) & (density <= RHO_N_MAX_KGM3)).all()
             and all(t0 < t1 for t0, t1 in zip(stamps, stamps[1:]))):
         return None
-    pressure, flow, valve, rho = (values[:, at] for _, at in take)
-    arrays = [np.full((len(values), len(ids)), math.nan) for ids in columns]
-    for array, (cols, _), scaled in zip(arrays, take, (
-            pressure * BAR, flow * KNM3H, np.where(valve != 0.0, 1.0, 0.0), rho)):
-        array[:, cols] = scaled
-    return History(tuple(stamps[:len(values)]), *columns, *arrays), carry._replace(
+    frames = np.full((len(values), len(places)), math.nan)
+    frames[:, given] = values[:, source]
+    return _history(stamps[:len(values)], frames, columns), carry._replace(
         text=text[stop:], line=carry.line + end, template=template)
 
 
@@ -664,10 +656,11 @@ def file_sha256(path: str) -> str:
 
 
 def save_history(history: History, terms: Terms, terms_path: str, terms_sha256: str,
-                 states_sha256: str, topology_sha256: str) -> None:
+                 states_sha256: str, topology_sha256: str, states_size: int) -> None:
     """Save next to terms_path the terms scan wrote there with digest
     terms_sha256, the digests of the files history and its network were
-    parsed from (as states_blocks and parse_topology read them), and
+    parsed from (as states_blocks and parse_topology read them), the sizes
+    in bytes of the terms file and of the states file, states_size, and
     history as narrow_history gives it: the timestamps and the columns
     components reads, valve states and the pressures at resistor ends.
     As scan builds them, the terms' pairs are history.pairs(), so a row's
@@ -676,6 +669,8 @@ def save_history(history: History, terms: Terms, terms_path: str, terms_sha256: 
              states_sha256=states_sha256,
              topology_sha256=topology_sha256,
              terms_sha256=terms_sha256,
+             states_size=states_size,
+             terms_size=os.path.getsize(terms_path),
              timestamps_us=np.array([(t - _EPOCH) // _MICROSECOND for t in history.timestamps],
                                     dtype=np.int64),
              valve_ids=np.array(history.valve_ids, dtype=str),
@@ -698,11 +693,14 @@ def load_saved(terms_path: str, cfg: ThresholdConfig | None = None,
     have the contents scan wrote and read, and the topology the digest."""
     try:
         with np.load(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR)) as saved:
-            # each file is hashed once, and none after the first mismatch
-            if (str(saved["terms_sha256"]) != file_sha256(terms_path)
-                    or states_path is not None
-                    and (str(saved["topology_sha256"]) != topology_sha256
-                         or str(saved["states_sha256"]) != file_sha256(states_path))):
+            # another size proves another file without a read; each file is
+            # hashed once, and none after the first mismatch
+            given = states_path is not None
+            if (int(saved["terms_size"]) != os.path.getsize(terms_path)
+                    or given and int(saved["states_size"]) != os.path.getsize(states_path)
+                    or str(saved["terms_sha256"]) != file_sha256(terms_path)
+                    or given and (str(saved["topology_sha256"]) != topology_sha256
+                                  or str(saved["states_sha256"]) != file_sha256(states_path))):
                 return None
             stamps = tuple(_EPOCH + us * _MICROSECOND for us in saved["timestamps_us"].tolist())
             # the rows are chronological, so sorted pairs are numbered in the

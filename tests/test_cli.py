@@ -321,6 +321,19 @@ class TestHistorySidecar:
         assert code == 1
         assert f"{states}:6: invalid number" in err
 
+    def test_stale_sidecar_of_another_size_read_once(self, pipeline, scanned, monkeypatch):
+        root, parsed = scanned
+        states = root / "states.csv"
+        # the same instants, spelled in more bytes
+        states.write_text(states.read_text().replace("Z,", "+00:00,"))
+        opened = record_opened(monkeypatch)
+        self.assert_components_unchanged(pipeline, root, root / "topology.csv")
+        monkeypatch.undo()
+        assert parsed == [str(states), str(root / "terms.csv")]
+        # the sizes prove the sidecar stale before either file is hashed
+        for name in ("states.csv", "terms.csv"):
+            assert [opened_name for opened_name, _ in opened].count(name) == 1, opened
+
     def test_other_topology_file(self, pipeline, scanned):
         root, parsed = scanned
         header, *rows = (root / "topology.csv").read_text().splitlines()

@@ -296,12 +296,22 @@ class TestStates:
         with pytest.raises(ParseError, match="unknown node"):
             parse_states(str(path), sample_network())
 
-    def test_quantity_entity_kind_checked(self, tmp_path):
+    @pytest.mark.parametrize("entity, quantity, message", [
+        ("p1", "node.pressure_bar", "unknown node 'p1'"),
+        ("n0", "arc.flow_kNm3h", "unknown element 'n0'"),
+        ("p1", "valve.open", "'p1' is not a valve"),
+        ("v1", "pipe.rho_n_kgNm3", "'v1' is not a pipe")],
+        ids=["p1 as node", "n0 as element", "p1 as valve", "v1 as pipe"])
+    def test_quantity_entity_kind_checked(self, tmp_path, entity, quantity, message):
+        # each id is one the network knows under another quantity
         t0 = format_timestamp(stamp(0))
         path = tmp_path / "states.csv"
-        path.write_text(",".join(STATES_COLUMNS) + f"\n{t0},p1,valve.open,1\n")
-        with pytest.raises(ParseError, match="not a valve"):
+        path.write_text(",".join(STATES_COLUMNS) + f"\n{t0},n1,node.pressure_bar,60.0"
+                        + f"\n{t0},{entity},{quantity},1\n")
+        with pytest.raises(ParseError) as info:
             parse_states(str(path), sample_network())
+        assert str(info.value) == f"{path}:3: {message}"
+        assert info.value.line == 3
 
     def test_nonpositive_pressure_rejected(self, tmp_path):
         t0 = format_timestamp(stamp(0))
@@ -800,7 +810,7 @@ class TestSidecar:
                                     pairs=(make_pair(0),), pipe_ids=np.array(["p1"]))
         save_history(narrow_history([history], network), terms, terms_path,
                      write_terms(terms, terms_path),
-                     file_sha256(states), topology_sha256.hexdigest())
+                     file_sha256(states), topology_sha256.hexdigest(), os.path.getsize(states))
         return states, topology, terms_path, history
 
     def test_round_trip(self, tmp_path, parsed):
@@ -827,9 +837,9 @@ class TestSidecar:
         self.save(tmp_path)
         with np.load(tmp_path / HISTORY_SIDECAR) as saved:
             assert sorted(saved.files) == sorted([
-                "states_sha256", "topology_sha256", "terms_sha256", "timestamps_us",
-                "valve_ids", "valve_open", "node_ids", "pressure_pa", "terms_frame",
-                "terms_pipe_ids", "terms_numbers", "terms_relevant"])
+                "states_sha256", "topology_sha256", "terms_sha256", "states_size", "terms_size",
+                "timestamps_us", "valve_ids", "valve_open", "node_ids", "pressure_pa",
+                "terms_frame", "terms_pipe_ids", "terms_numbers", "terms_relevant"])
             # one pressure column per resistor end, one row per frame
             assert saved["node_ids"].tolist() == ["n2", "n3"]
             assert saved["pressure_pa"].shape == (2, 2)

@@ -327,11 +327,18 @@ def test_one_broken_frame_sends_one_window_to_the_row_loop(tmp_path):
         lines = handle.read().split(b"\r\n")
     assert os.path.getsize(path) > 5 * ingest._WINDOW
     size = (len(lines) - 2) // len(history)
-    for frame in (len(history) // 2, len(history) - 1):
-        # two rows of the frame swapped: it breaks the template
+    # after the header line, the file is read in windows up to the short
+    # read that ends it
+    windows = (os.path.getsize(path) - len(lines[0]) - 2) // ingest._WINDOW + 1
+    # with every other frame broken, each window holds a frame unlike the
+    # one before, so the row loop reads every window, one after the other
+    for frames, row_steps in (([len(history) // 2], 1), ([len(history) - 1], 1),
+                              (range(0, len(history), 2), windows)):
         broken = list(lines)
-        at = 1 + frame * size
-        broken[at], broken[at + 1] = broken[at + 1], broken[at]
+        for frame in frames:
+            # two rows of the frame swapped: it breaks the template
+            at = 1 + frame * size
+            broken[at], broken[at + 1] = broken[at + 1], broken[at]
         with open(path, "wb") as handle:
             handle.write(b"\r\n".join(broken))
         sha, framed, row_step = hashlib.sha256(), [], ingest._row_step
@@ -339,7 +346,7 @@ def test_one_broken_frame_sends_one_window_to_the_row_loop(tmp_path):
             patch.setattr(ingest, "_row_step", lambda *args: framed.append(args)
                           or row_step(*args))
             parsed = parse_states(path, NETWORK, sha)
-        assert len(framed) == 1, frame
+        assert len(framed) == row_steps, frames
         assert_same_history(parsed, parse_states_rows(path, NETWORK))
         assert sha.hexdigest() == file_sha256(path)
 
