@@ -20,30 +20,35 @@ checkout's commit, the Python and numpy versions and the CPU count.
 Then tier M, ten times quiet-history's frames and events (3,000 frames,
 about 7e5 pipe points and 1.9e6 state rows), is generated at the same
 seed by the checkout's perfbench/workloads.py in a child, and
-`gasinertia scan` runs on it once in a fresh child with BLAS pinned to
-one thread.  Its wall and processor seconds (start-up and imports
-included), pipe points and state rows per processor second, peak RSS and
-the sha256 of terms.csv go under tiers.M.  A child's peak RSS counts the
-peak of the process that started it, so this one never holds a tier's
-data, and the scan child's peak RSS is its own.  The same at twice the
-frames and events (6,000 and 600) goes under tiers.M_6000: scan's peak
-RSS should not grow with the number of frames.  tiers.M_meshed is
-meshed-transients at 1,000 frames, where about 45% of the pipe points
-pass the prefilter, so that writing terms.csv weighs: besides the above
-it records the terms rows and terms rows per processor second.  tiers.M_swapped is tier M
-with the first two rows of its middle frame swapped after generation: the
-frame breaks the template every other frame repeats, so one window of
-states.csv goes through the row loop, and terms.csv must be tier M's.
-tiers.M_every_other is tier M with the first two rows of every other
-frame swapped, written again in one pass: no two frames in a row repeat
-one template, so the row loop reads every window of states.csv, and
-terms.csv must again be tier M's.
-tiers.M_repr is tier M parsed and written again by the checkout's
-serialize_states: values spelled by repr (the few that reach 16 or 17
-characters leave the reader's fast path) and \r\n line ends.  On tiers M
-and M_6000, `gasinertia components` then runs in two more children, first
-with scan's history.npz (a sidecar hit) and then with it deleted (a miss,
-which reads states.csv again); each one's processor seconds, peak RSS and
+`gasinertia scan` runs on it three times, each in a fresh child with BLAS
+pinned to one thread: one child's times spread too far to show a 10%
+change.  The median wall and processor seconds (start-up and imports
+included), pipe points and state rows per median processor second, the
+largest peak RSS and the sha256 of terms.csv go under tiers.M.  A child's
+peak RSS counts the peak of the process that started it, so this one
+never holds a tier's data, and the scan child's peak RSS is its own.
+The same at twice the frames and events (6,000 and 600) goes under
+tiers.M_6000: scan's peak RSS should not grow with the number of frames.
+tiers.M_meshed is meshed-transients at 1,000 frames, where about 45% of
+the pipe points pass the prefilter, so that writing terms.csv weighs:
+besides the above it records the terms rows and terms rows per processor
+second.  tiers.M_swapped is tier M with the first two rows of its middle
+frame swapped after generation: the frame breaks the template every
+other frame repeats, so one window of states.csv goes through the row
+loop, and terms.csv must be tier M's.  tiers.M_every_other is tier M
+with the first two rows of every other frame swapped, written again in
+one pass: no two frames in a row repeat one template, so the row loop
+reads every window of states.csv, and terms.csv must again be tier M's.
+tiers.M_long is tier M with every value spelled again as
+repr(v * (1 + 3e-13)), in 16 or 17 digits, as a full-precision export
+spells them: the reader's Clinger path declines them all.
+tiers.M_repr is tier M parsed
+and written again by the checkout's serialize_states: values spelled by
+repr (the few that reach 16 or 17 characters leave Clinger's path for
+Eisel-Lemire's) and \r\n line ends.  On tiers M and M_6000, `gasinertia
+components` then runs in two more children, first with scan's
+history.npz (a sidecar hit) and then with it deleted (a miss, which
+reads states.csv again); each one's processor seconds, peak RSS and
 components.csv sha256 go under components.hit and components.miss, and
 the tier fails unless the two digests are the same.  Standard library
 only.
@@ -60,6 +65,7 @@ import itertools
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -67,6 +73,8 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# scan children per tier, of which the median counts
+SCANS = 3
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -107,6 +115,17 @@ def swap_rows(path: str, frames: range, size: int) -> None:
     os.replace(path + ".swapped", path)
 
 
+def respell_long(path: str) -> None:
+    """Spell every value of a file of unquoted rows after a header again as
+    repr(v * (1 + 3e-13)), in 16 or 17 digits, writing it again in one pass."""
+    with open(path, "rb") as source, open(path + ".long", "wb") as target:
+        target.write(source.readline())
+        for line in source:
+            head, _, value = line.rpartition(b",")
+            target.write(b"%s,%r\n" % (head, float(value) * (1 + 3e-13)))
+    os.replace(path + ".long", path)
+
+
 def generate(job: str) -> None:
     """Write a tier's inputs, as run_tier's job (JSON) says, and print the
     frames, pipe points and state rows as JSON."""
@@ -121,6 +140,8 @@ def generate(job: str) -> None:
     if swapped := range(*job["swapped"]):
         # every generated frame has the same rows
         swap_rows(states, swapped, planted.states_rows // tier.frames)
+    if job["long"]:
+        respell_long(states)
     if job["repr"]:
         from gasinertia import ingest
         network = ingest.parse_topology(f"{job['root']}/topology.csv")
@@ -156,20 +177,22 @@ def file_digest(path: Path) -> tuple[str, int]:
 
 
 def run_tier(checkout: Path, seed: int, workload: str, swapped: range = range(0),
-             repr_values: bool = False, components: bool = False, **changes) -> dict:
+             long_values: bool = False, repr_values: bool = False, components: bool = False,
+             **changes) -> dict:
     """Scan the grid workload (a GridSpec name of the checkout's
-    perfbench/workloads.py) with changes once in a child, after swapping the
-    first two rows of each frame of swapped, or writing the states again
-    with serialize_states if repr_values; its costs and the digest of its
-    terms.  If components, then run components with and without the
-    sidecar, and give their costs and digests too.  A child writes the
-    inputs."""
+    perfbench/workloads.py) with changes SCANS times, each in a child, after
+    swapping the first two rows of each frame of swapped, spelling every
+    value again in 16 or 17 digits if long_values, or writing the states
+    again with serialize_states if repr_values; the median wall and
+    processor seconds, the largest peak RSS and the digest of the terms.
+    If components, then run components with and without the sidecar, and
+    give their costs and digests too.  A child writes the inputs."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as root:
         job = dict(checkout=str(checkout), workload=workload, seed=seed, root=root,
-                   swapped=[swapped.start, swapped.stop, swapped.step], repr=repr_values,
-                   changes=changes)
+                   swapped=[swapped.start, swapped.stop, swapped.step], long=long_values,
+                   repr=repr_values, changes=changes)
         code = "import sys, bench; bench.generate(sys.argv[1])"
         done = subprocess.run([sys.executable, "-c", code, json.dumps(job)],
                               cwd=Path(__file__).parent, env=env, capture_output=True, text=True)
@@ -177,8 +200,9 @@ def run_tier(checkout: Path, seed: int, workload: str, swapped: range = range(0)
             sys.exit(f"generating the tier exited with {done.returncode}:\n{done.stderr}")
         planted = json.loads(done.stdout.splitlines()[-1])
         inputs = ["--topology", f"{root}/topology.csv", "--states", f"{root}/states.csv"]
-        wall, cpu, peak = run_stage(["scan", *inputs, "--exclusions", f"{root}/exclusions.csv",
-                                     "--out", f"{root}/out"], env)
+        scan = ["scan", *inputs, "--exclusions", f"{root}/exclusions.csv", "--out", f"{root}/out"]
+        walls, cpus, peaks = zip(*(run_stage(scan, env) for _ in range(SCANS)))
+        wall, cpu, peak = statistics.median(walls), statistics.median(cpus), max(peaks)
         terms_sha256, newlines = file_digest(Path(root, "out", "terms.csv"))
         # the generated pipe ids need no quoting, so every row but the
         # header is one line
@@ -248,6 +272,8 @@ def main() -> int:
                               frames=3000, events=300),
         "M_every_other": run_tier(checkout, args.seed, "QUIET_HISTORY",
                                   swapped=range(0, 3000, 2), frames=3000, events=300),
+        "M_long": run_tier(checkout, args.seed, "QUIET_HISTORY", long_values=True,
+                           frames=3000, events=300),
         "M_repr": run_tier(checkout, args.seed, "QUIET_HISTORY", repr_values=True,
                            frames=3000, events=300)}
     print("tiers: done", flush=True)

@@ -5,14 +5,14 @@ saves its terms and the few history columns components reads.
 This module is the only one that knows how a file is framed: `read_table`
 and `write_table` handle every CSV file of the pipeline, `read_settings`
 every key = value file, but for the largest: states.csv is read once, in
-byte windows, with numpy byte operations and Clinger's fast path for short
-decimals where a window's frames repeat the bytes of one sequence of
-(entity, quantity) rows and row by row, framed as read_table frames rows,
-where not; and the states and terms writers join rows of cells quoted
-once, in the bytes csv.writer writes.  states_blocks hands the history
-on one block of the frames each window completes, so that a reader that
-keeps little of each block, as narrow_history does for scan and
-components, needs memory for one window; parse_states joins the blocks.
+byte windows, with numpy byte operations and fast paths for decimals of
+up to 19 digits where a window's frames repeat the bytes of one sequence
+of (entity, quantity) rows and row by row, framed as read_table frames
+rows, where not; and the states and terms writers join rows of cells
+quoted once, in the bytes csv.writer writes.  states_blocks hands the
+history on one block of the frames each window completes, so that a
+reader that keeps little of each block, as narrow_history does for scan
+and components, needs memory for one window; parse_states joins them.
 File units are bar and 1000 Nm^3/h, converted to SI exactly once here.
 Serializers write floats as repr spells them, so a parse/serialize cycle
 is a fixed point; the terms writer spells most of them itself, a column at
@@ -486,20 +486,23 @@ _PLACES = np.arange(_DIGITS, -1, -1, dtype=np.uint8)
 _INSIDE = _PLACES < np.arange(_DIGITS + 2)[:, None]
 
 
+def _join_digits(words: np.ndarray) -> np.ndarray:
+    """Little-endian words of eight digits, the first the most significant, as integers."""
+    for shift, low in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        words = (words * 10 ** (shift // 8) + (words >> shift)) & low
+    return words
+
+
 def _decimals(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float each raw[start:end] spells, as float() reads it where it
-    takes the fast path, and the mask of those that do; raw holds
-    _DIGITS + 1 bytes before each end."""
+    takes a fast path, Clinger's or the Eisel-Lemire method, and the mask
+    of those that do; raw holds _CELL bytes before each end."""
     length = end - start
     cells = sliding_window_view(raw, _DIGITS + 1)[end - _DIGITS - 1]
     inside = np.take(_INSIDE, np.minimum(length, _DIGITS + 1), axis=0)
     digits = cells - np.uint8(48)
     digit, point = (digits < 10) & inside, (cells == 46) & inside
-    # eight digits to a little-endian word, the first the most significant:
-    # neighbours, then pairs, then fours of them join into one integer
-    words = (digits * digit).view("<u8")
-    for shift, low in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
-        words = (words * 10 ** (shift // 8) + (words >> shift)) & low
+    words = _join_digits((digits * digit).view("<u8"))
     whole = (words[:, 0] * 10 ** 8 + words[:, 1]).astype(int)
     # the digits, the points and the places of the points: a word's bytes
     # times 0x0101010101010101 add up in its top byte
@@ -510,8 +513,72 @@ def _decimals(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.n
     # digits before a point weigh ten times their worth in whole; a fast
     # value's point stands at a place below 15
     scale = _TENS[place & _DIGITS]
-    mantissa = (whole - whole // (10 * scale) * (9 * scale) * points).astype(float)
-    return np.where(negative, -mantissa, mantissa) / scale, fast
+    whole -= whole // (10 * scale) * (9 * scale) * points
+    mantissa = whole.astype(float)
+    values = np.where(negative, -mantissa, mantissa) / scale
+    if not (declined := np.flatnonzero(~fast)).size:
+        return values, fast
+    # of the values declined, one of at most _CELL characters, at most 19 digits
+    # from its first nonzero one and k <= 19 after the point is w 10^-k, w < 10^19
+    length, negative, whole, count, points, place = (
+        a[declined] for a in (length, negative, whole, count, points, place))
+    # every 8 bytes of raw as a word
+    word = np.ndarray((raw.size - 7,), "<u8", raw, 0, (1,))[end[declined] - _CELL]
+    inside = np.take(_WORD_INSIDE, length, mode="clip")
+    digits = word.view(np.uint8) - np.uint8(48)
+    # a point less 48 wraps to 254; the word's places are 7 to 0
+    digit, point = (digits < 10).view("<u8") & inside, (digits == 254).view("<u8") & inside
+    count_h, points_h, place_h = ((x * 0x0101010101010101 >> 56).astype(int)
+                                  for x in (digit, point, point * 255 & 0x0001020304050607))
+    # the word's digits without its point, as whole's above, before whole's
+    front, scale = _join_digits(digits.view("<u8") & digit * 255).astype(int), _TENS[place_h & 7]
+    front -= front // (10 * scale) * (9 * scale) * points_h
+    w = front.astype(np.uint64) * _POW10[16 - points] + whole.astype(np.uint64)
+    k = place + (place_h + 16) * points_h
+    fast[declined] = ((length <= _CELL) & (count + count_h > 0) & (points + points_h <= 1)
+                      & (length - count - count_h - points - points_h == negative) & (k <= 19)
+                      & (front < np.where(points, 10_000, 1000)))
+    # by the Eisel-Lemire method as fast_float runs it: w, shifted to fill 64 bits, times
+    # 5^-k's high word, and its low word where a carry could reach the 55 bits kept
+    size = np.frexp(w.astype(float))[1]
+    w <<= (lead := (64 - size + (w >> (size - 1).astype(np.uint64) == 0)).astype(np.uint64))
+    five = np.take(_FIVES, k, axis=1, mode="clip")
+    high, low = _product(five[0], five[1], w)
+    near = np.flatnonzero((high & 0x1FF) == 0x1FF)
+    low[near] += (carry := _product(five[2, near], five[3, near], w[near])[0])
+    high[near] += low[near] < carry
+    # 54 bits, rounded to 53, ties to even: only for k <= 4 can w 10^-k be a tie
+    top = high >> 63
+    kept = high >> top + 9
+    kept -= (low <= 1) & (k <= 4) & ((kept & 3) == 1) & (kept << top + 9 == high)
+    bits = (five[4] + top - lead << 52) + (kept + (kept & 1) >> 1)
+    values[declined] = (bits * (w != 0) | negative.astype(np.uint64) << 63).view(float)
+    return values, fast
+
+
+# a value of at most _CELL characters is read from the _CELL bytes before
+# its end: per length, the bytes of their first word that hold it; per k,
+# 5^-k 2^(127 + z) rounded up, z the bit length of 5^k - 1, in 32-bit limbs
+# (fast_float's power_of_five_128), and 1085 - k - z: with the product's
+# top bit, less w's shift, the biased exponent of w 10^-k, less one
+_CELL = 24
+_WORD_INSIDE = ~np.uint64(0) << (np.clip(_CELL - np.arange(_CELL + 1), 0, 8) * 8).astype(np.uint64)
+_FIVES = np.array([[t >> s & 0xFFFFFFFF for s in (96, 64, 32, 0)] + [1085 - k - z]
+                   for k in range(20) for z in [(5 ** k - 1).bit_length()]
+                   for t in [(1 << 127 + z) // 5 ** k + (k > 0)]], np.uint64).T.copy()
+
+
+def _product(high: np.ndarray, low: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a b's high and low 64 bits, a = high 2^32 + low, from 32-bit limbs, mostly in place."""
+    b1, b0 = b >> 32, b & 0xFFFFFFFF
+    lows = low * b0
+    b0 *= high
+    b0 += lows >> 32
+    lows &= 0xFFFFFFFF
+    low = low * b1 + (b0 & 0xFFFFFFFF)
+    b1 *= high
+    b1 += (b0 >> 32) + (low >> 32)
+    return b1, low << 32 | lows
 
 
 def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[str, ...], ...],
@@ -580,17 +647,17 @@ def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[s
             heads, ends[:end:size].tolist(), ends[size - 1:end:size].tolist())):
         return None
     first = starts[:end] + np.repeat([*map(len, heads[:end // size])], size)
-    # a copy with room for _DIGITS + 1 bytes before each row's end, and for
-    # its template's words after its first comma
-    padded = np.concatenate([np.zeros(_DIGITS + 1, np.uint8), raw[:stop],
+    # a copy with room for _CELL bytes before each row's end, and for its
+    # template's words after its first comma
+    padded = np.concatenate([np.zeros(_CELL, np.uint8), raw[:stop],
                              np.zeros_like(mask[0]).view(np.uint8)])
     words = mask.shape[1]
-    if not ((sliding_window_view(padded, words * 8)[first + _DIGITS + 1].view(np.uint64)
+    if not ((sliding_window_view(padded, words * 8)[first + _CELL].view(np.uint64)
              .reshape(-1, size, words) & mask) == names).all():
         return None
     value = first + np.tile(widths, end // size)
     tail = ends[:end] - returns[:end]
-    values, fast = _decimals(padded, value + _DIGITS + 1, tail + _DIGITS + 1)
+    values, fast = _decimals(padded, value + _CELL, tail + _CELL)
     slow = np.flatnonzero(~fast)
     try:
         values[slow] = [float(text[a:b]) for a, b in zip(value[slow].tolist(), tail[slow].tolist())]
@@ -837,18 +904,11 @@ def _schubfach_table() -> np.ndarray:
 
 def _rop(k: np.ndarray, cp: np.ndarray) -> np.ndarray:
     """g(k) cp 2^-127 rounded down to odd, 2 bits of fraction, the last sticky,
-    as Schubfach's rop computes it for [... x n] cp below 2^60, which it
-    overwrites, from uint64 32x32->64 products of 32-bit limbs: g's high
-    limbs are below 2^31, so no sum of them overflows."""
+    as Schubfach's rop computes it for [... x n] cp below 2^60."""
     g11, g10, g01, g00 = np.take(_schubfach_table(), k + 324, axis=1)
-    p0 = cp & 0xFFFFFFFF
-    cp >>= 32
     # g1 cp = y1 2^64 + y0 and the high 64 bits x1 of g0 cp, z = y0 / 2 + x1
-    low = g10 * p0
-    mid = g10 * cp + g11 * p0 + (low >> 32)
-    z = (mid << 32 | low & 0xFFFFFFFF) >> 1
-    y1 = g11 * cp + (mid >> 32)
-    z += g01 * cp + (g00 * cp + g01 * p0 + (g00 * p0 >> 32) >> 32)
+    y1, y0 = _product(g11, g10, cp)
+    z = (y0 >> 1) + _product(g01, g00, cp)[0]
     return y1 + (z >> 63) | (z << 1 != 0)
 
 

@@ -714,10 +714,11 @@ class TestReprCells:
 
 
 def assert_decimals_read_as_float(texts):
-    """ingest._decimals takes the fast path exactly for the texts of at most
-    15 characters of the form [-]digits[.digits] and reads each of those bit
-    for bit as float() does."""
-    buffer, starts, ends = bytearray(16), [], []
+    """ingest._decimals takes a fast path exactly for the texts of at most
+    24 characters of the form [-]digits[.digits] with at most 19 digits from
+    the first nonzero one and at most 19 after the point, and reads each of
+    those bit for bit as float() does."""
+    buffer, starts, ends = bytearray(24), [], []
     for text in texts:
         starts.append(len(buffer))
         buffer += text.encode()
@@ -725,20 +726,21 @@ def assert_decimals_read_as_float(texts):
         buffer += b"\n"
     values, fast = ingest._decimals(np.frombuffer(bytes(buffer), np.uint8), np.array(starts),
                                     np.array(ends))
-    shaped = [len(text) <= 15 and bool(re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)", text))
-              for text in texts]
+    shaped = []
+    for text in texts:
+        match = re.fullmatch(r"-?([0-9]*)\.?([0-9]*)", text)
+        digits = match and match[1] + match[2]
+        shaped.append(bool(digits) and len(text) <= 24 and len(match[2]) <= 19
+                      and len(digits.lstrip("0")) <= 19)
     assert fast.tolist() == shaped, texts
     want = np.array([float(text) for text, ok in zip(texts, shaped) if ok], dtype=float)
     # bit for bit: the sign of zero counts
     assert values[fast].tobytes() == want.tobytes(), texts
 
 
-@st.composite
-def decimal_texts(draw):
-    """A finite float64 spelled by repr or with 0 to 15 decimals, its sign
-    or leading zeros changed, or its leading or trailing zero dropped."""
-    value = draw(st.floats(allow_nan=False, allow_infinity=False))
-    text = draw(st.sampled_from([repr(value)] + [f"{value:.{k}f}" for k in range(16)]))
+def edited(draw, text):
+    """text with its sign or leading zeros changed, or its leading or
+    trailing zero dropped."""
     edit = draw(st.sampled_from(["none", "sign", "zeros", "no leading 0", "no trailing 0"]))
     sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
     if edit == "sign":
@@ -752,12 +754,37 @@ def decimal_texts(draw):
     return sign + digits
 
 
+@st.composite
+def decimal_texts(draw):
+    """A finite float64 spelled by repr or with 0 to 15 decimals, edited."""
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    texts = [repr(value)] + [f"{value:.{k}f}" for k in range(16)]
+    return edited(draw, draw(st.sampled_from(texts)))
+
+
+@st.composite
+def long_decimal_texts(draw):
+    """A float64 below 1e19 in magnitude spelled by repr or with the
+    decimals that give it 16 to 19 significant digits, edited."""
+    value = draw(st.floats(-1e19, 1e19))
+    digits = draw(st.integers(16, 19))
+    # at most 25 decimals, which the tiniest values would exceed
+    decimals = min(max(digits - 1 - math.floor(math.log10(abs(value))), 0), 25) if value else digits
+    return edited(draw, draw(st.sampled_from([repr(value), f"{value:.{decimals}f}"])))
+
+
 class TestDecimals:
-    """Clinger's fast path of the states.csv reader against float()."""
+    """The fast paths of the states.csv reader, Clinger's and Eisel-Lemire's,
+    against float()."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(decimal_texts(), min_size=1, max_size=40))
     def test_spellings_of_any_float(self, texts):
+        assert_decimals_read_as_float(texts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(long_decimal_texts(), min_size=1, max_size=40))
+    def test_spellings_of_16_to_19_digits(self, texts):
         assert_decimals_read_as_float(texts)
 
     def test_edge_texts(self):
@@ -767,6 +794,18 @@ class TestDecimals:
             ".00000000000001", "1234567890123456", "-123456789012345", "9007199254740993",
             "1e5", "1E5", "+1", " 1", "1 ", "1_0", "inf", "nan", ".", "-", "-.", "", "1.2.3",
             "--1", "1-", "0x10", "١", "1,5", '"1"'])
+
+    def test_edge_texts_of_16_to_20_digits(self):
+        # halfway between two floats: 2^53 + 1 and 2^53 + 3 round to even,
+        # 2^52 + 1/2 and 2^52 + 3/2 too; the least and the signed zero with
+        # 19 decimals; 20 digits, of which 2^64 - 1 still fits a word, 20
+        # decimals and 25 characters go to float()
+        assert_decimals_read_as_float([
+            "9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5",
+            "-0.0000000000000000000", "0.0000000000000000001", "18446744073709551615",
+            "99999999999999999999", ".00000000000000000001", "1e-05", "9999999999999999999",
+            ".1234567890123456789", "-1234567890123456789.", "-0000000000000000000001",
+            "000000000000000000000001", "-000000000000000000000001", "1234.00000000000000000000"])
 
     def test_every_fixed_spelling_of_15_and_16_characters(self):
         rng = np.random.default_rng(20261019)

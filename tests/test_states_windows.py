@@ -1,7 +1,7 @@
 """parse_states against the row loop it replaced (oracles.parse_states_rows).
 
 The template reader parses states.csv with numpy byte operations and
-Clinger's fast path for short decimals, and hands any window it cannot
+fast paths for decimals of up to 19 digits, and hands any window it cannot
 vouch for to the row loop.  With the window shrunk to a
 few hundred bytes, frames straddle windows, and every generated file must
 give the oracle's history bit for bit, or the oracle's ParseError with
@@ -33,6 +33,7 @@ from gasinertia.ingest import (
     serialize_states,
 )
 from gasinertia.model import Element, ElementKind, Network, Node, PipeGeometry
+from gasinertia.synth import parse_scenario, simulate
 
 from oracles import parse_states_rows
 
@@ -378,18 +379,25 @@ def chain_network(pipes):
 
 
 def parse_by_template(path, network):
-    """parse_states with a row loop that fails the test, and the mask of the
-    values that took the fast path."""
+    """parse_states with a row loop that fails the test, the mask of the
+    values that took a fast path, and the texts of the others, each of which
+    float() reads alone."""
     def row_loop(*args):
         raise AssertionError("the row loop read the file")
 
-    fast, decimals = [], ingest._decimals
+    fast, declined, decimals = [], [], ingest._decimals
+
+    def counting(raw, start, end):
+        values, taken = decimals(raw, start, end)
+        fast.append(taken)
+        declined.extend(raw[a:b].tobytes() for a, b in zip(start[~taken], end[~taken]))
+        return values, taken
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_row_step", row_loop)
-        patch.setattr(ingest, "_decimals", lambda *args: (
-            lambda result: fast.append(result[1]) or result)(decimals(*args)))
+        patch.setattr(ingest, "_decimals", counting)
         history = parse_states(path, network)
-    return history, np.concatenate(fast)
+    return history, np.concatenate(fast), declined
 
 
 def test_fixed_decimal_files_take_the_fast_path(tmp_path):
@@ -398,7 +406,7 @@ def test_fixed_decimal_files_take_the_fast_path(tmp_path):
     path = str(tmp_path / "states.csv")
     fixed_decimal_states(path, network, 400, seed=3)
     assert os.path.getsize(path) > 10 * ingest._WINDOW
-    history, fast = parse_by_template(path, network)
+    history, fast, _ = parse_by_template(path, network)
     assert fast.all() and len(fast) == 400 * 319
     assert_same_history(history, parse_states_rows(path, network))
 
@@ -409,6 +417,41 @@ def test_frame_larger_than_the_window(tmp_path):
     path = str(tmp_path / "states.csv")
     fixed_decimal_states(path, network, 3, seed=4)
     assert os.path.getsize(path) > 3 * 3 * ingest._WINDOW
-    history, fast = parse_by_template(path, network)
+    history, fast, _ = parse_by_template(path, network)
     assert len(history) == 3 and fast.all()
     assert_same_history(history, parse_states_rows(path, network))
+
+
+def test_long_value_first_in_a_window(tmp_path):
+    # the shortest row before a value: a 12-byte timestamp, a one-byte id and
+    # the shortest quantity; windows of one row put each row first in its
+    # window, where the 24 bytes read before a value's end reach furthest
+    # toward the window's start
+    network = Network.build([Node("a"), Node("b")], [Element("v", ElementKind.VALVE, "a", "b")])
+    values = ["1.234567890123456789", "-0.1234567890123456789", "1234567890123456789",
+              "0.0000000000000000001"]
+    rows = [f"20260101T{hour:02d}Z,v,{QUANTITY_VALVE},{values[hour % 4]}\n" for hour in range(24)]
+    path = str(tmp_path / "states.csv")
+    with open(path, "w", newline="") as handle:
+        handle.writelines([",".join(STATES_COLUMNS) + "\n"] + rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_WINDOW", max(map(len, rows)))
+        history, fast, _ = parse_by_template(path, network)
+    assert fast.all() and len(fast) == 24
+    assert_same_history(history, parse_states_rows(path, network))
+
+
+def test_synth_files_leave_only_exponents_to_float(tmp_path):
+    (tmp_path / "noisy.scn").write_text("fixture = funnel50\nframes = 40\nnoise = 0.002\n"
+                                        "seed = 1\n")
+    scenario = parse_scenario(str(tmp_path / "noisy.scn"))
+    path = str(tmp_path / "states.csv")
+    serialize_states(simulate(scenario), path)
+    history, fast, declined = parse_by_template(path, scenario.network)
+    # synth spells values by repr, most of them in 16 or 17 digits, which
+    # Clinger's path declines
+    with open(path, "rb") as handle:
+        lengths = [len(line.rsplit(b",", 1)[1]) for line in handle.read().splitlines()[1:]]
+    assert len(fast) == len(lengths) and sum(length > 15 for length in lengths) > len(fast) / 2
+    assert all(b"e" in text for text in declined), declined
+    assert_same_history(history, parse_states_rows(path, scenario.network))
