@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the screening benchmark on every workload and keep the results.
 
-    python3 scripts/bench.py --label <label> [--checkout DIR] [--seed 1]
+    python3 scripts/bench.py --label <label> [--checkout DIR] [--against DIR] [--seed 1]
 
 First compiles the measured checkout's src/ to bytecode, so that no run
 times the compiling of a module whose .pyc is older than its source (with
@@ -50,8 +50,15 @@ components` then runs in two more children, first with scan's
 history.npz (a sidecar hit) and then with it deleted (a miss, which
 reads states.csv again); each one's processor seconds, peak RSS and
 components.csv sha256 go under components.hit and components.miss, and
-the tier fails unless the two digests are the same.  Standard library
-only.
+the tier fails unless the two digests are the same.
+
+With --against DIR, a second checkout (the parent commit, say), every
+tier's inputs are written once, and its scan and components children
+alternate between DIR and the measured checkout, one child of each in
+turn, so that a spell of load on a shared machine weighs on both sides
+alike.  Each tier then records DIR's results, in the same form, under
+its "against" key, and the file records DIR's commit under "against".
+Standard library only.
 """
 
 from __future__ import annotations
@@ -176,55 +183,70 @@ def file_digest(path: Path) -> tuple[str, int]:
     return sha.hexdigest(), newlines
 
 
-def run_tier(checkout: Path, seed: int, workload: str, swapped: range = range(0),
+def run_tier(sides: dict[str, Path], seed: int, workload: str, swapped: range = range(0),
              long_values: bool = False, repr_values: bool = False, components: bool = False,
-             **changes) -> dict:
-    """Scan the grid workload (a GridSpec name of the checkout's
-    perfbench/workloads.py) with changes SCANS times, each in a child, after
-    swapping the first two rows of each frame of swapped, spelling every
-    value again in 16 or 17 digits if long_values, or writing the states
-    again with serialize_states if repr_values; the median wall and
-    processor seconds, the largest peak RSS and the digest of the terms.
-    If components, then run components with and without the sidecar, and
-    give their costs and digests too.  A child writes the inputs."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+             **changes) -> dict[str, dict]:
+    """Scan the grid workload (a GridSpec name of the perfbench/workloads.py
+    of sides["checkout"]) with changes SCANS times per side, each in a
+    child, after swapping the first two rows of each frame of swapped,
+    spelling every value again in 16 or 17 digits if long_values, or
+    writing the states again with serialize_states if repr_values; per
+    side, the median wall and processor seconds, the largest peak RSS and
+    the digest of the terms.  If components, then run components with and
+    without the sidecar, and give their costs and digests too.  sides maps
+    a name to a checkout; their children alternate in the order of sides.
+    A child of sides["checkout"] writes the inputs, which every side reads."""
+    envs = {name: dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+                       OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            for name, checkout in sides.items()}
     with tempfile.TemporaryDirectory() as root:
-        job = dict(checkout=str(checkout), workload=workload, seed=seed, root=root,
+        job = dict(checkout=str(sides["checkout"]), workload=workload, seed=seed, root=root,
                    swapped=[swapped.start, swapped.stop, swapped.step], long=long_values,
                    repr=repr_values, changes=changes)
         code = "import sys, bench; bench.generate(sys.argv[1])"
         done = subprocess.run([sys.executable, "-c", code, json.dumps(job)],
-                              cwd=Path(__file__).parent, env=env, capture_output=True, text=True)
+                              cwd=Path(__file__).parent, env=envs["checkout"],
+                              capture_output=True, text=True)
         if done.returncode != 0:
             sys.exit(f"generating the tier exited with {done.returncode}:\n{done.stderr}")
         planted = json.loads(done.stdout.splitlines()[-1])
         inputs = ["--topology", f"{root}/topology.csv", "--states", f"{root}/states.csv"]
-        scan = ["scan", *inputs, "--exclusions", f"{root}/exclusions.csv", "--out", f"{root}/out"]
-        walls, cpus, peaks = zip(*(run_stage(scan, env) for _ in range(SCANS)))
-        wall, cpu, peak = statistics.median(walls), statistics.median(cpus), max(peaks)
-        terms_sha256, newlines = file_digest(Path(root, "out", "terms.csv"))
-        # the generated pipe ids need no quoting, so every row but the
-        # header is one line
-        terms_rows = newlines - 1
-        result = {**planted, "terms_rows": terms_rows, "scan_wall_s": wall, "scan_cpu_s": cpu,
-                  "points_per_cpu_s": planted["points"] / cpu,
-                  "rows_per_cpu_s": planted["states_rows"] / cpu,
-                  "terms_rows_per_cpu_s": terms_rows / cpu,
-                  "peak_rss_mb": peak, "terms_sha256": terms_sha256}
+        stages = {name: [] for name in sides}
+        for _ in range(SCANS):
+            for name in sides:
+                stages[name].append(run_stage(["scan", *inputs, "--exclusions",
+                                               f"{root}/exclusions.csv", "--out",
+                                               f"{root}/{name}/out"], envs[name]))
+        results = {}
+        for name, runs in stages.items():
+            walls, cpus, peaks = zip(*runs)
+            wall, cpu, peak = statistics.median(walls), statistics.median(cpus), max(peaks)
+            terms_sha256, newlines = file_digest(Path(root, name, "out", "terms.csv"))
+            # the generated pipe ids need no quoting, so every row but the
+            # header is one line
+            terms_rows = newlines - 1
+            results[name] = {**planted, "terms_rows": terms_rows, "scan_wall_s": wall,
+                             "scan_cpu_s": cpu, "points_per_cpu_s": planted["points"] / cpu,
+                             "rows_per_cpu_s": planted["states_rows"] / cpu,
+                             "terms_rows_per_cpu_s": terms_rows / cpu,
+                             "peak_rss_mb": peak, "terms_sha256": terms_sha256}
         if components:
-            result["components"] = {}
             for case in ("hit", "miss"):
-                if case == "miss":
-                    Path(root, "out", "history.npz").unlink()
-                out = f"{root}/{case}"
-                _, cpu, peak = run_stage(["components", *inputs, "--terms",
-                                          f"{root}/out/terms.csv", "--out", out], env)
-                result["components"][case] = {"cpu_s": cpu, "peak_rss_mb": peak,
-                                              "sha256": file_digest(Path(out, "components.csv"))[0]}
-            if len({case["sha256"] for case in result["components"].values()}) != 1:
-                sys.exit("tier components.csv differs with and without history.npz")
-    return result
+                for name in sides:
+                    if case == "miss":
+                        Path(root, name, "out", "history.npz").unlink()
+                    out = f"{root}/{name}/{case}"
+                    _, cpu, peak = run_stage(["components", *inputs, "--terms",
+                                              f"{root}/{name}/out/terms.csv", "--out", out],
+                                             envs[name])
+                    results[name].setdefault("components", {})[case] = {
+                        "cpu_s": cpu, "peak_rss_mb": peak,
+                        "sha256": file_digest(Path(out, "components.csv"))[0]}
+            for name, result in results.items():
+                if len({case["sha256"] for case in result["components"].values()}) != 1:
+                    sys.exit(f"tier components.csv of {name} differs with and without "
+                             "history.npz")
+    return results
 
 
 def main() -> int:
@@ -233,14 +255,21 @@ def main() -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--checkout", type=Path, default=REPO_ROOT,
                         help="checkout to measure (default: this one)")
+    parser.add_argument("--against", type=Path,
+                        help="second checkout, whose tier children alternate with --checkout's")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
     checkout = args.checkout.resolve()
+    sides = {"checkout": checkout}
+    if args.against is not None:
+        # DIR's child runs first in each round of a tier's children
+        sides = {"against": args.against.resolve(), **sides}
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    # compileall writes bytecode even under PYTHONDONTWRITEBYTECODE
-    if not compileall.compile_dir(checkout / "src", quiet=1):
-        sys.exit(f"{checkout / 'src'} does not compile")
+    for side in sides.values():
+        # compileall writes bytecode even under PYTHONDONTWRITEBYTECODE
+        if not compileall.compile_dir(side / "src", quiet=1):
+            sys.exit(f"{side / 'src'} does not compile")
     seconds = declared["run_seconds"]
     try:
         numpy_version = metadata.version("numpy")
@@ -257,25 +286,32 @@ def main() -> int:
         "seconds": seconds,
         "workloads": {},
     }
+    if args.against is not None:
+        bench["against"] = {"checkout": str(sides["against"]),
+                            "commit": git(sides["against"], "rev-parse", "HEAD"),
+                            "dirty": bool(git(sides["against"], "status", "--porcelain",
+                                              "--untracked-files=no"))}
     for workload in (w["name"] for w in declared["workloads"]):
         bench["workloads"][workload] = {
             f"trace_{trace}": run_workload(checkout, workload, args.seed, seconds, trace)
             for trace in (0, 1)}
         print(f"{workload}: done", flush=True)
-    bench["tiers"] = {
-        "M": run_tier(checkout, args.seed, "QUIET_HISTORY", components=True,
-                      frames=3000, events=300),
-        "M_6000": run_tier(checkout, args.seed, "QUIET_HISTORY", components=True,
-                           frames=6000, events=600),
-        "M_meshed": run_tier(checkout, args.seed, "MESHED_TRANSIENTS", frames=1000),
-        "M_swapped": run_tier(checkout, args.seed, "QUIET_HISTORY", swapped=range(1500, 1501),
+    tiers = {
+        "M": dict(workload="QUIET_HISTORY", components=True, frames=3000, events=300),
+        "M_6000": dict(workload="QUIET_HISTORY", components=True, frames=6000, events=600),
+        "M_meshed": dict(workload="MESHED_TRANSIENTS", frames=1000),
+        "M_swapped": dict(workload="QUIET_HISTORY", swapped=range(1500, 1501),
+                          frames=3000, events=300),
+        "M_every_other": dict(workload="QUIET_HISTORY", swapped=range(0, 3000, 2),
                               frames=3000, events=300),
-        "M_every_other": run_tier(checkout, args.seed, "QUIET_HISTORY",
-                                  swapped=range(0, 3000, 2), frames=3000, events=300),
-        "M_long": run_tier(checkout, args.seed, "QUIET_HISTORY", long_values=True,
-                           frames=3000, events=300),
-        "M_repr": run_tier(checkout, args.seed, "QUIET_HISTORY", repr_values=True,
-                           frames=3000, events=300)}
+        "M_long": dict(workload="QUIET_HISTORY", long_values=True, frames=3000, events=300),
+        "M_repr": dict(workload="QUIET_HISTORY", repr_values=True, frames=3000, events=300)}
+    bench["tiers"] = {}
+    for name, tier in tiers.items():
+        results = run_tier(sides, args.seed, **tier)
+        bench["tiers"][name] = results["checkout"]
+        if "against" in results:
+            bench["tiers"][name]["against"] = results["against"]
     print("tiers: done", flush=True)
     path = REPO_ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")

@@ -32,7 +32,6 @@ from .model import (
     GasParams,
     ModelError,
     Network,
-    TimePair,
 )
 from .physics import (
     PipeTable,
@@ -43,7 +42,6 @@ from .physics import (
 )
 from .thresholds import ThresholdConfig, derive_min_flow_change, pipe_relevant, prefilter
 from .components import (
-    Component,
     build_pair_components,
     read_components,
     write_components,
@@ -62,6 +60,7 @@ from .ingest import (
     ParseError,
     Terms,
     exclusion_mask,
+    first_frames,
     format_timestamp,
     history_columns,
     join_histories,
@@ -71,6 +70,7 @@ from .ingest import (
     parse_topology,
     read_settings,
     read_terms,
+    row_pairs,
     save_history,
     states_blocks,
     write_table,
@@ -203,16 +203,17 @@ class _BlockScan:
         arc_col = {arc_id: k for k, arc_id in enumerate(arc_ids)}
         node_col = {node_id: k for k, node_id in enumerate(node_ids)}
         elements = [network.elements[pipe_id] for pipe_id in self.pipe_ids]
-        # column indices as arrays once, not as lists numpy converts per block
+        # column indices and pipe ids as arrays once, not as lists numpy converts per block
         self.flow_cols, self.left, self.right = (
             np.array(cols, dtype=np.intp) for cols in (
                 [arc_col[pipe_id] for pipe_id in self.pipe_ids],
                 [node_col[el.from_node] for el in elements],
                 [node_col[el.to_node] for el in elements]))
+        self.pipe_array = np.array(self.pipe_ids)
         self.table = PipeTable.of([element.geometry for element in elements])
         self.windows, self.cfg, self.gas = windows, cfg, gas
         self.held: list[History] = []
-        self.last_stamp: tuple = ()
+        self.last_stamp = np.empty(0, np.int64)
         self.last_flow = np.empty((0, len(self.pipe_ids)))
         self.pair_count = 0
         self.shortest, self.time_gaps = math.inf, 0
@@ -234,24 +235,22 @@ class _BlockScan:
         self.scan(block)
 
     def scan(self, block: History) -> None:
-        cfg, frames = self.cfg, len(block)
-        stamps = self.last_stamp + block.timestamps
+        stamps = np.concatenate([self.last_stamp, block.timestamps])
         flow = np.concatenate([self.last_flow, block.flow_m3s[:, self.flow_cols]])
         self.last_stamp, self.last_flow = stamps[-1:], flow[-1:]
         # the block's frames are the t1 frames of its pairs, but for the
         # first frame of the history
-        t1 = slice(frames + 1 - len(stamps), None)
+        t1 = slice(len(block) + 1 - len(stamps), None)
 
         # [pairs x pipes] arrays; each data point falls in exactly one class
-        pairs = [TimePair(t0, t1) for t0, t1 in zip(stamps, stamps[1:])]
         flow_t0, flow_t1, rho = flow[:-1], flow[1:], block.rho_n[t1]
         p_left = block.pressure_pa[t1][:, self.left]
         p_right = block.pressure_pa[t1][:, self.right]
-        excluded = exclusion_mask(self.windows, pairs, self.pipe_ids)
+        excluded = exclusion_mask(self.windows, stamps[1:], self.pipe_array)
         lacks_flow = np.isnan(flow)
         # not excluded, and flows and density given
         candidate = ~(excluded | lacks_flow[:-1] | lacks_flow[1:] | np.isnan(rho))
-        passed = candidate & prefilter(flow_t0, flow_t1, cfg)
+        passed = candidate & prefilter(flow_t0, flow_t1, self.cfg)
         survivor = passed & ~(np.isnan(p_left) | np.isnan(p_right))
         evaluated = np.count_nonzero(survivor)
         # missing: flow or density, or an end pressure of a point that passed
@@ -259,8 +258,8 @@ class _BlockScan:
                         np.count_nonzero(~(excluded | candidate))
                         + np.count_nonzero(passed & ~survivor),
                         np.count_nonzero(candidate & ~passed), evaluated]
-        taus = np.array([pair.tau_s for pair in pairs])
-        first, self.pair_count = self.pair_count, self.pair_count + len(pairs)
+        taus = np.diff(stamps) / 1e6
+        first, self.pair_count = self.pair_count, self.pair_count + len(taus)
         self.count_lengths(taus, first)
         if not evaluated:
             return
@@ -276,7 +275,7 @@ class _BlockScan:
 
     def finish(self, history: History) -> Terms:
         """The survivors' terms, relevant as decided under the config, over
-        the pairs of history, that of the blocks, once the last block is in."""
+        their pairs of history, that of the blocks, once the last block is in."""
         if self.held:
             self.flush()
         pair_index, position, flow_t0, flow_t1, alpha, beta = (
@@ -286,7 +285,8 @@ class _BlockScan:
         ratio = term_ratio(alpha, beta)
         # decided on the value terms.csv gives, as components checks it
         relevant = pipe_relevant(alpha_per_length / PER_10KM * PER_10KM, ratio, self.cfg)
-        return Terms(tuple(history.pairs()), pair_index, np.array(self.pipe_ids)[position],
+        # a pair's index so far is its first frame
+        return Terms(*row_pairs(history.timestamps, pair_index), self.pipe_array[position],
                      flow_t0, flow_t1, alpha, beta, alpha_per_length, ratio, relevant)
 
     def count_lengths(self, taus: np.ndarray, before: int) -> None:
@@ -321,18 +321,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
     diag = scan.diag
     excluded, diag.missing_data, below_prefilter, evaluated = scan.counts.tolist()
     diag.time_gaps = scan.time_gaps
-    pairs, pipes = len(terms.pairs), len(scan.pipe_ids)
-    totals = {"total": pairs * pipes, "excluded": excluded, "missing": diag.missing_data,
-              "below_prefilter": below_prefilter, "evaluated": evaluated,
-              "relevant": int(np.count_nonzero(terms.relevant))}
+    pairs, pipes = scan.pair_count, len(scan.pipe_ids)
     print(f"frames: {len(history)}, pairs: {pairs}, pipes: {pipes}")
-    print(f"data points: {totals['total']}, excluded: {totals['excluded']}, "
-          f"missing: {totals['missing']}, below prefilter: {totals['below_prefilter']}, "
-          f"evaluated: {totals['evaluated']}, relevant: {totals['relevant']}")
+    print(f"data points: {pairs * pipes}, excluded: {excluded}, missing: {diag.missing_data}, "
+          f"below prefilter: {below_prefilter}, evaluated: {evaluated}, "
+          f"relevant: {np.count_nonzero(terms.relevant)}")
     print(f"diagnostics: {diag.as_dict()}")
-    conserved = (totals["excluded"] + totals["missing"] + totals["below_prefilter"]
-                 + totals["evaluated"])
-    if conserved != totals["total"]:
+    if excluded + diag.missing_data + below_prefilter + evaluated != pairs * pipes:
         print("warning: data point accounting mismatch", file=sys.stderr)
         return 1
     return 0
@@ -364,13 +359,11 @@ def cmd_components(args: argparse.Namespace) -> int:
         grouped.setdefault(k, []).append(TermRecord(pipe_id, terms.pairs[k], *values))
 
     # every pair is two consecutive frames: read_terms checked, or scan wrote it
-    frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
+    frames = first_frames(history.timestamps, terms.pairs).tolist()
     diag = Diagnostics()
-    stream: list[tuple[TimePair, list[Component]]] = []
-    for k in sorted(grouped, key=lambda index: terms.pairs[index].t0):
-        k0 = frame_index[terms.pairs[k].t0]
-        stream.append((terms.pairs[k], build_pair_components(
-            network, grouped[k], history[k0], history[k0 + 1], cfg, diag)))
+    stream = [(terms.pairs[k], build_pair_components(network, grouped[k], history[frames[k]],
+                                                     history[frames[k] + 1], cfg, diag))
+              for k in sorted(grouped, key=frames.__getitem__)]
 
     write_components(stream, _out_path(args, "components.csv"),
                      _out_path(args, "components_pipes.csv"))

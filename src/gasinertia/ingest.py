@@ -22,13 +22,11 @@ carry file and line context.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 import functools
 import io
-import itertools
 import math
 import os
 from typing import Iterable, Iterator, NamedTuple
@@ -239,6 +237,22 @@ def serialize_topology(network: Network, path: str) -> None:
     write_table(path, TOPOLOGY_COLUMNS, rows())
 
 
+# History holds an instant as int64 microseconds since this one, as
+# history.npz does; the offset a file spells it with is not kept
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def microseconds(stamps: Iterable[datetime]) -> np.ndarray:
+    """Aware datetimes as the instants of a History."""
+    return np.array([(stamp - _EPOCH) // _MICROSECOND for stamp in stamps], dtype=np.int64)
+
+
+def instant(us: int) -> datetime:
+    """An instant of a History as a UTC datetime."""
+    return _EPOCH + int(us) * _MICROSECOND
+
+
 @dataclass(frozen=True, eq=False)
 class History:
     """A state history as arrays: one row per frame, one column per entity.
@@ -247,10 +261,10 @@ class History:
     may be given for any arc), every valve and every pipe of the network,
     or a subset, as in the history scan saves for components.  NaN marks
     a value the history does not give; valve_open holds 1.0 for open and
-    0.0 for closed.  Timestamps are strictly increasing.
+    0.0 for closed.  Timestamps are strictly increasing instants.
     """
 
-    timestamps: tuple[datetime, ...]
+    timestamps: np.ndarray      # [frames] int64, as microseconds gives them
     node_ids: tuple[str, ...]
     arc_ids: tuple[str, ...]
     valve_ids: tuple[str, ...]
@@ -266,20 +280,30 @@ class History:
     def __getitem__(self, k: int) -> StateFrame:
         """Frame k (negative k counts from the end; iterating yields every
         frame) as per-entity mappings of the values it gives."""
-        return StateFrame(self.timestamps[k],
+        return StateFrame(instant(self.timestamps[k]),
                           _given(self.node_ids, self.pressure_pa[k]),
                           _given(self.arc_ids, self.flow_m3s[k]),
                           {valve_id: state == 1.0 for valve_id, state
                            in _given(self.valve_ids, self.valve_open[k]).items()},
                           _given(self.pipe_ids, self.rho_n[k]))
 
-    def pairs(self) -> list[TimePair]:
-        """Consecutive frames as analysis pairs, in chronological order."""
-        return [TimePair(t0, t1) for t0, t1 in zip(self.timestamps, self.timestamps[1:])]
-
     def arrays(self) -> tuple[np.ndarray, ...]:
         """The value arrays, in the order of history_columns."""
         return self.pressure_pa, self.flow_m3s, self.valve_open, self.rho_n
+
+
+def first_frames(stamps: np.ndarray, pairs: Iterable[TimePair]) -> np.ndarray:
+    """The frame of a History's timestamps stamps at which each of pairs begins."""
+    return stamps.searchsorted(microseconds(pair.t0 for pair in pairs))
+
+
+def row_pairs(stamps: np.ndarray, frames: np.ndarray) -> tuple[tuple[TimePair, ...], np.ndarray]:
+    """Terms.pairs and pair_index of chronological rows whose pairs begin
+    at frames of a History's timestamps stamps: each pair once, numbered
+    in the order its rows first appear, as parsing numbers them."""
+    first, pair_index = np.unique(frames, return_inverse=True)
+    return tuple(TimePair(instant(stamps[k]), instant(stamps[k + 1]))
+                 for k in first.tolist()), pair_index
 
 
 def history_columns(network: Network) -> tuple[tuple[str, ...], ...]:
@@ -298,15 +322,10 @@ def narrow_history(blocks: Iterable[History], network: Network) -> History:
                    for node in (element.from_node, element.to_node)})
     columns = tuple(ends), (), tuple(sorted(network.of_kind(ElementKind.VALVE))), ()
     end_cols = np.searchsorted(history_columns(network)[0], ends)
-    stamps, pressure, valve = [], [np.empty((0, len(ends)))], [np.empty((0, len(columns[2])))]
-    for block in blocks:
-        stamps += block.timestamps
-        # fancy indexing copies
-        pressure.append(block.pressure_pa[:, end_cols])
-        valve.append(block.valve_open)
-    empty = np.empty((len(stamps), 0))
-    return History(tuple(stamps), *columns, np.concatenate(pressure), empty,
-                   np.concatenate(valve), empty)
+    # fancy indexing copies
+    return join_histories([History(block.timestamps, *columns, block.pressure_pa[:, end_cols],
+                                   np.empty((len(block), 0)), block.valve_open,
+                                   np.empty((len(block), 0))) for block in blocks], columns)
 
 
 def _given(ids: tuple[str, ...], row: np.ndarray) -> dict[str, float]:
@@ -397,8 +416,8 @@ def join_histories(blocks: list[History], columns: tuple[tuple[str, ...], ...]) 
     other, all over columns."""
     arrays = (np.concatenate([np.empty((0, len(ids)))] + [block.arrays()[q] for block in blocks])
               for q, ids in enumerate(columns))
-    return History(tuple(itertools.chain.from_iterable(block.timestamps for block in blocks)),
-                   *columns, *arrays)
+    stamps = np.concatenate([np.empty(0, np.int64)] + [block.timestamps for block in blocks])
+    return History(stamps, *columns, *arrays)
 
 
 def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict, data: bytes,
@@ -415,7 +434,6 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict, dat
     stamps: list[datetime] = []
     # a row per frame, which keeps the last of repeated values
     rows: list[list[float]] = []
-    current: datetime | None = None
     stamp_text = None
     for line, at, (text, entity, quantity, value_text) in _rows(
             path, lines, STATES_COLUMNS, carry.line, not final, window.isascii()):
@@ -424,13 +442,12 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict, dat
             # parsed once per run of equal texts
             stamp = parse_timestamp(text, path, line)
             stamp_text = text
-            if current is None or stamp != current:
-                if current is not None and stamp <= current:
+            if not stamps or stamp != stamps[-1]:
+                if stamps and stamp <= stamps[-1]:
                     raise ParseError(path, line,
                                      f"timestamps not strictly increasing: "
                                      f"{format_timestamp(stamp)} after "
-                                     f"{format_timestamp(current)}")
-                current = stamp
+                                     f"{format_timestamp(stamps[-1])}")
                 stamps.append(stamp)
                 row = [math.nan] * len(places)
                 rows.append(row)
@@ -471,7 +488,7 @@ def _history(stamps: list[datetime], rows: list[list[float]] | np.ndarray,
     pressure, flow, valve, rho = np.split(rows, np.cumsum([*map(len, columns[:3])]), axis=1)
     # each array its own, as a view would keep all rows; |NaN| has no sign,
     # so a valve not given stays NaN
-    return History(tuple(stamps), *columns, pressure * BAR, flow * KNM3H,
+    return History(microseconds(stamps), *columns, pressure * BAR, flow * KNM3H,
                    np.sign(np.abs(valve)), rho.copy())
 
 
@@ -691,8 +708,8 @@ def serialize_states(history: History, path: str) -> None:
                       (QUANTITY_RHO, history.pipe_ids, history.rho_n, repr))]
     with open(path, "w", newline="") as handle:
         handle.write(",".join(STATES_COLUMNS) + "\r\n")
-        for k, stamp in enumerate(history.timestamps):
-            text = format_timestamp(stamp)
+        for k, stamp in enumerate(history.timestamps.tolist()):
+            text = format_timestamp(instant(stamp))
             # NaN, unequal to itself, marks a value not given
             handle.write("".join([f"{text}{cell}{form(value)}\r\n"
                                   for cells, values, form in quantities
@@ -702,8 +719,6 @@ def serialize_states(history: History, path: str) -> None:
 
 # scan saves its history and terms in this file next to its terms file
 HISTORY_SIDECAR = "history.npz"
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MICROSECOND = timedelta(microseconds=1)
 
 
 def file_sha256(path: str) -> str:
@@ -730,21 +745,19 @@ def save_history(history: History, terms: Terms, terms_path: str, terms_sha256: 
     in bytes of the terms file and of the states file, states_size, and
     history as narrow_history gives it: the timestamps and the columns
     components reads, valve states and the pressures at resistor ends.
-    As scan builds them, the terms' pairs are history.pairs(), so a row's
-    pair index is its first frame."""
+    Each row is saved with its pair's first frame."""
     np.savez(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR),
              states_sha256=states_sha256,
              topology_sha256=topology_sha256,
              terms_sha256=terms_sha256,
              states_size=states_size,
              terms_size=os.path.getsize(terms_path),
-             timestamps_us=np.array([(t - _EPOCH) // _MICROSECOND for t in history.timestamps],
-                                    dtype=np.int64),
+             timestamps_us=history.timestamps,
              valve_ids=np.array(history.valve_ids, dtype=str),
              valve_open=history.valve_open,
              node_ids=np.array(history.node_ids, dtype=str),
              pressure_pa=history.pressure_pa,
-             terms_frame=terms.pair_index,
+             terms_frame=first_frames(history.timestamps, terms.pairs)[terms.pair_index],
              terms_pipe_ids=terms.pipe_ids,
              terms_numbers=_file_numbers(terms),
              terms_relevant=terms.relevant)
@@ -769,13 +782,10 @@ def load_saved(terms_path: str, cfg: ThresholdConfig | None = None,
                     or given and (str(saved["topology_sha256"]) != topology_sha256
                                   or str(saved["states_sha256"]) != file_sha256(states_path))):
                 return None
-            stamps = tuple(_EPOCH + us * _MICROSECOND for us in saved["timestamps_us"].tolist())
-            # the rows are chronological, so sorted pairs are numbered in the
-            # order they first appear, as parsing numbers them
-            frames, pair_index = np.unique(saved["terms_frame"], return_inverse=True)
-            pairs = tuple(TimePair(stamps[k], stamps[k + 1]) for k in frames.tolist())
-            terms = _from_file_numbers(pairs, pair_index, saved["terms_pipe_ids"],
-                                       saved["terms_numbers"], saved["terms_relevant"])
+            stamps = saved["timestamps_us"]
+            terms = _from_file_numbers(*row_pairs(stamps, saved["terms_frame"]),
+                                       saved["terms_pipe_ids"], saved["terms_numbers"],
+                                       saved["terms_relevant"])
             history = None
             if states_path is not None:
                 empty = np.empty((len(stamps), 0))
@@ -818,21 +828,21 @@ def parse_exclusions(path: str, network: Network) -> list[ExclusionWindow]:
     return windows
 
 
-def exclusion_mask(windows: Iterable[ExclusionWindow], pairs: list[TimePair],
-                   pipe_ids: tuple[str, ...]) -> np.ndarray:
+def exclusion_mask(windows: list[ExclusionWindow], t1: np.ndarray,
+                   pipe_ids: tuple[str, ...] | np.ndarray) -> np.ndarray:
     """[pairs x pipes] mask of the data points some window covers.
 
-    A data point belongs to a window when its evaluation time t1 does.
-    pipe_ids are sorted, as History columns are, and hold every window's
-    pipe.
+    A data point belongs to a window when its evaluation time, its pair's
+    t1 as a History's instant, does.  pipe_ids, a tuple or an array, are
+    sorted, as History columns are, and hold every window's pipe.
     """
-    t1 = [pair.t1 for pair in pairs]
-    mask = np.zeros((len(pairs), len(pipe_ids)), dtype=bool)
-    for window in windows:
-        # pairs are chronological, so the pairs whose t1 lies in
-        # [start, end) form one run
-        mask[bisect_left(t1, window.start):bisect_left(t1, window.end),
-             bisect_left(pipe_ids, window.pipe_id)] = True
+    mask = np.zeros((len(t1), len(pipe_ids)), dtype=bool)
+    if windows:
+        # t1 is chronological, so the pairs whose t1 lies in [start, end) form one run
+        edges = t1.searchsorted(microseconds(edge for w in windows for edge in (w.start, w.end)))
+        columns = np.searchsorted(pipe_ids, [w.pipe_id for w in windows])
+        for start, end, column in zip(edges[::2].tolist(), edges[1::2].tolist(), columns.tolist()):
+            mask[start:end, column] = True
     return mask
 
 
@@ -1074,8 +1084,6 @@ def _parse_terms(path: str, history: History | None, pipes: set) -> tuple[Terms,
     by_text: dict[tuple[str, str], int] = {}
     by_pair: dict[TimePair, int] = {}
     seen: set[tuple[int, str]] = set()
-    if history is not None:
-        frame_index = {stamp: k for k, stamp in enumerate(history.timestamps)}
     lines, pair_index, pipe_ids, numbers, relevant = [], [], [], [], []
     for line, row in read_table(path, TERMS_COLUMNS):
         k = by_text.get((row[0], row[1]))
@@ -1083,9 +1091,10 @@ def _parse_terms(path: str, history: History | None, pipes: set) -> tuple[Terms,
             pair = parse_pair(parse_timestamp(row[0], path, line),
                               parse_timestamp(row[1], path, line), path, line)
             if pair not in by_pair and history is not None:
-                k0, k1 = (frame_index.get(stamp) for stamp in (pair.t0, pair.t1))
+                us = microseconds((pair.t0, pair.t1))
+                k0, k1 = history.timestamps.searchsorted(us).tolist()
                 span = f"pair {format_timestamp(pair.t0)} .. {format_timestamp(pair.t1)}"
-                if k0 is None or k1 is None:
+                if k1 == len(history) or (history.timestamps[[k0, k1]] != us).any():  # k0 <= k1
                     raise ParseError(path, line, f"{span} has no matching states")
                 if k1 != k0 + 1:
                     raise ParseError(path, line,

@@ -211,10 +211,6 @@ class TimePair:
         if not self.t1 > self.t0:
             raise ModelError(f"time pair requires t1 > t0, got {self.t0} .. {self.t1}")
 
-    @property
-    def tau_s(self) -> float:
-        return (self.t1 - self.t0).total_seconds()
-
 
 @dataclass
 class Diagnostics:

@@ -45,7 +45,8 @@ from .physics import (
     inertia_term_alpha,
     remaining_terms_gamma,
 )
-from .ingest import History, ParseError, history_columns, parse_timestamp, read_settings
+from .ingest import (History, ParseError, history_columns, microseconds, parse_timestamp,
+                     read_settings)
 
 # fixed quadratic drop coefficient of synthetic resistors, Pa/(m^3/s)^2
 RESISTOR_DROP_COEFF = 1.0e3
@@ -514,7 +515,7 @@ def simulate(scenario: Scenario) -> History:
 
     # the solver orders valves and pipes by id, as the columns do
     return History(
-        tuple(scenario.start + timedelta(seconds=k * scenario.tau_s) for k in range(n)),
+        microseconds(scenario.start + timedelta(seconds=k * scenario.tau_s) for k in range(n)),
         *columns, pressure, flow,
         np.tile(system.valve_open.astype(float), (n, 1)),
         np.full((n, len(pipe_ids)), scenario.rho_n_kgm3))

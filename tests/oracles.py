@@ -26,6 +26,8 @@ from gasinertia.ingest import (
     Terms,
     format_timestamp,
     history_columns,
+    instant,
+    microseconds,
     parse_timestamp,
 )
 from gasinertia.model import BAR, KNM3H, ModelError, validate_normal_density
@@ -425,7 +427,7 @@ def parse_states_rows(path: str, network) -> History:
                 raise ParseError(path, line, f"unknown quantity {quantity!r}")
     arrays = (np.array([rows[q] for rows in frames], dtype=float).reshape(len(frames), len(ids))
               for q, ids in enumerate(columns))
-    return History(tuple(stamps), *columns, *arrays)
+    return History(microseconds(stamps), *columns, *arrays)
 
 
 def serialize_states_rows(history: History, path: str) -> None:
@@ -445,8 +447,8 @@ def serialize_states_rows(history: History, path: str) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(STATES_COLUMNS)
-        for k, stamp in enumerate(history.timestamps):
-            text = format_timestamp(stamp)
+        for k, stamp in enumerate(history.timestamps.tolist()):
+            text = format_timestamp(instant(stamp))
             for quantity, ids, values, form in quantities:
                 for entity, value in zip(ids, values[k].tolist()):
                     if value == value:

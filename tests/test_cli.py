@@ -261,7 +261,8 @@ class TestHistorySidecar:
         hit, miss = histories["present"], histories["deleted"]
         assert ((miss.node_ids, miss.arc_ids, miss.valve_ids, miss.pipe_ids)
                 == (hit.node_ids, hit.arc_ids, hit.valve_ids, hit.pipe_ids))
-        assert miss.timestamps == hit.timestamps
+        assert miss.timestamps.dtype == hit.timestamps.dtype == np.int64
+        assert miss.timestamps.tobytes() == hit.timestamps.tobytes()
         assert frames["deleted"] == frames["present"] and frames["present"]
         assert ((root / "deleted" / "components.csv").read_bytes()
                 == (root / "present" / "components.csv").read_bytes())

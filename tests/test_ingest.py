@@ -243,7 +243,7 @@ class TestStates:
                         + f"\n{z},n2,node.pressure_bar,58.0"
                         + "\n2026-01-01T00:03:00Z,n0,node.pressure_bar,60.0\n")
         history = parse_states(str(path), sample_network())
-        assert history.timestamps == (stamp(0), stamp(1))
+        assert history.timestamps.tolist() == ingest.microseconds([stamp(0), stamp(1)]).tolist()
         assert sorted(history[0].node_pressure_pa) == ["n0", "n1", "n2"]
         assert history[0].arc_flow_m3s == {"p1": KNM3H}
 
@@ -370,17 +370,18 @@ class TestExclusions:
         window = ExclusionWindow("p1", stamp(1), stamp(3))
         # a pair is covered when its t1 falls inside [start, end): t1 ==
         # start (pair 0) is inside, t1 == end (pair 2) is outside
-        mask = exclusion_mask([window], empty_history(5).pairs(), ("p1",))
+        mask = exclusion_mask([window], empty_history(5).timestamps[1:], ("p1",))
         assert mask[:, 0].tolist() == [True, True, False, False]
 
     def test_mask_follows_each_window(self):
         windows = [ExclusionWindow("p1", stamp(1), stamp(3)),
                    ExclusionWindow("p2", stamp(0), stamp(9)),
                    ExclusionWindow("p1", stamp(4), stamp(4) + timedelta(seconds=1))]
-        pairs = empty_history(6).pairs()
-        mask = exclusion_mask(windows, pairs, ("p0", "p1", "p2"))
-        expected = [[any(w.pipe_id == pipe_id and w.start <= pair.t1 < w.end for w in windows)
-                     for pipe_id in ("p0", "p1", "p2")] for pair in pairs]
+        t1 = empty_history(6).timestamps[1:]
+        mask = exclusion_mask(windows, t1, ("p0", "p1", "p2"))
+        expected = [[any(w.pipe_id == pipe_id and w.start <= ingest.instant(us) < w.end
+                         for w in windows)
+                     for pipe_id in ("p0", "p1", "p2")] for us in t1.tolist()]
         assert mask.tolist() == expected
         assert mask[:, 1].tolist() == [True, True, False, True, False]
 
@@ -516,8 +517,8 @@ class TestTerms:
         path = tmp_path / "terms.csv"
         write_terms(make_terms(), str(path))
         n = len(stamps)
-        history = History(stamps, (), (), (), pipe_ids, np.empty((n, 0)), np.empty((n, 0)),
-                          np.empty((n, 0)), np.full((n, len(pipe_ids)), 0.85))
+        history = History(ingest.microseconds(stamps), (), (), (), pipe_ids,
+                          *(np.empty((n, 0)) for _ in range(3)), np.full((n, len(pipe_ids)), 0.85))
         if message is None:
             assert_terms_equal(read_terms(str(path), history, pipe_ids), make_terms())
             return
@@ -855,8 +856,7 @@ class TestSidecar:
     def test_round_trip(self, tmp_path, parsed):
         states, topology, terms_path, history = self.save(tmp_path)
         terms, loaded = load_saved(terms_path, None, states, file_sha256(topology))
-        assert loaded.timestamps == history.timestamps
-        assert all(t.utcoffset() == timedelta(0) for t in loaded.timestamps)
+        assert loaded.timestamps.tobytes() == history.timestamps.tobytes()
         # the valve and the ends of resistor r1, and no other column
         assert (loaded.node_ids, loaded.arc_ids, loaded.valve_ids, loaded.pipe_ids) == (
             ("n2", "n3"), (), ("v1",), ())
@@ -960,17 +960,17 @@ class TestSidecar:
     def test_terms_refused_for_a_history_they_do_not_fit(self, tmp_path, parsed, change,
                                                          message):
         _, _, terms_path, history = self.save(tmp_path)
-        stamps, pipe_ids = history.timestamps, history.pipe_ids
+        stamps, pipe_ids = [ingest.instant(us) for us in history.timestamps], history.pipe_ids
         if change == "same instants":
-            stamps = tuple(t.astimezone(timezone(timedelta(hours=1))) for t in stamps)
+            stamps = [t.astimezone(timezone(timedelta(hours=1))) for t in stamps]
         elif change.endswith("pipe"):
             pipe_ids = ("p0", "p1") if change == "extra pipe" else ("p0",)
         else:
             stamps = stamps[:1] if change == "missing frame" else (
                 stamps[0], stamps[0] + timedelta(seconds=60), stamps[1])
-        other = History(stamps, (), (), (), pipe_ids, *(np.empty((len(stamps), 0))
-                                                        for _ in range(3)),
-                        np.full((len(stamps), len(pipe_ids)), 0.85))
+        n = len(stamps)
+        other = History(ingest.microseconds(stamps), (), (), (), pipe_ids,
+                        *(np.empty((n, 0)) for _ in range(3)), np.full((n, len(pipe_ids)), 0.85))
         # given a history, the terms file is parsed even next to its sidecar
         if message is None:
             assert_terms_equal(read_terms(terms_path, other, pipe_ids), read_terms(terms_path))
@@ -1055,19 +1055,23 @@ class TestFraming:
 
 
 def empty_history(frames: int) -> History:
-    return History(tuple(stamp(k) for k in range(frames)), (), (), (), (),
+    return History(ingest.microseconds(stamp(k) for k in range(frames)), (), (), (), (),
                    *(np.empty((frames, 0)) for _ in range(4)))
 
 
 def assert_same_history(actual: History, expected: History) -> None:
-    assert actual.timestamps == expected.timestamps
+    assert actual.timestamps.dtype == expected.timestamps.dtype == np.int64
+    assert actual.timestamps.tolist() == expected.timestamps.tolist()
     for name in ("node_ids", "arc_ids", "valve_ids", "pipe_ids"):
         assert getattr(actual, name) == getattr(expected, name)
     for name in ("pressure_pa", "flow_m3s", "valve_open", "rho_n"):
         np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name))
 
 
-def test_history_pairs_orders_chronologically():
-    pairs = empty_history(3).pairs()
-    assert [(p.t0, p.t1) for p in pairs] == [(stamp(0), stamp(1)), (stamp(1), stamp(2))]
-    assert empty_history(1).pairs() == []
+def test_row_pairs_number_pairs_chronologically():
+    stamps = empty_history(5).timestamps
+    pairs, pair_index = ingest.row_pairs(stamps, np.array([1, 1, 3, 3, 3]))
+    assert [(p.t0, p.t1) for p in pairs] == [(stamp(1), stamp(2)), (stamp(3), stamp(4))]
+    assert pair_index.tolist() == [0, 0, 1, 1, 1]
+    assert ingest.first_frames(stamps, pairs).tolist() == [1, 3]
+    assert ingest.row_pairs(stamps, np.array([], dtype=int))[0] == ()

@@ -95,8 +95,7 @@ class TestStateFrame:
     def test_time_pair(self):
         t0 = datetime(2026, 1, 1, tzinfo=UTC)
         t1 = t0 + timedelta(seconds=180)
-        pair = TimePair(t0, t1)
-        assert pair.tau_s == 180.0
+        assert TimePair(t0, t1).t1 == t1
         with pytest.raises(ModelError):
             TimePair(t1, t0)
         with pytest.raises(ModelError):

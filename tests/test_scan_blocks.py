@@ -13,8 +13,10 @@ blocks have gone out; a bad row there stops scan before it writes.
 """
 
 from datetime import datetime, timedelta, timezone
+import gc
 import os
 from pathlib import Path
+import tracemalloc
 
 from hypothesis import given, note, settings, strategies as st
 import numpy as np
@@ -38,7 +40,7 @@ NETWORK = Network.build([Node(f"n{k}") for k in range(6)], [
     Element("r1", ElementKind.RESISTOR, "n3", "n4"),
 ])
 COLUMNS = history_columns(NETWORK)
-FULL = History(tuple(START + timedelta(minutes=3 * k) for k in range(8)), *COLUMNS,
+FULL = History(ingest.microseconds(START + timedelta(minutes=3 * k) for k in range(8)), *COLUMNS,
                *(np.full((8, len(ids)), value)
                  for ids, value in zip(COLUMNS, (50e5, 30.0, 1.0, 0.8))))
 # flows in kNm3/h: some steps stay under the 0.5 kNm3/h prefilter
@@ -52,7 +54,7 @@ def histories(draw):
     frames = draw(st.integers(1, 10))
     steps = np.cumsum(draw(st.lists(st.sampled_from([1, 1, 2]), min_size=frames,
                                     max_size=frames)))
-    stamps = tuple(START + timedelta(minutes=3 * int(step)) for step in steps)
+    stamps = ingest.microseconds(START + timedelta(minutes=3 * int(step)) for step in steps)
     pools = [[40e5, 55.5e5, 70e5],
              [value * ingest.KNM3H for value in FLOWS_KNM3H],
              [0.0, 1.0],
@@ -69,26 +71,45 @@ def histories(draw):
     return History(stamps, *COLUMNS, *arrays)
 
 
+# offsets an exclusion edge may be spelled with
+OFFSETS = [timezone(timedelta(hours=hours)) for hours in (1, -5.5, 14)]
+
+
+def instants(history):
+    return [ingest.instant(us) for us in history.timestamps]
+
+
 @st.composite
-def exclusions(draw, stamps):
-    """Exclusion windows with edges on frame instants and one second after."""
-    edges = sorted(stamps + tuple(instant + timedelta(seconds=1) for instant in stamps))
+def exclusions(draw, history):
+    """Exclusion windows with edges on frame instants and one second after,
+    each edge in UTC or, spelled with an offset, in another zone."""
+    stamps = instants(history)
+    edges = sorted(stamps + [instant + timedelta(seconds=1) for instant in stamps])
+    zones = st.sampled_from([timezone.utc, *OFFSETS])
     windows = []
-    for pipe_id, a, b in draw(st.lists(st.tuples(st.sampled_from(COLUMNS[3]),
-                                                 st.integers(0, len(edges) - 1),
-                                                 st.integers(0, len(edges) - 1)), max_size=3)):
+    for pipe_id, a, b, zone_a, zone_b in draw(st.lists(st.tuples(
+            st.sampled_from(COLUMNS[3]), st.integers(0, len(edges) - 1),
+            st.integers(0, len(edges) - 1), zones, zones), max_size=3)):
         if a != b:
-            windows.append((pipe_id, edges[min(a, b)], edges[max(a, b)]))
+            windows.append((pipe_id, edges[min(a, b)].astimezone(zone_a),
+                            edges[max(a, b)].astimezone(zone_b)))
     return windows
 
 
+def in_utc(windows):
+    return [(pipe_id, a.astimezone(timezone.utc), b.astimezone(timezone.utc))
+            for pipe_id, a, b in windows]
+
+
 def write_inputs(root, history, windows):
+    """topology.csv, states.csv and exclusions.csv in root, each window's
+    edges spelled in their zones, UTC as Z."""
     serialize_topology(NETWORK, os.path.join(root, "topology.csv"))
     serialize_states(history, os.path.join(root, "states.csv"))
     with open(os.path.join(root, "exclusions.csv"), "w") as handle:
         handle.write("pipe_id,start_iso8601,end_iso8601\n" + "".join(
-            f"{pipe_id},{ingest.format_timestamp(a)},{ingest.format_timestamp(b)}\n"
-            for pipe_id, a, b in windows))
+            f"{pipe_id},{a.isoformat().replace('+00:00', 'Z')},"
+            f"{b.isoformat().replace('+00:00', 'Z')}\n" for pipe_id, a, b in windows))
 
 
 def scan(root, window=None):
@@ -147,10 +168,12 @@ def assert_same_outputs(a, b):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), histories(), st.integers(40, 400))
 def test_blocks_give_the_outputs_of_one_block(tmp_path_factory, data, history, window):
-    windows = data.draw(exclusions(history.timestamps))
+    windows = data.draw(exclusions(history))
     root = str(tmp_path_factory.mktemp("scan"))
+    # edges spelled with offsets at small blocks, the same edges as Z at one block
     write_inputs(root, history, windows)
     small, small_out, given_small = scan(root, window)
+    write_inputs(root, history, in_utc(windows))
     whole, whole_out, given_whole = scan(root)
     note(f"blocks at {window} bytes: {given_small}")
     assert small == whole
@@ -161,9 +184,10 @@ def test_blocks_give_the_outputs_of_one_block(tmp_path_factory, data, history, w
 
 
 def test_small_windows_give_a_block_per_frame(tmp_path):
-    history = History(tuple(START + timedelta(minutes=3 * k) for k in (0, 1, 3, 4)), *COLUMNS,
-                      *(array[:4] for array in FULL.arrays()))
-    write_inputs(str(tmp_path), history, [("p2", history.timestamps[1], history.timestamps[3])])
+    history = History(ingest.microseconds(START + timedelta(minutes=3 * k) for k in (0, 1, 3, 4)),
+                      *COLUMNS, *(array[:4] for array in FULL.arrays()))
+    stamps = instants(history)
+    write_inputs(str(tmp_path), history, [("p2", stamps[1], stamps[3])])
     (code, out, err), _, given = scan(str(tmp_path), 40)
     assert code == 0, err
     assert given == ["block"] * 4
@@ -177,7 +201,8 @@ def test_small_windows_give_a_block_per_frame(tmp_path):
 def cut_last_window(history, edit):
     """Inputs whose states.csv breaks the template only in its last frame."""
     def write(root):
-        write_inputs(root, history, [("p1", history.timestamps[0], history.timestamps[-1])])
+        stamps = instants(history)
+        write_inputs(root, history, [("p1", stamps[0], stamps[-1])])
         path = os.path.join(root, "states.csv")
         with open(path, newline="") as handle:
             lines = handle.read().split("\r\n")[:-1]
@@ -262,3 +287,59 @@ def test_time_gaps_count_the_pairs_longer_than_the_shortest(taus, cuts):
         before += len(block)
     expected = np.count_nonzero(np.array(taus) > min(taus)) if taus else 0
     assert scan.time_gaps == expected
+
+
+def test_scan_terms_hold_only_the_pairs_with_rows(tmp_path, monkeypatch):
+    # a time gap at pair 2, and flow changes at pairs 1 and 3 alone
+    stamps = ingest.microseconds(START + timedelta(minutes=m) for m in (0, 3, 6, 12, 15, 18))
+    arrays = [array[:6].copy() for array in FULL.arrays()]
+    arrays[1][:] = np.array([[100.0], [100.0], [500.0], [500.0], [100.0], [100.0]]) * ingest.KNM3H
+    history = History(stamps, *COLUMNS, *arrays)
+    root = str(tmp_path)
+    write_inputs(root, history, [])
+    written, write_terms = [], ingest.write_terms
+    monkeypatch.setattr(cli, "write_terms",
+                        lambda terms, path: written.append(terms) or write_terms(terms, path))
+    (code, _, err), out, _ = scan(root)
+    assert code == 0, err
+    terms_path = os.path.join(out, "terms.csv")
+    saved = ingest.load_saved(terms_path)[0]
+    parsed = ingest.read_terms(terms_path, ingest.parse_states(
+        os.path.join(root, "states.csv"), NETWORK), NETWORK.pipes())
+    times = instants(history)
+    assert [(pair.t0, pair.t1) for pair in written[0].pairs] == [(times[1], times[2]),
+                                                                 (times[3], times[4])]
+    assert written[0].relevant.any()
+    assert written[0].pair_index.tolist() == [0] * 4 + [1] * 4
+    for terms in (saved, parsed):
+        assert terms.pairs == written[0].pairs
+        assert terms.pair_index.tolist() == written[0].pair_index.tolist()
+
+
+def test_narrow_history_grows_by_its_arrays_alone(tmp_path):
+    """Per frame, the narrow history holds an instant and a value per valve
+    and per resistor end: 8 bytes each, and nothing else."""
+    def held(frames):
+        history = History(ingest.microseconds(START + timedelta(minutes=3 * k)
+                                              for k in range(frames)),
+                          *COLUMNS, *(np.full((frames, len(ids)), value)
+                                      for ids, value in zip(COLUMNS, (50e5, 30.0, 1.0, 0.8))))
+        path = str(tmp_path / f"{frames}.csv")
+        serialize_states(history, path)
+        del history
+        gc.collect()
+        tracemalloc.start()
+        try:
+            narrow = ingest.narrow_history(ingest.states_blocks(path, NETWORK), NETWORK)
+            gc.collect()
+            assert len(narrow) == frames
+            return tracemalloc.get_traced_memory()[0], narrow
+        finally:
+            tracemalloc.stop()
+
+    held(10)
+    small, _ = held(1000)
+    large, narrow = held(2000)
+    per_frame = 8 * (1 + len(narrow.valve_ids) + len(narrow.node_ids))
+    assert per_frame == 32
+    assert large - small <= 1000 * per_frame + 4096, (small, large)
