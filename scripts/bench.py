@@ -52,12 +52,21 @@ reads states.csv again); each one's processor seconds, peak RSS and
 components.csv sha256 go under components.hit and components.miss, and
 the tier fails unless the two digests are the same.
 
+tiers.S is the synthetic simulator: `gasinertia synth --scenario
+scenarios/funnel50.scn` (1,000 frames of the funnel50 fixture) runs three
+times, each in a fresh child with BLAS pinned to one thread.  The median
+wall and processor seconds, the largest peak RSS and the sha256 of
+states.csv go under tiers.S, and the tier fails unless every child wrote
+the same states.csv.
+
 With --against DIR, a second checkout (the parent commit, say), every
 tier's inputs are written once, and its scan and components children
 alternate between DIR and the measured checkout, one child of each in
 turn, so that a spell of load on a shared machine weighs on both sides
 alike.  Each tier then records DIR's results, in the same form, under
 its "against" key, and the file records DIR's commit under "against".
+Tier S reads the measured checkout's scenario on both sides and fails if
+the two sides' states.csv differ.
 Standard library only.
 """
 
@@ -183,6 +192,39 @@ def file_digest(path: Path) -> tuple[str, int]:
     return sha.hexdigest(), newlines
 
 
+def child_envs(sides: dict[str, Path]) -> dict[str, dict]:
+    """Per side, the environment of its children: its src/ and one BLAS thread."""
+    return {name: dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+                       OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            for name, checkout in sides.items()}
+
+
+def run_synth_tier(sides: dict[str, Path], scenario: Path) -> dict[str, dict]:
+    """Run synth on scenario SCANS times per side, each in a child, the
+    sides' children alternating; per side, the median wall and processor
+    seconds, the largest peak RSS and the digest of states.csv, which must
+    be the same for every child of every side."""
+    envs = child_envs(sides)
+    with tempfile.TemporaryDirectory() as root:
+        runs = {name: [] for name in sides}
+        digests = set()
+        for _ in range(SCANS):
+            for name in sides:
+                out = Path(root, name)
+                runs[name].append(run_stage(["synth", "--scenario", str(scenario),
+                                             "--out", str(out)], envs[name]))
+                digests.add(file_digest(out / "states.csv")[0])
+    if len(digests) != 1:
+        sys.exit(f"tier S: states.csv differs between children: {sorted(digests)}")
+    results = {}
+    for name, stages in runs.items():
+        walls, cpus, peaks = zip(*stages)
+        results[name] = {"synth_wall_s": statistics.median(walls),
+                         "synth_cpu_s": statistics.median(cpus), "peak_rss_mb": max(peaks),
+                         "states_sha256": next(iter(digests))}
+    return results
+
+
 def run_tier(sides: dict[str, Path], seed: int, workload: str, swapped: range = range(0),
              long_values: bool = False, repr_values: bool = False, components: bool = False,
              **changes) -> dict[str, dict]:
@@ -196,9 +238,7 @@ def run_tier(sides: dict[str, Path], seed: int, workload: str, swapped: range = 
     without the sidecar, and give their costs and digests too.  sides maps
     a name to a checkout; their children alternate in the order of sides.
     A child of sides["checkout"] writes the inputs, which every side reads."""
-    envs = {name: dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
-                       OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-            for name, checkout in sides.items()}
+    envs = child_envs(sides)
     with tempfile.TemporaryDirectory() as root:
         job = dict(checkout=str(sides["checkout"]), workload=workload, seed=seed, root=root,
                    swapped=[swapped.start, swapped.stop, swapped.step], long=long_values,
@@ -305,10 +345,12 @@ def main() -> int:
         "M_every_other": dict(workload="QUIET_HISTORY", swapped=range(0, 3000, 2),
                               frames=3000, events=300),
         "M_long": dict(workload="QUIET_HISTORY", long_values=True, frames=3000, events=300),
-        "M_repr": dict(workload="QUIET_HISTORY", repr_values=True, frames=3000, events=300)}
+        "M_repr": dict(workload="QUIET_HISTORY", repr_values=True, frames=3000, events=300),
+        "S": dict(scenario=checkout / "scenarios" / "funnel50.scn")}
     bench["tiers"] = {}
     for name, tier in tiers.items():
-        results = run_tier(sides, args.seed, **tier)
+        results = (run_synth_tier(sides, **tier) if name == "S"
+                   else run_tier(sides, args.seed, **tier))
         bench["tiers"][name] = results["checkout"]
         if "against" in results:
             bench["tiers"][name]["against"] = results["against"]

@@ -348,22 +348,26 @@ def cmd_components(args: argparse.Namespace) -> int:
     else:
         terms, history = saved
 
-    # pair index -> its relevant records, in file order
-    grouped: dict[int, list[TermRecord]] = {}
-    relevant = terms.relevant
-    for k, pipe_id, *values in zip(
-            terms.pair_index[relevant].tolist(), terms.pipe_ids[relevant].tolist(),
-            *(column[relevant].tolist() for column in (
+    # pair index -> its relevant rows, in file order
+    relevant = np.flatnonzero(terms.relevant)
+    order = np.argsort(terms.pair_index[relevant], kind="stable")
+    pair_ks, starts = np.unique(terms.pair_index[relevant][order], return_index=True)
+    rows = dict(zip(pair_ks.tolist(), np.split(relevant[order], starts[1:])))
+
+    def records(k: int) -> list[TermRecord]:
+        """The pair's relevant records, built only when the pair is."""
+        at = rows[k]
+        return [TermRecord(pipe_id, terms.pairs[k], *values) for pipe_id, *values in zip(
+            terms.pipe_ids[at].tolist(), *(column[at].tolist() for column in (
                 terms.flow_t0_m3s, terms.flow_t1_m3s, terms.alpha_pa, terms.beta_pa,
-                terms.alpha_per_length_pam, terms.ratio))):
-        grouped.setdefault(k, []).append(TermRecord(pipe_id, terms.pairs[k], *values))
+                terms.alpha_per_length_pam, terms.ratio)))]
 
     # every pair is two consecutive frames: read_terms checked, or scan wrote it
     frames = first_frames(history.timestamps, terms.pairs).tolist()
     diag = Diagnostics()
-    stream = [(terms.pairs[k], build_pair_components(network, grouped[k], history[frames[k]],
+    stream = [(terms.pairs[k], build_pair_components(network, records(k), history[frames[k]],
                                                      history[frames[k] + 1], cfg, diag))
-              for k in sorted(grouped, key=frames.__getitem__)]
+              for k in sorted(rows, key=frames.__getitem__)]
 
     write_components(stream, _out_path(args, "components.csv"),
                      _out_path(args, "components_pipes.csv"))

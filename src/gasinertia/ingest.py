@@ -993,14 +993,12 @@ def _repr_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, mask
 
 
-def _text_cells(keys: np.ndarray, cache: dict, spell) -> tuple[np.ndarray, np.ndarray]:
-    """[longest x keys] uint8, a column per key holding spell(key) left-aligned,
-    and the mask of the bytes that belong; cache keeps what was spelled."""
-    distinct, at = np.unique(keys, return_inverse=True)
-    texts = [cache[key] if key in cache else cache.setdefault(key, spell(key))
-             for key in distinct.tolist()]
-    cells = np.array(texts).view(np.uint8).reshape(len(texts), -1)
-    return cells[at].T, (np.arange(cells.shape[1]) < np.array([*map(len, texts)])[:, None])[at].T
+def _text_cells(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """[longest x texts] uint8, a column per text left-aligned, and the mask
+    of the bytes that belong."""
+    cells = np.array(texts, dtype=bytes)
+    cells = cells.view(np.uint8).reshape(-1, cells.itemsize)
+    return cells.T, np.arange(cells.shape[1])[:, None] < np.array([*map(len, texts)], dtype=int)
 
 
 # rows written at a time: fewer cost more per row, more raise peak memory
@@ -1013,9 +1011,9 @@ def write_terms(terms: Terms, path: str) -> str:
 
     A chunk of rows at a time, the cells, none of which but pipe ids need
     quoting, are laid out left-aligned in a [bytes x rows] matrix, and the
-    bytes that belong are kept, row by row.
+    bytes that belong are kept, row by row.  The text cells, pair stamps,
+    pipe ids and relevant flags, are spelled once for all chunks.
     """
-    stamps, ids, flags = {}, {}, {}
     import hashlib  # imported late, as in file_sha256
     sha = hashlib.sha256()
     with open(path, "w", newline="") as text:
@@ -1024,19 +1022,25 @@ def write_terms(terms: Terms, path: str) -> str:
         header = (",".join(TERMS_COLUMNS) + "\r\n").encode(encoding)
         handle.write(header)
         sha.update(header)
+        ids, id_at = np.unique(terms.pipe_ids, return_inverse=True)
+        # each text column's cells and masks, and per row the column it takes
+        texts = [
+            (_text_cells([f"{format_timestamp(pair.t0)},{format_timestamp(pair.t1)},"
+                          .encode(encoding) for pair in terms.pairs]), terms.pair_index),
+            (_text_cells([(_csv_cell(pipe_id) + ",").encode(encoding)
+                          for pipe_id in ids.tolist()]), id_at),
+            # csv.writer ends rows with \r\n
+            (_text_cells([b"0\r\n", b"1\r\n"]), terms.relevant.astype(np.intp))]
         for start in range(0, len(terms.relevant), _TERMS_CHUNK):
             rows = slice(start, start + _TERMS_CHUNK)
+            pair, pipe, flag = ((cells[:, at[rows]], mask[:, at[rows]])
+                                for (cells, mask), at in texts)
             parts = [
-                _text_cells(terms.pair_index[rows], stamps, lambda k: (
-                    f"{format_timestamp(terms.pairs[k].t0)},"
-                    f"{format_timestamp(terms.pairs[k].t1)},").encode(encoding)),
-                _text_cells(terms.pipe_ids[rows], ids,
-                            lambda pipe_id: (_csv_cell(pipe_id) + ",").encode(encoding)),
+                pair, pipe,
                 # a cell per row and number column, rows innermost
                 (block.reshape(39, 7, -1).transpose(1, 0, 2).reshape(273, -1)
                  for block in _repr_cells(_file_numbers(terms, rows).ravel())),
-                # csv.writer ends rows with \r\n
-                _text_cells(terms.relevant[rows], flags, lambda flag: b"%d\r\n" % flag)]
+                flag]
             matrix, mask = (np.concatenate(blocks) for blocks in zip(*parts))
             chunk = matrix.T[mask.T]
             handle.write(chunk)

@@ -18,8 +18,10 @@ the same average-flow substitution q_l = q_r = rho_n Q0(t1).
 
 These functions are the only implementation of the terms: the scan
 evaluates them for its surviving data points and the synthetic simulator
-solves the balance they define.  Every function takes scalars or numpy
-arrays (elementwise, broadcasting) and returns a float for scalar input.
+solves the balance they define, with beta and gamma from one call of
+friction_and_remainder, built from the same private pieces.  Every
+function takes scalars or numpy arrays (elementwise, broadcasting) and
+returns a float for scalar input.
 The geometry argument is one PipeGeometry or a PipeTable of many pipes.
 """
 
@@ -184,8 +186,7 @@ def friction_term_beta(geometry: PipeGeometry | PipeTable, gas: GasParams, rho_n
     p_m = 0.5 * (p_left_pa + p_right_pa)
     lam = friction_factor(rho_n_kgm3 * flow_t1_m3s, pipes, gas, diag)
     rt = specific_gas_constant(rho_n_kgm3) * gas.temperature_k
-    return _plain(rt * rho_n_kgm3 * rho_n_kgm3 * pipes.friction * lam
-                  * np.abs(flow_t1_m3s) * flow_t1_m3s * _papay(p_m, gas, diag) / p_m)
+    return _plain(_beta(pipes, rho_n_kgm3, flow_t1_m3s, lam, rt, p_m, _papay(p_m, gas, diag)))
 
 
 def remaining_terms_gamma(geometry: PipeGeometry | PipeTable, gas: GasParams, rho_n_kgm3,
@@ -195,13 +196,39 @@ def remaining_terms_gamma(geometry: PipeGeometry | PipeTable, gas: GasParams, rh
     _require_positive_pressures(p_left_pa, p_right_pa)
     pipes = _table(geometry)
     rt = specific_gas_constant(rho_n_kgm3) * gas.temperature_k
+    p_m = 0.5 * (p_left_pa + p_right_pa)
+    return _plain(_gamma(pipes, gas, rho_n_kgm3 * flow_t1_m3s, rt, p_left_pa, p_right_pa,
+                         p_m, _papay(p_m, gas, diag), diag))
+
+
+def friction_and_remainder(pipes: PipeTable, gas: GasParams, rho_n_kgm3, flow_t1_m3s,
+                           p_left_pa, p_right_pa):
+    """(beta, gamma) as friction_term_beta and remaining_terms_gamma give
+    them, bit for bit, with the pressure check, R_s T, p_m and z(p_m)
+    evaluated once for both."""
+    _require_positive_pressures(p_left_pa, p_right_pa)
     q = rho_n_kgm3 * flow_t1_m3s
+    p_m = 0.5 * (p_left_pa + p_right_pa)
+    lam = friction_factor(q, pipes, gas)
+    rt = specific_gas_constant(rho_n_kgm3) * gas.temperature_k
+    z_m = _papay(p_m, gas, None)
+    return (_plain(_beta(pipes, rho_n_kgm3, flow_t1_m3s, lam, rt, p_m, z_m)),
+            _plain(_gamma(pipes, gas, q, rt, p_left_pa, p_right_pa, p_m, z_m, None)))
+
+
+def _beta(pipes: PipeTable, rho_n_kgm3, flow_t1_m3s, lam, rt, p_m, z_m):
+    """beta from the friction factor lam, R_s T, p_m and z(p_m)."""
+    return (rt * rho_n_kgm3 * rho_n_kgm3 * pipes.friction * lam
+            * np.abs(flow_t1_m3s) * flow_t1_m3s * z_m / p_m)
+
+
+def _gamma(pipes: PipeTable, gas: GasParams, q, rt, p_left_pa, p_right_pa, p_m, z_m,
+           diag: Diagnostics | None):
+    """gamma from the mass flow q, R_s T, p_m and z(p_m)."""
     kinetic = (rt * pipes.kinetic * q * q
                * (_papay(p_right_pa, gas, diag) / p_right_pa
                   - _papay(p_left_pa, gas, diag) / p_left_pa))
-    p_m = 0.5 * (p_left_pa + p_right_pa)
-    gravity = GRAVITY_MS2 / rt * pipes.climb_m * p_m / _papay(p_m, gas, diag)
-    return _plain(kinetic + gravity)
+    return kinetic + GRAVITY_MS2 / rt * pipes.climb_m * p_m / z_m
 
 
 def _require_positive_pressures(p_left_pa, p_right_pa) -> None:

@@ -17,6 +17,14 @@ all groups go through one batched residual call, so a Jacobian costs one
 call however large the network, and meshed networks converge as chains
 do.  Frames whose residual is already converged are emitted without a
 solve, so long quiet stretches cost one function evaluation per frame.
+
+A residual call gathers every arc's end pressures straight from the free
+pressures and the reference pressures, takes the flows as a view of the
+unknowns, and evaluates friction and remainder in one call that computes
+the pressure check, R_s T, the mean pressure and its compressibility once.
+The Jacobian is a zero matrix filled on its pattern only.  Every expression
+keeps its order of operations, so the files synth writes are byte-identical
+to those of the scatter-and-mask evaluation that tests/oracles.py keeps.
 """
 
 from __future__ import annotations
@@ -39,12 +47,7 @@ from .model import (
     PipeGeometry,
     validate_normal_density,
 )
-from .physics import (
-    PipeTable,
-    friction_term_beta,
-    inertia_term_alpha,
-    remaining_terms_gamma,
-)
+from .physics import PipeTable, friction_and_remainder, inertia_term_alpha
 from .ingest import (History, ParseError, history_columns, microseconds, parse_timestamp,
                      read_settings)
 
@@ -319,9 +322,10 @@ class _System:
             if node_id not in node_set:
                 raise ValueError(f"reference node {node_id!r} touches no passive element")
 
-        self.node_index = {n: i for i, n in enumerate(self.hydraulic_nodes)}
         self.free_nodes = [n for n in self.hydraulic_nodes
                            if n not in scenario.reference_pressure_pa]
+        self.reference_nodes = [n for n in self.hydraulic_nodes
+                                if n in scenario.reference_pressure_pa]
         self.flow_nodes = sorted(set(scenario.base_inflow_m3s)
                                  | {event.node_id for event in scenario.events})
         self.free_pos = {n: i for i, n in enumerate(self.free_nodes)}
@@ -329,28 +333,7 @@ class _System:
             if node_id not in self.free_pos:
                 raise ValueError(
                     f"inflow node {node_id!r} must be a free hydraulic node")
-
-        n_nodes = len(self.hydraulic_nodes)
-        self.p_fixed = np.zeros(n_nodes)
-        for node_id, pressure in scenario.reference_pressure_pa.items():
-            self.p_fixed[self.node_index[node_id]] = pressure
-        self.free_index = np.array([self.node_index[n] for n in self.free_nodes],
-                                   dtype=int)
-
-        pipes = [network.elements[pid] for pid in self.pipe_ids]
-        self.pipes = PipeTable.of([p.geometry for p in pipes])
-        self.pipe_from = np.array([self.node_index[p.from_node] for p in pipes], dtype=int)
-        self.pipe_to = np.array([self.node_index[p.to_node] for p in pipes], dtype=int)
-
-        valves = [network.elements[vid] for vid in self.valve_ids]
-        self.valve_from = np.array([self.node_index[v.from_node] for v in valves], dtype=int)
-        self.valve_to = np.array([self.node_index[v.to_node] for v in valves], dtype=int)
-        self.valve_open = np.array([vid not in scenario.closed_valves
-                                    for vid in self.valve_ids], dtype=bool)
-
-        resistors = [network.elements[rid] for rid in self.resistor_ids]
-        self.res_from = np.array([self.node_index[r.from_node] for r in resistors], dtype=int)
-        self.res_to = np.array([self.node_index[r.to_node] for r in resistors], dtype=int)
+        self.p_ref = np.array([scenario.reference_pressure_pa[n] for n in self.reference_nodes])
 
         self.n_free = len(self.free_nodes)
         self.n_pipe = len(self.pipe_ids)
@@ -358,25 +341,39 @@ class _System:
         self.n_res = len(self.resistor_ids)
         self.n_unknowns = self.n_free + self.n_pipe + self.n_valve + self.n_res
 
+        # unknowns: free node pressures, then the flows of passive in its
+        # order; residual rows: one per arc of passive, then the balances
+        elements = [network.elements[element_id] for element_id in passive]
+        self.pipes = PipeTable.of([e.geometry for e in elements[:self.n_pipe]])
+        # positions in [p_free | p_ref] of every arc's from node, then of
+        # every arc's to node
+        at = {n: i for i, n in enumerate(self.free_nodes + self.reference_nodes)}
+        self.ends = np.array([at[e.from_node] for e in elements]
+                             + [at[e.to_node] for e in elements], dtype=int)
+        self.valve_open = np.array([vid not in scenario.closed_valves
+                                    for vid in self.valve_ids], dtype=bool)
+        # a closed valve's row is its flow, at the same position among the
+        # rows as among the flows
+        self.closed_rows = self.n_pipe + np.flatnonzero(~self.valve_open)
+
         self.rho = scenario.rho_n_kgm3
         self.gas = GasParams(temperature_k=scenario.temperature_k)
 
         # free-node balance over all passive arcs: an arc's flow leaves its
         # from node and enters its to node
         self.incidence = np.zeros((self.n_free, len(passive)))
-        for col, element_id in enumerate(passive):
-            element = network.elements[element_id]
+        for col, element in enumerate(elements):
             if element.from_node in self.free_pos:
                 self.incidence[self.free_pos[element.from_node], col] -= 1.0
             if element.to_node in self.free_pos:
                 self.incidence[self.free_pos[element.to_node], col] += 1.0
 
-        # rows each unknown enters (residual rows follow passive, then the
-        # balances): an arc row through its free end pressures and its own
-        # flow, a balance row through the flows of its arcs
-        ends = self.incidence != 0.0
-        self.pattern = np.block([[ends.T, np.eye(len(passive), dtype=bool)],
-                                 [np.zeros((self.n_free, self.n_free), dtype=bool), ends]])
+        # rows each unknown enters: an arc row through its free end
+        # pressures and its own flow, a balance row through the flows of
+        # its arcs
+        touches = self.incidence != 0.0
+        self.pattern = np.block([[touches.T, np.eye(len(passive), dtype=bool)],
+                                 [np.zeros((self.n_free, self.n_free), dtype=bool), touches]])
         # greedy grouping: no two unknowns of a group enter the same row
         self.group_of = np.empty(self.n_unknowns, dtype=int)
         taken: list[np.ndarray] = []
@@ -388,52 +385,58 @@ class _System:
             self.group_of[i] = g
         self.groups = [np.flatnonzero(self.group_of == g).tolist() for g in range(len(taken))]
 
-    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        a = self.n_free
-        b = a + self.n_pipe
-        c = b + self.n_valve
-        return x[..., :a], x[..., a:b], x[..., b:c], x[..., c:]
-
-    def pressures(self, p_free: np.ndarray) -> np.ndarray:
-        p = np.broadcast_to(self.p_fixed, p_free.shape[:-1] + self.p_fixed.shape).copy()
-        p[..., self.free_index] = p_free
-        return p
+        # forward differences: the step floor of each unknown, the flat
+        # position in the batch of groups of each unknown's step, and per
+        # entry of pattern its flat position in the Jacobian, the flat
+        # position in the batch's residuals of its difference, and its column
+        n = self.n_unknowns
+        self.step_floor = np.where(np.arange(n) < self.n_free, BAR, 1.0)
+        self.steps = self.group_of * n + np.arange(n)
+        rows, self.entry_cols = np.nonzero(self.pattern)
+        self.entries = rows * n + self.entry_cols
+        self.entry_diffs = self.group_of[self.entry_cols] * n + rows
 
     def residual(self, x: np.ndarray, q_prev: np.ndarray | None,
                  tau_s: float, inflow: np.ndarray) -> np.ndarray:
         """Scaled residual: momentum rows in bar, balance rows in m^3/s.  A
         batch of x, one per row, gives each row's residual bit for bit."""
-        p_free, q_pipe, q_valve, q_res = self.split(x)
-        p = self.pressures(p_free)
-        p_l = p[..., self.pipe_from]
-        p_r = p[..., self.pipe_to]
-        drop = (friction_term_beta(self.pipes, self.gas, self.rho, q_pipe, p_l, p_r)
-                + remaining_terms_gamma(self.pipes, self.gas, self.rho, q_pipe, p_l, p_r))
+        n_arcs = self.n_unknowns - self.n_free
+        pipes, resistors = slice(0, self.n_pipe), slice(self.n_pipe + self.n_valve, n_arcs)
+        flows = x[..., self.n_free:]
+        q_pipe, q_res = flows[..., pipes], flows[..., resistors]
+        ends = np.concatenate([x[..., :self.n_free],
+                               np.broadcast_to(self.p_ref, x.shape[:-1] + self.p_ref.shape)],
+                              axis=-1)[..., self.ends]
+        p_from, p_to = ends[..., :n_arcs], ends[..., n_arcs:]
+        beta, gamma = friction_and_remainder(self.pipes, self.gas, self.rho, q_pipe,
+                                             p_from[..., pipes], p_to[..., pipes])
+        drop = beta + gamma
         if q_prev is not None:
             drop = drop + inertia_term_alpha(self.pipes, self.rho, tau_s, q_prev, q_pipe)
-        flows = np.concatenate([q_pipe, q_valve, q_res], axis=-1)
+        # the from end's pressure less the to end's, less the arc's drop
+        arcs = p_from - p_to
+        arcs[..., pipes] -= drop
+        arcs[..., resistors] -= RESISTOR_DROP_COEFF * np.abs(q_res) * q_res
+        r = np.empty(x.shape)
+        np.divide(arcs, BAR, out=r[..., :n_arcs])
+        r[..., self.closed_rows] = flows[..., self.closed_rows]
         # a product per row: one over the batch may sum in another order
         balance = (self.incidence @ flows if flows.ndim == 1
                    else np.array([self.incidence @ f for f in flows]))
-        return np.concatenate([
-            (p_l - p_r - drop) / BAR,
-            np.where(self.valve_open, (p[..., self.valve_from] - p[..., self.valve_to]) / BAR,
-                     q_valve),
-            (p[..., self.res_from] - p[..., self.res_to]
-             - RESISTOR_DROP_COEFF * np.abs(q_res) * q_res) / BAR,
-            inflow + balance], axis=-1)
+        np.add(inflow, balance, out=r[..., n_arcs:])
+        return r
 
     def jacobian(self, x: np.ndarray, r: np.ndarray, q_prev: np.ndarray | None,
                  tau_s: float, inflow: np.ndarray) -> np.ndarray:
         """Forward differences at x, whose residual is r: one batched residual
         call for all groups, each column filled on the rows its unknown enters."""
-        scale = np.ones(x.size)
-        scale[:self.n_free] = BAR
-        h = 1e-7 * np.maximum(np.abs(x), scale)
+        h = 1e-7 * np.maximum(np.abs(x), self.step_floor)
         xp = np.repeat(x[None], len(self.groups), axis=0)
-        xp[self.group_of, np.arange(x.size)] += h
+        xp.ravel()[self.steps] += h
         dr = self.residual(xp, q_prev, tau_s, inflow) - r
-        return np.where(self.pattern, dr[self.group_of].T / h, 0.0)
+        jac = np.zeros(x.size * x.size)
+        jac[self.entries] = dr.take(self.entry_diffs) / h.take(self.entry_cols)
+        return jac.reshape(x.size, x.size)
 
 
 def _solve_frame(system: _System, x: np.ndarray, q_prev: np.ndarray | None,
@@ -488,7 +491,8 @@ def simulate(scenario: Scenario) -> History:
     pressure = np.full((n, len(node_ids)), np.nan)
     flow = np.full((n, len(arc_ids)), np.nan)
     # positions among the sorted ids of the unknowns the solver gives
-    hydraulic = np.searchsorted(node_ids, system.hydraulic_nodes)
+    free = np.searchsorted(node_ids, system.free_nodes)
+    pressure[:, np.searchsorted(node_ids, system.reference_nodes)] = system.p_ref
     passive = np.searchsorted(arc_ids, system.pipe_ids + system.valve_ids + system.resistor_ids)
     rng = np.random.default_rng(scenario.seed)
     mean_ref = float(np.mean(list(scenario.reference_pressure_pa.values())))
@@ -507,10 +511,9 @@ def simulate(scenario: Scenario) -> History:
             inflow[system.free_pos[node_id]] = value
 
         x = _solve_frame(system, x, q_prev, scenario.tau_s, inflow, k)
-        p_free, q_pipe = system.split(x)[:2]
-        q_prev = q_pipe.copy()
+        q_prev = x[system.n_free:system.n_free + system.n_pipe].copy()
         # x holds pipe, valve and resistor flows in the order of passive
-        pressure[k, hydraulic] = system.pressures(p_free)
+        pressure[k, free] = x[:system.n_free]
         flow[k, passive] = x[system.n_free:]
 
     # the solver orders valves and pipes by id, as the columns do

@@ -30,7 +30,14 @@ from gasinertia.ingest import (
     microseconds,
     parse_timestamp,
 )
-from gasinertia.model import BAR, KNM3H, ModelError, validate_normal_density
+from gasinertia.model import BAR, KNM3H, GasParams, ModelError, validate_normal_density
+from gasinertia.physics import (
+    PipeTable,
+    friction_term_beta,
+    inertia_term_alpha,
+    remaining_terms_gamma,
+)
+from gasinertia.synth import RESISTOR_DROP_COEFF, _System
 
 
 def colebrook_friction(re: float, rr: float, tol: float = 1e-14) -> float:
@@ -310,6 +317,104 @@ def dense_fd_jacobian(system, x: np.ndarray, r0: np.ndarray, q_prev, tau_s: floa
         xp[i] += h
         jac[:, i] = (system.residual(xp, q_prev, tau_s, inflow) - r0) / h
     return jac
+
+
+class FrozenSystem:
+    """synth._System with its residual and Jacobian as they were before the
+    end pressures were gathered straight from the unknowns and the Jacobian
+    filled on its pattern, kept as the reference for their bits.
+
+    The index arrays, the incidence, the pattern and its grouping are built
+    here from the scenario's network and the layout of the system's
+    unknowns (free node pressures, then pipe, valve and resistor flows, each
+    by id): every node pressure is scattered into a vector, the flows are
+    concatenated again, the terms come from friction_term_beta and
+    remaining_terms_gamma, and the Jacobian is an np.where over the dense
+    pattern.  Every other attribute is the system's, so that simulate runs
+    on it when it stands in for synth._System.
+    """
+
+    def __init__(self, scenario) -> None:
+        self.system = system = _System(scenario)
+        network = scenario.network
+        node_index = {n: i for i, n in enumerate(system.hydraulic_nodes)}
+        self.p_fixed = np.zeros(len(system.hydraulic_nodes))
+        for node_id, pressure in scenario.reference_pressure_pa.items():
+            self.p_fixed[node_index[node_id]] = pressure
+        self.free_index = np.array([node_index[n] for n in system.free_nodes], dtype=int)
+
+        def ends(ids):
+            elements = [network.elements[i] for i in ids]
+            return (np.array([node_index[e.from_node] for e in elements], dtype=int),
+                    np.array([node_index[e.to_node] for e in elements], dtype=int))
+
+        self.pipe_from, self.pipe_to = ends(system.pipe_ids)
+        self.valve_from, self.valve_to = ends(system.valve_ids)
+        self.res_from, self.res_to = ends(system.resistor_ids)
+        self.pipes = PipeTable.of([network.elements[i].geometry for i in system.pipe_ids])
+        self.valve_open = np.array([i not in scenario.closed_valves for i in system.valve_ids],
+                                   dtype=bool)
+        self.rho = scenario.rho_n_kgm3
+        self.gas = GasParams(temperature_k=scenario.temperature_k)
+
+        passive = system.pipe_ids + system.valve_ids + system.resistor_ids
+        free_pos = {n: i for i, n in enumerate(system.free_nodes)}
+        self.incidence = np.zeros((len(free_pos), len(passive)))
+        for col, element_id in enumerate(passive):
+            element = network.elements[element_id]
+            if element.from_node in free_pos:
+                self.incidence[free_pos[element.from_node], col] -= 1.0
+            if element.to_node in free_pos:
+                self.incidence[free_pos[element.to_node], col] += 1.0
+        touches = self.incidence != 0.0
+        self.pattern = np.block([[touches.T, np.eye(len(passive), dtype=bool)],
+                                 [np.zeros((len(free_pos),) * 2, dtype=bool), touches]])
+        self.group_of = np.empty(self.pattern.shape[1], dtype=int)
+        taken: list[np.ndarray] = []
+        for i, rows in enumerate(self.pattern.T):
+            g = next((g for g, used in enumerate(taken) if not (used & rows).any()), len(taken))
+            if g == len(taken):
+                taken.append(np.zeros_like(rows))
+            taken[g] |= rows
+            self.group_of[i] = g
+        self.n_groups = len(taken)
+
+    def __getattr__(self, name: str):
+        return getattr(self.system, name)
+
+    def residual(self, x: np.ndarray, q_prev, tau_s: float, inflow: np.ndarray) -> np.ndarray:
+        a = self.system.n_free
+        b = a + len(self.system.pipe_ids)
+        c = b + len(self.system.valve_ids)
+        p_free, q_pipe, q_valve, q_res = x[..., :a], x[..., a:b], x[..., b:c], x[..., c:]
+        p = np.broadcast_to(self.p_fixed, p_free.shape[:-1] + self.p_fixed.shape).copy()
+        p[..., self.free_index] = p_free
+        p_l = p[..., self.pipe_from]
+        p_r = p[..., self.pipe_to]
+        drop = (friction_term_beta(self.pipes, self.gas, self.rho, q_pipe, p_l, p_r)
+                + remaining_terms_gamma(self.pipes, self.gas, self.rho, q_pipe, p_l, p_r))
+        if q_prev is not None:
+            drop = drop + inertia_term_alpha(self.pipes, self.rho, tau_s, q_prev, q_pipe)
+        flows = np.concatenate([q_pipe, q_valve, q_res], axis=-1)
+        balance = (self.incidence @ flows if flows.ndim == 1
+                   else np.array([self.incidence @ f for f in flows]))
+        return np.concatenate([
+            (p_l - p_r - drop) / BAR,
+            np.where(self.valve_open, (p[..., self.valve_from] - p[..., self.valve_to]) / BAR,
+                     q_valve),
+            (p[..., self.res_from] - p[..., self.res_to]
+             - RESISTOR_DROP_COEFF * np.abs(q_res) * q_res) / BAR,
+            inflow + balance], axis=-1)
+
+    def jacobian(self, x: np.ndarray, r: np.ndarray, q_prev, tau_s: float,
+                 inflow: np.ndarray) -> np.ndarray:
+        scale = np.ones(x.size)
+        scale[:self.system.n_free] = BAR
+        h = 1e-7 * np.maximum(np.abs(x), scale)
+        xp = np.repeat(x[None], self.n_groups, axis=0)
+        xp[self.group_of, np.arange(x.size)] += h
+        dr = self.residual(xp, q_prev, tau_s, inflow) - r
+        return np.where(self.pattern, dr[self.group_of].T / h, 0.0)
 
 
 def bfs_groups(elements: list[tuple[str, str, str, str]], relevant: set[str],

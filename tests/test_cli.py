@@ -1,5 +1,6 @@
 import builtins
 import csv
+import gc
 from datetime import datetime, timedelta, timezone
 import os
 import re
@@ -20,6 +21,7 @@ from gasinertia.cli import (
 from gasinertia import ingest
 from gasinertia.ingest import TERMS_COLUMNS, ParseError, read_table, states_blocks
 from gasinertia.model import BAR, KNM3H
+from gasinertia.physics import TermRecord
 
 from conftest import run_cli, stamp
 from gasinertia.ingest import format_timestamp
@@ -266,6 +268,36 @@ class TestHistorySidecar:
         assert frames["deleted"] == frames["present"] and frames["present"]
         assert ((root / "deleted" / "components.csv").read_bytes()
                 == (root / "present" / "components.csv").read_bytes())
+
+    def test_only_the_built_pairs_records_are_live(self, pipeline, scanned, monkeypatch):
+        """components builds a pair's TermRecords when it builds the pair,
+        with history.npz and without, and writes the same files."""
+        root, _ = scanned
+        build = cli.build_pair_components
+        built = []
+
+        def live_records() -> set[int]:
+            gc.collect()
+            return {id(o) for o in gc.get_objects() if isinstance(o, TermRecord)}
+
+        def building(network, records, *args):
+            assert live_records() - before == {id(record) for record in records}
+            assert len({record.pair for record in records}) == 1
+            built.append(records[0].pair)
+            return build(network, records, *args)
+
+        monkeypatch.setattr(cli, "build_pair_components", building)
+        for case in ("present", "deleted"):
+            if case == "deleted":
+                (root / "history.npz").unlink()
+            before = live_records()
+            out = root / case
+            code, stdout, err = self.run_components(root, root / "topology.csv", out)
+            assert code == 0, err
+            assert stdout == pipeline["results"]["components"][1]
+            for name in ("components.csv", "components_pipes.csv"):
+                assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes()
+        assert len(built) == 2 * len(set(built)) > 2
 
     def test_outputs_same_with_and_without_sidecar(self, pipeline, scanned):
         root, parsed = scanned

@@ -11,6 +11,7 @@ from gasinertia.physics import (
     RE_LAMINAR_LIMIT,
     Z_FLOOR,
     compressibility,
+    friction_and_remainder,
     friction_factor,
     friction_term_beta,
     inertia_term_alpha,
@@ -250,3 +251,36 @@ class TestArrayKernel:
     def test_scalar_input_gives_float(self):
         assert type(friction_factor(50.0, GEOM, GAS)) is float
         assert type(term_ratio(1.0, 0.0)) is float
+
+
+class TestFrictionAndRemainder:
+    """The shared evaluation gives friction_term_beta's and
+    remaining_terms_gamma's floats bit for bit, and fails as they do."""
+
+    # at rest, laminar and turbulent; near-zero flows overflow beta's
+    # 64 / Re in both
+    flow = st.one_of(st.just(0.0), st.floats(1e-6, 50.0), st.floats(-50.0, -1e-6))
+
+    @given(st.lists(st.tuples(flow, st.floats(1e5, 250e5),
+                              st.floats(1e5, 250e5), st.floats(0.55, 1.3)),
+                    min_size=1, max_size=8),
+           st.sampled_from([172.8, 283.15]))
+    def test_bits_equal_the_separate_terms(self, points, temperature_k):
+        gas = GasParams(temperature_k=temperature_k)
+        q, p_l, p_r, rho = (np.array(column) for column in zip(*points))
+        table = PipeTable.of([GEOM] * len(points))
+        for rho_n in (RHO_N, float(rho[0])):
+            beta, gamma = friction_and_remainder(table, gas, rho_n, q, p_l, p_r)
+            assert beta.tobytes() == friction_term_beta(table, gas, rho_n, q, p_l, p_r).tobytes()
+            assert gamma.tobytes() == \
+                remaining_terms_gamma(table, gas, rho_n, q, p_l, p_r).tobytes()
+
+    def test_fails_as_the_separate_terms(self):
+        table = PipeTable.of(GEOM)
+        for args in ((RHO_N, 1.0, 0.0, 50e5), (RHO_N, 1.0, 50e5, np.nan), (0.0, 1.0, 50e5, 45e5)):
+            with pytest.raises(ValueError) as shared:
+                friction_and_remainder(table, GAS, *args)
+            for term in (friction_term_beta, remaining_terms_gamma):
+                with pytest.raises(ValueError) as alone:
+                    term(table, GAS, *args)
+                assert str(shared.value) == str(alone.value)

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib.util
 from pathlib import Path
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from gasinertia.model import (
     Node,
     PipeGeometry,
 )
+from gasinertia import synth
 from gasinertia.synth import (
     FIXTURES,
     BoundaryEvent,
@@ -35,7 +39,7 @@ from gasinertia.synth import (
     simulate,
 )
 
-from oracles import dense_fd_jacobian, friction_beta
+from oracles import FrozenSystem, dense_fd_jacobian, friction_beta
 
 BALANCE_TOL = 1e-8   # m^3/s, normal volumetric
 
@@ -477,6 +481,88 @@ class TestJacobian:
             list(range(system.n_unknowns))
         for group in system.groups:
             assert system.pattern[:, group].sum(axis=1).max() <= 1
+
+
+ORACLE_SCENARIOS = [
+    fixture_scenario("single50"), fixture_scenario("line3"), fixture_scenario("funnel50"),
+    fixture_scenario("funnel50", frozenset({"ev"})), star_scenario(12)]
+ORACLE_IDS = ["single50", "line3", "funnel50", "funnel50 closed ev", "star12"]
+
+
+def raised(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestFrozenSystem:
+    """The residual and the Jacobian equal the frozen ones of the oracle
+    bit for bit, and so does a history simulated on the oracle."""
+
+    @pytest.mark.parametrize("scenario", ORACLE_SCENARIOS, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("transient", [False, True], ids=["steady", "transient"])
+    def test_residual_and_jacobian_equal_oracle(self, scenario, transient):
+        system, oracle = _System(scenario), FrozenSystem(scenario)
+        rng = np.random.default_rng(5)
+        q_prev = rng.normal(0.0, 5.0, system.n_pipe) if transient else None
+        for rows in (1, 4):
+            batch = np.concatenate(
+                [rng.uniform(30.0, 70.0, (rows, system.n_free)) * BAR,
+                 rng.normal(0.0, 5.0, (rows, system.n_unknowns - system.n_free))], axis=1)
+            # a pressure under the 1 bar step floor, and flows at rest
+            batch[:, 0] = 0.5 * BAR
+            batch[:, system.n_free::7] = 0.0
+            inflow = rng.normal(0.0, 5.0, system.n_free)
+            args = (q_prev, 180.0, inflow)
+            assert np.array_equal(system.residual(batch, *args), oracle.residual(batch, *args))
+            for x in batch:
+                r = system.residual(x, *args)
+                assert np.array_equal(r, oracle.residual(x, *args))
+                assert np.array_equal(system.jacobian(x, r, *args),
+                                      oracle.jacobian(x, r, *args))
+
+    @pytest.mark.parametrize("scenario", ORACLE_SCENARIOS, ids=ORACLE_IDS)
+    def test_checks_fail_alike(self, scenario):
+        system, oracle = _System(scenario), FrozenSystem(scenario)
+        x = np.concatenate([np.full(system.n_free, 50.0 * BAR),
+                            np.ones(system.n_unknowns - system.n_free)])
+        inflow, q_prev = np.zeros(system.n_free), np.zeros(system.n_pipe)
+        for pressure in (0.0, -BAR, np.nan):
+            bad = np.array([x, x])
+            bad[1, 0] = pressure
+            for trial in (bad[1], bad):
+                message = raised(lambda: system.residual(trial, None, 180.0, inflow))
+                assert message.startswith("endpoint pressures must be positive")
+                assert message == raised(lambda: oracle.residual(trial, None, 180.0, inflow))
+        message = raised(lambda: system.residual(x, q_prev, 0.0, inflow))
+        assert message == raised(lambda: oracle.residual(x, q_prev, 0.0, inflow)) \
+            == "tau must be positive, got 0.0"
+        # a density that no scenario file passes fails R_s T
+        thin = dataclasses.replace(scenario, rho_n_kgm3=0.0)
+        message = raised(lambda: _System(thin).residual(x, None, 180.0, inflow))
+        assert message == raised(lambda: FrozenSystem(thin).residual(x, None, 180.0, inflow)) \
+            == "normal density must be positive, got 0.0"
+
+    @pytest.mark.parametrize("source", ["funnel-noisy", "funnel50.scn"])
+    def test_simulate_equals_oracle_driven(self, source, tmp_path, monkeypatch):
+        if source == "funnel-noisy":
+            # the benchmark's funnel workload at seed 1
+            path = str(tmp_path / "funnel.scn")
+            spec = importlib.util.spec_from_file_location(
+                "workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py")
+            workloads = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, workloads)
+            spec.loader.exec_module(workloads)
+            workloads.write_funnel_scenario(1, path)
+        else:
+            path = str(SCENARIO_DIR / source)
+        scenario = parse_scenario(path)
+        history = simulate(scenario)
+        monkeypatch.setattr(synth, "_System", FrozenSystem)
+        frozen = simulate(scenario)
+        assert history.timestamps.tobytes() == frozen.timestamps.tobytes()
+        for name in ("pressure_pa", "flow_m3s", "valve_open", "rho_n"):
+            assert getattr(history, name).tobytes() == getattr(frozen, name).tobytes(), name
 
 
 def meshed_scenario(rows: int, cols: int, noise: float) -> Scenario:
