@@ -32,10 +32,12 @@ tiers.M_6000: scan's peak RSS should not grow with the number of frames.
 tiers.M_meshed is meshed-transients at 1,000 frames, where about 45% of
 the pipe points pass the prefilter, so that writing terms.csv weighs:
 besides the above it records the terms rows and terms rows per processor
-second.  tiers.M_swapped is tier M with the first two rows of its middle
-frame swapped after generation: the frame breaks the template every
-other frame repeats, so one window of states.csv goes through the row
-loop, and terms.csv must be tier M's.  tiers.M_every_other is tier M
+second.  tiers.M_meshed_2000 is the same at 2,000 frames: from one to
+the other, the growth of a peak RSS per terms row is what the terms cost
+a stage to hold.  tiers.M_swapped is tier M with the first two rows of
+its middle frame swapped after generation: the frame breaks the template
+every other frame repeats, so one window of states.csv goes through the
+row loop, and terms.csv must be tier M's.  tiers.M_every_other is tier M
 with the first two rows of every other frame swapped, written again in
 one pass: no two frames in a row repeat one template, so the row loop
 reads every window of states.csv, and terms.csv must again be tier M's.
@@ -45,12 +47,12 @@ spells them: the reader's Clinger path declines them all.
 tiers.M_repr is tier M parsed
 and written again by the checkout's serialize_states: values spelled by
 repr (the few that reach 16 or 17 characters leave Clinger's path for
-Eisel-Lemire's) and \r\n line ends.  On tiers M and M_6000, `gasinertia
-components` then runs in two more children, first with scan's
-history.npz (a sidecar hit) and then with it deleted (a miss, which
-reads states.csv again); each one's processor seconds, peak RSS and
-components.csv sha256 go under components.hit and components.miss, and
-the tier fails unless the two digests are the same.
+Eisel-Lemire's) and \r\n line ends.  On tiers M, M_6000, M_meshed and
+M_meshed_2000, `gasinertia components` then runs in two more children,
+first with scan's history.npz (a sidecar hit) and then with it deleted
+(a miss, which reads states.csv again); each one's processor seconds,
+peak RSS and components.csv sha256 go under components.hit and
+components.miss, and the tier fails unless the two digests are the same.
 
 tiers.S is the synthetic simulator: `gasinertia synth --scenario
 scenarios/funnel50.scn` (1,000 frames of the funnel50 fixture) runs three
@@ -339,7 +341,8 @@ def main() -> int:
     tiers = {
         "M": dict(workload="QUIET_HISTORY", components=True, frames=3000, events=300),
         "M_6000": dict(workload="QUIET_HISTORY", components=True, frames=6000, events=600),
-        "M_meshed": dict(workload="MESHED_TRANSIENTS", frames=1000),
+        "M_meshed": dict(workload="MESHED_TRANSIENTS", components=True, frames=1000),
+        "M_meshed_2000": dict(workload="MESHED_TRANSIENTS", components=True, frames=2000),
         "M_swapped": dict(workload="QUIET_HISTORY", swapped=range(1500, 1501),
                           frames=3000, events=300),
         "M_every_other": dict(workload="QUIET_HISTORY", swapped=range(0, 3000, 2),

@@ -11,8 +11,9 @@ terms.csv, caches the terms and that narrow history, and ingest.load_saved
 alone decides when it stands in for parsing: report loads the terms when
 terms.csv is unchanged, components loads both only when states.csv and
 topology.csv are unchanged too, and otherwise narrows states.csv as scan
-does.  Outputs are deterministic: rows follow sorted ids and chronological
-pairs.
+does.  Terms are held in the form both files give them, ingest.Terms;
+components alone makes SI records, for each pair it builds.  Outputs are
+deterministic: rows follow sorted ids and chronological pairs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .model import (
     GasParams,
     ModelError,
     Network,
+    TimePair,
 )
 from .physics import (
     PipeTable,
@@ -60,9 +62,9 @@ from .ingest import (
     ParseError,
     Terms,
     exclusion_mask,
-    first_frames,
     format_timestamp,
     history_columns,
+    instant,
     join_histories,
     load_saved,
     narrow_history,
@@ -191,9 +193,9 @@ class _BlockScan:
     """Scan's classes and terms of the data points of a history given block
     by block, each block with the last frame of the one before.
 
-    It keeps only what outlives a block: the count of pairs, the shortest
-    pair length and time_gaps, the count of longer pairs, the count of each
-    class of data point, and the survivors' terms with their pair's index.
+    It keeps only what outlives a block: the count of pairs, the count of
+    each class of data point, and the survivors' terms with their pair's
+    index.
     """
 
     def __init__(self, network: Network, windows: list, cfg: ThresholdConfig,
@@ -216,7 +218,6 @@ class _BlockScan:
         self.last_stamp = np.empty(0, np.int64)
         self.last_flow = np.empty((0, len(self.pipe_ids)))
         self.pair_count = 0
-        self.shortest, self.time_gaps = math.inf, 0
         # excluded, missing, below prefilter, evaluated
         self.counts = np.zeros(4, dtype=int)
         self.diag = Diagnostics()
@@ -260,7 +261,6 @@ class _BlockScan:
                         np.count_nonzero(candidate & ~passed), evaluated]
         taus = np.diff(stamps) / 1e6
         first, self.pair_count = self.pair_count, self.pair_count + len(taus)
-        self.count_lengths(taus, first)
         if not evaluated:
             return
 
@@ -281,21 +281,19 @@ class _BlockScan:
         pair_index, position, flow_t0, flow_t1, alpha, beta = (
             np.concatenate([np.empty(0, dtype), *parts])
             for dtype, *parts in zip((int, int, float, float, float, float), *self.kept))
-        alpha_per_length = alpha / self.table.length_m[position]
-        ratio = term_ratio(alpha, beta)
+        self.kept = []  # joined, and scan outlives this call
+        # terms.csv's numbers, divided into one array, not joined from seven
+        numbers = np.empty((7, len(alpha)))
+        for row, (values, unit) in enumerate((
+                (flow_t0, KNM3H), (flow_t1, KNM3H), (flow_t1 - flow_t0, KNM3H), (alpha, BAR),
+                (beta, BAR), (alpha / self.table.length_m[position], PER_10KM))):
+            np.divide(values, unit, out=numbers[row])
+        numbers[6] = term_ratio(alpha, beta)
         # decided on the value terms.csv gives, as components checks it
-        relevant = pipe_relevant(alpha_per_length / PER_10KM * PER_10KM, ratio, self.cfg)
+        relevant = pipe_relevant(numbers[5] * PER_10KM, numbers[6], self.cfg)
         # a pair's index so far is its first frame
         return Terms(*row_pairs(history.timestamps, pair_index), self.pipe_array[position],
-                     flow_t0, flow_t1, alpha, beta, alpha_per_length, ratio, relevant)
-
-    def count_lengths(self, taus: np.ndarray, before: int) -> None:
-        """Count into time_gaps the pairs of lengths taus after the first before."""
-        shortest = min(self.shortest, taus.min(initial=math.inf))
-        # every earlier pair is longer than a new shortest
-        self.time_gaps = (before if shortest < self.shortest else self.time_gaps) + int(
-            np.count_nonzero(taus > shortest))
-        self.shortest = shortest
+                     numbers, relevant)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -320,7 +318,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
                  os.path.getsize(args.states))
     diag = scan.diag
     excluded, diag.missing_data, below_prefilter, evaluated = scan.counts.tolist()
-    diag.time_gaps = scan.time_gaps
+    # the pairs longer than the shortest, in exact microseconds
+    lengths = np.diff(history.timestamps)
+    diag.time_gaps = int(np.count_nonzero(lengths > lengths.min())) if len(lengths) else 0
     pairs, pipes = scan.pair_count, len(scan.pipe_ids)
     print(f"frames: {len(history)}, pairs: {pairs}, pipes: {pipes}")
     print(f"data points: {pairs * pipes}, excluded: {excluded}, missing: {diag.missing_data}, "
@@ -354,20 +354,22 @@ def cmd_components(args: argparse.Namespace) -> int:
     pair_ks, starts = np.unique(terms.pair_index[relevant][order], return_index=True)
     rows = dict(zip(pair_ks.tolist(), np.split(relevant[order], starts[1:])))
 
-    def records(k: int) -> list[TermRecord]:
-        """The pair's relevant records, built only when the pair is."""
+    def built(k: int) -> tuple[TimePair, list]:
+        """Pair k and its components, built from its relevant SI records, made now."""
         at = rows[k]
-        return [TermRecord(pipe_id, terms.pairs[k], *values) for pipe_id, *values in zip(
-            terms.pipe_ids[at].tolist(), *(column[at].tolist() for column in (
-                terms.flow_t0_m3s, terms.flow_t1_m3s, terms.alpha_pa, terms.beta_pa,
-                terms.alpha_per_length_pam, terms.ratio)))]
+        pair = TimePair(*map(instant, terms.pairs[k].tolist()))
+        flow_t0, flow_t1, _, alpha, beta, alpha_per_10km, ratio = terms.numbers[:, at]
+        records = [TermRecord(pipe_id, pair, *values) for pipe_id, *values in zip(
+            terms.pipe_ids[at].tolist(), *(column.tolist() for column in (
+                flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR, beta * BAR,
+                alpha_per_10km * PER_10KM, ratio)))]
+        return pair, build_pair_components(network, records, history[frames[k]],
+                                           history[frames[k] + 1], cfg, diag)
 
     # every pair is two consecutive frames: read_terms checked, or scan wrote it
-    frames = first_frames(history.timestamps, terms.pairs).tolist()
+    frames = history.timestamps.searchsorted(terms.pairs[:, 0]).tolist()
     diag = Diagnostics()
-    stream = [(terms.pairs[k], build_pair_components(network, records(k), history[frames[k]],
-                                                     history[frames[k] + 1], cfg, diag))
-              for k in sorted(rows, key=frames.__getitem__)]
+    stream = [built(k) for k in sorted(rows, key=frames.__getitem__)]
 
     write_components(stream, _out_path(args, "components.csv"),
                      _out_path(args, "components_pipes.csv"))
@@ -472,7 +474,7 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"{spacing}")
 
     if terms is not None:
-        result = hexbin(terms.alpha_per_length_pam / PER_10KM, terms.ratio,
+        result = hexbin(terms.numbers[5], terms.numbers[6],
                         resolution=args.resolution, min_count=args.min_count)
         write_table(_out_path(args, "hexbin.csv"), HEXBIN_COLUMNS, hexbin_rows(result))
         binned = sum(b.count for b in result.bins)

@@ -13,7 +13,8 @@ quoted once, in the bytes csv.writer writes.  states_blocks hands the
 history on one block of the frames each window completes, so that a
 reader that keeps little of each block, as narrow_history does for scan
 and components, needs memory for one window; parse_states joins them.
-File units are bar and 1000 Nm^3/h, converted to SI exactly once here.
+File units are bar and 1000 Nm^3/h; a history is converted to SI exactly
+once here, and terms stay in file units, as both files that carry them do.
 Serializers write floats as repr spells them, so a parse/serialize cycle
 is a fixed point; the terms writer spells most of them itself, a column at
 a time (_repr_cells).  Parse errors, and bytes the encoding cannot decode,
@@ -292,18 +293,12 @@ class History:
         return self.pressure_pa, self.flow_m3s, self.valve_open, self.rho_n
 
 
-def first_frames(stamps: np.ndarray, pairs: Iterable[TimePair]) -> np.ndarray:
-    """The frame of a History's timestamps stamps at which each of pairs begins."""
-    return stamps.searchsorted(microseconds(pair.t0 for pair in pairs))
-
-
-def row_pairs(stamps: np.ndarray, frames: np.ndarray) -> tuple[tuple[TimePair, ...], np.ndarray]:
+def row_pairs(stamps: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Terms.pairs and pair_index of chronological rows whose pairs begin
     at frames of a History's timestamps stamps: each pair once, numbered
     in the order its rows first appear, as parsing numbers them."""
     first, pair_index = np.unique(frames, return_inverse=True)
-    return tuple(TimePair(instant(stamps[k]), instant(stamps[k + 1]))
-                 for k in first.tolist()), pair_index
+    return np.stack([stamps[first], stamps[first + 1]], axis=1), pair_index
 
 
 def history_columns(network: Network) -> tuple[tuple[str, ...], ...]:
@@ -757,9 +752,9 @@ def save_history(history: History, terms: Terms, terms_path: str, terms_sha256: 
              valve_open=history.valve_open,
              node_ids=np.array(history.node_ids, dtype=str),
              pressure_pa=history.pressure_pa,
-             terms_frame=first_frames(history.timestamps, terms.pairs)[terms.pair_index],
+             terms_frame=history.timestamps.searchsorted(terms.pairs[:, 0])[terms.pair_index],
              terms_pipe_ids=terms.pipe_ids,
-             terms_numbers=_file_numbers(terms),
+             terms_numbers=terms.numbers,
              terms_relevant=terms.relevant)
 
 
@@ -783,9 +778,8 @@ def load_saved(terms_path: str, cfg: ThresholdConfig | None = None,
                                   or str(saved["states_sha256"]) != file_sha256(states_path))):
                 return None
             stamps = saved["timestamps_us"]
-            terms = _from_file_numbers(*row_pairs(stamps, saved["terms_frame"]),
-                                       saved["terms_pipe_ids"], saved["terms_numbers"],
-                                       saved["terms_relevant"])
+            terms = Terms(*row_pairs(stamps, saved["terms_frame"]), saved["terms_pipe_ids"],
+                          saved["terms_numbers"], saved["terms_relevant"])
             history = None
             if states_path is not None:
                 empty = np.empty((len(stamps), 0))
@@ -859,38 +853,16 @@ class Terms:
     """Evaluated data points as columns: one entry per point, in file order
     (pairs chronologically, pipes by id within a pair when scan wrote them).
 
-    pair_index points into pairs, the distinct analysis pairs; flows are
-    in m^3/s, alpha and beta in Pa, alpha per length in Pa/m.
+    pair_index points into pairs, the distinct analysis pairs, whose t0 and
+    t1 are instants as a History holds them; numbers holds the number
+    columns of TERMS_COLUMNS in file units, as terms.csv and history.npz do.
     """
 
-    pairs: tuple[TimePair, ...]
+    pairs: np.ndarray                 # [pairs x 2] int64
     pair_index: np.ndarray            # int
     pipe_ids: np.ndarray              # str
-    flow_t0_m3s: np.ndarray
-    flow_t1_m3s: np.ndarray
-    alpha_pa: np.ndarray
-    beta_pa: np.ndarray
-    alpha_per_length_pam: np.ndarray
-    ratio: np.ndarray
+    numbers: np.ndarray               # [7 x points] float
     relevant: np.ndarray              # bool
-
-
-def _file_numbers(terms: Terms, rows: slice = slice(None)) -> np.ndarray:
-    """[7 x points]: the number columns of a terms file in file units, of rows."""
-    flow_t0, flow_t1 = terms.flow_t0_m3s[rows], terms.flow_t1_m3s[rows]
-    return np.array([values / unit for values, unit in (
-        (flow_t0, KNM3H), (flow_t1, KNM3H), (flow_t1 - flow_t0, KNM3H),
-        (terms.alpha_pa[rows], BAR), (terms.beta_pa[rows], BAR),
-        (terms.alpha_per_length_pam[rows], PER_10KM), (terms.ratio[rows], 1.0))], dtype=float)
-
-
-def _from_file_numbers(pairs: tuple[TimePair, ...], pair_index: np.ndarray,
-                       pipe_ids: np.ndarray, numbers: np.ndarray,
-                       relevant: np.ndarray) -> Terms:
-    # the flow change column is checked when parsed, but Terms derives it
-    flow_t0, flow_t1, _dflow, alpha, beta, alpha_per_10km, ratio = numbers
-    return Terms(pairs, pair_index, pipe_ids, flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR,
-                 beta * BAR, alpha_per_10km * PER_10KM, ratio, relevant)
 
 
 def _csv_cell(text: str) -> str:
@@ -1025,8 +997,8 @@ def write_terms(terms: Terms, path: str) -> str:
         ids, id_at = np.unique(terms.pipe_ids, return_inverse=True)
         # each text column's cells and masks, and per row the column it takes
         texts = [
-            (_text_cells([f"{format_timestamp(pair.t0)},{format_timestamp(pair.t1)},"
-                          .encode(encoding) for pair in terms.pairs]), terms.pair_index),
+            (_text_cells([(",".join(format_timestamp(instant(us)) for us in pair) + ",")
+                          .encode(encoding) for pair in terms.pairs.tolist()]), terms.pair_index),
             (_text_cells([(_csv_cell(pipe_id) + ",").encode(encoding)
                           for pipe_id in ids.tolist()]), id_at),
             # csv.writer ends rows with \r\n
@@ -1039,7 +1011,7 @@ def write_terms(terms: Terms, path: str) -> str:
                 pair, pipe,
                 # a cell per row and number column, rows innermost
                 (block.reshape(39, 7, -1).transpose(1, 0, 2).reshape(273, -1)
-                 for block in _repr_cells(_file_numbers(terms, rows).ravel())),
+                 for block in _repr_cells(terms.numbers[:, rows].ravel())),
                 flag]
             matrix, mask = (np.concatenate(blocks) for blocks in zip(*parts))
             chunk = matrix.T[mask.T]
@@ -1074,8 +1046,8 @@ def _check_relevant(path: str, terms: Terms, lines, cfg: ThresholdConfig | None)
     """Raise ParseError at the line of the first row whose relevant flag cfg contradicts."""
     if cfg is None:
         return
-    wrong = np.flatnonzero(terms.relevant != pipe_relevant(terms.alpha_per_length_pam,
-                                                           terms.ratio, cfg))
+    wrong = np.flatnonzero(terms.relevant != pipe_relevant(terms.numbers[5] * PER_10KM,
+                                                           terms.numbers[6], cfg))
     if wrong.size:
         raise ParseError(path, lines[wrong[0]],
                          f"relevant is {int(terms.relevant[wrong[0]])}, but the thresholds "
@@ -1086,7 +1058,7 @@ def _parse_terms(path: str, history: History | None, pipes: set) -> tuple[Terms,
     """The terms of a terms file and the line of each row, checked as read_terms says."""
     # pair texts -> index of their pair; spellings of one instant share it
     by_text: dict[tuple[str, str], int] = {}
-    by_pair: dict[TimePair, int] = {}
+    by_pair: dict[tuple[int, int], int] = {}
     seen: set[tuple[int, str]] = set()
     lines, pair_index, pipe_ids, numbers, relevant = [], [], [], [], []
     for line, row in read_table(path, TERMS_COLUMNS):
@@ -1094,8 +1066,8 @@ def _parse_terms(path: str, history: History | None, pipes: set) -> tuple[Terms,
         if k is None:
             pair = parse_pair(parse_timestamp(row[0], path, line),
                               parse_timestamp(row[1], path, line), path, line)
-            if pair not in by_pair and history is not None:
-                us = microseconds((pair.t0, pair.t1))
+            us = microseconds((pair.t0, pair.t1))
+            if (key := tuple(us.tolist())) not in by_pair and history is not None:
                 k0, k1 = history.timestamps.searchsorted(us).tolist()
                 span = f"pair {format_timestamp(pair.t0)} .. {format_timestamp(pair.t1)}"
                 if k1 == len(history) or (history.timestamps[[k0, k1]] != us).any():  # k0 <= k1
@@ -1103,7 +1075,7 @@ def _parse_terms(path: str, history: History | None, pipes: set) -> tuple[Terms,
                 if k1 != k0 + 1:
                     raise ParseError(path, line,
                                      f"{span} spans frames {k0} to {k1}, not consecutive frames")
-            k = by_text[row[0], row[1]] = by_pair.setdefault(pair, len(by_pair))
+            k = by_text[row[0], row[1]] = by_pair.setdefault(key, len(by_pair))
         try:
             numbers.append(list(map(float, row[3:10])))
         except ValueError:
@@ -1123,8 +1095,8 @@ def _parse_terms(path: str, history: History | None, pipes: set) -> tuple[Terms,
         pair_index.append(k)
         pipe_ids.append(row[2])
         relevant.append(row[10] == "1")
-    terms = _from_file_numbers(tuple(by_pair), np.array(pair_index, dtype=int),
-                               np.array(pipe_ids, dtype=str),
-                               np.array(numbers, dtype=float).reshape(len(numbers), 7).T,
-                               np.array(relevant, dtype=bool))
+    terms = Terms(np.array(list(by_pair), dtype=np.int64).reshape(-1, 2),
+                  np.array(pair_index, dtype=int), np.array(pipe_ids, dtype=str),
+                  np.array(numbers, dtype=float).reshape(len(numbers), 7).T,
+                  np.array(relevant, dtype=bool))
     return terms, lines

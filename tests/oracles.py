@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from gasinertia.ingest import (
-    PER_10KM,
     QUANTITY_FLOW,
     QUANTITY_PRESSURE,
     QUANTITY_RHO,
@@ -569,16 +568,13 @@ def write_terms_rows(terms: Terms, path: str) -> None:
     number columns in file units written with repr, and the relevant flag
     as 1 or 0.
     """
-    columns = [(terms.flow_t0_m3s, KNM3H), (terms.flow_t1_m3s, KNM3H),
-               (terms.flow_t1_m3s - terms.flow_t0_m3s, KNM3H), (terms.alpha_pa, BAR),
-               (terms.beta_pa, BAR), (terms.alpha_per_length_pam, PER_10KM), (terms.ratio, 1.0)]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TERMS_COLUMNS)
         for i, (k, pipe_id, flag) in enumerate(zip(terms.pair_index.tolist(),
                                                    terms.pipe_ids.tolist(),
                                                    terms.relevant.tolist())):
-            pair = terms.pairs[k]
-            writer.writerow([format_timestamp(pair.t0), format_timestamp(pair.t1), pipe_id,
-                             *(repr(float(values[i] / unit)) for values, unit in columns),
+            t0, t1 = terms.pairs[k].tolist()
+            writer.writerow([format_timestamp(instant(t0)), format_timestamp(instant(t1)),
+                             pipe_id, *(repr(value) for value in terms.numbers[:, i].tolist()),
                              "1" if flag else "0"])

@@ -1,6 +1,7 @@
 import builtins
 import csv
 import gc
+import math
 from datetime import datetime, timedelta, timezone
 import os
 import re
@@ -20,12 +21,12 @@ from gasinertia.cli import (
 )
 from gasinertia import ingest
 from gasinertia.ingest import TERMS_COLUMNS, ParseError, read_table, states_blocks
-from gasinertia.model import BAR, KNM3H
+from gasinertia.model import BAR, KNM3H, GasParams
 from gasinertia.physics import TermRecord
 
 from conftest import run_cli, stamp
 from gasinertia.ingest import format_timestamp
-from oracles import classify_scan_points
+from oracles import classify_scan_points, friction_beta, inertia_alpha
 
 
 def read_csv(path):
@@ -918,6 +919,9 @@ pc,pipe,c,d,5000.0,0.4,1e-05,0.0
 vb,valve,b,d,,,,
 """
 ORACLE_PIPES = {"pa": ("a", "b"), "pb": ("b", "c"), "pc": ("c", "d")}
+# length, diameter and roughness of each pipe of ORACLE_TOPOLOGY
+ORACLE_GEOMETRY = {row[0]: tuple(map(float, row[4:7]))
+                   for row in csv.reader(ORACLE_TOPOLOGY.splitlines()[1:]) if row[1] == "pipe"}
 FILE_QUANTITY = {"pressure": "node.pressure_bar", "flow": "arc.flow_kNm3h",
                  "rho": "pipe.rho_n_kgNm3", "valve": "valve.open"}
 KNM3H_SI = 1000.0 / 3600.0
@@ -1003,3 +1007,24 @@ class TestScanOracle:
         assert counts["below prefilter"] == expected["below_prefilter"]
         assert [(row[0], row[2]) for row in terms] == [
             (spellings(stamps[k])[0], pipe_id) for k, pipe_id in survivors]
+        # each row's numbers, in file units, from the per-point formulas
+        gas = GasParams()
+        for row, (k, pipe_id) in zip(terms, survivors):
+            length, diameter, roughness = ORACLE_GEOMETRY[pipe_id]
+            q0, q1 = frames[k]["flow", pipe_id], frames[k + 1]["flow", pipe_id]
+            rho = frames[k + 1]["rho", pipe_id]
+            left, right = (frames[k + 1]["pressure", node] * BAR
+                           for node in ORACLE_PIPES[pipe_id])
+            tau = (stamps[k + 1] - stamps[k]).total_seconds()
+            alpha = inertia_alpha(length, diameter, rho, tau, q0, q1)
+            beta, _, _ = friction_beta(length, diameter, roughness, rho, q1, left, right,
+                                       gas.temperature_k, gas.pseudo_critical_pressure_pa,
+                                       gas.pseudo_critical_temperature_k, gas.dynamic_viscosity_pas)
+            ratio = (0.0 if alpha == beta == 0.0 else math.inf if beta == 0.0
+                     else abs(alpha) / abs(beta))
+            numbers = [float(cell) for cell in row[3:10]]
+            assert numbers[:3] == [q0 / KNM3H, q1 / KNM3H, (q1 - q0) / KNM3H], row
+            for got, want in zip(numbers[3:], (alpha / BAR, beta / BAR,
+                                               alpha / length / ingest.PER_10KM, ratio)):
+                assert (got == want if math.isinf(want)
+                        else math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)), (row, want)

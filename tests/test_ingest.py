@@ -14,12 +14,11 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from gasinertia import ingest
+from gasinertia import cli, ingest
 
 from gasinertia.ingest import (
     EXCLUSIONS_COLUMNS,
     HISTORY_SIDECAR,
-    PER_10KM,
     ExclusionWindow,
     exclusion_mask,
     file_sha256,
@@ -56,7 +55,7 @@ from gasinertia.model import (
 )
 from gasinertia.physics import term_ratio
 
-from conftest import BASE_TS, make_pair, stamp
+from conftest import BASE_TS, run_cli, stamp
 from oracles import write_terms_rows
 
 TOPOLOGY_CSV = """element_id,kind,from_node,to_node,length_m,diameter_m,roughness_m,slope
@@ -386,22 +385,35 @@ class TestExclusions:
         assert mask[:, 1].tolist() == [True, True, False, True, False]
 
 
+def make_pairs(count: int) -> np.ndarray:
+    """Terms.pairs of the grid steps 0 -> 1 to count - 1 -> count."""
+    stamps = ingest.microseconds(stamp(k) for k in range(count + 1))
+    return np.stack([stamps[:-1], stamps[1:]], axis=1)
+
+
 def make_terms(pair_index=(0, 1), relevant=(True, False)):
     """Terms of points p0, p1, ... over the pairs that pair_index gives."""
     n = len(pair_index)
-    alpha = np.array([0.21 * BAR, -0.034 * BAR] * n)[:n]
+    alpha = np.array([0.21, -0.034] * n)[:n]
     beta = 3.7 * alpha
-    return Terms((make_pair(0), make_pair(1)), np.array(pair_index),
-                 np.array([f"p{i}" for i in range(n)]), np.full(n, 100.0 * KNM3H),
-                 (100.0 + 7.3 * (np.array(pair_index) + 1)) * KNM3H, alpha, beta,
-                 alpha / 12_345.0, term_ratio(alpha, beta), np.array(relevant))
+    dflow = 7.3 * (np.array(pair_index) + 1)
+    return Terms(make_pairs(2), np.array(pair_index, dtype=int),
+                 np.array([f"p{i}" for i in range(n)]),
+                 np.array([np.full(n, 100.0), 100.0 + dflow, dflow, alpha, beta,
+                           alpha / 1.2345, term_ratio(alpha, beta)]),
+                 np.array(relevant, dtype=bool))
 
 
 def assert_terms_equal(a, b):
-    assert a.pairs == b.pairs
-    for name in ("pair_index", "pipe_ids", "flow_t0_m3s", "flow_t1_m3s", "alpha_pa", "beta_pa",
-                 "alpha_per_length_pam", "ratio", "relevant"):
+    """a and b hold the same terms: pairs and pair indices as int64,
+    numbers bit for bit."""
+    for name in ("pairs", "pair_index"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype == np.int64, name
         assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+    assert a.numbers.view(np.uint64).tolist() == b.numbers.view(np.uint64).tolist()
+    assert a.pipe_ids.tolist() == b.pipe_ids.tolist()
+    assert a.relevant.dtype == b.relevant.dtype == bool
+    assert a.relevant.tolist() == b.relevant.tolist()
 
 
 class TestTerms:
@@ -412,14 +424,14 @@ class TestTerms:
         assert_terms_equal(read_terms(str(path)), terms)
 
     def test_infinite_ratio_survives(self, tmp_path):
-        terms = Terms((make_pair(0),), np.array([0, 0]), np.array(["p", "q"]),
-                      np.array([0.0, 1.0]), np.array([1.0, -2.5]), np.array([5.0, 0.0]),
-                      np.array([0.0, 0.0]), np.array([5e-4, 0.0]), np.array([math.inf, 0.0]),
+        terms = Terms(make_pairs(1), np.array([0, 0]), np.array(["p", "q"]),
+                      np.array([[0.0, 1.0], [1.0, -2.5], [1.0, -3.5], [5.0, 0.0], [0.0, 0.0],
+                                [5e-4, 0.0], [math.inf, 0.0]]),
                       np.array([True, False]))
         path = tmp_path / "terms.csv"
         write_terms(terms, str(path))
         back = read_terms(str(path))
-        assert back.ratio.tolist() == [math.inf, 0.0]
+        assert back.numbers[6].tolist() == [math.inf, 0.0]
         assert_terms_equal(back, terms)
 
     def test_empty_round_trip(self, tmp_path):
@@ -427,7 +439,7 @@ class TestTerms:
         path = tmp_path / "terms.csv"
         write_terms(terms, str(path))
         back = read_terms(str(path))
-        assert back.pairs == () and len(back.alpha_pa) == 0
+        assert back.pairs.shape == (0, 2) and back.numbers.shape == (7, 0)
 
     def test_each_pair_formatted_and_parsed_once(self, tmp_path, monkeypatch):
         terms = make_terms(pair_index=(0, 0, 1, 1, 1), relevant=(True,) * 5)
@@ -458,7 +470,7 @@ class TestTerms:
         text[2] = text[2].replace("Z,", "+00:00,")
         path.write_text("\n".join(text) + "\n")
         back = read_terms(str(path))
-        assert back.pairs == (make_pair(0),)
+        assert back.pairs.tolist() == make_pairs(1).tolist()
         assert back.pair_index.tolist() == [0, 0]
 
     def test_bad_flow_change_reported_at_its_line(self, tmp_path):
@@ -544,16 +556,12 @@ class TestTerms:
                                     pipe_ids=np.array(pipe_ids))
         path = tmp_path / "terms.csv"
         write_terms(terms, str(path))
-        columns = [(terms.flow_t0_m3s, KNM3H), (terms.flow_t1_m3s, KNM3H),
-                   (terms.flow_t1_m3s - terms.flow_t0_m3s, KNM3H), (terms.alpha_pa, BAR),
-                   (terms.beta_pa, BAR), (terms.alpha_per_length_pam, PER_10KM),
-                   (terms.ratio, 1.0)]
         expected = tmp_path / "expected.csv"
         write_table(str(expected), TERMS_COLUMNS, [
-            [format_timestamp(terms.pairs[k].t0), format_timestamp(terms.pairs[k].t1), pipe_id,
-             *(repr(float(values[i] / unit)) for values, unit in columns), str(int(flag))]
-            for i, (k, pipe_id, flag) in enumerate(zip(terms.pair_index.tolist(), pipe_ids,
-                                                       terms.relevant.tolist()))])
+            [format_timestamp(ingest.instant(t0)), format_timestamp(ingest.instant(t1)), pipe_id,
+             *map(repr, terms.numbers[:, i].tolist()), str(int(flag))]
+            for i, ((t0, t1), pipe_id, flag) in enumerate(zip(
+                terms.pairs[terms.pair_index].tolist(), pipe_ids, terms.relevant.tolist()))])
         assert path.read_bytes() == expected.read_bytes()
         assert b'"a,b"' in path.read_bytes() and b'"say ""x"""' in path.read_bytes()
         assert_terms_equal(read_terms(str(path)), terms)
@@ -581,13 +589,13 @@ def terms_of_any_numbers(draw):
     pairs = draw(st.integers(1, 3))
     column = st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), min_size=n,
                       max_size=n)
-    return Terms(tuple(make_pair(k) for k in range(pairs)),
+    return Terms(make_pairs(pairs),
                  np.array(draw(st.lists(st.integers(0, pairs - 1), min_size=n, max_size=n)),
                           dtype=int),
                  np.array(draw(st.lists(st.one_of(st.sampled_from(ODD_PIPE_IDS),
                                                   st.text(max_size=6)),
                                         min_size=n, max_size=n)), dtype=str),
-                 *(np.array(draw(column), dtype=float) for _ in range(6)),
+                 np.array([draw(column) for _ in range(7)], dtype=float).reshape(7, n),
                  np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool))
 
 
@@ -619,21 +627,21 @@ class TestTermsWriter:
     def test_edge_numbers_in_every_column(self, tmp_path):
         n = len(EDGE_FLOATS)
         values = np.array(EDGE_FLOATS)
-        terms = Terms((make_pair(0),), np.zeros(n, dtype=int),
-                      np.array((ODD_PIPE_IDS * n)[:n]), values, values[::-1], values,
-                      np.roll(values, 1), values, np.roll(values, 2), np.arange(n) % 2 == 0)
+        terms = Terms(make_pairs(1), np.zeros(n, dtype=int), np.array((ODD_PIPE_IDS * n)[:n]),
+                      np.array([values, values[::-1], values, np.roll(values, 1), values,
+                                np.roll(values, 2), np.roll(values, 3)]),
+                      np.arange(n) % 2 == 0)
         assert_written_as_oracle(terms, str(tmp_path))
 
     def test_many_chunks(self, tmp_path):
         # rows past several chunks, with numbers of any bit pattern
         n = 3 * ingest._TERMS_CHUNK + 77
         rng = np.random.default_rng(7)
-        numbers = rng.integers(0, 2 ** 64, size=(6, n), dtype=np.uint64).view(np.float64)
-        terms = Terms(tuple(make_pair(k) for k in range(40)),
-                      np.sort(rng.integers(0, 40, size=n)),
+        numbers = rng.integers(0, 2 ** 64, size=(7, n), dtype=np.uint64).view(np.float64)
+        terms = Terms(make_pairs(40), np.sort(rng.integers(0, 40, size=n)),
                       np.array(ODD_PIPE_IDS + [f"p{k}" for k in range(300)])[
                           rng.integers(0, 308, size=n)],
-                      *numbers, rng.random(n) < 0.5)
+                      numbers, rng.random(n) < 0.5)
         assert_written_as_oracle(terms, str(tmp_path))
 
 
@@ -847,7 +855,7 @@ class TestSidecar:
         network = parse_topology(topology, topology_sha256)
         history = parse_states(states, network)
         terms = dataclasses.replace(make_terms(pair_index=(0,), relevant=(True,)),
-                                    pairs=(make_pair(0),), pipe_ids=np.array(["p1"]))
+                                    pairs=make_pairs(1), pipe_ids=np.array(["p1"]))
         save_history(narrow_history([history], network), terms, terms_path,
                      write_terms(terms, terms_path),
                      file_sha256(states), topology_sha256.hexdigest(), os.path.getsize(states))
@@ -914,22 +922,47 @@ class TestSidecar:
         read_terms(terms_path, history, parse_topology(topology).pipes())
         assert parsed == [terms_path] * 2
 
-    def test_saved_terms_equal_parsed_terms(self, pipeline, tmp_path, parsed):
-        terms = str(pipeline["out"] / "terms.csv")
+    def test_saved_terms_equal_parsed_terms(self, pipeline, tmp_path, parsed, monkeypatch):
+        """The terms scan writes, those load_saved gives and those read_terms
+        parses, alone and against the history, are one form: UTC instants
+        and pair indices as int64, numbers bit for bit."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "topology.csv").write_bytes((pipeline["data"] / "topology.csv").read_bytes())
+        # every instant of states.csv spelled at +01:00
+        with open(pipeline["data"] / "states.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        for row in rows[1:]:
+            row[0] = parse_timestamp(row[0]).astimezone(timezone(timedelta(hours=1))).isoformat()
+        assert rows[1][0].endswith("+01:00")
+        with open(data / "states.csv", "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        written, write = [], cli.write_terms
+        monkeypatch.setattr(cli, "write_terms",
+                            lambda terms, path: written.append(terms) or write(terms, path))
+        code, _, err = run_cli(["scan", "--topology", data / "topology.csv",
+                                "--states", data / "states.csv", "--out", tmp_path / "out"])
+        assert code == 0, err
+        terms = str(tmp_path / "out" / "terms.csv")
+        assert (tmp_path / "out" / "terms.csv").read_bytes() == (
+            pipeline["out"] / "terms.csv").read_bytes()
         copy = tmp_path / "terms.csv"
-        copy.write_bytes(pipeline["out"].joinpath("terms.csv").read_bytes())
-        loaded, parsed_terms = read_terms(terms), read_terms(str(copy))
-        assert parsed == [str(copy)]
-        assert len(parsed_terms.relevant) == 6
-        for name in ("flow_t0_m3s", "flow_t1_m3s", "alpha_pa", "beta_pa",
-                     "alpha_per_length_pam", "ratio"):
-            assert getattr(loaded, name).tobytes() == getattr(parsed_terms, name).tobytes(), name
-        assert loaded.pipe_ids.tolist() == parsed_terms.pipe_ids.tolist()
-        assert loaded.relevant.tolist() == parsed_terms.relevant.tolist()
-        assert ([(loaded.pairs[k].t0, loaded.pairs[k].t1) for k in loaded.pair_index.tolist()]
-                == [(parsed_terms.pairs[k].t0, parsed_terms.pairs[k].t1)
-                    for k in parsed_terms.pair_index.tolist()])
-        assert_terms_equal(loaded, parsed_terms)
+        copy.write_bytes((pipeline["out"] / "terms.csv").read_bytes())
+        network = parse_topology(str(data / "topology.csv"))
+        saved = load_saved(terms)[0]
+        assert parsed == []
+        alone = read_terms(str(copy))
+        checked = read_terms(terms, parse_states(str(data / "states.csv"), network),
+                             network.pipes())
+        assert parsed == [str(copy), terms]
+        assert len(written[0].relevant) == 6
+        for got in (saved, alone, checked):
+            assert_terms_equal(got, written[0])
+        # terms.csv spells the pairs' instants in UTC
+        with open(terms, newline="") as handle:
+            first = list(csv.reader(handle))[1]
+        assert [format_timestamp(ingest.instant(us)) for us in written[0].pairs[0].tolist()] == (
+            first[:2])
 
     @pytest.mark.parametrize("edit", ["blank row", "number"])
     def test_edited_terms_file_not_loaded(self, pipeline, tmp_path, parsed, edit):
@@ -948,7 +981,7 @@ class TestSidecar:
             csv.writer(handle).writerows(rows)
         edited = read_terms(terms)
         assert parsed == [terms]
-        assert edited.flow_t0_m3s[-1] == saved.flow_t0_m3s[-1] + (edit == "number") * KNM3H
+        assert edited.numbers[0, -1] == saved.numbers[0, -1] + (edit == "number")
 
     @pytest.mark.parametrize("change, message", [
         ("same instants", None),
@@ -1071,7 +1104,7 @@ def assert_same_history(actual: History, expected: History) -> None:
 def test_row_pairs_number_pairs_chronologically():
     stamps = empty_history(5).timestamps
     pairs, pair_index = ingest.row_pairs(stamps, np.array([1, 1, 3, 3, 3]))
-    assert [(p.t0, p.t1) for p in pairs] == [(stamp(1), stamp(2)), (stamp(3), stamp(4))]
+    assert pairs.dtype == pair_index.dtype == np.int64
+    assert pairs.tolist() == stamps[[[1, 2], [3, 4]]].tolist()
     assert pair_index.tolist() == [0, 0, 1, 1, 1]
-    assert ingest.first_frames(stamps, pairs).tolist() == [1, 3]
-    assert ingest.row_pairs(stamps, np.array([], dtype=int))[0] == ()
+    assert ingest.row_pairs(stamps, np.array([], dtype=int))[0].shape == (0, 2)
