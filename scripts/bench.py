@@ -59,7 +59,9 @@ scenarios/funnel50.scn` (1,000 frames of the funnel50 fixture) runs three
 times, each in a fresh child with BLAS pinned to one thread.  The median
 wall and processor seconds, the largest peak RSS and the sha256 of
 states.csv go under tiers.S, and the tier fails unless every child wrote
-the same states.csv.
+the same states.csv.  tiers.S_noisy is the same scenario at noise 0.002,
+so that every frame needs a Newton solve: in tiers.S most frames are
+written without one.
 
 With --against DIR, a second checkout (the parent commit, say), every
 tier's inputs are written once, and its scan and components children
@@ -67,8 +69,8 @@ alternate between DIR and the measured checkout, one child of each in
 turn, so that a spell of load on a shared machine weighs on both sides
 alike.  Each tier then records DIR's results, in the same form, under
 its "against" key, and the file records DIR's commit under "against".
-Tier S reads the measured checkout's scenario on both sides and fails if
-the two sides' states.csv differ.
+Tiers S and S_noisy read the measured checkout's scenario on both sides
+and fail if the two sides' states.csv differ.
 Standard library only.
 """
 
@@ -201,13 +203,19 @@ def child_envs(sides: dict[str, Path]) -> dict[str, dict]:
             for name, checkout in sides.items()}
 
 
-def run_synth_tier(sides: dict[str, Path], scenario: Path) -> dict[str, dict]:
-    """Run synth on scenario SCANS times per side, each in a child, the
-    sides' children alternating; per side, the median wall and processor
-    seconds, the largest peak RSS and the digest of states.csv, which must
-    be the same for every child of every side."""
+def run_synth_tier(sides: dict[str, Path], scenario: Path, noise: float | None = None
+                   ) -> dict[str, dict]:
+    """Run synth on scenario, at noise unless None, SCANS times per side,
+    each in a child, the sides' children alternating; per side, the median
+    wall and processor seconds, the largest peak RSS and the digest of
+    states.csv, which must be the same for every child of every side."""
     envs = child_envs(sides)
     with tempfile.TemporaryDirectory() as root:
+        if noise is not None:
+            # of a scalar key given twice, the later line counts
+            copy = Path(root, scenario.name)
+            copy.write_text(f"{scenario.read_text()}\nnoise = {noise}\n")
+            scenario = copy
         runs = {name: [] for name in sides}
         digests = set()
         for _ in range(SCANS):
@@ -217,7 +225,8 @@ def run_synth_tier(sides: dict[str, Path], scenario: Path) -> dict[str, dict]:
                                              "--out", str(out)], envs[name]))
                 digests.add(file_digest(out / "states.csv")[0])
     if len(digests) != 1:
-        sys.exit(f"tier S: states.csv differs between children: {sorted(digests)}")
+        sys.exit(f"tier {scenario.name} at noise {noise}: states.csv differs between "
+                 f"children: {sorted(digests)}")
     results = {}
     for name, stages in runs.items():
         walls, cpus, peaks = zip(*stages)
@@ -349,10 +358,11 @@ def main() -> int:
                               frames=3000, events=300),
         "M_long": dict(workload="QUIET_HISTORY", long_values=True, frames=3000, events=300),
         "M_repr": dict(workload="QUIET_HISTORY", repr_values=True, frames=3000, events=300),
-        "S": dict(scenario=checkout / "scenarios" / "funnel50.scn")}
+        "S": dict(scenario=checkout / "scenarios" / "funnel50.scn"),
+        "S_noisy": dict(scenario=checkout / "scenarios" / "funnel50.scn", noise=0.002)}
     bench["tiers"] = {}
     for name, tier in tiers.items():
-        results = (run_synth_tier(sides, **tier) if name == "S"
+        results = (run_synth_tier(sides, **tier) if "scenario" in tier
                    else run_tier(sides, args.seed, **tier))
         bench["tiers"][name] = results["checkout"]
         if "against" in results:

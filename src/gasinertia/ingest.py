@@ -34,7 +34,6 @@ from typing import Iterable, Iterator, NamedTuple
 import zipfile
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     BAR,
@@ -493,9 +492,15 @@ def _history(stamps: list[datetime], rows: list[list[float]] | np.ndarray,
 _DIGITS = 15
 _TENS = 10 ** np.arange(_DIGITS + 1)
 # the places of a row's last _DIGITS + 1 bytes and, per value length, the
-# mask of those that belong to the value
+# mask of those that belong to the value, as one void
 _PLACES = np.arange(_DIGITS, -1, -1, dtype=np.uint8)
-_INSIDE = _PLACES < np.arange(_DIGITS + 2)[:, None]
+_INSIDE = (_PLACES < np.arange(_DIGITS + 2)[:, None]).view(f"V{_DIGITS + 1}").ravel()
+
+
+def _gather(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The width bytes of buf from each of at, one row each, gathered as voids."""
+    return (np.ndarray((buf.size - width + 1,), f"V{width}", buf, 0, (1,))[at]
+            .view(buf.dtype).reshape(-1, width))
 
 
 def _join_digits(words: np.ndarray) -> np.ndarray:
@@ -510,16 +515,17 @@ def _decimals(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.n
     takes a fast path, Clinger's or the Eisel-Lemire method, and the mask
     of those that do; raw holds _CELL bytes before each end."""
     length = end - start
-    cells = sliding_window_view(raw, _DIGITS + 1)[end - _DIGITS - 1]
-    inside = np.take(_INSIDE, np.minimum(length, _DIGITS + 1), axis=0)
+    cells = _gather(raw, end - _DIGITS - 1, _DIGITS + 1)
+    inside = _INSIDE[np.minimum(length, _DIGITS + 1)].view(bool).reshape(cells.shape)
     digits = cells - np.uint8(48)
     digit, point = (digits < 10) & inside, (cells == 46) & inside
     words = _join_digits((digits * digit).view("<u8"))
     whole = (words[:, 0] * 10 ** 8 + words[:, 1]).astype(int)
-    # the digits, the points and the places of the points: a word's bytes
-    # times 0x0101010101010101 add up in its top byte
-    sums = np.stack([digit, point, point * _PLACES]).view("<u8") * 0x0101010101010101 >> 56
-    count, points, place = (sums[..., 0] + sums[..., 1]).astype(int)
+    # the digits, the points and their places: a cell's two words add without
+    # a carry, and a word's bytes times 0x0101010101010101 add up in its top byte
+    halves = np.stack([digit, point, point * _PLACES]).view("<u8")
+    count, points, place = ((halves[..., 0] + halves[..., 1]) * 0x0101010101010101
+                            >> 56).astype(int)
     negative = raw[start] == 45
     fast = (length <= _DIGITS) & (count > 0) & (points <= 1) & (length - count - points == negative)
     # digits before a point weigh ten times their worth in whole; a fast
@@ -664,7 +670,7 @@ def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[s
     padded = np.concatenate([np.zeros(_CELL, np.uint8), raw[:stop],
                              np.zeros_like(mask[0]).view(np.uint8)])
     words = mask.shape[1]
-    if not ((sliding_window_view(padded, words * 8)[first + _CELL].view(np.uint64)
+    if not ((_gather(padded, first + _CELL, words * 8).view(np.uint64)
              .reshape(-1, size, words) & mask) == names).all():
         return None
     value = first + np.tile(widths, end // size)

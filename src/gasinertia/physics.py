@@ -19,9 +19,11 @@ the same average-flow substitution q_l = q_r = rho_n Q0(t1).
 These functions are the only implementation of the terms: the scan
 evaluates them for its surviving data points and the synthetic simulator
 solves the balance they define, with beta and gamma from one call of
-friction_and_remainder, built from the same private pieces.  Every
-function takes scalars or numpy arrays (elementwise, broadcasting) and
-returns a float for scalar input.
+friction_and_remainder, built from the same private pieces.  That one
+takes the pressures of the nodes and the positions of the pipes' ends
+among them, so that z/p is evaluated once per node.  Every other function
+takes scalars or numpy arrays (elementwise, broadcasting) and returns a
+float for scalar input.
 The geometry argument is one PipeGeometry or a PipeTable of many pipes.
 """
 
@@ -197,23 +199,31 @@ def remaining_terms_gamma(geometry: PipeGeometry | PipeTable, gas: GasParams, rh
     pipes = _table(geometry)
     rt = specific_gas_constant(rho_n_kgm3) * gas.temperature_k
     p_m = 0.5 * (p_left_pa + p_right_pa)
-    return _plain(_gamma(pipes, gas, rho_n_kgm3 * flow_t1_m3s, rt, p_left_pa, p_right_pa,
-                         p_m, _papay(p_m, gas, diag), diag))
+    z_over_p = (_papay(p_right_pa, gas, diag) / p_right_pa
+                - _papay(p_left_pa, gas, diag) / p_left_pa)
+    return _plain(_gamma(pipes, rho_n_kgm3 * flow_t1_m3s, rt, z_over_p, p_m,
+                         _papay(p_m, gas, diag)))
 
 
 def friction_and_remainder(pipes: PipeTable, gas: GasParams, rho_n_kgm3, flow_t1_m3s,
-                           p_left_pa, p_right_pa):
+                           p_node_pa: np.ndarray, ends: np.ndarray):
     """(beta, gamma) as friction_term_beta and remaining_terms_gamma give
-    them, bit for bit, with the pressure check, R_s T, p_m and z(p_m)
-    evaluated once for both."""
-    _require_positive_pressures(p_left_pa, p_right_pa)
+    them, bit for bit, of the pipes from the nodes at ends[:n] of p_node_pa's
+    last axis to those at ends[n:]: the pressure check, R_s T, p_m and
+    z(p_m) once for both, and z/p once per node in z(p_m)'s _papay call."""
+    p_ends = p_node_pa.take(ends, axis=-1)
+    n = ends.size // 2
+    p_left, p_right = p_ends[..., :n], p_ends[..., n:]
+    _require_positive_pressures(p_left, p_right)
     q = rho_n_kgm3 * flow_t1_m3s
-    p_m = 0.5 * (p_left_pa + p_right_pa)
+    p_m = 0.5 * (p_left + p_right)
     lam = friction_factor(q, pipes, gas)
     rt = specific_gas_constant(rho_n_kgm3) * gas.temperature_k
-    z_m = _papay(p_m, gas, None)
-    return (_plain(_beta(pipes, rho_n_kgm3, flow_t1_m3s, lam, rt, p_m, z_m)),
-            _plain(_gamma(pipes, gas, q, rt, p_left_pa, p_right_pa, p_m, z_m, None)))
+    z = _papay(np.concatenate([p_m, p_node_pa], axis=-1), gas, None)
+    z_m = z[..., :n]
+    z_over_p = (z[..., n:] / p_node_pa).take(ends, axis=-1)
+    return (_beta(pipes, rho_n_kgm3, flow_t1_m3s, lam, rt, p_m, z_m),
+            _gamma(pipes, q, rt, z_over_p[..., n:] - z_over_p[..., :n], p_m, z_m))
 
 
 def _beta(pipes: PipeTable, rho_n_kgm3, flow_t1_m3s, lam, rt, p_m, z_m):
@@ -222,13 +232,10 @@ def _beta(pipes: PipeTable, rho_n_kgm3, flow_t1_m3s, lam, rt, p_m, z_m):
             * np.abs(flow_t1_m3s) * flow_t1_m3s * z_m / p_m)
 
 
-def _gamma(pipes: PipeTable, gas: GasParams, q, rt, p_left_pa, p_right_pa, p_m, z_m,
-           diag: Diagnostics | None):
-    """gamma from the mass flow q, R_s T, p_m and z(p_m)."""
-    kinetic = (rt * pipes.kinetic * q * q
-               * (_papay(p_right_pa, gas, diag) / p_right_pa
-                  - _papay(p_left_pa, gas, diag) / p_left_pa))
-    return kinetic + GRAVITY_MS2 / rt * pipes.climb_m * p_m / z_m
+def _gamma(pipes: PipeTable, q, rt, z_over_p, p_m, z_m):
+    """gamma from the mass flow q, R_s T, z/p at the to end less z/p at the
+    from end, p_m and z(p_m)."""
+    return rt * pipes.kinetic * q * q * z_over_p + GRAVITY_MS2 / rt * pipes.climb_m * p_m / z_m
 
 
 def _require_positive_pressures(p_left_pa, p_right_pa) -> None:

@@ -10,21 +10,25 @@ previous frame and every free node balances its flows.  Open valves equalize end
 pressures, resistors add a small quadratic drop, closed valves block
 flow, and actively controlled elements transfer nothing.
 
-The solver is a damped Newton iteration on a vectorized residual.  Every
-iteration takes a fresh forward-difference Jacobian: unknowns that share
-no residual row are perturbed together (Curtis, Powell & Reid 1974) and
-all groups go through one batched residual call, so a Jacobian costs one
-call however large the network, and meshed networks converge as chains
-do.  Frames whose residual is already converged are emitted without a
-solve, so long quiet stretches cost one function evaluation per frame.
+The solver is a damped Newton iteration on a vectorized residual with
+forward-difference Jacobians: unknowns that share no residual row are
+stepped together (Curtis, Powell & Reid 1974), so a point and one stepped
+copy of it per group go through one batched residual call however large
+the network, and meshed networks converge as chains do.  Each trial point
+goes so: accepted short of convergence, its copies give the next Jacobian,
+and an iteration costs one call.  Frames whose residual is already
+converged are emitted without a solve, and their successors' first
+residuals are not batched, so quiet stretches cost one row per frame.
 
 A residual call gathers every arc's end pressures straight from the free
 pressures and the reference pressures, takes the flows as a view of the
 unknowns, and evaluates friction and remainder in one call that computes
-the pressure check, R_s T, the mean pressure and its compressibility once.
-The Jacobian is a zero matrix filled on its pattern only.  Every expression
-keeps its order of operations, so the files synth writes are byte-identical
-to those of the scatter-and-mask evaluation that tests/oracles.py keeps.
+the pressure check, R_s T, the mean pressure and its compressibility once,
+and z/p once per node.  The Jacobian is a zero matrix filled on its pattern
+only.  Every expression keeps its order of operations, so the files synth
+writes are byte-identical to those of the scatter-and-mask evaluation and
+of the Newton loop with a call per trial and per Jacobian that
+tests/oracles.py keeps.
 """
 
 from __future__ import annotations
@@ -350,6 +354,7 @@ class _System:
         at = {n: i for i, n in enumerate(self.free_nodes + self.reference_nodes)}
         self.ends = np.array([at[e.from_node] for e in elements]
                              + [at[e.to_node] for e in elements], dtype=int)
+        self.pipe_ends = self.ends.reshape(2, -1)[:, :self.n_pipe].ravel()
         self.valve_open = np.array([vid not in scenario.closed_valves
                                     for vid in self.valve_ids], dtype=bool)
         # a closed valve's row is its flow, at the same position among the
@@ -386,15 +391,15 @@ class _System:
         self.groups = [np.flatnonzero(self.group_of == g).tolist() for g in range(len(taken))]
 
         # forward differences: the step floor of each unknown, the flat
-        # position in the batch of groups of each unknown's step, and per
-        # entry of pattern its flat position in the Jacobian, the flat
-        # position in the batch's residuals of its difference, and its column
+        # position of each unknown's step in a batch of x and its copies, and
+        # per entry of pattern its flat position in the Jacobian and in the
+        # copies' residuals, its row and its column
         n = self.n_unknowns
         self.step_floor = np.where(np.arange(n) < self.n_free, BAR, 1.0)
-        self.steps = self.group_of * n + np.arange(n)
-        rows, self.entry_cols = np.nonzero(self.pattern)
-        self.entries = rows * n + self.entry_cols
-        self.entry_diffs = self.group_of[self.entry_cols] * n + rows
+        self.steps = (1 + self.group_of) * n + np.arange(n)
+        self.entry_rows, self.entry_cols = np.nonzero(self.pattern)
+        self.entries = self.entry_rows * n + self.entry_cols
+        self.entry_diffs = self.group_of[self.entry_cols] * n + self.entry_rows
 
     def residual(self, x: np.ndarray, q_prev: np.ndarray | None,
                  tau_s: float, inflow: np.ndarray) -> np.ndarray:
@@ -404,12 +409,12 @@ class _System:
         pipes, resistors = slice(0, self.n_pipe), slice(self.n_pipe + self.n_valve, n_arcs)
         flows = x[..., self.n_free:]
         q_pipe, q_res = flows[..., pipes], flows[..., resistors]
-        ends = np.concatenate([x[..., :self.n_free],
-                               np.broadcast_to(self.p_ref, x.shape[:-1] + self.p_ref.shape)],
-                              axis=-1)[..., self.ends]
+        p_ref = np.broadcast_to(self.p_ref, x.shape[:-1] + self.p_ref.shape)
+        nodes = np.concatenate([x[..., :self.n_free], p_ref], axis=-1)
+        ends = nodes.take(self.ends, axis=-1)
         p_from, p_to = ends[..., :n_arcs], ends[..., n_arcs:]
-        beta, gamma = friction_and_remainder(self.pipes, self.gas, self.rho, q_pipe,
-                                             p_from[..., pipes], p_to[..., pipes])
+        beta, gamma = friction_and_remainder(self.pipes, self.gas, self.rho, q_pipe, nodes,
+                                             self.pipe_ends)
         drop = beta + gamma
         if q_prev is not None:
             drop = drop + inertia_term_alpha(self.pipes, self.rho, tau_s, q_prev, q_pipe)
@@ -426,28 +431,46 @@ class _System:
         np.add(inflow, balance, out=r[..., n_arcs:])
         return r
 
+    def perturbed(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x and a copy per group with the group's unknowns stepped, and the steps."""
+        h = 1e-7 * np.maximum(np.abs(x), self.step_floor)
+        batch = np.repeat(x[None], 1 + len(self.groups), axis=0)
+        batch.ravel()[self.steps] += h
+        return batch, h
+
+    def fill(self, r: np.ndarray, stepped: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The Jacobian from the residuals of x and its copies, filled on pattern."""
+        jac = np.zeros(r.size * r.size)
+        jac[self.entries] = ((stepped.take(self.entry_diffs) - r.take(self.entry_rows))
+                             / h.take(self.entry_cols))
+        return jac.reshape(r.size, r.size)
+
     def jacobian(self, x: np.ndarray, r: np.ndarray, q_prev: np.ndarray | None,
                  tau_s: float, inflow: np.ndarray) -> np.ndarray:
-        """Forward differences at x, whose residual is r: one batched residual
-        call for all groups, each column filled on the rows its unknown enters."""
-        h = 1e-7 * np.maximum(np.abs(x), self.step_floor)
-        xp = np.repeat(x[None], len(self.groups), axis=0)
-        xp.ravel()[self.steps] += h
-        dr = self.residual(xp, q_prev, tau_s, inflow) - r
-        jac = np.zeros(x.size * x.size)
-        jac[self.entries] = dr.take(self.entry_diffs) / h.take(self.entry_cols)
-        return jac.reshape(x.size, x.size)
+        """The Jacobian at x, whose residual is r, in one batched residual call."""
+        batch, h = self.perturbed(x)
+        return self.fill(r, self.residual(batch[1:], q_prev, tau_s, inflow), h)
 
 
 def _solve_frame(system: _System, x: np.ndarray, q_prev: np.ndarray | None,
-                 tau_s: float, inflow: np.ndarray, frame_index: int) -> np.ndarray:
-    r = system.residual(x, q_prev, tau_s, inflow)
+                 tau_s: float, inflow: np.ndarray, frame_index: int,
+                 batched: bool) -> tuple[np.ndarray, bool]:
+    """The solution of a frame from x, and whether it took a Newton step;
+    x's residual comes in a batch with its stepped copies if batched."""
+    args = (q_prev, tau_s, inflow)
+    if batched:
+        batch, h = system.perturbed(x)
+        rb = system.residual(batch, *args)
+        r = rb[0]
+    else:
+        r = system.residual(x, *args)
     norm = float(np.max(np.abs(r)))
     if norm < NEWTON_TOL:
-        return x
+        return x, False
+    jac = system.fill(r, rb[1:], h) if batched else system.jacobian(x, r, *args)
     for _iteration in range(NEWTON_MAX_ITER):
         try:
-            dx = np.linalg.solve(system.jacobian(x, r, q_prev, tau_s, inflow), -r)
+            dx = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             raise SimulationError(
                 frame_index,
@@ -455,23 +478,25 @@ def _solve_frame(system: _System, x: np.ndarray, q_prev: np.ndarray | None,
                 "reference and an open path to it") from None
         step = 1.0
         for _halving in range(12):
-            x_new = x + step * dx
+            batch, h = system.perturbed(x + step * dx)
             try:
-                r_new = system.residual(x_new, q_prev, tau_s, inflow)
+                rb = system.residual(batch, *args)
             except ValueError:
                 # a trial step to a non-positive pressure is rejected like a
-                # step that fails to reduce the residual
+                # step that fails to reduce the residual; its copies' pressures
+                # are higher, so the batch fails exactly when the trial does
                 step *= 0.5
                 continue
-            norm_new = float(np.max(np.abs(r_new)))
+            norm_new = float(np.max(np.abs(rb[0])))
             if norm_new < norm or norm_new < NEWTON_TOL:
                 break
             step *= 0.5
         else:
             raise SimulationError(frame_index, f"line search stalled at |r| = {norm:.3e}")
-        x, r, norm = x_new, r_new, norm_new
+        x, r, norm = batch[0], rb[0], norm_new
         if norm < NEWTON_TOL:
-            return x
+            return x, True
+        jac = system.fill(r, rb[1:], h)
     raise SimulationError(frame_index,
                           f"no convergence in {NEWTON_MAX_ITER} iterations, |r| = {norm:.3e}")
 
@@ -502,6 +527,8 @@ def simulate(scenario: Scenario) -> History:
     x[system.n_free:] = 0.1
 
     q_prev: np.ndarray | None = None
+    # a frame's first residual is batched unless the frame before was
+    solved = True
     for k in range(n):
         inflow = np.zeros(system.n_free)
         for node_id in system.flow_nodes:
@@ -510,7 +537,7 @@ def simulate(scenario: Scenario) -> History:
                 value *= 1.0 + scenario.noise * rng.standard_normal()
             inflow[system.free_pos[node_id]] = value
 
-        x = _solve_frame(system, x, q_prev, scenario.tau_s, inflow, k)
+        x, solved = _solve_frame(system, x, q_prev, scenario.tau_s, inflow, k, solved)
         q_prev = x[system.n_free:system.n_free + system.n_pipe].copy()
         # x holds pipe, valve and resistor flows in the order of passive
         pressure[k, free] = x[:system.n_free]

@@ -36,7 +36,8 @@ from gasinertia.physics import (
     inertia_term_alpha,
     remaining_terms_gamma,
 )
-from gasinertia.synth import RESISTOR_DROP_COEFF, _System
+from gasinertia.synth import (NEWTON_MAX_ITER, NEWTON_TOL, RESISTOR_DROP_COEFF,
+                              SimulationError, _System)
 
 
 def colebrook_friction(re: float, rr: float, tol: float = 1e-14) -> float:
@@ -414,6 +415,45 @@ class FrozenSystem:
         xp[self.group_of, np.arange(x.size)] += h
         dr = self.residual(xp, q_prev, tau_s, inflow) - r
         return np.where(self.pattern, dr[self.group_of].T / h, 0.0)
+
+
+def newton_frame(system, x: np.ndarray, q_prev, tau_s: float, inflow: np.ndarray,
+                 frame_index: int, batched: bool) -> tuple[np.ndarray, bool]:
+    """synth._solve_frame as it was before each trial point's residual came
+    in one batch with its stepped copies, kept as the reference for the
+    bits of simulate: a residual call per trial point and a jacobian call
+    per Newton iteration.  batched is ignored."""
+    r = system.residual(x, q_prev, tau_s, inflow)
+    norm = float(np.max(np.abs(r)))
+    if norm < NEWTON_TOL:
+        return x, False
+    for _iteration in range(NEWTON_MAX_ITER):
+        try:
+            dx = np.linalg.solve(system.jacobian(x, r, q_prev, tau_s, inflow), -r)
+        except np.linalg.LinAlgError:
+            raise SimulationError(
+                frame_index,
+                "singular system; every hydraulic island needs a pressure "
+                "reference and an open path to it") from None
+        step = 1.0
+        for _halving in range(12):
+            x_new = x + step * dx
+            try:
+                r_new = system.residual(x_new, q_prev, tau_s, inflow)
+            except ValueError:
+                step *= 0.5
+                continue
+            norm_new = float(np.max(np.abs(r_new)))
+            if norm_new < norm or norm_new < NEWTON_TOL:
+                break
+            step *= 0.5
+        else:
+            raise SimulationError(frame_index, f"line search stalled at |r| = {norm:.3e}")
+        x, r, norm = x_new, r_new, norm_new
+        if norm < NEWTON_TOL:
+            return x, True
+    raise SimulationError(frame_index,
+                          f"no convergence in {NEWTON_MAX_ITER} iterations, |r| = {norm:.3e}")
 
 
 def bfs_groups(elements: list[tuple[str, str, str, str]], relevant: set[str],

@@ -268,19 +268,33 @@ class TestFrictionAndRemainder:
     def test_bits_equal_the_separate_terms(self, points, temperature_k):
         gas = GasParams(temperature_k=temperature_k)
         q, p_l, p_r, rho = (np.array(column) for column in zip(*points))
-        table = PipeTable.of([GEOM] * len(points))
-        for rho_n in (RHO_N, float(rho[0])):
-            beta, gamma = friction_and_remainder(table, gas, rho_n, q, p_l, p_r)
-            assert beta.tobytes() == friction_term_beta(table, gas, rho_n, q, p_l, p_r).tobytes()
-            assert gamma.tobytes() == \
-                remaining_terms_gamma(table, gas, rho_n, q, p_l, p_r).tobytes()
+        n = len(points)
+        table = PipeTable.of([GEOM] * n)
+        # each pipe between nodes of its own, and a ring of pipes i from
+        # node i to node i + 1, which share their nodes
+        for nodes, ends in ((np.concatenate([p_l, p_r]), np.arange(2 * n)),
+                            (p_l, np.r_[np.arange(n), (np.arange(n) + 1) % n])):
+            left, right = nodes[ends[:n]], nodes[ends[n:]]
+            for rho_n in (RHO_N, float(rho[0])):
+                beta, gamma = friction_and_remainder(table, gas, rho_n, q, nodes, ends)
+                assert beta.tobytes() == \
+                    friction_term_beta(table, gas, rho_n, q, left, right).tobytes()
+                assert gamma.tobytes() == \
+                    remaining_terms_gamma(table, gas, rho_n, q, left, right).tobytes()
+                # a batch of node pressures, one set per row
+                rows = friction_and_remainder(table, gas, rho_n, q, np.array([nodes, nodes]),
+                                              ends)
+                assert rows[0].tobytes() == np.array([beta, beta]).tobytes()
+                assert rows[1].tobytes() == np.array([gamma, gamma]).tobytes()
 
     def test_fails_as_the_separate_terms(self):
         table = PipeTable.of(GEOM)
-        for args in ((RHO_N, 1.0, 0.0, 50e5), (RHO_N, 1.0, 50e5, np.nan), (0.0, 1.0, 50e5, 45e5)):
+        ends = np.array([0, 1])
+        for rho_n, q, p_l, p_r in ((RHO_N, 1.0, 0.0, 50e5), (RHO_N, 1.0, 50e5, np.nan),
+                                   (0.0, 1.0, 50e5, 45e5)):
             with pytest.raises(ValueError) as shared:
-                friction_and_remainder(table, GAS, *args)
+                friction_and_remainder(table, GAS, rho_n, q, np.array([p_l, p_r]), ends)
             for term in (friction_term_beta, remaining_terms_gamma):
                 with pytest.raises(ValueError) as alone:
-                    term(table, GAS, *args)
+                    term(table, GAS, rho_n, q, np.array([p_l]), np.array([p_r]))
                 assert str(shared.value) == str(alone.value)

@@ -39,7 +39,7 @@ from gasinertia.synth import (
     simulate,
 )
 
-from oracles import FrozenSystem, dense_fd_jacobian, friction_beta
+from oracles import FrozenSystem, dense_fd_jacobian, friction_beta, newton_frame
 
 BALANCE_TOL = 1e-8   # m^3/s, normal volumetric
 
@@ -381,12 +381,15 @@ class TestSimulate:
             return jacobians.pop() if jacobians else fresh(*args)
 
         def logged(x_trial, *args):
-            evaluated.append(x_trial[0])
+            # a trial point comes as the first row of a batch with its
+            # stepped copies
+            evaluated.append(np.atleast_2d(x_trial)[0, 0])
             return residual(x_trial, *args)
 
         monkeypatch.setattr(system, "jacobian", scaled_once)
         monkeypatch.setattr(system, "residual", logged)
-        solved = _solve_frame(system, x, None, scenario.tau_s, inflow, 0)
+        solved, stepped = _solve_frame(system, x, None, scenario.tau_s, inflow, 0, False)
+        assert stepped
         # the entry residual, then the full step, which the line search
         # rejects before it damps the step into one that is accepted
         assert evaluated[1] == pytest.approx(-x[0])
@@ -545,24 +548,113 @@ class TestFrozenSystem:
 
     @pytest.mark.parametrize("source", ["funnel-noisy", "funnel50.scn"])
     def test_simulate_equals_oracle_driven(self, source, tmp_path, monkeypatch):
-        if source == "funnel-noisy":
-            # the benchmark's funnel workload at seed 1
-            path = str(tmp_path / "funnel.scn")
-            spec = importlib.util.spec_from_file_location(
-                "workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py")
-            workloads = importlib.util.module_from_spec(spec)
-            monkeypatch.setitem(sys.modules, spec.name, workloads)
-            spec.loader.exec_module(workloads)
-            workloads.write_funnel_scenario(1, path)
-        else:
-            path = str(SCENARIO_DIR / source)
-        scenario = parse_scenario(path)
+        scenario = source_scenario(source, tmp_path, monkeypatch)
         history = simulate(scenario)
         monkeypatch.setattr(synth, "_System", FrozenSystem)
-        frozen = simulate(scenario)
-        assert history.timestamps.tobytes() == frozen.timestamps.tobytes()
-        for name in ("pressure_pa", "flow_m3s", "valve_open", "rho_n"):
-            assert getattr(history, name).tobytes() == getattr(frozen, name).tobytes(), name
+        assert_same_history(history, simulate(scenario))
+
+
+def source_scenario(source: str, tmp_path, monkeypatch) -> Scenario:
+    """The benchmark's funnel workload at seed 1, a checked-in scenario
+    file, or the meshed scenario "grid" or "ladder" at the noise after it."""
+    if source == "funnel-noisy":
+        path = str(tmp_path / "funnel.scn")
+        spec = importlib.util.spec_from_file_location(
+            "workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        workloads.write_funnel_scenario(1, path)
+        return parse_scenario(path)
+    if source.endswith(".scn"):
+        return parse_scenario(str(SCENARIO_DIR / source))
+    shape, noise = source.split()
+    return meshed_scenario(*{"grid": (10, 10), "ladder": (2, 41)}[shape], noise=float(noise))
+
+
+def assert_same_history(history, other) -> None:
+    assert history.timestamps.tobytes() == other.timestamps.tobytes()
+    for name in ("pressure_pa", "flow_m3s", "valve_open", "rho_n"):
+        assert getattr(history, name).tobytes() == getattr(other, name).tobytes(), name
+
+
+class TestNewtonLoop:
+    """Batching each trial point with its stepped copies changes no bit of
+    the Newton iteration that evaluates them apart."""
+
+    @pytest.mark.parametrize("source", [
+        "funnel-noisy", "funnel50.scn", "steady50.scn", "grid 0", "grid 0.002",
+        "ladder 0", "ladder 0.002"])
+    def test_simulate_equals_oracle_loop(self, source, tmp_path, monkeypatch):
+        scenario = source_scenario(source, tmp_path, monkeypatch)
+        history = simulate(scenario)
+        monkeypatch.setattr(synth, "_solve_frame", newton_frame)
+        assert_same_history(history, simulate(scenario))
+
+    def test_one_residual_call_per_iteration(self, tmp_path, monkeypatch):
+        scenario = source_scenario("funnel-noisy", tmp_path, monkeypatch)
+        calls = {"residual": 0, "jacobian": 0}
+        for name in calls:
+            def counted(self, *args, name=name, original=getattr(_System, name)):
+                calls[name] += 1
+                return original(self, *args)
+            monkeypatch.setattr(_System, name, counted)
+        simulate(scenario)
+        batched = dict(calls)
+        calls.update(residual=0, jacobian=0)
+        monkeypatch.setattr(synth, "_solve_frame", newton_frame)
+        simulate(scenario)
+        # every frame takes a solve, so each batch of a trial point gives the
+        # next Jacobian; the two loops try the same points, and the oracle's
+        # Jacobians each call residual once more
+        assert batched["jacobian"] == 0
+        assert batched["residual"] == calls["residual"] - calls["jacobian"]
+
+    def test_first_residual_batched_after_a_solve(self, monkeypatch):
+        scenario = parse_scenario(str(SCENARIO_DIR / "funnel50.scn"))
+        frames, single = [], []
+        solve, residual = synth._solve_frame, _System.residual
+
+        def logged_solve(*args):
+            x, solved = solve(*args)
+            frames.append((args[-1], solved))
+            return x, solved
+
+        def logged_residual(self, x, *args):
+            single.append(x.ndim == 1)
+            return residual(self, x, *args)
+
+        monkeypatch.setattr(synth, "_solve_frame", logged_solve)
+        monkeypatch.setattr(_System, "residual", logged_residual)
+        simulate(scenario)
+        batched, solved = zip(*frames)
+        assert batched == (True,) + solved[:-1]
+        # the quiet stretches between the events cost one point per frame
+        assert 0 < solved.count(True) < 50
+        assert sum(single) == batched.count(False)
+
+    @pytest.mark.parametrize("scenario", ORACLE_SCENARIOS, ids=ORACLE_IDS)
+    def test_batch_fails_as_its_point_alone(self, scenario):
+        system = _System(scenario)
+        inflow, q_prev = np.zeros(system.n_free), np.zeros(system.n_pipe)
+        x = np.concatenate([np.full(system.n_free, 50.0 * BAR),
+                            np.ones(system.n_unknowns - system.n_free)])
+        # pressures under zero by less than their step, at zero, NaN, and
+        # positive but far under their step
+        for pressure in (-1e-3, -BAR, -0.0, 0.0, np.nan, 1e-200, 1e-3):
+            for at in (0, system.n_free - 1):
+                point = x.copy()
+                point[at] = pressure
+                batch, _ = system.perturbed(point)
+                assert np.array_equal(batch[0], point, equal_nan=True)
+                for previous in (None, q_prev):
+                    try:
+                        system.residual(point, previous, 180.0, inflow)
+                    except ValueError:
+                        with pytest.raises(ValueError, match="must be positive"):
+                            system.residual(batch, previous, 180.0, inflow)
+                    else:
+                        system.residual(batch, previous, 180.0, inflow)
 
 
 def meshed_scenario(rows: int, cols: int, noise: float) -> Scenario:
