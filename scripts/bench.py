@@ -48,11 +48,12 @@ tiers.M_repr is tier M parsed
 and written again by the checkout's serialize_states: values spelled by
 repr (the few that reach 16 or 17 characters leave Clinger's path for
 Eisel-Lemire's) and \r\n line ends.  On tiers M, M_6000, M_meshed and
-M_meshed_2000, `gasinertia components` then runs in two more children,
-first with scan's history.npz (a sidecar hit) and then with it deleted
-(a miss, which reads states.csv again); each one's processor seconds,
-peak RSS and components.csv sha256 go under components.hit and
-components.miss, and the tier fails unless the two digests are the same.
+M_meshed_2000, `gasinertia components` then runs three times with scan's
+history.npz (a sidecar hit) and three times with it deleted (a miss,
+which reads states.csv again), each in a fresh child: the median
+processor seconds, the largest peak RSS and the components.csv sha256
+go under components.hit and components.miss, and the tier fails unless
+all six digests are the same.
 
 tiers.S is the synthetic simulator: `gasinertia synth --scenario
 scenarios/funnel50.scn` (1,000 frames of the funnel50 fixture) runs three
@@ -66,7 +67,7 @@ written without one.
 With --against DIR, a second checkout (the parent commit, say), every
 tier's inputs are written once, and its scan and components children
 alternate between DIR and the measured checkout, one child of each in
-turn, so that a spell of load on a shared machine weighs on both sides
+turn (each case of components apart), so that a spell of load on a shared machine weighs on both sides
 alike.  Each tier then records DIR's results, in the same form, under
 its "against" key, and the file records DIR's commit under "against".
 Tiers S and S_noisy read the measured checkout's scenario on both sides
@@ -283,16 +284,24 @@ def run_tier(sides: dict[str, Path], seed: int, workload: str, swapped: range = 
                              "peak_rss_mb": peak, "terms_sha256": terms_sha256}
         if components:
             for case in ("hit", "miss"):
-                for name in sides:
-                    if case == "miss":
-                        Path(root, name, "out", "history.npz").unlink()
-                    out = f"{root}/{name}/{case}"
-                    _, cpu, peak = run_stage(["components", *inputs, "--terms",
-                                              f"{root}/{name}/out/terms.csv", "--out", out],
-                                             envs[name])
+                runs = {name: [] for name in sides}
+                for _ in range(SCANS):
+                    for name in sides:
+                        if case == "miss":
+                            Path(root, name, "out", "history.npz").unlink(missing_ok=True)
+                        out = f"{root}/{name}/{case}"
+                        _, cpu, peak = run_stage(["components", *inputs, "--terms",
+                                                  f"{root}/{name}/out/terms.csv", "--out", out],
+                                                 envs[name])
+                        runs[name].append((cpu, peak,
+                                           file_digest(Path(out, "components.csv"))[0]))
+                for name, stages in runs.items():
+                    cpus, peaks, digests = zip(*stages)
+                    if len(set(digests)) != 1:
+                        sys.exit(f"tier components.csv of {name} differs between children")
                     results[name].setdefault("components", {})[case] = {
-                        "cpu_s": cpu, "peak_rss_mb": peak,
-                        "sha256": file_digest(Path(out, "components.csv"))[0]}
+                        "cpu_s": statistics.median(cpus), "peak_rss_mb": max(peaks),
+                        "sha256": digests[0]}
             for name, result in results.items():
                 if len({case["sha256"] for case in result["components"].values()}) != 1:
                     sys.exit(f"tier components.csv of {name} differs with and without "

@@ -36,10 +36,9 @@ from .thresholds import (
 from .components import (
     Component,
     DirectedArc,
+    NetworkIndex,
     build_pair_components,
-    group_records,
     longest_path_value,
-    orient_arcs,
 )
 from .temporal import (
     ComponentChain,

@@ -12,8 +12,9 @@ alone decides when it stands in for parsing: report loads the terms when
 terms.csv is unchanged, components loads both only when states.csv and
 topology.csv are unchanged too, and otherwise narrows states.csv as scan
 does.  Terms are held in the form both files give them, ingest.Terms;
-components alone makes SI records, for each pair it builds.  Outputs are
-deterministic: rows follow sorted ids and chronological pairs.
+components alone takes SI numbers from them, as lists per pair for
+components.NetworkIndex.  Outputs are deterministic: rows follow sorted
+ids and chronological pairs.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ from .model import (
 )
 from .physics import (
     PipeTable,
-    TermRecord,
     friction_term_beta,
     inertia_term_alpha,
     term_ratio,
 )
 from .thresholds import ThresholdConfig, derive_min_flow_change, pipe_relevant, prefilter
 from .components import (
-    build_pair_components,
+    NetworkIndex,
     read_components,
     write_components,
 )
@@ -318,9 +318,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
                  os.path.getsize(args.states))
     diag = scan.diag
     excluded, diag.missing_data, below_prefilter, evaluated = scan.counts.tolist()
-    # the pairs longer than the shortest, in exact microseconds
+    # the pairs longer than 1.5 times the shortest, in exact microseconds: a
+    # missing frame about doubles a step, jitter moves it far less
     lengths = np.diff(history.timestamps)
-    diag.time_gaps = int(np.count_nonzero(lengths > lengths.min())) if len(lengths) else 0
+    diag.time_gaps = int(np.count_nonzero(2 * lengths > 3 * lengths.min())) if len(lengths) else 0
     pairs, pipes = scan.pair_count, len(scan.pipe_ids)
     print(f"frames: {len(history)}, pairs: {pairs}, pipes: {pipes}")
     print(f"data points: {pairs * pipes}, excluded: {excluded}, missing: {diag.missing_data}, "
@@ -353,18 +354,20 @@ def cmd_components(args: argparse.Namespace) -> int:
     order = np.argsort(terms.pair_index[relevant], kind="stable")
     pair_ks, starts = np.unique(terms.pair_index[relevant][order], return_index=True)
     rows = dict(zip(pair_ks.tolist(), np.split(relevant[order], starts[1:])))
+    index = NetworkIndex(network, history.node_ids, history.valve_ids)
+    position = {pipe_id: k for k, pipe_id in enumerate(index.pipe_ids)}
 
     def built(k: int) -> tuple[TimePair, list]:
-        """Pair k and its components, built from its relevant SI records, made now."""
-        at = rows[k]
+        """Pair k and its components, from its rows' numbers in SI units,
+        made now, and its frames' rows."""
+        at, f = rows[k], frames[k]
         pair = TimePair(*map(instant, terms.pairs[k].tolist()))
-        flow_t0, flow_t1, _, alpha, beta, alpha_per_10km, ratio = terms.numbers[:, at]
-        records = [TermRecord(pipe_id, pair, *values) for pipe_id, *values in zip(
-            terms.pipe_ids[at].tolist(), *(column.tolist() for column in (
-                flow_t0 * KNM3H, flow_t1 * KNM3H, alpha * BAR, beta * BAR,
-                alpha_per_10km * PER_10KM, ratio)))]
-        return pair, build_pair_components(network, records, history[frames[k]],
-                                           history[frames[k] + 1], cfg, diag)
+        flow_t0, flow_t1, _, alpha = terms.numbers[:4, at]
+        return pair, index.pair_components(
+            pair, [position[pipe_id] for pipe_id in terms.pipe_ids[at].tolist()],
+            (alpha * BAR).tolist(), (flow_t1 * KNM3H - flow_t0 * KNM3H).tolist(),
+            history.valve_open[f + 1].tolist(), history.pressure_pa[f].tolist(),
+            history.pressure_pa[f + 1].tolist(), cfg, diag)
 
     # every pair is two consecutive frames: read_terms checked, or scan wrote it
     frames = history.timestamps.searchsorted(terms.pairs[:, 0]).tolist()

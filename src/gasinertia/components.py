@@ -7,24 +7,28 @@ component is then read as a directed multigraph (pipes oriented by the
 sign of alpha) and summarized by the value of its longest directed path
 of |alpha|, a first-order estimate of the pressure error from dropping
 the inertia terms along one route.
+
+NetworkIndex does all three over integer node, pipe and bridge indices,
+the network's tables made once per run; build_pair_components and
+longest_path_value give its results for records, frames and arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import math
 
 from .model import (
     BAR,
     Diagnostics,
-    Element,
     ElementKind,
     KNM3H,
     Network,
     StateFrame,
     TimePair,
 )
-from .ingest import (ParseError, format_timestamp, parse_pair, parse_timestamp, read_table,
-                     write_table)
+from .ingest import (ParseError, format_timestamp, history_columns, parse_pair, parse_timestamp,
+                     read_table, write_table)
 from .physics import TermRecord
 from .thresholds import RelevanceClass, ThresholdConfig, classify_absolute
 
@@ -53,110 +57,93 @@ class Component:
     max_abs_dflow_m3s: float
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
+class NetworkIndex:
+    """The tables components are built from, made once per run: nodes
+    numbered in sorted id order, each pipe's end nodes in sorted pipe id
+    order, and each valve and resistor, the bridges, in sorted element id
+    order with its end nodes and its columns in the rows a pair is built
+    from, pressures over pressure_ids and valve states over valve_ids."""
 
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def __init__(self, network: Network, pressure_ids: tuple[str, ...],
+                 valve_ids: tuple[str, ...]) -> None:
+        node = {node_id: i for i, node_id in enumerate(sorted(network.nodes))}
+        self.nodes = len(node)
+        self.pipe_ids = tuple(sorted(network.pipes()))
+        self.pipe_ends = [(node[network.elements[pipe_id].from_node],
+                           node[network.elements[pipe_id].to_node]) for pipe_id in self.pipe_ids]
+        column = {node_id: k for k, node_id in enumerate(pressure_ids)}
+        valve_column = {valve_id: k for k, valve_id in enumerate(valve_ids)}
+        # (from, to, a valve's state column, None if no row gives its state,
+        # or a resistor's end pressure columns)
+        self.bridges = [(node[el.from_node], node[el.to_node],
+                         valve_column.get(el.element_id) if el.kind is ElementKind.VALVE
+                         else (column[el.from_node], column[el.to_node]))
+                        for el in network.valves_and_resistors]
 
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    def pair_components(self, pair: TimePair, positions: list[int], alpha_pa: list[float],
+                        dflow_m3s: list[float], valve_t1: list[float], pressure_t0: list[float],
+                        pressure_t1: list[float], cfg: ThresholdConfig,
+                        diag: Diagnostics | None = None) -> list[Component]:
+        """The components of pair from its relevant pipes, at positions of
+        pipe_ids with their alpha and flow change, and its valve states at
+        t1 and pressures at t0 and t1, where NaN marks a value not given.
 
+        Relevant pipes, valves open at t1 (a missing state counts as
+        closed, with a diagnostic) and resistors merge nodes; actively
+        controlled elements never do.  A group's arcs are its pipes by id,
+        pointing with the sign of alpha (positive keeps the from/to
+        direction) and weighing |alpha|, then the bridges it merged by id,
+        at zero weight: an open valve both ways, a resistor the way its
+        pressure drop moved from t0 to t1, or both ways when the drop held
+        or an end pressure is missing (with a diagnostic).  Groups come by
+        smallest pipe id.
+        """
+        parent = list(range(self.nodes))
 
-Group = tuple[list[TermRecord], list[Element]]
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
 
+        order = sorted(range(len(positions)), key=positions.__getitem__)
+        merged = []
+        for bridge in self.bridges:
+            if not isinstance(given := bridge[2], tuple):
+                state = math.nan if given is None else valve_t1[given]
+                if state != state and diag is not None:
+                    diag.missing_valve_state += 1
+                if state != 1.0:
+                    continue
+            merged.append(bridge)
+        for u, v, *_ in [self.pipe_ends[positions[i]] for i in order] + merged:
+            parent[find(v)] = find(u)
 
-def group_records(network: Network, records: list[TermRecord],
-                  frame_t1: StateFrame,
-                  diag: Diagnostics | None = None) -> list[Group]:
-    """Partition relevant-pipe records into connected groups with their bridges.
+        groups: dict[int, tuple[list[int], list[tuple]]] = {}
+        for i in order:
+            groups.setdefault(find(self.pipe_ends[positions[i]][0]), ([], []))[0].append(i)
+        for bridge in merged:
+            if (group := groups.get(find(bridge[0]))) is not None:
+                group[1].append(bridge)
 
-    Nodes are merged through relevant pipes, through valves that are open
-    at t1 (missing state counts as closed, with a diagnostic) and through
-    resistors; those valves and resistors are the bridges.  Actively
-    controlled elements never merge nodes.  Returns one (records, bridges)
-    pair per group, ordered by smallest pipe id, records sorted by pipe
-    id and bridges by element id.
-    """
-    uf = _UnionFind()
-    by_pipe: dict[str, TermRecord] = {}
-    for rec in records:
-        element = network.elements[rec.pipe_id]
-        uf.union(element.from_node, element.to_node)
-        by_pipe[rec.pipe_id] = rec
-
-    bridges: list[Element] = []
-    for element in network.valves_and_resistors:
-        if element.kind is ElementKind.VALVE:
-            state = frame_t1.valve_open.get(element.element_id)
-            if state is None and diag is not None:
-                diag.missing_valve_state += 1
-            if not state:
-                continue
-        uf.union(element.from_node, element.to_node)
-        bridges.append(element)
-
-    groups: dict[str, Group] = {}
-    for pipe_id in sorted(by_pipe):
-        root = uf.find(network.elements[pipe_id].from_node)
-        groups.setdefault(root, ([], []))[0].append(by_pipe[pipe_id])
-    for element in bridges:
-        group = groups.get(uf.find(element.from_node))
-        if group is not None:
-            group[1].append(element)
-    return sorted(groups.values(), key=lambda group: group[0][0].pipe_id)
-
-
-def orient_arcs(network: Network, group: Group,
-                frame_t0: StateFrame, frame_t1: StateFrame,
-                diag: Diagnostics | None = None) -> list[DirectedArc]:
-    """Directed arc set for one group, pipes first, then bridges.
-
-    Pipes point with the sign of alpha (positive alpha keeps the from/to
-    direction) and weigh |alpha|.  Bridges contribute zero weight: an
-    open valve in both directions, a resistor in the direction its
-    pressure drop moved between t0 and t1, or both when the endpoint
-    pressures are unavailable or the drop did not change.
-    """
-    records, bridges = group
-    arcs: list[DirectedArc] = []
-    for rec in records:
-        element = network.elements[rec.pipe_id]
-        if rec.alpha_pa >= 0.0:
-            arcs.append(DirectedArc(element.from_node, element.to_node,
-                                    abs(rec.alpha_pa), rec.pipe_id))
-        else:
-            arcs.append(DirectedArc(element.to_node, element.from_node,
-                                    abs(rec.alpha_pa), rec.pipe_id))
-
-    for element in bridges:
-        forward = backward = True
-        if element.kind is ElementKind.RESISTOR:
-            # orient by the change of its pressure drop
-            drops = []
-            for frame in (frame_t0, frame_t1):
-                p_from = frame.node_pressure_pa.get(element.from_node)
-                p_to = frame.node_pressure_pa.get(element.to_node)
-                drops.append(None if p_from is None or p_to is None else p_from - p_to)
-            if drops[0] is None or drops[1] is None:
-                if diag is not None:
-                    diag.missing_resistor_pressure += 1
-            else:
-                forward = drops[1] >= drops[0]
-                backward = drops[1] <= drops[0]
-        if forward:
-            arcs.append(DirectedArc(element.from_node, element.to_node, 0.0, element.element_id))
-        if backward:
-            arcs.append(DirectedArc(element.to_node, element.from_node, 0.0, element.element_id))
-    return arcs
+        components = []
+        for members, bridges in groups.values():
+            arcs = [(u, v, -abs(a)) if a >= 0.0 else (v, u, -abs(a)) for (u, v), a in
+                    ((self.pipe_ends[positions[i]], alpha_pa[i]) for i in members)]
+            for u, v, given in bridges:
+                forward = backward = True
+                if isinstance(given, tuple):
+                    p = [row[k] for row in (pressure_t0, pressure_t1) for k in given]
+                    if any(x != x for x in p):
+                        if diag is not None:
+                            diag.missing_resistor_pressure += 1
+                    else:
+                        forward, backward = p[2] - p[3] >= p[0] - p[1], p[2] - p[3] <= p[0] - p[1]
+                arcs += [(u, v, -0.0)] * forward + [(v, u, -0.0)] * backward
+            value, correction = _longest_path(arcs)
+            components.append(Component(
+                pair, tuple(self.pipe_ids[positions[i]] for i in members), value, correction,
+                classify_absolute(value, cfg), max(abs(dflow_m3s[i]) for i in members)))
+        return components
 
 
 def _strong_components(n: int, ends: list[tuple[int, int]]) -> list[int]:
@@ -192,33 +179,13 @@ def _strong_components(n: int, ends: list[tuple[int, int]]) -> list[int]:
     return component
 
 
-def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
-    """Longest directed path weight over a non-negative multigraph.
-
-    Works on negated weights with Bellman-Ford from a virtual source
-    joined to every node, so all distances start at zero.  Cycles lie
-    inside strongly connected components, so cancellation rounds run over
-    the arcs inside each such component that carries weight; those whose
-    arcs all weigh zero hold only open valves and resistors and are
-    skipped.  A round that still relaxes after n passes (n the nodes of
-    its arcs) exposes a negative cycle through the parent arcs; its
-    absolute weight is added to a correction term, its arcs are zeroed,
-    and a new round starts.  A last round over all arcs converges: its
-    smallest distance is the shortest path from any source, and its
-    negation plus the correction is the value.  Exact on acyclic inputs;
-    with cycles the result overestimates, but only up to rounding: the
-    correction and the path are rounded apart, so it can read up to one
-    ulp per arc under the true longest simple path.
-
-    Returns (value_pa, cycle_correction_pa).
-    """
-    if not arcs:
-        raise ValueError("longest_path_value requires at least one arc")
-    node_ids = sorted({a.from_node for a in arcs} | {a.to_node for a in arcs})
-    index = {node: i for i, node in enumerate(node_ids)}
-    ends = [(index[a.from_node], index[a.to_node]) for a in arcs]
-    weights = [-a.weight_pa for a in arcs]
-    component = _strong_components(len(node_ids), ends)
+def _longest_path(arcs: list[tuple]) -> tuple[float, float]:
+    """longest_path_value of arcs given as (from node, to node, negated
+    weight), their nodes numbered in sorted order."""
+    index = {node: i for i, node in enumerate(sorted({a[0] for a in arcs} | {a[1] for a in arcs}))}
+    ends = [(index[u], index[v]) for u, v, _ in arcs]
+    weights = [w for _, _, w in arcs]
+    component = _strong_components(len(index), ends)
     inside: dict[int, list[int]] = {}
     for ai, (u, v) in enumerate(ends):
         if component[u] == component[v]:
@@ -229,12 +196,13 @@ def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
     for arc_ids in weighted + [range(len(ends))]:
         n = len({node for ai in arc_ids for node in ends[ai]})
         while True:
-            dist, parent_arc = [0.0] * len(node_ids), [-1] * len(node_ids)
+            # the round's arcs in arc order, with their weights as cancelled so far
+            rows = [(ai, *ends[ai], weights[ai]) for ai in arc_ids]
+            dist, parent_arc = [0.0] * len(index), [-1] * len(index)
             for _ in range(n):
                 touched = -1
-                for ai in arc_ids:
-                    u, v = ends[ai]
-                    cand = dist[u] + weights[ai]
+                for ai, u, v, w in rows:
+                    cand = dist[u] + w
                     if cand < dist[v]:
                         dist[v] = cand
                         parent_arc[v] = ai
@@ -254,6 +222,32 @@ def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
             for ai in cycle_arcs:
                 weights[ai] = 0.0
     return -min(dist) + correction, correction
+
+
+def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
+    """Longest directed path weight over a non-negative multigraph.
+
+    Works on negated weights with Bellman-Ford from a virtual source
+    joined to every node, so all distances start at zero.  Cycles lie
+    inside strongly connected components, so cancellation rounds run over
+    the arcs inside each such component that carries weight; those whose
+    arcs all weigh zero hold only open valves and resistors and are
+    skipped.  A round that still relaxes after n passes (n the nodes of
+    its arcs) exposes a negative cycle through the parent arcs; its
+    absolute weight is added to a correction term, its arcs are zeroed,
+    and a new round starts.  A last round over all arcs converges: its
+    smallest distance is the shortest path from any source, and its
+    negation plus the correction is the value.  Exact on acyclic inputs;
+    with cycles the result overestimates, but only up to rounding: the
+    correction and the path are rounded apart, so it can read up to one
+    ulp per arc under the true longest simple path.  Nodes are numbered in
+    sorted id order and every pass relaxes the arcs in their given order.
+
+    Returns (value_pa, cycle_correction_pa).
+    """
+    if not arcs:
+        raise ValueError("longest_path_value requires at least one arc")
+    return _longest_path([(a.from_node, a.to_node, -a.weight_pa) for a in arcs])
 
 
 COMPONENTS_COLUMNS = ["t0", "t1", "component_id", "n_pipes", "longest_path_bar",
@@ -342,19 +336,17 @@ def build_pair_components(network: Network, relevant_records: list[TermRecord],
                           frame_t0: StateFrame, frame_t1: StateFrame,
                           cfg: ThresholdConfig,
                           diag: Diagnostics | None = None) -> list[Component]:
-    """Group, orient and measure records already screened for relevance."""
-    components: list[Component] = []
-    for group in group_records(network, relevant_records, frame_t1, diag):
-        value, cycle_correction = longest_path_value(
-            orient_arcs(network, group, frame_t0, frame_t1, diag))
-        records = group[0]
-        components.append(Component(
-            pair=records[0].pair,
-            pipe_ids=tuple(rec.pipe_id for rec in records),
-            longest_path_pa=value,
-            cycle_correction_pa=cycle_correction,
-            relevance=classify_absolute(value, cfg),
-            max_abs_dflow_m3s=max(abs(rec.dflow_m3s) for rec in records),
-        ))
-    return components
-
+    """Group, orient and measure records of one pair already screened for
+    relevance, by NetworkIndex over the values the frames give; a pipe's
+    last record stands for its earlier ones."""
+    records = list({rec.pipe_id: rec for rec in relevant_records}.values())
+    node_ids, _, valve_ids, _ = history_columns(network)
+    index = NetworkIndex(network, node_ids, valve_ids)
+    position = {pipe_id: k for k, pipe_id in enumerate(index.pipe_ids)}
+    states = [frame_t1.valve_open.get(valve_id) for valve_id in valve_ids]
+    return index.pair_components(
+        records[0].pair if records else None, [position[rec.pipe_id] for rec in records],
+        [rec.alpha_pa for rec in records], [rec.dflow_m3s for rec in records],
+        [math.nan if state is None else float(bool(state)) for state in states],
+        *([frame.node_pressure_pa.get(node_id, math.nan) for node_id in node_ids]
+          for frame in (frame_t0, frame_t1)), cfg, diag)

@@ -166,6 +166,9 @@ def friction_factor(mass_flow_kgs, geometry: PipeGeometry | PipeTable, gas: GasP
     re_t = np.maximum(re, RE_LAMINAR_LIMIT)
     inner = pipes.chen_rough + 5.8506 / re_t ** 0.8981
     chen = (-2.0 * np.log10(pipes.chen_offset - 5.0452 / re_t * np.log10(inner))) ** -2.0
+    if np.all(turbulent):
+        # a NaN flow is not turbulent, so it takes the laminar branch below
+        return _plain(chen)
     # 64 / inf gives the zero-flow factor 0 without a division by zero;
     # a NaN flow stays NaN
     laminar = 64.0 / np.where(re == 0.0, math.inf, re)

@@ -29,13 +29,19 @@ from gasinertia.ingest import (
     microseconds,
     parse_timestamp,
 )
-from gasinertia.model import BAR, KNM3H, GasParams, ModelError, validate_normal_density
+from gasinertia.components import Component, DirectedArc
+from gasinertia.model import (BAR, KNM3H, Diagnostics, Element, ElementKind, GasParams,
+                              ModelError, Network, StateFrame, validate_normal_density)
 from gasinertia.physics import (
+    RE_LAMINAR_LIMIT,
     PipeTable,
+    TermRecord,
     friction_term_beta,
     inertia_term_alpha,
     remaining_terms_gamma,
+    reynolds_number,
 )
+from gasinertia.thresholds import ThresholdConfig, classify_absolute
 from gasinertia.synth import (NEWTON_MAX_ITER, NEWTON_TOL, RESISTOR_DROP_COEFF,
                               SimulationError, _System)
 
@@ -86,6 +92,19 @@ def chen_lambda(re: float, rr: float) -> tuple[float, bool]:
     a = rr / 3.7065
     b = 5.0452 / re * math.log10(rr ** 1.1098 / 2.8257 + 5.8506 / re ** 0.8981)
     return 1.0 / (2.0 * math.log10(a - b)) ** 2, rr >= RR_VALIDITY_REF
+
+
+def friction_factor_two_branch(mass_flow_kgs, pipes: PipeTable, gas: GasParams):
+    """physics.friction_factor with both branches evaluated and selected
+    elementwise, kept as the reference its one-branch path must match bit
+    for bit."""
+    re = reynolds_number(mass_flow_kgs, pipes, gas)
+    re_t = np.maximum(re, RE_LAMINAR_LIMIT)
+    inner = pipes.chen_rough + 5.8506 / re_t ** 0.8981
+    chen = (-2.0 * np.log10(pipes.chen_offset - 5.0452 / re_t * np.log10(inner))) ** -2.0
+    laminar = 64.0 / np.where(re == 0.0, math.inf, re)
+    result = np.where(re >= RE_LAMINAR_LIMIT, chen, laminar)
+    return result if result.ndim else float(result)
 
 
 def inertia_alpha(length_m: float, diameter_m: float, rho_n: float, tau_s: float,
@@ -618,3 +637,193 @@ def write_terms_rows(terms: Terms, path: str) -> None:
             writer.writerow([format_timestamp(instant(t0)), format_timestamp(instant(t1)),
                              pipe_id, *(repr(value) for value in terms.numbers[:, i].tolist()),
                              "1" if flag else "0"])
+
+
+# ---------------------------------------------------------------------------
+# components as objects: records, frames and arcs keyed by id strings, kept
+# as the reference that NetworkIndex must match bit for bit
+
+class _UnionFind:
+    def __init__(self) -> None:
+        self.parent: dict[str, str] = {}
+
+    def find(self, x: str) -> str:
+        root = x
+        while self.parent.setdefault(root, root) != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+Group = tuple[list[TermRecord], list[Element]]
+
+
+def group_records(network: Network, records: list[TermRecord], frame_t1: StateFrame,
+                  diag: Diagnostics | None = None) -> list[Group]:
+    """Relevant-pipe records partitioned into connected groups with their
+    bridges, ordered by smallest pipe id, records by pipe id and bridges
+    by element id."""
+    uf = _UnionFind()
+    by_pipe: dict[str, TermRecord] = {}
+    for rec in records:
+        element = network.elements[rec.pipe_id]
+        uf.union(element.from_node, element.to_node)
+        by_pipe[rec.pipe_id] = rec
+
+    bridges: list[Element] = []
+    for element in network.valves_and_resistors:
+        if element.kind is ElementKind.VALVE:
+            state = frame_t1.valve_open.get(element.element_id)
+            if state is None and diag is not None:
+                diag.missing_valve_state += 1
+            if not state:
+                continue
+        uf.union(element.from_node, element.to_node)
+        bridges.append(element)
+
+    groups: dict[str, Group] = {}
+    for pipe_id in sorted(by_pipe):
+        root = uf.find(network.elements[pipe_id].from_node)
+        groups.setdefault(root, ([], []))[0].append(by_pipe[pipe_id])
+    for element in bridges:
+        group = groups.get(uf.find(element.from_node))
+        if group is not None:
+            group[1].append(element)
+    return sorted(groups.values(), key=lambda group: group[0][0].pipe_id)
+
+
+def orient_arcs(network: Network, group: Group, frame_t0: StateFrame, frame_t1: StateFrame,
+                diag: Diagnostics | None = None) -> list[DirectedArc]:
+    """A group's arcs, pipes by the sign of alpha, then zero-weight bridges."""
+    records, bridges = group
+    arcs: list[DirectedArc] = []
+    for rec in records:
+        element = network.elements[rec.pipe_id]
+        if rec.alpha_pa >= 0.0:
+            arcs.append(DirectedArc(element.from_node, element.to_node,
+                                    abs(rec.alpha_pa), rec.pipe_id))
+        else:
+            arcs.append(DirectedArc(element.to_node, element.from_node,
+                                    abs(rec.alpha_pa), rec.pipe_id))
+
+    for element in bridges:
+        forward = backward = True
+        if element.kind is ElementKind.RESISTOR:
+            drops = []
+            for frame in (frame_t0, frame_t1):
+                p_from = frame.node_pressure_pa.get(element.from_node)
+                p_to = frame.node_pressure_pa.get(element.to_node)
+                drops.append(None if p_from is None or p_to is None else p_from - p_to)
+            if drops[0] is None or drops[1] is None:
+                if diag is not None:
+                    diag.missing_resistor_pressure += 1
+            else:
+                forward = drops[1] >= drops[0]
+                backward = drops[1] <= drops[0]
+        if forward:
+            arcs.append(DirectedArc(element.from_node, element.to_node, 0.0, element.element_id))
+        if backward:
+            arcs.append(DirectedArc(element.to_node, element.from_node, 0.0, element.element_id))
+    return arcs
+
+
+def _strong_components(n: int, ends: list[tuple[int, int]]) -> list[int]:
+    """Tarjan's strongly connected components, labelled by root node."""
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in ends:
+        successors[u].append(v)
+    order, low, component, stack = {}, [0] * n, [-1] * n, []
+    for root in range(n):
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, pending = work[-1]
+            for nxt in pending:
+                if nxt not in order:
+                    order[nxt] = low[nxt] = len(order)
+                    stack.append(nxt)
+                    work.append((nxt, iter(successors[nxt])))
+                    break
+                if component[nxt] < 0:
+                    low[node] = min(low[node], order[nxt])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if low[node] == order[node]:
+                    while component[node] < 0:
+                        component[stack.pop()] = node
+    return component
+
+
+def object_longest_path(arcs: list[DirectedArc]) -> tuple[float, float]:
+    """components.longest_path_value over arcs keyed by node id strings."""
+    node_ids = sorted({a.from_node for a in arcs} | {a.to_node for a in arcs})
+    index = {node: i for i, node in enumerate(node_ids)}
+    ends = [(index[a.from_node], index[a.to_node]) for a in arcs]
+    weights = [-a.weight_pa for a in arcs]
+    component = _strong_components(len(node_ids), ends)
+    inside: dict[int, list[int]] = {}
+    for ai, (u, v) in enumerate(ends):
+        if component[u] == component[v]:
+            inside.setdefault(component[u], []).append(ai)
+    weighted = [arc_ids for arc_ids in inside.values() if any(weights[ai] for ai in arc_ids)]
+
+    correction = 0.0
+    for arc_ids in weighted + [range(len(ends))]:
+        n = len({node for ai in arc_ids for node in ends[ai]})
+        while True:
+            dist, parent_arc = [0.0] * len(node_ids), [-1] * len(node_ids)
+            for _ in range(n):
+                touched = -1
+                for ai in arc_ids:
+                    u, v = ends[ai]
+                    cand = dist[u] + weights[ai]
+                    if cand < dist[v]:
+                        dist[v] = cand
+                        parent_arc[v] = ai
+                        touched = v
+                if touched < 0:
+                    break
+            if touched < 0:
+                break
+            node = touched
+            for _ in range(n):
+                node = ends[parent_arc[node]][0]
+            cycle_arcs = [parent_arc[node]]
+            while ends[cycle_arcs[-1]][0] != node:
+                cycle_arcs.append(parent_arc[ends[cycle_arcs[-1]][0]])
+            correction -= sum(weights[ai] for ai in cycle_arcs)
+            for ai in cycle_arcs:
+                weights[ai] = 0.0
+    return -min(dist) + correction, correction
+
+
+def object_components(network: Network, records: list[TermRecord], frame_t0: StateFrame,
+                      frame_t1: StateFrame, cfg: ThresholdConfig,
+                      diag: Diagnostics | None = None) -> list[Component]:
+    """components.build_pair_components as group_records, orient_arcs and
+    object_longest_path."""
+    components = []
+    for group in group_records(network, records, frame_t1, diag):
+        value, correction = object_longest_path(
+            orient_arcs(network, group, frame_t0, frame_t1, diag))
+        members = group[0]
+        components.append(Component(
+            pair=members[0].pair,
+            pipe_ids=tuple(rec.pipe_id for rec in members),
+            longest_path_pa=value,
+            cycle_correction_pa=correction,
+            relevance=classify_absolute(value, cfg),
+            max_abs_dflow_m3s=max(abs(rec.dflow_m3s) for rec in members),
+        ))
+    return components

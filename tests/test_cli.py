@@ -21,7 +21,8 @@ from gasinertia.cli import (
 )
 from gasinertia import ingest
 from gasinertia.ingest import TERMS_COLUMNS, ParseError, read_table, states_blocks
-from gasinertia.model import BAR, KNM3H, GasParams
+from gasinertia.components import DirectedArc, NetworkIndex
+from gasinertia.model import BAR, KNM3H, GasParams, StateFrame
 from gasinertia.physics import TermRecord
 
 from conftest import run_cli, stamp
@@ -82,6 +83,24 @@ class TestPipeline:
         with open(states, "w", newline="") as handle:
             csv.writer(handle).writerows(
                 row for row in rows if row[0] != format_timestamp(stamp(4)))
+        code, out, err = run_cli(["scan", "--topology", pipeline["data"] / "topology.csv",
+                                  "--states", states, "--out", tmp_path])
+        assert code == 0, err
+        assert "frames: 7, pairs: 6, pipes: 3" in out
+        assert "'time_gaps': 1" in out
+
+    def test_scan_time_gaps_ignore_jittered_steps(self, pipeline, tmp_path):
+        """Steps of 179, 180 and 181 s are no gaps; the pair across the one
+        missing frame, 359 s, is more than 1.5 times the shortest."""
+        offsets = [0, 180, 359, 540, 720, 899, 1080, 1260]
+        respelled = {format_timestamp(stamp(k)): format_timestamp(stamp(0) + timedelta(
+            seconds=offset)) for k, offset in enumerate(offsets)}
+        rows = read_csv(pipeline["data"] / "states.csv")
+        states = tmp_path / "states.csv"
+        with open(states, "w", newline="") as handle:
+            csv.writer(handle).writerows(
+                [rows[0]] + [[respelled[row[0]], *row[1:]] for row in rows[1:]
+                             if row[0] != format_timestamp(stamp(4))])
         code, out, err = run_cli(["scan", "--topology", pipeline["data"] / "topology.csv",
                                   "--states", states, "--out", tmp_path])
         assert code == 0, err
@@ -237,7 +256,8 @@ class TestHistorySidecar:
         history of the columns and frames scan saved there."""
         root, _ = scanned
         histories, frames = {}, {}
-        load_saved, read_terms, build = cli.load_saved, cli.read_terms, cli.build_pair_components
+        load_saved, read_terms = cli.load_saved, cli.read_terms
+        build = NetworkIndex.pair_components
 
         def loading(*args):
             saved = load_saved(*args)
@@ -249,13 +269,15 @@ class TestHistorySidecar:
             histories[case] = history
             return read_terms(path, history, *args)
 
-        def building(network, records, frame0, frame1, *args):
-            frames.setdefault(case, []).append((frame0, frame1))
-            return build(network, records, frame0, frame1, *args)
+        def building(index, *args):
+            # the valve states at t1 and the pressures at t0 and t1; repr
+            # spells NaN alike
+            frames.setdefault(case, []).append(repr(args[4:7]))
+            return build(index, *args)
 
         monkeypatch.setattr(cli, "load_saved", loading)
         monkeypatch.setattr(cli, "read_terms", reading)
-        monkeypatch.setattr(cli, "build_pair_components", building)
+        monkeypatch.setattr(NetworkIndex, "pair_components", building)
         for case in ("present", "deleted"):
             if case == "deleted":
                 (root / "history.npz").unlink()
@@ -270,24 +292,25 @@ class TestHistorySidecar:
         assert ((root / "deleted" / "components.csv").read_bytes()
                 == (root / "present" / "components.csv").read_bytes())
 
-    def test_only_the_built_pairs_records_are_live(self, pipeline, scanned, monkeypatch):
-        """components builds a pair's TermRecords when it builds the pair,
-        with history.npz and without, and writes the same files."""
+    def test_pairs_built_without_record_objects(self, pipeline, scanned, monkeypatch):
+        """components builds each pair once from index tables and arrays,
+        with history.npz and without: no TermRecord, StateFrame or
+        DirectedArc is made, and it writes the same files."""
         root, _ = scanned
-        build = cli.build_pair_components
+        build = NetworkIndex.pair_components
         built = []
 
         def live_records() -> set[int]:
             gc.collect()
-            return {id(o) for o in gc.get_objects() if isinstance(o, TermRecord)}
+            return {id(o) for o in gc.get_objects()
+                    if isinstance(o, (TermRecord, StateFrame, DirectedArc))}
 
-        def building(network, records, *args):
-            assert live_records() - before == {id(record) for record in records}
-            assert len({record.pair for record in records}) == 1
-            built.append(records[0].pair)
-            return build(network, records, *args)
+        def building(index, pair, *args):
+            assert live_records() <= before
+            built.append(pair)
+            return build(index, pair, *args)
 
-        monkeypatch.setattr(cli, "build_pair_components", building)
+        monkeypatch.setattr(NetworkIndex, "pair_components", building)
         for case in ("present", "deleted"):
             if case == "deleted":
                 (root / "history.npz").unlink()

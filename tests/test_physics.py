@@ -21,7 +21,8 @@ from gasinertia.physics import (
     term_ratio,
 )
 
-from oracles import chen_lambda, colebrook_friction, friction_beta, inertia_alpha, papay_z
+from oracles import (chen_lambda, colebrook_friction, friction_beta, friction_factor_two_branch,
+                     inertia_alpha, papay_z)
 
 GAS = GasParams()
 # Shared reference pipe: 100 km, DN900, slightly rough, mild climb.
@@ -107,6 +108,27 @@ class TestFriction:
         mf = re * geom.area_m2 * GAS.dynamic_viscosity_pas / geom.diameter_m
         lam = friction_factor(mf, geom, GAS)
         assert lam == pytest.approx(colebrook_friction(re, rr), rel=0.01)
+
+    # mass flows in kg/s: 1e-3 is laminar, 100 turbulent on every pipe below
+    @pytest.mark.parametrize("flows", [
+        [100.0, -250.0, 3e4], [100.0, 1e-3, -100.0, 0.0], [0.0, 0.0, 0.0],
+        [100.0, math.nan, 200.0], [math.nan], 100.0, -1e-3, 0.0, math.nan],
+        ids=["all turbulent", "mixed", "zero", "nan among turbulent", "nan", "scalar turbulent",
+             "scalar laminar", "scalar zero", "scalar nan"])
+    def test_one_branch_matches_two_branches_bit_for_bit(self, flows):
+        """The laminar branch is skipped only when every entry is turbulent,
+        and the result is the two-branch select's, bits, type and shape."""
+        geoms = [GEOM, PipeGeometry(1000.0, 0.1, roughness_m=0.006), PipeGeometry(50.0, 0.2)]
+        cases = [(flows, GEOM)] if np.ndim(flows) == 0 else [
+            (np.array(flows), PipeTable.of([geoms[k % 3] for k in range(len(flows))])),
+            (np.array(flows)[:1], PipeTable.of(geoms))]
+        for flow, pipes in cases:
+            table = pipes if isinstance(pipes, PipeTable) else PipeTable.of(pipes)
+            lam = friction_factor(flow, pipes, GAS)
+            expected = friction_factor_two_branch(flow, table, GAS)
+            assert type(lam) is type(expected)
+            assert np.shape(lam) == np.shape(expected)
+            assert np.asarray(lam).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestTerms:
