@@ -53,7 +53,9 @@ history.npz (a sidecar hit) and three times with it deleted (a miss,
 which reads states.csv again), each in a fresh child: the median
 processor seconds, the largest peak RSS and the components.csv sha256
 go under components.hit and components.miss, and the tier fails unless
-all six digests are the same.
+all six digests are the same.  `gasinertia persistence` then runs once
+on a sidecar hit's outputs: the sha256 of chains.csv and events.csv and
+the chains and events it counts go under persistence.
 
 tiers.S is the synthetic simulator: `gasinertia synth --scenario
 scenarios/funnel50.scn` (1,000 frames of the funnel50 fixture) runs three
@@ -71,7 +73,9 @@ turn (each case of components apart), so that a spell of load on a shared machin
 alike.  Each tier then records DIR's results, in the same form, under
 its "against" key, and the file records DIR's commit under "against".
 Tiers S and S_noisy read the measured checkout's scenario on both sides
-and fail if the two sides' states.csv differ.
+and fail if the two sides' states.csv differ.  Two sides may find other
+events: a tier's persistence.moved says whether chains.csv or events.csv
+differ from DIR's, and no tier fails for it.
 Standard library only.
 """
 
@@ -86,6 +90,7 @@ import itertools
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -197,6 +202,20 @@ def file_digest(path: Path) -> tuple[str, int]:
     return sha.hexdigest(), newlines
 
 
+def run_persistence(out: str, env: dict) -> dict:
+    """Run persistence in a child on the components outputs in out; the
+    digests of chains.csv and events.csv and the counts it prints."""
+    done = subprocess.run([sys.executable, "-m", "gasinertia", "persistence", "--components",
+                           f"{out}/components.csv", "--members", f"{out}/components_pipes.csv",
+                           "--out", out], env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"tier persistence exited with {done.returncode}:\n{done.stderr}")
+    return {"chains_sha256": file_digest(Path(out, "chains.csv"))[0],
+            "events_sha256": file_digest(Path(out, "events.csv"))[0],
+            "chains_found": int(re.search(r"chains found: (\d+)", done.stdout)[1]),
+            "events": int(re.search(r"^events: (\d+)", done.stdout, re.M)[1])}
+
+
 def child_envs(sides: dict[str, Path]) -> dict[str, dict]:
     """Per side, the environment of its children: its src/ and one BLAS thread."""
     return {name: dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
@@ -247,7 +266,8 @@ def run_tier(sides: dict[str, Path], seed: int, workload: str, swapped: range = 
     writing the states again with serialize_states if repr_values; per
     side, the median wall and processor seconds, the largest peak RSS and
     the digest of the terms.  If components, then run components with and
-    without the sidecar, and give their costs and digests too.  sides maps
+    without the sidecar, and give their costs and digests too, and those of
+    persistence on a sidecar hit's outputs.  sides maps
     a name to a checkout; their children alternate in the order of sides.
     A child of sides["checkout"] writes the inputs, which every side reads."""
     envs = child_envs(sides)
@@ -306,6 +326,7 @@ def run_tier(sides: dict[str, Path], seed: int, workload: str, swapped: range = 
                 if len({case["sha256"] for case in result["components"].values()}) != 1:
                     sys.exit(f"tier components.csv of {name} differs with and without "
                              "history.npz")
+                result["persistence"] = run_persistence(f"{root}/{name}/hit", envs[name])
     return results
 
 
@@ -376,6 +397,10 @@ def main() -> int:
         bench["tiers"][name] = results["checkout"]
         if "against" in results:
             bench["tiers"][name]["against"] = results["against"]
+            if "persistence" in results["checkout"]:
+                ours, theirs = (results[side]["persistence"] for side in ("checkout", "against"))
+                ours["moved"] = any(ours[key] != theirs[key]
+                                    for key in ("chains_sha256", "events_sha256"))
     print("tiers: done", flush=True)
     path = REPO_ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")

@@ -41,7 +41,6 @@ from .components import (
     longest_path_value,
 )
 from .temporal import (
-    ComponentChain,
     OccurrenceRate,
     component_chains,
     datapoint_share,

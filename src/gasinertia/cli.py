@@ -393,12 +393,11 @@ def _runs_csv_rows(result) -> list[list[str]]:
             for length in sorted(result.histogram)]
 
 
-def _chain_cells(stream, chain_id: int, chain) -> list[str]:
-    """Id, first t0, last t1, length and peak class of a chain."""
-    first_pair = stream[chain.members[0][0]][0]
-    last_pair = stream[chain.members[-1][0]][0]
-    return [str(chain_id), format_timestamp(first_pair.t0), format_timestamp(last_pair.t1),
-            str(chain.length), chain_relevance(stream, chain).label]
+def _event_cells(stream, event_id: int, event) -> list[str]:
+    """Id, first t0, last t1, member count and peak class of an event."""
+    return [str(event_id), format_timestamp(stream[event[0][0]][0].t0),
+            format_timestamp(stream[event[-1][0]][0].t1), str(len(event)),
+            chain_relevance(stream, event).label]
 
 
 def cmd_persistence(args: argparse.Namespace) -> int:
@@ -414,18 +413,18 @@ def cmd_persistence(args: argparse.Namespace) -> int:
     write_table(_out_path(args, "runs_high_realistic.csv"), RUNS_COLUMNS,
                 _runs_csv_rows(runs_high_realistic))
     write_table(_out_path(args, "chains.csv"), CHAINS_COLUMNS,
-                [_chain_cells(stream, chain_id, chain)
-                 for chain_id, chain in enumerate(chains_high.chains)])
+                [_event_cells(stream, chain_id, chain)
+                 for chain_id, chain in enumerate(chains_high)])
 
-    # events: every relevant component belongs to exactly one greedy chain
+    # events: every relevant component belongs to exactly one event
     events = component_chains(stream, RelevanceClass.SMALL, min_length=1)
     event_rows = []
     realistic_counts = {"small": 0, "high": 0}
-    for event_id, chain in enumerate(events.chains):
-        cells = _chain_cells(stream, event_id, chain)
+    for event_id, event in enumerate(events):
+        cells = _event_cells(stream, event_id, event)
         realistic = all(
             stream[k][1][ci].max_abs_dflow_m3s <= cfg.realistic_flow_change_m3s
-            for k, ci in chain.members)
+            for k, ci in event)
         if realistic:
             realistic_counts[cells[-1]] += 1
         event_rows.append(cells + ["1" if realistic else "0"])
@@ -441,10 +440,8 @@ def cmd_persistence(args: argparse.Namespace) -> int:
           f"({graded(filtered, RelevanceClass.HIGH)} high)")
     print(f"high run lengths: {runs_high.histogram} "
           f"(realistic: {runs_high_realistic.histogram})")
-    print(f"chain-participating high components: {chains_high.participating}, "
-          f"chain count upper bound: {chains_high.upper_bound}, "
-          f"chains found: {len(chains_high.chains)}")
-    print(f"events: {len(events.chains)} ({sum(realistic_counts.values())} realistic, "
+    print(f"chains found: {len(chains_high)}")
+    print(f"events: {len(events)} ({sum(realistic_counts.values())} realistic, "
           f"{realistic_counts['high']} realistic high)")
     return 0
 

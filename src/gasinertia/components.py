@@ -284,6 +284,7 @@ def read_components(path: str, members_path: str
     Rows come pair by pair in time order: a pair may not start before the
     previous row's pair ends.  Every member row must name a component of
     the components file, and every component must have n_pipes member rows.
+    No pipe may sit in two components of one pair, as persistence assumes.
     """
     # component id -> (line, n_pipes, component without its pipes)
     parsed: dict[str, tuple[int, int, Component]] = {}
@@ -312,11 +313,17 @@ def read_components(path: str, members_path: str
             raise ParseError(path, line, f"bad component row: {exc}") from None
 
     members: dict[str, list[str]] = {component_id: [] for component_id in parsed}
+    placed: set[tuple[TimePair, str]] = set()
     for line, (component_id, pipe_id) in read_table(members_path, MEMBERS_COLUMNS):
         pipes = members.get(component_id)
         if pipes is None:
             raise ParseError(members_path, line,
                              f"component id {component_id!r} names no component of {path}")
+        pair = parsed[component_id][2].pair
+        if (pair, pipe_id) in placed:
+            raise ParseError(members_path, line, f"pipe {pipe_id!r} is in two components "
+                                                 f"of pair {format_timestamp(pair.t0)}")
+        placed.add((pair, pipe_id))
         pipes.append(pipe_id)
 
     stream: list[tuple[TimePair, list[Component]]] = []

@@ -277,6 +277,7 @@ class History:
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    # acceptance criterion 9 iterates simulate()'s frames through this
     def __getitem__(self, k: int) -> StateFrame:
         """Frame k (negative k counts from the end; iterating yields every
         frame) as per-entity mappings of the values it gives."""

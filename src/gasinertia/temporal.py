@@ -17,17 +17,7 @@ from .components import Component
 from .thresholds import RelevanceClass, ThresholdConfig
 
 Stream = list[tuple[TimePair, list[Component]]]
-
-
-@dataclass(frozen=True)
-class ComponentChain:
-    """Greedy chain of pipe-sharing components at consecutive pairs."""
-
-    members: tuple[tuple[int, int], ...]   # (pair index, component index)
-
-    @property
-    def length(self) -> int:
-        return len(self.members)
+Event = tuple[tuple[int, int], ...]   # (pair index, component index) members
 
 
 @dataclass
@@ -35,13 +25,6 @@ class RunLengthResult:
     histogram: dict[int, int]
     share_by_length: dict[int, float]
     total_points: int
-
-
-@dataclass
-class ChainResult:
-    chains: list[ComponentChain]
-    participating: int
-    upper_bound: int
 
 
 def _validate_stream(stream: Stream) -> list[bool]:
@@ -92,70 +75,47 @@ def pipe_run_lengths(stream: Stream,
 
 def component_chains(stream: Stream,
                      min_class: RelevanceClass = RelevanceClass.HIGH,
-                     min_length: int = 2) -> ChainResult:
-    """Chain components that share pipes across consecutive pairs.
+                     min_length: int = 2) -> list[Event]:
+    """Events: the connected components of a stream's space-time graph.
 
-    Greedy in chronological order with components visited in pipe-id
-    order, so the matching is deterministic; every component lands in at
-    most one chain.  participating counts components that share a pipe
-    with any component of an adjacent consecutive pair, and since a chain
-    consumes at least two such components, floor(participating / 2) is an
-    upper bound for the number of chains of length >= 2.
+    Its vertices are the (pair index, component index) pairs of every
+    component of at least min_class; an edge joins two components of
+    consecutive pairs that share a pipe, so a gap breaks an event.  They
+    are found by union-find, and no visiting order decides them.  Members
+    of one pair join only through another pair, so two or more members
+    span two or more pairs.  Events of at least min_length members are
+    returned, each in stream order, sorted by first member.
     """
     consecutive = _validate_stream(stream)
-    graded: list[list[tuple[int, Component]]] = []
-    for _pair, comps in stream:
-        entry = [(ci, comp) for ci, comp in enumerate(comps)
-                 if comp.relevance >= min_class]
-        entry.sort(key=lambda item: item[1].pipe_ids[0])
-        graded.append(entry)
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def intersects(a: Component, b: Component) -> bool:
-        return bool(set(a.pipe_ids) & set(b.pipe_ids))
+    def find(vertex: tuple[int, int]) -> tuple[int, int]:
+        while parent[vertex] != vertex:
+            parent[vertex] = vertex = parent[parent[vertex]]
+        return vertex
 
-    participating_keys: set[tuple[int, int]] = set()
-    for k in range(len(stream) - 1):
-        if not consecutive[k]:
-            continue
-        for ci, left in graded[k]:
-            for cj, right in graded[k + 1]:
-                if intersects(left, right):
-                    participating_keys.add((k, ci))
-                    participating_keys.add((k + 1, cj))
+    # a pipe sits in at most one component of a pair (read_components
+    # checks it), so this map names every edge into the pair
+    previous: dict[str, tuple[int, int]] = {}
+    for k, (_pair, comps) in enumerate(stream):
+        current: dict[str, tuple[int, int]] = {}
+        for ci, comp in enumerate(comps):
+            if comp.relevance >= min_class:
+                vertex = parent[(k, ci)] = (k, ci)
+                current.update(dict.fromkeys(comp.pipe_ids, vertex))
+                for other in {previous[p] for p in previous.keys() & comp.pipe_ids}:
+                    parent[find(other)] = find(vertex)
+        previous = current if k < len(consecutive) and consecutive[k] else {}
 
-    # growing chains keyed by their tail component
-    open_chains: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    finished: list[list[tuple[int, int]]] = []
-    for k in range(len(stream)):
-        extended: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for ci, comp in graded[k]:
-            matched = None
-            if k > 0 and consecutive[k - 1]:
-                # every open chain ends at pair k - 1; a matched one is popped
-                for key in sorted(open_chains):
-                    tail_comp = stream[k - 1][1][key[1]]
-                    if intersects(tail_comp, comp):
-                        matched = key
-                        break
-            if matched is None:
-                extended[(k, ci)] = [(k, ci)]
-            else:
-                chain = open_chains.pop(matched)
-                chain.append((k, ci))
-                extended[(k, ci)] = chain
-        finished.extend(open_chains.values())
-        open_chains = extended
-    finished.extend(open_chains.values())
-
-    chains = [ComponentChain(tuple(members)) for members in finished
-              if len(members) >= min_length]
-    chains.sort(key=lambda c: c.members[0])
-    participating = len(participating_keys)
-    return ChainResult(chains, participating, participating // 2)
+    # parent holds the vertices in stream order, so events come by first member
+    events: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for vertex in parent:
+        events.setdefault(find(vertex), []).append(vertex)
+    return [tuple(members) for members in events.values() if len(members) >= min_length]
 
 
-def chain_relevance(stream: Stream, chain: ComponentChain) -> RelevanceClass:
-    return max(stream[k][1][ci].relevance for k, ci in chain.members)
+def chain_relevance(stream: Stream, event: Event) -> RelevanceClass:
+    return max(stream[k][1][ci].relevance for k, ci in event)
 
 
 def realism_filter(stream: Stream, cfg: ThresholdConfig) -> tuple[Stream, int]:

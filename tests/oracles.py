@@ -268,6 +268,40 @@ def brute_runs(membership: dict[str, list[int]], consecutive: list[bool]) -> dic
     return dict(histogram)
 
 
+def space_time_events(stream: list, min_class, min_length: int) -> list[tuple]:
+    """Connected components of the space-time graph by breadth-first search.
+
+    Vertices are (pair index, component index) of components of at least
+    min_class; an edge joins two of adjacent pairs, the second starting
+    where the first ends, whose pipe sets intersect.
+    """
+    vertices = [(k, ci) for k, (_pair, comps) in enumerate(stream)
+                for ci, comp in enumerate(comps) if comp.relevance >= min_class]
+
+    def adjacent(a, b) -> bool:
+        (ka, ca), (kb, cb) = sorted((a, b))
+        return (kb == ka + 1 and stream[ka][0].t1 == stream[kb][0].t0
+                and bool(set(stream[ka][1][ca].pipe_ids) & set(stream[kb][1][cb].pipe_ids)))
+
+    seen: set = set()
+    events = []
+    for start in vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = deque([start]), []
+        while queue:
+            vertex = queue.popleft()
+            members.append(vertex)
+            for other in vertices:
+                if other not in seen and adjacent(vertex, other):
+                    seen.add(other)
+                    queue.append(other)
+        if len(members) >= min_length:
+            events.append(tuple(sorted(members)))
+    return sorted(events)
+
+
 def brute_hex_center(x: float, y: float, resolution: float) -> tuple[float, float]:
     """Nearest pointy-top hexagon center by searching a wide lattice patch."""
     dy = 1.5 * resolution

@@ -137,8 +137,7 @@ class TestPipeline:
         _, out, _ = pipeline["results"]["persistence"]
         assert "relevant component instances: 2 (high: 2)" in out
         assert "high run lengths: {2: 3} (realistic: {2: 3})" in out
-        assert ("chain-participating high components: 2, "
-                "chain count upper bound: 1, chains found: 1") in out
+        assert "chains found: 1" in out
         assert "events: 1 (1 realistic, 1 realistic high)" in out
 
         runs = read_csv(pipeline["out"] / "runs_high.csv")
@@ -171,6 +170,50 @@ class TestPipeline:
         assert code == 0, err
         single = (pipeline["out"] / "terms.csv").read_bytes()
         assert (tmp_path / "terms.csv").read_bytes() == single
+
+
+# pair, pipes, class and flow change (kNm3/h) of each planted component: a
+# high component splits in two that merge again, then shrinks to a small
+# one beside an implausible small one; a small one at pair 0 stands apart
+SPLIT_AND_MERGE = [
+    (0, ("p1", "p2"), "high", 10.0), (0, ("p9",), "small", 10.0),
+    (1, ("p1",), "high", 10.0), (1, ("p2",), "high", 10.0),
+    (2, ("p1", "p2"), "high", 10.0),
+    (3, ("p1",), "small", 10.0), (3, ("p7",), "small", 2500.0),
+]
+
+
+def write_planted_components(root, planted):
+    """components.csv and components_pipes.csv of (pair, pipes, class,
+    flow change) rows, listed in pair order."""
+    comps, members = root / "components.csv", root / "components_pipes.csv"
+    with open(comps, "w", newline="") as c_handle, open(members, "w", newline="") as m_handle:
+        c_rows, m_rows = csv.writer(c_handle), csv.writer(m_handle)
+        c_rows.writerow(["t0", "t1", "component_id", "n_pipes", "longest_path_bar",
+                         "cycle_correction_bar", "class", "max_abs_flow_change"])
+        m_rows.writerow(["component_id", "pipe_id"])
+        for component_id, (k, pipes, label, dflow) in enumerate(planted):
+            c_rows.writerow([format_timestamp(stamp(k)), format_timestamp(stamp(k + 1)),
+                             component_id, len(pipes), 1.0, 0.0, label, dflow])
+            m_rows.writerows([component_id, pipe_id] for pipe_id in pipes)
+    return comps, members
+
+
+class TestPersistenceEvents:
+    def test_split_and_merge_is_one_event(self, tmp_path):
+        comps, members = write_planted_components(tmp_path, SPLIT_AND_MERGE)
+        code, out, err = run_cli(["persistence", "--components", comps,
+                                  "--members", members, "--out", tmp_path])
+        assert code == 0, err
+        assert "chains found: 1" in out
+        assert "events: 3 (2 realistic, 1 realistic high)" in out
+        t = [format_timestamp(stamp(k)) for k in range(5)]
+        assert read_csv(tmp_path / "chains.csv")[1:] == [["0", t[0], t[3], "4", "high"]]
+        assert read_csv(tmp_path / "events.csv")[1:] == [
+            ["0", t[0], t[4], "5", "high", "1"],
+            ["1", t[0], t[1], "1", "small", "1"],
+            ["2", t[3], t[4], "1", "small", "0"],
+        ]
 
 
 class TestExclusions:
@@ -794,6 +837,14 @@ class TestErrors:
                                      "--members", members, "--out", tmp_path])
         assert code == 1 and stdout == ""
         assert f"{members}:{line}: component id '99' names no component" in err
+
+    def test_pipe_in_two_components_of_a_pair_stops_persistence(self, tmp_path):
+        comps, members = write_planted_components(
+            tmp_path, [(0, ("p1", "p2"), "high", 10.0), (0, ("p2",), "small", 10.0)])
+        code, stdout, err = run_cli(["persistence", "--components", comps,
+                                     "--members", members, "--out", tmp_path])
+        assert code == 1 and stdout == ""
+        assert f"{members}:4: pipe 'p2' is in two components of pair" in err
 
     def test_pair_without_states_reported_at_its_first_row(self, pipeline, tmp_path):
         data, out = pipeline["data"], pipeline["out"]

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gasinertia.model import SECONDS_PER_DAY
 from gasinertia.temporal import (
@@ -17,7 +18,7 @@ from gasinertia.temporal import (
 from gasinertia.thresholds import RelevanceClass, ThresholdConfig
 
 from conftest import make_component, make_stream
-from oracles import brute_runs
+from oracles import brute_runs, space_time_events
 
 HIGH = RelevanceClass.HIGH
 SMALL = RelevanceClass.SMALL
@@ -105,78 +106,95 @@ class TestRunLengths:
 class TestChains:
     def test_simple_chain(self):
         stream = make_stream([(k, [c(k, ("p1", "p2"))]) for k in range(3)])
-        result = component_chains(stream)
-        assert len(result.chains) == 1
-        assert result.chains[0].members == ((0, 0), (1, 0), (2, 0))
-        assert result.participating == 3
-        assert result.upper_bound == 1
+        assert component_chains(stream) == [((0, 0), (1, 0), (2, 0))]
 
     def test_no_shared_pipe_no_chain(self):
         stream = make_stream([(0, [c(0, ("p1",))]), (1, [c(1, ("p2",))])])
-        result = component_chains(stream)
-        assert result.chains == []
-        assert result.participating == 0
+        assert component_chains(stream) == []
 
     def test_gap_blocks_chaining(self):
         stream = make_stream([(0, [c(0, ("p1",))]), (2, [c(2, ("p1",))])])
-        result = component_chains(stream)
-        assert result.chains == []
-        assert result.participating == 0
+        assert component_chains(stream) == []
+        assert component_chains(stream, min_length=1) == [((0, 0),), ((1, 0),)]
 
     def test_min_length_one_keeps_singletons(self):
         stream = make_stream([(0, [c(0, ("p1",))]), (1, [c(1, ("p2",))])])
-        result = component_chains(stream, min_length=1)
-        assert [ch.members for ch in result.chains] == [((0, 0),), ((1, 0),)]
+        assert component_chains(stream, min_length=1) == [((0, 0),), ((1, 0),)]
 
     def test_min_class(self):
         stream = make_stream([
             (0, [c(0, ("p1",), relevance=SMALL)]),
             (1, [c(1, ("p1",), relevance=SMALL)]),
         ])
-        assert component_chains(stream, min_class=HIGH).chains == []
-        assert len(component_chains(stream, min_class=SMALL).chains) == 1
+        assert component_chains(stream, min_class=HIGH) == []
+        assert len(component_chains(stream, min_class=SMALL)) == 1
 
     def test_each_component_used_once(self):
-        # two left components share a pipe with the single right one; the
-        # earliest-listed tail wins (the pipeline lists components by
-        # first pipe id), the other stays unchained
+        # two components merge into one: all three are one event, which
+        # lists the members in stream order
         stream = make_stream([
             (0, [c(0, ("p2", "p9")), c(0, ("p1", "p8"))]),
             (1, [c(1, ("p8", "p9"))]),
         ])
-        result = component_chains(stream)
-        assert len(result.chains) == 1
-        assert result.chains[0].members == ((0, 0), (1, 0))
-        assert result.participating == 3
-        assert result.upper_bound == 1
+        assert component_chains(stream) == [((0, 0), (0, 1), (1, 0))]
 
-    def test_split_continues_one_branch(self):
+    def test_split_joins_both_branches(self):
         stream = make_stream([
             (0, [c(0, ("p1", "p2"))]),
             (1, [c(1, ("p1",)), c(1, ("p2",))]),
         ])
-        result = component_chains(stream)
-        assert len(result.chains) == 1
-        assert result.chains[0].members == ((0, 0), (1, 0))
+        assert component_chains(stream) == [((0, 0), (1, 0), (1, 1))]
 
-    def test_bound_holds_on_dense_overlap(self):
+    def test_dense_overlap_is_one_event(self):
         stream = make_stream([
             (0, [c(0, ("p1",)), c(0, ("p2",))]),
             (1, [c(1, ("p1", "p2"))]),
             (2, [c(2, ("p1",)), c(2, ("p2",))]),
         ])
-        result = component_chains(stream)
-        assert len(result.chains) <= result.upper_bound
-        assert result.participating == 5
-        assert result.upper_bound == 2
+        assert component_chains(stream) == [((0, 0), (0, 1), (1, 0), (2, 0), (2, 1))]
 
     def test_chain_relevance_is_max(self):
         stream = make_stream([
             (0, [c(0, ("p1",), relevance=SMALL)]),
             (1, [c(1, ("p1",), relevance=HIGH)]),
         ])
-        result = component_chains(stream, min_class=SMALL)
-        assert chain_relevance(stream, result.chains[0]) is HIGH
+        events = component_chains(stream, min_class=SMALL)
+        assert chain_relevance(stream, events[0]) is HIGH
+
+
+PIPES = [f"p{n}" for n in range(6)]
+
+
+@st.composite
+def component_streams(draw):
+    """Up to 6 pairs, gaps between some, each with up to 4 components over
+    disjoint pipe sets of 6 pipe ids, of random class."""
+    entries, index = [], 0
+    for _ in range(draw(st.integers(0, 6))):
+        index += draw(st.sampled_from([1, 1, 1, 2]))
+        # each pipe is absent (-1) or in one of 4 components
+        slots = draw(st.lists(st.integers(-1, 3), min_size=len(PIPES), max_size=len(PIPES)))
+        groups = [tuple(p for p, slot in zip(PIPES, slots) if slot == g) for g in range(4)]
+        comps = [c(index, pipes, relevance=draw(st.sampled_from([NONE, SMALL, HIGH])))
+                 for pipes in groups if pipes]
+        entries.append((index, comps))
+    return make_stream(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_streams(), st.sampled_from([SMALL, HIGH]), st.sampled_from([1, 2]),
+       st.randoms(use_true_random=False))
+def test_events_match_oracle_in_any_component_order(stream, min_class, min_length, rng):
+    events = component_chains(stream, min_class, min_length)
+    assert events == space_time_events(stream, min_class, min_length)
+
+    # shuffled components give the same events once indices are mapped back
+    orders = [rng.sample(range(len(comps)), len(comps)) for _pair, comps in stream]
+    shuffled = [(pair, [comps[i] for i in order])
+                for (pair, comps), order in zip(stream, orders)]
+    mapped = [tuple(sorted((k, orders[k][ci]) for k, ci in event))
+              for event in component_chains(shuffled, min_class, min_length)]
+    assert sorted(mapped) == events
 
 
 class TestRealismFilter:
