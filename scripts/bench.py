@@ -55,7 +55,10 @@ processor seconds, the largest peak RSS and the components.csv sha256
 go under components.hit and components.miss, and the tier fails unless
 all six digests are the same.  `gasinertia persistence` then runs once
 on a sidecar hit's outputs: the sha256 of chains.csv and events.csv and
-the chains and events it counts go under persistence.
+the chains and events it counts go under persistence.  `gasinertia
+report` runs once on the same outputs, with the tier's terms.csv and the
+horizon it takes from the component span: the sha256 of sweep.csv and
+hexbin.csv go under report.
 
 tiers.S is the synthetic simulator: `gasinertia synth --scenario
 scenarios/funnel50.scn` (1,000 frames of the funnel50 fixture) runs three
@@ -75,7 +78,8 @@ its "against" key, and the file records DIR's commit under "against".
 Tiers S and S_noisy read the measured checkout's scenario on both sides
 and fail if the two sides' states.csv differ.  Two sides may find other
 events: a tier's persistence.moved says whether chains.csv or events.csv
-differ from DIR's, and no tier fails for it.
+differ from DIR's, its report.moved whether sweep.csv or hexbin.csv do,
+and no tier fails for it.
 Standard library only.
 """
 
@@ -202,18 +206,27 @@ def file_digest(path: Path) -> tuple[str, int]:
     return sha.hexdigest(), newlines
 
 
-def run_persistence(out: str, env: dict) -> dict:
-    """Run persistence in a child on the components outputs in out; the
-    digests of chains.csv and events.csv and the counts it prints."""
-    done = subprocess.run([sys.executable, "-m", "gasinertia", "persistence", "--components",
-                           f"{out}/components.csv", "--members", f"{out}/components_pipes.csv",
-                           "--out", out], env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.exit(f"tier persistence exited with {done.returncode}:\n{done.stderr}")
-    return {"chains_sha256": file_digest(Path(out, "chains.csv"))[0],
-            "events_sha256": file_digest(Path(out, "events.csv"))[0],
-            "chains_found": int(re.search(r"chains found: (\d+)", done.stdout)[1]),
-            "events": int(re.search(r"^events: (\d+)", done.stdout, re.M)[1])}
+def run_persistence_and_report(out: str, terms: str, env: dict) -> dict[str, dict]:
+    """Run persistence, then report with the terms file terms, each in a
+    child on the components outputs in out; under persistence the digests
+    of chains.csv and events.csv and the counts it prints, under report
+    the digests of sweep.csv and hexbin.csv."""
+    inputs = ["--components", f"{out}/components.csv", "--members",
+              f"{out}/components_pipes.csv", "--out", out]
+    printed = {}
+    for stage, extra in (("persistence", []), ("report", ["--terms", terms])):
+        done = subprocess.run([sys.executable, "-m", "gasinertia", stage, *inputs, *extra],
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"tier {stage} exited with {done.returncode}:\n{done.stderr}")
+        printed[stage] = done.stdout
+    return {"persistence": {
+                "chains_sha256": file_digest(Path(out, "chains.csv"))[0],
+                "events_sha256": file_digest(Path(out, "events.csv"))[0],
+                "chains_found": int(re.search(r"chains found: (\d+)", printed["persistence"])[1]),
+                "events": int(re.search(r"^events: (\d+)", printed["persistence"], re.M)[1])},
+            "report": {"sweep_sha256": file_digest(Path(out, "sweep.csv"))[0],
+                       "hexbin_sha256": file_digest(Path(out, "hexbin.csv"))[0]}}
 
 
 def child_envs(sides: dict[str, Path]) -> dict[str, dict]:
@@ -267,7 +280,7 @@ def run_tier(sides: dict[str, Path], seed: int, workload: str, swapped: range = 
     side, the median wall and processor seconds, the largest peak RSS and
     the digest of the terms.  If components, then run components with and
     without the sidecar, and give their costs and digests too, and those of
-    persistence on a sidecar hit's outputs.  sides maps
+    persistence and report on a sidecar hit's outputs.  sides maps
     a name to a checkout; their children alternate in the order of sides.
     A child of sides["checkout"] writes the inputs, which every side reads."""
     envs = child_envs(sides)
@@ -326,7 +339,8 @@ def run_tier(sides: dict[str, Path], seed: int, workload: str, swapped: range = 
                 if len({case["sha256"] for case in result["components"].values()}) != 1:
                     sys.exit(f"tier components.csv of {name} differs with and without "
                              "history.npz")
-                result["persistence"] = run_persistence(f"{root}/{name}/hit", envs[name])
+                result.update(run_persistence_and_report(
+                    f"{root}/{name}/hit", f"{root}/{name}/out/terms.csv", envs[name]))
     return results
 
 
@@ -397,10 +411,11 @@ def main() -> int:
         bench["tiers"][name] = results["checkout"]
         if "against" in results:
             bench["tiers"][name]["against"] = results["against"]
-            if "persistence" in results["checkout"]:
-                ours, theirs = (results[side]["persistence"] for side in ("checkout", "against"))
-                ours["moved"] = any(ours[key] != theirs[key]
-                                    for key in ("chains_sha256", "events_sha256"))
+            for stage in ("persistence", "report"):
+                if stage in results["checkout"]:
+                    ours, theirs = (results[side][stage] for side in ("checkout", "against"))
+                    ours["moved"] = any(ours[key] != theirs[key]
+                                        for key in ours if key.endswith("_sha256"))
     print("tiers: done", flush=True)
     path = REPO_ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")

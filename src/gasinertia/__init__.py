@@ -11,7 +11,6 @@ from .model import (
     Node,
     PipeGeometry,
     StateFrame,
-    TimePair,
     derived_area,
 )
 from .physics import (

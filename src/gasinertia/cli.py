@@ -34,7 +34,6 @@ from .model import (
     GasParams,
     ModelError,
     Network,
-    TimePair,
 )
 from .physics import (
     PipeTable,
@@ -357,14 +356,13 @@ def cmd_components(args: argparse.Namespace) -> int:
     index = NetworkIndex(network, history.node_ids, history.valve_ids)
     position = {pipe_id: k for k, pipe_id in enumerate(index.pipe_ids)}
 
-    def built(k: int) -> tuple[TimePair, list]:
+    def built(k: int) -> tuple[tuple[int, int], list]:
         """Pair k and its components, from its rows' numbers in SI units,
         made now, and its frames' rows."""
         at, f = rows[k], frames[k]
-        pair = TimePair(*map(instant, terms.pairs[k].tolist()))
         flow_t0, flow_t1, _, alpha = terms.numbers[:4, at]
-        return pair, index.pair_components(
-            pair, [position[pipe_id] for pipe_id in terms.pipe_ids[at].tolist()],
+        return tuple(terms.pairs[k].tolist()), index.pair_components(
+            [position[pipe_id] for pipe_id in terms.pipe_ids[at].tolist()],
             (alpha * BAR).tolist(), (flow_t1 * KNM3H - flow_t0 * KNM3H).tolist(),
             history.valve_open[f + 1].tolist(), history.pressure_pa[f].tolist(),
             history.pressure_pa[f + 1].tolist(), cfg, diag)
@@ -395,9 +393,9 @@ def _runs_csv_rows(result) -> list[list[str]]:
 
 def _event_cells(stream, event_id: int, event) -> list[str]:
     """Id, first t0, last t1, member count and peak class of an event."""
-    return [str(event_id), format_timestamp(stream[event[0][0]][0].t0),
-            format_timestamp(stream[event[-1][0]][0].t1), str(len(event)),
-            chain_relevance(stream, event).label]
+    (t0, _), (_, t1) = stream[event[0][0]][0], stream[event[-1][0]][0]
+    return [str(event_id), format_timestamp(instant(t0)), format_timestamp(instant(t1)),
+            str(len(event)), chain_relevance(stream, event).label]
 
 
 def cmd_persistence(args: argparse.Namespace) -> int:
@@ -458,7 +456,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.horizon_days is not None:
         horizon_s = args.horizon_days * SECONDS_PER_DAY
     elif stream:
-        horizon_s = (stream[-1][0].t1 - stream[0][0].t0).total_seconds()
+        # microseconds from the first pair's t0 to the last pair's t1
+        horizon_s = (stream[-1][0][1] - stream[0][0][0]) / 1e6
         print(f"horizon taken from component span: {horizon_s / SECONDS_PER_DAY:g} days")
     else:
         print("error: empty component stream and no --horizon-days", file=sys.stderr)

@@ -10,7 +10,9 @@ the inertia terms along one route.
 
 NetworkIndex does all three over integer node, pipe and bridge indices,
 the network's tables made once per run; build_pair_components and
-longest_path_value give its results for records, frames and arcs.
+longest_path_value give its results for records, frames and arcs.  A
+component does not hold its pair: a Stream holds each pair once, as its
+t0 and t1 in int64 microseconds, with the pair's components.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from .model import (
     KNM3H,
     Network,
     StateFrame,
-    TimePair,
 )
-from .ingest import (ParseError, format_timestamp, history_columns, parse_pair, parse_timestamp,
+from .ingest import (ParseError, format_timestamp, history_columns, instant, parse_instants,
                      read_table, write_table)
 from .physics import TermRecord
 from .thresholds import RelevanceClass, ThresholdConfig, classify_absolute
@@ -49,12 +50,16 @@ class DirectedArc:
 class Component:
     """One connected group of relevant pipes over one time pair."""
 
-    pair: TimePair
     pipe_ids: tuple[str, ...]
     longest_path_pa: float
     cycle_correction_pa: float
     relevance: RelevanceClass
     max_abs_dflow_m3s: float
+
+
+# chronological (pair, its components) entries, a pair's t0 and t1 instants
+# as a History holds them
+Stream = list[tuple[tuple[int, int], list[Component]]]
 
 
 class NetworkIndex:
@@ -80,11 +85,11 @@ class NetworkIndex:
                          else (column[el.from_node], column[el.to_node]))
                         for el in network.valves_and_resistors]
 
-    def pair_components(self, pair: TimePair, positions: list[int], alpha_pa: list[float],
+    def pair_components(self, positions: list[int], alpha_pa: list[float],
                         dflow_m3s: list[float], valve_t1: list[float], pressure_t0: list[float],
                         pressure_t1: list[float], cfg: ThresholdConfig,
                         diag: Diagnostics | None = None) -> list[Component]:
-        """The components of pair from its relevant pipes, at positions of
+        """The components of a pair from its relevant pipes, at positions of
         pipe_ids with their alpha and flow change, and its valve states at
         t1 and pressures at t0 and t1, where NaN marks a value not given.
 
@@ -141,7 +146,7 @@ class NetworkIndex:
                 arcs += [(u, v, -0.0)] * forward + [(v, u, -0.0)] * backward
             value, correction = _longest_path(arcs)
             components.append(Component(
-                pair, tuple(self.pipe_ids[positions[i]] for i in members), value, correction,
+                tuple(self.pipe_ids[positions[i]] for i in members), value, correction,
                 classify_absolute(value, cfg), max(abs(dflow_m3s[i]) for i in members)))
         return components
 
@@ -255,8 +260,7 @@ COMPONENTS_COLUMNS = ["t0", "t1", "component_id", "n_pipes", "longest_path_bar",
 MEMBERS_COLUMNS = ["component_id", "pipe_id"]
 
 
-def write_components(stream: list[tuple[TimePair, list[Component]]],
-                     path: str, members_path: str) -> None:
+def write_components(stream: Stream, path: str, members_path: str) -> None:
     """Serialize a component stream; ids number components chronologically.
 
     max_abs_flow_change is written in 1000 Nm^3/h like every flow column.
@@ -266,7 +270,7 @@ def write_components(stream: list[tuple[TimePair, list[Component]]],
     rows: list[list[str]] = []
     member_rows: list[list[str]] = []
     for pair, comps in stream:
-        t0_text, t1_text = format_timestamp(pair.t0), format_timestamp(pair.t1)
+        t0_text, t1_text = (format_timestamp(instant(us)) for us in pair)
         for comp in comps:
             component_id = str(len(rows))
             rows.append([t0_text, t1_text, component_id, str(len(comp.pipe_ids)),
@@ -277,8 +281,7 @@ def write_components(stream: list[tuple[TimePair, list[Component]]],
     write_table(members_path, MEMBERS_COLUMNS, member_rows)
 
 
-def read_components(path: str, members_path: str
-                    ) -> list[tuple[TimePair, list[Component]]]:
+def read_components(path: str, members_path: str) -> Stream:
     """Rebuild a component stream from its CSV form and member list.
 
     Rows come pair by pair in time order: a pair may not start before the
@@ -286,23 +289,24 @@ def read_components(path: str, members_path: str
     the components file, and every component must have n_pipes member rows.
     No pipe may sit in two components of one pair, as persistence assumes.
     """
-    # component id -> (line, n_pipes, component without its pipes)
-    parsed: dict[str, tuple[int, int, Component]] = {}
-    previous: TimePair | None = None
+    # component id -> (line, n_pipes, pair, component without its pipes)
+    parsed: dict[str, tuple[int, int, tuple[int, int], Component]] = {}
+    # pair texts -> their pair; the rows of a pair repeat its texts
+    by_text: dict[tuple[str, str], tuple[int, int]] = {}
+    previous = None
     for line, row in read_table(path, COMPONENTS_COLUMNS):
-        pair = parse_pair(parse_timestamp(row[0], path, line),
-                          parse_timestamp(row[1], path, line), path, line)
-        if previous is not None and pair != previous and pair.t0 < previous.t1:
+        if (pair := by_text.get((row[0], row[1]))) is None:
+            pair = by_text[row[0], row[1]] = parse_instants(row, path, line)
+        if previous is not None and pair != previous and pair[0] < previous[1]:
             raise ParseError(path, line, f"pair {row[0]} .. {row[1]} starts before the "
                                          f"previous row's pair ends at "
-                                         f"{format_timestamp(previous.t1)}")
+                                         f"{format_timestamp(instant(previous[1]))}")
         previous = pair
         if row[2] in parsed:
             raise ParseError(path, line, f"duplicate component id {row[2]!r}")
         try:
             n_pipes = int(row[3])
-            parsed[row[2]] = (line, n_pipes, Component(
-                pair=pair,
+            parsed[row[2]] = (line, n_pipes, pair, Component(
                 pipe_ids=(),
                 longest_path_pa=float(row[4]) * BAR,
                 cycle_correction_pa=float(row[5]) * BAR,
@@ -313,28 +317,28 @@ def read_components(path: str, members_path: str
             raise ParseError(path, line, f"bad component row: {exc}") from None
 
     members: dict[str, list[str]] = {component_id: [] for component_id in parsed}
-    placed: set[tuple[TimePair, str]] = set()
+    placed: set[tuple[tuple[int, int], str]] = set()
     for line, (component_id, pipe_id) in read_table(members_path, MEMBERS_COLUMNS):
         pipes = members.get(component_id)
         if pipes is None:
             raise ParseError(members_path, line,
                              f"component id {component_id!r} names no component of {path}")
-        pair = parsed[component_id][2].pair
+        pair = parsed[component_id][2]
         if (pair, pipe_id) in placed:
             raise ParseError(members_path, line, f"pipe {pipe_id!r} is in two components "
-                                                 f"of pair {format_timestamp(pair.t0)}")
+                                                 f"of pair {format_timestamp(instant(pair[0]))}")
         placed.add((pair, pipe_id))
         pipes.append(pipe_id)
 
-    stream: list[tuple[TimePair, list[Component]]] = []
-    for component_id, (line, n_pipes, comp) in parsed.items():
+    stream: Stream = []
+    for component_id, (line, n_pipes, pair, comp) in parsed.items():
         pipe_ids = tuple(members[component_id])
         if n_pipes != len(pipe_ids):
             raise ParseError(path, line,
                              f"n_pipes {n_pipes} disagrees with member list "
                              f"({len(pipe_ids)} pipes)")
-        if not stream or stream[-1][0] != comp.pair:
-            stream.append((comp.pair, []))
+        if not stream or stream[-1][0] != pair:
+            stream.append((pair, []))
         stream[-1][1].append(replace(comp, pipe_ids=pipe_ids))
     return stream
 
@@ -352,7 +356,7 @@ def build_pair_components(network: Network, relevant_records: list[TermRecord],
     position = {pipe_id: k for k, pipe_id in enumerate(index.pipe_ids)}
     states = [frame_t1.valve_open.get(valve_id) for valve_id in valve_ids]
     return index.pair_components(
-        records[0].pair if records else None, [position[rec.pipe_id] for rec in records],
+        [position[rec.pipe_id] for rec in records],
         [rec.alpha_pa for rec in records], [rec.dflow_m3s for rec in records],
         [math.nan if state is None else float(bool(state)) for state in states],
         *([frame.node_pressure_pa.get(node_id, math.nan) for node_id in node_ids]

@@ -47,7 +47,6 @@ from .model import (
     Node,
     PipeGeometry,
     StateFrame,
-    TimePair,
     validate_normal_density,
 )
 from .thresholds import ThresholdConfig, pipe_relevant
@@ -80,13 +79,6 @@ def parse_timestamp(text: str, path: str = "<str>", line: int = 0) -> datetime:
     if stamp.tzinfo is None:
         raise ParseError(path, line, f"timestamp {text!r} lacks a timezone")
     return stamp
-
-
-def parse_pair(t0: datetime, t1: datetime, path: str, line: int) -> TimePair:
-    try:
-        return TimePair(t0, t1)
-    except ModelError as exc:
-        raise ParseError(path, line, str(exc)) from None
 
 
 def format_timestamp(stamp: datetime) -> str:
@@ -237,8 +229,9 @@ def serialize_topology(network: Network, path: str) -> None:
     write_table(path, TOPOLOGY_COLUMNS, rows())
 
 
-# History holds an instant as int64 microseconds since this one, as
-# history.npz does; the offset a file spells it with is not kept
+# past the readers, an instant (of a History, Terms, a component stream or
+# an exclusion window) is int64 microseconds since this one, as in
+# history.npz; the offset a file spells it with is not kept
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
@@ -251,6 +244,16 @@ def microseconds(stamps: Iterable[datetime]) -> np.ndarray:
 def instant(us: int) -> datetime:
     """An instant of a History as a UTC datetime."""
     return _EPOCH + int(us) * _MICROSECOND
+
+
+def parse_instants(row: list[str], path: str, line: int) -> tuple[int, int]:
+    """The t0 and t1 that begin row, a row of path at line, as instants,
+    t1 after t0."""
+    t0, t1 = (parse_timestamp(text, path, line) for text in row[:2])
+    pair = tuple(microseconds((t0, t1)).tolist())
+    if not pair[1] > pair[0]:
+        raise ParseError(path, line, f"time pair requires t1 > t0, got {t0} .. {t1}")
+    return pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +429,7 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict, dat
     nodes, pipes = len(columns[0]), sum(map(len, columns[:3]))
     window = carry.text + data
     lines = list(io.StringIO(window.decode(_ENCODING, "surrogateescape"), newline=""))
-    stamps: list[datetime] = []
+    stamps: list[int] = []
     # a row per frame, which keeps the last of repeated values
     rows: list[list[float]] = []
     stamp_text = None
@@ -436,14 +439,14 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict, dat
             # rows of one frame repeat their timestamp text, so it is
             # parsed once per run of equal texts
             stamp = parse_timestamp(text, path, line)
-            stamp_text = text
-            if not stamps or stamp != stamps[-1]:
-                if stamps and stamp <= stamps[-1]:
-                    raise ParseError(path, line,
-                                     f"timestamps not strictly increasing: "
-                                     f"{format_timestamp(stamp)} after "
-                                     f"{format_timestamp(stamps[-1])}")
-                stamps.append(stamp)
+            stamp_text, us = text, (stamp - _EPOCH) // _MICROSECOND
+            if stamps and us < stamps[-1]:
+                raise ParseError(path, line,
+                                 f"timestamps not strictly increasing: "
+                                 f"{format_timestamp(stamp)} after "
+                                 f"{format_timestamp(instant(stamps[-1]))}")
+            if not stamps or us > stamps[-1]:
+                stamps.append(us)
                 row = [math.nan] * len(places)
                 rows.append(row)
                 opened = at, line
@@ -474,16 +477,16 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict, dat
             _Carry("".join(lines[at:]).encode(_ENCODING), line))
 
 
-def _history(stamps: list[datetime], rows: list[list[float]] | np.ndarray,
+def _history(stamps: list[int] | np.ndarray, rows: list[list[float]] | np.ndarray,
              columns: tuple[tuple[str, ...], ...]) -> History:
-    """The History of the frames at stamps whose rows, one per frame over
-    every column of columns in order, hold values in file units: split into
-    History's arrays, in SI units."""
+    """The History of the frames at the instants stamps whose rows, one per
+    frame over every column of columns in order, hold values in file units:
+    split into History's arrays, in SI units."""
     rows = np.asarray(rows, dtype=float).reshape(len(stamps), sum(map(len, columns)))
     pressure, flow, valve, rho = np.split(rows, np.cumsum([*map(len, columns[:3])]), axis=1)
     # each array its own, as a view would keep all rows; |NaN| has no sign,
     # so a valve not given stays NaN
-    return History(microseconds(stamps), *columns, pressure * BAR, flow * KNM3H,
+    return History(np.array(stamps, dtype=np.int64), *columns, pressure * BAR, flow * KNM3H,
                    np.sign(np.abs(valve)), rho.copy())
 
 
@@ -680,7 +683,8 @@ def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[s
     slow = np.flatnonzero(~fast)
     try:
         values[slow] = [float(text[a:b]) for a, b in zip(value[slow].tolist(), tail[slow].tolist())]
-        stamps = [parse_timestamp(head.decode(_ENCODING, "surrogateescape")) for head in heads]
+        stamps = microseconds(parse_timestamp(head.decode(_ENCODING, "surrogateescape"))
+                              for head in heads)
     except (ValueError, ParseError):
         return None
     values = values.reshape(-1, size)
@@ -689,7 +693,7 @@ def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[s
     density = values[:, row_place >= sum(map(len, columns[:3]))]
     if not (np.isfinite(values).all() and (values[:, row_place < len(columns[0])] > 0.0).all()
             and ((density > RHO_N_MIN_KGM3) & (density <= RHO_N_MAX_KGM3)).all()
-            and all(t0 < t1 for t0, t1 in zip(stamps, stamps[1:]))):
+            and (np.diff(stamps) > 0).all()):
         return None
     frames = np.full((len(values), len(places)), math.nan)
     frames[:, given] = values[:, source]
@@ -803,11 +807,12 @@ def load_saved(terms_path: str, cfg: ThresholdConfig | None = None,
 
 @dataclass(frozen=True)
 class ExclusionWindow:
-    """Half-open time window [start, end) during which a pipe is ignored."""
+    """Half-open time window [start, end) during which a pipe is ignored,
+    its edges instants as a History holds them."""
 
     pipe_id: str
-    start: datetime
-    end: datetime
+    start: int
+    end: int
 
     def __post_init__(self) -> None:
         if not self.end > self.start:
@@ -820,8 +825,8 @@ def parse_exclusions(path: str, network: Network) -> list[ExclusionWindow]:
         element = network.elements.get(pipe_id)
         if element is None or element.kind is not ElementKind.PIPE:
             raise ParseError(path, line, f"{pipe_id!r} is not a pipe")
-        start = parse_timestamp(start_text, path, line)
-        end = parse_timestamp(end_text, path, line)
+        start, end = microseconds(parse_timestamp(text, path, line)
+                                  for text in (start_text, end_text)).tolist()
         try:
             windows.append(ExclusionWindow(pipe_id, start, end))
         except ModelError as exc:
@@ -840,7 +845,7 @@ def exclusion_mask(windows: list[ExclusionWindow], t1: np.ndarray,
     mask = np.zeros((len(t1), len(pipe_ids)), dtype=bool)
     if windows:
         # t1 is chronological, so the pairs whose t1 lies in [start, end) form one run
-        edges = t1.searchsorted(microseconds(edge for w in windows for edge in (w.start, w.end)))
+        edges = t1.searchsorted([edge for w in windows for edge in (w.start, w.end)])
         columns = np.searchsorted(pipe_ids, [w.pipe_id for w in windows])
         for start, end, column in zip(edges[::2].tolist(), edges[1::2].tolist(), columns.tolist()):
             mask[start:end, column] = True
@@ -1071,18 +1076,16 @@ def _parse_terms(path: str, history: History | None, pipes: set) -> tuple[Terms,
     for line, row in read_table(path, TERMS_COLUMNS):
         k = by_text.get((row[0], row[1]))
         if k is None:
-            pair = parse_pair(parse_timestamp(row[0], path, line),
-                              parse_timestamp(row[1], path, line), path, line)
-            us = microseconds((pair.t0, pair.t1))
-            if (key := tuple(us.tolist())) not in by_pair and history is not None:
-                k0, k1 = history.timestamps.searchsorted(us).tolist()
-                span = f"pair {format_timestamp(pair.t0)} .. {format_timestamp(pair.t1)}"
-                if k1 == len(history) or (history.timestamps[[k0, k1]] != us).any():  # k0 <= k1
+            pair = parse_instants(row, path, line)
+            if pair not in by_pair and history is not None:
+                k0, k1 = history.timestamps.searchsorted(pair).tolist()
+                span = "pair {} .. {}".format(*(format_timestamp(instant(us)) for us in pair))
+                if k1 == len(history) or (history.timestamps[[k0, k1]] != pair).any():  # k0 <= k1
                     raise ParseError(path, line, f"{span} has no matching states")
                 if k1 != k0 + 1:
                     raise ParseError(path, line,
                                      f"{span} spans frames {k0} to {k1}, not consecutive frames")
-            k = by_text[row[0], row[1]] = by_pair.setdefault(key, len(by_pair))
+            k = by_text[row[0], row[1]] = by_pair.setdefault(pair, len(by_pair))
         try:
             numbers.append(list(map(float, row[3:10])))
         except ValueError:

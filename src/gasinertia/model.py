@@ -200,18 +200,6 @@ class StateFrame:
                 raise ModelError(f"pressure at {node_id!r} must be positive, got {p}")
 
 
-@dataclass(frozen=True)
-class TimePair:
-    """Two consecutive history timestamps t0 < t1."""
-
-    t0: datetime
-    t1: datetime
-
-    def __post_init__(self) -> None:
-        if not self.t1 > self.t0:
-            raise ModelError(f"time pair requires t1 > t0, got {self.t0} .. {self.t1}")
-
-
 @dataclass
 class Diagnostics:
     """Tally of data points skipped or flagged while scanning a history."""

@@ -42,7 +42,6 @@ from .model import (
     Diagnostics,
     GasParams,
     PipeGeometry,
-    TimePair,
 )
 
 # Below this Reynolds number the laminar fallback 64/Re applies.
@@ -264,7 +263,7 @@ class TermRecord:
     """Evaluated terms for one pipe over one time pair."""
 
     pipe_id: str
-    pair: TimePair
+    pair: tuple[int, int]       # t0 and t1, instants as a History holds them
     flow_t0_m3s: float
     flow_t1_m3s: float
     alpha_pa: float

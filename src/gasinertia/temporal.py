@@ -1,10 +1,12 @@
 """Persistence of relevant components across consecutive time pairs.
 
-A component stream is a chronological list of (time pair, components)
-entries.  Two adjacent entries are consecutive when the first ends where
-the second begins; gaps break every persistence notion rather than being
-silently bridged.  Scan counts them as time_gaps: only the pair grid
-shows a gap, since the stream holds just the pairs with components.
+A component stream (components.Stream) is a chronological list of (time
+pair, components) entries, each pair its t0 and t1 as int64 microseconds
+since 1970 UTC.  Two adjacent entries are consecutive when the first ends
+where the second begins, compared as integers; gaps break every
+persistence notion rather than being silently bridged.  Scan counts them
+as time_gaps: only the pair grid shows a gap, since the stream holds just
+the pairs with components.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .model import SECONDS_PER_DAY, TimePair
-from .components import Component
+from .model import SECONDS_PER_DAY
+from .components import Stream
+from .ingest import format_timestamp, instant
 from .thresholds import RelevanceClass, ThresholdConfig
 
-Stream = list[tuple[TimePair, list[Component]]]
 Event = tuple[tuple[int, int], ...]   # (pair index, component index) members
 
 
@@ -31,11 +33,11 @@ def _validate_stream(stream: Stream) -> list[bool]:
     """Chronology check; returns per-boundary consecutiveness flags."""
     consecutive: list[bool] = []
     for k in range(len(stream) - 1):
-        left, right = stream[k][0], stream[k + 1][0]
-        if right.t0 < left.t1:
-            raise ValueError(
-                f"component stream out of order at {left.t1} vs {right.t0}")
-        consecutive.append(right.t0 == left.t1)
+        (_, end), (start, _) = stream[k][0], stream[k + 1][0]
+        if start < end:
+            raise ValueError(f"component stream out of order at {format_timestamp(instant(end))}"
+                             f" vs {format_timestamp(instant(start))}")
+        consecutive.append(start == end)
     return consecutive
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from gasinertia.cli import main
 from gasinertia.components import Component
-from gasinertia.model import BAR, KNM3H, TimePair
+from gasinertia.ingest import microseconds
+from gasinertia.model import BAR, KNM3H
 from gasinertia.thresholds import RelevanceClass
 
 BASE_TS = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -19,17 +20,15 @@ def stamp(index: int) -> datetime:
     return BASE_TS + timedelta(seconds=TAU_S * index)
 
 
-def make_pair(index: int) -> TimePair:
-    """Time pair covering grid step index -> index + 1."""
-    return TimePair(stamp(index), stamp(index + 1))
+def make_pair(index: int) -> tuple[int, int]:
+    """The instants of the time pair covering grid step index -> index + 1."""
+    return tuple(microseconds([stamp(index), stamp(index + 1)]).tolist())
 
 
-def make_component(pair_index: int, pipe_ids: tuple[str, ...],
-                   value_bar: float = 1.0,
+def make_component(pipe_ids: tuple[str, ...], value_bar: float = 1.0,
                    relevance: RelevanceClass = RelevanceClass.HIGH,
                    dflow_knm3h: float = 10.0) -> Component:
     return Component(
-        pair=make_pair(pair_index),
         pipe_ids=pipe_ids,
         longest_path_pa=value_bar * BAR,
         cycle_correction_pa=0.0,

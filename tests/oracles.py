@@ -280,7 +280,7 @@ def space_time_events(stream: list, min_class, min_length: int) -> list[tuple]:
 
     def adjacent(a, b) -> bool:
         (ka, ca), (kb, cb) = sorted((a, b))
-        return (kb == ka + 1 and stream[ka][0].t1 == stream[kb][0].t0
+        return (kb == ka + 1 and stream[ka][0][1] == stream[kb][0][0]
                 and bool(set(stream[ka][1][ca].pipe_ids) & set(stream[kb][1][cb].pipe_ids)))
 
     seen: set = set()
@@ -853,7 +853,6 @@ def object_components(network: Network, records: list[TermRecord], frame_t0: Sta
             orient_arcs(network, group, frame_t0, frame_t1, diag))
         members = group[0]
         components.append(Component(
-            pair=members[0].pair,
             pipe_ids=tuple(rec.pipe_id for rec in members),
             longest_path_pa=value,
             cycle_correction_pa=correction,

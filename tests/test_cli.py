@@ -162,6 +162,36 @@ class TestPipeline:
         hexes = read_csv(pipeline["out"] / "hexbin.csv")
         assert sum(int(r[2]) for r in hexes[1:]) == 6
 
+    @pytest.mark.parametrize("horizon", [["--horizon-days", "100"], []],
+                             ids=["horizon given", "component span"])
+    def test_components_at_another_offset_give_the_same_outputs(self, pipeline, tmp_path,
+                                                               horizon):
+        """Every instant of components.csv respelled at +01:00 with fractional
+        seconds: persistence and report write the same files and lines."""
+        out = pipeline["out"]
+        respelled = tmp_path / "components.csv"
+        rows = read_csv(out / "components.csv")
+        plus_one = timezone(timedelta(hours=1))
+        for row in rows[1:]:
+            row[:2] = [ingest.parse_timestamp(text).astimezone(plus_one)
+                       .isoformat(timespec="microseconds") for text in row[:2]]
+        with open(respelled, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        assert "+01:00" in respelled.read_text() and len(rows) > 2
+        outputs = {}
+        for case, components in (("as written", out / "components.csv"),
+                                 ("respelled", respelled)):
+            inputs = ["--components", components, "--members", out / "components_pipes.csv",
+                      "--out", tmp_path / case]
+            printed = [run_cli(["persistence", *inputs]),
+                       run_cli(["report", *inputs, "--terms", out / "terms.csv", *horizon])]
+            outputs[case] = printed, {name: (tmp_path / case / name).read_bytes() for name in (
+                "chains.csv", "events.csv", "runs_high.csv", "sweep.csv", "hexbin.csv")}
+        assert outputs["respelled"] == outputs["as written"]
+        assert [code for code, _, _ in outputs["as written"][0]] == [0, 0]
+        if horizon:
+            assert outputs["as written"][1]["sweep.csv"] == (out / "sweep.csv").read_bytes()
+
     def test_threads_do_not_change_results(self, pipeline, tmp_path):
         data = pipeline["data"]
         code, _, err = run_cli([
@@ -315,7 +345,7 @@ class TestHistorySidecar:
         def building(index, *args):
             # the valve states at t1 and the pressures at t0 and t1; repr
             # spells NaN alike
-            frames.setdefault(case, []).append(repr(args[4:7]))
+            frames.setdefault(case, []).append(repr(args[3:6]))
             return build(index, *args)
 
         monkeypatch.setattr(cli, "load_saved", loading)
@@ -348,10 +378,10 @@ class TestHistorySidecar:
             return {id(o) for o in gc.get_objects()
                     if isinstance(o, (TermRecord, StateFrame, DirectedArc))}
 
-        def building(index, pair, *args):
+        def building(index, *args):
             assert live_records() <= before
-            built.append(pair)
-            return build(index, pair, *args)
+            built.append(case)
+            return build(index, *args)
 
         monkeypatch.setattr(NetworkIndex, "pair_components", building)
         for case in ("present", "deleted"):
@@ -364,7 +394,9 @@ class TestHistorySidecar:
             assert stdout == pipeline["results"]["components"][1]
             for name in ("components.csv", "components_pipes.csv"):
                 assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes()
-        assert len(built) == 2 * len(set(built)) > 2
+        # once per pair that has relevant pipes, in each case
+        pairs = int(re.search(r"pairs with relevant pipes: (\d+)", stdout)[1])
+        assert built.count("present") == built.count("deleted") == pairs > 1
 
     def test_outputs_same_with_and_without_sidecar(self, pipeline, scanned):
         root, parsed = scanned

@@ -1,3 +1,4 @@
+from datetime import timedelta, timezone
 import math
 import random
 
@@ -13,7 +14,7 @@ from gasinertia.components import (
     read_components,
     write_components,
 )
-from gasinertia.ingest import ParseError, format_timestamp
+from gasinertia.ingest import ParseError, format_timestamp, parse_timestamp
 from gasinertia.model import (
     BAR,
     Diagnostics,
@@ -243,7 +244,7 @@ ARC_ORDER_CASES = [
 
 
 def bits(comp: Component) -> tuple:
-    return (comp.pair, comp.pipe_ids, comp.longest_path_pa.hex(),
+    return (comp.pipe_ids, comp.longest_path_pa.hex(),
             comp.cycle_correction_pa.hex(), comp.relevance, comp.max_abs_dflow_m3s.hex())
 
 
@@ -512,11 +513,11 @@ class TestBuildComponents:
 class TestSerialization:
     def sample_stream(self):
         return make_stream([
-            (0, [make_component(0, ("pa", "pb"), value_bar=0.61,
+            (0, [make_component(("pa", "pb"), value_bar=0.61,
                                 relevance=RelevanceClass.HIGH, dflow_knm3h=36.0),
-                 make_component(0, ("pc",), value_bar=0.11,
+                 make_component(("pc",), value_bar=0.11,
                                 relevance=RelevanceClass.SMALL, dflow_knm3h=4.0)]),
-            (2, [make_component(2, ("pa",), value_bar=0.02,
+            (2, [make_component(("pa",), value_bar=0.02,
                                 relevance=RelevanceClass.NONE, dflow_knm3h=2.5)]),
         ])
 
@@ -588,6 +589,21 @@ class TestSerialization:
         with pytest.raises(ParseError, match="t1 > t0") as info:
             read_components(str(comp_path), str(members_path))
         assert (info.value.path, info.value.line) == (str(comp_path), 4)
+
+    @pytest.mark.parametrize("hours", [0, 1], ids=["same text", "+01:00"])
+    def test_pair_of_one_instant_reported_at_its_line(self, tmp_path, hours):
+        """A row whose t1 is its t0, in the same text or another offset's,
+        after a row of the pair as written."""
+        comp_path, members_path = self.written(tmp_path)
+        lines = comp_path.read_text().splitlines()
+        t0, _, rest = lines[2].split(",", 2)
+        t1 = parse_timestamp(t0).astimezone(timezone(timedelta(hours=hours)))
+        lines[2] = ",".join([t0, t1.isoformat() if hours else t0, rest])
+        comp_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_components(str(comp_path), str(members_path))
+        assert str(info.value) == (f"{comp_path}:3: time pair requires t1 > t0, got "
+                                   f"{parse_timestamp(t0)} .. {t1}")
 
     @pytest.mark.parametrize("order, line", [((3, 1, 2), 3), ((1, 3, 2), 4)],
                              ids=["last row first", "pair split"])

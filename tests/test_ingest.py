@@ -1,6 +1,6 @@
 import csv
 import dataclasses
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 import hashlib
 import math
 import os
@@ -346,9 +346,14 @@ class TestStates:
             parse_states(str(path), sample_network())
 
 
+def window(pipe_id: str, start: datetime, end: datetime) -> ExclusionWindow:
+    """The exclusion window of pipe_id from start to end, as instants."""
+    return ExclusionWindow(pipe_id, *ingest.microseconds([start, end]).tolist())
+
+
 class TestExclusions:
     def test_round_trip(self, tmp_path):
-        windows = [ExclusionWindow("p1", stamp(0), stamp(5))]
+        windows = [window("p1", stamp(0), stamp(5))]
         path = tmp_path / "exclusions.csv"
         path.write_text(",".join(EXCLUSIONS_COLUMNS)
                         + f"\np1,{format_timestamp(stamp(0))},{format_timestamp(stamp(5))}\n")
@@ -363,22 +368,21 @@ class TestExclusions:
 
     def test_empty_window_rejected(self):
         with pytest.raises(ModelError):
-            ExclusionWindow("p1", stamp(1), stamp(1))
+            window("p1", stamp(1), stamp(1))
 
     def test_half_open_coverage_uses_t1(self):
-        window = ExclusionWindow("p1", stamp(1), stamp(3))
         # a pair is covered when its t1 falls inside [start, end): t1 ==
         # start (pair 0) is inside, t1 == end (pair 2) is outside
-        mask = exclusion_mask([window], empty_history(5).timestamps[1:], ("p1",))
+        mask = exclusion_mask([window("p1", stamp(1), stamp(3))],
+                              empty_history(5).timestamps[1:], ("p1",))
         assert mask[:, 0].tolist() == [True, True, False, False]
 
     def test_mask_follows_each_window(self):
-        windows = [ExclusionWindow("p1", stamp(1), stamp(3)),
-                   ExclusionWindow("p2", stamp(0), stamp(9)),
-                   ExclusionWindow("p1", stamp(4), stamp(4) + timedelta(seconds=1))]
+        windows = [window("p1", stamp(1), stamp(3)), window("p2", stamp(0), stamp(9)),
+                   window("p1", stamp(4), stamp(4) + timedelta(seconds=1))]
         t1 = empty_history(6).timestamps[1:]
         mask = exclusion_mask(windows, t1, ("p0", "p1", "p2"))
-        expected = [[any(w.pipe_id == pipe_id and w.start <= ingest.instant(us) < w.end
+        expected = [[any(w.pipe_id == pipe_id and w.start <= us < w.end
                          for w in windows)
                      for pipe_id in ("p0", "p1", "p2")] for us in t1.tolist()]
         assert mask.tolist() == expected
@@ -495,6 +499,22 @@ class TestTerms:
         with pytest.raises(ParseError, match="t1 > t0") as info:
             read_terms(str(path))
         assert info.value.line == 3
+
+    @pytest.mark.parametrize("hours", [0, 1], ids=["same text", "+01:00"])
+    def test_pair_of_one_instant_reported_at_its_line(self, tmp_path, hours):
+        """A row whose t1 is its t0, in the same text or another offset's,
+        after a row of the pair as written."""
+        path = tmp_path / "terms.csv"
+        write_terms(make_terms(pair_index=(0, 0), relevant=(True, True)), str(path))
+        lines = path.read_text().splitlines()
+        t0, _, rest = lines[2].split(",", 2)
+        t1 = parse_timestamp(t0).astimezone(timezone(timedelta(hours=hours)))
+        lines[2] = ",".join([t0, t1.isoformat() if hours else t0, rest])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_terms(str(path))
+        assert str(info.value) == (f"{path}:3: time pair requires t1 > t0, got "
+                                   f"{parse_timestamp(t0)} .. {t1}")
 
     def test_bad_timestamp_reported_at_its_line(self, tmp_path):
         path = tmp_path / "terms.csv"

@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 import math
 
 import pytest
@@ -12,7 +12,6 @@ from gasinertia.model import (
     Node,
     PipeGeometry,
     StateFrame,
-    TimePair,
     derived_area,
     validate_normal_density,
 )
@@ -92,14 +91,6 @@ class TestStateFrame:
         with pytest.raises(ModelError):
             StateFrame(datetime(2026, 1, 1, tzinfo=UTC), {"n0": 0.0}, {}, {}, {})
 
-    def test_time_pair(self):
-        t0 = datetime(2026, 1, 1, tzinfo=UTC)
-        t1 = t0 + timedelta(seconds=180)
-        assert TimePair(t0, t1).t1 == t1
-        with pytest.raises(ModelError):
-            TimePair(t1, t0)
-        with pytest.raises(ModelError):
-            TimePair(t0, t0)
 
 
 def test_normal_density_band():

@@ -23,7 +23,7 @@ HORIZON_S = 100.0 * SECONDS_PER_DAY
 
 
 def comps(values_bar):
-    return [make_component(k, (f"p{k}", f"q{k}")[:1 + k % 2], value_bar=v)
+    return [make_component((f"p{k}", f"q{k}")[:1 + k % 2], value_bar=v)
             for k, v in enumerate(values_bar)]
 
 
@@ -52,7 +52,7 @@ class TestSweep:
 
     def test_negative_values_counted_by_magnitude(self):
         components = comps([0.3])
-        flipped = [make_component(0, ("p0",), value_bar=-0.3)]
+        flipped = [make_component(("p0",), value_bar=-0.3)]
         assert (sweep_table(flipped, [0.2 * BAR], HORIZON_S)[0].n_components
                 == sweep_table(components[:1], [0.2 * BAR], HORIZON_S)[0].n_components)
 

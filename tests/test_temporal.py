@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasinertia.ingest import format_timestamp
 from gasinertia.model import SECONDS_PER_DAY
 from gasinertia.temporal import (
     component_chains,
@@ -17,7 +18,7 @@ from gasinertia.temporal import (
 )
 from gasinertia.thresholds import RelevanceClass, ThresholdConfig
 
-from conftest import make_component, make_stream
+from conftest import make_component, make_stream, stamp
 from oracles import brute_runs, space_time_events
 
 HIGH = RelevanceClass.HIGH
@@ -25,13 +26,18 @@ SMALL = RelevanceClass.SMALL
 NONE = RelevanceClass.NONE
 
 
-def c(k, pipes, relevance=HIGH, dflow=10.0):
-    return make_component(k, pipes, relevance=relevance, dflow_knm3h=dflow)
+def c(pipes, relevance=HIGH, dflow=10.0):
+    return make_component(pipes, relevance=relevance, dflow_knm3h=dflow)
+
+
+# pair 2 ends at stamp(3), after pair 0 starts
+OUT_OF_ORDER = (f"component stream out of order at {format_timestamp(stamp(3))} "
+                f"vs {format_timestamp(stamp(0))}")
 
 
 class TestRunLengths:
     def test_single_run(self):
-        stream = make_stream([(k, [c(k, ("p1",))]) for k in range(3)])
+        stream = make_stream([(k, [c(("p1",))]) for k in range(3)])
         result = pipe_run_lengths(stream)
         assert result.histogram == {3: 1}
         assert result.total_points == 3
@@ -39,22 +45,22 @@ class TestRunLengths:
 
     def test_absence_breaks_run(self):
         stream = make_stream([
-            (0, [c(0, ("p1",))]),
+            (0, [c(("p1",))]),
             (1, []),
-            (2, [c(2, ("p1",))]),
+            (2, [c(("p1",))]),
         ])
         result = pipe_run_lengths(stream)
         assert result.histogram == {1: 2}
 
     def test_time_gap_breaks_run(self):
-        stream = make_stream([(0, [c(0, ("p1",))]), (2, [c(2, ("p1",))])])
+        stream = make_stream([(0, [c(("p1",))]), (2, [c(("p1",))])])
         result = pipe_run_lengths(stream)
         assert result.histogram == {1: 2}
 
     def test_min_class_filters(self):
         stream = make_stream([
-            (0, [c(0, ("p1",), relevance=SMALL)]),
-            (1, [c(1, ("p1",), relevance=HIGH)]),
+            (0, [c(("p1",), relevance=SMALL)]),
+            (1, [c(("p1",), relevance=HIGH)]),
         ])
         assert pipe_run_lengths(stream, min_class=HIGH).histogram == {1: 1}
         assert pipe_run_lengths(stream, min_class=SMALL).histogram == {2: 1}
@@ -62,8 +68,8 @@ class TestRunLengths:
     def test_component_hops_still_count(self):
         # the pipe stays graded even though its component changes shape
         stream = make_stream([
-            (0, [c(0, ("p1", "p2"))]),
-            (1, [c(1, ("p1",)), c(1, ("p2",))]),
+            (0, [c(("p1", "p2"))]),
+            (1, [c(("p1",)), c(("p2",))]),
         ])
         result = pipe_run_lengths(stream)
         assert result.histogram == {2: 2}
@@ -71,17 +77,18 @@ class TestRunLengths:
 
     def test_shares(self):
         stream = make_stream([
-            (0, [c(0, ("p1", "p2"))]),
-            (1, [c(1, ("p1",))]),
+            (0, [c(("p1", "p2"))]),
+            (1, [c(("p1",))]),
         ])
         result = pipe_run_lengths(stream)
         assert result.histogram == {1: 1, 2: 1}
         assert result.share_by_length[1] == pytest.approx(1.0 / 3.0)
         assert result.share_by_length[2] == pytest.approx(2.0 / 3.0)
 
+
     def test_out_of_order_rejected(self):
-        stream = make_stream([(2, []), (0, [])])
-        with pytest.raises(ValueError):
+        stream = make_stream([(2, [c(("p1",))]), (0, [c(("p1",))])])
+        with pytest.raises(ValueError, match=OUT_OF_ORDER):
             pipe_run_lengths(stream)
 
     def test_matches_brute_scan(self):
@@ -94,7 +101,7 @@ class TestRunLengths:
         }
         indices = [0, 1, 2, 3, 4, 5, 6]
         for k in indices:
-            comps = [c(k, (pid,)) for pid, ks in sorted(membership.items()) if k in ks]
+            comps = [c((pid,)) for pid, ks in sorted(membership.items()) if k in ks]
             entries.append((k if k <= 3 else k + 1, comps))
         stream = make_stream(entries)
         consecutive = [True, True, True, False, True, True]
@@ -105,26 +112,26 @@ class TestRunLengths:
 
 class TestChains:
     def test_simple_chain(self):
-        stream = make_stream([(k, [c(k, ("p1", "p2"))]) for k in range(3)])
+        stream = make_stream([(k, [c(("p1", "p2"))]) for k in range(3)])
         assert component_chains(stream) == [((0, 0), (1, 0), (2, 0))]
 
     def test_no_shared_pipe_no_chain(self):
-        stream = make_stream([(0, [c(0, ("p1",))]), (1, [c(1, ("p2",))])])
+        stream = make_stream([(0, [c(("p1",))]), (1, [c(("p2",))])])
         assert component_chains(stream) == []
 
     def test_gap_blocks_chaining(self):
-        stream = make_stream([(0, [c(0, ("p1",))]), (2, [c(2, ("p1",))])])
+        stream = make_stream([(0, [c(("p1",))]), (2, [c(("p1",))])])
         assert component_chains(stream) == []
         assert component_chains(stream, min_length=1) == [((0, 0),), ((1, 0),)]
 
     def test_min_length_one_keeps_singletons(self):
-        stream = make_stream([(0, [c(0, ("p1",))]), (1, [c(1, ("p2",))])])
+        stream = make_stream([(0, [c(("p1",))]), (1, [c(("p2",))])])
         assert component_chains(stream, min_length=1) == [((0, 0),), ((1, 0),)]
 
     def test_min_class(self):
         stream = make_stream([
-            (0, [c(0, ("p1",), relevance=SMALL)]),
-            (1, [c(1, ("p1",), relevance=SMALL)]),
+            (0, [c(("p1",), relevance=SMALL)]),
+            (1, [c(("p1",), relevance=SMALL)]),
         ])
         assert component_chains(stream, min_class=HIGH) == []
         assert len(component_chains(stream, min_class=SMALL)) == 1
@@ -133,30 +140,35 @@ class TestChains:
         # two components merge into one: all three are one event, which
         # lists the members in stream order
         stream = make_stream([
-            (0, [c(0, ("p2", "p9")), c(0, ("p1", "p8"))]),
-            (1, [c(1, ("p8", "p9"))]),
+            (0, [c(("p2", "p9")), c(("p1", "p8"))]),
+            (1, [c(("p8", "p9"))]),
         ])
         assert component_chains(stream) == [((0, 0), (0, 1), (1, 0))]
 
     def test_split_joins_both_branches(self):
         stream = make_stream([
-            (0, [c(0, ("p1", "p2"))]),
-            (1, [c(1, ("p1",)), c(1, ("p2",))]),
+            (0, [c(("p1", "p2"))]),
+            (1, [c(("p1",)), c(("p2",))]),
         ])
         assert component_chains(stream) == [((0, 0), (1, 0), (1, 1))]
 
     def test_dense_overlap_is_one_event(self):
         stream = make_stream([
-            (0, [c(0, ("p1",)), c(0, ("p2",))]),
-            (1, [c(1, ("p1", "p2"))]),
-            (2, [c(2, ("p1",)), c(2, ("p2",))]),
+            (0, [c(("p1",)), c(("p2",))]),
+            (1, [c(("p1", "p2"))]),
+            (2, [c(("p1",)), c(("p2",))]),
         ])
         assert component_chains(stream) == [((0, 0), (0, 1), (1, 0), (2, 0), (2, 1))]
 
+    def test_out_of_order_rejected(self):
+        stream = make_stream([(2, [c(("p1",))]), (0, [c(("p1",))])])
+        with pytest.raises(ValueError, match=OUT_OF_ORDER):
+            component_chains(stream)
+
     def test_chain_relevance_is_max(self):
         stream = make_stream([
-            (0, [c(0, ("p1",), relevance=SMALL)]),
-            (1, [c(1, ("p1",), relevance=HIGH)]),
+            (0, [c(("p1",), relevance=SMALL)]),
+            (1, [c(("p1",), relevance=HIGH)]),
         ])
         events = component_chains(stream, min_class=SMALL)
         assert chain_relevance(stream, events[0]) is HIGH
@@ -175,7 +187,7 @@ def component_streams(draw):
         # each pipe is absent (-1) or in one of 4 components
         slots = draw(st.lists(st.integers(-1, 3), min_size=len(PIPES), max_size=len(PIPES)))
         groups = [tuple(p for p, slot in zip(PIPES, slots) if slot == g) for g in range(4)]
-        comps = [c(index, pipes, relevance=draw(st.sampled_from([NONE, SMALL, HIGH])))
+        comps = [c(pipes, relevance=draw(st.sampled_from([NONE, SMALL, HIGH])))
                  for pipes in groups if pipes]
         entries.append((index, comps))
     return make_stream(entries)
@@ -201,7 +213,7 @@ class TestRealismFilter:
     def test_drops_implausible(self):
         cfg = ThresholdConfig()
         stream = make_stream([
-            (0, [c(0, ("p1",), dflow=100.0), c(0, ("p2",), dflow=2500.0)]),
+            (0, [c(("p1",), dflow=100.0), c(("p2",), dflow=2500.0)]),
         ])
         filtered, dropped = realism_filter(stream, cfg)
         assert dropped == 1
@@ -209,7 +221,7 @@ class TestRealismFilter:
 
     def test_boundary_inclusive(self):
         cfg = ThresholdConfig()
-        stream = make_stream([(0, [c(0, ("p1",), dflow=2000.0)])])
+        stream = make_stream([(0, [c(("p1",), dflow=2000.0)])])
         filtered, dropped = realism_filter(stream, cfg)
         assert dropped == 0
         assert len(filtered[0][1]) == 1
@@ -217,7 +229,7 @@ class TestRealismFilter:
     def test_idempotent(self):
         cfg = ThresholdConfig()
         stream = make_stream([
-            (0, [c(0, ("p1",), dflow=100.0), c(0, ("p2",), dflow=2500.0)]),
+            (0, [c(("p1",), dflow=100.0), c(("p2",), dflow=2500.0)]),
         ])
         once, _ = realism_filter(stream, cfg)
         twice, dropped = realism_filter(once, cfg)
