@@ -24,17 +24,18 @@ seed by the checkout's perfbench/workloads.py in a child, and
 pinned to one thread: one child's times spread too far to show a 10%
 change.  The median wall and processor seconds (start-up and imports
 included), pipe points and state rows per median processor second, the
-largest peak RSS and the sha256 of terms.csv go under tiers.M.  A child's
-peak RSS counts the peak of the process that started it, so this one
-never holds a tier's data, and the scan child's peak RSS is its own.
+largest peak RSS, the sha256 and rows of terms.csv, and the size in bytes
+of scan's history.npz and its bytes per terms row go under tiers.M.  A
+child's peak RSS counts the peak of the process that started it, so this
+one never holds a tier's data, and the scan child's peak RSS is its own.
 The same at twice the frames and events (6,000 and 600) goes under
 tiers.M_6000: scan's peak RSS should not grow with the number of frames.
 tiers.M_meshed is meshed-transients at 1,000 frames, where about 45% of
 the pipe points pass the prefilter, so that writing terms.csv weighs:
-besides the above it records the terms rows and terms rows per processor
-second.  tiers.M_meshed_2000 is the same at 2,000 frames: from one to
-the other, the growth of a peak RSS per terms row is what the terms cost
-a stage to hold.  tiers.M_swapped is tier M with the first two rows of
+besides the above it records the terms rows per processor second.
+tiers.M_meshed_2000 is the same at 2,000 frames: from one to the other,
+the growth of a peak RSS per terms row is what the terms cost a stage to
+hold.  tiers.M_swapped is tier M with the first two rows of
 its middle frame swapped after generation: the frame breaks the template
 every other frame repeats, so one window of states.csv goes through the
 row loop, and terms.csv must be tier M's.  tiers.M_every_other is tier M
@@ -310,8 +311,11 @@ def run_tier(sides: dict[str, Path], seed: int, workload: str, swapped: range = 
             # the generated pipe ids need no quoting, so every row but the
             # header is one line
             terms_rows = newlines - 1
-            results[name] = {**planted, "terms_rows": terms_rows, "scan_wall_s": wall,
-                             "scan_cpu_s": cpu, "points_per_cpu_s": planted["points"] / cpu,
+            sidecar = Path(root, name, "out", "history.npz").stat().st_size
+            results[name] = {**planted, "terms_rows": terms_rows, "history_npz_bytes": sidecar,
+                             "history_npz_bytes_per_terms_row": sidecar / max(terms_rows, 1),
+                             "scan_wall_s": wall, "scan_cpu_s": cpu,
+                             "points_per_cpu_s": planted["points"] / cpu,
                              "rows_per_cpu_s": planted["states_rows"] / cpu,
                              "terms_rows_per_cpu_s": terms_rows / cpu,
                              "peak_rss_mb": peak, "terms_sha256": terms_sha256}

@@ -291,7 +291,7 @@ class _BlockScan:
         # decided on the value terms.csv gives, as components checks it
         relevant = pipe_relevant(numbers[5] * PER_10KM, numbers[6], self.cfg)
         # a pair's index so far is its first frame
-        return Terms(*row_pairs(history.timestamps, pair_index), self.pipe_array[position],
+        return Terms(*row_pairs(history.timestamps, pair_index), self.pipe_ids, position,
                      numbers, relevant)
 
 
@@ -354,7 +354,6 @@ def cmd_components(args: argparse.Namespace) -> int:
     pair_ks, starts = np.unique(terms.pair_index[relevant][order], return_index=True)
     rows = dict(zip(pair_ks.tolist(), np.split(relevant[order], starts[1:])))
     index = NetworkIndex(network, history.node_ids, history.valve_ids)
-    position = {pipe_id: k for k, pipe_id in enumerate(index.pipe_ids)}
 
     def built(k: int) -> tuple[tuple[int, int], list]:
         """Pair k and its components, from its rows' numbers in SI units,
@@ -362,13 +361,14 @@ def cmd_components(args: argparse.Namespace) -> int:
         at, f = rows[k], frames[k]
         flow_t0, flow_t1, _, alpha = terms.numbers[:4, at]
         return tuple(terms.pairs[k].tolist()), index.pair_components(
-            [position[pipe_id] for pipe_id in terms.pipe_ids[at].tolist()],
+            position[terms.pipe_index[at]].tolist(),
             (alpha * BAR).tolist(), (flow_t1 * KNM3H - flow_t0 * KNM3H).tolist(),
             history.valve_open[f + 1].tolist(), history.pressure_pa[f].tolist(),
             history.pressure_pa[f + 1].tolist(), cfg, diag)
 
-    # every pair is two consecutive frames: read_terms checked, or scan wrote it
+    # pairs are consecutive frames, pipes of the topology: read_terms checked, or scan wrote it
     frames = history.timestamps.searchsorted(terms.pairs[:, 0]).tolist()
+    position = np.searchsorted(index.pipe_ids, terms.pipes)
     diag = Diagnostics()
     stream = [built(k) for k in sorted(rows, key=frames.__getitem__)]
 

@@ -24,7 +24,7 @@ carry file and line context.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 import functools
 import io
@@ -527,9 +527,8 @@ def _decimals(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.n
     whole = (words[:, 0] * 10 ** 8 + words[:, 1]).astype(int)
     # the digits, the points and their places: a cell's two words add without
     # a carry, and a word's bytes times 0x0101010101010101 add up in its top byte
-    halves = np.stack([digit, point, point * _PLACES]).view("<u8")
-    count, points, place = ((halves[..., 0] + halves[..., 1]) * 0x0101010101010101
-                            >> 56).astype(int)
+    count, points, place = (((halves[:, 0] + halves[:, 1]) * 0x0101010101010101 >> 56).astype(int)
+                            for halves in (x.view("<u8") for x in (digit, point, point * _PLACES)))
     negative = raw[start] == 45
     fast = (length <= _DIGITS) & (count > 0) & (points <= 1) & (length - count - points == negative)
     # digits before a point weigh ten times their worth in whole; a fast
@@ -751,7 +750,7 @@ def save_history(history: History, terms: Terms, terms_path: str, terms_sha256: 
     in bytes of the terms file and of the states file, states_size, and
     history as narrow_history gives it: the timestamps and the columns
     components reads, valve states and the pressures at resistor ends.
-    Each row is saved with its pair's first frame."""
+    The terms are saved field for field, Terms' field f as member terms_f."""
     np.savez(os.path.join(os.path.dirname(terms_path), HISTORY_SIDECAR),
              states_sha256=states_sha256,
              topology_sha256=topology_sha256,
@@ -763,10 +762,7 @@ def save_history(history: History, terms: Terms, terms_path: str, terms_sha256: 
              valve_open=history.valve_open,
              node_ids=np.array(history.node_ids, dtype=str),
              pressure_pa=history.pressure_pa,
-             terms_frame=history.timestamps.searchsorted(terms.pairs[:, 0])[terms.pair_index],
-             terms_pipe_ids=terms.pipe_ids,
-             terms_numbers=terms.numbers,
-             terms_relevant=terms.relevant)
+             **{f"terms_{field.name}": getattr(terms, field.name) for field in fields(terms)})
 
 
 def load_saved(terms_path: str, cfg: ThresholdConfig | None = None,
@@ -789,7 +785,8 @@ def load_saved(terms_path: str, cfg: ThresholdConfig | None = None,
                                   or str(saved["states_sha256"]) != file_sha256(states_path))):
                 return None
             stamps = saved["timestamps_us"]
-            terms = Terms(*row_pairs(stamps, saved["terms_frame"]), saved["terms_pipe_ids"],
+            terms = Terms(saved["terms_pairs"], saved["terms_pair_index"],
+                          tuple(saved["terms_pipes"].tolist()), saved["terms_pipe_index"],
                           saved["terms_numbers"], saved["terms_relevant"])
             history = None
             if states_path is not None:
@@ -866,13 +863,15 @@ class Terms:
     (pairs chronologically, pipes by id within a pair when scan wrote them).
 
     pair_index points into pairs, the distinct analysis pairs, whose t0 and
-    t1 are instants as a History holds them; numbers holds the number
-    columns of TERMS_COLUMNS in file units, as terms.csv and history.npz do.
+    t1 are instants as a History holds them, pipe_index into pipes, sorted
+    ids that may hold pipes no row names; numbers holds the number columns
+    of TERMS_COLUMNS in file units, as terms.csv and history.npz do.
     """
 
     pairs: np.ndarray                 # [pairs x 2] int64
     pair_index: np.ndarray            # int
-    pipe_ids: np.ndarray              # str
+    pipes: tuple[str, ...]
+    pipe_index: np.ndarray            # int
     numbers: np.ndarray               # [7 x points] float
     relevant: np.ndarray              # bool
 
@@ -996,7 +995,7 @@ def write_terms(terms: Terms, path: str) -> str:
     A chunk of rows at a time, the cells, none of which but pipe ids need
     quoting, are laid out left-aligned in a [bytes x rows] matrix, and the
     bytes that belong are kept, row by row.  The text cells, pair stamps,
-    pipe ids and relevant flags, are spelled once for all chunks.
+    the pipe ids rows name and relevant flags, are spelled once for all chunks.
     """
     import hashlib  # imported late, as in file_sha256
     sha = hashlib.sha256()
@@ -1006,13 +1005,13 @@ def write_terms(terms: Terms, path: str) -> str:
         header = (",".join(TERMS_COLUMNS) + "\r\n").encode(encoding)
         handle.write(header)
         sha.update(header)
-        ids, id_at = np.unique(terms.pipe_ids, return_inverse=True)
+        used, id_at = np.unique(terms.pipe_index, return_inverse=True)
         # each text column's cells and masks, and per row the column it takes
         texts = [
             (_text_cells([(",".join(format_timestamp(instant(us)) for us in pair) + ",")
                           .encode(encoding) for pair in terms.pairs.tolist()]), terms.pair_index),
-            (_text_cells([(_csv_cell(pipe_id) + ",").encode(encoding)
-                          for pipe_id in ids.tolist()]), id_at),
+            (_text_cells([(_csv_cell(terms.pipes[k]) + ",").encode(encoding)
+                          for k in used.tolist()]), id_at),
             # csv.writer ends rows with \r\n
             (_text_cells([b"0\r\n", b"1\r\n"]), terms.relevant.astype(np.intp))]
         for start in range(0, len(terms.relevant), _TERMS_CHUNK):
@@ -1105,8 +1104,9 @@ def _parse_terms(path: str, history: History | None, pipes: set) -> tuple[Terms,
         pair_index.append(k)
         pipe_ids.append(row[2])
         relevant.append(row[10] == "1")
+    named, pipe_index = np.unique(np.array(pipe_ids, dtype=str), return_inverse=True)
     terms = Terms(np.array(list(by_pair), dtype=np.int64).reshape(-1, 2),
-                  np.array(pair_index, dtype=int), np.array(pipe_ids, dtype=str),
+                  np.array(pair_index, dtype=int), tuple(named.tolist()), pipe_index,
                   np.array(numbers, dtype=float).reshape(len(numbers), 7).T,
                   np.array(relevant, dtype=bool))
     return terms, lines

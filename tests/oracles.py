@@ -664,12 +664,13 @@ def write_terms_rows(terms: Terms, path: str) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TERMS_COLUMNS)
-        for i, (k, pipe_id, flag) in enumerate(zip(terms.pair_index.tolist(),
-                                                   terms.pipe_ids.tolist(),
-                                                   terms.relevant.tolist())):
+        for i, (k, pipe, flag) in enumerate(zip(terms.pair_index.tolist(),
+                                                terms.pipe_index.tolist(),
+                                                terms.relevant.tolist())):
             t0, t1 = terms.pairs[k].tolist()
             writer.writerow([format_timestamp(instant(t0)), format_timestamp(instant(t1)),
-                             pipe_id, *(repr(value) for value in terms.numbers[:, i].tolist()),
+                             terms.pipes[pipe],
+                             *(repr(value) for value in terms.numbers[:, i].tolist()),
                              "1" if flag else "0"])
 
 

@@ -422,6 +422,32 @@ class TestHistorySidecar:
         assert outputs["present"]["hexbin.csv"] == (pipeline["out"] / "hexbin.csv").read_bytes()
         assert parsed == [str(states), str(terms)] + [str(states), str(terms), str(terms)] * 2
 
+    def test_sidecar_of_the_old_form_parsed_again(self, pipeline, scanned):
+        """A history.npz that holds each terms row's first frame and pipe id,
+        terms_frame and terms_pipe_ids, as scan once saved them, is not
+        loaded: components and report parse the CSV files and write the
+        same outputs and lines."""
+        root, parsed = scanned
+        sidecar, outputs = root / "history.npz", {}
+        for case in ("present", "old form"):
+            if case == "old form":
+                with np.load(sidecar) as saved:
+                    members = dict(saved)
+                pairs, pair_index, pipes, pipe_index = (members.pop(f"terms_{name}") for name in (
+                    "pairs", "pair_index", "pipes", "pipe_index"))
+                np.savez(sidecar, **members, terms_pipe_ids=pipes[pipe_index],
+                         terms_frame=members["timestamps_us"].searchsorted(pairs[:, 0])[pair_index])
+            out = root / case
+            printed = [self.run_components(root, root / "topology.csv", out),
+                       self.run_report(root, out, out)]
+            assert all(code == 0 for code, _, _ in printed), printed
+            files = ("components.csv", "components_pipes.csv", "sweep.csv", "hexbin.csv")
+            outputs[case] = ([stdout for _, stdout, _ in printed],
+                             {name: (out / name).read_bytes() for name in files})
+        assert outputs["old form"] == outputs["present"]
+        terms = str(root / "terms.csv")
+        assert parsed == [str(root / "states.csv"), terms, terms]
+
     def test_edited_terms_parsed_again(self, pipeline, scanned):
         root, parsed = scanned
         terms = root / "terms.csv"

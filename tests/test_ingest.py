@@ -395,6 +395,12 @@ def make_pairs(count: int) -> np.ndarray:
     return np.stack([stamps[:-1], stamps[1:]], axis=1)
 
 
+def row_pipes(pipe_ids) -> tuple[tuple[str, ...], np.ndarray]:
+    """Terms.pipes and pipe_index of rows that name pipe_ids, in order."""
+    pipes, pipe_index = np.unique(np.array(pipe_ids, dtype=str), return_inverse=True)
+    return tuple(pipes.tolist()), pipe_index
+
+
 def make_terms(pair_index=(0, 1), relevant=(True, False)):
     """Terms of points p0, p1, ... over the pairs that pair_index gives."""
     n = len(pair_index)
@@ -402,7 +408,7 @@ def make_terms(pair_index=(0, 1), relevant=(True, False)):
     beta = 3.7 * alpha
     dflow = 7.3 * (np.array(pair_index) + 1)
     return Terms(make_pairs(2), np.array(pair_index, dtype=int),
-                 np.array([f"p{i}" for i in range(n)]),
+                 *row_pipes([f"p{i}" for i in range(n)]),
                  np.array([np.full(n, 100.0), 100.0 + dflow, dflow, alpha, beta,
                            alpha / 1.2345, term_ratio(alpha, beta)]),
                  np.array(relevant, dtype=bool))
@@ -410,12 +416,15 @@ def make_terms(pair_index=(0, 1), relevant=(True, False)):
 
 def assert_terms_equal(a, b):
     """a and b hold the same terms: pairs and pair indices as int64,
-    numbers bit for bit."""
+    numbers bit for bit, and each row's pipe id, from sorted pipes."""
     for name in ("pairs", "pair_index"):
         assert getattr(a, name).dtype == getattr(b, name).dtype == np.int64, name
         assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
     assert a.numbers.view(np.uint64).tolist() == b.numbers.view(np.uint64).tolist()
-    assert a.pipe_ids.tolist() == b.pipe_ids.tolist()
+    for t in (a, b):
+        assert t.pipe_index.dtype == np.int64
+        assert list(t.pipes) == sorted(set(t.pipes))
+    assert np.array(a.pipes)[a.pipe_index].tolist() == np.array(b.pipes)[b.pipe_index].tolist()
     assert a.relevant.dtype == b.relevant.dtype == bool
     assert a.relevant.tolist() == b.relevant.tolist()
 
@@ -428,7 +437,7 @@ class TestTerms:
         assert_terms_equal(read_terms(str(path)), terms)
 
     def test_infinite_ratio_survives(self, tmp_path):
-        terms = Terms(make_pairs(1), np.array([0, 0]), np.array(["p", "q"]),
+        terms = Terms(make_pairs(1), np.array([0, 0]), *row_pipes(["p", "q"]),
                       np.array([[0.0, 1.0], [1.0, -2.5], [1.0, -3.5], [5.0, 0.0], [0.0, 0.0],
                                 [5e-4, 0.0], [math.inf, 0.0]]),
                       np.array([True, False]))
@@ -571,9 +580,10 @@ class TestTerms:
 
     def test_quoted_pipe_ids_written_as_csv_writer_would(self, tmp_path):
         pipe_ids = ["a,b", 'say "x"', "plain", "", "two\nlines"]
+        pipes, pipe_index = row_pipes(pipe_ids)
         terms = dataclasses.replace(make_terms(pair_index=(0, 1, 0, 1, 0),
                                                relevant=(True, False, True, False, True)),
-                                    pipe_ids=np.array(pipe_ids))
+                                    pipes=pipes, pipe_index=pipe_index)
         path = tmp_path / "terms.csv"
         write_terms(terms, str(path))
         expected = tmp_path / "expected.csv"
@@ -585,6 +595,32 @@ class TestTerms:
         assert path.read_bytes() == expected.read_bytes()
         assert b'"a,b"' in path.read_bytes() and b'"say ""x"""' in path.read_bytes()
         assert_terms_equal(read_terms(str(path)), terms)
+
+    def test_pipes_no_row_names(self, tmp_path):
+        """Terms whose pipes are every pipe of a topology, the odd ids among
+        them, of which the rows name a few, as scan's are: the terms file
+        and the sidecar give the same rows, and a topology without a pipe
+        a row names is refused at the row."""
+        topology = tuple(sorted(ODD_PIPE_IDS + [f"p{k}" for k in range(10)]))
+        named = ["a,b", "管道-7", "two\nlines", "p3"]
+        terms = dataclasses.replace(
+            make_terms(pair_index=(0,) * 4 + (1,) * 4, relevant=(True, False) * 4),
+            pipes=topology, pipe_index=np.array([topology.index(p) for p in named + named[::-1]]))
+        path = str(tmp_path / "terms.csv")
+        digest = write_terms(terms, path)
+        history = History(ingest.microseconds(stamp(k) for k in range(3)), (), (), (), topology,
+                          *(np.empty((3, 0)) for _ in range(3)), np.full((3, len(topology)), 0.85))
+        for back in (read_terms(path), read_terms(path, history, topology)):
+            assert_terms_equal(back, terms)
+            assert back.pipes == tuple(sorted(named))
+        save_history(history, terms, path, digest, "", "", 0)
+        loaded, _ = load_saved(path)
+        assert (loaded.pipes, loaded.pipe_index.tolist()) == (topology, terms.pipe_index.tolist())
+        assert_terms_equal(loaded, terms)
+        without = tuple(p for p in topology if p != "管道-7")
+        with pytest.raises(ParseError) as info:
+            read_terms(path, history, without)
+        assert str(info.value) == f"{path}:3: '管道-7' is not a pipe of the topology"
 
     def test_header_pinned(self):
         assert TERMS_COLUMNS == ["t0", "t1", "pipe_id", "flow_t0_kNm3h",
@@ -612,9 +648,9 @@ def terms_of_any_numbers(draw):
     return Terms(make_pairs(pairs),
                  np.array(draw(st.lists(st.integers(0, pairs - 1), min_size=n, max_size=n)),
                           dtype=int),
-                 np.array(draw(st.lists(st.one_of(st.sampled_from(ODD_PIPE_IDS),
-                                                  st.text(max_size=6)),
-                                        min_size=n, max_size=n)), dtype=str),
+                 *row_pipes(draw(st.lists(st.one_of(st.sampled_from(ODD_PIPE_IDS),
+                                                    st.text(max_size=6)),
+                                          min_size=n, max_size=n))),
                  np.array([draw(column) for _ in range(7)], dtype=float).reshape(7, n),
                  np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool))
 
@@ -647,21 +683,21 @@ class TestTermsWriter:
     def test_edge_numbers_in_every_column(self, tmp_path):
         n = len(EDGE_FLOATS)
         values = np.array(EDGE_FLOATS)
-        terms = Terms(make_pairs(1), np.zeros(n, dtype=int), np.array((ODD_PIPE_IDS * n)[:n]),
+        terms = Terms(make_pairs(1), np.zeros(n, dtype=int), *row_pipes((ODD_PIPE_IDS * n)[:n]),
                       np.array([values, values[::-1], values, np.roll(values, 1), values,
                                 np.roll(values, 2), np.roll(values, 3)]),
                       np.arange(n) % 2 == 0)
         assert_written_as_oracle(terms, str(tmp_path))
 
     def test_many_chunks(self, tmp_path):
-        # rows past several chunks, with numbers of any bit pattern
+        # rows past several chunks, with numbers of any bit pattern, over
+        # pipes of which the rows name only the first half
         n = 3 * ingest._TERMS_CHUNK + 77
         rng = np.random.default_rng(7)
         numbers = rng.integers(0, 2 ** 64, size=(7, n), dtype=np.uint64).view(np.float64)
         terms = Terms(make_pairs(40), np.sort(rng.integers(0, 40, size=n)),
-                      np.array(ODD_PIPE_IDS + [f"p{k}" for k in range(300)])[
-                          rng.integers(0, 308, size=n)],
-                      numbers, rng.random(n) < 0.5)
+                      tuple(sorted(ODD_PIPE_IDS + [f"p{k}" for k in range(300)])),
+                      rng.integers(0, 308, size=n) // 2, numbers, rng.random(n) < 0.5)
         assert_written_as_oracle(terms, str(tmp_path))
 
 
@@ -875,7 +911,7 @@ class TestSidecar:
         network = parse_topology(topology, topology_sha256)
         history = parse_states(states, network)
         terms = dataclasses.replace(make_terms(pair_index=(0,), relevant=(True,)),
-                                    pairs=make_pairs(1), pipe_ids=np.array(["p1"]))
+                                    pairs=make_pairs(1), pipes=("p1",), pipe_index=np.array([0]))
         save_history(narrow_history([history], network), terms, terms_path,
                      write_terms(terms, terms_path),
                      file_sha256(states), topology_sha256.hexdigest(), os.path.getsize(states))
@@ -898,7 +934,7 @@ class TestSidecar:
         # the states unchanged, but another topology
         assert load_saved(terms_path, None, states, file_sha256(states)) is None
         assert parsed == []
-        assert terms.pipe_ids.tolist() == ["p1"]
+        assert (terms.pipes, terms.pipe_index.tolist()) == (("p1",), [0])
 
     def test_saved_keys(self, tmp_path):
         self.save(tmp_path)
@@ -906,7 +942,8 @@ class TestSidecar:
             assert sorted(saved.files) == sorted([
                 "states_sha256", "topology_sha256", "terms_sha256", "states_size", "terms_size",
                 "timestamps_us", "valve_ids", "valve_open", "node_ids", "pressure_pa",
-                "terms_frame", "terms_pipe_ids", "terms_numbers", "terms_relevant"])
+                "terms_pairs", "terms_pair_index", "terms_pipes", "terms_pipe_index",
+                "terms_numbers", "terms_relevant"])
             # one pressure column per resistor end, one row per frame
             assert saved["node_ids"].tolist() == ["n2", "n3"]
             assert saved["pressure_pa"].shape == (2, 2)
