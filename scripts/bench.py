@@ -48,13 +48,17 @@ spells them: the reader's Clinger path declines them all.
 tiers.M_repr is tier M parsed
 and written again by the checkout's serialize_states: values spelled by
 repr (the few that reach 16 or 17 characters leave Clinger's path for
-Eisel-Lemire's) and \r\n line ends.  On tiers M, M_6000, M_meshed and
-M_meshed_2000, `gasinertia components` then runs three times with scan's
-history.npz (a sidecar hit) and three times with it deleted (a miss,
-which reads states.csv again), each in a fresh child: the median
-processor seconds, the largest peak RSS and the components.csv sha256
-go under components.hit and components.miss, and the tier fails unless
-all six digests are the same.  `gasinertia persistence` then runs once
+Eisel-Lemire's) and \r\n line ends.  tiers.W is the paper's width:
+quiet-history's spec on a 55x56 grid (6,083 pipes, 15,316 rows and about
+785 KB a frame, so that a frame spans about three windows of the reader)
+at 200 frames and 20 events (about 157 MB), with scan children only.  On
+tiers M, M_6000, M_meshed and M_meshed_2000, `gasinertia components` then
+runs three times with scan's history.npz (a sidecar hit) and three times
+with it deleted (a miss, which reads states.csv again), each in a fresh
+child: the median processor seconds, the largest peak RSS and the
+components.csv sha256 go under components.hit and components.miss, and
+the tier fails unless all six digests are the same.  `gasinertia
+persistence` then runs once
 on a sidecar hit's outputs: the sha256 of chains.csv and events.csv and
 the chains and events it counts go under persistence.  `gasinertia
 report` runs once on the same outputs, with the tier's terms.csv and the
@@ -406,6 +410,7 @@ def main() -> int:
                               frames=3000, events=300),
         "M_long": dict(workload="QUIET_HISTORY", long_values=True, frames=3000, events=300),
         "M_repr": dict(workload="QUIET_HISTORY", repr_values=True, frames=3000, events=300),
+        "W": dict(workload="QUIET_HISTORY", rows=55, cols=56, frames=200, events=20),
         "S": dict(scenario=checkout / "scenarios" / "funnel50.scn"),
         "S_noisy": dict(scenario=checkout / "scenarios" / "funnel50.scn", noise=0.002)}
     bench["tiers"] = {}

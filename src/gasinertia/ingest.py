@@ -5,20 +5,20 @@ saves its terms and the few history columns components reads.
 This module is the only one that knows how a file is framed: `read_table`
 and `write_table` handle every CSV file of the pipeline, `read_settings`
 every key = value file, but for the largest: states.csv is read once, in
-byte windows, with numpy byte operations and fast paths for decimals of
-up to 19 digits where a window's frames repeat the bytes of one sequence
-of (entity, quantity) rows and row by row, framed as read_table frames
-rows, where not; and the states and terms writers join rows of cells
-quoted once, in the bytes csv.writer writes.  states_blocks hands the
-history on one block of the frames each window completes, so that a
-reader that keeps little of each block, as narrow_history does for scan
-and components, needs memory for one window; parse_states joins them.
-File units are bar and 1000 Nm^3/h; a history is converted to SI exactly
-once here, and terms stay in file units, as both files that carry them do.
-Serializers write floats as repr spells them, so a parse/serialize cycle
-is a fixed point; the terms writer spells most of them itself, a column at
-a time (_repr_cells).  Parse errors, and bytes the encoding cannot decode,
-carry file and line context.
+byte windows, each into one buffer where its bytes are framed once, with
+numpy byte operations and fast paths for decimals of up to 19 digits where a
+window's frames repeat the bytes of one sequence of (entity, quantity) rows
+and row by row, framed as read_table frames rows, where not; and the states
+and terms writers join rows of cells quoted once, in the bytes csv.writer
+writes.  states_blocks hands the history on one block of the frames each
+window completes, so that a reader that keeps little of each block, as
+narrow_history does for scan and components, needs memory for a window, or
+the frame it carries; parse_states joins them.  File units are bar and
+1000 Nm^3/h; a history is converted to SI exactly once here, and terms stay
+in file units, as both files that carry them do.  Serializers write floats
+as repr spells them, so a parse/serialize cycle is a fixed point; the terms
+writer spells most of them itself, a column at a time (_repr_cells).  Parse
+errors, and bytes the encoding cannot decode, carry file and line context.
 """
 
 from __future__ import annotations
@@ -338,14 +338,15 @@ _WINDOW = 1 << 18
 
 
 class _Carry(NamedTuple):
-    """What a window of states.csv leaves to the next: the bytes of its rows
-    from line on (1 is the header) that the next window may go on with, and
-    the template of the windows read as frames since the row loop last ran
-    (_window_step)."""
+    """What a window of states.csv leaves to the next: how many of its last
+    bytes, its rows from line on (1 is the header), the next goes on with,
+    where their newlines stand at the buffer's front if the template reader
+    framed them, and the template since the row loop ran (_window_step)."""
 
-    text: bytes = b""
+    held: int = 0
     line: int = 1
     template: tuple | None = None
+    ends: np.ndarray = np.empty(0, np.intp)
 
 
 # per quantity, in the order of history_columns, what the row loop says of
@@ -377,20 +378,27 @@ def states_blocks(path: str, network: Network, sha=None) -> Iterator[History]:
             sha.update(header)
         # the row loop reads a header in other bytes than csv.writer's
         head = ",".join(STATES_COLUMNS).encode()
-        carry = _Carry(line=2) if header in (head + b"\n", head + b"\r\n") else _Carry(header)
-        pending, final = b"", False
+        carry = _Carry(line=2) if header in (head + b"\n", head + b"\r\n") else _Carry(len(header))
+        # windows are read into one buffer, after the bytes the last one left,
+        # which move to _CELL; a window ends at its last newline, its cut
+        buffer, final = bytearray(_CELL) + header, False
+        cut = filled = len(buffer)
         while not final:
-            read = handle.read(_WINDOW)
-            if sha is not None:
-                sha.update(read)
-            # a short read ends the file
-            final = len(read) < _WINDOW
-            data = pending + read
-            # the last line of the file need not end with a newline
-            cut = len(data) if final else data.rfind(b"\n") + 1
-            data, pending = data[:cut], data[cut:]
-            block, carry = (_window_step(data, carry, final, columns, places)
-                            or _row_step(path, columns, places, data, carry, final))
+            kept = carry.held + filled - cut
+            memoryview(buffer)[_CELL:_CELL + kept] = memoryview(buffer)[filled - kept:filled]
+            # grown to hold a window and the template's words after it (_window_step),
+            # as no view of it outlives a window
+            pad = 8 * carry.template[0].shape[1] if carry.template is not None else 0
+            buffer += bytes(max(_CELL + kept + _WINDOW + pad - len(buffer), 0))
+            with memoryview(buffer)[_CELL + kept:_CELL + kept + _WINDOW] as read:
+                size = handle.readinto(read)
+                if sha is not None:
+                    sha.update(read[:size])
+            # a short read ends the file, whose last line need not end with a newline
+            final, filled = size < _WINDOW, _CELL + kept + size
+            cut = filled if final else buffer.rfind(b"\n", _CELL, filled) + 1 or _CELL
+            block, carry = (_window_step(buffer, cut, carry, final, places, columns)
+                            or _row_step(path, columns, places, buffer[_CELL:cut], carry, final))
             if len(block):
                 yield block
 
@@ -418,16 +426,15 @@ def join_histories(blocks: list[History], columns: tuple[tuple[str, ...], ...]) 
     return History(stamps, *columns, *arrays)
 
 
-def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict, data: bytes,
-              carry: _Carry, final: bool) -> tuple[History, _Carry]:
-    """The frames that the carried rows and then data complete, read row by
-    row with read_table's framing and parse_states' checks and messages,
-    places giving the place of an (entity, quantity) in a frame's row, and
-    the carry for the next window, which, unless final, gets the last row
-    and the frame it may belong to."""
+def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict,
+              window: bytearray, carry: _Carry, final: bool) -> tuple[History, _Carry]:
+    """The frames that window, the carried rows and then those read,
+    completes, read row by row with read_table's framing and parse_states'
+    checks and messages, places giving the place of an (entity, quantity)
+    in a frame's row, and the carry for the next window, which, unless
+    final, gets the last row and the frame it may belong to."""
     # places below the first valve's hold pressures, from the first pipe's on densities
     nodes, pipes = len(columns[0]), sum(map(len, columns[:3]))
-    window = carry.text + data
     lines = list(io.StringIO(window.decode(_ENCODING, "surrogateescape"), newline=""))
     stamps: list[int] = []
     # a row per frame, which keeps the last of repeated values
@@ -474,7 +481,7 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict, dat
     # with no frame begun, the next window reads this one's rows again
     at, line = opened if rows else (0, carry.line)
     return (_history(stamps[:-1], rows[:-1], columns),
-            _Carry("".join(lines[at:]).encode(_ENCODING), line))
+            _Carry(len("".join(lines[at:]).encode(_ENCODING)), line))
 
 
 def _history(stamps: list[int] | np.ndarray, rows: list[list[float]] | np.ndarray,
@@ -502,9 +509,8 @@ _INSIDE = (_PLACES < np.arange(_DIGITS + 2)[:, None]).view(f"V{_DIGITS + 1}").ra
 
 
 def _gather(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
-    """The width bytes of buf from each of at, one row each, gathered as voids."""
-    return (np.ndarray((buf.size - width + 1,), f"V{width}", buf, 0, (1,))[at]
-            .view(buf.dtype).reshape(-1, width))
+    """The width bytes of buf from each of at, gathered as one void each."""
+    return np.ndarray((buf.size - width + 1,), f"V{width}", buf, 0, (1,))[at]
 
 
 def _join_digits(words: np.ndarray) -> np.ndarray:
@@ -519,7 +525,7 @@ def _decimals(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.n
     takes a fast path, Clinger's or the Eisel-Lemire method, and the mask
     of those that do; raw holds _CELL bytes before each end."""
     length = end - start
-    cells = _gather(raw, end - _DIGITS - 1, _DIGITS + 1)
+    cells = _gather(raw, end - _DIGITS - 1, _DIGITS + 1).view(np.uint8).reshape(-1, _DIGITS + 1)
     inside = _INSIDE[np.minimum(length, _DIGITS + 1)].view(bool).reshape(cells.shape)
     digits = cells - np.uint8(48)
     digit, point = (digits < 10) & inside, (cells == 46) & inside
@@ -602,37 +608,40 @@ def _product(high: np.ndarray, low: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
     return b1, low << 32 | lows
 
 
-def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[str, ...], ...],
-                 places: dict) -> tuple[History, _Carry] | None:
-    """The frames that the carried rows and data complete, checked as arrays,
-    places giving the place of an (entity, quantity) in a frame's row, and
-    the carry for the next window; None for a window that only the row loop
-    can read.  Each frame repeats the template, the bytes from the first
-    comma to the last of each row of the first whole frame, and each row
-    its frame's first timestamp bytes; a \\r stands only before a \\n, and
-    a value, read as float() reads it, holds no comma.
+def _window_step(buf: bytearray, cut: int, carry: _Carry, final: bool, places: dict,
+                 columns: tuple[tuple[str, ...], ...]) -> tuple[History, _Carry] | None:
+    """The frames that the window buf[_CELL:cut], the carried rows and then
+    those read, completes, checked as arrays where they are, places giving the
+    place of an (entity, quantity) in a frame's row, and the carry for the
+    next window; None for a window that only the row loop can read.  Each
+    frame repeats the template, the bytes from the first comma to the last of
+    each row of the first whole frame, and each row its frame's first
+    timestamp bytes; a \\r stands only before a \\n, and a value, read as
+    float() reads it, holds no comma.
     """
     if carry.line == 1:
         return None
-    text = carry.text + data
-    if text and not text.endswith(b"\n"):
-        text += b"\n"
-    raw = np.frombuffer(text, np.uint8)
-    ends = np.flatnonzero(raw == 10)
-    starts = np.concatenate([[0], ends[:-1] + 1])[:len(ends)]
+    raw = np.frombuffer(buf, np.uint8)
+    if final and cut > _CELL and raw[cut - 1] != 10:
+        buf[cut], cut = 10, cut + 1
+    # the newlines the carry knows and those after them: each byte is framed once
+    known = carry.ends[-1] + 1 if len(carry.ends) else _CELL
+    ends = np.concatenate([carry.ends, np.flatnonzero(raw[known:cut] == 10) + known])
+    starts = np.concatenate([[_CELL], ends[:-1] + 1])[:len(ends)]
     returns = raw[ends - 1] == 13
-    if np.count_nonzero(raw == 13) != np.count_nonzero(returns):
+    if buf.find(b"\r", known, cut) >= 0 and (np.count_nonzero(raw[known:cut] == 13)
+                                             != np.count_nonzero(returns[len(carry.ends):])):
         return None
-    if not len(ends):
-        return _history([], [], columns), carry._replace(text=text)
     template = carry.template
     if template is None:
         # the first frame, the rows that begin with the first row's timestamp,
-        # or all rows, which the next window reads again unless final
-        head = text[:text.find(b",") + 1]
+        # or all rows, which the next window goes on with unless final, or none
+        head = bytes(buf[_CELL:buf.find(b",", _CELL, cut) + 1])
         size = next((r for r, start in enumerate(starts.tolist())
-                     if not text.startswith(head, start)), len(ends))
-        middles = [text[text.find(b",", a, b):text.rfind(b",", a, b) + 1]
+                     if not buf.startswith(head, start, cut)), len(ends))
+        if size == len(ends) and not final or not size:
+            return _history([], [], columns), carry._replace(held=cut - _CELL, ends=ends)
+        middles = [bytes(buf[buf.find(b",", a, b):buf.rfind(b",", a, b) + 1])
                    for a, b in zip(starts[:size].tolist(), ends[:size].tolist())]
         # a quote the cells leave open swallows the 0
         cells = list(csv.reader(middle[1:].decode(_ENCODING, "surrogateescape") + "0"
@@ -652,36 +661,41 @@ def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[s
                     (np.uint8(255) * (np.arange(width) < widths[:, None])).view(np.uint64),
                     widths, np.array(row_place), *np.array([*source.items()]).T)
     names, mask, widths, row_place, given, source = template
-    size = len(widths)
+    size, words = len(widths), mask.shape[1]
     # unless final, the row after the last frame must be known
-    end = (len(ends) - (not final)) // size * size
+    end = max(len(ends) - (not final), 0) // size * size
     if final and end != len(ends):
         return None
     if not end:
-        return _history([], [], columns), carry._replace(text=text)
+        return _history([], [], columns), carry._replace(held=cut - _CELL, ends=ends)
     stop = ends[end - 1] + 1
     # each frame's timestamp and, unless final, that of the row after the
     # last, which every other row of the frame begins with
-    heads = [text[a:b].partition(b",")[0] for a, b in zip(starts[:end + 1:size].tolist(),
-                                                           ends[:end + 1:size].tolist())]
-    if any(text.count(b"\n" + head + b",", a, b) != size - 1 for head, a, b in zip(
+    heads = [buf[a:b].partition(b",")[0] for a, b in zip(starts[:end + 1:size].tolist(),
+                                                          ends[:end + 1:size].tolist())]
+    span = len(heads[0])
+    same = all(len(head) == span for head in heads[:end // size])
+    if cut + max(words * 8, span) > raw.size:  # more than the room after the cut: a copy
+        raw = np.concatenate([raw[:cut], np.zeros(max(words * 8, span), np.uint8)])
+    # each row must begin with its frame's head, so its names lie before the cut;
+    # heads of one length are compared with the next row's at once
+    if same:
+        rows = _gather(raw, starts[:end], span).view(np.uint8).reshape(end // size, size * span)
+        if not (rows[:, span:] == rows[:, :(size - 1) * span]).all():
+            return None
+    elif any(buf.count(b"\n" + head + b",", a, b) != size - 1 for head, a, b in zip(
             heads, ends[:end:size].tolist(), ends[size - 1:end:size].tolist())):
         return None
-    first = starts[:end] + np.repeat([*map(len, heads[:end // size])], size)
-    # a copy with room for _CELL bytes before each row's end, and for its
-    # template's words after its first comma
-    padded = np.concatenate([np.zeros(_CELL, np.uint8), raw[:stop],
-                             np.zeros_like(mask[0]).view(np.uint8)])
-    words = mask.shape[1]
-    if not ((_gather(padded, first + _CELL, words * 8).view(np.uint64)
+    first = starts[:end] + (span if same else np.repeat([*map(len, heads[:end // size])], size))
+    if not ((_gather(raw, first, words * 8).view(np.uint64)
              .reshape(-1, size, words) & mask) == names).all():
         return None
-    value = first + np.tile(widths, end // size)
+    value = (first.reshape(-1, size) + widths).ravel()
     tail = ends[:end] - returns[:end]
-    values, fast = _decimals(padded, value + _CELL, tail + _CELL)
+    values, fast = _decimals(raw, value, tail)
     slow = np.flatnonzero(~fast)
     try:
-        values[slow] = [float(text[a:b]) for a, b in zip(value[slow].tolist(), tail[slow].tolist())]
+        values[slow] = [float(buf[a:b]) for a, b in zip(value[slow].tolist(), tail[slow].tolist())]
         stamps = microseconds(parse_timestamp(head.decode(_ENCODING, "surrogateescape"))
                               for head in heads)
     except (ValueError, ParseError):
@@ -697,7 +711,7 @@ def _window_step(data: bytes, carry: _Carry, final: bool, columns: tuple[tuple[s
     frames = np.full((len(values), len(places)), math.nan)
     frames[:, given] = values[:, source]
     return _history(stamps[:len(values)], frames, columns), carry._replace(
-        text=text[stop:], line=carry.line + end, template=template)
+        held=cut - stop, line=carry.line + end, template=template, ends=ends[end:] - stop + _CELL)
 
 
 def serialize_states(history: History, path: str) -> None:
@@ -733,9 +747,10 @@ def file_sha256(path: str) -> str:
 
     sha = hashlib.sha256()
     with open(path, "rb") as handle:
-        # one buffer, read into again and again, no larger than the file,
-        # as zeroing it costs a small file more than hashing
-        buffer = bytearray(min(os.fstat(handle.fileno()).st_size, 1 << 20) or 1)
+        # one buffer, read into again and again, no larger than a regular file,
+        # as zeroing it costs a small file more than hashing; a pipe has no size
+        size = os.fstat(handle.fileno()).st_size if os.path.isfile(path) else 1 << 20
+        buffer = bytearray(min(size, 1 << 20) or 1)
         view = memoryview(buffer)
         while size := handle.readinto(buffer):
             sha.update(view[:size])

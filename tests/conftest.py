@@ -3,6 +3,8 @@
 import contextlib
 from datetime import datetime, timedelta, timezone
 import io
+import os
+import threading
 
 import pytest
 
@@ -48,6 +50,21 @@ tau_s = 180
 event = n3 3 -300
 event = n3 4 -10
 """
+
+
+def feed_fifo(path, data: bytes, chunk: int = 37) -> threading.Thread:
+    """A FIFO made at path and a started thread that writes data into it,
+    chunk bytes a write, so that a reader gets short reads from the pipe."""
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb", buffering=0) as pipe:
+            for start in range(0, len(data), chunk):
+                pipe.write(data[start:start + chunk])
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    return feeder
 
 
 def run_cli(argv):

@@ -25,7 +25,7 @@ from gasinertia.components import DirectedArc, NetworkIndex
 from gasinertia.model import BAR, KNM3H, GasParams, StateFrame
 from gasinertia.physics import TermRecord
 
-from conftest import run_cli, stamp
+from conftest import feed_fifo, run_cli, stamp
 from gasinertia.ingest import format_timestamp
 from oracles import classify_scan_points, friction_beta, inertia_alpha
 
@@ -580,6 +580,29 @@ class TestHistorySidecar:
         assert [mode for name, mode in opened if name == "states.csv"] == ["rb"]
         with np.load(tmp_path / "history.npz") as saved:
             assert str(saved["states_sha256"]) == ingest.file_sha256(str(states))
+
+    def test_scan_reads_states_through_a_pipe(self, pipeline, tmp_path, monkeypatch):
+        """scan's reader reads states.csv once, front to back, and never
+        seeks or stats it: from a FIFO fed in short writes, in windows of a
+        few rows, scan writes the terms and the sidecar a scan of the file
+        writes, but for the size of the states file, which a pipe gives as 0."""
+        data = pipeline["data"]
+        feeder = feed_fifo(tmp_path / "states.csv", (data / "states.csv").read_bytes())
+        monkeypatch.setattr(ingest, "_WINDOW", 256)
+        code, out, err = run_cli(["scan", "--topology", data / "topology.csv",
+                                  "--states", tmp_path / "states.csv", "--out", tmp_path / "out"])
+        feeder.join(10)
+        assert code == 0 and not feeder.is_alive(), err
+        assert out == pipeline["results"]["scan"][1]
+        piped, filed = tmp_path / "out", pipeline["out"]
+        assert (piped / "terms.csv").read_bytes() == (filed / "terms.csv").read_bytes()
+        with np.load(piped / "history.npz") as got, np.load(filed / "history.npz") as want:
+            assert got.files == want.files
+            for name in want.files:
+                expected = np.array(0) if name == "states_size" else want[name]
+                assert got[name].dtype == expected.dtype and got[name].shape == expected.shape
+                assert got[name].tobytes() == expected.tobytes(), name
+            assert int(want["states_size"]) == os.path.getsize(data / "states.csv")
 
     def test_scan_hashes_topology_as_it_parses_it(self, pipeline, tmp_path, monkeypatch):
         topology = pipeline["data"] / "topology.csv"

@@ -55,7 +55,7 @@ from gasinertia.model import (
 )
 from gasinertia.physics import term_ratio
 
-from conftest import BASE_TS, run_cli, stamp
+from conftest import BASE_TS, feed_fifo, run_cli, stamp
 from oracles import write_terms_rows
 
 TOPOLOGY_CSV = """element_id,kind,from_node,to_node,length_m,diameter_m,roughness_m,slope
@@ -947,6 +947,24 @@ class TestSidecar:
             # one pressure column per resistor end, one row per frame
             assert saved["node_ids"].tolist() == ["n2", "n3"]
             assert saved["pressure_pa"].shape == (2, 2)
+
+    @pytest.mark.parametrize("pipe, size, buffer", [(True, 3 << 19, 1 << 20),
+                                                    (False, 3 << 19, 1 << 20),
+                                                    (False, 1000, 1000)],
+                             ids=["pipe", "large file", "small file"])
+    def test_file_hashed_a_buffer_at_a_time(self, tmp_path, monkeypatch, pipe, size, buffer):
+        """file_sha256 reads a FIFO, whose size is 0, into a buffer of 1 MiB,
+        not a byte at a time, and a regular file into one no larger than it."""
+        data, path, sizes = np.random.default_rng(5).bytes(size), tmp_path / "states.csv", []
+        feeder = feed_fifo(path, data, chunk=1 << 12) if pipe else path.write_bytes(data)
+        monkeypatch.setattr(ingest, "bytearray", lambda n: sizes.append(n) or bytearray(n),
+                            raising=False)
+        digest = file_sha256(str(path))
+        if pipe:
+            feeder.join(10)
+            assert not feeder.is_alive()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert sizes == [buffer]
 
     def test_other_contents_not_loaded(self, tmp_path, parsed):
         states, topology, terms_path, history = self.save(tmp_path)
