@@ -74,10 +74,19 @@ the same states.csv.  tiers.S_noisy is the same scenario at noise 0.002,
 so that every frame needs a Newton solve: in tiers.S most frames are
 written without one.
 
+tiers.G16 is the longest path on a 16x16 grid in one large strongly
+connected part: three arc sets, at seeds 0, 1 and 2, drawn as
+tests/test_components.py's grids() draws them (each link one way or the
+other at a weight uniform in [0, 1e5), or a zero-weight pair both ways).
+Per seed, the node count of the largest part holding an arc of positive
+weight, and from a fresh child per seed the processor seconds of one
+longest_path_value call and the bits (float.hex) of its value and
+correction, go under tiers.G16.seeds.
+
 With --against DIR, a second checkout (the parent commit, say), every
 tier's inputs are written once, and its scan and components children
 alternate between DIR and the measured checkout, one child of each in
-turn (each case of components apart), so that a spell of load on a shared machine weighs on both sides
+turn (each case of components apart, each seed of G16), so that a spell of load on a shared machine weighs on both sides
 alike.  Each tier then records DIR's results, in the same form, under
 its "against" key, and the file records DIR's commit under "against".
 Tiers S and S_noisy read the measured checkout's scenario on both sides
@@ -99,6 +108,7 @@ import itertools
 import json
 import os
 import platform
+import random
 import re
 import statistics
 import subprocess
@@ -183,6 +193,75 @@ def generate(job: str) -> None:
         ingest.serialize_states(ingest.parse_states(states, network), states)
     print(json.dumps({"frames": tier.frames, "points": planted.total,
                       "states_rows": planted.states_rows}))
+
+
+def grid_arcs(size: int, seed: int) -> list[tuple[str, str, float, str]]:
+    """The arcs (from, to, weight, id) of a size x size grid: each link one
+    way or the other at a weight uniform in [0, 1e5), or a zero-weight pair
+    both ways, each with probability 1/3."""
+    rng, arcs = random.Random(seed), []
+    for i, j, (di, dj) in itertools.product(range(size), range(size), ((0, 1), (1, 0))):
+        if i + di < size and j + dj < size:
+            a, b = f"n{i}_{j}", f"n{i + di}_{j + dj}"
+            kind = rng.choice(("forward", "backward", "bridge"))
+            if kind == "bridge":
+                arcs += [(a, b, 0.0, "v"), (b, a, 0.0, "v")]
+            else:
+                u, v = (a, b) if kind == "forward" else (b, a)
+                arcs.append((u, v, rng.random() * 1e5, f"p{len(arcs)}"))
+    return arcs
+
+
+def largest_weighted_part(arcs: list[tuple[str, str, float, str]]) -> int:
+    """The node count of the largest strongly connected part that holds an
+    arc of positive weight, from the nodes each node reaches."""
+    successors: dict[str, set[str]] = {}
+    for u, v, *_ in arcs:
+        successors.setdefault(u, set()).add(v)
+    reach = {}
+    for node in {end for arc in arcs for end in arc[:2]}:
+        seen, todo = {node}, [node]
+        while todo:
+            for nxt in successors.get(todo.pop(), set()) - seen:
+                seen.add(nxt)
+                todo.append(nxt)
+        reach[node] = seen
+    return max((sum(u in reach[x] for x in reach[u])
+                for u, v, w, _ in arcs if w > 0.0 and u in reach[v]), default=0)
+
+
+def probe_grid(job: str) -> None:
+    """Time one longest_path_value call on grid_arcs(size, seed) of the job
+    (JSON), and print its processor seconds and the bits of its value and
+    correction as JSON."""
+    from gasinertia.components import DirectedArc, longest_path_value
+    job = json.loads(job)
+    arcs = [DirectedArc(*arc) for arc in grid_arcs(job["size"], job["seed"])]
+    start = time.process_time()
+    value, correction = longest_path_value(arcs)
+    cpu = time.process_time() - start
+    print(json.dumps({"cpu_s": cpu, "value_hex": value.hex(),
+                      "correction_hex": correction.hex()}))
+
+
+def run_grid_tier(sides: dict[str, Path], size: int, seeds: tuple[int, ...]
+                  ) -> dict[str, dict]:
+    """Per side, probe_grid's results for each seed, each from a child, the
+    sides' children alternating, with the input's largest weighted part."""
+    envs = child_envs(sides)
+    results = {name: {"size": size, "seeds": {}} for name in sides}
+    for seed in seeds:
+        part = largest_weighted_part(grid_arcs(size, seed))
+        for name in sides:
+            done = subprocess.run([sys.executable, "-c", "import sys, bench; bench.probe_grid("
+                                   "sys.argv[1])", json.dumps({"size": size, "seed": seed})],
+                                  cwd=Path(__file__).parent, env=envs[name],
+                                  capture_output=True, text=True)
+            if done.returncode != 0:
+                sys.exit(f"tier grid probe exited with {done.returncode}:\n{done.stderr}")
+            results[name]["seeds"][str(seed)] = {
+                "largest_weighted_part_nodes": part, **json.loads(done.stdout.splitlines()[-1])}
+    return results
 
 
 def run_stage(argv: list[str], env: dict) -> tuple[float, float, float]:
@@ -411,11 +490,13 @@ def main() -> int:
         "M_long": dict(workload="QUIET_HISTORY", long_values=True, frames=3000, events=300),
         "M_repr": dict(workload="QUIET_HISTORY", repr_values=True, frames=3000, events=300),
         "W": dict(workload="QUIET_HISTORY", rows=55, cols=56, frames=200, events=20),
+        "G16": dict(size=16, seeds=(0, 1, 2)),
         "S": dict(scenario=checkout / "scenarios" / "funnel50.scn"),
         "S_noisy": dict(scenario=checkout / "scenarios" / "funnel50.scn", noise=0.002)}
     bench["tiers"] = {}
     for name, tier in tiers.items():
         results = (run_synth_tier(sides, **tier) if "scenario" in tier
+                   else run_grid_tier(sides, **tier) if "seeds" in tier
                    else run_tier(sides, args.seed, **tier))
         bench["tiers"][name] = results["checkout"]
         if "against" in results:

@@ -191,62 +191,41 @@ def _longest_path(arcs: list[tuple]) -> tuple[float, float]:
     ends = [(index[u], index[v]) for u, v, _ in arcs]
     weights = [w for _, _, w in arcs]
     component = _strong_components(len(index), ends)
-    inside: dict[int, list[int]] = {}
+    # every arc inside a part lies on a cycle of that part
+    correction = 0.0
     for ai, (u, v) in enumerate(ends):
         if component[u] == component[v]:
-            inside.setdefault(component[u], []).append(ai)
-    weighted = [arc_ids for arc_ids in inside.values() if any(weights[ai] for ai in arc_ids)]
-
-    correction = 0.0
-    for arc_ids in weighted + [range(len(ends))]:
-        n = len({node for ai in arc_ids for node in ends[ai]})
-        while True:
-            # the round's arcs in arc order, with their weights as cancelled so far
-            rows = [(ai, *ends[ai], weights[ai]) for ai in arc_ids]
-            dist, parent_arc = [0.0] * len(index), [-1] * len(index)
-            for _ in range(n):
-                touched = -1
-                for ai, u, v, w in rows:
-                    cand = dist[u] + w
-                    if cand < dist[v]:
-                        dist[v] = cand
-                        parent_arc[v] = ai
-                        touched = v
-                if touched < 0:
-                    break
-            if touched < 0:
-                break
-            # walk n parents back to land inside the cycle, then extract it
-            node = touched
-            for _ in range(n):
-                node = ends[parent_arc[node]][0]
-            cycle_arcs = [parent_arc[node]]
-            while ends[cycle_arcs[-1]][0] != node:
-                cycle_arcs.append(parent_arc[ends[cycle_arcs[-1]][0]])
-            correction -= sum(weights[ai] for ai in cycle_arcs)
-            for ai in cycle_arcs:
-                weights[ai] = 0.0
+            correction -= weights[ai]
+            weights[ai] = 0.0
+    rows = list(zip(ends, weights))
+    dist = [0.0] * len(index)
+    for _ in range(len(index)):
+        relaxed = False
+        for (u, v), w in rows:
+            if (cand := dist[u] + w) < dist[v]:
+                dist[v] = cand
+                relaxed = True
+        if not relaxed:
+            break
     return -min(dist) + correction, correction
 
 
 def longest_path_value(arcs: list[DirectedArc]) -> tuple[float, float]:
     """Longest directed path weight over a non-negative multigraph.
 
-    Works on negated weights with Bellman-Ford from a virtual source
-    joined to every node, so all distances start at zero.  Cycles lie
-    inside strongly connected components, so cancellation rounds run over
-    the arcs inside each such component that carries weight; those whose
-    arcs all weigh zero hold only open valves and resistors and are
-    skipped.  A round that still relaxes after n passes (n the nodes of
-    its arcs) exposes a negative cycle through the parent arcs; its
-    absolute weight is added to a correction term, its arcs are zeroed,
-    and a new round starts.  A last round over all arcs converges: its
-    smallest distance is the shortest path from any source, and its
-    negation plus the correction is the value.  Exact on acyclic inputs;
-    with cycles the result overestimates, but only up to rounding: the
-    correction and the path are rounded apart, so it can read up to one
-    ulp per arc under the true longest simple path.  Nodes are numbered in
-    sorted id order and every pass relaxes the arcs in their given order.
+    Every arc inside a strongly connected part of the graph lies on a
+    cycle of that part, so each such arc is zeroed and its weight added to
+    a correction term, in the arcs' given order; parts whose arcs all weigh
+    zero hold only open valves and resistors and add nothing.  In exact
+    arithmetic this is what cancelling negative cycles until none is left
+    gives, and the correction counts every weighted part, whether a longest
+    path crosses it or not.  Bellman-Ford then relaxes all arcs, in their
+    given order, on negated weights from a virtual source joined to every
+    node, so all distances start at zero: the negated smallest distance
+    plus the correction is the value.  Exact on acyclic inputs; with cycles
+    the result overestimates, but only up to rounding: the correction and
+    the path are rounded apart, so it can read up to one ulp per arc under
+    the true longest simple path.  Nodes are numbered in sorted id order.
 
     Returns (value_pa, cycle_correction_pa).
     """

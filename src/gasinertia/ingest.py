@@ -433,7 +433,7 @@ def _row_step(path: str, columns: tuple[tuple[str, ...], ...], places: dict,
     checks and messages, places giving the place of an (entity, quantity)
     in a frame's row, and the carry for the next window, which, unless
     final, gets the last row and the frame it may belong to."""
-    # places below the first valve's hold pressures, from the first pipe's on densities
+    # places below the first element's hold pressures, from the first pipe's on densities
     nodes, pipes = len(columns[0]), sum(map(len, columns[:3]))
     lines = list(io.StringIO(window.decode(_ENCODING, "surrogateescape"), newline=""))
     stamps: list[int] = []
@@ -651,16 +651,19 @@ def _window_step(buf: bytearray, cut: int, carry: _Carry, final: bool, places: d
                      for row in cells]
         if len(row_place) != size or None in row_place:
             return None
-        # the middles as 8-byte words and the mask of their bytes, their
-        # widths, the place of each row, and the places a frame gives, each
-        # with the row that gives it: a repeated row keeps the last
+        # the middles as 8-byte words and the mask of their bytes, their widths,
+        # each row's bounds by quantity (a value above low, at most high), and
+        # the places a frame gives, each with its row: a repeated row keeps the last
         widths = np.array([*map(len, middles)])
         width = -(-widths.max() // 8) * 8
         source = {place: row for row, place in enumerate(row_place)}
+        quantity = np.searchsorted(np.cumsum([*map(len, columns)]), row_place, "right")
         template = (np.array(middles, f"S{width}").view(np.uint64).reshape(size, -1),
                     (np.uint8(255) * (np.arange(width) < widths[:, None])).view(np.uint64),
-                    widths, np.array(row_place), *np.array([*source.items()]).T)
-    names, mask, widths, row_place, given, source = template
+                    widths, np.array([0.0, -math.inf, -math.inf, RHO_N_MIN_KGM3])[quantity],
+                    np.array([math.inf] * 3 + [RHO_N_MAX_KGM3])[quantity],
+                    *np.array([*source.items()]).T)
+    names, mask, widths, low, high, given, source = template
     size, words = len(widths), mask.shape[1]
     # unless final, the row after the last frame must be known
     end = max(len(ends) - (not final), 0) // size * size
@@ -701,11 +704,8 @@ def _window_step(buf: bytearray, cut: int, carry: _Carry, final: bool, places: d
     except (ValueError, ParseError):
         return None
     values = values.reshape(-1, size)
-    # every row is checked, also one a later repeat overrides; places as
-    # in _row_step
-    density = values[:, row_place >= sum(map(len, columns[:3]))]
-    if not (np.isfinite(values).all() and (values[:, row_place < len(columns[0])] > 0.0).all()
-            and ((density > RHO_N_MIN_KGM3) & (density <= RHO_N_MAX_KGM3)).all()
+    # every row is checked, also one a later repeat overrides
+    if not (np.isfinite(values).all() and ((values > low) & (values <= high)).all()
             and (np.diff(stamps) > 0).all()):
         return None
     frames = np.full((len(values), len(places)), math.nan)

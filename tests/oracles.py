@@ -198,6 +198,14 @@ def longest_path_all_sources(arcs: list[tuple[str, str, float]]) -> tuple[float,
         for ai in cycle_arcs:
             weights[ai] = 0.0
 
+    return longest_from_every_source(n, edges, weights) + correction, correction
+
+
+def longest_from_every_source(n: int, edges: list[tuple[int, int]],
+                              weights: list[float]) -> float:
+    """The longest path over arcs edges between nodes 0 .. n-1 with negated
+    weights and no negative cycle: Bellman-Ford from every node, the best
+    distance over all sources and targets."""
     best = 0.0
     for source in range(n):
         dist = [math.inf] * n
@@ -213,7 +221,7 @@ def longest_path_all_sources(arcs: list[tuple[str, str, float]]) -> tuple[float,
         for target in range(n):
             if target != source and dist[target] < math.inf:
                 best = max(best, -dist[target])
-    return best + correction, correction
+    return best
 
 
 def closure_strong_components(arcs: list[tuple[str, str, float]]) -> list[frozenset[str]]:
@@ -801,7 +809,31 @@ def _strong_components(n: int, ends: list[tuple[int, int]]) -> list[int]:
 
 
 def object_longest_path(arcs: list[DirectedArc]) -> tuple[float, float]:
-    """components.longest_path_value over arcs keyed by node id strings."""
+    """components.longest_path_value over arcs keyed by node id strings,
+    built apart from it: the strongly connected parts from
+    closure_strong_components, every arc inside a part zeroed and its
+    weight added to the correction in arc order, then Bellman-Ford from
+    every node over what is left."""
+    triples = [(a.from_node, a.to_node, a.weight_pa) for a in arcs]
+    part = {node: scc for scc in closure_strong_components(triples) for node in scc}
+    correction, weights = 0.0, []
+    for u, v, w in triples:
+        if v in part[u]:
+            correction += w
+        weights.append(0.0 if v in part[u] else -w)
+    index = {node: i for i, node in enumerate(sorted(part))}
+    edges = [(index[u], index[v]) for u, v, _ in triples]
+    return longest_from_every_source(len(index), edges, weights) + correction, correction
+
+
+def cancellation_rounds_longest_path(arcs: list[DirectedArc]) -> tuple[float, float]:
+    """The package's earlier longest_path_value, kept as a reference: per
+    strongly connected part that carries weight, Bellman-Ford rounds that
+    each find one negative cycle through the parent arcs, add its weight
+    to the correction, zero its arcs and start again from zero, then a
+    last round over all arcs.  The cycles' order decides only how the
+    correction is summed, so in exact arithmetic it equals
+    object_longest_path."""
     node_ids = sorted({a.from_node for a in arcs} | {a.to_node for a in arcs})
     index = {node: i for i, node in enumerate(node_ids)}
     ends = [(index[a.from_node], index[a.to_node]) for a in arcs]

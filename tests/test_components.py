@@ -29,8 +29,9 @@ from gasinertia.physics import TermRecord, term_ratio
 from gasinertia.thresholds import RelevanceClass, ThresholdConfig
 
 from conftest import make_component, make_pair, make_stream, stamp
-from oracles import (bfs_groups, closure_strong_components, enumerate_longest_path,
-                     longest_path_all_sources, object_components, object_longest_path)
+from oracles import (bfs_groups, cancellation_rounds_longest_path, closure_strong_components,
+                     enumerate_longest_path, longest_path_all_sources, object_components,
+                     object_longest_path)
 
 GEOM = PipeGeometry(10_000.0, 0.5)
 
@@ -221,8 +222,8 @@ def pinned_case(links, alphas, bar_t0, bar_t1, valves):
 
 
 # two pairs whose cycle correction moves by an ulp when their arcs come in
-# another order, pipes reversed and bridges first: their cycles, cancelled
-# one by one, are summed in that order
+# another order (the first one's with its pipes reversed): the arcs inside
+# a strongly connected part are summed in arc order
 ARC_ORDER_CASES = [
     pinned_case([("e00", "resistor", "n6", "n1"), ("e01", "resistor", "n5", "n6"),
                  ("e04", "pipe", "n2", "n0"), ("e05", "valve", "n0", "n1"),
@@ -362,6 +363,12 @@ class TestLongestPath:
         assert enumerate_longest_path(
             [(a.from_node, a.to_node, a.weight_pa) for a in arcs]) == 10.0
 
+    def test_correction_counts_a_weighted_part_off_the_path(self):
+        arcs = [DirectedArc("x", "y", 10.0, "p1"), DirectedArc("a", "b", 1.0, "p2"),
+                DirectedArc("b", "a", 1.0, "p3"), DirectedArc("a", "y", 0.5, "p4")]
+        # the longest path x -> y crosses no part, yet the part {a, b} counts
+        assert longest_path_value(arcs) == (12.0, 2.0)
+
     def test_weighted_self_loop(self):
         assert longest_path_value([DirectedArc("a", "a", 5.0, "p1")]) == (5.0, 5.0)
         arcs = [DirectedArc("a", "a", 5.0, "p1"), DirectedArc("a", "b", 3.0, "p2")]
@@ -455,11 +462,25 @@ def test_longest_path_bounds_and_cancels_only_in_weighted_sccs(arcs):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(multigraphs(), grids()))
 def test_longest_path_matches_the_object_oracle(arcs):
-    """Value and correction bits of the object code kept in oracles.py,
-    whose cancellation rounds find the same cycles in the same order."""
+    """Value and correction bits of oracles.object_longest_path, which finds
+    the parts by closure, sums the arcs inside them in the same order and
+    takes the longest path from every source."""
     value, correction = longest_path_value(arcs)
     expected_value, expected_correction = object_longest_path(arcs)
     assert (value.hex(), correction.hex()) == (expected_value.hex(), expected_correction.hex())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(multigraphs(), grids()))
+def test_longest_path_equals_the_cancellation_rounds(arcs):
+    """In exact arithmetic, cancelling negative cycles one by one until none
+    is left zeroes every arc inside a weighted part; the rounds sum the
+    same weights in the order they find cycles, so value and correction
+    differ from theirs by rounding only."""
+    value, correction = longest_path_value(arcs)
+    rounds_value, rounds_correction = cancellation_rounds_longest_path(arcs)
+    assert abs(correction - rounds_correction) <= len(arcs) * math.ulp(rounds_correction)
+    assert abs(value - rounds_value) <= len(arcs) * math.ulp(rounds_value)
 
 
 class TestArcValidation:
